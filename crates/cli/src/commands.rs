@@ -1026,7 +1026,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         compiled.plan.units.len(),
                         analysis.stats.peak_bytes,
                         dev.name.clone(),
-                        vec![0usize; compiled.plan.units.len()],
+                        compiled.plan.unit_device.clone(),
                     );
                     diags.extend(analysis.diagnostics);
                     diags.extend(report.diagnostics.iter().cloned());
@@ -1977,6 +1977,69 @@ mod tests {
         assert!(out.contains("device 0 peak:"), "{out}");
         assert!(out.contains("device 1 peak:"), "{out}");
         assert!(out.contains("bus traffic:"), "{out}");
+        // A plan that spans devices tags every listed step with its device.
+        assert!(out.contains("H->D  dev0  Img"), "{out}");
+        assert!(out.contains("EXEC  dev1  "), "{out}");
+    }
+
+    /// `--device D` and `--devices Dx1` reach the same scheduler: same
+    /// step listing, same peak, same bytes on the bus — on a template
+    /// that fits, one that splits and one that spills.
+    #[test]
+    fn one_device_cluster_plans_like_the_single_device() {
+        fn field<'a>(out: &'a str, label: &str) -> &'a str {
+            out.lines()
+                .find_map(|l| l.strip_prefix(label))
+                .unwrap_or_else(|| panic!("no '{label}' line in:\n{out}"))
+                .trim()
+        }
+        let numbers = |s: &str| -> Vec<u64> {
+            s.split(|c: char| !c.is_ascii_digit())
+                .filter_map(|t| t.parse().ok())
+                .collect()
+        };
+        let listing = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| {
+                    ["H->D", "EXEC", "D->H", "FREE"]
+                        .iter()
+                        .any(|v| l.starts_with(v))
+                })
+                .map(str::to_string)
+                .collect()
+        };
+        for (src, dev, margin) in [
+            ("fig3", "c870", "0.05"),
+            ("edge:6000x6000,k=16,o=4", "8800gtx", "0.2"),
+            ("cnn-small:8500x8500", "8800gtx", "0.05"),
+        ] {
+            let single = execute(&parse(&format!(
+                "plan {src} --device {dev} --margin {margin} --render"
+            )))
+            .unwrap();
+            let cluster = execute(&parse(&format!(
+                "plan {src} --devices {dev}x1 --margin {margin} --render"
+            )))
+            .unwrap();
+            assert_eq!(
+                field(&single, "plan steps:"),
+                field(&cluster, "plan steps:"),
+                "{src}"
+            );
+            assert_eq!(
+                numbers(field(&single, "peak residency:"))[0],
+                numbers(field(&cluster, "device 0 peak:"))[0],
+                "{src}"
+            );
+            let floats: u64 = numbers(field(&single, "transfers:")).iter().sum();
+            assert_eq!(
+                (floats * 4) >> 20,
+                numbers(field(&cluster, "bus traffic:"))[0],
+                "{src}"
+            );
+            assert!(!listing(&single).is_empty());
+            assert_eq!(listing(&single), listing(&cluster), "{src}");
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn hazardous_report() -> gpuflow_verify::ConcurrencyReport {
     let copy_in = plan
         .steps
         .iter()
-        .position(|s| matches!(s, Step::CopyIn(_)))
+        .position(|s| matches!(s, Step::CopyIn { .. }))
         .unwrap();
     let launch = plan
         .steps

@@ -79,9 +79,10 @@ pub struct PlanDoc {
     pub peak_bytes: u64,
 }
 
-/// Build the document for `plan` over `graph`.
-pub fn plan_doc(graph: &Graph, plan: &ExecutionPlan, template: &str) -> PlanDoc {
-    let data = graph
+/// The `data` table of both plan schemas: every data structure of
+/// `graph`, indexed by position.
+pub(crate) fn data_docs(graph: &Graph) -> Vec<DataDoc> {
+    graph
         .data_ids()
         .map(|d| {
             let desc = graph.data(d);
@@ -99,7 +100,11 @@ pub fn plan_doc(graph: &Graph, plan: &ExecutionPlan, template: &str) -> PlanDoc 
                 bytes: desc.bytes(),
             }
         })
-        .collect();
+        .collect()
+}
+
+/// Build the document for `plan` over `graph`.
+pub fn plan_doc(graph: &Graph, plan: &ExecutionPlan, template: &str) -> PlanDoc {
     let units = plan
         .units
         .iter()
@@ -109,16 +114,16 @@ pub fn plan_doc(graph: &Graph, plan: &ExecutionPlan, template: &str) -> PlanDoc 
         .steps
         .iter()
         .map(|s| match *s {
-            Step::CopyIn(d) => StepDoc::CopyIn { data: d.index() },
-            Step::CopyOut(d) => StepDoc::CopyOut { data: d.index() },
-            Step::Free(d) => StepDoc::Free { data: d.index() },
+            Step::CopyIn { data: d, .. } => StepDoc::CopyIn { data: d.index() },
+            Step::CopyOut { data: d, .. } => StepDoc::CopyOut { data: d.index() },
+            Step::Free { data: d, .. } => StepDoc::Free { data: d.index() },
             Step::Launch(u) => StepDoc::Launch { unit: u },
         })
         .collect();
     let stats = plan.stats(graph);
     PlanDoc {
         template: template.to_string(),
-        data,
+        data: data_docs(graph),
         units,
         steps,
         total_transfer_floats: stats.total_floats(),
@@ -126,27 +131,25 @@ pub fn plan_doc(graph: &Graph, plan: &ExecutionPlan, template: &str) -> PlanDoc 
     }
 }
 
+/// JSON value form of a `data` table.
+pub(crate) fn data_value(data: &[DataDoc]) -> Value {
+    let row = |d: &DataDoc| {
+        let mut dm = Map::new();
+        dm.insert("name", d.name.as_str());
+        dm.insert("rows", d.rows);
+        dm.insert("cols", d.cols);
+        dm.insert("kind", d.kind.as_str());
+        dm.insert("bytes", d.bytes);
+        Value::Object(dm)
+    };
+    Value::Array(data.iter().map(row).collect())
+}
+
 /// JSON value form of a document.
 pub fn doc_to_value(doc: &PlanDoc) -> Value {
     let mut m = Map::new();
     m.insert("template", doc.template.as_str());
-    m.insert(
-        "data",
-        Value::Array(
-            doc.data
-                .iter()
-                .map(|d| {
-                    let mut dm = Map::new();
-                    dm.insert("name", d.name.as_str());
-                    dm.insert("rows", d.rows);
-                    dm.insert("cols", d.cols);
-                    dm.insert("kind", d.kind.as_str());
-                    dm.insert("bytes", d.bytes);
-                    Value::Object(dm)
-                })
-                .collect(),
-        ),
-    );
+    m.insert("data", data_value(&doc.data));
     m.insert(
         "units",
         Value::Array(
@@ -198,7 +201,7 @@ pub fn plan_to_json(
     plan: &ExecutionPlan,
     template: &str,
 ) -> Result<String, EmitError> {
-    crate::check_emittable(graph, plan)?;
+    crate::check_emittable(graph, plan, &[u64::MAX])?;
     Ok(doc_to_value(&plan_doc(graph, plan, template)).to_string_pretty())
 }
 
@@ -368,9 +371,18 @@ pub fn load_plan(doc: &PlanDoc, graph: &Graph) -> Result<ExecutionPlan, LoadErro
         .iter()
         .map(|s| {
             Ok(match *s {
-                StepDoc::CopyIn { data } => Step::CopyIn(check_data(data)?),
-                StepDoc::CopyOut { data } => Step::CopyOut(check_data(data)?),
-                StepDoc::Free { data } => Step::Free(check_data(data)?),
+                StepDoc::CopyIn { data } => Step::CopyIn {
+                    device: 0,
+                    data: check_data(data)?,
+                },
+                StepDoc::CopyOut { data } => Step::CopyOut {
+                    device: 0,
+                    data: check_data(data)?,
+                },
+                StepDoc::Free { data } => Step::Free {
+                    device: 0,
+                    data: check_data(data)?,
+                },
                 StepDoc::Launch { unit } => {
                     if unit >= units.len() {
                         return Err(LoadError(format!("unit index {unit} out of range")));
@@ -380,11 +392,7 @@ pub fn load_plan(doc: &PlanDoc, graph: &Graph) -> Result<ExecutionPlan, LoadErro
             })
         })
         .collect::<Result<Vec<_>, LoadError>>()?;
-    Ok(ExecutionPlan {
-        units,
-        steps,
-        streams: None,
-    })
+    Ok(ExecutionPlan::single_device(units, steps))
 }
 
 #[cfg(test)]

@@ -6,34 +6,13 @@
 //! emitters, this refuses to serialize a plan the multi-device static
 //! analyzer rejects.
 
-use gpuflow_graph::{DataKind, Graph};
+use gpuflow_core::{ExecutionPlan, Step};
+use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
-use gpuflow_multi::{MultiCompiled, MultiPlan, MultiStep};
+use gpuflow_multi::MultiCompiled;
 use gpuflow_sim::DeviceSpec;
 
 use crate::EmitError;
-
-/// Run the multi-device analyzer over `plan` and refuse (with every error
-/// diagnostic) unless it is clean. `capacities` are the per-device memory
-/// limits the plan must respect.
-pub fn check_multi_emittable(
-    graph: &Graph,
-    plan: &MultiPlan,
-    capacities: &[u64],
-) -> Result<(), EmitError> {
-    let analysis = plan.analyze(graph, capacities);
-    if analysis.has_errors() {
-        Err(EmitError {
-            errors: analysis
-                .diagnostics
-                .into_iter()
-                .filter(|d| d.severity == gpuflow_verify::Severity::Error)
-                .collect(),
-        })
-    } else {
-        Ok(())
-    }
-}
 
 fn device_value(d: &DeviceSpec) -> Value {
     let mut m = Map::new();
@@ -47,7 +26,7 @@ fn device_value(d: &DeviceSpec) -> Value {
 
 fn multi_plan_value(
     graph: &Graph,
-    plan: &MultiPlan,
+    plan: &ExecutionPlan,
     devices: &[DeviceSpec],
     template: &str,
 ) -> Value {
@@ -59,29 +38,7 @@ fn multi_plan_value(
     );
     m.insert(
         "data",
-        Value::Array(
-            graph
-                .data_ids()
-                .map(|d| {
-                    let desc = graph.data(d);
-                    let mut dm = Map::new();
-                    dm.insert("name", desc.name.as_str());
-                    dm.insert("rows", desc.rows);
-                    dm.insert("cols", desc.cols);
-                    dm.insert(
-                        "kind",
-                        match desc.kind {
-                            DataKind::Input => "input",
-                            DataKind::Output => "output",
-                            DataKind::Constant => "constant",
-                            DataKind::Temporary => "temporary",
-                        },
-                    );
-                    dm.insert("bytes", desc.bytes());
-                    Value::Object(dm)
-                })
-                .collect(),
-        ),
+        crate::json::data_value(&crate::json::data_docs(graph)),
     );
     m.insert(
         "units",
@@ -114,22 +71,22 @@ fn multi_plan_value(
                 .map(|s| {
                     let mut sm = Map::new();
                     match *s {
-                        MultiStep::CopyIn { device, data } => {
+                        Step::CopyIn { device, data } => {
                             sm.insert("op", "copy_in");
                             sm.insert("device", device);
                             sm.insert("data", data.index());
                         }
-                        MultiStep::CopyOut { device, data } => {
+                        Step::CopyOut { device, data } => {
                             sm.insert("op", "copy_out");
                             sm.insert("device", device);
                             sm.insert("data", data.index());
                         }
-                        MultiStep::Free { device, data } => {
+                        Step::Free { device, data } => {
                             sm.insert("op", "free");
                             sm.insert("device", device);
                             sm.insert("data", data.index());
                         }
-                        MultiStep::Launch(u) => {
+                        Step::Launch(u) => {
                             sm.insert("op", "launch");
                             sm.insert("unit", u);
                             sm.insert("device", plan.unit_device[u]);
@@ -148,12 +105,12 @@ fn multi_plan_value(
 /// multi-device static analyzer finds any error.
 pub fn multi_plan_to_json(
     graph: &Graph,
-    plan: &MultiPlan,
+    plan: &ExecutionPlan,
     devices: &[DeviceSpec],
     template: &str,
 ) -> Result<String, EmitError> {
     let capacities: Vec<u64> = devices.iter().map(|d| d.memory_bytes).collect();
-    check_multi_emittable(graph, plan, &capacities)?;
+    crate::check_emittable(graph, plan, &capacities)?;
     Ok(multi_plan_value(graph, plan, devices, template).to_string_pretty())
 }
 
@@ -170,7 +127,7 @@ pub fn compiled_multi_to_json(c: &MultiCompiled, template: &str) -> Result<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpuflow_graph::OpKind;
+    use gpuflow_graph::{DataKind, OpKind};
     use gpuflow_multi::{compile_multi, Cluster};
     use gpuflow_sim::device::tesla_c870;
 

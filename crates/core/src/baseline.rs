@@ -40,26 +40,22 @@ pub fn baseline_plan(g: &Graph, memory_bytes: u64) -> Result<ExecutionPlan, Fram
         let mut seen = std::collections::HashSet::new();
         for &d in &node.inputs {
             if seen.insert(d) {
-                steps.push(Step::CopyIn(d));
+                steps.push(Step::CopyIn { device: 0, data: d });
             }
         }
         steps.push(Step::Launch(u));
         for &d in &node.outputs {
-            steps.push(Step::CopyOut(d));
+            steps.push(Step::CopyOut { device: 0, data: d });
         }
         for &d in node.inputs.iter().chain(node.outputs.iter()) {
             if seen.remove(&d) || node.outputs.contains(&d) {
-                steps.push(Step::Free(d));
+                steps.push(Step::Free { device: 0, data: d });
             }
         }
     }
-    let plan = ExecutionPlan {
-        units,
-        steps,
-        streams: None,
-    };
+    let plan = ExecutionPlan::single_device(units, steps);
     #[cfg(debug_assertions)]
-    crate::plan::debug_check_plan(g, &plan, memory_bytes, "baseline_plan");
+    crate::plan::debug_check_plan(g, &plan, &[memory_bytes], "baseline_plan");
     Ok(plan)
 }
 

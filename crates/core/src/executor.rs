@@ -158,7 +158,7 @@ impl<'a> Executor<'a> {
 
         for step in &self.plan.steps {
             match *step {
-                Step::CopyIn(d) => {
+                Step::CopyIn { data: d, .. } => {
                     let tensor = match bindings {
                         Some(b) => Some(self.host_source(d, &host, b)?),
                         None => None,
@@ -172,7 +172,7 @@ impl<'a> Executor<'a> {
                         transfer_time(self.device, bytes),
                     );
                 }
-                Step::CopyOut(d) => {
+                Step::CopyOut { data: d, .. } => {
                     let (_, tensor) =
                         device
                             .get(&d)
@@ -190,7 +190,7 @@ impl<'a> Executor<'a> {
                         transfer_time(self.device, bytes),
                     );
                 }
-                Step::Free(d) => {
+                Step::Free { data: d, .. } => {
                     let (a, _) =
                         device
                             .remove(&d)

@@ -21,7 +21,7 @@ use crate::executor::{ExecOutcome, Executor};
 use crate::opschedule::{schedule_units, OpScheduler};
 use crate::partition::{partition_offload_units, PartitionPolicy};
 use crate::pbexact::{pb_exact_plan_traced, PbExactOptions, PbExactStats};
-use crate::plan::{validate_plan, ExecutionPlan, PlanStats};
+use crate::plan::{check_plan, ExecutionPlan, PlanStats};
 use crate::split::{split_graph, SplitResult};
 use crate::xfer::{schedule_transfers, EvictionPolicy, XferOptions};
 
@@ -232,9 +232,12 @@ impl Framework {
         let plan;
         let exact_optimal;
         let exact_stats;
+        // Counted once per compile, for the scheduling span and the metrics.
+        let evictions;
         if let Some(pb_opts) = self.options.exact {
             let out = pb_exact_plan_traced(&split.graph, &units, budget, pb_opts, None, tracer)?;
             plan = out.plan;
+            evictions = plan.evictions();
             exact_optimal = out.optimal;
             exact_stats = Some(out.stats);
         } else if self.options.streams > 1 {
@@ -252,13 +255,14 @@ impl Framework {
                 self.options.defer_frees,
             )?;
             let ann = plan.streams.as_ref().expect("streamed plan is annotated");
+            evictions = plan.evictions();
             tracer.end_with(
                 tok,
                 vec![
                     kv("streams", ann.num_streams),
                     kv("events", ann.events.len()),
                     kv("steps", plan.steps.len()),
-                    kv("evictions", plan.evictions()),
+                    kv("evictions", evictions),
                 ],
             );
             exact_optimal = false;
@@ -281,31 +285,34 @@ impl Framework {
                     eager_free: self.options.eager_free,
                 },
             )?;
+            evictions = plan.evictions();
             tracer.end_with(
                 tok,
                 vec![
                     kv("eviction", format!("{:?}", self.options.eviction)),
                     kv("steps", plan.steps.len()),
-                    kv("evictions", plan.evictions()),
+                    kv("evictions", evictions),
                 ],
             );
             exact_optimal = false;
             exact_stats = None;
         }
 
+        // One residency walk gives both the verdict (what `validate_plan`
+        // checks) and the canonical plan statistics: the metrics the
+        // exported trace reconciles against come from here, never from a
+        // second count.
         let tok = tracer.begin("compile", "validate");
-        validate_plan(&split.graph, &plan, budget)?;
+        let (analysis, error) = check_plan(&split.graph, &plan, &[budget]);
+        if let Some(msg) = error {
+            return Err(FrameworkError::InvalidPlan(msg));
+        }
         tracer.end(tok);
-
-        // Canonical plan statistics (the verify engine's walk): the
-        // metrics the exported trace reconciles against come from here,
-        // never from a second count.
-        let stats = plan.stats(&split.graph);
-        crate::observe::record_plan_metrics(tracer, &stats);
+        crate::observe::record_plan_metrics(tracer, &analysis.stats);
         if tracer.is_enabled() {
             let m = tracer.metrics();
             m.set("plan.steps", plan.steps.len() as u64);
-            m.set("plan.evictions", plan.evictions() as u64);
+            m.set("plan.evictions", evictions as u64);
         }
 
         Ok(CompiledTemplate {

@@ -255,7 +255,7 @@ pub fn overlapped_trace_profiled(
 ) -> (OverlapOutcome, Vec<LaneEvent>, Vec<GapEvent>) {
     #[cfg(debug_assertions)]
     {
-        crate::plan::debug_check_plan(g, plan, dev.memory_bytes, "overlapped_trace");
+        crate::plan::debug_check_plan(g, plan, &[dev.memory_bytes], "overlapped_trace");
         // Dynamic sanitizer: the overlap discipline's own step times must
         // honour every happens-before edge of the certificate.
         let times = crate::sanitize::overlap_step_times(g, plan, dev);
@@ -295,7 +295,7 @@ pub fn overlapped_trace_profiled(
     let mut gaps: Vec<GapEvent> = Vec::new();
     for step in &plan.steps {
         match *step {
-            Step::CopyIn(d) => {
+            Step::CopyIn { data: d, .. } => {
                 let bytes = g.data(d).bytes();
                 let dur = transfer_time(dev, bytes);
                 // Allocating: wait for host validity and for all earlier
@@ -332,7 +332,7 @@ pub fn overlapped_trace_profiled(
                     bytes,
                 });
             }
-            Step::CopyOut(d) => {
+            Step::CopyOut { data: d, .. } => {
                 let bytes = g.data(d).bytes();
                 let dur = transfer_time(dev, bytes);
                 let ready = device_ready[d.index()];
@@ -364,7 +364,7 @@ pub fn overlapped_trace_profiled(
                     bytes,
                 });
             }
-            Step::Free(d) => {
+            Step::Free { data: d, .. } => {
                 free_horizon = free_horizon.max(last_touch[d.index()]);
             }
             Step::Launch(u) => {

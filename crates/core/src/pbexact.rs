@@ -764,15 +764,15 @@ fn warm_phases(
     let mut t = 1usize;
     for step in &plan.steps {
         match *step {
-            Step::CopyOut(d) => {
+            Step::CopyOut { data: d, .. } => {
                 cc_at[t.min(n + 1)][d.index()] = true;
                 on_cpu[d.index()] = true;
             }
-            Step::CopyIn(d) => {
+            Step::CopyIn { data: d, .. } => {
                 cg_at[t.min(n)][d.index()] = true;
                 on_gpu[d.index()] = true;
             }
-            Step::Free(d) => on_gpu[d.index()] = false,
+            Step::Free { data: d, .. } => on_gpu[d.index()] = false,
             Step::Launch(u) => {
                 for d in units[u].outputs(g) {
                     on_gpu[d.index()] = true;
@@ -855,7 +855,7 @@ pub fn exposed_transfer_floats(g: &Graph, plan: &ExecutionPlan) -> u64 {
     let mut exposed = 0u64;
     for step in &plan.steps {
         match *step {
-            Step::CopyIn(d) => upload_slot[d.index()] = Some(launches_seen + 1),
+            Step::CopyIn { data: d, .. } => upload_slot[d.index()] = Some(launches_seen + 1),
             Step::Launch(u) => {
                 launches_seen += 1;
                 for d in plan.units[u].external_inputs(g) {
@@ -864,12 +864,12 @@ pub fn exposed_transfer_floats(g: &Graph, plan: &ExecutionPlan) -> u64 {
                     }
                 }
             }
-            Step::CopyOut(d) => {
+            Step::CopyOut { data: d, .. } => {
                 if launches_seen >= n {
                     exposed += g.data(d).len();
                 }
             }
-            Step::Free(_) => {}
+            Step::Free { .. } => {}
         }
     }
     exposed
@@ -912,11 +912,7 @@ pub fn pb_exact_plan_traced(
     let j = g.num_data();
     if n == 0 {
         return Ok(PbExactOutcome {
-            plan: ExecutionPlan {
-                units: Vec::new(),
-                steps: Vec::new(),
-                streams: None,
-            },
+            plan: ExecutionPlan::single_device(Vec::new(), Vec::new()),
             transfer_floats: 0,
             optimal: true,
             stats: PbExactStats::default(),
@@ -1192,17 +1188,26 @@ pub fn pb_exact_plan_traced(
     for t in 1..=n {
         for dj in 0..j {
             if tv(enc.cc[dj][t - 1]) {
-                steps.push(Step::CopyOut(DataId(dj as u32)));
+                steps.push(Step::CopyOut {
+                    device: 0,
+                    data: DataId(dj as u32),
+                });
             }
         }
         for dj in 0..j {
             if tv(enc.gv[dj][t - 1]) && !tv(enc.gv[dj][t]) {
-                steps.push(Step::Free(DataId(dj as u32)));
+                steps.push(Step::Free {
+                    device: 0,
+                    data: DataId(dj as u32),
+                });
             }
         }
         for dj in 0..j {
             if tv(enc.cg[dj][t - 1]) {
-                steps.push(Step::CopyIn(DataId(dj as u32)));
+                steps.push(Step::CopyIn {
+                    device: 0,
+                    data: DataId(dj as u32),
+                });
             }
         }
         let u = (0..n)
@@ -1213,22 +1218,24 @@ pub fn pb_exact_plan_traced(
     // Drain after the last step.
     for dj in 0..j {
         if tv(enc.cc[dj][n]) {
-            steps.push(Step::CopyOut(DataId(dj as u32)));
+            steps.push(Step::CopyOut {
+                device: 0,
+                data: DataId(dj as u32),
+            });
         }
     }
     for dj in 0..j {
         if tv(enc.gv[dj][n]) {
-            steps.push(Step::Free(DataId(dj as u32)));
+            steps.push(Step::Free {
+                device: 0,
+                data: DataId(dj as u32),
+            });
         }
     }
 
-    let plan = ExecutionPlan {
-        units: units.to_vec(),
-        steps,
-        streams: None,
-    };
+    let plan = ExecutionPlan::single_device(units.to_vec(), steps);
     #[cfg(debug_assertions)]
-    crate::plan::debug_check_plan(g, &plan, memory_bytes, "pb_exact_plan");
+    crate::plan::debug_check_plan(g, &plan, &[memory_bytes], "pb_exact_plan");
     Ok(PbExactOutcome {
         plan,
         transfer_floats: value as u64,

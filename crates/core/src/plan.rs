@@ -2,51 +2,46 @@
 //!
 //! A plan is the "optimal execution plan for template" of the paper's
 //! Fig. 4 — the exact sequence of host→device copies, kernel launches
-//! (offload units), device→host copies, and device frees. Plans are
-//! statically validated against precedence, residency and memory-capacity
-//! invariants before anything executes.
+//! (offload units), device→host copies, and device frees. There is one
+//! plan type for every target: each transfer and free names its device
+//! and each unit has an assigned device, so a single-GPU plan is simply
+//! the plan of a one-device cluster (every device index is `0`). Plans
+//! are statically validated against precedence, residency and
+//! memory-capacity invariants before anything executes.
 //!
 //! Validation and statistics are both produced by the residency-dataflow
-//! engine of `gpuflow-verify` ([`ExecutionPlan::analyze`]): one forward
-//! walk checks every invariant *and* computes the transfer numbers, so
-//! the semantics the validator enforces and the costs the reports quote
-//! can never drift apart. [`validate_plan`] and [`ExecutionPlan::stats`]
-//! are thin views over that engine.
+//! engine of `gpuflow-verify` ([`ExecutionPlan::analyze_devices`]): one
+//! forward walk checks every invariant *and* computes the transfer
+//! numbers, so the semantics the validator enforces and the costs the
+//! reports quote can never drift apart. [`validate_plan`] and
+//! [`ExecutionPlan::stats`] are thin views over that engine.
 
-use gpuflow_graph::{DataId, Graph, FLOAT_BYTES};
+use gpuflow_graph::{DataId, Graph};
 use gpuflow_verify::{
-    analyze_plan, certify_single_plan, certify_single_plan_streams, ConcurrencyReport, Location,
+    analyze_plan, certify_concurrency_streams, ConcurrencyReport, Diagnostic, LaneModel, Location,
     PlanAnalysis, PlanView, UnitView,
 };
 
-pub use gpuflow_verify::PlanStats;
+pub use gpuflow_verify::{PlanStats, Step};
 
 use crate::error::FrameworkError;
 use crate::partition::OffloadUnit;
 use crate::streams::StreamSchedule;
 
-/// One step of an execution plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Copy a data structure from host to device memory.
-    CopyIn(DataId),
-    /// Launch offload unit `usize` (index into the plan's unit list).
-    /// Device buffers for the unit's outputs are allocated as part of the
-    /// launch.
-    Launch(usize),
-    /// Copy a data structure from device to host memory.
-    CopyOut(DataId),
-    /// Release a data structure's device buffer.
-    Free(DataId),
-}
-
-/// A complete execution plan over a (possibly split) operator graph.
+/// A complete execution plan over a (possibly split) operator graph, for
+/// one device or a cluster.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     /// The offload units, indexed by [`Step::Launch`].
     pub units: Vec<OffloadUnit>,
-    /// The step sequence.
+    /// Device each unit launches on (parallel to `units`).
+    pub unit_device: Vec<usize>,
+    /// The global step sequence (interleaved across devices).
     pub steps: Vec<Step>,
+    /// Produced data already valid on the host before the plan starts
+    /// (failover replanning pins a completed prefix's results here).
+    /// Empty for ordinary plans.
+    pub pinned_host: Vec<DataId>,
     /// Stream/event annotation from the stream-aware list scheduler
     /// ([`crate::streams`]); `None` means the classic serial discipline
     /// (one compute stream, ordering implied by plan order).
@@ -54,8 +49,26 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
+    /// A serial plan whose every unit runs on device `0` — what the
+    /// single-GPU planners emit.
+    pub fn single_device(units: Vec<OffloadUnit>, steps: Vec<Step>) -> Self {
+        ExecutionPlan {
+            unit_device: vec![0; units.len()],
+            units,
+            steps,
+            pinned_host: Vec::new(),
+            streams: None,
+        }
+    }
+
+    /// Number of devices the plan launches on (at least one).
+    pub fn devices(&self) -> usize {
+        self.unit_device.iter().max().map_or(1, |&d| d + 1)
+    }
+
     /// The engine-neutral view of this plan consumed by `gpuflow-verify`:
-    /// per-unit external inputs/outputs plus the step sequence.
+    /// per-unit external inputs/outputs beside the plan's own steps and
+    /// placement.
     pub fn view(&self, g: &Graph) -> PlanView {
         let units = self
             .units
@@ -65,44 +78,70 @@ impl ExecutionPlan {
                 outputs: u.outputs(g),
             })
             .collect();
-        let steps = self
-            .steps
-            .iter()
-            .map(|s| match *s {
-                Step::CopyIn(d) => gpuflow_verify::PlanStep::CopyIn(d),
-                Step::CopyOut(d) => gpuflow_verify::PlanStep::CopyOut(d),
-                Step::Free(d) => gpuflow_verify::PlanStep::Free(d),
-                Step::Launch(u) => gpuflow_verify::PlanStep::Launch(u),
-            })
-            .collect();
-        PlanView { units, steps }
+        PlanView {
+            units,
+            unit_device: self.unit_device.clone(),
+            steps: self.steps.clone(),
+            pinned_host: self.pinned_host.clone(),
+        }
     }
 
-    /// Run the full static analyzer over this plan: every validity
-    /// invariant, transfer statistics, and (optionally) efficiency lints.
+    /// Run the full static analyzer over this plan against per-device
+    /// `capacities`: every validity invariant, transfer statistics, and
+    /// (optionally) efficiency lints.
+    pub fn analyze_devices(&self, g: &Graph, capacities: &[u64], lints: bool) -> PlanAnalysis {
+        analyze_plan(g, &self.view(g), capacities, lints)
+    }
+
+    /// [`ExecutionPlan::analyze_devices`] for a single-GPU plan.
+    // Survives as an adapter: the one-capacity form is what every
+    // single-device caller (and perf/src/layers.rs) has to hand.
     pub fn analyze(&self, g: &Graph, memory_bytes: u64, lints: bool) -> PlanAnalysis {
-        analyze_plan(g, &self.view(g), memory_bytes, lints)
+        self.analyze_devices(g, &[memory_bytes], lints)
     }
 
     /// Compute transfer statistics without executing.
     pub fn stats(&self, g: &Graph) -> PlanStats {
-        self.analyze(g, u64::MAX, false).stats
+        self.analyze_devices(g, &vec![u64::MAX; self.devices()], false)
+            .stats
+    }
+
+    /// Bytes crossing the bus (both directions) — each staged
+    /// inter-device copy counts twice, once per leg, exactly as the fabric
+    /// sees it.
+    pub fn bus_bytes(&self, g: &Graph) -> u64 {
+        self.steps
+            .iter()
+            .map(|s| match *s {
+                Step::CopyIn { data, .. } | Step::CopyOut { data, .. } => g.data(data).bytes(),
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Run the concurrency certifier over this plan: build the
-    /// happens-before DAG for the two-engine overlap model and prove
-    /// every pair of conflicting accesses ordered (`GF005x` diagnostics
-    /// on failure, the `GF0056` certificate note on success). Plans
-    /// annotated by the stream scheduler are certified against the
-    /// multi-stream lane model: each compute stream is its own program
-    /// lane, so cross-stream data dependencies must be covered by
-    /// explicit happens-before edges. See `docs/concurrency.md` and
-    /// `docs/streams.md`.
+    /// happens-before DAG for its lane decomposition — one compute lane
+    /// per device (per stream, for plans annotated by the stream
+    /// scheduler) racing the two DMA channels — and prove every pair of
+    /// conflicting accesses ordered (`GF005x` diagnostics on failure, the
+    /// `GF0056` certificate note on success). On a multi-stream plan each
+    /// compute stream is its own program lane, so cross-stream data
+    /// dependencies must be covered by explicit happens-before edges. See
+    /// `docs/concurrency.md` and `docs/streams.md`.
     pub fn certify(&self, g: &Graph) -> ConcurrencyReport {
-        match &self.streams {
-            Some(s) => certify_single_plan_streams(g, &self.view(g), &s.unit_stream, s.num_streams),
-            None => certify_single_plan(g, &self.view(g)),
-        }
+        self.certify_view(g, &self.view(g))
+    }
+
+    fn certify_view(&self, g: &Graph, view: &PlanView) -> ConcurrencyReport {
+        let (unit_stream, streams) = match &self.streams {
+            Some(s) => (s.unit_stream.as_slice(), s.num_streams.max(1)),
+            None => (&[][..], 1),
+        };
+        let lanes = LaneModel {
+            devices: self.devices(),
+            streams,
+        };
+        certify_concurrency_streams(g, view, &lanes, unit_stream)
     }
 
     /// Run the recoverability pass: per-launch minimal restart sets and
@@ -117,49 +156,81 @@ impl ExecutionPlan {
         gpuflow_verify::analyze_recovery(g, &self.view(g), opts)
     }
 
-    /// Number of evictions: `Free` steps whose datum is uploaded again by
-    /// a later `CopyIn` (the transfer scheduler spilled it to make room,
-    /// as opposed to a final dead-data free).
+    /// Number of evictions: `Free` steps whose datum is uploaded again to
+    /// the same device by a later `CopyIn` (the transfer scheduler spilled
+    /// it to make room, as opposed to a final dead-data free).
     pub fn evictions(&self) -> usize {
-        self.steps
-            .iter()
-            .enumerate()
-            .filter(|&(i, step)| match *step {
-                Step::Free(d) => self.steps[i + 1..]
-                    .iter()
-                    .any(|s| matches!(*s, Step::CopyIn(d2) if d2 == d)),
-                _ => false,
-            })
-            .count()
+        // One backward pass: a Free is an eviction iff a CopyIn of the
+        // same (device, data) has been seen behind it.
+        let mut reloaded = std::collections::HashSet::new();
+        let mut evictions = 0;
+        for step in self.steps.iter().rev() {
+            match *step {
+                Step::CopyIn { device, data } => {
+                    reloaded.insert((device, data));
+                }
+                Step::Free { device, data } if reloaded.contains(&(device, data)) => {
+                    evictions += 1;
+                }
+                _ => {}
+            }
+        }
+        evictions
     }
 
-    /// Render the plan as one step per line (the textual Fig. 6(b)).
+    /// Render the plan as one step per line (the textual Fig. 6(b)). A
+    /// plan that spans several devices tags every line with its device.
     pub fn render(&self, g: &Graph) -> String {
         use std::fmt::Write as _;
+        let tagged = self.devices() > 1;
         let mut s = String::new();
         for step in &self.steps {
-            match *step {
-                Step::CopyIn(d) => {
-                    let _ = writeln!(s, "H->D  {}", g.data(d).name);
-                }
-                Step::CopyOut(d) => {
-                    let _ = writeln!(s, "D->H  {}", g.data(d).name);
-                }
-                Step::Free(d) => {
-                    let _ = writeln!(s, "FREE  {}", g.data(d).name);
-                }
+            let (verb, device, what) = match *step {
+                Step::CopyIn { device, data } => ("H->D", device, g.data(data).name.clone()),
+                Step::CopyOut { device, data } => ("D->H", device, g.data(data).name.clone()),
+                Step::Free { device, data } => ("FREE", device, g.data(data).name.clone()),
                 Step::Launch(u) => {
                     let names: Vec<&str> = self.units[u]
                         .ops
                         .iter()
                         .map(|&o| g.op(o).name.as_str())
                         .collect();
-                    let _ = writeln!(s, "EXEC  {}", names.join(" ; "));
+                    ("EXEC", self.unit_device[u], names.join(" ; "))
                 }
-            }
+            };
+            let _ = if tagged {
+                writeln!(s, "{verb}  dev{device}  {what}")
+            } else {
+                writeln!(s, "{verb}  {what}")
+            };
         }
         s
     }
+}
+
+/// The one verdict [`validate_plan`], `Framework::compile` and the
+/// planners' debug self-check all apply, over one view of the plan: the
+/// residency analysis against `capacities`, then — a serially-valid plan
+/// must additionally be race-free on the concurrent lanes — the
+/// concurrency certifier. Returns the analysis (for its statistics) and
+/// the first error, if any, in fail-fast form.
+pub(crate) fn check_plan(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    capacities: &[u64],
+) -> (PlanAnalysis, Option<String>) {
+    let view = plan.view(g);
+    let analysis = analyze_plan(g, &view, capacities, false);
+    // The fail-fast rendering of a finding: `step N: message`.
+    let message = |d: &Diagnostic| match d.location {
+        Some(Location::Step(i)) => format!("step {i}: {}", d.message),
+        _ => d.message.clone(),
+    };
+    let error = match analysis.first_error() {
+        Some(d) => Some(message(d)),
+        None => plan.certify_view(g, &view).first_error().map(message),
+    };
+    (analysis, error)
 }
 
 /// Validate a plan against `g` and a device memory of `memory_bytes`:
@@ -169,7 +240,8 @@ impl ExecutionPlan {
 /// * every unit's external inputs are device-resident at launch;
 /// * device occupancy never exceeds `memory_bytes`;
 /// * every unit launches exactly once, in dependency order;
-/// * every graph output is valid on the host when the plan ends.
+/// * every graph output is valid on the host when the plan ends;
+/// * the schedule is race-free on the concurrent lanes.
 ///
 /// This is a fail-fast view over [`ExecutionPlan::analyze`]: the first
 /// error diagnostic (in step order) becomes the
@@ -180,41 +252,21 @@ pub fn validate_plan(
     plan: &ExecutionPlan,
     memory_bytes: u64,
 ) -> Result<(), FrameworkError> {
-    let analysis = plan.analyze(g, memory_bytes, false);
-    let step_msg = |d: &gpuflow_verify::Diagnostic| match d.location {
-        Some(Location::Step(i)) => format!("step {i}: {}", d.message),
-        _ => d.message.clone(),
-    };
-    if let Some(d) = analysis.first_error() {
-        return Err(FrameworkError::InvalidPlan(step_msg(d)));
+    match check_plan(g, plan, &[memory_bytes]).1 {
+        Some(msg) => Err(FrameworkError::InvalidPlan(msg)),
+        None => Ok(()),
     }
-    // A serially-valid plan must additionally be race-free on the
-    // concurrent lanes (compute vs. the two DMA engines).
-    let cert = plan.certify(g);
-    if let Some(d) = cert.first_error() {
-        return Err(FrameworkError::InvalidPlan(step_msg(d)));
-    }
-    Ok(())
-}
-
-/// Bytes of a data structure — tiny helper shared by planners.
-pub fn data_bytes(g: &Graph, d: DataId) -> u64 {
-    g.data(d).len() * FLOAT_BYTES
 }
 
 /// Debug/test guard used by every planner: assert that a freshly produced
-/// plan carries no error diagnostics. Compiled to nothing in release
-/// builds (the planners are trusted there; `validate_plan` remains the
-/// explicit check).
+/// plan carries no error diagnostics against the per-device `budgets` and
+/// certifies race-free. Compiled to nothing in release builds (the
+/// planners are trusted there; `validate_plan` remains the explicit
+/// check).
 #[cfg(debug_assertions)]
-pub(crate) fn debug_check_plan(g: &Graph, plan: &ExecutionPlan, memory_bytes: u64, planner: &str) {
-    let analysis = plan.analyze(g, memory_bytes, false);
-    if let Some(d) = analysis.first_error() {
-        panic!("{planner} produced an invalid plan: {}", d.render());
-    }
-    let cert = plan.certify(g);
-    if let Some(d) = cert.first_error() {
-        panic!("{planner} produced a racy plan: {}", d.render());
+pub(crate) fn debug_check_plan(g: &Graph, plan: &ExecutionPlan, budgets: &[u64], planner: &str) {
+    if let Some(msg) = check_plan(g, plan, budgets).1 {
+        panic!("{planner} produced an invalid plan: {msg}");
     }
 }
 
@@ -240,21 +292,32 @@ mod tests {
         g.op_ids().map(|o| OffloadUnit { ops: vec![o] }).collect()
     }
 
+    fn cin(data: DataId) -> Step {
+        Step::CopyIn { device: 0, data }
+    }
+
+    fn cout(data: DataId) -> Step {
+        Step::CopyOut { device: 0, data }
+    }
+
+    fn free(data: DataId) -> Step {
+        Step::Free { device: 0, data }
+    }
+
     fn good_plan(g: &Graph) -> ExecutionPlan {
         let d = |i: u32| DataId(i);
-        ExecutionPlan {
-            streams: None,
-            units: units2(g),
-            steps: vec![
-                Step::CopyIn(d(0)),
+        ExecutionPlan::single_device(
+            units2(g),
+            vec![
+                cin(d(0)),
                 Step::Launch(0),
-                Step::Free(d(0)),
+                free(d(0)),
                 Step::Launch(1),
-                Step::Free(d(1)),
-                Step::CopyOut(d(2)),
-                Step::Free(d(2)),
+                free(d(1)),
+                cout(d(2)),
+                free(d(2)),
             ],
-        }
+        )
     }
 
     #[test]
@@ -292,11 +355,8 @@ mod tests {
     #[test]
     fn copyin_requires_host_validity() {
         let g = chain2();
-        let p = ExecutionPlan {
-            streams: None,
-            units: units2(&g),
-            steps: vec![Step::CopyIn(DataId(1))], // `mid` never produced
-        };
+        // `mid` is never produced.
+        let p = ExecutionPlan::single_device(units2(&g), vec![cin(DataId(1))]);
         let err = validate_plan(&g, &p, u64::MAX).unwrap_err();
         assert!(err.to_string().contains("not valid on the host"), "{err}");
     }
@@ -305,7 +365,7 @@ mod tests {
     fn output_must_reach_host() {
         let g = chain2();
         let mut p = good_plan(&g);
-        p.steps.retain(|s| !matches!(s, Step::CopyOut(_)));
+        p.steps.retain(|s| !matches!(s, Step::CopyOut { .. }));
         let err = validate_plan(&g, &p, u64::MAX).unwrap_err();
         assert!(err.to_string().contains("not on the host"), "{err}");
     }
@@ -316,15 +376,10 @@ mod tests {
         let mut p = good_plan(&g);
         p.steps.push(Step::Launch(0));
         assert!(validate_plan(&g, &p, u64::MAX).is_err());
-        let p2 = ExecutionPlan {
-            streams: None,
-            units: units2(&g),
-            steps: vec![
-                Step::CopyIn(DataId(0)),
-                Step::Launch(0),
-                Step::CopyOut(DataId(1)),
-            ],
-        };
+        let p2 = ExecutionPlan::single_device(
+            units2(&g),
+            vec![cin(DataId(0)), Step::Launch(0), cout(DataId(1))],
+        );
         let err = validate_plan(&g, &p2, u64::MAX).unwrap_err();
         assert!(err.to_string().contains("never launched"), "{err}");
     }
@@ -332,11 +387,7 @@ mod tests {
     #[test]
     fn precedence_violation_detected() {
         let g = chain2();
-        let p = ExecutionPlan {
-            streams: None,
-            units: units2(&g),
-            steps: vec![Step::CopyIn(DataId(0)), Step::Launch(1)],
-        };
+        let p = ExecutionPlan::single_device(units2(&g), vec![cin(DataId(0)), Step::Launch(1)]);
         let err = validate_plan(&g, &p, u64::MAX).unwrap_err();
         assert!(err.to_string().contains("not resident"), "{err}");
     }
@@ -356,15 +407,10 @@ mod tests {
     #[test]
     fn double_free_detected() {
         let g = chain2();
-        let p = ExecutionPlan {
-            streams: None,
-            units: units2(&g),
-            steps: vec![
-                Step::CopyIn(DataId(0)),
-                Step::Free(DataId(0)),
-                Step::Free(DataId(0)),
-            ],
-        };
+        let p = ExecutionPlan::single_device(
+            units2(&g),
+            vec![cin(DataId(0)), free(DataId(0)), free(DataId(0))],
+        );
         assert!(validate_plan(&g, &p, u64::MAX).is_err());
     }
 
@@ -372,20 +418,12 @@ mod tests {
     fn out_of_range_ids_rejected_for_every_step_kind() {
         let g = chain2();
         let bogus = DataId(99);
-        for step in [Step::CopyIn(bogus), Step::CopyOut(bogus), Step::Free(bogus)] {
-            let p = ExecutionPlan {
-                streams: None,
-                units: units2(&g),
-                steps: vec![step],
-            };
+        for step in [cin(bogus), cout(bogus), free(bogus)] {
+            let p = ExecutionPlan::single_device(units2(&g), vec![step]);
             let err = validate_plan(&g, &p, u64::MAX).unwrap_err();
             assert!(err.to_string().contains("unknown data"), "{step:?}: {err}");
         }
-        let p = ExecutionPlan {
-            streams: None,
-            units: units2(&g),
-            steps: vec![Step::Launch(99)],
-        };
+        let p = ExecutionPlan::single_device(units2(&g), vec![Step::Launch(99)]);
         let err = validate_plan(&g, &p, u64::MAX).unwrap_err();
         assert!(err.to_string().contains("unknown unit"), "{err}");
     }

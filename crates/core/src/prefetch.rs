@@ -75,7 +75,7 @@ fn hoist_prefetches_inner(
     // positions. Scanning forward after hoisting keeps indices simple.
     let mut i = 0;
     while i < steps.len() {
-        if let Step::CopyIn(d) = steps[i] {
+        if let Step::CopyIn { data: d, .. } = steps[i] {
             let bytes = g.data(d).bytes();
             let mut pos = i;
             while pos > 0 && i - pos < lookahead {
@@ -100,9 +100,8 @@ fn hoist_prefetches_inner(
         i += 1;
     }
     let mut hoisted = ExecutionPlan {
-        units: plan.units.clone(),
         steps,
-        streams: plan.streams.clone(),
+        ..plan.clone()
     };
     // Hoisting renumbers steps, so a stream annotation's event edges must
     // be re-derived against the new step order (the stream assignment
@@ -112,7 +111,7 @@ fn hoist_prefetches_inner(
             crate::streams::derive_events_for(g, &hoisted.units, &hoisted.steps, &ann.unit_stream);
     }
     #[cfg(debug_assertions)]
-    crate::plan::debug_check_plan(g, &hoisted, memory_bytes, "hoist_prefetches");
+    crate::plan::debug_check_plan(g, &hoisted, &[memory_bytes], "hoist_prefetches");
     (hoisted, moves)
 }
 
@@ -120,7 +119,9 @@ fn hoist_prefetches_inner(
 fn blocks_hoist(g: &Graph, prev: &Step, d: DataId, plan: &ExecutionPlan) -> bool {
     match *prev {
         // Anything touching the same buffer is a hard barrier.
-        Step::CopyIn(p) | Step::CopyOut(p) | Step::Free(p) => p == d,
+        Step::CopyIn { data: p, .. }
+        | Step::CopyOut { data: p, .. }
+        | Step::Free { data: p, .. } => p == d,
         // A launch is a barrier if it produces or consumes d (consuming
         // would mean d was resident then — the plan has a bug anyway; be
         // conservative).
@@ -138,14 +139,14 @@ fn occupancy_before(g: &Graph, plan: &ExecutionPlan, steps: &[Step]) -> Vec<u64>
     for step in steps {
         occ.push(cur);
         match *step {
-            Step::CopyIn(d) => cur += g.data(d).bytes(),
-            Step::Free(d) => cur -= g.data(d).bytes(),
+            Step::CopyIn { data: d, .. } => cur += g.data(d).bytes(),
+            Step::Free { data: d, .. } => cur -= g.data(d).bytes(),
             Step::Launch(u) => {
                 for d in plan.units[u].outputs(g) {
                     cur += g.data(d).bytes();
                 }
             }
-            Step::CopyOut(_) => {}
+            Step::CopyOut { .. } => {}
         }
     }
     occ.push(cur);
@@ -267,14 +268,14 @@ mod tests {
             let mut resident = false;
             for step in &hoisted.steps {
                 match *step {
-                    Step::CopyIn(x) if x == d => {
+                    Step::CopyIn { data: x, .. } if x == d => {
                         assert!(!resident, "double residency for {}", g.data(d).name);
                         resident = true;
                     }
                     Step::Launch(u) if plan.units[u].outputs(&g).contains(&d) => {
                         resident = true;
                     }
-                    Step::Free(x) if x == d => {
+                    Step::Free { data: x, .. } if x == d => {
                         assert!(resident, "free of non-resident {}", g.data(d).name);
                         resident = false;
                     }

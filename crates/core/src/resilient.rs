@@ -191,9 +191,9 @@ impl<'a> ResilientExecutor<'a> {
         for (i, step) in self.plan.steps.iter().enumerate() {
             self.check_device_loss(&mut st)?;
             match *step {
-                Step::CopyIn(d) => self.step_copy_in(&mut st, i, d)?,
-                Step::CopyOut(d) => self.step_copy_out(&mut st, i, d)?,
-                Step::Free(d) => self.step_free(&mut st, d)?,
+                Step::CopyIn { data: d, .. } => self.step_copy_in(&mut st, i, d)?,
+                Step::CopyOut { data: d, .. } => self.step_copy_out(&mut st, i, d)?,
+                Step::Free { data: d, .. } => self.step_free(&mut st, d)?,
                 Step::Launch(u) => {
                     self.step_launch(&mut st, i, u)?;
                     // Exit checkpoint: what the *next* launch needs on the

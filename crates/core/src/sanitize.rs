@@ -59,7 +59,7 @@ pub fn overlap_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> 
     let mut times = Vec::with_capacity(plan.steps.len());
     for step in &plan.steps {
         match *step {
-            Step::CopyIn(d) => {
+            Step::CopyIn { data: d, .. } => {
                 let dur = transfer_time(dev, g.data(d).bytes());
                 let start = h2d_free.max(host_ready[d.index()]).max(free_horizon);
                 h2d_free = start + dur;
@@ -67,7 +67,7 @@ pub fn overlap_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> 
                 last_touch[d.index()] = h2d_free;
                 times.push((start, h2d_free));
             }
-            Step::CopyOut(d) => {
+            Step::CopyOut { data: d, .. } => {
                 let dur = transfer_time(dev, g.data(d).bytes());
                 let start = d2h_free.max(device_ready[d.index()]);
                 d2h_free = start + dur;
@@ -75,7 +75,7 @@ pub fn overlap_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> 
                 last_touch[d.index()] = last_touch[d.index()].max(d2h_free);
                 times.push((start, d2h_free));
             }
-            Step::Free(d) => {
+            Step::Free { data: d, .. } => {
                 let h = last_touch[d.index()];
                 free_horizon = free_horizon.max(h);
                 times.push((h, h));
@@ -130,8 +130,10 @@ pub fn serial_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> V
         .iter()
         .map(|step| {
             let dur = match *step {
-                Step::CopyIn(d) | Step::CopyOut(d) => transfer_time(dev, g.data(d).bytes()),
-                Step::Free(_) => 0.0,
+                Step::CopyIn { data: d, .. } | Step::CopyOut { data: d, .. } => {
+                    transfer_time(dev, g.data(d).bytes())
+                }
+                Step::Free { .. } => 0.0,
                 Step::Launch(u) => plan.units[u]
                     .ops
                     .iter()

@@ -244,10 +244,10 @@ pub fn derive_events_for(
 ) -> Vec<StreamEvent> {
     let lane_of = |step: &Step| -> StepLane {
         match *step {
-            Step::CopyIn(_) => StepLane::H2d,
-            Step::CopyOut(_) => StepLane::D2h,
+            Step::CopyIn { .. } => StepLane::H2d,
+            Step::CopyOut { .. } => StepLane::D2h,
             Step::Launch(u) => StepLane::Stream(unit_stream.get(u).copied().unwrap_or(0)),
-            Step::Free(_) => StepLane::Stream(0), // unused: frees emit no events
+            Step::Free { .. } => StepLane::Stream(0), // unused: frees emit no events
         }
     };
     // Step index + lane of the op that produced each datum's current
@@ -268,12 +268,12 @@ pub fn derive_events_for(
     for (i, step) in steps.iter().enumerate() {
         let lane = lane_of(step);
         match *step {
-            Step::CopyIn(d) => {
+            Step::CopyIn { data: d, .. } => {
                 // Reads the host copy (a prior download re-uploaded).
                 push(host_setter[d.index()], i, lane);
                 dev_setter[d.index()] = Some((i, lane));
             }
-            Step::CopyOut(d) => {
+            Step::CopyOut { data: d, .. } => {
                 push(dev_setter[d.index()], i, lane);
                 host_setter[d.index()] = Some((i, lane));
             }
@@ -285,7 +285,7 @@ pub fn derive_events_for(
                     dev_setter[d.index()] = Some((i, lane));
                 }
             }
-            Step::Free(_) => {
+            Step::Free { .. } => {
                 // Lifetime ordering is the committed-free horizon, not an
                 // event (see module docs).
             }
@@ -320,7 +320,7 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
         used: &mut u64,
     ) {
         let d = pending.pop_front().expect("caller checked non-empty");
-        out.push(Step::Free(d));
+        out.push(Step::Free { device: 0, data: d });
         *used -= g.data(d).bytes();
     }
     for step in steps {
@@ -328,10 +328,10 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
         // a CopyIn allocates its datum, a Launch its (single-assignment,
         // hence never-yet-resident) outputs.
         let need = match step {
-            Step::CopyIn(d) => g.data(d).bytes(),
+            Step::CopyIn { data: d, .. } => g.data(d).bytes(),
             Step::Launch(u) => units[u].outputs(g).iter().map(|&d| g.data(d).bytes()).sum(),
-            Step::CopyOut(_) => 0,
-            Step::Free(d) => {
+            Step::CopyOut { .. } => 0,
+            Step::Free { data: d, .. } => {
                 // A valid plan never double-frees, and a re-upload of an
                 // evicted datum flushes through its pending free below, so
                 // `pending` holds distinct data.
@@ -339,7 +339,7 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
                 continue;
             }
         };
-        if let Step::CopyIn(d) = step {
+        if let Step::CopyIn { data: d, .. } = step {
             // Re-uploading an evicted datum: its deferred free (and, to
             // keep free order stable, everything queued before it) must
             // commit first — the device cannot hold two copies.
@@ -404,7 +404,7 @@ pub fn schedule_streamed_with(
         events,
     });
     #[cfg(debug_assertions)]
-    crate::plan::debug_check_plan(g, &plan, xfer.memory_bytes, "schedule_streamed");
+    crate::plan::debug_check_plan(g, &plan, &[xfer.memory_bytes], "schedule_streamed");
     Ok(plan)
 }
 
@@ -578,13 +578,13 @@ mod tests {
         let last_alloc = plan
             .steps
             .iter()
-            .rposition(|s| matches!(s, Step::CopyIn(_) | Step::Launch(_)))
+            .rposition(|s| matches!(s, Step::CopyIn { .. } | Step::Launch(_)))
             .unwrap();
         assert!(plan
             .steps
             .iter()
             .enumerate()
-            .all(|(i, s)| !matches!(s, Step::Free(_)) || i > last_alloc));
+            .all(|(i, s)| !matches!(s, Step::Free { .. }) || i > last_alloc));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Data-transfer scheduling (§3.3.1).
 //!
 //! Given an operator (offload-unit) schedule, decide when each data
-//! structure is copied to the device, copied back to the host, and freed —
+//! structure is copied to a device, copied back to the host, and freed —
 //! minimizing transfer volume under the device memory constraint. The
 //! paper's heuristic:
 //!
@@ -16,8 +16,22 @@
 //! is still valid on the host (inputs, constants, or previously copied-out
 //! data — data is single-assignment, so host copies never go stale) is
 //! free. LRU and FIFO eviction are provided for the ablation study.
+//!
+//! There is one scheduler body, [`schedule_device_transfers`], and a
+//! single GPU is a cluster of one. It consumes one **global** topological
+//! unit order (avoiding the cross-device deadlocks independent per-device
+//! schedules can produce) and walks it once, maintaining residency and
+//! occupancy *per device* plus one host-validity bit per data structure.
+//! Data crossing devices moves as an explicit **staged copy**: `CopyOut`
+//! on the producer's device makes the bytes host-valid, a later `CopyIn`
+//! on the consumer's device materializes them there — there is no
+//! peer-to-peer path, matching the PCIe fabrics of the paper's era.
+//! Eviction on a device considers only that device's future reads, but
+//! whether eviction must first copy the victim out considers future reads
+//! on **every** device — a producer must not discard the only copy of data
+//! a peer still needs.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 
 use gpuflow_graph::{DataId, DataKind, Graph};
 
@@ -53,141 +67,231 @@ pub struct XferOptions {
     pub eager_free: bool,
 }
 
+/// Where a schedule runs: the per-device form of [`XferOptions`], taken
+/// by [`schedule_device_transfers`] (`gpuflow-multi` re-exports it).
+#[derive(Debug, Clone)]
+pub struct MultiXferOptions {
+    /// Per-device planner memory budgets in bytes.
+    pub budgets: Vec<u64>,
+    /// Delete dead data immediately on the launching device (§3.3.1
+    /// step 3).
+    pub eager_free: bool,
+    /// Produced data to treat as already valid on the host when the plan
+    /// starts. Failover replanning uses this to pin the completed
+    /// prefix's results host-side: the suffix plan stages them in with a
+    /// plain `CopyIn` instead of recomputing or staging them out of a
+    /// (possibly dead) device. Empty for ordinary compilations.
+    pub pinned_host: Vec<DataId>,
+}
+
 struct Resident {
     bytes: u64,
     arrived: u64,
     last_touch: u64,
 }
 
-/// Produce an execution plan for `units` executed in `order`.
+/// The scheduler's running state: the steps emitted so far, what is
+/// resident where (ordered by `DataId`, so no iteration order can leak
+/// into a plan), per-device occupancy, and host validity.
+struct Residency<'g> {
+    g: &'g Graph,
+    steps: Vec<Step>,
+    resident: Vec<BTreeMap<DataId, Resident>>,
+    used: Vec<u64>,
+    on_cpu: Vec<bool>,
+}
+
+impl Residency<'_> {
+    /// Evict or free `victim` on `device`, staging it to the host first if
+    /// the only valid copy would otherwise be lost (a future read on ANY
+    /// device, or a template output, keeps it alive on the host side).
+    fn drop_data(&mut self, device: usize, victim: DataId, still_needed: bool) {
+        let needed_on_host = still_needed || self.g.data(victim).kind == DataKind::Output;
+        if needed_on_host && !self.on_cpu[victim.index()] {
+            self.steps.push(Step::CopyOut {
+                device,
+                data: victim,
+            });
+            self.on_cpu[victim.index()] = true;
+        }
+        self.steps.push(Step::Free {
+            device,
+            data: victim,
+        });
+        let r = self.resident[device]
+            .remove(&victim)
+            .expect("victim resident");
+        self.used[device] -= r.bytes;
+    }
+}
+
+/// First element of the sorted `reads` at or after position `t`.
+fn next_read(reads: &[usize], t: usize) -> Option<usize> {
+    reads.get(reads.partition_point(|&r| r < t)).copied()
+}
+
+/// Produce an execution plan for `units` executed in `order` on one
+/// device. The single-GPU entry point: a cluster of one, scheduled by
+/// [`schedule_device_transfers`].
+// Survives as an adapter: `Framework`, the stream scheduler and
+// perf/src/layers.rs all plan one device through this name and `XferOptions`.
 pub fn schedule_transfers(
     g: &Graph,
     units: &[OffloadUnit],
     order: &[usize],
     opts: XferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
+    let place = MultiXferOptions {
+        budgets: vec![opts.memory_bytes],
+        eager_free: opts.eager_free,
+        pinned_host: Vec::new(),
+    };
+    schedule_device_transfers(g, units, &vec![0; units.len()], order, &place, opts.policy)
+}
+
+/// Produce a plan for `units` (each assigned the device in `unit_device`)
+/// executed in the global topological order `order`, evicting by `policy`
+/// within each device's budget.
+pub fn schedule_device_transfers(
+    g: &Graph,
+    units: &[OffloadUnit],
+    unit_device: &[usize],
+    order: &[usize],
+    opts: &MultiXferOptions,
+    policy: EvictionPolicy,
+) -> Result<ExecutionPlan, FrameworkError> {
     assert_eq!(order.len(), units.len(), "order must cover every unit");
-    // Static use analysis: positions (in `order`) at which each data
-    // structure is an external input of the unit.
+    assert_eq!(unit_device.len(), units.len());
+    let ndev = opts.budgets.len();
+    assert!(unit_device.iter().all(|&d| d < ndev), "device out of range");
+    // Error messages name the device only where there is a choice of one.
+    let on_device = |dev: usize| {
+        if ndev > 1 {
+            format!(" on device {dev}")
+        } else {
+            String::new()
+        }
+    };
+
+    // Static use analysis: the positions (in `order`) at which each data
+    // structure is an external input of a unit — overall, and per reading
+    // device. On one device the two indices coincide, so only the first
+    // is built.
     let mut reads: Vec<Vec<usize>> = vec![Vec::new(); g.num_data()];
+    let mut reads_on: Vec<BTreeMap<usize, Vec<usize>>> =
+        vec![BTreeMap::new(); if ndev > 1 { g.num_data() } else { 0 }];
     for (t, &u) in order.iter().enumerate() {
         for d in units[u].external_inputs(g) {
             reads[d.index()].push(t);
+            if ndev > 1 {
+                reads_on[d.index()]
+                    .entry(unit_device[u])
+                    .or_default()
+                    .push(t);
+            }
         }
     }
-
-    let next_read = |d: DataId, t: usize| -> Option<usize> {
-        let r = &reads[d.index()];
-        match r.binary_search(&t) {
-            Ok(i) => Some(r[i]),
-            Err(i) => r.get(i).copied(),
+    let reads_on_device = |d: DataId, dev: usize| -> &[usize] {
+        if ndev > 1 {
+            reads_on[d.index()].get(&dev).map_or(&[], Vec::as_slice)
+        } else {
+            &reads[d.index()]
         }
     };
-    let last_read = |d: DataId| -> Option<usize> { reads[d.index()].last().copied() };
 
-    let mut steps: Vec<Step> = Vec::new();
-    let mut resident: HashMap<DataId, Resident> = HashMap::new();
-    let mut on_cpu: Vec<bool> = g
-        .data_ids()
-        .map(|d| g.data(d).kind.starts_on_cpu())
-        .collect();
-    let mut used = 0u64;
-    let mut tick = 0u64;
-
-    // Evict or free `victim`, copying it out first if its only valid copy
-    // would otherwise be lost.
-    fn drop_data(
-        g: &Graph,
-        steps: &mut Vec<Step>,
-        on_cpu: &mut [bool],
-        resident: &mut HashMap<DataId, Resident>,
-        used: &mut u64,
-        victim: DataId,
-        still_needed: bool,
-    ) {
-        let needed_on_host = still_needed || g.data(victim).kind == DataKind::Output;
-        if needed_on_host && !on_cpu[victim.index()] {
-            steps.push(Step::CopyOut(victim));
-            on_cpu[victim.index()] = true;
-        }
-        steps.push(Step::Free(victim));
-        let r = resident.remove(&victim).expect("victim resident");
-        *used -= r.bytes;
+    let mut st = Residency {
+        g,
+        steps: Vec::new(),
+        resident: (0..ndev).map(|_| BTreeMap::new()).collect(),
+        used: vec![0u64; ndev],
+        on_cpu: g
+            .data_ids()
+            .map(|d| g.data(d).kind.starts_on_cpu())
+            .collect(),
+    };
+    for &d in &opts.pinned_host {
+        st.on_cpu[d.index()] = true;
     }
+    let mut tick = 0u64;
 
     for (t, &u) in order.iter().enumerate() {
         let unit = &units[u];
+        let dev = unit_device[u];
         let ext_inputs = unit.external_inputs(g);
         let outputs = unit.outputs(g);
         // Data that must not be evicted while staging this unit.
-        let protected: std::collections::HashSet<DataId> =
-            ext_inputs.iter().chain(outputs.iter()).copied().collect();
+        let protected: HashSet<DataId> = ext_inputs.iter().chain(outputs.iter()).copied().collect();
 
         // Stage inputs, then reserve output space.
         let mut wanted: Vec<(DataId, bool)> = ext_inputs.iter().map(|&d| (d, true)).collect();
         wanted.extend(outputs.iter().map(|&d| (d, false)));
 
         for (d, is_input) in wanted {
-            if resident.contains_key(&d) {
-                resident.get_mut(&d).expect("resident").last_touch = tick;
+            if let Some(r) = st.resident[dev].get_mut(&d) {
+                r.last_touch = tick;
                 continue;
             }
             let need = g.data(d).bytes();
-            // Make space.
-            while opts.memory_bytes - used < need {
-                let victim = resident
-                    .keys()
-                    .copied()
-                    .filter(|v| !protected.contains(v))
-                    .min_by_key(|&v| {
-                        let key = match opts.policy {
+            // Make space on this unit's device.
+            while opts.budgets[dev] - st.used[dev] < need {
+                let victim = st.resident[dev]
+                    .iter()
+                    .filter(|(v, _)| !protected.contains(v))
+                    .min_by_key(|&(&v, r)| {
+                        let key = match policy {
                             EvictionPolicy::Belady => {
-                                // Furthest next read first; never-read = ∞.
-                                let nr = next_read(v, t + 1).unwrap_or(usize::MAX);
-                                u64::MAX - nr as u64
+                                // Furthest next read on this device first;
+                                // never read here again = ∞.
+                                let nr = next_read(reads_on_device(v, dev), t + 1);
+                                u64::MAX - nr.unwrap_or(usize::MAX) as u64
                             }
                             EvictionPolicy::LatestUse => {
-                                let lr = last_read(v).unwrap_or(usize::MAX);
-                                u64::MAX - lr as u64
+                                let lr = reads_on_device(v, dev).last().copied();
+                                u64::MAX - lr.unwrap_or(usize::MAX) as u64
                             }
-                            EvictionPolicy::Lru => resident[&v].last_touch,
-                            EvictionPolicy::Fifo => resident[&v].arrived,
+                            EvictionPolicy::Lru => r.last_touch,
+                            EvictionPolicy::Fifo => r.arrived,
                         };
                         (key, v.0)
-                    });
-                match victim {
-                    Some(v) => {
-                        let needed = next_read(v, t + 1).is_some();
-                        drop_data(
-                            g,
-                            &mut steps,
-                            &mut on_cpu,
-                            &mut resident,
-                            &mut used,
-                            v,
-                            needed,
-                        );
-                    }
-                    None => {
-                        return Err(FrameworkError::InvalidPlan(format!(
-                            "cannot stage {} for unit {u}: {} B needed, {} B free, nothing evictable",
-                            g.data(d).name,
-                            need,
-                            opts.memory_bytes - used
-                        )));
-                    }
-                }
+                    })
+                    .map(|(&v, _)| v);
+                let Some(v) = victim else {
+                    return Err(FrameworkError::InvalidPlan(format!(
+                        "cannot stage {} for unit {u}{}: {} B needed, {} B free, nothing evictable",
+                        g.data(d).name,
+                        on_device(dev),
+                        need,
+                        opts.budgets[dev] - st.used[dev]
+                    )));
+                };
+                let needed = next_read(&reads[v.index()], t + 1).is_some();
+                st.drop_data(dev, v, needed);
             }
             if is_input {
-                if !on_cpu[d.index()] {
-                    return Err(FrameworkError::DataUnavailable {
+                if !st.on_cpu[d.index()] {
+                    // Staged inter-device transfer: copy out from whichever
+                    // device still holds the bytes, then upload here.
+                    let Some(src) = (0..ndev).find(|&e| st.resident[e].contains_key(&d)) else {
+                        return Err(FrameworkError::DataUnavailable {
+                            data: d,
+                            context: format!(
+                                "needed{} for unit {u} but resident nowhere",
+                                on_device(dev)
+                            ),
+                        });
+                    };
+                    st.steps.push(Step::CopyOut {
+                        device: src,
                         data: d,
-                        context: format!("needed on device for unit {u} but lost"),
                     });
+                    st.on_cpu[d.index()] = true;
                 }
-                steps.push(Step::CopyIn(d));
+                st.steps.push(Step::CopyIn {
+                    device: dev,
+                    data: d,
+                });
             }
-            resident.insert(
+            st.resident[dev].insert(
                 d,
                 Resident {
                     bytes: need,
@@ -195,60 +299,43 @@ pub fn schedule_transfers(
                     last_touch: tick,
                 },
             );
-            used += need;
+            st.used[dev] += need;
             tick += 1;
         }
 
-        steps.push(Step::Launch(u));
+        st.steps.push(Step::Launch(u));
         tick += 1;
 
         if opts.eager_free {
-            // Delete everything whose last external read is behind us.
-            // Sorted so the emitted plan (and hence every trace and render
-            // of it) is identical run to run despite HashMap iteration.
-            let mut dead: Vec<DataId> = resident
+            // Delete data on the launching device whose last read on any
+            // device is behind us.
+            let dead: Vec<DataId> = st.resident[dev]
                 .keys()
                 .copied()
-                .filter(|&d| next_read(d, t + 1).is_none())
+                .filter(|&d| next_read(&reads[d.index()], t + 1).is_none())
                 .collect();
-            dead.sort_unstable();
             for d in dead {
-                drop_data(
-                    g,
-                    &mut steps,
-                    &mut on_cpu,
-                    &mut resident,
-                    &mut used,
-                    d,
-                    false,
-                );
+                st.drop_data(dev, d, false);
             }
         }
     }
 
-    // Drain: anything still resident that the host needs (sorted for
-    // run-to-run determinism, as above).
-    let mut leftovers: Vec<DataId> = resident.keys().copied().collect();
-    leftovers.sort_unstable();
-    for d in leftovers {
-        drop_data(
-            g,
-            &mut steps,
-            &mut on_cpu,
-            &mut resident,
-            &mut used,
-            d,
-            false,
-        );
+    // Drain every device: anything still resident that the host needs.
+    for dev in 0..ndev {
+        while let Some((&d, _)) = st.resident[dev].first_key_value() {
+            st.drop_data(dev, d, false);
+        }
     }
 
     let plan = ExecutionPlan {
         units: units.to_vec(),
-        steps,
+        unit_device: unit_device.to_vec(),
+        steps: st.steps,
+        pinned_host: opts.pinned_host.clone(),
         streams: None,
     };
     #[cfg(debug_assertions)]
-    crate::plan::debug_check_plan(g, &plan, opts.memory_bytes, "schedule_transfers");
+    crate::plan::debug_check_plan(g, &plan, &opts.budgets, "schedule_device_transfers");
     Ok(plan)
 }
 
@@ -445,7 +532,7 @@ mod tests {
         assert!(!plan
             .steps
             .iter()
-            .any(|s| matches!(s, Step::CopyOut(d) if d.index() == 0)));
+            .any(|s| matches!(s, Step::CopyOut { data, .. } if data.index() == 0)));
     }
 
     /// Outputs must be copied out exactly once even when evicted early.
@@ -459,7 +546,7 @@ mod tests {
             let n = plan
                 .steps
                 .iter()
-                .filter(|s| matches!(s, Step::CopyOut(d) if *d == out))
+                .filter(|s| matches!(s, Step::CopyOut { data, .. } if *data == out))
                 .count();
             assert_eq!(n, 1, "output {} copied {n} times", g.data(out).name);
         }

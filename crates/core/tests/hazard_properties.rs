@@ -106,7 +106,9 @@ fn input_copyin_sites(g: &Graph, plan: &ExecutionPlan) -> Vec<(usize, usize)> {
     let mut seen = std::collections::HashSet::new();
     let mut sites = Vec::new();
     for (i, s) in plan.steps.iter().enumerate() {
-        let Step::CopyIn(d) = *s else { continue };
+        let Step::CopyIn { data: d, .. } = *s else {
+            continue;
+        };
         if g.data(d).kind != DataKind::Input || !seen.insert(d) {
             continue;
         }
@@ -190,7 +192,7 @@ proptest! {
                 let sites = launch_input_sites(g, &plan);
                 prop_assume!(!sites.is_empty());
                 let (j, d) = sites[pick(&mut rng, sites.len())];
-                plan.steps.insert(j, Step::Free(d));
+                plan.steps.insert(j, Step::Free { device: 0, data: d });
             }
         }
         let report = plan.certify(g);

@@ -11,9 +11,10 @@
 //! * [`shard`] — the sharding pass: the single-GPU operator-splitting pass
 //!   carves every operator into at least one row band per device, and each
 //!   piece is assigned the device owning its band;
-//! * [`schedule`] — the multi-device transfer scheduler: one global
-//!   topological unit order, per-device Belady eviction and eager free,
-//!   and explicit **staged** device→host→device inter-device copies;
+//! * [`schedule`] — the cluster entry point of the one transfer scheduler
+//!   (`gpuflow_core::xfer`): one global topological unit order,
+//!   per-device Belady eviction and eager free, and explicit **staged**
+//!   device→host→device inter-device copies;
 //! * [`makespan`] — the shared-bus overlap simulation: per-device compute
 //!   lanes arbitrating FCFS for one bus, which is what bends the
 //!   scalability curve at high device counts;
@@ -23,8 +24,9 @@
 //!   not-yet-executed suffix onto surviving devices after a hard device
 //!   loss.
 //!
-//! Every plan this crate emits verifies clean under
-//! [`gpuflow_verify::analyze_multi_plan`] (the `GF003x` cross-device
+//! Plans are ordinary [`gpuflow_core::ExecutionPlan`]s — a single GPU is
+//! a cluster of one — and every plan this crate emits verifies clean
+//! under [`gpuflow_verify::analyze_plan`] (the `GF003x` cross-device
 //! diagnostics); the scheduler re-checks its own output in debug builds.
 
 #![deny(missing_docs)]
@@ -47,5 +49,5 @@ pub use makespan::{
 pub use observe::{tid_compute, trace_multi_lanes, TID_BUS_D2H, TID_BUS_H2D};
 pub use planner::{compile_multi, compile_multi_traced, MultiCompiled};
 pub use resilient::{MultiResilientOutcome, ResilientMultiExecutor};
-pub use schedule::{schedule_multi_transfers, MultiPlan, MultiStep, MultiXferOptions};
+pub use schedule::{schedule_multi_transfers, MultiXferOptions};
 pub use shard::{device_for_row, shard_graph, ShardedGraph};

@@ -15,12 +15,12 @@
 //! that device has committed.
 
 use gpuflow_core::overlap::GapCause;
+use gpuflow_core::{ExecutionPlan, Step};
 use gpuflow_graph::Graph;
 use gpuflow_ops::op_cost;
 use gpuflow_sim::{kernel_time, timing::Work, BusDir, SharedBus};
 
 use crate::cluster::Cluster;
-use crate::schedule::{MultiPlan, MultiStep};
 
 /// Result of the shared-bus multi-device simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +121,11 @@ enum DevProducer {
 }
 
 /// Simulate `plan` on `cluster` and return the outcome.
-pub fn multi_overlapped_makespan(g: &Graph, plan: &MultiPlan, cluster: &Cluster) -> MultiOutcome {
+pub fn multi_overlapped_makespan(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    cluster: &Cluster,
+) -> MultiOutcome {
     multi_overlapped_trace(g, plan, cluster).0
 }
 
@@ -129,7 +133,7 @@ pub fn multi_overlapped_makespan(g: &Graph, plan: &MultiPlan, cluster: &Cluster)
 /// intervals for rendering.
 pub fn multi_overlapped_trace(
     g: &Graph,
-    plan: &MultiPlan,
+    plan: &ExecutionPlan,
     cluster: &Cluster,
 ) -> (MultiOutcome, Vec<MultiLaneEvent>) {
     let (o, events, _) = multi_overlapped_trace_profiled(g, plan, cluster);
@@ -147,25 +151,19 @@ pub fn multi_overlapped_trace(
 /// request's `ready` time *is* the hole's end.
 pub fn multi_overlapped_trace_profiled(
     g: &Graph,
-    plan: &MultiPlan,
+    plan: &ExecutionPlan,
     cluster: &Cluster,
 ) -> (MultiOutcome, Vec<MultiLaneEvent>, Vec<MultiGapEvent>) {
     // Dynamic sanitizer: on a statically certified schedule, the cluster
     // discipline's own step-granular times must honour every
     // happens-before edge of the certificate.
     #[cfg(debug_assertions)]
-    {
-        let cert = plan.certify(g, cluster.len());
-        if !cert.has_errors() {
-            let times = multi_step_times(g, plan, cluster);
-            let violations = cert.dynamic_violations(&times);
-            assert!(
-                violations.is_empty(),
-                "multi_overlapped_trace: statically certified schedule tripped the dynamic \
-                 sanitizer: step pairs {violations:?} ran out of happens-before order"
-            );
-        }
-    }
+    gpuflow_core::assert_hb_consistent(
+        g,
+        plan,
+        &multi_step_times(g, plan, cluster),
+        "multi_overlapped_trace",
+    );
     let nd = g.num_data();
     let ndev = cluster.len();
     let mut bus = SharedBus::new(cluster.bus.clone());
@@ -189,7 +187,7 @@ pub fn multi_overlapped_trace_profiled(
 
     for step in &plan.steps {
         match *step {
-            MultiStep::CopyIn { device, data } => {
+            Step::CopyIn { device, data } => {
                 let bytes = g.data(data).bytes();
                 // Allocating: wait for host validity and this device's
                 // committed frees, then win the bus.
@@ -217,7 +215,7 @@ pub fn multi_overlapped_trace_profiled(
                     bytes,
                 });
             }
-            MultiStep::CopyOut { device, data } => {
+            Step::CopyOut { device, data } => {
                 let bytes = g.data(data).bytes();
                 let ready = device_ready[device][data.index()];
                 let (start, fin) = bus.acquire(BusDir::D2h, ready, bytes);
@@ -238,10 +236,10 @@ pub fn multi_overlapped_trace_profiled(
                     bytes,
                 });
             }
-            MultiStep::Free { device, data } => {
+            Step::Free { device, data } => {
                 free_horizon[device] = free_horizon[device].max(last_touch[device][data.index()]);
             }
-            MultiStep::Launch(u) => {
+            Step::Launch(u) => {
                 let unit = &plan.units[u];
                 let dev = plan.unit_device[u];
                 let spec = &cluster.devices[dev];
@@ -378,10 +376,10 @@ pub fn multi_overlapped_trace_profiled(
 /// the completion that made their datum available, and allocators wait
 /// for the device's committed-free horizon. A `Free` is an instant at its
 /// buffer's last touch. These are the exact orderings the happens-before
-/// DAG of [`MultiPlan::certify`] encodes, so on a certified schedule
+/// DAG of [`ExecutionPlan::certify`] encodes, so on a certified schedule
 /// `ConcurrencyReport::dynamic_violations` over these times is empty —
 /// asserted in debug builds on every [`multi_overlapped_trace`] call.
-pub fn multi_step_times(g: &Graph, plan: &MultiPlan, cluster: &Cluster) -> Vec<(f64, f64)> {
+pub fn multi_step_times(g: &Graph, plan: &ExecutionPlan, cluster: &Cluster) -> Vec<(f64, f64)> {
     let nd = g.num_data();
     let ndev = cluster.len();
     let mut device_ready = vec![vec![0.0f64; nd]; ndev];
@@ -394,7 +392,7 @@ pub fn multi_step_times(g: &Graph, plan: &MultiPlan, cluster: &Cluster) -> Vec<(
     let mut times = Vec::with_capacity(plan.steps.len());
     for step in &plan.steps {
         match *step {
-            MultiStep::CopyIn { device, data } => {
+            Step::CopyIn { device, data } => {
                 let dur = cluster.bus.transfer_time(g.data(data).bytes());
                 let start = h2d_free
                     .max(host_ready[data.index()])
@@ -404,7 +402,7 @@ pub fn multi_step_times(g: &Graph, plan: &MultiPlan, cluster: &Cluster) -> Vec<(
                 last_touch[device][data.index()] = h2d_free;
                 times.push((start, h2d_free));
             }
-            MultiStep::CopyOut { device, data } => {
+            Step::CopyOut { device, data } => {
                 let dur = cluster.bus.transfer_time(g.data(data).bytes());
                 let start = d2h_free.max(device_ready[device][data.index()]);
                 d2h_free = start + dur;
@@ -412,12 +410,12 @@ pub fn multi_step_times(g: &Graph, plan: &MultiPlan, cluster: &Cluster) -> Vec<(
                 last_touch[device][data.index()] = last_touch[device][data.index()].max(d2h_free);
                 times.push((start, d2h_free));
             }
-            MultiStep::Free { device, data } => {
+            Step::Free { device, data } => {
                 let h = last_touch[device][data.index()];
                 free_horizon[device] = free_horizon[device].max(h);
                 times.push((h, h));
             }
-            MultiStep::Launch(u) => {
+            Step::Launch(u) => {
                 let unit = &plan.units[u];
                 let dev = plan.unit_device[u];
                 let spec = &cluster.devices[dev];

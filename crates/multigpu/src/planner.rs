@@ -1,14 +1,15 @@
 //! End-to-end multi-device compilation: shard, partition, order, schedule.
 
 use gpuflow_core::{
-    partition_offload_units, schedule_units, FrameworkError, OpScheduler, PartitionPolicy,
+    partition_offload_units, schedule_units, ExecutionPlan, FrameworkError, OpScheduler,
+    PartitionPolicy,
 };
 use gpuflow_graph::Graph;
 use gpuflow_trace::{kv, Tracer};
 
 use crate::cluster::Cluster;
 use crate::makespan::{multi_overlapped_trace, MultiLaneEvent, MultiOutcome};
-use crate::schedule::{schedule_multi_transfers, MultiPlan, MultiXferOptions};
+use crate::schedule::{schedule_multi_transfers, MultiXferOptions};
 use crate::shard::{shard_graph, ShardedGraph};
 
 /// A template compiled for a cluster.
@@ -18,8 +19,8 @@ pub struct MultiCompiled {
     pub cluster: Cluster,
     /// The sharded (split + device-assigned) graph.
     pub sharded: ShardedGraph,
-    /// The multi-device execution plan.
-    pub plan: MultiPlan,
+    /// The execution plan, with every step and unit placed on a device.
+    pub plan: ExecutionPlan,
 }
 
 impl MultiCompiled {
@@ -34,16 +35,19 @@ impl MultiCompiled {
     }
 
     /// Run the static analyzer against the devices' full capacities.
-    pub fn analyze(&self) -> gpuflow_verify::MultiPlanAnalysis {
+    // Survives as an adapter: the CLI, serve and perf/src/layers.rs ask the
+    // compiled cluster, which is what knows the capacities.
+    pub fn analyze(&self) -> gpuflow_verify::PlanAnalysis {
+        let capacities = self.cluster.capacities();
         self.plan
-            .analyze(&self.sharded.split.graph, &self.cluster.capacities())
+            .analyze_devices(&self.sharded.split.graph, &capacities, false)
     }
 
-    /// Run the concurrency certifier over the plan against this cluster's
-    /// lane decomposition (see [`MultiPlan::certify`]).
+    /// Run the concurrency certifier over the plan: per-device compute
+    /// lanes racing the shared bus channels (see
+    /// [`ExecutionPlan::certify`]).
     pub fn certify(&self) -> gpuflow_verify::ConcurrencyReport {
-        self.plan
-            .certify(&self.sharded.split.graph, self.cluster.len())
+        self.plan.certify(&self.sharded.split.graph)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fault-tolerant multi-device execution: failover replanning.
 //!
-//! [`ResilientMultiExecutor`] walks a [`MultiPlan`](crate::MultiPlan) step
+//! [`ResilientMultiExecutor`] walks a cluster [`ExecutionPlan`](gpuflow_core::ExecutionPlan) step
 //! by step under an
 //! injected fault schedule ([`gpuflow_chaos::FaultSpec`]) and recovers
 //! through the same ladder as the single-device executor, with one rung
@@ -35,14 +35,14 @@ use std::collections::{HashMap, HashSet};
 
 use gpuflow_chaos::{FaultInjector, FaultSpec, RecoveryEventKind, RecoveryOptions, RecoveryStats};
 use gpuflow_core::executor::{assemble_outputs, host_source};
-use gpuflow_core::{FrameworkError, OffloadUnit};
+use gpuflow_core::{FrameworkError, OffloadUnit, Step};
 use gpuflow_graph::{DataId, Graph};
 use gpuflow_ops::{execute, op_cost, Tensor};
 use gpuflow_sim::{kernel_time, timing::Work, Allocation, DeviceAllocator, FitPolicy, Timeline};
 
 use crate::cluster::Cluster;
 use crate::planner::MultiCompiled;
-use crate::schedule::{schedule_multi_transfers, MultiStep, MultiXferOptions};
+use crate::schedule::{schedule_multi_transfers, MultiXferOptions};
 
 /// Result of one resilient multi-device run.
 #[derive(Debug, Clone)]
@@ -189,7 +189,7 @@ impl<'a> ResilientMultiExecutor<'a> {
 
         let mut units: Vec<OffloadUnit> = self.compiled.plan.units.clone();
         let mut unit_device: Vec<usize> = self.compiled.plan.unit_device.clone();
-        let mut steps: Vec<MultiStep> = self.compiled.plan.steps.clone();
+        let mut steps: Vec<Step> = self.compiled.plan.steps.clone();
         let mut launched = vec![false; units.len()];
 
         let mut i = 0usize;
@@ -212,10 +212,10 @@ impl<'a> ResilientMultiExecutor<'a> {
                 }
             }
             match steps[i] {
-                MultiStep::CopyIn { device, data } => self.step_copy_in(&mut st, device, data)?,
-                MultiStep::CopyOut { device, data } => self.step_copy_out(&mut st, device, data)?,
-                MultiStep::Free { device, data } => self.step_free(&mut st, device, data)?,
-                MultiStep::Launch(u) => {
+                Step::CopyIn { device, data } => self.step_copy_in(&mut st, device, data)?,
+                Step::CopyOut { device, data } => self.step_copy_out(&mut st, device, data)?,
+                Step::Free { device, data } => self.step_free(&mut st, device, data)?,
+                Step::Launch(u) => {
                     launched[u] = true;
                     self.step_launch(&mut st, &units, unit_device[u], u)?;
                 }
@@ -654,7 +654,7 @@ impl<'a> ResilientMultiExecutor<'a> {
         ld: usize,
         units: &mut Vec<OffloadUnit>,
         unit_device: &mut Vec<usize>,
-        steps: &mut Vec<MultiStep>,
+        steps: &mut Vec<Step>,
         launched: &mut Vec<bool>,
         i: &mut usize,
     ) -> Result<(), FrameworkError> {
@@ -707,7 +707,7 @@ impl<'a> ResilientMultiExecutor<'a> {
         let rem: Vec<usize> = steps[*i..]
             .iter()
             .filter_map(|s| match *s {
-                MultiStep::Launch(u) if !launched[u] => Some(u),
+                Step::Launch(u) if !launched[u] => Some(u),
                 _ => None,
             })
             .collect();

@@ -1,405 +1,36 @@
-//! Multi-device transfer scheduling: the Belady-style single-GPU pass
-//! (§3.3.1) generalized to per-device residency.
-//!
-//! The scheduler consumes one **global** topological unit order (avoiding
-//! the cross-device deadlocks independent per-device schedules can
-//! produce) and walks it once, maintaining residency, occupancy, and a
-//! Belady eviction queue *per device* plus one host-validity bit per data
-//! structure. Data crossing devices moves as an explicit **staged copy**:
-//! `CopyOut` on the producer's device makes the bytes host-valid, a later
-//! `CopyIn` on the consumer's device materializes them there — there is no
-//! peer-to-peer path, matching the PCIe fabrics of the paper's era.
-//!
-//! Eviction on a device considers only that device's future reads, but
-//! whether eviction must first copy the victim out considers future reads
-//! on **every** device — a producer must not discard the only copy of data
-//! a peer still needs.
+//! Cluster transfer scheduling. Per-device residency and budgets, staged
+//! device→host→device copies and `pinned_host` replanning all live in the
+//! one scheduler, [`schedule_device_transfers`]; what is specific to a
+//! cluster is the policy — compilation and failover replanning both evict
+//! by the paper's Belady rule — and the tests below, which pin the
+//! cross-device behaviour.
 
-use std::collections::HashMap;
+use gpuflow_core::xfer::{schedule_device_transfers, EvictionPolicy};
+use gpuflow_core::{ExecutionPlan, FrameworkError, OffloadUnit};
+use gpuflow_graph::Graph;
 
-use gpuflow_core::{FrameworkError, OffloadUnit};
-use gpuflow_graph::{DataId, DataKind, Graph};
-use gpuflow_verify::{MultiPlanStep, MultiPlanView, UnitView};
-
-/// One step of a multi-device execution plan.
-///
-/// Mirrors [`gpuflow_core::Step`] with an explicit device on every
-/// transfer/free; `Launch` runs on the unit's assigned device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MultiStep {
-    /// Copy `data` host→device `device`.
-    CopyIn {
-        /// Target device.
-        device: usize,
-        /// The data moved.
-        data: DataId,
-    },
-    /// Copy `data` device `device`→host.
-    CopyOut {
-        /// Source device.
-        device: usize,
-        /// The data moved.
-        data: DataId,
-    },
-    /// Release `data`'s buffer on device `device`.
-    Free {
-        /// Device holding the buffer.
-        device: usize,
-        /// The data freed.
-        data: DataId,
-    },
-    /// Launch offload unit `0` on its assigned device.
-    Launch(usize),
-}
-
-/// A complete multi-device execution plan.
-#[derive(Debug, Clone)]
-pub struct MultiPlan {
-    /// The offload units (shared vocabulary with the single-GPU planner).
-    pub units: Vec<OffloadUnit>,
-    /// Device each unit launches on (parallel to `units`).
-    pub unit_device: Vec<usize>,
-    /// The global interleaved step sequence.
-    pub steps: Vec<MultiStep>,
-    /// Data host-valid before the plan starts (see
-    /// [`MultiXferOptions::pinned_host`]). Empty for ordinary plans.
-    pub pinned_host: Vec<DataId>,
-}
-
-impl MultiPlan {
-    /// Project the plan into the analyzer's engine-neutral form.
-    pub fn view(&self, g: &Graph) -> MultiPlanView {
-        MultiPlanView {
-            units: self
-                .units
-                .iter()
-                .map(|u| UnitView {
-                    inputs: u.external_inputs(g),
-                    outputs: u.outputs(g),
-                })
-                .collect(),
-            unit_device: self.unit_device.clone(),
-            steps: self
-                .steps
-                .iter()
-                .map(|s| match *s {
-                    MultiStep::CopyIn { device, data } => MultiPlanStep::CopyIn { device, data },
-                    MultiStep::CopyOut { device, data } => MultiPlanStep::CopyOut { device, data },
-                    MultiStep::Free { device, data } => MultiPlanStep::Free { device, data },
-                    MultiStep::Launch(u) => MultiPlanStep::Launch(u),
-                })
-                .collect(),
-            pinned_host: self.pinned_host.clone(),
-        }
-    }
-
-    /// Run the full static analyzer over the plan (see
-    /// [`gpuflow_verify::analyze_multi_plan`]).
-    pub fn analyze(&self, g: &Graph, capacities: &[u64]) -> gpuflow_verify::MultiPlanAnalysis {
-        gpuflow_verify::analyze_multi_plan(g, &self.view(g), capacities)
-    }
-
-    /// Run the concurrency certifier over the plan for a cluster of
-    /// `devices` devices: per-device compute lanes racing the shared bus
-    /// channels, with the happens-before DAG of
-    /// [`gpuflow_verify::certify_concurrency`] proving every pair of
-    /// conflicting accesses ordered (`GF005x` on failure). See
-    /// `docs/concurrency.md`.
-    pub fn certify(&self, g: &Graph, devices: usize) -> gpuflow_verify::ConcurrencyReport {
-        gpuflow_verify::certify_concurrency(
-            g,
-            &self.view(g),
-            &gpuflow_verify::LaneModel::cluster(devices),
-        )
-    }
-
-    /// Bytes crossing the shared bus (both directions) — each staged
-    /// inter-device copy counts twice, once per leg, exactly as the fabric
-    /// sees it.
-    pub fn bus_bytes(&self, g: &Graph) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match *s {
-                MultiStep::CopyIn { data, .. } | MultiStep::CopyOut { data, .. } => {
-                    g.data(data).bytes()
-                }
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Human-readable step listing.
-    pub fn render(&self, g: &Graph) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for (i, step) in self.steps.iter().enumerate() {
-            let _ = match *step {
-                MultiStep::CopyIn { device, data } => {
-                    writeln!(s, "{i:4}  copy-in   dev{device}  {}", g.data(data).name)
-                }
-                MultiStep::CopyOut { device, data } => {
-                    writeln!(s, "{i:4}  copy-out  dev{device}  {}", g.data(data).name)
-                }
-                MultiStep::Free { device, data } => {
-                    writeln!(s, "{i:4}  free      dev{device}  {}", g.data(data).name)
-                }
-                MultiStep::Launch(u) => {
-                    let dev = self.unit_device[u];
-                    let names: Vec<&str> = self.units[u]
-                        .ops
-                        .iter()
-                        .map(|&o| g.op(o).name.as_str())
-                        .collect();
-                    writeln!(s, "{i:4}  launch    dev{dev}  [{}]", names.join(" "))
-                }
-            };
-        }
-        s
-    }
-}
-
-/// Options for [`schedule_multi_transfers`].
-#[derive(Debug, Clone)]
-pub struct MultiXferOptions {
-    /// Per-device planner memory budgets in bytes.
-    pub budgets: Vec<u64>,
-    /// Delete dead data immediately on the launching device (§3.3.1
-    /// step 3).
-    pub eager_free: bool,
-    /// Produced data to treat as already valid on the host when the plan
-    /// starts. Failover replanning uses this to pin the completed
-    /// prefix's results host-side: the suffix plan stages them in with a
-    /// plain `CopyIn` instead of recomputing or staging them out of a
-    /// (possibly dead) device. Empty for ordinary compilations.
-    pub pinned_host: Vec<DataId>,
-}
-
-struct Resident {
-    bytes: u64,
-}
+// Re-exported under its old path: perf/src/layers.rs names it here.
+pub use gpuflow_core::xfer::MultiXferOptions;
 
 /// Produce a multi-device plan for `units` (each assigned the device in
 /// `unit_device`) executed in the global topological order `order`.
+// Name and signature are frozen: perf/src/layers.rs compiles against them.
 pub fn schedule_multi_transfers(
     g: &Graph,
     units: &[OffloadUnit],
     unit_device: &[usize],
     order: &[usize],
     opts: &MultiXferOptions,
-) -> Result<MultiPlan, FrameworkError> {
-    assert_eq!(order.len(), units.len(), "order must cover every unit");
-    assert_eq!(unit_device.len(), units.len());
-    let ndev = opts.budgets.len();
-    assert!(unit_device.iter().all(|&d| d < ndev), "device out of range");
-
-    // Static use analysis: for each data structure, the positions (in
-    // `order`) at which it is read, per device and overall.
-    let mut reads_on: Vec<HashMap<usize, Vec<usize>>> = vec![HashMap::new(); g.num_data()];
-    let mut reads_any: Vec<Vec<usize>> = vec![Vec::new(); g.num_data()];
-    for (t, &u) in order.iter().enumerate() {
-        let dev = unit_device[u];
-        for d in units[u].external_inputs(g) {
-            reads_on[d.index()].entry(dev).or_default().push(t);
-            reads_any[d.index()].push(t);
-        }
-    }
-    let next_in = |r: Option<&Vec<usize>>, t: usize| -> Option<usize> {
-        let r = r?;
-        match r.binary_search(&t) {
-            Ok(i) => Some(r[i]),
-            Err(i) => r.get(i).copied(),
-        }
-    };
-    let next_read_on = |d: DataId, dev: usize, t: usize| next_in(reads_on[d.index()].get(&dev), t);
-    let next_read_any = |d: DataId, t: usize| next_in(Some(&reads_any[d.index()]), t);
-
-    let mut steps: Vec<MultiStep> = Vec::new();
-    let mut resident: Vec<HashMap<DataId, Resident>> = (0..ndev).map(|_| HashMap::new()).collect();
-    let mut on_cpu: Vec<bool> = g
-        .data_ids()
-        .map(|d| g.data(d).kind.starts_on_cpu())
-        .collect();
-    for &d in &opts.pinned_host {
-        on_cpu[d.index()] = true;
-    }
-    let mut used = vec![0u64; ndev];
-
-    // Evict or free `victim` on `dev`, staging it to the host first if the
-    // only valid copy would otherwise be lost (a future read on ANY device,
-    // or a template output, keeps it alive on the host side).
-    let drop_data = |steps: &mut Vec<MultiStep>,
-                     on_cpu: &mut [bool],
-                     resident: &mut [HashMap<DataId, Resident>],
-                     used: &mut [u64],
-                     dev: usize,
-                     victim: DataId,
-                     still_needed: bool| {
-        let needed_on_host = still_needed || g.data(victim).kind == DataKind::Output;
-        if needed_on_host && !on_cpu[victim.index()] {
-            steps.push(MultiStep::CopyOut {
-                device: dev,
-                data: victim,
-            });
-            on_cpu[victim.index()] = true;
-        }
-        steps.push(MultiStep::Free {
-            device: dev,
-            data: victim,
-        });
-        let r = resident[dev].remove(&victim).expect("victim resident");
-        used[dev] -= r.bytes;
-    };
-
-    for (t, &u) in order.iter().enumerate() {
-        let unit = &units[u];
-        let dev = unit_device[u];
-        let ext_inputs = unit.external_inputs(g);
-        let outputs = unit.outputs(g);
-        let protected: std::collections::HashSet<DataId> =
-            ext_inputs.iter().chain(outputs.iter()).copied().collect();
-
-        let mut wanted: Vec<(DataId, bool)> = ext_inputs.iter().map(|&d| (d, true)).collect();
-        wanted.extend(outputs.iter().map(|&d| (d, false)));
-
-        for (d, is_input) in wanted {
-            if resident[dev].contains_key(&d) {
-                continue;
-            }
-            let need = g.data(d).bytes();
-            // Make space on this unit's device (Belady over the device's
-            // own future reads).
-            while opts.budgets[dev] - used[dev] < need {
-                let victim = resident[dev]
-                    .keys()
-                    .copied()
-                    .filter(|v| !protected.contains(v))
-                    .min_by_key(|&v| {
-                        let nr = next_read_on(v, dev, t + 1).unwrap_or(usize::MAX);
-                        (u64::MAX - nr as u64, v.0)
-                    });
-                match victim {
-                    Some(v) => {
-                        let needed = next_read_any(v, t + 1).is_some();
-                        drop_data(
-                            &mut steps,
-                            &mut on_cpu,
-                            &mut resident,
-                            &mut used,
-                            dev,
-                            v,
-                            needed,
-                        );
-                    }
-                    None => {
-                        return Err(FrameworkError::InvalidPlan(format!(
-                            "cannot stage {} for unit {u} on device {dev}: {} B needed, {} B free, nothing evictable",
-                            g.data(d).name,
-                            need,
-                            opts.budgets[dev] - used[dev]
-                        )));
-                    }
-                }
-            }
-            if is_input {
-                if !on_cpu[d.index()] {
-                    // Staged inter-device transfer: copy out from whichever
-                    // device still holds the bytes, then upload here.
-                    let src = (0..ndev).find(|&e| resident[e].contains_key(&d));
-                    match src {
-                        Some(e) => {
-                            steps.push(MultiStep::CopyOut { device: e, data: d });
-                            on_cpu[d.index()] = true;
-                        }
-                        None => {
-                            return Err(FrameworkError::DataUnavailable {
-                                data: d,
-                                context: format!(
-                                    "needed on device {dev} for unit {u} but resident nowhere"
-                                ),
-                            });
-                        }
-                    }
-                }
-                steps.push(MultiStep::CopyIn {
-                    device: dev,
-                    data: d,
-                });
-            }
-            resident[dev].insert(d, Resident { bytes: need });
-            used[dev] += need;
-        }
-
-        steps.push(MultiStep::Launch(u));
-
-        if opts.eager_free {
-            // Delete data on the launching device whose global last read is
-            // behind us; data still needed by a peer device is staged out
-            // by drop_data before the Free.
-            let mut dead: Vec<DataId> = resident[dev]
-                .keys()
-                .copied()
-                .filter(|&d| next_read_any(d, t + 1).is_none())
-                .collect();
-            dead.sort();
-            for d in dead {
-                drop_data(
-                    &mut steps,
-                    &mut on_cpu,
-                    &mut resident,
-                    &mut used,
-                    dev,
-                    d,
-                    false,
-                );
-            }
-        }
-    }
-
-    // Drain every device: anything still resident that the host needs.
-    for dev in 0..ndev {
-        let mut leftovers: Vec<DataId> = resident[dev].keys().copied().collect();
-        leftovers.sort();
-        for d in leftovers {
-            drop_data(
-                &mut steps,
-                &mut on_cpu,
-                &mut resident,
-                &mut used,
-                dev,
-                d,
-                false,
-            );
-        }
-    }
-
-    let plan = MultiPlan {
-        units: units.to_vec(),
-        unit_device: unit_device.to_vec(),
-        steps,
-        pinned_host: opts.pinned_host.clone(),
-    };
-    #[cfg(debug_assertions)]
-    {
-        let a = plan.analyze(g, &opts.budgets);
-        debug_assert!(
-            !a.has_errors(),
-            "schedule_multi_transfers produced an invalid plan:\n{}",
-            a.first_error().map(|d| d.render()).unwrap_or_default()
-        );
-        let cert = plan.certify(g, opts.budgets.len());
-        debug_assert!(
-            !cert.has_errors(),
-            "schedule_multi_transfers produced a racy plan:\n{}",
-            cert.first_error().map(|d| d.render()).unwrap_or_default()
-        );
-    }
-    Ok(plan)
+) -> Result<ExecutionPlan, FrameworkError> {
+    schedule_device_transfers(g, units, unit_device, order, opts, EvictionPolicy::Belady)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpuflow_core::{partition_offload_units, schedule_units, OpScheduler, PartitionPolicy};
+    use gpuflow_core::{
+        partition_offload_units, schedule_units, OpScheduler, PartitionPolicy, Step,
+    };
     use gpuflow_graph::{DataKind, OpKind};
 
     /// in -> t0 -> mid -> t1 -> out; unit 0 on device 0, unit 1 on
@@ -414,7 +45,7 @@ mod tests {
         g
     }
 
-    fn plan_chain(budget: u64) -> (Graph, MultiPlan) {
+    fn plan_chain(budget: u64) -> (Graph, ExecutionPlan) {
         let g = chain();
         let units = partition_offload_units(&g, PartitionPolicy::PerOperator, u64::MAX);
         let order = schedule_units(&g, &units, OpScheduler::DepthFirst);
@@ -436,17 +67,17 @@ mod tests {
     #[test]
     fn cross_device_chain_stages_through_the_host() {
         let (g, plan) = plan_chain(u64::MAX);
-        let a = plan.analyze(&g, &[u64::MAX, u64::MAX]);
+        let a = plan.analyze_devices(&g, &[u64::MAX, u64::MAX], false);
         assert!(!a.has_errors(), "{:?}", a.diagnostics);
         // mid (DataId 1) must be copied out of device 0 and into device 1.
         let out0 = plan
             .steps
             .iter()
-            .any(|s| matches!(*s, MultiStep::CopyOut { device: 0, data } if data.index() == 1));
+            .any(|s| matches!(*s, Step::CopyOut { device: 0, data } if data.index() == 1));
         let in1 = plan
             .steps
             .iter()
-            .any(|s| matches!(*s, MultiStep::CopyIn { device: 1, data } if data.index() == 1));
+            .any(|s| matches!(*s, Step::CopyIn { device: 1, data } if data.index() == 1));
         assert!(out0 && in1, "staged copy missing:\n{}", plan.render(&g));
     }
 
@@ -458,7 +89,7 @@ mod tests {
         let frees = plan
             .steps
             .iter()
-            .filter(|s| matches!(s, MultiStep::Free { data, .. } if data.index() == 1))
+            .filter(|s| matches!(s, Step::Free { data, .. } if data.index() == 1))
             .count();
         assert_eq!(frees, 2, "{}", plan.render(&g));
     }
@@ -467,7 +98,7 @@ mod tests {
     fn tight_budgets_still_verify() {
         // Exactly two 16 KiB buffers per device: the minimum working set.
         let (g, plan) = plan_chain(2 * 64 * 64 * 4);
-        let a = plan.analyze(&g, &[2 * 64 * 64 * 4, 2 * 64 * 64 * 4]);
+        let a = plan.analyze_devices(&g, &[2 * 64 * 64 * 4, 2 * 64 * 64 * 4], false);
         assert!(!a.has_errors(), "{:?}", a.diagnostics);
         assert_eq!(a.peak_per_device, vec![2 * 64 * 64 * 4; 2]);
     }
@@ -514,10 +145,10 @@ mod tests {
         let copies = plan
             .steps
             .iter()
-            .filter(|s| matches!(s, MultiStep::CopyIn { .. } | MultiStep::CopyOut { .. }))
+            .filter(|s| matches!(s, Step::CopyIn { .. } | Step::CopyOut { .. }))
             .count();
         assert_eq!(copies, 2, "only in-in and out-out:\n{}", plan.render(&g));
-        let a = plan.analyze(&g, &[u64::MAX]);
+        let a = plan.analyze_devices(&g, &[u64::MAX], false);
         assert!(!a.has_errors());
     }
 }

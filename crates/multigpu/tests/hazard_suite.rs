@@ -6,8 +6,9 @@
 //! `docs/concurrency.md`).
 
 use gpuflow_core::examples::fig3_graph;
+use gpuflow_core::Step;
 use gpuflow_graph::Graph;
-use gpuflow_multi::{compile_multi, multi_step_times, parse_cluster, MultiStep};
+use gpuflow_multi::{compile_multi, multi_step_times, parse_cluster};
 use gpuflow_templates::{cnn, edge};
 
 const MARGIN: f64 = 0.05;
@@ -72,14 +73,14 @@ fn dropping_a_staging_hop_is_always_diagnosed() {
             // host buffer nothing ever wrote — a guaranteed hazard.
             let mut seen = std::collections::HashSet::new();
             for (i, s) in c.plan.steps.iter().enumerate() {
-                let MultiStep::CopyOut { device, data } = *s else {
+                let Step::CopyOut { device, data } = *s else {
                     continue;
                 };
                 if sg.data(data).kind.starts_on_cpu() || !seen.insert(data) {
                     continue;
                 }
                 let feeds_other_device = c.plan.steps[i + 1..].iter().any(|t| {
-                    matches!(t, MultiStep::CopyIn { device: d2, data: d }
+                    matches!(t, Step::CopyIn { device: d2, data: d }
                              if *d == data && *d2 != device)
                 });
                 if !feeds_other_device {
@@ -87,7 +88,7 @@ fn dropping_a_staging_hop_is_always_diagnosed() {
                 }
                 let mut mutant = c.plan.clone();
                 mutant.steps.remove(i);
-                let report = mutant.certify(sg, cluster.len());
+                let report = mutant.certify(sg);
                 assert!(
                     report.has_errors(),
                     "{name}@{spec}: dropped staging hop at step {i} certified clean"

@@ -77,7 +77,7 @@ fn reupload_time(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> f64 {
     let mut seen = vec![false; g.num_data()];
     let mut total = 0.0;
     for step in &plan.steps {
-        if let Step::CopyIn(d) = *step {
+        if let Step::CopyIn { data: d, .. } = *step {
             if seen[d.index()] {
                 total += transfer_time(dev, g.data(d).bytes());
             }

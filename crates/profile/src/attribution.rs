@@ -283,9 +283,9 @@ fn dominance(engines: &[EngineBreakdown], makespan_ns: u64) -> (String, f64) {
 /// Human label for a single-device plan step.
 fn step_label(g: &Graph, plan: &ExecutionPlan, step: &Step) -> String {
     match *step {
-        Step::CopyIn(d) => format!("in:{}", g.data(d).name),
-        Step::CopyOut(d) => format!("out:{}", g.data(d).name),
-        Step::Free(d) => format!("free:{}", g.data(d).name),
+        Step::CopyIn { data: d, .. } => format!("in:{}", g.data(d).name),
+        Step::CopyOut { data: d, .. } => format!("out:{}", g.data(d).name),
+        Step::Free { data: d, .. } => format!("free:{}", g.data(d).name),
         Step::Launch(u) => plan.units[u]
             .ops
             .iter()
@@ -407,13 +407,12 @@ pub fn profile_plan(
 
 /// Human label for a cluster plan step.
 fn multi_step_label(c: &MultiCompiled, i: usize) -> String {
-    use gpuflow_multi::MultiStep;
     let g = &c.sharded.split.graph;
     match c.plan.steps[i] {
-        MultiStep::CopyIn { device, data } => format!("in:{}@gpu{}", g.data(data).name, device),
-        MultiStep::CopyOut { device, data } => format!("out:{}@gpu{}", g.data(data).name, device),
-        MultiStep::Free { device, data } => format!("free:{}@gpu{}", g.data(data).name, device),
-        MultiStep::Launch(u) => c.plan.units[u]
+        Step::CopyIn { device, data } => format!("in:{}@gpu{}", g.data(data).name, device),
+        Step::CopyOut { device, data } => format!("out:{}@gpu{}", g.data(data).name, device),
+        Step::Free { device, data } => format!("free:{}@gpu{}", g.data(data).name, device),
+        Step::Launch(u) => c.plan.units[u]
             .ops
             .iter()
             .map(|&o| g.op(o).name.as_str())

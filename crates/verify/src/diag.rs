@@ -243,7 +243,7 @@ pub struct CodeEntry {
 /// uniqueness, per-family contiguity, and coverage in
 /// `docs/diagnostics.md`.
 pub fn registry() -> Vec<CodeEntry> {
-    use crate::{engine, graph_check, hazard, multi, recover};
+    use crate::{engine, graph_check, hazard, recover};
     let e = |code, name, family| CodeEntry { code, name, family };
     vec![
         e(graph_check::codes::CYCLE, "CYCLE", "graph"),
@@ -299,30 +299,31 @@ pub fn registry() -> Vec<CodeEntry> {
             "plan",
         ),
         e(
-            multi::codes::INPUT_ON_OTHER_DEVICE,
+            engine::codes::INPUT_ON_OTHER_DEVICE,
             "INPUT_ON_OTHER_DEVICE",
             "multi",
         ),
         e(
-            multi::codes::TRANSFER_NOT_STAGED,
+            engine::codes::TRANSFER_NOT_STAGED,
             "TRANSFER_NOT_STAGED",
             "multi",
         ),
         e(
-            multi::codes::DEVICE_OVER_CAPACITY,
+            engine::codes::DEVICE_OVER_CAPACITY,
             "DEVICE_OVER_CAPACITY",
             "multi",
         ),
         e(
-            multi::codes::NOT_RESIDENT_ON_DEVICE,
+            engine::codes::NOT_RESIDENT_ON_DEVICE,
             "NOT_RESIDENT_ON_DEVICE",
             "multi",
         ),
         e(
-            multi::codes::INPUT_ON_NO_DEVICE,
+            engine::codes::INPUT_ON_NO_DEVICE,
             "INPUT_ON_NO_DEVICE",
             "multi",
         ),
+        e(engine::codes::UNKNOWN_DEVICE, "UNKNOWN_DEVICE", "multi"),
         e(
             recover::codes::NOT_RECOVERABLE,
             "NOT_RECOVERABLE",

@@ -2,16 +2,27 @@
 //! sequence that simultaneously
 //!
 //! * checks every residency, precedence and capacity invariant the
-//!   framework guarantees (the checks previously duplicated between
-//!   `validate_plan` and `ExecutionPlan::stats` in `gpuflow-core`),
+//!   framework guarantees — per device, plus host validity, so a plan for
+//!   one GPU and a plan for a cluster are the same walk,
 //! * computes transfer/occupancy statistics ([`PlanStats`]), and
 //! * optionally runs efficiency lints (redundant transfers, free/reload
 //!   thrash, dead copy-outs, Belady-suboptimal evictions).
 //!
-//! The engine is deliberately decoupled from `gpuflow-core`'s plan types:
-//! it consumes a neutral [`PlanView`] (steps plus per-unit input/output
-//! data lists) so that it can live below the scheduler in the crate graph
-//! and be reused by the code generator and the CLI.
+//! This module also owns the plan IR: [`Step`] is the only step type in
+//! the workspace (`gpuflow_core::Step` re-exports it), and [`PlanView`]
+//! is the neutral form every analysis in this crate consumes. The crate
+//! sits below the schedulers in the crate graph, so the planners, the
+//! code generators and the CLI all share the one definition.
+//!
+//! Inter-device communication is *staged*: a `CopyOut` on the producer's
+//! device makes the bytes host-valid and a later `CopyIn` on the
+//! consumer's device materializes them there. A single GPU is a cluster
+//! of one — it simply never stages.
+//!
+//! Diagnostic codes are a user-facing contract, so the vocabulary follows
+//! the cluster size (`capacities.len()`): a one-device plan is reported
+//! with the `GF0012`–`GF0023` codes, a plan over several devices with the
+//! `GF003x` codes that name the device involved.
 
 use gpuflow_graph::{DataId, DataKind, Graph};
 
@@ -48,6 +59,23 @@ pub mod codes {
     /// Internal occupancy accounting underflowed (engine self-check).
     pub const ACCOUNTING_UNDERFLOW: &str = "GF0023";
 
+    /// A launch reads data resident on a different device than the one it
+    /// runs on — a shard assigned to the wrong device, or a missing
+    /// device→host→device staged copy.
+    pub const INPUT_ON_OTHER_DEVICE: &str = "GF0030";
+    /// A `CopyIn` of produced data whose bytes were never made host-valid:
+    /// the staging `CopyOut` on the producer's device is missing or comes
+    /// later (a transfer race on the shared bus).
+    pub const TRANSFER_NOT_STAGED: &str = "GF0031";
+    /// A device's occupancy exceeds that device's memory capacity.
+    pub const DEVICE_OVER_CAPACITY: &str = "GF0032";
+    /// `CopyOut`/`Free` names a device where the data is not resident.
+    pub const NOT_RESIDENT_ON_DEVICE: &str = "GF0033";
+    /// A launch reads data that is resident on no device at all.
+    pub const INPUT_ON_NO_DEVICE: &str = "GF0034";
+    /// A step (or a unit's placement) names a device outside the cluster.
+    pub const UNKNOWN_DEVICE: &str = "GF0035";
+
     /// Lint: repeated `CopyIn` of the same data.
     pub const LINT_REDUNDANT_COPYIN: &str = "GF0101";
     /// Lint: `Free` immediately undone by `CopyIn` with no launch between.
@@ -58,18 +86,37 @@ pub mod codes {
     pub const LINT_NON_BELADY_EVICTION: &str = "GF0104";
 }
 
-/// One step of a plan, in engine-neutral form (mirrors
-/// `gpuflow_core::Step`).
+/// One step of an execution plan. Transfers and frees name the device
+/// whose memory they touch; a launch runs on its unit's assigned device
+/// ([`PlanView::unit_device`]). Single-GPU plans use device `0`
+/// throughout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanStep {
-    /// Copy a data structure host→device.
-    CopyIn(DataId),
-    /// Launch offload unit `usize`.
-    Launch(usize),
-    /// Copy a data structure device→host.
-    CopyOut(DataId),
+pub enum Step {
+    /// Copy a data structure from host to device memory.
+    CopyIn {
+        /// Target device.
+        device: usize,
+        /// The data moved.
+        data: DataId,
+    },
+    /// Copy a data structure from device to host memory.
+    CopyOut {
+        /// Source device.
+        device: usize,
+        /// The data moved.
+        data: DataId,
+    },
     /// Release a data structure's device buffer.
-    Free(DataId),
+    Free {
+        /// Device holding the buffer.
+        device: usize,
+        /// The data freed.
+        data: DataId,
+    },
+    /// Launch offload unit `usize` (index into the plan's unit list).
+    /// Device buffers for the unit's outputs are allocated as part of the
+    /// launch.
+    Launch(usize),
 }
 
 /// The dataflow boundary of one offload unit: its external inputs (data
@@ -83,13 +130,21 @@ pub struct UnitView {
     pub outputs: Vec<DataId>,
 }
 
-/// A plan as the engine sees it.
+/// A plan as the analyses of this crate see it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanView {
-    /// Unit boundaries, indexed by [`PlanStep::Launch`].
+    /// Unit boundaries, indexed by [`Step::Launch`].
     pub units: Vec<UnitView>,
-    /// The step sequence.
-    pub steps: Vec<PlanStep>,
+    /// Device each unit launches on (parallel to `units`).
+    pub unit_device: Vec<usize>,
+    /// The global step sequence (interleaved across devices).
+    pub steps: Vec<Step>,
+    /// Data valid on the host *before* the plan starts, beyond what
+    /// `DataKind::starts_on_cpu` implies. Failover replanning pins the
+    /// completed prefix's results here: the suffix plan may `CopyIn` them
+    /// without a staging `CopyOut`, and pinned template outputs count as
+    /// already delivered. Empty for ordinary plans.
+    pub pinned_host: Vec<DataId>,
 }
 
 /// Static transfer/occupancy statistics of a plan.
@@ -105,7 +160,7 @@ pub struct PlanStats {
     pub copies_out: u64,
     /// Number of kernel/unit launches.
     pub launches: u64,
-    /// Peak bytes resident on the device.
+    /// Peak bytes resident on any one device.
     pub peak_bytes: u64,
 }
 
@@ -119,8 +174,12 @@ impl PlanStats {
 /// Everything one engine run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanAnalysis {
-    /// Transfer/occupancy statistics.
+    /// Transfer/occupancy statistics (all devices pooled; a staged
+    /// inter-device copy counts on both legs, matching what crosses the
+    /// shared bus).
     pub stats: PlanStats,
+    /// Peak bytes resident per device.
+    pub peak_per_device: Vec<u64>,
     /// All findings, in step order; end-of-plan findings last.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -145,92 +204,152 @@ fn next_after(sorted: &[usize], i: usize) -> Option<usize> {
     sorted.get(sorted.partition_point(|&x| x <= i)).copied()
 }
 
-/// Run the engine: validate `plan` against `g` and a device memory of
-/// `memory_bytes`, computing statistics along the way. With `lints` set,
-/// efficiency findings (codes `GF01xx`, all warnings) are also emitted.
+/// Run the engine: validate `plan` against `g` and the per-device
+/// `capacities` (bytes, indexed by device; one entry for a single GPU),
+/// computing statistics along the way. With `lints` set, efficiency
+/// findings (codes `GF01xx`, all warnings) are also emitted.
 ///
 /// Invariants checked (all errors):
 ///
-/// * every step references existing data / units;
-/// * `CopyIn` moves only host-valid, non-resident data;
-/// * launches read only resident, already-produced data and write only
-///   non-resident data; each unit launches exactly once;
-/// * `CopyOut`/`Free` touch only resident data;
-/// * occupancy never exceeds `memory_bytes` (reported once, at the first
-///   violation — the running maximum is `stats.peak_bytes`);
+/// * every step references existing data / units / devices;
+/// * `CopyIn` moves only host-valid data (on a cluster: *staged* data —
+///   the producer device's `CopyOut` came first) that is not already
+///   resident on the target device;
+/// * launches read only already-produced data resident on *their own*
+///   device and write only non-resident data; each unit launches exactly
+///   once;
+/// * `CopyOut`/`Free` touch only data resident on the named device;
+/// * no device's occupancy exceeds its capacity (reported once per
+///   device, at the first violation — the running maxima are
+///   `peak_per_device`);
 /// * every template output is host-valid when the plan ends.
-pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) -> PlanAnalysis {
+pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool) -> PlanAnalysis {
     let nd = g.num_data();
     let nu = plan.units.len();
+    let ndev = capacities.len();
+    // The reporting vocabulary: GF001x/GF002x on one device, the
+    // device-naming GF003x codes on a cluster.
+    let cluster = ndev > 1;
+    // All per-(device, data) state is one flat vector; on a single device
+    // a slot is just the data index.
+    let slot = |device: usize, d: DataId| device * nd + d.index();
     let mut diags: Vec<Diagnostic> = Vec::new();
 
-    // Lint precomputation: for every data structure, the (sorted) step
-    // indices of the launches that read it and of its CopyIns.
-    let mut uses: Vec<Vec<usize>> = vec![Vec::new(); if lints { nd } else { 0 }];
-    let mut copyins: Vec<Vec<usize>> = vec![Vec::new(); if lints { nd } else { 0 }];
+    let unknown_data = |diags: &mut Vec<Diagnostic>, at, d: DataId| {
+        diags.push(Diagnostic::error(
+            codes::UNKNOWN_DATA,
+            at,
+            format!("unknown data {d}"),
+        ));
+    };
+    let unknown_device = |diags: &mut Vec<Diagnostic>, at, dev: usize| {
+        diags.push(Diagnostic::error(
+            codes::UNKNOWN_DEVICE,
+            at,
+            format!("unknown device {dev} (cluster has {ndev})"),
+        ));
+    };
+
+    // A transfer or free that names data outside the graph, or a device
+    // outside the cluster, is reported and skipped.
+    let known = |diags: &mut Vec<Diagnostic>, at, device: usize, data: DataId| {
+        if data.index() >= nd {
+            unknown_data(diags, at, data);
+        } else if device >= ndev {
+            unknown_device(diags, at, device);
+        }
+        data.index() < nd && device < ndev
+    };
+
+    // Lint precomputation: for every (device, data) slot, the (sorted)
+    // step indices of the launches that read it and of its CopyIns.
+    let lint_slots = if lints { ndev * nd } else { 0 };
+    let mut uses: Vec<Vec<usize>> = vec![Vec::new(); lint_slots];
+    let mut copyins: Vec<Vec<usize>> = vec![Vec::new(); lint_slots];
     if lints {
         for (i, step) in plan.steps.iter().enumerate() {
             match *step {
-                PlanStep::Launch(u) if u < nu => {
+                Step::Launch(u) if u < nu => {
+                    let Some(&dev) = plan.unit_device.get(u).filter(|&&dev| dev < ndev) else {
+                        continue;
+                    };
                     for &d in &plan.units[u].inputs {
                         if d.index() < nd {
-                            uses[d.index()].push(i);
+                            uses[slot(dev, d)].push(i);
                         }
                     }
                 }
-                PlanStep::CopyIn(d) if d.index() < nd => copyins[d.index()].push(i),
+                Step::CopyIn { device, data } if device < ndev && data.index() < nd => {
+                    copyins[slot(device, data)].push(i)
+                }
                 _ => {}
             }
         }
     }
 
-    // Residency state for invariant checking.
-    let mut on_gpu = vec![false; nd];
+    // Residency state for invariant checking; host validity is global.
+    let mut on_gpu = vec![false; ndev * nd];
+    let mut used = vec![0u64; ndev];
+    let mut capacity_reported = vec![false; ndev];
     let mut on_cpu: Vec<bool> = g
         .data_ids()
         .map(|d| g.data(d).kind.starts_on_cpu())
         .collect();
     let mut produced = vec![false; nd];
+    for &d in &plan.pinned_host {
+        if d.index() < nd {
+            // Pinned data was produced and delivered before this plan
+            // began (a recovered prefix run).
+            on_cpu[d.index()] = true;
+            produced[d.index()] = true;
+        }
+    }
     let mut launched = vec![false; nu];
-    let mut used = 0u64;
-    let mut capacity_reported = false;
 
     // Statistics state. Kept separate from the boolean residency so the
     // numbers reproduce the historical `ExecutionPlan::stats` semantics
     // bit-for-bit, even on invalid plans.
     let mut stats = PlanStats::default();
-    let mut resident_bytes: std::collections::HashMap<DataId, u64> =
-        std::collections::HashMap::new();
-    let mut cur = 0u64;
+    let mut counted = vec![false; ndev * nd];
+    let mut cur = vec![0u64; ndev];
+    let mut peak = vec![0u64; ndev];
 
     // Lint state.
-    let mut copyin_seen = vec![0u32; if lints { nd } else { 0 }];
-    let mut last_free: Vec<Option<usize>> = vec![None; if lints { nd } else { 0 }];
-    let mut launches_at_free = vec![0u64; if lints { nd } else { 0 }];
-    let mut launch_counter = 0u64;
+    let mut last_free: Vec<Option<usize>> = vec![None; lint_slots];
+    let mut launches_at_free = vec![0u64; lint_slots];
+    let mut launch_counter = vec![0u64; if lints { ndev } else { 0 }];
 
     for (i, step) in plan.steps.iter().enumerate() {
         let at = Some(Location::Step(i));
-        match *step {
-            PlanStep::CopyIn(d) => {
-                if d.index() >= nd {
-                    diags.push(Diagnostic::error(
-                        codes::UNKNOWN_DATA,
-                        at,
-                        format!("unknown data {d}"),
-                    ));
+        // Each arm yields the device whose occupancy it may have raised.
+        let touched = match *step {
+            Step::CopyIn { device, data } => {
+                if !known(&mut diags, at, device, data) {
                     continue;
                 }
-                let desc = g.data(d);
+                let desc = g.data(data);
                 let b = desc.bytes();
+                let s = slot(device, data);
                 stats.floats_in += desc.len();
                 stats.copies_in += 1;
-                resident_bytes.insert(d, b);
-                cur += b;
-                stats.peak_bytes = stats.peak_bytes.max(cur);
+                counted[s] = true;
+                cur[device] += b;
+                peak[device] = peak[device].max(cur[device]);
 
-                if !on_cpu[d.index()] {
-                    diags.push(
+                if !on_cpu[data.index()] {
+                    diags.push(if cluster {
+                        Diagnostic::error(
+                            codes::TRANSFER_NOT_STAGED,
+                            at,
+                            format!(
+                                "CopyIn of {} to device {device} before its bytes are host-valid",
+                                desc.name
+                            ),
+                        )
+                        .with_help(
+                            "inter-device movement is staged: the producer device's CopyOut must complete first",
+                        )
+                    } else {
                         Diagnostic::error(
                             codes::COPYIN_NOT_ON_HOST,
                             at,
@@ -238,19 +357,23 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                         )
                         .with_help(
                             "only inputs, constants, and data previously copied out are host-valid",
-                        ),
-                    );
+                        )
+                    });
                 }
-                if on_gpu[d.index()] {
+                if on_gpu[s] {
                     diags.push(Diagnostic::error(
                         codes::COPYIN_RESIDENT,
                         at,
-                        format!("{} already on device", desc.name),
+                        if cluster {
+                            format!("{} already on device {device}", desc.name)
+                        } else {
+                            format!("{} already on device", desc.name)
+                        },
                     ));
                 }
                 if lints {
-                    if copyin_seen[d.index()] >= 1 {
-                        let first = copyins[d.index()].first().copied().unwrap_or(0);
+                    let first = copyins[s][0];
+                    if first < i {
                         diags.push(
                             Diagnostic::warning(
                                 codes::LINT_REDUNDANT_COPYIN,
@@ -263,8 +386,8 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                             .with_help("host data never changes during a plan; retaining residency would save the transfer (re-fetching can still be the right call under memory pressure)"),
                         );
                     }
-                    if let Some(j) = last_free[d.index()] {
-                        if launches_at_free[d.index()] == launch_counter {
+                    if let Some(j) = last_free[s] {
+                        if launches_at_free[s] == launch_counter[device] {
                             diags.push(
                                 Diagnostic::warning(
                                     codes::LINT_FREE_THRASH,
@@ -278,35 +401,41 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                             );
                         }
                     }
-                    copyin_seen[d.index()] += 1;
                 }
-                if !on_gpu[d.index()] {
-                    on_gpu[d.index()] = true;
-                    used += b;
+                if !on_gpu[s] {
+                    on_gpu[s] = true;
+                    used[device] += b;
                 }
+                device
             }
-            PlanStep::CopyOut(d) => {
-                if d.index() >= nd {
-                    diags.push(Diagnostic::error(
-                        codes::UNKNOWN_DATA,
-                        at,
-                        format!("unknown data {d}"),
-                    ));
+            Step::CopyOut { device, data } => {
+                if !known(&mut diags, at, device, data) {
                     continue;
                 }
-                let desc = g.data(d);
+                let desc = g.data(data);
                 stats.floats_out += desc.len();
                 stats.copies_out += 1;
-                if !on_gpu[d.index()] {
-                    diags.push(Diagnostic::error(
-                        codes::COPYOUT_NOT_RESIDENT,
-                        at,
-                        format!("CopyOut of non-resident {}", desc.name),
-                    ));
+                if !on_gpu[slot(device, data)] {
+                    diags.push(if cluster {
+                        Diagnostic::error(
+                            codes::NOT_RESIDENT_ON_DEVICE,
+                            at,
+                            format!(
+                                "CopyOut of {} from device {device} where it is not resident",
+                                desc.name
+                            ),
+                        )
+                    } else {
+                        Diagnostic::error(
+                            codes::COPYOUT_NOT_RESIDENT,
+                            at,
+                            format!("CopyOut of non-resident {}", desc.name),
+                        )
+                    });
                 }
                 if lints
                     && desc.kind != DataKind::Output
-                    && next_after(&copyins[d.index()], i).is_none()
+                    && (0..ndev).all(|e| next_after(&copyins[slot(e, data)], i).is_none())
                 {
                     diags.push(
                         Diagnostic::warning(
@@ -320,40 +449,56 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                         .with_help("the transferred bytes are never consumed on the host; drop the CopyOut"),
                     );
                 }
-                on_cpu[d.index()] = true;
+                on_cpu[data.index()] = true;
+                device
             }
-            PlanStep::Free(d) => {
-                if d.index() >= nd {
-                    diags.push(Diagnostic::error(
-                        codes::UNKNOWN_DATA,
-                        at,
-                        format!("unknown data {d}"),
-                    ));
+            Step::Free { device, data } => {
+                if !known(&mut diags, at, device, data) {
                     continue;
                 }
-                let desc = g.data(d);
-                if let Some(b) = resident_bytes.remove(&d) {
-                    cur -= b;
+                let desc = g.data(data);
+                let s = slot(device, data);
+                if counted[s] {
+                    counted[s] = false;
+                    cur[device] -= desc.bytes();
                 }
-                if !on_gpu[d.index()] {
-                    diags.push(
+                if !on_gpu[s] {
+                    diags.push(if cluster {
+                        Diagnostic::error(
+                            codes::NOT_RESIDENT_ON_DEVICE,
+                            at,
+                            format!(
+                                "Free of {} on device {device} where it is not resident",
+                                desc.name
+                            ),
+                        )
+                        .with_help("double free, or free on the wrong device of the cluster")
+                    } else {
                         Diagnostic::error(
                             codes::FREE_NOT_RESIDENT,
                             at,
                             format!("Free of non-resident {}", desc.name),
                         )
-                        .with_help("double free, or free before the data ever reached the device"),
-                    );
+                        .with_help("double free, or free before the data ever reached the device")
+                    });
                     continue;
                 }
                 if lints {
-                    lint_eviction_choice(g, plan, &uses, &on_gpu, d, i, &mut diags);
-                    last_free[d.index()] = Some(i);
-                    launches_at_free[d.index()] = launch_counter;
+                    let on_device = device * nd..(device + 1) * nd;
+                    lint_eviction_choice(
+                        g,
+                        &uses[on_device.clone()],
+                        &on_gpu[on_device],
+                        data,
+                        i,
+                        &mut diags,
+                    );
+                    last_free[s] = Some(i);
+                    launches_at_free[s] = launch_counter[device];
                 }
-                on_gpu[d.index()] = false;
-                match used.checked_sub(desc.bytes()) {
-                    Some(rest) => used = rest,
+                on_gpu[s] = false;
+                match used[device].checked_sub(desc.bytes()) {
+                    Some(rest) => used[device] = rest,
                     None => {
                         diags.push(Diagnostic::error(
                             codes::ACCOUNTING_UNDERFLOW,
@@ -361,15 +506,16 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                             format!(
                                 "occupancy accounting underflowed freeing {} ({} B tracked, {} B freed)",
                                 desc.name,
-                                used,
+                                used[device],
                                 desc.bytes()
                             ),
                         ));
-                        used = 0;
+                        used[device] = 0;
                     }
                 }
+                device
             }
-            PlanStep::Launch(u) => {
+            Step::Launch(u) => {
                 if u >= nu {
                     diags.push(Diagnostic::error(
                         codes::UNKNOWN_UNIT,
@@ -378,18 +524,25 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                     ));
                     continue;
                 }
+                // A unit with no placement is as misplaced as one placed
+                // outside the cluster.
+                let dev = plan.unit_device.get(u).copied().unwrap_or(usize::MAX);
+                if dev >= ndev {
+                    unknown_device(&mut diags, at, dev);
+                    continue;
+                }
                 let unit = &plan.units[u];
                 stats.launches += 1;
                 for &d in &unit.outputs {
-                    if d.index() < nd {
-                        let b = g.data(d).bytes();
-                        if resident_bytes.insert(d, b).is_none() {
-                            cur += b;
-                        }
+                    if d.index() < nd && !counted[slot(dev, d)] {
+                        counted[slot(dev, d)] = true;
+                        cur[dev] += g.data(d).bytes();
                     }
                 }
-                stats.peak_bytes = stats.peak_bytes.max(cur);
-                launch_counter += 1;
+                peak[dev] = peak[dev].max(cur[dev]);
+                if lints {
+                    launch_counter[dev] += 1;
+                }
 
                 if launched[u] {
                     diags.push(Diagnostic::error(
@@ -402,65 +555,97 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
                 launched[u] = true;
                 for &d in &unit.inputs {
                     if d.index() >= nd {
-                        diags.push(Diagnostic::error(
-                            codes::UNKNOWN_DATA,
-                            at,
-                            format!("unknown data {d}"),
-                        ));
+                        unknown_data(&mut diags, at, d);
                         continue;
                     }
-                    if !on_gpu[d.index()] {
-                        diags.push(
+                    let name = &g.data(d).name;
+                    if !on_gpu[slot(dev, d)] {
+                        let freed = "the buffer was freed (or never transferred) before this launch read it";
+                        diags.push(if !cluster {
                             Diagnostic::error(
                                 codes::INPUT_NOT_RESIDENT,
                                 at,
-                                format!("unit {u} input {} not resident", g.data(d).name),
+                                format!("unit {u} input {name} not resident"),
                             )
-                            .with_help("the buffer was freed (or never transferred) before this launch read it"),
-                        );
+                            .with_help(freed)
+                        } else if let Some(e) = (0..ndev).find(|&e| on_gpu[slot(e, d)]) {
+                            Diagnostic::error(
+                                codes::INPUT_ON_OTHER_DEVICE,
+                                at,
+                                format!(
+                                    "unit {u} on device {dev} reads {name} which is resident on device {e}"
+                                ),
+                            )
+                            .with_help(
+                                "the shard is on the wrong device, or the device→host→device staged copy is missing",
+                            )
+                        } else {
+                            Diagnostic::error(
+                                codes::INPUT_ON_NO_DEVICE,
+                                at,
+                                format!(
+                                    "unit {u} on device {dev} reads {name} which is resident on no device"
+                                ),
+                            )
+                            .with_help(freed)
+                        });
                     } else if g.producer(d).is_some() && !produced[d.index()] {
                         diags.push(Diagnostic::error(
                             codes::INPUT_NOT_PRODUCED,
                             at,
-                            format!("unit {u} input {} not yet produced", g.data(d).name),
+                            format!("unit {u} input {name} not yet produced"),
                         ));
                     }
                 }
                 for &d in &unit.outputs {
                     if d.index() >= nd {
-                        diags.push(Diagnostic::error(
-                            codes::UNKNOWN_DATA,
-                            at,
-                            format!("unknown data {d}"),
-                        ));
+                        unknown_data(&mut diags, at, d);
                         continue;
                     }
-                    if on_gpu[d.index()] {
+                    let name = &g.data(d).name;
+                    if on_gpu[slot(dev, d)] {
                         diags.push(Diagnostic::error(
                             codes::OUTPUT_RESIDENT,
                             at,
-                            format!("output {} already resident", g.data(d).name),
+                            if cluster {
+                                format!("output {name} already resident on device {dev}")
+                            } else {
+                                format!("output {name} already resident")
+                            },
                         ));
                     } else {
-                        on_gpu[d.index()] = true;
-                        used += g.data(d).bytes();
+                        on_gpu[slot(dev, d)] = true;
+                        used[dev] += g.data(d).bytes();
                     }
                     produced[d.index()] = true;
                 }
+                dev
             }
-        }
-        if used > memory_bytes && !capacity_reported {
-            diags.push(
+        };
+        if used[touched] > capacities[touched] && !capacity_reported[touched] {
+            let (used, capacity) = (used[touched], capacities[touched]);
+            diags.push(if cluster {
+                Diagnostic::error(
+                    codes::DEVICE_OVER_CAPACITY,
+                    at,
+                    format!(
+                        "device {touched} occupancy {used} B exceeds its capacity {capacity} B"
+                    ),
+                )
+                .with_help(
+                    "shard finer, free earlier on that device, or give the cluster larger devices",
+                )
+            } else {
                 Diagnostic::error(
                     codes::OVER_CAPACITY,
                     at,
-                    format!("device occupancy {used} B exceeds {memory_bytes} B"),
+                    format!("device occupancy {used} B exceeds {capacity} B"),
                 )
                 .with_help(
                     "insert frees earlier, split operators further, or plan for a larger device",
-                ),
-            );
-            capacity_reported = true;
+                )
+            });
+            capacity_reported[touched] = true;
         }
     }
 
@@ -486,18 +671,20 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, memory_bytes: u64, lints: bool) 
         }
     }
 
+    stats.peak_bytes = peak.iter().copied().max().unwrap_or(0);
     PlanAnalysis {
         stats,
+        peak_per_device: peak,
         diagnostics: diags,
     }
 }
 
 /// Belady lint: freeing `d` at step `i` is suboptimal when `d` is needed
-/// again while some other resident structure's next use is farther away
-/// (or never) — evicting that one instead would have saved a reload.
+/// again while some other structure resident on the same device has its
+/// next use farther away (or never) — evicting that one instead would
+/// have saved a reload. `uses` and `on_gpu` are the device's slices.
 fn lint_eviction_choice(
     g: &Graph,
-    _plan: &PlanView,
     uses: &[Vec<usize>],
     on_gpu: &[bool],
     d: DataId,
@@ -534,14 +721,14 @@ fn lint_eviction_choice(
     }
 }
 
+/// Plans over a two-operator chain, shared by this crate's test modules.
 #[cfg(test)]
-mod tests {
+pub(crate) mod fixtures {
     use super::*;
-    use crate::diag::Severity;
     use gpuflow_graph::OpKind;
 
     /// in -> t0 -> mid -> t1 -> out, all 8x8 (256 B each).
-    fn chain2() -> Graph {
+    pub(crate) fn chain2() -> Graph {
         let mut g = Graph::new();
         let a = g.add("in", 8, 8, DataKind::Input);
         let m = g.add("mid", 8, 8, DataKind::Temporary);
@@ -551,7 +738,7 @@ mod tests {
         g
     }
 
-    fn units2() -> Vec<UnitView> {
+    pub(crate) fn units2() -> Vec<UnitView> {
         vec![
             UnitView {
                 inputs: vec![DataId(0)],
@@ -564,25 +751,79 @@ mod tests {
         ]
     }
 
-    fn good_plan() -> PlanView {
+    pub(crate) fn cin(device: usize, data: DataId) -> Step {
+        Step::CopyIn { device, data }
+    }
+
+    pub(crate) fn cout(device: usize, data: DataId) -> Step {
+        Step::CopyOut { device, data }
+    }
+
+    pub(crate) fn free(device: usize, data: DataId) -> Step {
+        Step::Free { device, data }
+    }
+
+    /// A plan whose every unit runs on device 0.
+    pub(crate) fn single(units: Vec<UnitView>, steps: Vec<Step>) -> PlanView {
+        PlanView {
+            unit_device: vec![0; units.len()],
+            units,
+            steps,
+            pinned_host: vec![],
+        }
+    }
+
+    pub(crate) fn good_plan() -> PlanView {
+        single(
+            units2(),
+            vec![
+                cin(0, DataId(0)),
+                Step::Launch(0),
+                free(0, DataId(0)),
+                Step::Launch(1),
+                free(0, DataId(1)),
+                cout(0, DataId(2)),
+                free(0, DataId(2)),
+            ],
+        )
+    }
+
+    /// t0 on device 0, t1 on device 1, with a staged `mid` transfer between
+    /// them.
+    pub(crate) fn staged_plan() -> PlanView {
+        let d = DataId;
         PlanView {
             units: units2(),
+            unit_device: vec![0, 1],
+            pinned_host: vec![],
             steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Launch(0),
-                PlanStep::Free(DataId(0)),
-                PlanStep::Launch(1),
-                PlanStep::Free(DataId(1)),
-                PlanStep::CopyOut(DataId(2)),
-                PlanStep::Free(DataId(2)),
+                cin(0, d(0)),
+                Step::Launch(0),
+                free(0, d(0)),
+                // Staged inter-device transfer of mid: dev0 -> host -> dev1.
+                cout(0, d(1)),
+                free(0, d(1)),
+                cin(1, d(1)),
+                Step::Launch(1),
+                free(1, d(1)),
+                cout(1, d(2)),
+                free(1, d(2)),
             ],
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixtures::*;
+    use super::*;
+    use crate::diag::Severity;
+    use gpuflow_graph::OpKind;
 
     #[test]
     fn clean_plan_no_diagnostics_stats_add_up() {
         let g = chain2();
-        let a = analyze_plan(&g, &good_plan(), 3 * 256, true);
+        let a = analyze_plan(&g, &good_plan(), &[3 * 256], true);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
         assert_eq!(a.stats.floats_in, 64);
         assert_eq!(a.stats.floats_out, 64);
@@ -599,7 +840,7 @@ mod tests {
         let mut p = good_plan();
         // Free `mid` before the launch that reads it.
         p.steps.swap(3, 4);
-        let a = analyze_plan(&g, &p, u64::MAX, false);
+        let a = analyze_plan(&g, &p, &[u64::MAX], false);
         let first = a.first_error().unwrap();
         assert_eq!(first.code, codes::INPUT_NOT_RESIDENT);
         assert!(first.message.contains("not resident"));
@@ -608,7 +849,7 @@ mod tests {
     #[test]
     fn capacity_reported_once_at_first_violation() {
         let g = chain2();
-        let a = analyze_plan(&g, &good_plan(), 256, false);
+        let a = analyze_plan(&g, &good_plan(), &[256], false);
         let caps: Vec<_> = a
             .diagnostics
             .iter()
@@ -624,18 +865,18 @@ mod tests {
     #[test]
     fn double_free_and_unknown_ids() {
         let g = chain2();
-        let p = PlanView {
-            units: units2(),
-            steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Free(DataId(0)),
-                PlanStep::Free(DataId(0)),
-                PlanStep::CopyOut(DataId(9)),
-                PlanStep::Free(DataId(9)),
-                PlanStep::Launch(7),
+        let p = single(
+            units2(),
+            vec![
+                cin(0, DataId(0)),
+                free(0, DataId(0)),
+                free(0, DataId(0)),
+                cout(0, DataId(9)),
+                free(0, DataId(9)),
+                Step::Launch(7),
             ],
-        };
-        let a = analyze_plan(&g, &p, u64::MAX, false);
+        );
+        let a = analyze_plan(&g, &p, &[u64::MAX], false);
         let codes_seen: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes_seen.contains(&codes::FREE_NOT_RESIDENT));
         assert_eq!(
@@ -652,24 +893,21 @@ mod tests {
     fn precedence_and_ordering_errors() {
         let g = chain2();
         // Launch unit 1 before unit 0 produced `mid`.
-        let p = PlanView {
-            units: units2(),
-            steps: vec![PlanStep::CopyIn(DataId(0)), PlanStep::Launch(1)],
-        };
-        let a = analyze_plan(&g, &p, u64::MAX, false);
+        let p = single(units2(), vec![cin(0, DataId(0)), Step::Launch(1)]);
+        let a = analyze_plan(&g, &p, &[u64::MAX], false);
         assert_eq!(a.first_error().unwrap().code, codes::INPUT_NOT_RESIDENT);
 
         // Resident but not yet produced: copy the temporary in by force.
-        let p2 = PlanView {
-            units: units2(),
-            steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Launch(0),
-                PlanStep::Launch(1),
-                PlanStep::Launch(1),
+        let p2 = single(
+            units2(),
+            vec![
+                cin(0, DataId(0)),
+                Step::Launch(0),
+                Step::Launch(1),
+                Step::Launch(1),
             ],
-        };
-        let a2 = analyze_plan(&g, &p2, u64::MAX, false);
+        );
+        let a2 = analyze_plan(&g, &p2, &[u64::MAX], false);
         assert!(a2
             .diagnostics
             .iter()
@@ -679,11 +917,8 @@ mod tests {
     #[test]
     fn end_state_errors() {
         let g = chain2();
-        let p = PlanView {
-            units: units2(),
-            steps: vec![PlanStep::CopyIn(DataId(0)), PlanStep::Launch(0)],
-        };
-        let a = analyze_plan(&g, &p, u64::MAX, false);
+        let p = single(units2(), vec![cin(0, DataId(0)), Step::Launch(0)]);
+        let a = analyze_plan(&g, &p, &[u64::MAX], false);
         assert!(a
             .diagnostics
             .iter()
@@ -697,11 +932,8 @@ mod tests {
     #[test]
     fn copyin_of_unproduced_temporary() {
         let g = chain2();
-        let p = PlanView {
-            units: units2(),
-            steps: vec![PlanStep::CopyIn(DataId(1))],
-        };
-        let a = analyze_plan(&g, &p, u64::MAX, false);
+        let p = single(units2(), vec![cin(0, DataId(1))]);
+        let a = analyze_plan(&g, &p, &[u64::MAX], false);
         assert_eq!(a.first_error().unwrap().code, codes::COPYIN_NOT_ON_HOST);
         assert!(a
             .first_error()
@@ -713,27 +945,27 @@ mod tests {
     #[test]
     fn thrash_and_redundant_copyin_lints() {
         let g = chain2();
-        let p = PlanView {
-            units: units2(),
-            steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Free(DataId(0)),
-                PlanStep::CopyIn(DataId(0)), // thrash: no launch in between
-                PlanStep::Launch(0),
-                PlanStep::Free(DataId(0)),
-                PlanStep::Launch(1),
-                PlanStep::Free(DataId(1)),
-                PlanStep::CopyOut(DataId(2)),
-                PlanStep::Free(DataId(2)),
+        let p = single(
+            units2(),
+            vec![
+                cin(0, DataId(0)),
+                free(0, DataId(0)),
+                cin(0, DataId(0)), // thrash: no launch in between
+                Step::Launch(0),
+                free(0, DataId(0)),
+                Step::Launch(1),
+                free(0, DataId(1)),
+                cout(0, DataId(2)),
+                free(0, DataId(2)),
             ],
-        };
-        let a = analyze_plan(&g, &p, u64::MAX, true);
+        );
+        let a = analyze_plan(&g, &p, &[u64::MAX], true);
         assert!(!a.has_errors(), "{:?}", a.diagnostics);
         let codes_seen: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes_seen.contains(&codes::LINT_FREE_THRASH));
         assert!(codes_seen.contains(&codes::LINT_REDUNDANT_COPYIN));
         // Lints stay silent when disabled.
-        let quiet = analyze_plan(&g, &p, u64::MAX, false);
+        let quiet = analyze_plan(&g, &p, &[u64::MAX], false);
         assert!(quiet.diagnostics.is_empty(), "{:?}", quiet.diagnostics);
     }
 
@@ -742,26 +974,26 @@ mod tests {
         let g = chain2();
         let mut p = good_plan();
         // Copy the temporary out even though nothing ever needs it again.
-        p.steps.insert(2, PlanStep::CopyOut(DataId(1)));
-        let a = analyze_plan(&g, &p, u64::MAX, true);
+        p.steps.insert(2, cout(0, DataId(1)));
+        let a = analyze_plan(&g, &p, &[u64::MAX], true);
         assert!(a
             .diagnostics
             .iter()
             .any(|d| d.code == codes::LINT_DEAD_COPYOUT && d.message.contains("mid")));
         // A spill (copy-out followed by a later copy-in) is not dead.
-        let spill = PlanView {
-            units: units2(),
-            steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Launch(0),
-                PlanStep::CopyOut(DataId(1)),
-                PlanStep::Free(DataId(1)),
-                PlanStep::Launch(1), // reads freed mid -> error, but lint-wise:
-                PlanStep::CopyIn(DataId(1)),
-                PlanStep::CopyOut(DataId(2)),
+        let spill = single(
+            units2(),
+            vec![
+                cin(0, DataId(0)),
+                Step::Launch(0),
+                cout(0, DataId(1)),
+                free(0, DataId(1)),
+                Step::Launch(1), // reads freed mid -> error, but lint-wise:
+                cin(0, DataId(1)),
+                cout(0, DataId(2)),
             ],
-        };
-        let a2 = analyze_plan(&g, &spill, u64::MAX, true);
+        );
+        let a2 = analyze_plan(&g, &spill, &[u64::MAX], true);
         assert!(!a2
             .diagnostics
             .iter()
@@ -789,20 +1021,20 @@ mod tests {
                 outputs: vec![ob],
             },
         ];
-        let p = PlanView {
+        let p = single(
             units,
-            steps: vec![
-                PlanStep::CopyIn(a),
-                PlanStep::CopyIn(b),
-                PlanStep::Free(a), // a is needed at step 4, b only at step 6
-                PlanStep::CopyIn(a),
-                PlanStep::Launch(0),
-                PlanStep::CopyOut(oa),
-                PlanStep::Launch(1),
-                PlanStep::CopyOut(ob),
+            vec![
+                cin(0, a),
+                cin(0, b),
+                free(0, a), // a is needed at step 4, b only at step 6
+                cin(0, a),
+                Step::Launch(0),
+                cout(0, oa),
+                Step::Launch(1),
+                cout(0, ob),
             ],
-        };
-        let an = analyze_plan(&g, &p, u64::MAX, true);
+        );
+        let an = analyze_plan(&g, &p, &[u64::MAX], true);
         let belady: Vec<_> = an
             .diagnostics
             .iter()
@@ -823,15 +1055,11 @@ mod tests {
         // running occupancy (insert + unconditional add); the engine must
         // reproduce that number exactly for behavioural parity.
         let g = chain2();
-        let p = PlanView {
-            units: units2(),
-            steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Free(DataId(0)),
-            ],
-        };
-        let a = analyze_plan(&g, &p, u64::MAX, false);
+        let p = single(
+            units2(),
+            vec![cin(0, DataId(0)), cin(0, DataId(0)), free(0, DataId(0))],
+        );
+        let a = analyze_plan(&g, &p, &[u64::MAX], false);
         assert_eq!(a.stats.copies_in, 2);
         assert_eq!(a.stats.peak_bytes, 512); // 2 * 256, the historical double count
         assert!(a.has_errors()); // the plan is of course invalid
@@ -840,11 +1068,192 @@ mod tests {
     #[test]
     fn severity_partition() {
         let g = chain2();
-        let a = analyze_plan(&g, &good_plan(), 3 * 256, true);
+        let a = analyze_plan(&g, &good_plan(), &[3 * 256], true);
         assert!(a.first_error().is_none());
         assert!(!a.has_errors());
-        let bad = analyze_plan(&g, &good_plan(), 1, false);
+        let bad = analyze_plan(&g, &good_plan(), &[1], false);
         assert!(bad.has_errors());
         assert_eq!(bad.first_error().unwrap().severity, Severity::Error);
+    }
+
+    #[test]
+    fn clean_cross_device_plan_passes() {
+        let g = chain2();
+        let a = analyze_plan(&g, &staged_plan(), &[2 * 256, 2 * 256], false);
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+        assert_eq!(a.stats.launches, 2);
+        // in + staged mid + nothing else inbound; mid + out outbound.
+        assert_eq!(a.stats.copies_in, 2);
+        assert_eq!(a.stats.copies_out, 2);
+        assert_eq!(a.peak_per_device, vec![2 * 256, 2 * 256]);
+    }
+
+    #[test]
+    fn wrong_device_shard_is_gf0030() {
+        let g = chain2();
+        let mut p = staged_plan();
+        // Mutation: unit 1 assigned to device 0, but its input was staged
+        // to device 1.
+        p.unit_device[1] = 0;
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let first = a.first_error().unwrap();
+        assert_eq!(first.code, codes::INPUT_ON_OTHER_DEVICE);
+        assert!(first.message.contains("resident on device 1"), "{first:?}");
+    }
+
+    #[test]
+    fn missing_staged_copyout_is_gf0031() {
+        let g = chain2();
+        let mut p = staged_plan();
+        // Mutation: drop the CopyOut of mid on device 0 — the CopyIn on
+        // device 1 now races ahead of unstaged bytes.
+        p.steps.remove(3);
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        assert!(a
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::TRANSFER_NOT_STAGED));
+    }
+
+    #[test]
+    fn missing_inter_device_copyin_is_gf0034() {
+        let g = chain2();
+        let mut p = staged_plan();
+        // Mutation: drop the CopyIn of mid on device 1 entirely (and its
+        // matching Free) — unit 1 reads data resident nowhere.
+        p.steps.remove(7); // Free mid on dev 1
+        p.steps.remove(5); // CopyIn mid on dev 1
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        assert_eq!(a.first_error().unwrap().code, codes::INPUT_ON_NO_DEVICE);
+    }
+
+    #[test]
+    fn per_device_over_capacity_is_gf0032() {
+        let g = chain2();
+        // Device 0 can only hold one 256 B structure: staging in + out
+        // (512 B) trips its capacity; device 1 is fine.
+        let a = analyze_plan(&g, &staged_plan(), &[256, 2 * 256], false);
+        let caps: Vec<_> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == codes::DEVICE_OVER_CAPACITY)
+            .collect();
+        assert_eq!(caps.len(), 1);
+        assert!(caps[0].message.contains("device 0"), "{:?}", caps[0]);
+    }
+
+    #[test]
+    fn wrong_device_free_and_copyout_are_gf0033() {
+        let g = chain2();
+        let p = PlanView {
+            units: units2(),
+            unit_device: vec![0, 1],
+            pinned_host: vec![],
+            steps: vec![cin(0, DataId(0)), free(1, DataId(0)), cout(1, DataId(0))],
+        };
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let n = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == codes::NOT_RESIDENT_ON_DEVICE)
+            .count();
+        assert_eq!(n, 2);
+    }
+
+    #[test]
+    fn end_state_checks_still_apply() {
+        let g = chain2();
+        let p = PlanView {
+            units: units2(),
+            unit_device: vec![0, 1],
+            pinned_host: vec![],
+            steps: vec![cin(0, DataId(0)), Step::Launch(0)],
+        };
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let codes_seen: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
+        assert!(codes_seen.contains(&codes::NEVER_LAUNCHED));
+        assert!(codes_seen.contains(&codes::OUTPUT_NOT_DELIVERED));
+    }
+
+    #[test]
+    fn pinned_host_data_satisfies_staging_and_delivery() {
+        // A replanned suffix: unit 0 already ran in a previous (recovered)
+        // plan, so `mid` is pinned host-side and unit 1 reads it via a
+        // plain CopyIn with no staging CopyOut. The suffix plan covers
+        // only unit 1.
+        let g = chain2();
+        let p = PlanView {
+            units: vec![UnitView {
+                inputs: vec![DataId(1)],
+                outputs: vec![DataId(2)],
+            }],
+            unit_device: vec![1],
+            pinned_host: vec![DataId(1)],
+            steps: vec![
+                cin(1, DataId(1)),
+                Step::Launch(0),
+                free(1, DataId(1)),
+                cout(1, DataId(2)),
+                free(1, DataId(2)),
+            ],
+        };
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+        // Without the pin the same plan races (GF0031) and the input
+        // reads unproduced data.
+        let mut unpinned = p.clone();
+        unpinned.pinned_host.clear();
+        let a = analyze_plan(&g, &unpinned, &[u64::MAX, u64::MAX], false);
+        assert!(a
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::TRANSFER_NOT_STAGED));
+    }
+
+    #[test]
+    fn vocabulary_follows_the_number_of_devices() {
+        // One step sequence, checked against one device and against a
+        // two-device cluster whose second device it never uses: same
+        // findings and numbers, device-naming codes on the cluster.
+        let g = chain2();
+        let mut p = good_plan();
+        p.steps.swap(3, 4); // free `mid` before the launch that reads it
+        let one = analyze_plan(&g, &p, &[256], false);
+        let two = analyze_plan(&g, &p, &[256, 256], false);
+        let codes_of = |a: &PlanAnalysis| a.diagnostics.iter().map(|d| d.code).collect::<Vec<_>>();
+        assert_eq!(
+            codes_of(&one),
+            vec![codes::OVER_CAPACITY, codes::INPUT_NOT_RESIDENT]
+        );
+        assert_eq!(
+            codes_of(&two),
+            vec![codes::DEVICE_OVER_CAPACITY, codes::INPUT_ON_NO_DEVICE]
+        );
+        assert_eq!(one.stats, two.stats);
+        assert_eq!(one.peak_per_device, vec![512]);
+        assert_eq!(two.peak_per_device, vec![512, 0]);
+    }
+
+    #[test]
+    fn device_outside_the_cluster_is_gf0035() {
+        let g = chain2();
+        // The staged upload of `mid` names device 3 of a 2-device cluster.
+        let mut p = staged_plan();
+        p.steps[5] = cin(3, DataId(1));
+        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let first = a.first_error().unwrap();
+        assert_eq!(first.code, codes::UNKNOWN_DEVICE);
+        assert_eq!(first.message, "unknown device 3 (cluster has 2)");
+        assert_eq!(first.location, Some(Location::Step(5)));
+        assert!(a.diagnostics.iter().all(|d| d.code != codes::UNKNOWN_DATA));
+        // A unit placed outside the cluster is the same finding, on one
+        // device as on several.
+        let mut q = good_plan();
+        q.unit_device[1] = 1;
+        let a = analyze_plan(&g, &q, &[u64::MAX], false);
+        assert!(a
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::UNKNOWN_DEVICE && d.location == Some(Location::Step(3))));
     }
 }

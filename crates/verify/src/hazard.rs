@@ -1,7 +1,7 @@
 //! Happens-before race detection: the concurrency certifier for plans.
 //!
-//! The serialized analyzers ([`crate::engine`], [`crate::multi`]) prove a
-//! plan correct *when executed in step order on one timeline*. But the
+//! The serialized analyzer ([`crate::engine`]) proves a plan correct
+//! *when executed in step order on one timeline*. But the
 //! framework's execution models are concurrent: the overlap simulator runs
 //! a compute engine against two DMA engines, and the cluster simulator
 //! runs per-device compute lanes against one shared bus. On those models
@@ -25,8 +25,7 @@ use gpuflow_graph::{DataId, Graph};
 
 use crate::diag::{Diagnostic, Location};
 use crate::hb::{EdgeKind, HbGraph};
-use crate::multi::{MultiPlanStep, MultiPlanView};
-use crate::{PlanStep, PlanView};
+use crate::{PlanView, Step};
 
 /// Diagnostic codes emitted by the concurrency certifier.
 pub mod codes {
@@ -98,33 +97,6 @@ pub struct LaneModel {
     pub streams: usize,
 }
 
-impl LaneModel {
-    /// One device: the two-engine overlap model of `core::overlap`.
-    pub fn single() -> LaneModel {
-        LaneModel {
-            devices: 1,
-            streams: 1,
-        }
-    }
-
-    /// `n` devices racing the shared bus: the `multigpu::makespan` model.
-    pub fn cluster(n: usize) -> LaneModel {
-        LaneModel {
-            devices: n,
-            streams: 1,
-        }
-    }
-
-    /// One device with `k` concurrent compute streams: the stream-level
-    /// operator-parallel model of `core::streams`.
-    pub fn streams(k: usize) -> LaneModel {
-        LaneModel {
-            devices: 1,
-            streams: k.max(1),
-        }
-    }
-}
-
 /// Everything one certification run produces.
 #[derive(Debug, Clone)]
 pub struct ConcurrencyReport {
@@ -194,61 +166,11 @@ struct Access {
     transfer: bool,
 }
 
-/// Lift a single-device [`PlanView`] onto a one-device [`MultiPlanView`]
-/// (the lifting is exact: a 1-device cluster plan *is* a single-device
-/// plan).
-fn lift_single(plan: &PlanView) -> MultiPlanView {
-    MultiPlanView {
-        units: plan.units.clone(),
-        unit_device: vec![0; plan.units.len()],
-        steps: plan
-            .steps
-            .iter()
-            .map(|s| match *s {
-                PlanStep::CopyIn(d) => MultiPlanStep::CopyIn { device: 0, data: d },
-                PlanStep::CopyOut(d) => MultiPlanStep::CopyOut { device: 0, data: d },
-                PlanStep::Free(d) => MultiPlanStep::Free { device: 0, data: d },
-                PlanStep::Launch(u) => MultiPlanStep::Launch(u),
-            })
-            .collect(),
-        pinned_host: vec![],
-    }
-}
-
-/// Certify a single-device plan against the two-engine overlap model.
-pub fn certify_single_plan(g: &Graph, plan: &PlanView) -> ConcurrencyReport {
-    certify_concurrency(g, &lift_single(plan), &LaneModel::single())
-}
-
-/// Certify a single-device plan whose launches are distributed over
-/// `num_streams` concurrent compute streams. `unit_stream[u]` names the
-/// stream of unit `u` (missing entries default to stream `0`); program
-/// order is enforced **per stream**, so only the synchronizations a
-/// multi-stream executor actually performs — transfer completion and the
-/// committed-free horizon — order launches across streams.
-pub fn certify_single_plan_streams(
-    g: &Graph,
-    plan: &PlanView,
-    unit_stream: &[usize],
-    num_streams: usize,
-) -> ConcurrencyReport {
-    certify_concurrency_streams(
-        g,
-        &lift_single(plan),
-        &LaneModel::streams(num_streams),
-        unit_stream,
-    )
-}
-
 /// Build the happens-before DAG of `plan` under `lanes` and prove every
 /// pair of conflicting accesses ordered. Assumes the plan already passed
-/// the serialized analyzer ([`crate::analyze_multi_plan`]) — steps with
+/// the serialized analyzer ([`crate::analyze_plan`]) — steps with
 /// out-of-range ids are skipped here, not re-reported.
-pub fn certify_concurrency(
-    g: &Graph,
-    plan: &MultiPlanView,
-    lanes: &LaneModel,
-) -> ConcurrencyReport {
+pub fn certify_concurrency(g: &Graph, plan: &PlanView, lanes: &LaneModel) -> ConcurrencyReport {
     certify_concurrency_streams(g, plan, lanes, &[])
 }
 
@@ -266,7 +188,7 @@ pub fn certify_concurrency(
 /// is preserved.
 pub fn certify_concurrency_streams(
     g: &Graph,
-    plan: &MultiPlanView,
+    plan: &PlanView,
     lanes: &LaneModel,
     unit_stream: &[usize],
 ) -> ConcurrencyReport {
@@ -313,7 +235,7 @@ pub fn certify_concurrency_streams(
 
     for (i, step) in plan.steps.iter().enumerate() {
         match *step {
-            MultiPlanStep::CopyIn { device, data } => {
+            Step::CopyIn { device, data } => {
                 if device >= ndev || data.index() >= nd {
                     continue;
                 }
@@ -337,7 +259,7 @@ pub fn certify_concurrency_streams(
                 });
                 host_reads[data.index()].push(i);
             }
-            MultiPlanStep::CopyOut { device, data } => {
+            Step::CopyOut { device, data } => {
                 if device >= ndev || data.index() >= nd {
                     continue;
                 }
@@ -356,7 +278,7 @@ pub fn certify_concurrency_streams(
                 });
                 host_writes[data.index()].push(i);
             }
-            MultiPlanStep::Free { device, data } => {
+            Step::Free { device, data } => {
                 if device >= ndev || data.index() >= nd {
                     continue;
                 }
@@ -377,7 +299,7 @@ pub fn certify_concurrency_streams(
                     transfer: false,
                 });
             }
-            MultiPlanStep::Launch(u) => {
+            Step::Launch(u) => {
                 if u >= nu {
                     continue;
                 }
@@ -625,77 +547,12 @@ pub fn certify_concurrency_streams(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::fixtures::{chain2, cin, cout, free, good_plan, single, staged_plan};
     use crate::engine::UnitView;
     use gpuflow_graph::{DataKind, Graph, OpKind};
 
-    /// in -> t0 -> mid -> t1 -> out, all 8x8; unit 0 on device 0, unit 1
-    /// on device 1, staged mid hop (mirrors `multi.rs` tests).
-    fn chain2() -> Graph {
-        let mut g = Graph::new();
-        let a = g.add("in", 8, 8, DataKind::Input);
-        let m = g.add("mid", 8, 8, DataKind::Temporary);
-        let o = g.add("out", 8, 8, DataKind::Output);
-        g.add_op("t0", OpKind::Tanh, vec![a], m).unwrap();
-        g.add_op("t1", OpKind::Tanh, vec![m], o).unwrap();
-        g
-    }
-
-    fn units2() -> Vec<UnitView> {
-        vec![
-            UnitView {
-                inputs: vec![DataId(0)],
-                outputs: vec![DataId(1)],
-            },
-            UnitView {
-                inputs: vec![DataId(1)],
-                outputs: vec![DataId(2)],
-            },
-        ]
-    }
-
-    fn good_plan() -> MultiPlanView {
-        let d = DataId;
-        MultiPlanView {
-            units: units2(),
-            unit_device: vec![0, 1],
-            pinned_host: vec![],
-            steps: vec![
-                MultiPlanStep::CopyIn {
-                    device: 0,
-                    data: d(0),
-                },
-                MultiPlanStep::Launch(0),
-                MultiPlanStep::Free {
-                    device: 0,
-                    data: d(0),
-                },
-                MultiPlanStep::CopyOut {
-                    device: 0,
-                    data: d(1),
-                },
-                MultiPlanStep::Free {
-                    device: 0,
-                    data: d(1),
-                },
-                MultiPlanStep::CopyIn {
-                    device: 1,
-                    data: d(1),
-                },
-                MultiPlanStep::Launch(1),
-                MultiPlanStep::Free {
-                    device: 1,
-                    data: d(1),
-                },
-                MultiPlanStep::CopyOut {
-                    device: 1,
-                    data: d(2),
-                },
-                MultiPlanStep::Free {
-                    device: 1,
-                    data: d(2),
-                },
-            ],
-        }
+    fn lanes(devices: usize, streams: usize) -> LaneModel {
+        LaneModel { devices, streams }
     }
 
     fn codes_of(r: &ConcurrencyReport) -> Vec<&'static str> {
@@ -705,7 +562,7 @@ mod tests {
     #[test]
     fn staged_cross_device_plan_certifies() {
         let g = chain2();
-        let r = certify_concurrency(&g, &good_plan(), &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &staged_plan(), &lanes(2, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
         assert_eq!(codes_of(&r), vec![codes::CERTIFIED]);
         // Four lanes: h2d, d2h, both compute engines, plus host frees.
@@ -719,11 +576,11 @@ mod tests {
     #[test]
     fn launch_fronted_past_its_copyin_is_raw() {
         let g = chain2();
-        let mut p = good_plan();
+        let mut p = staged_plan();
         // Mutation: the launch is issued before its input's upload — on
         // separate lanes nothing orders them.
         p.steps.swap(0, 1);
-        let r = certify_concurrency(&g, &p, &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &p, &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::HAZARD_RAW),
             "{:?}",
@@ -734,11 +591,11 @@ mod tests {
     #[test]
     fn dropped_staging_hop_is_unstaged_read() {
         let g = chain2();
-        let mut p = good_plan();
+        let mut p = staged_plan();
         // Mutation: delete the staging CopyOut of mid (and the Free that
         // depended on it keeps its own edges).
         p.steps.remove(3);
-        let r = certify_concurrency(&g, &p, &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &p, &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::UNSTAGED_READ),
             "{:?}",
@@ -749,10 +606,10 @@ mod tests {
     #[test]
     fn early_free_is_use_after_free() {
         let g = chain2();
-        let mut p = good_plan();
+        let mut p = staged_plan();
         // Mutation: free mid on device 1 before the launch that reads it.
         p.steps.swap(6, 7);
-        let r = certify_concurrency(&g, &p, &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &p, &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::USE_AFTER_FREE),
             "{:?}",
@@ -763,11 +620,11 @@ mod tests {
     #[test]
     fn eviction_racing_pending_transfer_is_free_in_flight() {
         let g = chain2();
-        let mut p = good_plan();
+        let mut p = staged_plan();
         // Mutation: the producer device frees mid before staging it out —
         // the eviction races the pending download.
         p.steps.swap(3, 4);
-        let r = certify_concurrency(&g, &p, &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &p, &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::FREE_IN_FLIGHT),
             "{:?}",
@@ -776,21 +633,10 @@ mod tests {
     }
 
     #[test]
-    fn single_device_lift_certifies_serial_shape() {
+    fn single_device_plan_certifies_serial_shape() {
         let g = chain2();
-        let p = PlanView {
-            units: units2(),
-            steps: vec![
-                PlanStep::CopyIn(DataId(0)),
-                PlanStep::Launch(0),
-                PlanStep::Free(DataId(0)),
-                PlanStep::Launch(1),
-                PlanStep::Free(DataId(1)),
-                PlanStep::CopyOut(DataId(2)),
-                PlanStep::Free(DataId(2)),
-            ],
-        };
-        let r = certify_single_plan(&g, &p);
+        let p = good_plan();
+        let r = certify_concurrency(&g, &p, &lanes(1, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
         // The dynamic sanitizer accepts any execution that honours the
         // edges — here a fully serialized timeline.
@@ -807,7 +653,7 @@ mod tests {
     #[test]
     fn pinned_host_data_needs_no_staging_copyout() {
         let g = chain2();
-        let p = MultiPlanView {
+        let p = PlanView {
             units: vec![UnitView {
                 inputs: vec![DataId(1)],
                 outputs: vec![DataId(2)],
@@ -815,30 +661,18 @@ mod tests {
             unit_device: vec![1],
             pinned_host: vec![DataId(1)],
             steps: vec![
-                MultiPlanStep::CopyIn {
-                    device: 1,
-                    data: DataId(1),
-                },
-                MultiPlanStep::Launch(0),
-                MultiPlanStep::Free {
-                    device: 1,
-                    data: DataId(1),
-                },
-                MultiPlanStep::CopyOut {
-                    device: 1,
-                    data: DataId(2),
-                },
-                MultiPlanStep::Free {
-                    device: 1,
-                    data: DataId(2),
-                },
+                cin(1, DataId(1)),
+                Step::Launch(0),
+                free(1, DataId(1)),
+                cout(1, DataId(2)),
+                free(1, DataId(2)),
             ],
         };
-        let r = certify_concurrency(&g, &p, &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &p, &lanes(2, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
         let mut unpinned = p.clone();
         unpinned.pinned_host.clear();
-        let r = certify_concurrency(&g, &unpinned, &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &unpinned, &lanes(2, 1));
         assert!(codes_of(&r).contains(&codes::UNSTAGED_READ));
     }
 
@@ -853,8 +687,8 @@ mod tests {
         g.add_op("t0", OpKind::Tanh, vec![a], m).unwrap();
         g.add_op("t1", OpKind::EwAdd { arity: 2 }, vec![a, m], o)
             .unwrap();
-        let p = PlanView {
-            units: vec![
+        let p = single(
+            vec![
                 UnitView {
                     inputs: vec![a],
                     outputs: vec![m],
@@ -864,20 +698,20 @@ mod tests {
                     outputs: vec![o],
                 },
             ],
-            steps: vec![
-                PlanStep::CopyIn(a),
-                PlanStep::Launch(0),
-                PlanStep::CopyOut(m), // spill
-                PlanStep::Free(m),
-                PlanStep::CopyIn(m), // reload
-                PlanStep::Launch(1),
-                PlanStep::Free(a),
-                PlanStep::Free(m),
-                PlanStep::CopyOut(o),
-                PlanStep::Free(o),
+            vec![
+                cin(0, a),
+                Step::Launch(0),
+                cout(0, m), // spill
+                free(0, m),
+                cin(0, m), // reload
+                Step::Launch(1),
+                free(0, a),
+                free(0, m),
+                cout(0, o),
+                free(0, o),
             ],
-        };
-        let r = certify_single_plan(&g, &p);
+        );
+        let r = certify_concurrency(&g, &p, &lanes(1, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
     }
 
@@ -898,8 +732,8 @@ mod tests {
 
     fn fork_plan() -> PlanView {
         let d = DataId;
-        PlanView {
-            units: vec![
+        single(
+            vec![
                 UnitView {
                     inputs: vec![d(0)],
                     outputs: vec![d(1)],
@@ -913,25 +747,25 @@ mod tests {
                     outputs: vec![d(3)],
                 },
             ],
-            steps: vec![
-                PlanStep::CopyIn(d(0)),
-                PlanStep::Launch(0),
-                PlanStep::Launch(1),
-                PlanStep::Free(d(0)),
-                PlanStep::Launch(2),
-                PlanStep::Free(d(1)),
-                PlanStep::Free(d(2)),
-                PlanStep::CopyOut(d(3)),
-                PlanStep::Free(d(3)),
+            vec![
+                cin(0, d(0)),
+                Step::Launch(0),
+                Step::Launch(1),
+                free(0, d(0)),
+                Step::Launch(2),
+                free(0, d(1)),
+                free(0, d(2)),
+                cout(0, d(3)),
+                free(0, d(3)),
             ],
-        }
+        )
     }
 
     #[test]
     fn two_stream_fork_certifies_with_stream_lanes() {
         let g = fork_graph();
         let p = fork_plan();
-        let r = certify_single_plan_streams(&g, &p, &[0, 1, 0], 2);
+        let r = certify_concurrency_streams(&g, &p, &lanes(1, 2), &[0, 1, 0]);
         assert!(r.certified(), "{:?}", r.diagnostics);
         assert_eq!(r.step_lane[1], Lane::Compute(0));
         assert_eq!(r.step_lane[2], Lane::Stream(0, 1));
@@ -949,8 +783,8 @@ mod tests {
     fn empty_stream_map_matches_plain_certification() {
         let g = fork_graph();
         let p = fork_plan();
-        let plain = certify_single_plan(&g, &p);
-        let streamed = certify_single_plan_streams(&g, &p, &[], 1);
+        let plain = certify_concurrency(&g, &p, &lanes(1, 1));
+        let streamed = certify_concurrency_streams(&g, &p, &lanes(1, 1), &[]);
         assert_eq!(plain.step_lane, streamed.step_lane);
         assert_eq!(plain.hb.edges(), streamed.hb.edges());
         assert_eq!(
@@ -970,7 +804,7 @@ mod tests {
         // Mutation: the join launch is issued before one of its producers;
         // on separate streams nothing orders them.
         p.steps.swap(2, 4);
-        let r = certify_single_plan_streams(&g, &p, &[0, 1, 0], 2);
+        let r = certify_concurrency_streams(&g, &p, &lanes(1, 2), &[0, 1, 0]);
         assert!(
             r.diagnostics.iter().any(|d| d.code == codes::HAZARD_RAW),
             "{:?}",
@@ -983,7 +817,7 @@ mod tests {
         let g = fork_graph();
         let p = fork_plan();
         // All launches on stream 1: program order chains 1 -> 2 -> 4.
-        let r = certify_single_plan_streams(&g, &p, &[1, 1, 1], 2);
+        let r = certify_concurrency_streams(&g, &p, &lanes(1, 2), &[1, 1, 1]);
         assert!(r.certified(), "{:?}", r.diagnostics);
         assert_eq!(r.step_lane[1], Lane::Stream(0, 1));
         assert!(r.hb.ordered(1, 2));
@@ -992,7 +826,7 @@ mod tests {
     #[test]
     fn certificate_note_reports_edge_breakdown() {
         let g = chain2();
-        let r = certify_concurrency(&g, &good_plan(), &LaneModel::cluster(2));
+        let r = certify_concurrency(&g, &staged_plan(), &lanes(2, 1));
         let note = &r.diagnostics[r.diagnostics.len() - 1];
         assert_eq!(note.code, codes::CERTIFIED);
         assert!(note.message.contains("program"), "{}", note.message);

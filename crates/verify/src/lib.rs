@@ -13,14 +13,14 @@
 //!   detection, shape/arity consistency, reachability, dead data,
 //!   per-operator footprint vs. device memory, and halo consistency for
 //!   split stencil operators.
-//! * [`engine`] — the residency-dataflow engine ([`analyze_plan`]): one
-//!   forward walk that validates a plan (use-after-free, double-free,
-//!   precedence, capacity), computes its transfer statistics
-//!   ([`PlanStats`]), and optionally lints it for efficiency hazards.
-//! * [`multi`] — the same engine generalized to multi-device plans
-//!   ([`analyze_multi_plan`]): per-device residency and capacity, staged
-//!   device→host→device inter-device transfers, and cross-device launch
-//!   placement (`GF003x` codes).
+//! * [`engine`] — the plan IR ([`Step`], [`PlanView`]) and the
+//!   residency-dataflow engine ([`analyze_plan`]): one forward walk that
+//!   validates a plan over any number of devices (use-after-free,
+//!   double-free, precedence, per-device capacity, staged
+//!   device→host→device transfers, cross-device launch placement),
+//!   computes its transfer statistics ([`PlanStats`]), and optionally
+//!   lints it for efficiency hazards. One device reports `GF001x`/`GF002x`
+//!   codes, a cluster the device-naming `GF003x` ones.
 //! * [`recover`] — recoverability analysis ([`analyze_recovery`]): the
 //!   minimal host-resident data set needed to restart the plan at each
 //!   launch, feeding the checkpoint/restart machinery in `gpuflow-core`
@@ -50,7 +50,6 @@ pub mod graph_check;
 pub mod guard;
 pub mod hazard;
 pub mod hb;
-pub mod multi;
 pub mod recover;
 
 pub use critpath::{critical_path, critical_path_over, dependency_critical_path, CriticalPath};
@@ -58,12 +57,10 @@ pub use diag::{
     count, has_errors, render_report, report_to_json, summary, Counts, Diagnostic, Location,
     Severity,
 };
-pub use engine::{analyze_plan, PlanAnalysis, PlanStats, PlanStep, PlanView, UnitView};
+pub use engine::{analyze_plan, PlanAnalysis, PlanStats, PlanView, Step, UnitView};
 pub use graph_check::analyze_graph;
 pub use hazard::{
-    certify_concurrency, certify_concurrency_streams, certify_single_plan,
-    certify_single_plan_streams, ConcurrencyReport, Lane, LaneModel,
+    certify_concurrency, certify_concurrency_streams, ConcurrencyReport, Lane, LaneModel,
 };
 pub use hb::{EdgeCounts, EdgeKind, HbGraph};
-pub use multi::{analyze_multi_plan, MultiPlanAnalysis, MultiPlanStep, MultiPlanView};
 pub use recover::{analyze_recovery, LaunchRecovery, RecoveryCheckOptions, RecoveryReport};

@@ -30,7 +30,7 @@ use std::collections::HashSet;
 use gpuflow_graph::{DataId, Graph};
 
 use crate::diag::{Diagnostic, Location};
-use crate::engine::{PlanStep, PlanView};
+use crate::engine::{PlanView, Step};
 
 /// Diagnostic codes emitted by the recoverability pass.
 pub mod codes {
@@ -116,11 +116,11 @@ pub fn analyze_recovery(g: &Graph, plan: &PlanView, opts: RecoveryCheckOptions) 
     let mut snapshots: Vec<(usize, usize, Vec<DataId>)> = Vec::new();
     for (i, step) in plan.steps.iter().enumerate().rev() {
         match *step {
-            PlanStep::Free(_) => {}
-            PlanStep::CopyIn(d) | PlanStep::CopyOut(d) => {
+            Step::Free { .. } => {}
+            Step::CopyIn { data: d, .. } | Step::CopyOut { data: d, .. } => {
                 needed.insert(d);
             }
-            PlanStep::Launch(u) => {
+            Step::Launch(u) => {
                 let Some(unit) = plan.units.get(u) else {
                     // GF0011 territory; the residency engine reports it.
                     continue;
@@ -197,7 +197,7 @@ pub fn analyze_recovery(g: &Graph, plan: &PlanView, opts: RecoveryCheckOptions) 
                 let _ = unit;
             }
         }
-        if let PlanStep::CopyOut(d) = *step {
+        if let Step::CopyOut { data: d, .. } = *step {
             host_valid.insert(d);
         }
     }
@@ -238,6 +238,7 @@ mod tests {
         let out = g.add_data(DataDesc::new("out", 16, 16, DataKind::Output));
         g.add_op("f", OpKind::Identity, vec![input], mid).unwrap();
         g.add_op("g", OpKind::Identity, vec![mid], out).unwrap();
+        let device = 0;
         let view = PlanView {
             units: vec![
                 UnitView {
@@ -249,14 +250,22 @@ mod tests {
                     outputs: vec![out],
                 },
             ],
+            unit_device: vec![0, 0],
+            pinned_host: vec![],
             steps: vec![
-                PlanStep::CopyIn(input),
-                PlanStep::Launch(0),
-                PlanStep::Free(input),
-                PlanStep::Launch(1),
-                PlanStep::Free(mid),
-                PlanStep::CopyOut(out),
-                PlanStep::Free(out),
+                Step::CopyIn {
+                    device,
+                    data: input,
+                },
+                Step::Launch(0),
+                Step::Free {
+                    device,
+                    data: input,
+                },
+                Step::Launch(1),
+                Step::Free { device, data: mid },
+                Step::CopyOut { device, data: out },
+                Step::Free { device, data: out },
             ],
         };
         (g, view)
@@ -285,8 +294,14 @@ mod tests {
     fn copying_the_intermediate_out_restores_recoverability() {
         let (g, mut view) = chain();
         // Copy `mid` out right after it is produced.
-        view.steps
-            .insert(2, PlanStep::CopyOut(view.units[0].outputs[0]));
+        let mid = view.units[0].outputs[0];
+        view.steps.insert(
+            2,
+            Step::CopyOut {
+                device: 0,
+                data: mid,
+            },
+        );
         let report = analyze_recovery(&g, &view, RecoveryCheckOptions::default());
         assert!(report.fully_recoverable(), "{:?}", report.diagnostics);
         assert!(report

@@ -246,9 +246,9 @@ proptest! {
                 let nd = compiled.split.graph.num_data();
                 let d = gpuflow::graph::DataId(((pick * 7) % nd) as u32);
                 plan.steps[i] = match plan.steps[i] {
-                    Step::CopyIn(_) => Step::CopyIn(d),
-                    Step::CopyOut(_) => Step::CopyOut(d),
-                    Step::Free(_) => Step::Free(d),
+                    Step::CopyIn { device, .. } => Step::CopyIn { device, data: d },
+                    Step::CopyOut { device, .. } => Step::CopyOut { device, data: d },
+                    Step::Free { device, .. } => Step::Free { device, data: d },
                     other => other,
                 };
             }
@@ -499,7 +499,7 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let mut plan = compiled.plan.clone();
-        let Some(i) = plan.steps.iter().position(|s| matches!(s, Step::CopyIn(_))) else {
+        let Some(i) = plan.steps.iter().position(|s| matches!(s, Step::CopyIn { .. })) else {
             return Ok(());
         };
         plan.steps.remove(i);

@@ -13,6 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> certifier memory tripwire (large CNN under a 256 MB address space)"
+# The concurrency certificate is O(steps x lanes) (docs/concurrency.md).
+# As an n^2-bit closure it alone took 656 MB for the first plan and
+# 272 MB for the second, so the limit fails if the quadratic comes back;
+# both peak under 70 MB. No timing assertion: the address-space limit is
+# deterministic and the sandbox clock is not.
+gpuflow="${CARGO_TARGET_DIR:-target}/release/gpuflow"
+( ulimit -v 262144
+  "$gpuflow" run cnn-large:499x402 --devices c870x3 --overlap --json > /dev/null
+  "$gpuflow" check cnn-large:512x512 --devices c870x2 --hazards > /dev/null )
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

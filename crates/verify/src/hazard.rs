@@ -166,6 +166,46 @@ struct Access {
     transfer: bool,
 }
 
+/// Walk state of one `(device, data)` buffer the plan touches.
+struct Buffer {
+    /// `device * nd + data`.
+    slot: usize,
+    /// Last step that made the buffer device-ready.
+    setter: Option<usize>,
+    /// Access history for the hazard checks.
+    acc: Vec<Access>,
+}
+
+/// The touched buffers, found through one flat `device * nd + data` index
+/// so a wide cluster pays for the buffers its plan uses, not for
+/// `devices × data` empty histories.
+struct Buffers {
+    /// Position in `touched` per slot; `usize::MAX` until first touched.
+    index: Vec<usize>,
+    touched: Vec<Buffer>,
+}
+
+impl Buffers {
+    fn new(slots: usize) -> Buffers {
+        Buffers {
+            index: vec![usize::MAX; slots],
+            touched: Vec::new(),
+        }
+    }
+
+    fn at(&mut self, slot: usize) -> &mut Buffer {
+        if self.index[slot] == usize::MAX {
+            self.index[slot] = self.touched.len();
+            self.touched.push(Buffer {
+                slot,
+                setter: None,
+                acc: Vec::new(),
+            });
+        }
+        &mut self.touched[self.index[slot]]
+    }
+}
+
 /// Build the happens-before DAG of `plan` under `lanes` and prove every
 /// pair of conflicting accesses ordered. Assumes the plan already passed
 /// the serialized analyzer ([`crate::analyze_plan`]) — steps with
@@ -205,15 +245,15 @@ pub fn certify_concurrency_streams(
     let mut last_h2d: Option<usize> = None;
     let mut last_d2h: Option<usize> = None;
     let mut last_compute: Vec<Vec<Option<usize>>> = vec![vec![None; nstreams]; ndev];
-    // Last step that made (device, data) device-ready / data host-valid.
-    let mut dev_setter: Vec<Vec<Option<usize>>> = vec![vec![None; nd]; ndev];
+    let mut buffers = Buffers::new(ndev * nd);
+    let slot = |device: usize, d: DataId| device * nd + d.index();
+    // Last step that made the data host-valid.
     let mut host_setter: Vec<Option<usize>> = vec![None; nd];
     // Frees on each device whose committed horizon still gates the next
     // allocation there, per allocating lane (upload vs. launch).
     let mut gating_h2d: Vec<Vec<usize>> = vec![Vec::new(); ndev];
     let mut gating_compute: Vec<Vec<usize>> = vec![Vec::new(); ndev];
-    // Access histories for the hazard checks.
-    let mut dev_acc: Vec<Vec<Vec<Access>>> = vec![vec![Vec::new(); nd]; ndev];
+    // Host-copy access histories for the hazard checks.
     let mut host_writes: Vec<Vec<usize>> = vec![Vec::new(); nd];
     let mut host_reads: Vec<Vec<usize>> = vec![Vec::new(); nd];
     let mut initially_host: Vec<bool> = g
@@ -251,8 +291,9 @@ pub fn certify_concurrency_streams(
                 for f in gating_h2d[device].drain(..) {
                     hb.add_edge(f, i, EdgeKind::Lifetime);
                 }
-                dev_setter[device][data.index()] = Some(i);
-                dev_acc[device][data.index()].push(Access {
+                let buf = buffers.at(slot(device, data));
+                buf.setter = Some(i);
+                buf.acc.push(Access {
                     step: i,
                     touch: Touch::Write,
                     transfer: true,
@@ -267,11 +308,12 @@ pub fn certify_concurrency_streams(
                 step_device[i] = Some(device);
                 program(&mut hb, &mut last_d2h, i);
                 // Waits for the write that made the buffer device-ready.
-                if let Some(w) = dev_setter[device][data.index()] {
+                let buf = buffers.at(slot(device, data));
+                if let Some(w) = buf.setter {
                     hb.add_edge(w, i, EdgeKind::Transfer);
                 }
                 host_setter[data.index()] = Some(i);
-                dev_acc[device][data.index()].push(Access {
+                buf.acc.push(Access {
                     step: i,
                     touch: Touch::Read,
                     transfer: true,
@@ -285,7 +327,8 @@ pub fn certify_concurrency_streams(
                 step_device[i] = Some(device);
                 // The free commits once every earlier access of the buffer
                 // has retired…
-                for a in &dev_acc[device][data.index()] {
+                let buf = buffers.at(slot(device, data));
+                for a in &buf.acc {
                     if a.touch != Touch::Free {
                         hb.add_edge(a.step, i, EdgeKind::Lifetime);
                     }
@@ -293,7 +336,7 @@ pub fn certify_concurrency_streams(
                 // …and every later allocation on this device waits for it.
                 gating_h2d[device].push(i);
                 gating_compute[device].push(i);
-                dev_acc[device][data.index()].push(Access {
+                buf.acc.push(Access {
                     step: i,
                     touch: Touch::Free,
                     transfer: false,
@@ -319,10 +362,11 @@ pub fn certify_concurrency_streams(
                     if d.index() >= nd {
                         continue;
                     }
-                    if let Some(w) = dev_setter[dev][d.index()] {
+                    let buf = buffers.at(slot(dev, d));
+                    if let Some(w) = buf.setter {
                         hb.add_edge(w, i, EdgeKind::Transfer);
                     }
-                    dev_acc[dev][d.index()].push(Access {
+                    buf.acc.push(Access {
                         step: i,
                         touch: Touch::Read,
                         transfer: false,
@@ -336,8 +380,9 @@ pub fn certify_concurrency_streams(
                     if d.index() >= nd {
                         continue;
                     }
-                    dev_setter[dev][d.index()] = Some(i);
-                    dev_acc[dev][d.index()].push(Access {
+                    let buf = buffers.at(slot(dev, d));
+                    buf.setter = Some(i);
+                    buf.acc.push(Access {
                         step: i,
                         touch: Touch::Write,
                         transfer: false,
@@ -351,111 +396,110 @@ pub fn certify_concurrency_streams(
     let mut diags: Vec<Diagnostic> = Vec::new();
     let name = |d: usize| g.data(DataId(d as u32)).name.as_str();
 
-    // Device-buffer hazards.
-    for (dev, dev_data) in dev_acc.iter().enumerate() {
-        for (d, acc) in dev_data.iter().enumerate() {
-            if acc.len() < 2 {
+    // Device-buffer hazards, in (device, data) order.
+    buffers.touched.sort_by_key(|b| b.slot);
+    for buf in &buffers.touched {
+        let (dev, d, acc) = (buf.slot / nd, buf.slot % nd, &buf.acc);
+        if acc.len() < 2 {
+            continue;
+        }
+        let writes: Vec<&Access> = acc.iter().filter(|a| a.touch == Touch::Write).collect();
+        // RAW: every read needs an ordered write.
+        for r in acc.iter().filter(|a| a.touch == Touch::Read) {
+            if writes.iter().any(|w| hb.happens_before(w.step, r.step)) {
                 continue;
             }
-            let writes: Vec<&Access> = acc.iter().filter(|a| a.touch == Touch::Write).collect();
-            // RAW: every read needs an ordered write.
-            for r in acc.iter().filter(|a| a.touch == Touch::Read) {
-                if writes.iter().any(|w| hb.happens_before(w.step, r.step)) {
-                    continue;
-                }
-                let msg = match writes.iter().find(|w| !hb.ordered(w.step, r.step)) {
-                    Some(w) => format!(
-                        "read of {} on device {dev} races the write at step {} \
-                         (no happens-before path orders them)",
-                        name(d),
-                        w.step
-                    ),
-                    None => format!(
-                        "read of {} on device {dev} is ordered after no write of it",
-                        name(d)
-                    ),
-                };
-                diags.push(
-                    Diagnostic::error(codes::HAZARD_RAW, Some(Location::Step(r.step)), msg)
-                        .with_help(
-                            "issue the CopyIn (or producing launch) on an ordered lane \
-                             position before this read",
-                        ),
-                );
-            }
-            // WAW: unordered write pairs.
-            for (k, w1) in writes.iter().enumerate() {
-                for w2 in &writes[k + 1..] {
-                    if !hb.ordered(w1.step, w2.step) {
-                        diags.push(
-                            Diagnostic::error(
-                                codes::HAZARD_WAW,
-                                Some(Location::Step(w2.step)),
-                                format!(
-                                    "write of {} on device {dev} at step {} is unordered \
-                                     with the write at step {}",
-                                    name(d),
-                                    w2.step,
-                                    w1.step
-                                ),
-                            )
-                            .with_help("two lanes allocate the same buffer concurrently"),
-                        );
-                    }
-                }
-            }
-            // Free hazards: an access is safe against a free when it
-            // retires before the free commits, or belongs to a later
-            // re-allocation the free is ordered before.
-            let frees: Vec<&Access> = acc.iter().filter(|a| a.touch == Touch::Free).collect();
-            for f in &frees {
-                for x in acc.iter().filter(|x| x.step != f.step) {
-                    if x.touch == Touch::Free {
-                        continue;
-                    }
-                    if hb.happens_before(x.step, f.step) {
-                        continue;
-                    }
-                    let realloc_protects = writes.iter().any(|w| {
-                        hb.happens_before(f.step, w.step)
-                            && (w.step == x.step || hb.happens_before(w.step, x.step))
-                    });
-                    if realloc_protects {
-                        continue;
-                    }
-                    let (code, what) = if x.transfer {
-                        (codes::FREE_IN_FLIGHT, "transfer")
-                    } else {
-                        (codes::USE_AFTER_FREE, "kernel access")
-                    };
+            let msg = match writes.iter().find(|w| !hb.ordered(w.step, r.step)) {
+                Some(w) => format!(
+                    "read of {} on device {dev} races the write at step {} \
+                     (no happens-before path orders them)",
+                    name(d),
+                    w.step
+                ),
+                None => format!(
+                    "read of {} on device {dev} is ordered after no write of it",
+                    name(d)
+                ),
+            };
+            diags.push(
+                Diagnostic::error(codes::HAZARD_RAW, Some(Location::Step(r.step)), msg).with_help(
+                    "issue the CopyIn (or producing launch) on an ordered lane \
+                     position before this read",
+                ),
+            );
+        }
+        // WAW: unordered write pairs.
+        for (k, w1) in writes.iter().enumerate() {
+            for w2 in &writes[k + 1..] {
+                if !hb.ordered(w1.step, w2.step) {
                     diags.push(
                         Diagnostic::error(
-                            code,
-                            Some(Location::Step(x.step)),
+                            codes::HAZARD_WAW,
+                            Some(Location::Step(w2.step)),
                             format!(
-                                "{what} of {} on device {dev} races the Free at step {} \
-                                 (the buffer may be gone or re-used when it runs)",
+                                "write of {} on device {dev} at step {} is unordered \
+                                 with the write at step {}",
                                 name(d),
-                                f.step
+                                w2.step,
+                                w1.step
                             ),
                         )
-                        .with_help("move the Free after the access, or re-upload first"),
+                        .with_help("two lanes allocate the same buffer concurrently"),
                     );
                 }
-                // Two unordered frees of one buffer race each other.
-                for f2 in &frees {
-                    if f.step < f2.step && !hb.ordered(f.step, f2.step) {
-                        diags.push(Diagnostic::error(
-                            codes::FREE_IN_FLIGHT,
-                            Some(Location::Step(f2.step)),
-                            format!(
-                                "Free of {} on device {dev} at step {} races the Free at step {}",
-                                name(d),
-                                f2.step,
-                                f.step
-                            ),
-                        ));
-                    }
+            }
+        }
+        // Free hazards: an access is safe against a free when it
+        // retires before the free commits, or belongs to a later
+        // re-allocation the free is ordered before.
+        let frees: Vec<&Access> = acc.iter().filter(|a| a.touch == Touch::Free).collect();
+        for f in &frees {
+            for x in acc.iter().filter(|x| x.step != f.step) {
+                if x.touch == Touch::Free {
+                    continue;
+                }
+                if hb.happens_before(x.step, f.step) {
+                    continue;
+                }
+                let realloc_protects = writes.iter().any(|w| {
+                    hb.happens_before(f.step, w.step)
+                        && (w.step == x.step || hb.happens_before(w.step, x.step))
+                });
+                if realloc_protects {
+                    continue;
+                }
+                let (code, what) = if x.transfer {
+                    (codes::FREE_IN_FLIGHT, "transfer")
+                } else {
+                    (codes::USE_AFTER_FREE, "kernel access")
+                };
+                diags.push(
+                    Diagnostic::error(
+                        code,
+                        Some(Location::Step(x.step)),
+                        format!(
+                            "{what} of {} on device {dev} races the Free at step {} \
+                             (the buffer may be gone or re-used when it runs)",
+                            name(d),
+                            f.step
+                        ),
+                    )
+                    .with_help("move the Free after the access, or re-upload first"),
+                );
+            }
+            // Two unordered frees of one buffer race each other.
+            for f2 in &frees {
+                if f.step < f2.step && !hb.ordered(f.step, f2.step) {
+                    diags.push(Diagnostic::error(
+                        codes::FREE_IN_FLIGHT,
+                        Some(Location::Step(f2.step)),
+                        format!(
+                            "Free of {} on device {dev} at step {} races the Free at step {}",
+                            name(d),
+                            f2.step,
+                            f.step
+                        ),
+                    ));
                 }
             }
         }

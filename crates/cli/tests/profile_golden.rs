@@ -53,3 +53,24 @@ fn fig3_streamed_profile_table_matches_golden() {
         &run("profile fig3 --device c870 --streams 2"),
     );
 }
+
+// The cluster goldens pin the shared-bus lanes (`bus-h2d`, `bus-d2h`, one
+// `gpuN` per device), the `bus-wait` column and the dependency-only
+// critical path. Tests run from `crates/cli`, hence the relative path;
+// the profile never prints it.
+
+#[test]
+fn pipeline_cluster_profile_table_matches_golden() {
+    check(
+        "pipeline_c870x2_profile.txt",
+        &run("profile ../../assets/pipeline.gfg --devices c870x2"),
+    );
+}
+
+#[test]
+fn pipeline_cluster_profile_json_matches_golden() {
+    check(
+        "pipeline_c870x2_profile.json",
+        &run("profile ../../assets/pipeline.gfg --devices c870x2 --json"),
+    );
+}

@@ -36,12 +36,13 @@ fn normalize(doc: &mut Value) {
     }
 }
 
-#[test]
-fn fig3_trace_structure_matches_golden() {
+/// Run `gpuflow trace <args> --out <tmp>`, normalize the export and
+/// compare it byte-for-byte against `tests/golden/<golden>`.
+fn check_trace(args: &str, golden: &str) {
     let dir = std::env::temp_dir().join("gpuflow-golden-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("fig3_trace.json");
-    let argv: Vec<String> = format!("trace fig3 --device custom:1 --out {}", out_path.display())
+    let out_path = dir.join(golden);
+    let argv: Vec<String> = format!("trace {args} --out {}", out_path.display())
         .split_whitespace()
         .map(str::to_string)
         .collect();
@@ -51,17 +52,35 @@ fn fig3_trace_structure_matches_golden() {
     normalize(&mut doc);
     let normalized = doc.to_string_pretty() + "\n";
 
-    let golden_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig3_trace.json");
+    let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(golden);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&golden_path, &normalized).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(&golden_path)
+    let golden_text = std::fs::read_to_string(&golden_path)
         .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
     assert_eq!(
-        normalized, golden,
-        "normalized fig3 trace drifted from the golden file; if the change \
+        normalized, golden_text,
+        "normalized {golden} drifted from the golden file; if the change \
          is intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+#[test]
+fn fig3_trace_structure_matches_golden() {
+    check_trace("fig3 --device custom:1", "fig3_trace.json");
+}
+
+/// The cluster export: the shared-bus track (`bus H2D`, `bus D2H`, one
+/// `GPUn compute` thread per device) and the `cluster.*` metrics. Tests
+/// run from `crates/cli`, hence the relative path; the export never
+/// embeds it.
+#[test]
+fn pipeline_cluster_trace_structure_matches_golden() {
+    check_trace(
+        "../../assets/pipeline.gfg --devices c870x2",
+        "pipeline_c870x2_trace.json",
     );
 }

@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark harness builds and smoke-runs (perf/run.sh --smoke)"
+# perf/ is its own workspace: nothing else compiles perf/src/layers.rs, so
+# a renamed library entry point (DESIGN.md, "Frozen adapter names") would
+# otherwise break only the benchmark. Run first, so that it fails in the
+# first minutes rather than after the full suite.
+perf/run.sh --smoke > /dev/null
+
 echo "==> certifier memory tripwire (large CNN under a 256 MB address space)"
 # The concurrency certificate is O(steps x lanes) (docs/concurrency.md).
 # As an n^2-bit closure it alone took 656 MB for the first plan and
@@ -103,11 +110,9 @@ mkdir -p "$streamsdir/docs/results"
 diff -u docs/results/extension_streams.txt "$streamsdir/docs/results/extension_streams.txt"
 diff -u BENCH_streams.json "$streamsdir/BENCH_streams.json"
 rm -rf "$streamsdir"
-
-echo "==> benchmark harness builds and smoke-runs (perf/run.sh --smoke)"
-# perf/ is its own workspace: nothing above compiles perf/src/layers.rs, so
-# a renamed library entry point would otherwise break only the benchmark.
-perf/run.sh --smoke > /dev/null
+# The bit-exact simulation ledger, in the release profile the bins above
+# use (`cargo test` checked it in the debug build, sanitizer on).
+cargo test --release -q --test sim_ledger
 
 echo "==> gpuflow check over shipped templates"
 for gfg in assets/*.gfg; do

@@ -39,13 +39,13 @@ fn sweep(name: &str, g: &gpuflow_graph::Graph) {
         let o = c.outcome();
         let base = *one.get_or_insert(o.makespan);
         let max_compute = o.compute_busy.iter().cloned().fold(0.0f64, f64::max);
-        let bus_bound = o.bus_h2d_busy.max(o.bus_d2h_busy) >= max_compute;
+        let bus_bound = o.h2d_busy.max(o.d2h_busy) >= max_compute;
         table.row(&[
             n.to_string(),
             secs(o.makespan),
             format!("{:.2}x", base / o.makespan),
-            secs(o.bus_h2d_busy),
-            secs(o.bus_d2h_busy),
+            secs(o.h2d_busy),
+            secs(o.d2h_busy),
             secs(max_compute),
             (if bus_bound { "bus" } else { "compute" }).to_string(),
         ]);

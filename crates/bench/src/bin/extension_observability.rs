@@ -12,8 +12,8 @@
 
 use gpuflow_bench::TableWriter;
 use gpuflow_core::{
-    eliminate_dead_ops_traced, hoist_prefetches_traced, overlapped_trace, trace_overlap_lanes,
-    trace_serial_timeline, Framework,
+    eliminate_dead_ops_traced, hoist_prefetches_traced, simulate, trace_lanes,
+    trace_serial_timeline, Framework, Machine,
 };
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_templates::edge::{find_edges, CombineOp};
@@ -70,8 +70,8 @@ fn main() {
             32,
             &mut tracer,
         );
-        let (_overlap, lanes) = overlapped_trace(&compiled.split.graph, &hoisted, &dev);
-        trace_overlap_lanes(&mut tracer, &lanes);
+        let sim = simulate(&compiled.split.graph, &hoisted, &Machine::single(&dev));
+        trace_lanes(&mut tracer, &sim.lanes, &sim.events);
 
         // Everything below is read back from the tracer's registry: the
         // reconciliation guarantee means these equal the plan/sim truth.

@@ -13,7 +13,10 @@ use gpuflow_bench::run::secs;
 use gpuflow_bench::{TableWriter, TemplateSpec};
 use gpuflow_core::examples::{fig3_graph, fig3_memory_bytes, fig3_units, floats_to_units};
 use gpuflow_core::pbexact::{pb_exact_plan, ObjectiveKind, PbExactOptions};
-use gpuflow_core::{baseline_plan, hoist_prefetches, overlapped_makespan, Framework};
+use gpuflow_core::{
+    baseline_plan, hoist_prefetches, overlapped_makespan, render_gantt, simulate, Framework,
+    Machine,
+};
 use gpuflow_sim::device::tesla_c870;
 
 fn main() {
@@ -69,7 +72,7 @@ fn main() {
                 let o = overlapped_makespan(&g, &plan, &dev);
                 (
                     secs(o.serial_time),
-                    secs(o.overlapped_time),
+                    secs(o.makespan),
                     format!("{:.2}x", o.speedup()),
                 )
             }
@@ -86,9 +89,9 @@ fn main() {
             bo,
             bg,
             secs(o.serial_time),
-            secs(o.overlapped_time),
+            secs(o.makespan),
             format!("{:.2}x", o.speedup()),
-            format!("{} ({:.2}x)", secs(h.overlapped_time), h.speedup()),
+            format!("{} ({:.2}x)", secs(h.makespan), h.speedup()),
         ]);
     }
     println!("{}", t.render());
@@ -110,10 +113,10 @@ fn main() {
         let compiled = Framework::new(dev.clone()).compile(&g).unwrap();
         let budget = dev.plannable_memory(0.05);
         let (hoisted, _) = hoist_prefetches(&compiled.split.graph, &compiled.plan, budget, 64);
-        let (out, events) = gpuflow_core::overlapped_trace(&compiled.split.graph, &hoisted, &dev);
+        let sim = simulate(&compiled.split.graph, &hoisted, &Machine::single(&dev));
         println!(
             "{}",
-            gpuflow_core::render_gantt(&events, out.overlapped_time, 90)
+            render_gantt(&sim.lanes, &sim.events, sim.outcome.makespan, 90)
         );
     }
 

@@ -86,7 +86,7 @@ fn timed(case: &Case, k: usize) -> (f64, f64, usize) {
     );
     let events = compiled.plan.streams.as_ref().map_or(0, |s| s.events.len());
     let o = overlapped_makespan(&compiled.split.graph, &compiled.plan, &dev);
-    (o.overlapped_time, o.serial_time, events)
+    (o.makespan, o.serial_time, events)
 }
 
 fn main() {

@@ -8,14 +8,14 @@ use gpuflow_codegen::{
     plan_to_json_traced,
 };
 use gpuflow_core::{
-    baseline_plan, trace_overlap_lanes, trace_serial_timeline, CompileOptions, Framework,
-    PbExactOptions, ResilientExecutor,
+    baseline_plan, render_gantt, trace_lanes, trace_serial_timeline, CompileOptions, Framework,
+    Lane, OverlapOutcome, PbExactOptions, ResilientExecutor,
 };
 use gpuflow_graph::{Graph, FLOAT_BYTES};
 use gpuflow_minijson::{Map, Value};
 use gpuflow_multi::{
-    compile_multi, compile_multi_traced, parse_cluster, render_multi_gantt, trace_multi_lanes,
-    MultiOutcome, ResilientMultiExecutor,
+    compile_multi, compile_multi_traced, parse_cluster, record_cluster_metrics,
+    ResilientMultiExecutor,
 };
 use gpuflow_ops::reference_eval;
 use gpuflow_profile::{profile_cluster, profile_plan, render_table, trace_profile, ProfileReport};
@@ -248,7 +248,7 @@ pub fn load_source(source: &Source) -> Result<Graph, String> {
 }
 
 /// Machine-readable rendering of a cluster simulation outcome.
-fn multi_outcome_json(cluster: &str, o: &MultiOutcome) -> Value {
+fn multi_outcome_json(cluster: &str, o: &OverlapOutcome) -> Value {
     let mut m = Map::new();
     m.insert("mode", "multi");
     m.insert("cluster", cluster);
@@ -256,13 +256,13 @@ fn multi_outcome_json(cluster: &str, o: &MultiOutcome) -> Value {
     m.insert("serial_time_s", o.serial_time);
     m.insert("makespan_s", o.makespan);
     m.insert("speedup", o.speedup());
-    m.insert("bus_h2d_busy_s", o.bus_h2d_busy);
-    m.insert("bus_d2h_busy_s", o.bus_d2h_busy);
+    m.insert("bus_h2d_busy_s", o.h2d_busy);
+    m.insert("bus_d2h_busy_s", o.d2h_busy);
     // Occupancy of the busier bus channel: 1.0 means the shared fabric,
     // not compute, bounds the makespan.
     m.insert(
         "bus_share",
-        o.bus_h2d_busy.max(o.bus_d2h_busy) / o.makespan.max(1e-12),
+        o.h2d_busy.max(o.d2h_busy) / o.makespan.max(1e-12),
     );
     m.insert("bus_bytes", o.bus_bytes);
     m.insert(
@@ -460,9 +460,7 @@ fn profile_smoke() -> Result<String, String> {
                 })
                 .compile_adaptive(&g)
                 .ok()
-                .map(|c| {
-                    gpuflow_core::overlapped_makespan(&c.split.graph, &c.plan, &dev).overlapped_time
-                });
+                .map(|c| c.simulate().outcome.makespan);
             if let (Some(est), Some(real)) = (estimate, replanned) {
                 let err = (est - real).abs() / real.max(1e-12);
                 if err > 0.10 {
@@ -654,8 +652,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let cluster = parse_cluster(spec)?;
                 let c = compile_multi_traced(&g, &cluster, DEFAULT_MARGIN, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                let (o, events) = c.trace();
-                trace_multi_lanes(&mut tracer, &events, &o, cluster.len());
+                let sim = c.simulate();
+                let o = &sim.outcome;
+                trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+                record_cluster_metrics(&mut tracer, o);
                 // Functional and/or faulted runs go through the resilient
                 // executor (a quiet spec when no faults were requested).
                 let mut verified: Option<usize> = None;
@@ -695,7 +695,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 }
                 if *json {
                     let analysis = c.analyze();
-                    let mut doc = match multi_outcome_json(&cluster.describe(), &o) {
+                    let mut doc = match multi_outcome_json(&cluster.describe(), o) {
                         Value::Object(m) => m,
                         _ => unreachable!(),
                     };
@@ -738,8 +738,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     let _ = writeln!(
                         out,
                         "shared bus:       {:.4} s H->D, {:.4} s D->H busy; {} MiB moved",
-                        o.bus_h2d_busy,
-                        o.bus_d2h_busy,
+                        o.h2d_busy,
+                        o.d2h_busy,
                         o.bus_bytes >> 20
                     );
                     let busy: Vec<String> =
@@ -749,7 +749,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         let _ = writeln!(
                             out,
                             "\n{}",
-                            render_multi_gantt(&events, o.makespan, cluster.len(), 80)
+                            render_gantt(&sim.lanes, &sim.events, o.makespan, 80)
                         );
                     }
                     maybe_write_trace(&mut out, trace, &tracer)?;
@@ -827,10 +827,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 compiled.run_analytic().map_err(|e| e.to_string())?
             };
             let c = result.timeline.counters();
-            let (o, events) =
-                gpuflow_core::overlapped_trace(&compiled.split.graph, &compiled.plan, &dev);
+            let sim = compiled.simulate();
+            let o = &sim.outcome;
             trace_serial_timeline(&mut tracer, &result.timeline);
-            trace_overlap_lanes(&mut tracer, &events);
+            trace_lanes(&mut tracer, &sim.lanes, &sim.events);
             if *json {
                 let mut m = Map::new();
                 m.insert("mode", "single");
@@ -843,14 +843,14 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 m.insert("kernel_time_s", c.kernel_time);
                 m.insert("kernel_launches", c.kernel_launches);
                 m.insert("peak_device_bytes", result.peak_device_bytes);
-                m.insert("overlapped_makespan_s", o.overlapped_time);
+                m.insert("overlapped_makespan_s", o.makespan);
                 m.insert("overlap_speedup", o.speedup());
-                m.insert("streams", o.stream_busy.len());
+                m.insert("streams", o.compute_busy.len());
                 m.insert("h2d_busy_s", o.h2d_busy);
                 m.insert("d2h_busy_s", o.d2h_busy);
                 m.insert(
                     "compute_busy_s",
-                    Value::Array(o.stream_busy.iter().map(|&b| Value::from(b)).collect()),
+                    Value::Array(o.compute_busy.iter().map(|&b| Value::from(b)).collect()),
                 );
                 // Busy fraction of each engine over the overlapped
                 // makespan, in lane order (h2d, each stream, d2h).
@@ -944,7 +944,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let _ = writeln!(
                     out,
                     "overlapped:       {:.4} s (async copy engines, {:.2}x vs serial)",
-                    o.overlapped_time,
+                    o.makespan,
                     o.speedup()
                 );
                 let util = o
@@ -958,7 +958,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     let _ = writeln!(
                         out,
                         "\n{}",
-                        gpuflow_core::render_gantt(&events, o.overlapped_time, 80)
+                        render_gantt(&sim.lanes, &sim.events, o.makespan, 80)
                     );
                 }
             }
@@ -1105,11 +1105,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     .map_err(|e| e.to_string())?;
                 let _ = compiled_multi_to_json_traced(&c, &name, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                let (o, events) = c.trace();
-                trace_multi_lanes(&mut tracer, &events, &o, cluster.len());
+                let sim = c.simulate();
+                let o = &sim.outcome;
+                trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+                record_cluster_metrics(&mut tracer, o);
                 let parsed = write_trace(out_path, &tracer)?;
                 // Bus lanes (simulation) vs the bus accounting of both the
-                // SharedBus model and the planner's own step walk.
+                // bus arbiter and the planner's own step walk.
                 let h2d = sum_event_arg(&parsed, "h2d", "bytes", Some(PID_CLUSTER));
                 let d2h = sum_event_arg(&parsed, "d2h", "bytes", Some(PID_CLUSTER));
                 checks.push(("bus bytes vs simulation".into(), h2d + d2h, o.bus_bytes));
@@ -1138,9 +1140,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         .map_err(|e| e.to_string())?;
                 let result = compiled.run_analytic().map_err(|e| e.to_string())?;
                 trace_serial_timeline(&mut tracer, &result.timeline);
-                let (o, events) =
-                    gpuflow_core::overlapped_trace(&compiled.split.graph, &compiled.plan, &dev);
-                trace_overlap_lanes(&mut tracer, &events);
+                let sim = compiled.simulate();
+                trace_lanes(&mut tracer, &sim.lanes, &sim.events);
                 let parsed = write_trace(out_path, &tracer)?;
                 // Executor timeline (summed from the re-parsed export)
                 // vs the verify engine's static plan statistics — two
@@ -1162,14 +1163,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // drift between the per-stream lane layout and what the
                 // simulator actually scheduled.
                 let us = |s: f64| (s * 1e6).round().max(0.0) as u64;
-                let lane_us = |is_lane: &dyn Fn(gpuflow_core::overlap::Lane) -> bool| -> u64 {
-                    events
+                let lane_us = |is_lane: &dyn Fn(Lane) -> bool| -> u64 {
+                    sim.events
                         .iter()
                         .filter(|e| is_lane(e.lane))
                         .map(|e| us(e.end).saturating_sub(us(e.start)))
                         .sum()
                 };
-                use gpuflow_core::overlap::Lane;
                 checks.push((
                     "h2d lane busy (us) vs overlap sim".into(),
                     sum_event_dur(&parsed, "h2d", Some(PID_OVERLAP)),
@@ -1178,10 +1178,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 checks.push((
                     format!(
                         "kernel lanes busy (us, {} streams) vs overlap sim",
-                        o.stream_busy.len()
+                        sim.outcome.compute_busy.len()
                     ),
                     sum_event_dur(&parsed, "kernel", Some(PID_OVERLAP)),
-                    lane_us(&|l| matches!(l, Lane::Compute(_))),
+                    lane_us(&|l| l.device_stream().is_some()),
                 ));
                 checks.push((
                     "d2h lane busy (us) vs overlap sim".into(),

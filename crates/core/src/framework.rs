@@ -400,6 +400,13 @@ impl CompiledTemplate {
         self.plan.stats(&self.split.graph)
     }
 
+    /// Simulate the plan with concurrent copy engines and compute streams
+    /// ([`crate::overlap`]) on the device it was compiled for.
+    pub fn simulate(&self) -> crate::overlap::Simulation {
+        let machine = crate::overlap::Machine::single(&self.device);
+        crate::overlap::simulate(&self.split.graph, &self.plan, &machine)
+    }
+
     /// Execute without materializing data (time + transfer accounting).
     pub fn run_analytic(&self) -> Result<ExecOutcome, FrameworkError> {
         Executor::new(&self.split.graph, &self.plan, &self.device)

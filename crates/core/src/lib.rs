@@ -61,12 +61,12 @@ pub use error::FrameworkError;
 pub use executor::{ExecMode, ExecOutcome, Executor};
 pub use framework::{CompileOptions, CompiledTemplate, Framework};
 pub use observe::{
-    record_plan_metrics, trace_hazard_certificate, trace_overlap_lanes, trace_serial_timeline,
+    record_plan_metrics, trace_hazard_certificate, trace_lanes, trace_serial_timeline,
 };
 pub use opschedule::{schedule_units, OpScheduler};
 pub use overlap::{
-    overlapped_makespan, overlapped_trace, overlapped_trace_profiled, render_gantt, GapCause,
-    GapEvent, OverlapOutcome,
+    overlapped_makespan, overlapped_trace, render_gantt, simulate, GapCause, GapEvent, Lane,
+    LaneEvent, LaneInfo, LaneTable, Machine, OverlapOutcome, Simulation,
 };
 pub use partition::{partition_offload_units, OffloadUnit, PartitionPolicy};
 pub use pbexact::{
@@ -77,7 +77,7 @@ pub use plan::{validate_plan, ExecutionPlan, PlanStats, Step};
 pub use prefetch::{hoist_prefetches, hoist_prefetches_traced};
 pub use report::compilation_report;
 pub use resilient::{ResilientExecutor, ResilientOutcome};
-pub use sanitize::{assert_hb_consistent, overlap_step_times, serial_step_times};
+pub use sanitize::{assert_hb_consistent, serial_step_times, step_times};
 pub use split::{split_graph, split_graph_min_parts, DataOrigin, SplitResult};
 pub use streams::{
     derive_events, derive_events_for, schedule_streamed, schedule_streamed_with, stream_order,

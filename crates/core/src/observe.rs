@@ -3,17 +3,17 @@
 //!
 //! The tracing crate knows nothing about graphs, plans, or timelines; this
 //! module is the one place where the executor's serial [`Timeline`], the
-//! two-engine overlap lanes of [`crate::overlap`], and plan statistics are
-//! projected onto Chrome-trace tracks. Every byte count recorded here is
-//! read from the same structures the validator and [`PlanStats`] use — the
-//! trace is a *view* of existing bookkeeping, never a second accounting
-//! path that could drift.
+//! simulated lanes of [`crate::overlap`] (single device or cluster), and
+//! plan statistics are projected onto Chrome-trace tracks. Every byte
+//! count recorded here is read from the same structures the validator and
+//! [`PlanStats`] use — the trace is a *view* of existing bookkeeping,
+//! never a second accounting path that could drift.
 
 use gpuflow_sim::{EventKind, Timeline};
-use gpuflow_trace::{kv, Tracer, PID_HAZARD, PID_OVERLAP, PID_SERIAL};
+use gpuflow_trace::{kv, Tracer, PID_HAZARD, PID_SERIAL};
 use gpuflow_verify::{ConcurrencyReport, Location, Severity};
 
-use crate::overlap::{Lane, LaneEvent};
+use crate::overlap::{Lane, LaneEvent, LaneTable};
 use crate::plan::PlanStats;
 
 /// Project the serial executor [`Timeline`] onto the [`PID_SERIAL`] track
@@ -87,45 +87,33 @@ pub fn trace_serial_timeline(tracer: &mut Tracer, tl: &Timeline) {
     tracer.metrics().gauge("sim.total_time_s", c.total_time());
 }
 
-/// Project the multi-engine overlap lanes of [`crate::overlap`] onto the
-/// [`PID_OVERLAP`] track: one thread per engine — H2D DMA on tid 0, one
-/// compute thread per stream on tids `1..=k`, D2H DMA on tid `1 + k`.
-/// With a single stream the layout (and thread names) is byte-identical
-/// to the classic three-lane view. Byte arguments carry each event's
-/// [`LaneEvent::bytes`].
-pub fn trace_overlap_lanes(tracer: &mut Tracer, events: &[LaneEvent]) {
+/// Project the simulated lanes of [`crate::overlap::simulate`] onto their
+/// track: one thread per engine of `lanes`, in display order — on a
+/// single device ([`gpuflow_trace::PID_OVERLAP`]) H2D DMA on tid 0, one
+/// compute thread per stream that ran on tids `1..=k`, D2H DMA on tid
+/// `1 + k`; on a cluster ([`gpuflow_trace::PID_CLUSTER`]) the two shared
+/// bus channels on tids 0 and 1, then one compute thread per device.
+/// Byte arguments carry each event's [`LaneEvent::bytes`], so the export
+/// reconciles exactly with the outcome's bus bytes.
+pub fn trace_lanes(tracer: &mut Tracer, lanes: &LaneTable, events: &[LaneEvent]) {
     if !tracer.is_enabled() {
         return;
     }
-    // Lane count from the events themselves, so callers need no extra
-    // plumbing: the highest stream index seen defines k.
-    let k = events
-        .iter()
-        .filter_map(|e| match e.lane {
-            Lane::Compute(s) => Some(s + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    tracer.name_process(PID_OVERLAP, "overlapped engines (simulated)");
-    tracer.name_thread(PID_OVERLAP, 0, "H2D DMA");
-    for s in 0..k {
-        if k == 1 {
-            tracer.name_thread(PID_OVERLAP, 1, "compute");
-        } else {
-            tracer.name_thread(PID_OVERLAP, 1 + s as u32, &format!("compute s{s}"));
-        }
+    let lanes = lanes.shown(events);
+    let (pid, process) = lanes.process();
+    tracer.name_process(pid, process);
+    for lane in lanes.by_row() {
+        tracer.name_thread(pid, lane.row as u32, &lane.thread);
     }
-    tracer.name_thread(PID_OVERLAP, 1 + k as u32, "D2H DMA");
     for e in events {
-        let (tid, cat) = match e.lane {
-            Lane::H2d => (0, "h2d"),
-            Lane::Compute(s) => (1 + s as u32, "kernel"),
-            Lane::D2h => (1 + k as u32, "d2h"),
+        let cat = match e.lane {
+            Lane::H2d => "h2d",
+            Lane::D2h => "d2h",
+            _ => "kernel",
         };
+        let tid = lanes.lanes[lanes.index(e.lane)].row as u32;
         tracer.virtual_span(
-            PID_OVERLAP,
+            pid,
             tid,
             cat,
             &e.label,
@@ -204,7 +192,10 @@ pub fn record_plan_metrics(tracer: &mut Tracer, stats: &PlanStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpuflow_trace::{sum_event_arg, validate_chrome_trace};
+    use gpuflow_sim::device::tesla_c870;
+    use gpuflow_trace::{sum_event_arg, validate_chrome_trace, PID_CLUSTER, PID_OVERLAP};
+
+    use crate::overlap::Machine;
 
     #[test]
     fn serial_timeline_bytes_reconcile_with_counters() {
@@ -228,63 +219,54 @@ mod tests {
         assert_eq!(tracer.metrics().counter("sim.kernel_launches"), 1);
     }
 
-    #[test]
-    fn overlap_lanes_map_to_three_threads() {
-        let events = vec![
-            LaneEvent {
-                lane: Lane::H2d,
-                label: "Img".into(),
-                start: 0.0,
-                end: 0.5,
-                bytes: 800,
-            },
-            LaneEvent {
-                lane: Lane::Compute(0),
-                label: "C1".into(),
-                start: 0.5,
-                end: 0.75,
-                bytes: 1600,
-            },
-            LaneEvent {
-                lane: Lane::D2h,
-                label: "E1".into(),
-                start: 0.75,
-                end: 1.0,
-                bytes: 400,
-            },
-        ];
+    fn event(lane: Lane, label: &str, start: f64, bytes: u64) -> LaneEvent {
+        LaneEvent {
+            lane,
+            label: label.into(),
+            start,
+            end: start + 0.25,
+            bytes,
+        }
+    }
+
+    /// Trace `events` on `machine` with `streams` per device; the export
+    /// must validate.
+    fn traced(machine: &Machine, streams: usize, events: &[LaneEvent]) -> (Tracer, String) {
         let mut tracer = Tracer::new();
-        trace_overlap_lanes(&mut tracer, &events);
+        trace_lanes(&mut tracer, &machine.lanes(streams), events);
         let doc = tracer.chrome_trace();
         validate_chrome_trace(&doc).unwrap();
+        let text = doc.to_string_pretty();
+        (tracer, text)
+    }
+
+    #[test]
+    fn overlap_lanes_map_to_three_threads() {
+        let events = [
+            event(Lane::H2d, "Img", 0.0, 800),
+            event(Lane::Compute(0), "C1", 0.5, 1600),
+            event(Lane::D2h, "E1", 0.75, 400),
+        ];
+        let (tracer, _) = traced(&Machine::single(&tesla_c870()), 1, &events);
+        let doc = tracer.chrome_trace();
         assert_eq!(sum_event_arg(&doc, "h2d", "bytes", Some(PID_OVERLAP)), 800);
         assert_eq!(sum_event_arg(&doc, "d2h", "bytes", Some(PID_OVERLAP)), 400);
     }
 
     #[test]
     fn stream_lanes_get_their_own_threads() {
-        let mk = |lane, label: &str, start: f64| LaneEvent {
-            lane,
-            label: label.into(),
-            start,
-            end: start + 0.1,
-            bytes: 100,
-        };
-        let events = vec![
-            mk(Lane::H2d, "Img", 0.0),
-            mk(Lane::Compute(0), "C1", 0.1),
-            mk(Lane::Compute(1), "C2", 0.1),
-            mk(Lane::D2h, "E1", 0.2),
+        let events = [
+            event(Lane::H2d, "Img", 0.0, 100),
+            event(Lane::Compute(0), "C1", 0.25, 100),
+            event(Lane::Stream(0, 1), "C2", 0.25, 100),
+            event(Lane::D2h, "E1", 0.5, 100),
         ];
-        let mut tracer = Tracer::new();
-        trace_overlap_lanes(&mut tracer, &events);
-        let doc = tracer.chrome_trace();
-        validate_chrome_trace(&doc).unwrap();
-        let text = doc.to_string_pretty();
-        assert!(text.contains("compute s0"), "{text}");
-        assert!(text.contains("compute s1"), "{text}");
-        assert!(text.contains("D2H DMA"), "{text}");
+        let (tracer, text) = traced(&Machine::single(&tesla_c870()), 2, &events);
+        for name in ["compute s0", "compute s1", "D2H DMA"] {
+            assert!(text.contains(name), "{name} missing: {text}");
+        }
         // Both kernels land on the kernel category across two threads.
+        let doc = tracer.chrome_trace();
         assert_eq!(
             sum_event_arg(&doc, "kernel", "bytes", Some(PID_OVERLAP)),
             200
@@ -292,8 +274,28 @@ mod tests {
     }
 
     #[test]
+    fn cluster_lanes_get_the_shared_bus_track() {
+        let events = [
+            event(Lane::H2d, "Img>d1", 0.0, 100),
+            event(Lane::Compute(0), "C1", 0.25, 100),
+            event(Lane::Compute(2), "C3", 0.25, 100),
+            event(Lane::D2h, "d2>E1", 0.5, 100),
+        ];
+        let devices = vec![tesla_c870(); 3];
+        let bus = gpuflow_sim::BusSpec::shared_by(&devices);
+        let (tracer, text) = traced(&Machine::cluster(&devices, &bus), 1, &events);
+        // Bus channels on tids 0 and 1, device d's compute engine on 2 + d
+        // — idle devices keep their thread.
+        let tids: Vec<u32> = tracer.events().iter().map(|e| e.tid).collect();
+        assert_eq!(tids, vec![0, 2, 4, 1]);
+        assert!(tracer.events().iter().all(|e| e.pid == PID_CLUSTER));
+        for name in ["bus H2D", "bus D2H", "GPU1 compute"] {
+            assert!(text.contains(name), "{name} missing: {text}");
+        }
+    }
+
+    #[test]
     fn hazard_certificate_renders_as_instants() {
-        use gpuflow_sim::device::tesla_c870;
         let g = crate::examples::fig3_graph();
         let compiled = crate::framework::Framework::new(tesla_c870())
             .compile(&g)
@@ -322,7 +324,7 @@ mod tests {
         tl.push_kernel("C1", 0.25);
         let mut tracer = Tracer::disabled();
         trace_serial_timeline(&mut tracer, &tl);
-        trace_overlap_lanes(&mut tracer, &[]);
+        trace_lanes(&mut tracer, &Machine::single(&tesla_c870()).lanes(1), &[]);
         assert!(tracer.events().is_empty());
         assert!(tracer.metrics_ref().is_empty());
     }

@@ -5,102 +5,307 @@
 //! communication in our experiments since the GPUs that we used did not
 //! support this capability." (§3.3.2)
 //!
-//! This module computes the **overlapped makespan** of an execution plan on
-//! a device with one compute engine and two DMA engines (host→device and
-//! device→host — the dual-copy-engine arrangement of post-2009 GPUs):
+//! This module is the one simulator of that model. [`simulate`] computes
+//! the **overlapped makespan** of an execution plan on a [`Machine`]: one
+//! compute lane per `(device, stream)` pair, plus a host→device and a
+//! device→host transfer channel granted by one arbiter
+//! ([`gpuflow_sim::BusArbiter`]):
 //!
-//! * steps are issued in plan order, each on its engine;
+//! * steps are issued in plan order, each on its lane;
 //! * a kernel launch additionally waits for its external inputs' uploads
-//!   (and intra-plan productions) to complete;
+//!   (and intra-plan productions) to complete on its device;
 //! * a device→host copy additionally waits for the kernel that produced
 //!   the data;
 //! * an upload of previously downloaded data waits for that download.
 //!
-//! Memory is respected exactly: a step that *allocates* (an upload, or a
-//! launch producing outputs) additionally waits until every `Free` that
-//! precedes it in plan order has **committed** — i.e. the last operation
-//! touching the freed buffer has completed — so the device never holds
-//! more than the plan's validated occupancy. Consequently, moving an
-//! upload earlier in the plan (past `Free`s whose space it does not need —
-//! see [`crate::prefetch`]) is what legally unlocks prefetching.
+//! Memory is respected exactly, per device: a step that *allocates* (an
+//! upload, or a launch producing outputs) additionally waits until every
+//! `Free` on its device that precedes it in plan order has **committed** —
+//! i.e. the last operation touching the freed buffer has completed — so a
+//! device never holds more than the plan's validated occupancy.
+//! Consequently, moving an upload earlier in the plan (past `Free`s whose
+//! space it does not need — see [`crate::prefetch`]) is what legally
+//! unlocks prefetching.
 //!
-//! Plans annotated by the stream scheduler ([`crate::streams`]) carry a
-//! [`crate::streams::StreamSchedule`]: the compute engine generalizes to
-//! `k` concurrent kernel streams, each launch runs on its assigned
-//! stream's clock, and cross-stream dependencies synchronize through the
-//! per-datum ready times — the simulation analogue of recording an event
-//! at the producer and waiting on it at the consumer. Unannotated plans
-//! behave exactly as before (one compute stream).
+//! Two machines exist, and they differ in exactly one thing — how the
+//! transfer channels order their grants:
+//!
+//! * [`Machine::single`]: one device whose two DMA engines are private,
+//!   **issue-ordered** FIFOs (the dual-copy-engine arrangement of
+//!   post-2009 GPUs). Plans annotated by the stream scheduler
+//!   ([`crate::streams`]) run each launch on its assigned stream's clock;
+//!   cross-stream dependencies synchronize through the per-datum ready
+//!   times — the simulation analogue of recording an event at the
+//!   producer and waiting on it at the consumer.
+//! * [`Machine::cluster`]: N devices racing one shared full-duplex fabric
+//!   that **backfills** — a transfer whose data is ready takes the
+//!   earliest idle slot even if it was requested later. This is the
+//!   contention that bends the scalability curve: compute capacity grows
+//!   with the device count, bus capacity does not.
+//!
+//! A one-device cluster is therefore *not* the single machine: when a
+//! re-upload waits on its download, a later upload overtakes it on the
+//! shared fabric and queues behind it on the private engine.
 
 use gpuflow_graph::Graph;
 use gpuflow_ops::op_cost;
-use gpuflow_sim::{kernel_time, timing::Work, transfer_time, DeviceSpec};
+use gpuflow_sim::{kernel_time, timing::Work, BusArbiter, BusDir, BusSpec, DeviceSpec};
+use gpuflow_trace::{PID_CLUSTER, PID_OVERLAP};
+pub use gpuflow_verify::Lane;
 
 use crate::plan::{ExecutionPlan, Step};
 
-/// Result of the two-engine simulation.
+/// The machine a plan is simulated on: its devices, the link their
+/// transfers cross, and — fixed by the constructor, never by a caller —
+/// whether that link is one device's private DMA engines or a fabric the
+/// whole cluster shares.
+#[derive(Debug, Clone)]
+pub struct Machine<'a> {
+    /// The devices, indexed by the plan's device ids.
+    pub devices: &'a [DeviceSpec],
+    /// The host↔device link every transfer is timed against.
+    pub bus: BusSpec,
+    shared_bus: bool,
+}
+
+impl<'a> Machine<'a> {
+    /// One device with its own issue-ordered DMA engines.
+    pub fn single(dev: &'a DeviceSpec) -> Machine<'a> {
+        Machine {
+            devices: std::slice::from_ref(dev),
+            bus: BusSpec::from_device(dev),
+            shared_bus: false,
+        }
+    }
+
+    /// `devices` behind one shared, backfilling fabric `bus`.
+    pub fn cluster(devices: &'a [DeviceSpec], bus: &BusSpec) -> Machine<'a> {
+        Machine {
+            devices,
+            bus: bus.clone(),
+            shared_bus: true,
+        }
+    }
+
+    /// Whether transfers arbitrate for a fabric shared by the cluster
+    /// (backfilling) rather than a private issue-ordered engine. On a
+    /// shared fabric same-channel program order is not enforced, so only
+    /// the dependency critical path lower-bounds the makespan.
+    pub fn shared_bus(&self) -> bool {
+        self.shared_bus
+    }
+
+    fn arbiter(&self) -> BusArbiter {
+        if self.shared_bus {
+            BusArbiter::shared(self.bus.clone())
+        } else {
+            BusArbiter::private(self.bus.clone())
+        }
+    }
+
+    /// The machine's lanes when each device runs `streams` compute streams.
+    pub fn lanes(&self, streams: usize) -> LaneTable {
+        LaneTable::new(self.shared_bus, self.devices.len(), streams)
+    }
+}
+
+/// One engine of a [`LaneTable`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneInfo {
+    /// The engine, in the certifier's lane vocabulary.
+    pub lane: Lane,
+    /// Profile/JSON label (`h2d`, `bus-h2d`, `gpu0`, `gpu0s1`, …).
+    pub label: String,
+    /// Display position: the Gantt row and the Chrome-trace thread id.
+    pub row: usize,
+    /// Gantt row prefix, separator included.
+    pub(crate) gantt: String,
+    /// Chrome-trace thread name.
+    pub(crate) thread: String,
+}
+
+/// The engines of a simulated machine, indexed `h2d = 0`, `d2h = 1`, then
+/// compute lane `(device, stream)` at `2 + device · streams + stream`.
+/// Every consumer of a simulation — profile attribution, the Gantt chart,
+/// the trace export — reads its lane names and order from here.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneTable {
+    shared_bus: bool,
+    streams: usize,
+    /// The lanes, in index order.
+    pub lanes: Vec<LaneInfo>,
+}
+
+impl LaneTable {
+    fn new(shared_bus: bool, devices: usize, streams: usize) -> LaneTable {
+        let streams = streams.max(1);
+        let compute = devices * streams;
+        let info = |lane, label: &str, row, gantt: &str, thread: &str| LaneInfo {
+            lane,
+            label: label.to_string(),
+            row,
+            gantt: gantt.to_string(),
+            thread: thread.to_string(),
+        };
+        // A private device shows its engines in dataflow order (upload,
+        // compute, download); a cluster shows the shared fabric first.
+        let mut lanes = if shared_bus {
+            vec![
+                info(Lane::H2d, "bus-h2d", 0, "BUS>   |", "bus H2D"),
+                info(Lane::D2h, "bus-d2h", 1, "BUS<   |", "bus D2H"),
+            ]
+        } else {
+            vec![
+                info(Lane::H2d, "h2d", 0, "H->D    |", "H2D DMA"),
+                info(Lane::D2h, "d2h", 1 + compute, "D->H    |", "D2H DMA"),
+            ]
+        };
+        for c in 0..compute {
+            let (d, s) = (c / streams, c % streams);
+            // One stream per device keeps the classic names, so
+            // unannotated plans render byte-identically.
+            let (sfx, stream) = if streams == 1 {
+                (String::new(), String::new())
+            } else {
+                (format!("s{s}"), format!(" s{s}"))
+            };
+            let (row, gantt, thread) = match (shared_bus, streams) {
+                (true, _) => (
+                    2 + c,
+                    format!("GPU{d}{sfx}"),
+                    format!("GPU{d} compute{stream}"),
+                ),
+                (false, 1) => (1 + c, "COMPUTE ".to_string(), "compute".to_string()),
+                (false, _) => (1 + c, format!("COMP{stream} "), format!("compute{stream}")),
+            };
+            lanes.push(info(
+                Lane::compute(d, s),
+                &format!("gpu{d}{sfx}"),
+                row,
+                &format!("{gantt:<7}|"),
+                &thread,
+            ));
+        }
+        LaneTable {
+            shared_bus,
+            streams,
+            lanes,
+        }
+    }
+
+    /// Index of `lane` in [`LaneTable::lanes`]. Panics on [`Lane::Host`],
+    /// which no simulated event runs on.
+    pub fn index(&self, lane: Lane) -> usize {
+        match lane {
+            Lane::H2d => 0,
+            Lane::D2h => 1,
+            other => {
+                let (d, s) = other
+                    .device_stream()
+                    .expect("simulated events run on an engine, never on the host lane");
+                2 + d * self.streams + s
+            }
+        }
+    }
+
+    /// Chrome-trace process id and name of the track the lanes render on.
+    pub(crate) fn process(&self) -> (u32, &'static str) {
+        if self.shared_bus {
+            (PID_CLUSTER, "cluster (simulated, shared bus)")
+        } else {
+            (PID_OVERLAP, "overlapped engines (simulated)")
+        }
+    }
+
+    /// The lanes in display order (Gantt rows top to bottom, trace threads
+    /// by id).
+    pub(crate) fn by_row(&self) -> Vec<&LaneInfo> {
+        let mut rows: Vec<_> = self.lanes.iter().collect();
+        rows.sort_by_key(|l| l.row);
+        rows
+    }
+
+    /// The table to *draw* `events` on: trailing compute streams no event
+    /// ran on get no row (a `--streams 8` plan that uses four shows four),
+    /// so the chart and the trace export size themselves from what ran.
+    pub(crate) fn shown(&self, events: &[LaneEvent]) -> LaneTable {
+        let seen = events
+            .iter()
+            .filter_map(|e| e.lane.device_stream())
+            .map(|(_, s)| s + 1)
+            .max()
+            .unwrap_or(1);
+        let devices = (self.lanes.len() - 2) / self.streams;
+        LaneTable::new(self.shared_bus, devices, seen)
+    }
+}
+
+/// Result of one simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapOutcome {
-    /// Makespan with a single serialized engine (the paper's evaluation
-    /// model; equals the serial executor's total time).
+    /// Makespan with every engine serialized on one timeline (the paper's
+    /// evaluation model; equals the serial executor's total time).
     pub serial_time: f64,
-    /// Makespan with concurrent copy and compute engines.
-    pub overlapped_time: f64,
-    /// Busy time of the host→device DMA engine.
+    /// Makespan with concurrent transfer channels and compute lanes.
+    pub makespan: f64,
+    /// Busy time of the host→device channel.
     pub h2d_busy: f64,
-    /// Busy time of the device→host DMA engine.
+    /// Busy time of the device→host channel.
     pub d2h_busy: f64,
-    /// Total busy time across all compute streams (equals the single
-    /// engine's busy time on unannotated plans).
-    pub compute_busy: f64,
-    /// Busy time of each compute stream; `[compute_busy]` when the plan
-    /// carries no stream annotation.
-    pub stream_busy: Vec<f64>,
+    /// Busy time of each compute lane, in `(device, stream)` order: one
+    /// entry per stream on a single device, one per device on a cluster.
+    pub compute_busy: Vec<f64>,
+    /// Bytes that crossed the link (both directions).
+    pub bus_bytes: u64,
 }
 
 impl OverlapOutcome {
     /// Speedup of overlapping over serial execution (≥ 1). A plan with no
-    /// timed work at all (`overlapped_time == 0`, e.g. an empty graph)
-    /// reports a neutral 1.0 rather than dividing by zero.
+    /// timed work at all (`makespan == 0`, e.g. an empty graph or a
+    /// step-less plan) reports a neutral 1.0 rather than dividing by zero.
     pub fn speedup(&self) -> f64 {
-        if self.overlapped_time <= 0.0 {
+        if self.makespan <= 0.0 {
             1.0
         } else {
-            self.serial_time / self.overlapped_time
+            self.serial_time / self.makespan
         }
     }
 
-    /// Total DMA busy time across both engines.
+    /// Total transfer busy time across both channels.
     pub fn copy_busy(&self) -> f64 {
         self.h2d_busy + self.d2h_busy
     }
 
+    /// Total busy time across all compute lanes.
+    pub fn compute_total(&self) -> f64 {
+        self.compute_busy.iter().sum()
+    }
+
     /// A makespan lower bound from engine occupancy alone: no schedule can
     /// finish before its busiest engine has done all its work, so
-    /// `overlapped_time ≥ max(h2d, d2h, busiest stream)` always holds.
+    /// `makespan ≥ max(h2d, d2h, busiest compute lane)` always holds.
     /// Property tests pin the simulation between this bound and
-    /// `serial_time`. With one stream the busiest stream *is* the compute
-    /// engine, so this is exactly the old three-engine bound.
+    /// `serial_time`.
     pub fn busy_lower_bound(&self) -> f64 {
-        self.stream_busy
+        self.compute_busy
             .iter()
             .fold(self.h2d_busy.max(self.d2h_busy), |m, &b| m.max(b))
     }
 
-    /// Busy fraction of each engine over the overlapped makespan, in
-    /// rendering order: h2d, each compute stream, d2h. Zero-makespan plans
-    /// report zero utilization everywhere.
+    /// Busy fraction of each engine of a single device over the makespan,
+    /// in rendering order: h2d, each compute stream, d2h. Zero-makespan
+    /// plans report zero utilization everywhere.
     pub fn utilization(&self) -> Vec<(String, f64)> {
         let frac = |busy: f64| {
-            if self.overlapped_time <= 0.0 {
+            if self.makespan <= 0.0 {
                 0.0
             } else {
-                busy / self.overlapped_time
+                busy / self.makespan
             }
         };
         let mut rows = vec![("h2d".to_string(), frac(self.h2d_busy))];
-        for (s, &b) in self.stream_busy.iter().enumerate() {
-            let name = if self.stream_busy.len() == 1 {
+        for (s, &b) in self.compute_busy.iter().enumerate() {
+            let name = if self.compute_busy.len() == 1 {
                 "compute".to_string()
             } else {
                 format!("compute s{s}")
@@ -112,33 +317,23 @@ impl OverlapOutcome {
     }
 }
 
-/// Which engine an event ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Host→device DMA engine.
-    H2d,
-    /// Compute stream `s` (stream 0 is the only stream of unannotated
-    /// plans — the classic single compute engine).
-    Compute(usize),
-    /// Device→host DMA engine.
-    D2h,
-}
-
 /// One scheduled interval in the overlapped execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneEvent {
     /// Engine.
     pub lane: Lane,
-    /// What ran (data or operator name).
+    /// What ran: the operator name, or the data name of a transfer
+    /// (`Img>d1` / `d1>Img` on a shared fabric, which serves every device).
     pub label: String,
     /// Start time, seconds.
     pub start: f64,
     /// End time, seconds.
     pub end: f64,
-    /// Bytes moved: PCIe bytes for the DMA lanes, device-memory traffic
-    /// for compute. Sourced from the same [`Graph`] sizes the plan
+    /// Bytes moved: PCIe bytes for the transfer channels, device-memory
+    /// traffic for compute. Sourced from the same [`Graph`] sizes the plan
     /// validator and [`crate::plan::PlanStats`] use, so traces reconcile
-    /// exactly with plan statistics.
+    /// exactly with plan statistics; transfer bytes sum to
+    /// [`OverlapOutcome::bus_bytes`].
     pub bytes: u64,
 }
 
@@ -160,8 +355,8 @@ pub enum GapCause {
     /// Waiting for earlier `Free`s to commit their space — the
     /// free-horizon / memory-budget stall.
     FreeHorizon,
-    /// Waiting for a grant on the shared PCIe fabric (multi-GPU bus
-    /// contention; never emitted by the single-device simulator).
+    /// Waiting for an upload that other devices' traffic held past its
+    /// ready time on the shared fabric (never emitted on a private link).
     BusWait,
     /// No work issued to this engine for the interval — leading/trailing
     /// idle, the load-imbalance remainder.
@@ -210,314 +405,334 @@ pub struct GapEvent {
     pub end: f64,
     /// The binding constraint that opened the gap.
     pub cause: GapCause,
-    /// The datum or operator waited on (empty for [`GapCause::Idle`]).
-    pub waited_on: String,
 }
 
-/// What produced the current device/host copy of a datum — used to
-/// attribute a dependency wait to upload, download, or (cross-stream)
-/// compute.
+/// Everything one [`simulate`] call produces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Simulation {
+    /// Makespans and per-engine busy times.
+    pub outcome: OverlapOutcome,
+    /// The machine's engines; `events` and `gaps` index it by lane.
+    pub lanes: LaneTable,
+    /// Busy intervals, in issue order.
+    pub events: Vec<LaneEvent>,
+    /// Attributed idle intervals. With `events` they tile `[0, makespan]`
+    /// on every lane exactly — the foundation of `gpuflow profile`'s
+    /// reconciled bottleneck breakdown.
+    pub gaps: Vec<GapEvent>,
+}
+
+/// What produced a device's current copy of a datum — used to attribute a
+/// dependency wait to upload, bus contention, or (cross-stream) compute.
 #[derive(Debug, Clone, Copy)]
 enum Producer {
     /// Initial host data; never the binding term of a positive gap.
     None,
-    /// A host→device copy. (The host-side producer is always a download,
-    /// so `host_ready` waits need no producer tracking.)
-    Upload,
-    /// A kernel on the given compute stream.
+    /// A host→device copy, and whether the arbiter reported its grant as
+    /// delayed by other devices' traffic. (The host-side producer is
+    /// always a download, so `host_ready` waits need no producer tracking.)
+    Upload { contended: bool },
+    /// A kernel on the given compute lane.
     Kernel(usize),
 }
 
-/// Simulate `plan` on `dev` with concurrent copy and compute engines.
-pub fn overlapped_makespan(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> OverlapOutcome {
-    overlapped_trace(g, plan, dev).0
-}
-
-/// Like [`overlapped_makespan`], also returning the per-engine event
-/// intervals for rendering.
-pub fn overlapped_trace(
-    g: &Graph,
-    plan: &ExecutionPlan,
-    dev: &DeviceSpec,
-) -> (OverlapOutcome, Vec<LaneEvent>) {
-    let (o, events, _) = overlapped_trace_profiled(g, plan, dev);
-    (o, events)
-}
-
-/// Like [`overlapped_trace`], additionally attributing every idle
-/// interval of every engine to a [`GapCause`]. The busy events and gaps
-/// of each lane tile `[0, overlapped_time]` exactly — the foundation of
-/// `gpuflow profile`'s reconciled bottleneck breakdown.
-pub fn overlapped_trace_profiled(
-    g: &Graph,
-    plan: &ExecutionPlan,
-    dev: &DeviceSpec,
-) -> (OverlapOutcome, Vec<LaneEvent>, Vec<GapEvent>) {
+/// Simulate `plan` on `machine` with concurrent transfer channels and
+/// compute lanes, attributing every idle interval of every engine to a
+/// [`GapCause`]. Compute-lane gaps are attributed online from the binding
+/// `max` term; channel gaps are recovered after the walk from the final
+/// grant sets (a backfilling arbiter can slip later transfers into earlier
+/// holes, so a hole is only final once every grant is placed) and owned by
+/// the request whose grant begins where the hole ends — by construction
+/// that request's ready time *is* the hole's end.
+pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulation {
     #[cfg(debug_assertions)]
     {
-        crate::plan::debug_check_plan(g, plan, &[dev.memory_bytes], "overlapped_trace");
-        // Dynamic sanitizer: the overlap discipline's own step times must
+        let capacities: Vec<u64> = machine.devices.iter().map(|d| d.memory_bytes).collect();
+        crate::plan::debug_check_plan(g, plan, &capacities, "simulate");
+        // Dynamic sanitizer: the lane discipline's own step times must
         // honour every happens-before edge of the certificate.
-        let times = crate::sanitize::overlap_step_times(g, plan, dev);
-        crate::sanitize::assert_hb_consistent(g, plan, &times, "overlapped_trace");
+        let times = crate::sanitize::step_times(g, plan, machine);
+        crate::sanitize::assert_hb_consistent(g, plan, &times, "simulate");
     }
     let nd = g.num_data();
-    // Stream annotation: k concurrent kernel streams, each launch pinned
-    // to one. Unannotated plans run everything on stream 0.
-    let k = plan.streams.as_ref().map_or(1, |s| s.num_streams.max(1));
-    let stream_of = |u: usize| -> usize {
-        plan.streams
-            .as_ref()
-            .and_then(|s| s.unit_stream.get(u).copied())
-            .unwrap_or(0)
-            .min(k - 1)
+    let ndev = machine.devices.len();
+    // Stream annotation: k concurrent kernel streams per device, each
+    // launch pinned to one. Unannotated plans run everything on stream 0.
+    let (unit_stream, k) = match &plan.streams {
+        Some(s) => (s.unit_stream.as_slice(), s.num_streams.max(1)),
+        None => (&[][..], 1),
     };
-    // Completion time of the event that makes data available on each side.
-    let mut device_ready = vec![0.0f64; nd];
+    let lanes = machine.lanes(k);
+    let mut bus = machine.arbiter();
+    // A shared fabric serves every device, so its events say which.
+    let transfer_label = |dir, device: usize, name: &str| match (machine.shared_bus, dir) {
+        (false, _) => name.to_string(),
+        (true, BusDir::H2d) => format!("{name}>d{device}"),
+        (true, BusDir::D2h) => format!("d{device}>{name}"),
+    };
+    // Flat `device · nd + data` state: when each datum becomes available
+    // on each device and what produced that copy, and when each buffer was
+    // last touched. Per device, the running commit horizon of all Frees
+    // seen so far in plan order; per compute lane, its clock.
+    let slot = |device: usize, d: usize| device * nd + d;
+    let mut device_ready = vec![0.0f64; ndev * nd];
+    let mut dev_producer = vec![Producer::None; ndev * nd];
+    let mut last_touch = vec![0.0f64; ndev * nd];
+    let mut free_horizon = vec![0.0f64; ndev];
     let mut host_ready = vec![0.0f64; nd];
-    // What produced each side's current copy — attributes a dependency
-    // wait to upload, download, or cross-stream compute.
-    let mut dev_producer = vec![Producer::None; nd];
-    // Completion time of the latest operation touching each buffer, and
-    // the running commit horizon of all Frees seen so far in plan order.
-    let mut last_touch = vec![0.0f64; nd];
-    let mut free_horizon = 0.0f64;
-    let mut h2d_free = 0.0f64;
-    let mut d2h_free = 0.0f64;
-    let mut stream_free = vec![0.0f64; k];
-    let mut h2d_busy = 0.0f64;
-    let mut d2h_busy = 0.0f64;
-    let mut stream_busy = vec![0.0f64; k];
+    let mut lane_free = vec![0.0f64; ndev * k];
+    let mut compute_busy = vec![0.0f64; ndev * k];
     let mut serial = 0.0f64;
-
     let mut end = 0.0f64;
     let mut events: Vec<LaneEvent> = Vec::new();
     let mut gaps: Vec<GapEvent> = Vec::new();
+    // Every grant this walk requested — `(start, end, wait reason)` per
+    // channel — for the attribution of final channel holes.
+    let mut grants: [Vec<(f64, f64, GapCause)>; 2] = [Vec::new(), Vec::new()];
+
     for step in &plan.steps {
         match *step {
-            Step::CopyIn { data: d, .. } => {
-                let bytes = g.data(d).bytes();
-                let dur = transfer_time(dev, bytes);
-                // Allocating: wait for host validity and for all earlier
-                // Frees to have actually released their space.
-                let ready_host = host_ready[d.index()];
-                let start = h2d_free.max(ready_host).max(free_horizon);
-                if start > h2d_free {
-                    // The larger of the two non-engine terms was binding.
-                    let (cause, waited_on) = if free_horizon >= ready_host {
-                        (GapCause::FreeHorizon, String::new())
-                    } else {
-                        (GapCause::WaitDownload, g.data(d).name.clone())
-                    };
-                    gaps.push(GapEvent {
-                        lane: Lane::H2d,
-                        start: h2d_free,
-                        end: start,
-                        cause,
-                        waited_on,
-                    });
-                }
-                h2d_free = start + dur;
-                h2d_busy += dur;
-                serial += dur;
-                device_ready[d.index()] = h2d_free;
-                dev_producer[d.index()] = Producer::Upload;
-                last_touch[d.index()] = h2d_free;
-                end = end.max(h2d_free);
+            Step::CopyIn { device, data } => {
+                let bytes = g.data(data).bytes();
+                // Allocating: wait for host validity and for this device's
+                // earlier Frees to have released their space, then win the
+                // channel.
+                let ready_host = host_ready[data.index()];
+                let ready = ready_host.max(free_horizon[device]);
+                let grant = bus.acquire(BusDir::H2d, ready, bytes);
+                // The larger of the two non-channel terms owns the wait.
+                let cause = if free_horizon[device] >= ready_host {
+                    GapCause::FreeHorizon
+                } else {
+                    GapCause::WaitDownload
+                };
+                grants[BusDir::H2d as usize].push((grant.start, grant.end, cause));
+                serial += machine.bus.transfer_time(bytes);
+                let at = slot(device, data.index());
+                device_ready[at] = grant.end;
+                dev_producer[at] = Producer::Upload {
+                    contended: grant.contended,
+                };
+                last_touch[at] = grant.end;
+                end = end.max(grant.end);
                 events.push(LaneEvent {
                     lane: Lane::H2d,
-                    label: g.data(d).name.clone(),
-                    start,
-                    end: h2d_free,
+                    label: transfer_label(BusDir::H2d, device, &g.data(data).name),
+                    start: grant.start,
+                    end: grant.end,
                     bytes,
                 });
             }
-            Step::CopyOut { data: d, .. } => {
-                let bytes = g.data(d).bytes();
-                let dur = transfer_time(dev, bytes);
-                let ready = device_ready[d.index()];
-                let start = d2h_free.max(ready);
-                if start > d2h_free {
-                    let cause = match dev_producer[d.index()] {
-                        Producer::Upload => GapCause::WaitUpload,
-                        _ => GapCause::WaitCompute,
-                    };
-                    gaps.push(GapEvent {
-                        lane: Lane::D2h,
-                        start: d2h_free,
-                        end: start,
-                        cause,
-                        waited_on: g.data(d).name.clone(),
-                    });
-                }
-                d2h_free = start + dur;
-                d2h_busy += dur;
-                serial += dur;
-                host_ready[d.index()] = d2h_free;
-                last_touch[d.index()] = last_touch[d.index()].max(d2h_free);
-                end = end.max(d2h_free);
+            Step::CopyOut { device, data } => {
+                let bytes = g.data(data).bytes();
+                let at = slot(device, data.index());
+                let grant = bus.acquire(BusDir::D2h, device_ready[at], bytes);
+                let cause = match dev_producer[at] {
+                    Producer::Upload { .. } => GapCause::WaitUpload,
+                    _ => GapCause::WaitCompute,
+                };
+                grants[BusDir::D2h as usize].push((grant.start, grant.end, cause));
+                serial += machine.bus.transfer_time(bytes);
+                host_ready[data.index()] = host_ready[data.index()].max(grant.end);
+                last_touch[at] = last_touch[at].max(grant.end);
+                end = end.max(grant.end);
                 events.push(LaneEvent {
                     lane: Lane::D2h,
-                    label: g.data(d).name.clone(),
-                    start,
-                    end: d2h_free,
+                    label: transfer_label(BusDir::D2h, device, &g.data(data).name),
+                    start: grant.start,
+                    end: grant.end,
                     bytes,
                 });
             }
-            Step::Free { data: d, .. } => {
-                free_horizon = free_horizon.max(last_touch[d.index()]);
+            Step::Free { device, data } => {
+                free_horizon[device] =
+                    free_horizon[device].max(last_touch[slot(device, data.index())]);
             }
             Step::Launch(u) => {
                 let unit = &plan.units[u];
-                let s = stream_of(u);
-                let cursor = stream_free[s];
-                // Allocates its outputs: also gated by the free horizon.
-                // Waiting on each input's `device_ready` is the event
-                // semantics: the producer (upload or another stream's
-                // kernel) recorded its completion there. Track which term
-                // ends up binding — it owns any gap this launch opens.
-                let mut start = cursor.max(free_horizon);
-                let mut blame = (GapCause::FreeHorizon, String::new());
+                let dev = plan.unit_device[u];
+                let spec = &machine.devices[dev];
+                let s = unit_stream.get(u).copied().unwrap_or(0).min(k - 1);
+                let c = dev * k + s;
+                let lane = Lane::compute(dev, s);
+                let cursor = lane_free[c];
+                // Allocates its outputs: also gated by the device's free
+                // horizon. Waiting on each input's `device_ready` is the
+                // event semantics: the producer (upload or another
+                // stream's kernel) recorded its completion there. Track
+                // which term ends up binding — it owns any gap this launch
+                // opens.
+                let mut start = cursor.max(free_horizon[dev]);
+                let mut blame = GapCause::FreeHorizon;
                 for d in unit.external_inputs(g) {
-                    let r = device_ready[d.index()];
-                    if r > start {
-                        start = r;
-                        let cause = match dev_producer[d.index()] {
-                            Producer::Upload => GapCause::WaitUpload,
-                            Producer::Kernel(s2) if s2 != s => GapCause::WaitStream,
+                    let at = slot(dev, d.index());
+                    if device_ready[at] > start {
+                        start = device_ready[at];
+                        blame = match dev_producer[at] {
+                            Producer::Upload { contended: true } => GapCause::BusWait,
+                            Producer::Upload { contended: false } => GapCause::WaitUpload,
+                            Producer::Kernel(c2) if c2 != c => GapCause::WaitStream,
                             _ => GapCause::WaitCompute,
                         };
-                        blame = (cause, g.data(d).name.clone());
                     }
                 }
                 if start > cursor {
                     gaps.push(GapEvent {
-                        lane: Lane::Compute(s),
+                        lane,
                         start: cursor,
                         end: start,
-                        cause: blame.0,
-                        waited_on: blame.1,
+                        cause: blame,
                     });
                 }
                 let mut t = start;
                 for &o in &unit.ops {
                     let node = g.op(o);
                     let ins: Vec<_> = node.inputs.iter().map(|&i| g.shape(i)).collect();
-                    let c = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
+                    let cost = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
                     let dur = kernel_time(
-                        dev,
+                        spec,
                         Work {
-                            flops: c.flops,
-                            bytes: c.bytes,
+                            flops: cost.flops,
+                            bytes: cost.bytes,
                         },
                     );
                     events.push(LaneEvent {
-                        lane: Lane::Compute(s),
+                        lane,
                         label: node.name.clone(),
                         start: t,
                         end: t + dur,
-                        bytes: c.bytes,
+                        bytes: cost.bytes,
                     });
                     t += dur;
-                    stream_busy[s] += dur;
+                    compute_busy[c] += dur;
                     serial += dur;
-                    device_ready[node.outputs[0].index()] = t;
-                    dev_producer[node.outputs[0].index()] = Producer::Kernel(s);
+                    let out = slot(dev, node.outputs[0].index());
+                    device_ready[out] = t;
+                    dev_producer[out] = Producer::Kernel(c);
                     for &i in &node.inputs {
-                        last_touch[i.index()] = last_touch[i.index()].max(t);
+                        let at = slot(dev, i.index());
+                        last_touch[at] = last_touch[at].max(t);
                     }
-                    last_touch[node.outputs[0].index()] = t;
+                    last_touch[out] = t;
                 }
-                stream_free[s] = t;
+                lane_free[c] = t;
                 end = end.max(t);
             }
         }
     }
 
-    // Trailing idle: every engine that finished before the makespan sat
-    // unoccupied until the end — the load-imbalance remainder that makes
-    // each lane's busy + attributed-idle sum to the makespan exactly.
-    if d2h_free < end {
-        gaps.push(GapEvent {
-            lane: Lane::D2h,
-            start: d2h_free,
-            end,
-            cause: GapCause::Idle,
-            waited_on: String::new(),
-        });
+    // Channel holes: the complement of each channel's final grant set in
+    // [0, makespan]. A hole is followed by the grant that begins where it
+    // ends (a delayed grant starts exactly at its ready time), so that
+    // request's wait reason owns the hole; a hole with no following grant
+    // is the channel's trailing idle. On an issue-ordered channel the
+    // grants are already sorted and this is the online attribution.
+    for (ch, lane) in [(BusDir::H2d, Lane::H2d), (BusDir::D2h, Lane::D2h)] {
+        let set = &mut grants[ch as usize];
+        set.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut cursor = 0.0f64;
+        for &(start, fin, cause) in set.iter() {
+            if start > cursor {
+                gaps.push(GapEvent {
+                    lane,
+                    start: cursor,
+                    end: start,
+                    cause,
+                });
+            }
+            cursor = cursor.max(fin);
+        }
+        if cursor < end {
+            gaps.push(GapEvent {
+                lane,
+                start: cursor,
+                end,
+                cause: GapCause::Idle,
+            });
+        }
     }
-    if h2d_free < end {
-        gaps.push(GapEvent {
-            lane: Lane::H2d,
-            start: h2d_free,
-            end,
-            cause: GapCause::Idle,
-            waited_on: String::new(),
-        });
-    }
-    for (s, &free) in stream_free.iter().enumerate() {
+    // Trailing idle: every compute lane that finished before the makespan
+    // sat unoccupied until the end — the load-imbalance remainder that
+    // makes each lane's busy + attributed-idle sum to the makespan exactly.
+    for (c, &free) in lane_free.iter().enumerate() {
         if free < end {
             gaps.push(GapEvent {
-                lane: Lane::Compute(s),
+                lane: Lane::compute(c / k, c % k),
                 start: free,
                 end,
                 cause: GapCause::Idle,
-                waited_on: String::new(),
             });
         }
     }
 
-    (
-        OverlapOutcome {
+    Simulation {
+        outcome: OverlapOutcome {
             serial_time: serial,
-            overlapped_time: end,
-            h2d_busy,
-            d2h_busy,
-            compute_busy: stream_busy.iter().sum(),
-            stream_busy,
+            makespan: end,
+            h2d_busy: bus.busy_time(BusDir::H2d),
+            d2h_busy: bus.busy_time(BusDir::D2h),
+            compute_busy,
+            bus_bytes: bus.bytes_moved(),
         },
+        lanes,
         events,
         gaps,
-    )
+    }
 }
 
-/// Render the engine lanes as an ASCII Gantt chart of `width` character
-/// columns: the upload DMA lane, one row per compute stream that appears
-/// in `events`, then the download DMA lane.
-pub fn render_gantt(events: &[LaneEvent], makespan: f64, width: usize) -> String {
+/// [`simulate`] on a single device, keeping only the outcome.
+pub fn overlapped_makespan(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> OverlapOutcome {
+    simulate(g, plan, &Machine::single(dev)).outcome
+}
+
+/// The one field of a single-device simulation `perf/src/layers.rs` reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OverlappedTime {
+    /// [`OverlapOutcome::makespan`].
+    pub overlapped_time: f64,
+}
+
+/// Frozen adapter (DESIGN.md "Frozen adapter names"): the benchmark
+/// harness calls `overlapped_trace(g, plan, dev).0.overlapped_time`.
+/// Everything else calls [`simulate`].
+pub fn overlapped_trace(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    dev: &DeviceSpec,
+) -> (OverlappedTime, Vec<LaneEvent>) {
+    let sim = simulate(g, plan, &Machine::single(dev));
+    let overlapped_time = sim.outcome.makespan;
+    (OverlappedTime { overlapped_time }, sim.events)
+}
+
+/// Render the engine lanes of `lanes` as an ASCII Gantt chart of `width`
+/// character columns, one row per lane in display order (compute streams
+/// no event ran on get no row).
+pub fn render_gantt(
+    lanes: &LaneTable,
+    events: &[LaneEvent],
+    makespan: f64,
+    width: usize,
+) -> String {
     use std::fmt::Write as _;
     let width = width.max(10);
     let mut s = String::new();
     let scale = |t: f64| ((t / makespan.max(1e-12)) * width as f64).round() as usize;
-    let k = events
-        .iter()
-        .filter_map(|e| match e.lane {
-            Lane::Compute(s) => Some(s + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(1);
-    let mut lanes: Vec<(Lane, String, char)> = vec![(Lane::H2d, "H->D   ".to_string(), '>')];
-    for stream in 0..k {
-        // Stream 0 keeps the classic single-engine label so serial plans
-        // render byte-identically.
-        let name = if k == 1 {
-            "COMPUTE".to_string()
-        } else {
-            format!("COMP s{stream}")
+    let shown = lanes.shown(events);
+    for info in shown.by_row() {
+        let fill = match info.lane {
+            Lane::H2d => '>',
+            Lane::D2h => '<',
+            _ => '#',
         };
-        lanes.push((Lane::Compute(stream), name, '#'));
-    }
-    lanes.push((Lane::D2h, "D->H   ".to_string(), '<'));
-    for (lane, name, fill) in lanes {
         let mut row = vec![' '; width + 1];
-        for e in events.iter().filter(|e| e.lane == lane) {
+        for e in events.iter().filter(|e| e.lane == info.lane) {
             let (a, b) = (scale(e.start), scale(e.end).max(scale(e.start) + 1));
             for c in row.iter_mut().take(b.min(width + 1)).skip(a) {
                 *c = fill;
             }
         }
-        let _ = writeln!(s, "{name} |{}|", row.into_iter().collect::<String>());
+        let _ = writeln!(s, "{}{}|", info.gantt, row.into_iter().collect::<String>());
     }
     let _ = writeln!(s, "        0{:>w$.4}s", makespan, w = width - 1);
     s
@@ -568,7 +783,7 @@ mod tests {
         let dev = tesla_c870();
         let compiled = Framework::new(dev.clone()).compile(&g).unwrap();
         let out = overlapped_makespan(&compiled.split.graph, &compiled.plan, &dev);
-        assert!(out.overlapped_time <= out.serial_time + 1e-12);
+        assert!(out.makespan <= out.serial_time + 1e-12);
         assert!(out.speedup() >= 1.0 - SPEEDUP_EPS);
         // Serial accounting equals the serial executor's simulated time.
         let exec = Executor::new(&compiled.split.graph, &compiled.plan, &dev)
@@ -576,7 +791,7 @@ mod tests {
             .unwrap();
         assert!((out.serial_time - exec.total_time()).abs() < 1e-9);
         // Engine busy times partition the serial time.
-        assert!((out.copy_busy() + out.compute_busy - out.serial_time).abs() < 1e-9);
+        assert!((out.copy_busy() + out.compute_total() - out.serial_time).abs() < 1e-9);
     }
 
     #[test]
@@ -595,9 +810,7 @@ mod tests {
             out.speedup()
         );
         // The makespan can never beat any single engine's busy time.
-        assert!(
-            out.overlapped_time >= out.h2d_busy.max(out.d2h_busy).max(out.compute_busy) - 1e-12
-        );
+        assert!(out.makespan >= out.h2d_busy.max(out.d2h_busy).max(out.compute_total()) - 1e-12);
     }
 
     #[test]
@@ -620,10 +833,10 @@ mod tests {
         let after = overlapped_makespan(&compiled.split.graph, &hoisted, &dev);
         assert!(moves > 0, "split plans must have hoistable uploads");
         assert!(
-            after.overlapped_time < before.overlapped_time - 1e-12,
+            after.makespan < before.makespan - 1e-12,
             "hoisting must help: {:.4} !< {:.4}",
-            after.overlapped_time,
-            before.overlapped_time
+            after.makespan,
+            before.makespan
         );
         assert!((after.serial_time - before.serial_time).abs() < 1e-9);
     }
@@ -633,18 +846,19 @@ mod tests {
         let g = edge_graph();
         let dev = tesla_c870();
         let compiled = Framework::new(dev.clone()).compile(&g).unwrap();
-        let (out, events) = overlapped_trace(&compiled.split.graph, &compiled.plan, &dev);
+        let sim = compiled.simulate();
+        let (out, events) = (&sim.outcome, &sim.events);
         assert!(!events.is_empty());
         // Every event lies within the makespan and has positive duration.
-        for e in &events {
+        for e in events {
             assert!(e.end > e.start, "{e:?}");
-            assert!(e.end <= out.overlapped_time + 1e-9, "{e:?}");
+            assert!(e.end <= out.makespan + 1e-9, "{e:?}");
         }
         // All three lanes appear for this plan.
         for lane in [Lane::H2d, Lane::Compute(0), Lane::D2h] {
             assert!(events.iter().any(|e| e.lane == lane), "{lane:?} missing");
         }
-        let chart = render_gantt(&events, out.overlapped_time, 60);
+        let chart = render_gantt(&sim.lanes, events, out.makespan, 60);
         assert_eq!(chart.lines().count(), 4);
         assert!(chart.contains("COMPUTE"));
         assert!(chart.contains('#'));
@@ -657,11 +871,11 @@ mod tests {
         // the stream-scheduler PR): an empty outcome reports exactly 1.0.
         let out = OverlapOutcome {
             serial_time: 0.0,
-            overlapped_time: 0.0,
+            makespan: 0.0,
             h2d_busy: 0.0,
             d2h_busy: 0.0,
-            compute_busy: 0.0,
-            stream_busy: vec![0.0],
+            compute_busy: vec![0.0],
+            bus_bytes: 0,
         };
         assert_eq!(out.speedup(), 1.0);
         assert!(out.speedup() >= 1.0 - SPEEDUP_EPS);
@@ -676,7 +890,8 @@ mod tests {
         let g = edge_graph();
         let dev = tesla_c870();
         let compiled = Framework::new(dev.clone()).compile(&g).unwrap();
-        let (out, events) = overlapped_trace(&compiled.split.graph, &compiled.plan, &dev);
+        let sim = compiled.simulate();
+        let (out, events) = (&sim.outcome, &sim.events);
         let lane_sum = |lane: Lane| -> f64 {
             events
                 .iter()
@@ -686,9 +901,8 @@ mod tests {
         };
         assert!((lane_sum(Lane::H2d) - out.h2d_busy).abs() < 1e-12);
         assert!((lane_sum(Lane::D2h) - out.d2h_busy).abs() < 1e-12);
-        assert!((lane_sum(Lane::Compute(0)) - out.compute_busy).abs() < 1e-12);
-        assert_eq!(out.stream_busy.len(), 1);
-        assert!((out.stream_busy[0] - out.compute_busy).abs() < 1e-12);
+        assert_eq!(out.compute_busy.len(), 1);
+        assert!((lane_sum(Lane::Compute(0)) - out.compute_busy[0]).abs() < 1e-12);
     }
 
     #[test]
@@ -707,12 +921,10 @@ mod tests {
                 })
                 .compile_adaptive(&g)
                 .unwrap();
-            let (out, events, gaps) =
-                overlapped_trace_profiled(&compiled.split.graph, &compiled.plan, &dev);
-            let streams = out.stream_busy.len();
-            let mut lanes = vec![Lane::H2d, Lane::D2h];
-            lanes.extend((0..streams).map(Lane::Compute));
-            for lane in lanes {
+            let sim = compiled.simulate();
+            let (out, events, gaps) = (&sim.outcome, &sim.events, &sim.gaps);
+            assert_eq!(sim.lanes.lanes.len(), 2 + out.compute_busy.len());
+            for lane in sim.lanes.lanes.iter().map(|l| l.lane) {
                 let mut iv: Vec<(f64, f64)> = events
                     .iter()
                     .filter(|e| e.lane == lane)
@@ -735,7 +947,7 @@ mod tests {
                 }
                 assert_eq!(
                     iv.last().unwrap().1,
-                    out.overlapped_time,
+                    out.makespan,
                     "{lane:?} does not end at the makespan"
                 );
             }
@@ -758,7 +970,7 @@ mod tests {
             .compile(&g)
             .unwrap();
         let out = overlapped_makespan(&compiled.split.graph, &compiled.plan, &dev);
-        let first_upload = transfer_time(&dev, 2 * 256 * 4);
-        assert!(out.overlapped_time >= first_upload);
+        let first_upload = gpuflow_sim::transfer_time(&dev, 2 * 256 * 4);
+        assert!(out.makespan >= first_upload);
     }
 }

@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(moves, 0);
         let before = overlapped_makespan(&g, &plan, &dev);
         let after = overlapped_makespan(&g, &hoisted, &dev);
-        assert!((after.overlapped_time - before.overlapped_time).abs() < 1e-12);
+        assert!((after.makespan - before.makespan).abs() < 1e-12);
     }
 
     #[test]

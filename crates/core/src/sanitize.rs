@@ -26,91 +26,92 @@
 //! is apples-to-apples; the real makespan math is untouched.
 
 use gpuflow_graph::Graph;
-use gpuflow_ops::op_cost;
-use gpuflow_sim::{kernel_time, timing::Work, transfer_time, DeviceSpec};
+use gpuflow_sim::{transfer_time, DeviceSpec};
 
+use crate::overlap::Machine;
 use crate::plan::{ExecutionPlan, Step};
+use crate::streams::unit_compute_time;
 
-/// Step-granular `(start, end)` times under the multi-engine overlap
-/// discipline of [`crate::overlap`]: program order per engine (one DMA
-/// lane each way plus one compute clock per stream), transfer
-/// completion for readers, and the committed-free horizon for allocators
-/// — with each `Launch` treated as one atomic interval and each `Free`
-/// as an instant at its buffer's last touch.
-pub fn overlap_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> Vec<(f64, f64)> {
+/// Step-granular `(start, end)` times of `plan` under the concurrent lane
+/// discipline of [`crate::overlap`] — the one concurrent shadow clock,
+/// for a single device and for a cluster alike: each transfer channel is
+/// an issue-ordered FIFO, each `(device, stream)` compute lane runs its
+/// launches atomically in issue order, readers wait for the completion
+/// that made their datum available on their device, and allocators wait
+/// for the device's committed-free horizon. A `Free` is an instant at its
+/// buffer's last touch. These are the exact orderings the happens-before
+/// DAG of [`ExecutionPlan::certify`] encodes, so on a certified schedule
+/// `ConcurrencyReport::dynamic_violations` over these times is empty —
+/// asserted in debug builds on every [`crate::overlap::simulate`] call.
+///
+/// The recurrence is deliberately its own code: it shares the machine
+/// description with the simulator and nothing else — in particular not
+/// the arbiter. The certificate orders each channel by issue, so the
+/// clock that checks it keeps both channels issue-ordered on every
+/// machine, whatever the simulated fabric does with its idle slots.
+pub fn step_times(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Vec<(f64, f64)> {
     let nd = g.num_data();
-    let mut device_ready = vec![0.0f64; nd];
+    let ndev = machine.devices.len();
+    let mut device_ready = vec![0.0f64; ndev * nd];
+    let mut last_touch = vec![0.0f64; ndev * nd];
+    let mut free_horizon = vec![0.0f64; ndev];
     let mut host_ready = vec![0.0f64; nd];
-    let mut last_touch = vec![0.0f64; nd];
-    let mut free_horizon = 0.0f64;
     let mut h2d_free = 0.0f64;
     let mut d2h_free = 0.0f64;
-    // One compute clock per stream — mirrors crate::overlap exactly so the
-    // shadow and the real simulator can never disagree on lane discipline.
-    let k = plan.streams.as_ref().map_or(1, |s| s.num_streams.max(1));
-    let stream_of = |u: usize| -> usize {
-        plan.streams
-            .as_ref()
-            .and_then(|s| s.unit_stream.get(u).copied())
-            .unwrap_or(0)
-            .min(k - 1)
+    // One compute clock per (device, stream).
+    let (unit_stream, k) = match &plan.streams {
+        Some(s) => (s.unit_stream.as_slice(), s.num_streams.max(1)),
+        None => (&[][..], 1),
     };
-    let mut stream_free = vec![0.0f64; k];
+    let mut lane_free = vec![0.0f64; ndev * k];
     let mut times = Vec::with_capacity(plan.steps.len());
     for step in &plan.steps {
         match *step {
-            Step::CopyIn { data: d, .. } => {
-                let dur = transfer_time(dev, g.data(d).bytes());
-                let start = h2d_free.max(host_ready[d.index()]).max(free_horizon);
+            Step::CopyIn { device, data } => {
+                let at = device * nd + data.index();
+                let dur = machine.bus.transfer_time(g.data(data).bytes());
+                let start = h2d_free
+                    .max(host_ready[data.index()])
+                    .max(free_horizon[device]);
                 h2d_free = start + dur;
-                device_ready[d.index()] = h2d_free;
-                last_touch[d.index()] = h2d_free;
+                device_ready[at] = h2d_free;
+                last_touch[at] = h2d_free;
                 times.push((start, h2d_free));
             }
-            Step::CopyOut { data: d, .. } => {
-                let dur = transfer_time(dev, g.data(d).bytes());
-                let start = d2h_free.max(device_ready[d.index()]);
+            Step::CopyOut { device, data } => {
+                let at = device * nd + data.index();
+                let dur = machine.bus.transfer_time(g.data(data).bytes());
+                let start = d2h_free.max(device_ready[at]);
                 d2h_free = start + dur;
-                host_ready[d.index()] = d2h_free;
-                last_touch[d.index()] = last_touch[d.index()].max(d2h_free);
+                host_ready[data.index()] = host_ready[data.index()].max(d2h_free);
+                last_touch[at] = last_touch[at].max(d2h_free);
                 times.push((start, d2h_free));
             }
-            Step::Free { data: d, .. } => {
-                let h = last_touch[d.index()];
-                free_horizon = free_horizon.max(h);
+            Step::Free { device, data } => {
+                let h = last_touch[device * nd + data.index()];
+                free_horizon[device] = free_horizon[device].max(h);
                 times.push((h, h));
             }
             Step::Launch(u) => {
                 let unit = &plan.units[u];
-                let s = stream_of(u);
-                let mut start = stream_free[s].max(free_horizon);
+                let dev = plan.unit_device[u];
+                let lane = dev * k + unit_stream.get(u).copied().unwrap_or(0).min(k - 1);
+                let mut start = lane_free[lane].max(free_horizon[dev]);
                 for d in unit.external_inputs(g) {
-                    start = start.max(device_ready[d.index()]);
+                    start = start.max(device_ready[dev * nd + d.index()]);
                 }
-                let mut dur = 0.0f64;
-                for &o in &unit.ops {
-                    let node = g.op(o);
-                    let ins: Vec<_> = node.inputs.iter().map(|&i| g.shape(i)).collect();
-                    let c = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
-                    dur += kernel_time(
-                        dev,
-                        Work {
-                            flops: c.flops,
-                            bytes: c.bytes,
-                        },
-                    );
-                }
-                let end = start + dur;
-                stream_free[s] = end;
+                let end = start + unit_compute_time(g, unit, &machine.devices[dev]);
+                lane_free[lane] = end;
                 for d in unit.outputs(g) {
-                    device_ready[d.index()] = end;
+                    device_ready[dev * nd + d.index()] = end;
                 }
                 for &o in &unit.ops {
                     let node = g.op(o);
                     for &i in &node.inputs {
-                        last_touch[i.index()] = last_touch[i.index()].max(end);
+                        let at = dev * nd + i.index();
+                        last_touch[at] = last_touch[at].max(end);
                     }
-                    let out = node.outputs[0].index();
+                    let out = dev * nd + node.outputs[0].index();
                     last_touch[out] = last_touch[out].max(end);
                 }
                 times.push((start, end));
@@ -134,22 +135,7 @@ pub fn serial_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> V
                     transfer_time(dev, g.data(d).bytes())
                 }
                 Step::Free { .. } => 0.0,
-                Step::Launch(u) => plan.units[u]
-                    .ops
-                    .iter()
-                    .map(|&o| {
-                        let node = g.op(o);
-                        let ins: Vec<_> = node.inputs.iter().map(|&i| g.shape(i)).collect();
-                        let c = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
-                        kernel_time(
-                            dev,
-                            Work {
-                                flops: c.flops,
-                                bytes: c.bytes,
-                            },
-                        )
-                    })
-                    .sum(),
+                Step::Launch(u) => unit_compute_time(g, &plan.units[u], dev),
             };
             let start = t;
             t += dur;
@@ -193,7 +179,7 @@ mod tests {
         let cert = plan.certify(pg);
         assert!(cert.certified(), "{:?}", cert.diagnostics);
         for times in [
-            overlap_step_times(pg, plan, &dev),
+            step_times(pg, plan, &Machine::single(&dev)),
             serial_step_times(pg, plan, &dev),
         ] {
             assert_eq!(times.len(), plan.steps.len());

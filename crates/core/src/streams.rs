@@ -497,12 +497,12 @@ mod tests {
         let so = overlapped_makespan(&g, &serial, &dev);
         let to = overlapped_makespan(&g, &streamed, &dev);
         assert!(
-            to.overlapped_time <= so.overlapped_time + 1e-12,
+            to.makespan <= so.makespan + 1e-12,
             "2 streams must not lose: {:.6} vs {:.6}",
-            to.overlapped_time,
-            so.overlapped_time
+            to.makespan,
+            so.makespan
         );
-        assert_eq!(to.stream_busy.len(), 2);
+        assert_eq!(to.compute_busy.len(), 2);
     }
 
     #[test]
@@ -549,15 +549,15 @@ mod tests {
         let so = overlapped_makespan(&g, &serial, &dev);
         let to = overlapped_makespan(&g, &streamed, &dev);
         assert!(
-            to.overlapped_time < so.overlapped_time - 1e-12,
+            to.makespan < so.makespan - 1e-12,
             "2 streams must strictly beat 1: {:.6} !< {:.6}",
-            to.overlapped_time,
-            so.overlapped_time
+            to.makespan,
+            so.makespan
         );
         assert!(
-            to.stream_busy.iter().all(|&b| b > 0.0),
+            to.compute_busy.iter().all(|&b| b > 0.0),
             "{:?}",
-            to.stream_busy
+            to.compute_busy
         );
     }
 

@@ -1,6 +1,7 @@
 //! Cluster descriptions: a set of (possibly heterogeneous) devices hanging
 //! off one host, sharing a single PCIe fabric.
 
+use gpuflow_core::Machine;
 use gpuflow_sim::{BusSpec, DeviceSpec};
 
 /// A simulated multi-GPU machine: N devices behind one shared bus.
@@ -29,6 +30,12 @@ impl Cluster {
     pub fn homogeneous(dev: DeviceSpec, n: usize) -> Cluster {
         assert!(n > 0, "a cluster needs at least one device");
         Cluster::new(vec![dev; n])
+    }
+
+    /// The cluster as a simulated machine: its devices behind the shared,
+    /// backfilling fabric.
+    pub fn machine(&self) -> Machine<'_> {
+        Machine::cluster(&self.devices, &self.bus)
     }
 
     /// Number of devices.

@@ -15,10 +15,11 @@
 //!   (`gpuflow_core::xfer`): one global topological unit order,
 //!   per-device Belady eviction and eager free, and explicit **staged**
 //!   device→host→device inter-device copies;
-//! * [`makespan`] — the shared-bus overlap simulation: per-device compute
-//!   lanes arbitrating FCFS for one bus, which is what bends the
-//!   scalability curve at high device counts;
-//! * [`planner`] — [`compile_multi`], the end-to-end entry point;
+//! * [`planner`] — [`compile_multi`], the end-to-end entry point, and
+//!   [`MultiCompiled::simulate`]: the one overlap simulator
+//!   ([`gpuflow_core::overlap`]) on [`Cluster::machine`] — per-device
+//!   compute lanes racing one shared, backfilling bus, which is what
+//!   bends the scalability curve at high device counts;
 //! * [`resilient`] — fault-tolerant execution under an injected fault
 //!   schedule ([`gpuflow_chaos`]), including failover replanning of the
 //!   not-yet-executed suffix onto surviving devices after a hard device
@@ -33,7 +34,6 @@
 
 pub mod admission;
 pub mod cluster;
-pub mod makespan;
 pub mod observe;
 pub mod planner;
 pub mod resilient;
@@ -42,11 +42,7 @@ pub mod shard;
 
 pub use admission::{AdmissionError, AdmissionLedger, Reservation};
 pub use cluster::{parse_cluster, Cluster};
-pub use makespan::{
-    multi_overlapped_makespan, multi_overlapped_trace, multi_overlapped_trace_profiled,
-    multi_step_times, render_multi_gantt, MultiGapEvent, MultiLane, MultiLaneEvent, MultiOutcome,
-};
-pub use observe::{tid_compute, trace_multi_lanes, TID_BUS_D2H, TID_BUS_H2D};
+pub use observe::record_cluster_metrics;
 pub use planner::{compile_multi, compile_multi_traced, MultiCompiled};
 pub use resilient::{MultiResilientOutcome, ResilientMultiExecutor};
 pub use schedule::{schedule_multi_transfers, MultiXferOptions};

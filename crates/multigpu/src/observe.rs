@@ -1,66 +1,25 @@
-//! Adapters from the cluster simulation onto [`gpuflow_trace`] tracks.
+//! The cluster simulation's aggregate numbers as `cluster.*` metrics.
 //!
-//! Mirrors [`gpuflow_core::observe`] for the multi-device case: the
-//! shared-bus lane events of [`crate::makespan`] are projected onto the
-//! [`PID_CLUSTER`] track — one thread per bus channel plus one per device
-//! compute engine — and the simulation's aggregate numbers become
-//! `cluster.*` metrics. Bus byte arguments come from the same
-//! [`MultiLaneEvent::bytes`] the bus accounting uses, so the exported
-//! trace reconciles exactly with [`MultiOutcome::bus_bytes`].
+//! The lanes themselves — the shared-bus channels and one compute thread
+//! per device on the [`gpuflow_trace::PID_CLUSTER`] track — are projected
+//! by [`gpuflow_core::trace_lanes`], the same emitter a single device
+//! uses; what is particular to a cluster is only this summary.
 
-use gpuflow_trace::{kv, Tracer, PID_CLUSTER};
+use gpuflow_core::OverlapOutcome;
+use gpuflow_trace::Tracer;
 
-use crate::makespan::{MultiLane, MultiLaneEvent, MultiOutcome};
-
-/// Thread id of the shared host→device bus channel on [`PID_CLUSTER`].
-pub const TID_BUS_H2D: u32 = 0;
-/// Thread id of the shared device→host bus channel on [`PID_CLUSTER`].
-pub const TID_BUS_D2H: u32 = 1;
-/// Thread id of device `d`'s compute engine on [`PID_CLUSTER`].
-pub fn tid_compute(device: usize) -> u32 {
-    2 + device as u32
-}
-
-/// Project the cluster lane events onto the [`PID_CLUSTER`] track and
-/// record the outcome's aggregates as `cluster.*` metrics.
-pub fn trace_multi_lanes(
-    tracer: &mut Tracer,
-    events: &[MultiLaneEvent],
-    outcome: &MultiOutcome,
-    ndev: usize,
-) {
+/// Record a cluster simulation's aggregates as `cluster.*` metrics.
+pub fn record_cluster_metrics(tracer: &mut Tracer, outcome: &OverlapOutcome) {
     if !tracer.is_enabled() {
         return;
-    }
-    tracer.name_process(PID_CLUSTER, "cluster (simulated, shared bus)");
-    tracer.name_thread(PID_CLUSTER, TID_BUS_H2D, "bus H2D");
-    tracer.name_thread(PID_CLUSTER, TID_BUS_D2H, "bus D2H");
-    for d in 0..ndev {
-        tracer.name_thread(PID_CLUSTER, tid_compute(d), &format!("GPU{d} compute"));
-    }
-    for e in events {
-        let (tid, cat) = match e.lane {
-            MultiLane::BusH2d => (TID_BUS_H2D, "h2d"),
-            MultiLane::BusD2h => (TID_BUS_D2H, "d2h"),
-            MultiLane::Compute(d) => (tid_compute(d), "kernel"),
-        };
-        tracer.virtual_span(
-            PID_CLUSTER,
-            tid,
-            cat,
-            &e.label,
-            e.start,
-            e.end,
-            vec![kv("bytes", e.bytes)],
-        );
     }
     let m = tracer.metrics();
     m.set("cluster.bus_bytes_moved", outcome.bus_bytes);
     m.gauge("cluster.makespan_s", outcome.makespan);
     m.gauge("cluster.serial_time_s", outcome.serial_time);
     m.gauge("cluster.speedup", outcome.speedup());
-    m.gauge("cluster.bus_h2d_busy_s", outcome.bus_h2d_busy);
-    m.gauge("cluster.bus_d2h_busy_s", outcome.bus_d2h_busy);
+    m.gauge("cluster.bus_h2d_busy_s", outcome.h2d_busy);
+    m.gauge("cluster.bus_d2h_busy_s", outcome.d2h_busy);
 }
 
 #[cfg(test)]
@@ -68,9 +27,10 @@ mod tests {
     use super::*;
     use crate::planner::compile_multi_traced;
     use crate::Cluster;
+    use gpuflow_core::trace_lanes;
     use gpuflow_graph::{DataKind, Graph, OpKind};
     use gpuflow_sim::device::tesla_c870;
-    use gpuflow_trace::{sum_event_arg, validate_chrome_trace};
+    use gpuflow_trace::{sum_event_arg, validate_chrome_trace, PID_CLUSTER};
 
     fn tiny_graph() -> Graph {
         let mut g = Graph::new();
@@ -86,8 +46,10 @@ mod tests {
         let cluster = Cluster::homogeneous(tesla_c870(), 2);
         let mut tracer = Tracer::new();
         let c = compile_multi_traced(&g, &cluster, 0.05, &mut tracer).unwrap();
-        let (out, events) = c.trace();
-        trace_multi_lanes(&mut tracer, &events, &out, cluster.len());
+        let sim = c.simulate();
+        let out = &sim.outcome;
+        trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+        record_cluster_metrics(&mut tracer, out);
         let doc = tracer.chrome_trace();
         validate_chrome_trace(&doc).unwrap();
         let h2d = sum_event_arg(&doc, "h2d", "bytes", Some(PID_CLUSTER));
@@ -103,22 +65,5 @@ mod tests {
             tracer.metrics_ref().counter("cluster.bus_bytes"),
             c.plan.bus_bytes(&c.sharded.split.graph)
         );
-    }
-
-    #[test]
-    fn compute_lanes_get_one_thread_per_device() {
-        let g = tiny_graph();
-        let cluster = Cluster::homogeneous(tesla_c870(), 3);
-        let c = crate::planner::compile_multi(&g, &cluster, 0.05).unwrap();
-        let (out, events) = c.trace();
-        let mut tracer = Tracer::new();
-        trace_multi_lanes(&mut tracer, &events, &out, 3);
-        let kernel_tids: std::collections::BTreeSet<u32> = tracer
-            .events()
-            .iter()
-            .filter(|e| e.cat == "kernel")
-            .map(|e| e.tid)
-            .collect();
-        assert!(kernel_tids.iter().all(|t| (2..5).contains(t)));
     }
 }

@@ -1,14 +1,13 @@
 //! End-to-end multi-device compilation: shard, partition, order, schedule.
 
 use gpuflow_core::{
-    partition_offload_units, schedule_units, ExecutionPlan, FrameworkError, OpScheduler,
-    PartitionPolicy,
+    partition_offload_units, schedule_units, simulate, ExecutionPlan, FrameworkError, LaneEvent,
+    OpScheduler, OverlapOutcome, PartitionPolicy, Simulation,
 };
 use gpuflow_graph::Graph;
 use gpuflow_trace::{kv, Tracer};
 
 use crate::cluster::Cluster;
-use crate::makespan::{multi_overlapped_trace, MultiLaneEvent, MultiOutcome};
 use crate::schedule::{schedule_multi_transfers, MultiXferOptions};
 use crate::shard::{shard_graph, ShardedGraph};
 
@@ -24,14 +23,26 @@ pub struct MultiCompiled {
 }
 
 impl MultiCompiled {
-    /// Simulate the plan on the cluster (shared-bus overlap model).
-    pub fn outcome(&self) -> MultiOutcome {
-        self.trace().0
+    /// Simulate the plan on the cluster: per-device compute lanes racing
+    /// the shared, backfilling bus ([`gpuflow_core::overlap`]).
+    pub fn simulate(&self) -> Simulation {
+        simulate(
+            &self.sharded.split.graph,
+            &self.plan,
+            &self.cluster.machine(),
+        )
     }
 
-    /// Simulate and also return the lane events for rendering.
-    pub fn trace(&self) -> (MultiOutcome, Vec<MultiLaneEvent>) {
-        multi_overlapped_trace(&self.sharded.split.graph, &self.plan, &self.cluster)
+    /// The simulated outcome alone.
+    pub fn outcome(&self) -> OverlapOutcome {
+        self.simulate().outcome
+    }
+
+    /// The outcome and the lane events.
+    // Survives as an adapter: perf/src/layers.rs reads `.trace().0.makespan`.
+    pub fn trace(&self) -> (OverlapOutcome, Vec<LaneEvent>) {
+        let sim = self.simulate();
+        (sim.outcome, sim.events)
     }
 
     /// Run the static analyzer against the devices' full capacities.

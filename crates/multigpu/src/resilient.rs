@@ -24,7 +24,7 @@
 //!
 //! **Time model.** The resilient walk runs on the *serialized* clock (one
 //! [`Timeline`], like the single-GPU executor), not the overlapped
-//! shared-bus model of [`crate::makespan`] — retries, stalls, and replans
+//! shared-bus model of [`gpuflow_core::overlap`] — retries, stalls, and replans
 //! interleave with ordinary steps on one deterministic timeline. Host CPU
 //! fallback is modelled as the producing operator's device kernel time ×
 //! [`RecoveryOptions::cpu_slowdown`]. Makespans from this walk are

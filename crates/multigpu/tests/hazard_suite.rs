@@ -7,9 +7,9 @@
 //! also checked pair by pair against a plain closure of the same edges.
 
 use gpuflow_core::examples::fig3_graph;
-use gpuflow_core::{CompileOptions, Framework, Step};
+use gpuflow_core::{step_times, CompileOptions, Framework, Step};
 use gpuflow_graph::Graph;
-use gpuflow_multi::{compile_multi, multi_step_times, parse_cluster};
+use gpuflow_multi::{compile_multi, parse_cluster};
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_templates::{cnn, edge};
 use gpuflow_verify::ConcurrencyReport;
@@ -48,7 +48,7 @@ fn bundled_templates_certify_on_one_two_and_four_devices() {
             // Static and dynamic agreement: replay the executor's own
             // step-granular sync discipline and check every
             // happens-before edge against the resulting intervals.
-            let times = multi_step_times(&c.sharded.split.graph, &c.plan, &c.cluster);
+            let times = step_times(&c.sharded.split.graph, &c.plan, &c.cluster.machine());
             let v = cert.dynamic_violations(&times);
             assert!(
                 v.is_empty(),
@@ -56,8 +56,7 @@ fn bundled_templates_certify_on_one_two_and_four_devices() {
             );
             // The real simulator also runs clean; in debug builds its own
             // sanitizer assertion re-checks the same property internally.
-            let (o, _) = c.trace();
-            assert!(o.makespan > 0.0, "{name}@{spec}");
+            assert!(c.outcome().makespan > 0.0, "{name}@{spec}");
         }
     }
 }

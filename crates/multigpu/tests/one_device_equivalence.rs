@@ -4,11 +4,25 @@
 //! same plan — step for step — with the same statistics, and must reject
 //! the same budgets. The two entry points share one scheduler body and
 //! one analyzer; this is the regression guard that keeps it so.
+//!
+//! The same holds one layer up, with one stated exception. Simulating
+//! that plan on the single-device machine and on a one-device cluster
+//! gives bit-identical shadow clocks, serial times, per-lane busy times
+//! and bus bytes — everything that does not depend on how a transfer
+//! channel orders its grants. The makespan itself may differ (it does on
+//! a few of these DAGs): the single device's DMA engines are
+//! issue-ordered, the cluster's fabric backfills
+//! (`gpuflow_core::overlap`). Both stay inside the occupancy/serial band,
+//! tile every lane and pass the sanitizer.
 
 use gpuflow_core::xfer::{schedule_transfers, EvictionPolicy, XferOptions};
-use gpuflow_core::{partition_offload_units, schedule_units, OpScheduler, PartitionPolicy};
+use gpuflow_core::{
+    assert_hb_consistent, partition_offload_units, schedule_units, simulate, step_times,
+    ExecutionPlan, Machine, OpScheduler, PartitionPolicy, Simulation,
+};
 use gpuflow_graph::{DataId, DataKind, Graph, OpKind};
-use gpuflow_multi::{schedule_multi_transfers, MultiXferOptions};
+use gpuflow_multi::{schedule_multi_transfers, Cluster, MultiXferOptions};
+use gpuflow_sim::device::tesla_c870;
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -56,6 +70,73 @@ fn random_dag(rng: &mut TestRng, ops: usize) -> Graph {
         }
     }
     g
+}
+
+/// `sim` stays inside `busy_lower_bound ≤ makespan ≤ serial_time` and its
+/// events and gaps tile `[0, makespan]` on every lane with shared
+/// endpoints.
+fn check_band_and_tiling(sim: &Simulation, tag: &str) -> Result<(), TestCaseError> {
+    let out = &sim.outcome;
+    prop_assert!(out.busy_lower_bound() <= out.makespan + 1e-12, "{}", tag);
+    prop_assert!(out.makespan <= out.serial_time + 1e-12, "{}", tag);
+    for lane in sim.lanes.lanes.iter().map(|l| l.lane) {
+        let mut iv: Vec<(f64, f64)> = sim
+            .events
+            .iter()
+            .filter(|e| e.lane == lane)
+            .map(|e| (e.start, e.end))
+            .chain(
+                sim.gaps
+                    .iter()
+                    .filter(|e| e.lane == lane)
+                    .map(|e| (e.start, e.end)),
+            )
+            .collect();
+        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut cursor = 0.0f64;
+        for (start, end) in iv {
+            prop_assert_eq!(start, cursor, "{} {:?}: hole or overlap", tag, lane);
+            cursor = end;
+        }
+        prop_assert_eq!(
+            cursor,
+            out.makespan,
+            "{} {:?}: short of the makespan",
+            tag,
+            lane
+        );
+    }
+    Ok(())
+}
+
+/// Simulate one plan on the single-device machine and on a one-device
+/// cluster of the same device, and compare everything the channel
+/// discipline cannot touch.
+fn check_simulations_agree(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    budget: u64,
+) -> Result<(), TestCaseError> {
+    let dev = tesla_c870().with_memory(budget);
+    let cluster = Cluster::homogeneous(dev.clone(), 1);
+    let (single, clustered) = (Machine::single(&dev), cluster.machine());
+    let times = step_times(g, plan, &single);
+    let bits = |t: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        t.iter().map(|&(s, e)| (s.to_bits(), e.to_bits())).collect()
+    };
+    prop_assert_eq!(bits(&times), bits(&step_times(g, plan, &clustered)));
+    assert_hb_consistent(g, plan, &times, "one_device_equivalence");
+    let (a, b) = (simulate(g, plan, &single), simulate(g, plan, &clustered));
+    let (oa, ob) = (&a.outcome, &b.outcome);
+    prop_assert_eq!(oa.serial_time.to_bits(), ob.serial_time.to_bits());
+    prop_assert_eq!(oa.h2d_busy.to_bits(), ob.h2d_busy.to_bits());
+    prop_assert_eq!(oa.d2h_busy.to_bits(), ob.d2h_busy.to_bits());
+    prop_assert_eq!(oa.compute_busy.len(), 1);
+    prop_assert_eq!(oa.compute_busy[0].to_bits(), ob.compute_busy[0].to_bits());
+    prop_assert_eq!(oa.bus_bytes, ob.bus_bytes);
+    prop_assert_eq!(oa.bus_bytes, plan.bus_bytes(g));
+    check_band_and_tiling(&a, "single device")?;
+    check_band_and_tiling(&b, "one-device cluster")
 }
 
 proptest! {
@@ -112,6 +193,7 @@ proptest! {
                     prop_assert_eq!(a.stats, b.stats);
                     prop_assert_eq!(single.stats(&g), b.stats);
                     prop_assert_eq!(&b.peak_per_device, &vec![a.stats.peak_bytes]);
+                    check_simulations_agree(&g, &single, budget)?;
                 }
                 (Err(_), Err(_)) => prop_assert!(budget < floor, "rejected a feasible budget"),
                 (single, cluster) => prop_assert!(

@@ -12,7 +12,7 @@ use gpuflow_core::framework::DEFAULT_MARGINS;
 use gpuflow_core::{CompileOptions, EvictionPolicy, ExecutionPlan, OverlapOutcome, Step};
 use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
-use gpuflow_multi::{MultiCompiled, MultiOutcome};
+use gpuflow_multi::MultiCompiled;
 use gpuflow_sim::{transfer_time, DeviceSpec};
 
 /// One advisor estimate: a knob change and its projected makespan.
@@ -41,12 +41,29 @@ impl WhatIf {
     }
 }
 
-/// Compute-scaling estimate: total compute work `compute` redistributes
-/// from `k` engines to `k2`, every other term untouched, clamped at the
-/// critical-path lower bound.
-fn scaled_compute(makespan: f64, compute: f64, k: usize, k2: usize, cp_len: f64) -> f64 {
-    let delta = compute * (1.0 / k as f64 - 1.0 / k2 as f64);
-    (makespan - delta).max(cp_len)
+/// Compute-scaling estimates for `n ± 1` engines of kind `knob`
+/// (`streams` or `devices`): total compute work `compute` redistributes
+/// from `n` engines to the neighbour count, every other term untouched,
+/// clamped at the critical-path lower bound.
+fn scaling_advice(knob: &str, makespan: f64, compute: f64, n: usize, cp_len: f64) -> Vec<WhatIf> {
+    let neighbours = if n > 1 {
+        vec![n + 1, n - 1]
+    } else {
+        vec![n + 1]
+    };
+    neighbours
+        .into_iter()
+        .map(|n2| {
+            let delta = compute * (1.0 / n as f64 - 1.0 / n2 as f64);
+            let est = (makespan - delta).max(cp_len);
+            WhatIf {
+                knob: format!("{knob}={n2}"),
+                estimated_s: est,
+                delta_s: est - makespan,
+                basis: format!("compute redistributed across {knob}, clamped at the critical path"),
+            }
+        })
+        .collect()
 }
 
 /// The next fragmentation-margin rung above `margin`, if any.
@@ -97,27 +114,10 @@ pub fn advise_single(
     out: &OverlapOutcome,
     cp_len: f64,
 ) -> Vec<WhatIf> {
-    let makespan = out.overlapped_time;
+    let makespan = out.makespan;
     let k = plan.streams.as_ref().map_or(1, |s| s.num_streams.max(1));
-    let mut advice = Vec::new();
-    let scaling = "compute redistributed across streams, clamped at the critical path";
-    let est = scaled_compute(makespan, out.compute_busy, k, k + 1, cp_len);
-    advice.push(WhatIf {
-        knob: format!("streams={}", k + 1),
-        estimated_s: est,
-        delta_s: est - makespan,
-        basis: scaling.to_string(),
-    });
-    if k > 1 {
-        let est = scaled_compute(makespan, out.compute_busy, k, k - 1, cp_len);
-        advice.push(WhatIf {
-            knob: format!("streams={}", k - 1),
-            estimated_s: est,
-            delta_s: est - makespan,
-            basis: scaling.to_string(),
-        });
-    }
-    if let Some(w) = margin_step(makespan, out.h2d_busy + out.d2h_busy, opts.memory_margin) {
+    let mut advice = scaling_advice("streams", makespan, out.compute_total(), k, cp_len);
+    if let Some(w) = margin_step(makespan, out.copy_busy(), opts.memory_margin) {
         advice.push(w);
     }
     let evictions = plan.evictions();
@@ -156,31 +156,13 @@ pub fn advise_single(
 pub fn advise_cluster(
     c: &MultiCompiled,
     margin: f64,
-    out: &MultiOutcome,
+    out: &OverlapOutcome,
     cp_len: f64,
 ) -> Vec<WhatIf> {
     let makespan = out.makespan;
     let n = c.cluster.len();
-    let compute: f64 = out.compute_busy.iter().sum();
-    let mut advice = Vec::new();
-    let scaling = "compute redistributed across devices, clamped at the critical path";
-    let est = scaled_compute(makespan, compute, n, n + 1, cp_len);
-    advice.push(WhatIf {
-        knob: format!("devices={}", n + 1),
-        estimated_s: est,
-        delta_s: est - makespan,
-        basis: scaling.to_string(),
-    });
-    if n > 1 {
-        let est = scaled_compute(makespan, compute, n, n - 1, cp_len);
-        advice.push(WhatIf {
-            knob: format!("devices={}", n - 1),
-            estimated_s: est,
-            delta_s: est - makespan,
-            basis: scaling.to_string(),
-        });
-    }
-    if let Some(w) = margin_step(makespan, out.bus_h2d_busy + out.bus_d2h_busy, margin) {
+    let mut advice = scaling_advice("devices", makespan, out.compute_total(), n, cp_len);
+    if let Some(w) = margin_step(makespan, out.copy_busy(), margin) {
         advice.push(w);
     }
     advice

@@ -1,8 +1,8 @@
 //! Exact makespan attribution: per-engine busy/gap rollup, taxonomy
 //! totals, dominant bottleneck, and the critical path.
 //!
-//! All durations are carried in **rounded nanoseconds**. The simulators
-//! guarantee that each engine's busy events and attributed gaps tile
+//! All durations are carried in **rounded nanoseconds**. The simulator
+//! guarantees that each engine's busy events and attributed gaps tile
 //! `[0, makespan]` with *shared* `f64` endpoints, so the per-interval
 //! `ns(end) - ns(start)` sums telescope: every engine's total equals
 //! `ns(makespan)` exactly, with zero drift, or [`profile_plan`] /
@@ -10,13 +10,12 @@
 
 use std::collections::HashMap;
 
-use gpuflow_core::overlap::Lane;
 use gpuflow_core::{
-    overlap_step_times, overlapped_trace_profiled, CompileOptions, ExecutionPlan, GapCause, Step,
+    simulate, step_times, CompileOptions, ExecutionPlan, GapCause, Machine, OverlapOutcome, Step,
 };
 use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
-use gpuflow_multi::{multi_overlapped_trace_profiled, multi_step_times, MultiCompiled, MultiLane};
+use gpuflow_multi::MultiCompiled;
 use gpuflow_sim::DeviceSpec;
 use gpuflow_verify::{critical_path, dependency_critical_path};
 
@@ -204,61 +203,10 @@ impl ProfileReport {
     }
 }
 
-/// Sum `ns(end) - ns(start)` over intervals — rounding the *endpoints*,
-/// not the durations, so shared endpoints telescope exactly.
-fn interval_ns(intervals: impl Iterator<Item = (f64, f64)>) -> u64 {
-    intervals.map(|(s, e)| ns(e).saturating_sub(ns(s))).sum()
-}
-
-/// Assemble engines from `(lane, busy intervals, gap intervals)` keyed by
-/// label, verify the tiling invariant, and pick the dominant bucket.
-struct Builder {
-    order: Vec<String>,
-    engines: HashMap<String, EngineBreakdown>,
-}
-
-impl Builder {
-    fn new() -> Builder {
-        Builder {
-            order: Vec::new(),
-            engines: HashMap::new(),
-        }
-    }
-
-    fn engine(&mut self, lane: &str, is_compute: bool) -> &mut EngineBreakdown {
-        if !self.engines.contains_key(lane) {
-            self.order.push(lane.to_string());
-            self.engines.insert(
-                lane.to_string(),
-                EngineBreakdown {
-                    lane: lane.to_string(),
-                    is_compute,
-                    busy_ns: 0,
-                    gap_ns: [0; NUM_CAUSES],
-                    gaps: Vec::new(),
-                },
-            );
-        }
-        self.engines.get_mut(lane).expect("just inserted")
-    }
-
-    fn busy(&mut self, lane: &str, is_compute: bool, start: f64, end: f64) {
-        self.engine(lane, is_compute).busy_ns += interval_ns(std::iter::once((start, end)));
-    }
-
-    fn gap(&mut self, lane: &str, is_compute: bool, start: f64, end: f64, cause: GapCause) {
-        let e = self.engine(lane, is_compute);
-        e.gap_ns[cause_idx(cause)] += interval_ns(std::iter::once((start, end)));
-        e.gaps.push((start, end, cause));
-    }
-
-    fn finish(self) -> Vec<EngineBreakdown> {
-        let mut engines = self.engines;
-        self.order
-            .iter()
-            .map(|lane| engines.remove(lane).expect("tracked in order"))
-            .collect()
-    }
+/// `ns(end) - ns(start)` — rounding the *endpoints*, not the duration, so
+/// sums over intervals with shared endpoints telescope exactly.
+fn interval_ns(start: f64, end: f64) -> u64 {
+    ns(end).saturating_sub(ns(start))
 }
 
 /// Dominant bucket over compute lanes: `compute` busy time vs. each gap
@@ -280,12 +228,20 @@ fn dominance(engines: &[EngineBreakdown], makespan_ns: u64) -> (String, f64) {
     (best.0, best.1 as f64 / denom as f64)
 }
 
-/// Human label for a single-device plan step.
-fn step_label(g: &Graph, plan: &ExecutionPlan, step: &Step) -> String {
+/// Human label for plan step `step`; on a shared bus, transfers and frees
+/// say which device they serve.
+fn step_label(g: &Graph, plan: &ExecutionPlan, step: &Step, shared_bus: bool) -> String {
+    let at = |device: usize| {
+        if shared_bus {
+            format!("@gpu{device}")
+        } else {
+            String::new()
+        }
+    };
     match *step {
-        Step::CopyIn { data: d, .. } => format!("in:{}", g.data(d).name),
-        Step::CopyOut { data: d, .. } => format!("out:{}", g.data(d).name),
-        Step::Free { data: d, .. } => format!("free:{}", g.data(d).name),
+        Step::CopyIn { device, data } => format!("in:{}{}", g.data(data).name, at(device)),
+        Step::CopyOut { device, data } => format!("out:{}{}", g.data(data).name, at(device)),
+        Step::Free { device, data } => format!("free:{}{}", g.data(data).name, at(device)),
         Step::Launch(u) => plan.units[u]
             .ops
             .iter()
@@ -303,186 +259,111 @@ fn top_units(busy: HashMap<String, u64>, cap: usize) -> Vec<(String, u64)> {
     units
 }
 
-fn summarize_path(
-    steps: &[usize],
-    length_s: f64,
-    makespan_s: f64,
-    times: &[(f64, f64)],
-    labels: impl Fn(usize) -> String,
-) -> CriticalSummary {
-    CriticalSummary {
-        length_s,
+/// The one profile body: simulate `plan` on `machine` with gap
+/// attribution, extract the critical path from the plan's happens-before
+/// certificate, and attach `advise(outcome, critical-path length)`.
+fn profile_on(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    machine: &Machine,
+    advise: impl FnOnce(&OverlapOutcome, f64) -> Vec<WhatIf>,
+) -> Result<ProfileReport, String> {
+    let sim = simulate(g, plan, machine);
+    // One row per lane of the machine, in table order (transfer channels
+    // first, then every compute lane) — engines with no events still get
+    // a row: their whole makespan is an attributed gap.
+    let mut engines: Vec<EngineBreakdown> = sim
+        .lanes
+        .lanes
+        .iter()
+        .map(|info| EngineBreakdown {
+            lane: info.label.clone(),
+            is_compute: info.lane.device_stream().is_some(),
+            busy_ns: 0,
+            gap_ns: [0; NUM_CAUSES],
+            gaps: Vec::new(),
+        })
+        .collect();
+    let mut unit_busy: HashMap<String, u64> = HashMap::new();
+    for e in &sim.events {
+        let engine = &mut engines[sim.lanes.index(e.lane)];
+        let busy = interval_ns(e.start, e.end);
+        engine.busy_ns += busy;
+        if engine.is_compute {
+            *unit_busy.entry(e.label.clone()).or_insert(0) += busy;
+        }
+    }
+    for gap in &sim.gaps {
+        let engine = &mut engines[sim.lanes.index(gap.lane)];
+        engine.gap_ns[cause_idx(gap.cause)] += interval_ns(gap.start, gap.end);
+        engine.gaps.push((gap.start, gap.end, gap.cause));
+    }
+
+    let makespan_s = sim.outcome.makespan;
+    let makespan_ns = ns(makespan_s);
+    let (dominant, dominant_share) = dominance(&engines, makespan_ns);
+
+    let cert = plan.certify(g);
+    let times = step_times(g, plan, machine);
+    let durations: Vec<f64> = times.iter().map(|&(s, e)| e - s).collect();
+    // A shared fabric backfills grants out of issue order, so same-lane
+    // Program edges are not enforced there and only the dependency-edge
+    // path lower-bounds the makespan; private engines honour the full DAG.
+    let cp = if machine.shared_bus() {
+        dependency_critical_path(&cert.hb, &durations)
+    } else {
+        critical_path(&cert.hb, &durations)
+    };
+    let critical = CriticalSummary {
+        length_s: cp.length,
         share: if makespan_s <= 0.0 {
             0.0
         } else {
-            length_s / makespan_s
+            cp.length / makespan_s
         },
-        spans: steps
+        spans: cp
+            .steps
             .iter()
             .map(|&i| CritSpan {
-                label: labels(i),
+                label: step_label(g, plan, &plan.steps[i], machine.shared_bus()),
                 start: times[i].0,
                 end: times[i].1,
             })
             .collect(),
-    }
+    };
+
+    let report = ProfileReport {
+        makespan_s,
+        makespan_ns,
+        engines,
+        dominant,
+        dominant_share,
+        critical_path: critical,
+        units: top_units(unit_busy, 8),
+        what_if: advise(&sim.outcome, cp.length),
+    };
+    report.reconcile()?;
+    Ok(report)
 }
 
-/// Profile a compiled single-device plan: simulate with gap attribution,
-/// extract the critical path from the plan's happens-before certificate,
-/// and attach the what-if advisor. `opts` must be the options the plan
-/// was compiled with (the advisor perturbs them).
+/// Profile a compiled single-device plan. `opts` must be the options the
+/// plan was compiled with (the advisor perturbs them).
 pub fn profile_plan(
     g: &Graph,
     plan: &ExecutionPlan,
     dev: &DeviceSpec,
     opts: &CompileOptions,
 ) -> Result<ProfileReport, String> {
-    let (out, events, gaps) = overlapped_trace_profiled(g, plan, dev);
-    let k = out.stream_busy.len().max(1);
-    let label_of = |lane: Lane| -> (String, bool) {
-        match lane {
-            Lane::H2d => ("h2d".to_string(), false),
-            Lane::D2h => ("d2h".to_string(), false),
-            Lane::Compute(s) if k == 1 => {
-                let _ = s;
-                ("gpu0".to_string(), true)
-            }
-            Lane::Compute(s) => (format!("gpu0s{s}"), true),
-        }
-    };
-
-    let mut b = Builder::new();
-    // Fixed lane order: DMA engines first, then every compute stream —
-    // engines with no events still get a row (their whole makespan is an
-    // attributed gap).
-    b.engine("h2d", false);
-    b.engine("d2h", false);
-    for s in 0..k {
-        let (lane, _) = label_of(Lane::Compute(s));
-        b.engine(&lane, true);
-    }
-    let mut unit_busy: HashMap<String, u64> = HashMap::new();
-    for e in &events {
-        let (lane, is_compute) = label_of(e.lane);
-        b.busy(&lane, is_compute, e.start, e.end);
-        if is_compute {
-            *unit_busy.entry(e.label.clone()).or_insert(0) +=
-                interval_ns(std::iter::once((e.start, e.end)));
-        }
-    }
-    for gap in &gaps {
-        let (lane, is_compute) = label_of(gap.lane);
-        b.gap(&lane, is_compute, gap.start, gap.end, gap.cause);
-    }
-    let engines = b.finish();
-
-    let makespan_s = out.overlapped_time;
-    let makespan_ns = ns(makespan_s);
-    let (dominant, dominant_share) = dominance(&engines, makespan_ns);
-
-    let cert = plan.certify(g);
-    let times = overlap_step_times(g, plan, dev);
-    let durations: Vec<f64> = times.iter().map(|&(s, e)| e - s).collect();
-    let cp = critical_path(&cert.hb, &durations);
-    let critical = summarize_path(&cp.steps, cp.length, makespan_s, &times, |i| {
-        step_label(g, plan, &plan.steps[i])
-    });
-
-    let what_if = advise_single(g, plan, dev, opts, &out, cp.length);
-
-    let report = ProfileReport {
-        makespan_s,
-        makespan_ns,
-        engines,
-        dominant,
-        dominant_share,
-        critical_path: critical,
-        units: top_units(unit_busy, 8),
-        what_if,
-    };
-    report.reconcile()?;
-    Ok(report)
-}
-
-/// Human label for a cluster plan step.
-fn multi_step_label(c: &MultiCompiled, i: usize) -> String {
-    let g = &c.sharded.split.graph;
-    match c.plan.steps[i] {
-        Step::CopyIn { device, data } => format!("in:{}@gpu{}", g.data(data).name, device),
-        Step::CopyOut { device, data } => format!("out:{}@gpu{}", g.data(data).name, device),
-        Step::Free { device, data } => format!("free:{}@gpu{}", g.data(data).name, device),
-        Step::Launch(u) => c.plan.units[u]
-            .ops
-            .iter()
-            .map(|&o| g.op(o).name.as_str())
-            .collect::<Vec<_>>()
-            .join("+"),
-    }
+    profile_on(g, plan, &Machine::single(dev), |out, cp_len| {
+        advise_single(g, plan, dev, opts, out, cp_len)
+    })
 }
 
 /// Profile a compiled cluster plan. `margin` is the planner margin the
 /// plan was compiled with (the advisor's margin knob steps it).
 pub fn profile_cluster(c: &MultiCompiled, margin: f64) -> Result<ProfileReport, String> {
     let g = &c.sharded.split.graph;
-    let (out, events, gaps) = multi_overlapped_trace_profiled(g, &c.plan, &c.cluster);
-    let ndev = c.cluster.len();
-    let label_of = |lane: MultiLane| -> (String, bool) {
-        match lane {
-            MultiLane::BusH2d => ("bus-h2d".to_string(), false),
-            MultiLane::BusD2h => ("bus-d2h".to_string(), false),
-            MultiLane::Compute(d) => (format!("gpu{d}"), true),
-        }
-    };
-
-    let mut b = Builder::new();
-    b.engine("bus-h2d", false);
-    b.engine("bus-d2h", false);
-    for d in 0..ndev {
-        b.engine(&format!("gpu{d}"), true);
-    }
-    let mut unit_busy: HashMap<String, u64> = HashMap::new();
-    for e in &events {
-        let (lane, is_compute) = label_of(e.lane);
-        b.busy(&lane, is_compute, e.start, e.end);
-        if is_compute {
-            *unit_busy.entry(e.label.clone()).or_insert(0) +=
-                interval_ns(std::iter::once((e.start, e.end)));
-        }
-    }
-    for gap in &gaps {
-        let (lane, is_compute) = label_of(gap.lane);
-        b.gap(&lane, is_compute, gap.start, gap.end, gap.cause);
-    }
-    let engines = b.finish();
-
-    let makespan_s = out.makespan;
-    let makespan_ns = ns(makespan_s);
-    let (dominant, dominant_share) = dominance(&engines, makespan_ns);
-
-    let cert = c.certify();
-    let times = multi_step_times(g, &c.plan, &c.cluster);
-    let durations: Vec<f64> = times.iter().map(|&(s, e)| e - s).collect();
-    // Dependency edges only: the cluster's shared-bus arbiter backfills
-    // grants out of issue order, so same-lane Program edges are not
-    // enforced and the full-DAG path would not lower-bound the makespan.
-    let cp = dependency_critical_path(&cert.hb, &durations);
-    let critical = summarize_path(&cp.steps, cp.length, makespan_s, &times, |i| {
-        multi_step_label(c, i)
-    });
-
-    let what_if = advise_cluster(c, margin, &out, cp.length);
-
-    let report = ProfileReport {
-        makespan_s,
-        makespan_ns,
-        engines,
-        dominant,
-        dominant_share,
-        critical_path: critical,
-        units: top_units(unit_busy, 8),
-        what_if,
-    };
-    report.reconcile()?;
-    Ok(report)
+    profile_on(g, &c.plan, &c.cluster.machine(), |out, cp_len| {
+        advise_cluster(c, margin, out, cp_len)
+    })
 }

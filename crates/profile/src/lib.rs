@@ -4,9 +4,9 @@
 //! profiler answers *why the plan takes as long as it does*:
 //!
 //! 1. **Exact bottleneck attribution** ([`attribution`]). The overlap
-//!    simulators ([`gpuflow_core::overlap`], `gpuflow_multi::makespan`)
-//!    tag every idle interval of every engine with the constraint that was
-//!    binding — the closed [`GapCause`](gpuflow_core::GapCause) taxonomy:
+//!    simulator ([`gpuflow_core::overlap`], one walk for a single device
+//!    and a cluster) tags every idle interval of every engine with the
+//!    constraint that was binding — the closed [`GapCause`](gpuflow_core::GapCause) taxonomy:
 //!    exposed upload/download/compute, stream imbalance, free-horizon
 //!    stall, bus wait, and plain idle. Per engine, busy events and
 //!    attributed gaps tile `[0, makespan]` with shared endpoints, so the

@@ -1,15 +1,18 @@
-//! Shared PCIe bus model for multi-device clusters.
+//! The host↔device link and its arbiter.
 //!
-//! Every device of a cluster hangs off one host-side PCIe fabric: all
+//! Every transfer of a plan crosses one full-duplex link — a host→device
+//! channel and a device→host channel, each serving one transfer at a time
+//! — and [`BusArbiter`] decides when each transfer gets its channel.
+//!
+//! A cluster hangs every device off one host-side PCIe fabric: all
 //! host↔device transfers — including the device→host→device staged copies
-//! that implement inter-device communication — contend for the same bus.
-//! The fabric is full duplex, like PCIe itself: one shared host→device
-//! channel and one shared device→host channel, each serving one transfer
-//! at a time across *all* devices, granted at the earliest time the
-//! channel is free once the transfer's data is ready. This mirrors the
-//! single-GPU dual-DMA-engine overlap model, except that here each
-//! channel is shared by the whole cluster — the contention that bounds
-//! scalability as the device count grows.
+//! that implement inter-device communication — contend for the same two
+//! channels, and a transfer is granted the earliest idle slot once its
+//! data is ready. That contention is what bounds scalability as the
+//! device count grows. A single device owns its link: its two DMA engines
+//! serve their copies strictly in issue order. Same timing model, same
+//! accounting, two grant disciplines ([`BusArbiter::shared`],
+//! [`BusArbiter::private`]).
 
 /// Static description of the shared host↔device interconnect.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,60 +91,117 @@ pub enum BusDir {
     D2h,
 }
 
-/// Arbiter over one [`BusSpec`]: each direction's channel serves one
-/// transfer at a time (the two directions are independent). A transfer is
-/// granted the *earliest free slot* of its channel at or after its ready
-/// time — a request whose data is ready while the channel idles slips into
-/// the gap instead of queueing behind transfers that were merely issued
-/// earlier. When the channel is saturated there are no gaps and requests
-/// serialize: this is the contention that bounds multi-device scaling.
+/// How one channel of the fabric orders the transfers it is asked for.
 #[derive(Debug, Clone)]
-pub struct SharedBus {
+enum Channel {
+    /// Issue order: a transfer starts no earlier than the one requested
+    /// before it ended, even if the channel idled in between waiting for
+    /// that one's data. One device's private DMA engine.
+    InOrder { free: f64 },
+    /// Earliest free slot: scheduled `(start, end)` intervals, sorted by
+    /// start, non-overlapping. The fabric a cluster shares.
+    Backfill { granted: Vec<(f64, f64)> },
+}
+
+/// One granted transfer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Grant {
+    /// When the transfer starts.
+    pub start: f64,
+    /// When it ends; the channel is busy for the whole interval.
+    pub end: f64,
+    /// Whether other devices' traffic on a shared fabric held the transfer
+    /// past its ready time. Never set on a private channel: queueing behind
+    /// one's own earlier copies is not contention.
+    pub contended: bool,
+}
+
+/// Arbiter over one [`BusSpec`]: each direction's channel serves one
+/// transfer at a time (the two directions are independent), under one of
+/// two disciplines fixed at construction.
+///
+/// A [`shared`](BusArbiter::shared) fabric grants a transfer the *earliest
+/// free slot* of its channel at or after its ready time — a request whose
+/// data is ready while the channel idles slips into the gap instead of
+/// queueing behind transfers that were merely issued earlier. When the
+/// channel is saturated there are no gaps and requests serialize: this is
+/// the contention that bounds multi-device scaling.
+///
+/// A [`private`](BusArbiter::private) link is a device's own pair of DMA
+/// engines: each is an issue-ordered FIFO, so a copy that waits for its
+/// data holds back every copy requested after it. The two disciplines
+/// agree whenever no request becomes ready before an earlier one; they
+/// differ when a re-upload waits on its download and a later upload could
+/// overtake it.
+#[derive(Debug, Clone)]
+pub struct BusArbiter {
     spec: BusSpec,
-    /// Per channel: scheduled `(start, end)` intervals, sorted by start,
-    /// non-overlapping.
-    granted: [Vec<(f64, f64)>; 2],
+    channels: [Channel; 2],
     busy: [f64; 2],
     bytes: u64,
 }
 
-impl SharedBus {
-    /// A bus that is idle at time zero.
-    pub fn new(spec: BusSpec) -> SharedBus {
-        SharedBus {
+impl BusArbiter {
+    /// A cluster's shared fabric (backfilling), idle at time zero.
+    pub fn shared(spec: BusSpec) -> BusArbiter {
+        BusArbiter::idle(
             spec,
-            granted: [Vec::new(), Vec::new()],
+            Channel::Backfill {
+                granted: Vec::new(),
+            },
+        )
+    }
+
+    /// One device's private link (issue-ordered), idle at time zero.
+    pub fn private(spec: BusSpec) -> BusArbiter {
+        BusArbiter::idle(spec, Channel::InOrder { free: 0.0 })
+    }
+
+    fn idle(spec: BusSpec, channel: Channel) -> BusArbiter {
+        BusArbiter {
+            spec,
+            channels: [channel.clone(), channel],
             busy: [0.0; 2],
             bytes: 0,
         }
     }
 
-    /// The bus description this arbiter serializes.
-    pub fn spec(&self) -> &BusSpec {
-        &self.spec
-    }
-
     /// Grant a transfer of `bytes` in direction `dir` whose data is
-    /// available at time `ready`. Returns the `(start, end)` interval; the
-    /// direction's channel is busy for the whole interval.
-    pub fn acquire(&mut self, dir: BusDir, ready: f64, bytes: u64) -> (f64, f64) {
+    /// available at time `ready`.
+    pub fn acquire(&mut self, dir: BusDir, ready: f64, bytes: u64) -> Grant {
         let dur = self.spec.transfer_time(bytes);
         let ch = dir as usize;
-        let slots = &mut self.granted[ch];
-        // Earliest gap of length `dur` at or after `ready`.
-        let mut start = ready;
-        let mut at = slots.len();
-        for (i, &(s, e)) in slots.iter().enumerate() {
-            if start + dur <= s {
-                at = i;
-                break;
-            }
-            start = start.max(e);
-        }
-        slots.insert(at, (start, start + dur));
         self.busy[ch] += dur;
         self.bytes += bytes;
-        (start, start + dur)
+        match &mut self.channels[ch] {
+            Channel::InOrder { free } => {
+                let start = free.max(ready);
+                *free = start + dur;
+                Grant {
+                    start,
+                    end: *free,
+                    contended: false,
+                }
+            }
+            Channel::Backfill { granted } => {
+                // Earliest gap of length `dur` at or after `ready`.
+                let mut start = ready;
+                let mut at = granted.len();
+                for (i, &(s, e)) in granted.iter().enumerate() {
+                    if start + dur <= s {
+                        at = i;
+                        break;
+                    }
+                    start = start.max(e);
+                }
+                granted.insert(at, (start, start + dur));
+                Grant {
+                    start,
+                    end: start + dur,
+                    contended: start > ready,
+                }
+            }
+        }
     }
 
     /// Time the direction's channel has spent transferring.
@@ -149,23 +209,9 @@ impl SharedBus {
         self.busy[dir as usize]
     }
 
-    /// Total transferring time across both channels.
-    pub fn total_busy_time(&self) -> f64 {
-        self.busy[0] + self.busy[1]
-    }
-
     /// Total bytes moved over the bus (both directions).
     pub fn bytes_moved(&self) -> u64 {
         self.bytes
-    }
-
-    /// Time the last scheduled transfer in direction `dir` ends (zero on
-    /// an idle channel).
-    pub fn free_at(&self, dir: BusDir) -> f64 {
-        self.granted[dir as usize]
-            .last()
-            .map(|&(_, e)| e)
-            .unwrap_or(0.0)
     }
 }
 
@@ -209,68 +255,88 @@ mod tests {
         assert_eq!(homo.bandwidth, modern().pcie_bw);
     }
 
-    #[test]
-    fn arbiter_serializes_and_accounts() {
-        let mut bus = SharedBus::new(BusSpec {
+    fn gigabyte_bus() -> BusSpec {
+        BusSpec {
             bandwidth: 1e9,
             latency_s: 0.0,
-        });
-        let (s1, e1) = bus.acquire(BusDir::H2d, 0.0, 500_000_000);
-        let (s2, e2) = bus.acquire(BusDir::H2d, 0.0, 500_000_000);
-        assert_eq!(s1, 0.0);
-        assert!((e1 - 0.5).abs() < 1e-12);
-        assert_eq!(s2, e1, "second upload waits for the channel");
-        assert!((e2 - 1.0).abs() < 1e-12);
-        assert!((bus.busy_time(BusDir::H2d) - 1.0).abs() < 1e-12);
-        assert_eq!(bus.bytes_moved(), 1_000_000_000);
+        }
+    }
+
+    #[test]
+    fn arbiter_serializes_and_accounts() {
+        for mut bus in [
+            BusArbiter::shared(gigabyte_bus()),
+            BusArbiter::private(gigabyte_bus()),
+        ] {
+            let a = bus.acquire(BusDir::H2d, 0.0, 500_000_000);
+            let b = bus.acquire(BusDir::H2d, 0.0, 500_000_000);
+            assert_eq!(a.start, 0.0);
+            assert!((a.end - 0.5).abs() < 1e-12);
+            assert_eq!(b.start, a.end, "second upload waits for the channel");
+            assert!((b.end - 1.0).abs() < 1e-12);
+            assert!((bus.busy_time(BusDir::H2d) - 1.0).abs() < 1e-12);
+            assert_eq!(bus.bytes_moved(), 1_000_000_000);
+        }
     }
 
     #[test]
     fn directions_are_independent_channels() {
-        let mut bus = SharedBus::new(BusSpec {
-            bandwidth: 1e9,
-            latency_s: 0.0,
-        });
-        let (_, up_end) = bus.acquire(BusDir::H2d, 0.0, 1_000_000_000);
-        // A download issued later does not queue behind the upload.
-        let (s, e) = bus.acquire(BusDir::D2h, 0.0, 500_000_000);
-        assert_eq!(s, 0.0, "full duplex: directions do not serialize");
-        assert!(e < up_end);
-        assert!((bus.total_busy_time() - 1.5).abs() < 1e-12);
+        for mut bus in [
+            BusArbiter::shared(gigabyte_bus()),
+            BusArbiter::private(gigabyte_bus()),
+        ] {
+            let up = bus.acquire(BusDir::H2d, 0.0, 1_000_000_000);
+            // A download issued later does not queue behind the upload.
+            let down = bus.acquire(BusDir::D2h, 0.0, 500_000_000);
+            assert_eq!(down.start, 0.0, "full duplex: directions do not serialize");
+            assert!(down.end < up.end);
+            assert_eq!(bus.busy_time(BusDir::D2h), 0.5);
+        }
     }
 
     #[test]
     fn arbiter_respects_data_readiness() {
-        let mut bus = SharedBus::new(BusSpec {
-            bandwidth: 1e9,
-            latency_s: 0.0,
-        });
-        let (s, _) = bus.acquire(BusDir::D2h, 2.0, 1000);
-        assert_eq!(s, 2.0, "transfer cannot start before its data is ready");
-        assert!(bus.free_at(BusDir::D2h) > 2.0);
-        assert_eq!(bus.free_at(BusDir::H2d), 0.0);
+        for mut bus in [
+            BusArbiter::shared(gigabyte_bus()),
+            BusArbiter::private(gigabyte_bus()),
+        ] {
+            let g = bus.acquire(BusDir::D2h, 2.0, 1000);
+            assert_eq!(g.start, 2.0, "transfer cannot start before its data");
+            assert!(!g.contended, "waiting for one's own data is not contention");
+        }
     }
 
     #[test]
     fn ready_transfer_backfills_idle_gaps() {
-        let mut bus = SharedBus::new(BusSpec {
-            bandwidth: 1e9,
-            latency_s: 0.0,
-        });
+        let mut bus = BusArbiter::shared(gigabyte_bus());
         // One device trickles uploads late in the timeline...
-        let (s1, _) = bus.acquire(BusDir::H2d, 10.0, 1_000_000_000);
-        assert_eq!(s1, 10.0);
+        let g1 = bus.acquire(BusDir::H2d, 10.0, 1_000_000_000);
+        assert_eq!(g1.start, 10.0);
         // ...another device's upload, requested afterwards but ready at
         // t=0, uses the idle channel instead of queueing behind it.
-        let (s2, e2) = bus.acquire(BusDir::H2d, 0.0, 1_000_000_000);
-        assert_eq!(s2, 0.0, "no head-of-line blocking on an idle channel");
-        assert!((e2 - 1.0).abs() < 1e-12);
+        let g2 = bus.acquire(BusDir::H2d, 0.0, 1_000_000_000);
+        assert_eq!(g2.start, 0.0, "no head-of-line blocking on an idle channel");
+        assert!((g2.end - 1.0).abs() < 1e-12);
+        assert!(!g2.contended);
         // A third transfer that overlaps the gap's tail slots in after it.
-        let (s3, _) = bus.acquire(BusDir::H2d, 0.5, 2_000_000_000);
-        assert!((s3 - 1.0).abs() < 1e-12, "partial gap: waits for the gap");
+        let g3 = bus.acquire(BusDir::H2d, 0.5, 2_000_000_000);
+        assert!((g3.start - 1.0).abs() < 1e-12, "partial gap: waits for it");
+        assert!(g3.contended, "held past its ready time by other traffic");
         // Saturated channel: no gap left before 10.0 fits a 8s transfer,
         // so it goes after the late upload.
-        let (s4, _) = bus.acquire(BusDir::H2d, 0.0, 8_000_000_000);
-        assert!((s4 - 11.0).abs() < 1e-12, "{s4}");
+        let g4 = bus.acquire(BusDir::H2d, 0.0, 8_000_000_000);
+        assert!((g4.start - 11.0).abs() < 1e-12, "{g4:?}");
+    }
+
+    #[test]
+    fn private_link_keeps_issue_order() {
+        // The same request sequence as the backfill test: on a device's own
+        // DMA engine the late first upload holds back everything behind it.
+        let mut bus = BusArbiter::private(gigabyte_bus());
+        let g1 = bus.acquire(BusDir::H2d, 10.0, 1_000_000_000);
+        assert_eq!(g1.start, 10.0);
+        let g2 = bus.acquire(BusDir::H2d, 0.0, 1_000_000_000);
+        assert_eq!(g2.start, g1.end, "no overtaking on an in-order engine");
+        assert!(!g2.contended, "a private engine is never contended");
     }
 }

@@ -27,7 +27,7 @@ pub mod timeline;
 pub mod timing;
 
 pub use alloc::{AllocError, Allocation, DeviceAllocator, FitPolicy};
-pub use bus::{BusDir, BusSpec, SharedBus};
+pub use bus::{BusArbiter, BusDir, BusSpec, Grant};
 pub use device::{DeviceSpec, GEFORCE_8800_GTX, MODERN, TESLA_C870};
 pub use timeline::{Counters, Event, EventKind, Timeline};
 pub use timing::{kernel_time, transfer_time};

@@ -2,9 +2,9 @@
 //!
 //! The serialized analyzer ([`crate::engine`]) proves a plan correct
 //! *when executed in step order on one timeline*. But the
-//! framework's execution models are concurrent: the overlap simulator runs
-//! a compute engine against two DMA engines, and the cluster simulator
-//! runs per-device compute lanes against one shared bus. On those models
+//! framework's execution model is concurrent: the overlap simulator runs
+//! one compute lane per `(device, stream)` against two transfer channels
+//! — a device's own DMA engines, or the one bus a cluster shares. There
 //! the plan's step order is merely an **issue order** — steps on different
 //! lanes run whenever their inputs allow, and the only real orderings are
 //! the synchronizations the executors enforce.
@@ -71,6 +71,25 @@ pub enum Lane {
 }
 
 impl Lane {
+    /// The compute lane of `device`'s stream `stream`.
+    pub fn compute(device: usize, stream: usize) -> Lane {
+        if stream == 0 {
+            Lane::Compute(device)
+        } else {
+            Lane::Stream(device, stream)
+        }
+    }
+
+    /// `(device, stream)` of a compute lane; `None` for the DMA channels
+    /// and the host.
+    pub fn device_stream(self) -> Option<(usize, usize)> {
+        match self {
+            Lane::Compute(d) => Some((d, 0)),
+            Lane::Stream(d, s) => Some((d, s)),
+            Lane::H2d | Lane::D2h | Lane::Host => None,
+        }
+    }
+
     /// Short label used in reports and JSON (`h2d`, `d2h`, `gpu0`,
     /// `gpu0s1`, `host`).
     pub fn label(self) -> String {
@@ -351,11 +370,7 @@ pub fn certify_concurrency_streams(
                     continue;
                 }
                 let s = unit_stream.get(u).copied().unwrap_or(0).min(nstreams - 1);
-                step_lane[i] = if s == 0 {
-                    Lane::Compute(dev)
-                } else {
-                    Lane::Stream(dev, s)
-                };
+                step_lane[i] = Lane::compute(dev, s);
                 step_device[i] = Some(dev);
                 program(&mut hb, &mut last_compute[dev][s], i);
                 for &d in &plan.units[u].inputs {

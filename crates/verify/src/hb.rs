@@ -8,7 +8,7 @@
 //!   lane (a DMA channel or one device's compute engine). Steps on
 //!   *different* lanes are not ordered by their position in the plan.
 //! * **Transfer** — completion of the step that made a datum available
-//!   (`device_ready`/`host_ready` in the simulators): the upload or
+//!   (`device_ready`/`host_ready` in the simulator): the upload or
 //!   producing launch a read waits for, the staging `CopyOut` an
 //!   inter-device `CopyIn` waits for.
 //! * **Lifetime** — allocation-lifetime ordering around a `Free`: every

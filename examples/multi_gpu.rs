@@ -6,7 +6,8 @@
 //! cargo run --release --example multi_gpu
 //! ```
 
-use gpuflow::multi::{compile_multi, parse_cluster, render_multi_gantt};
+use gpuflow::core::render_gantt;
+use gpuflow::multi::{compile_multi, parse_cluster};
 use gpuflow::templates::edge::{find_edges, CombineOp};
 
 fn main() {
@@ -44,7 +45,8 @@ fn main() {
     );
 
     // 5. Simulate with per-device compute engines racing the shared bus.
-    let (outcome, events) = compiled.trace();
+    let sim = compiled.simulate();
+    let outcome = &sim.outcome;
     println!(
         "simulated: serial {:.4} s -> makespan {:.4} s ({:.2}x on {} devices)",
         outcome.serial_time,
@@ -54,12 +56,12 @@ fn main() {
     );
     println!(
         "shared bus: {:.4} s H->D busy, {:.4} s D->H busy, {} MiB moved\n",
-        outcome.bus_h2d_busy,
-        outcome.bus_d2h_busy,
+        outcome.h2d_busy,
+        outcome.d2h_busy,
         outcome.bus_bytes >> 20
     );
     print!(
         "{}",
-        render_multi_gantt(&events, outcome.makespan, cluster.len(), 72)
+        render_gantt(&sim.lanes, &sim.events, outcome.makespan, 72)
     );
 }

@@ -594,15 +594,15 @@ proptest! {
         };
         let o = overlapped_makespan(&compiled.split.graph, &compiled.plan, &dev);
         prop_assert!(
-            o.overlapped_time <= o.serial_time + 1e-9,
+            o.makespan <= o.serial_time + 1e-9,
             "overlap {} beats serial {}",
-            o.overlapped_time,
+            o.makespan,
             o.serial_time
         );
         prop_assert!(
-            o.overlapped_time >= o.busy_lower_bound() - 1e-9,
+            o.makespan >= o.busy_lower_bound() - 1e-9,
             "overlap {} under occupancy bound {}",
-            o.overlapped_time,
+            o.makespan,
             o.busy_lower_bound()
         );
     }

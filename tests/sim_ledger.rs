@@ -15,14 +15,11 @@
 
 use std::fmt::Write as _;
 
-use gpuflow::core::overlap::{GapCause, Lane};
 use gpuflow::core::{
-    overlap_step_times, overlapped_trace_profiled, CompileOptions, ExecutionPlan, Framework,
+    simulate, step_times, CompileOptions, ExecutionPlan, Framework, GapCause, Machine,
 };
 use gpuflow::graph::Graph;
-use gpuflow::multi::{
-    compile_multi, multi_overlapped_trace_profiled, multi_step_times, parse_cluster, MultiLane,
-};
+use gpuflow::multi::{compile_multi, parse_cluster};
 use gpuflow::sim::device::{geforce_8800_gtx, tesla_c870};
 use gpuflow::sim::DeviceSpec;
 use gpuflow::templates::cnn::small_cnn;
@@ -69,8 +66,57 @@ fn fnv(times: &[(f64, f64)]) -> u64 {
     h
 }
 
-fn durations(times: &[(f64, f64)]) -> Vec<f64> {
-    times.iter().map(|&(s, e)| e - s).collect()
+/// Simulate `plan` on `machine`; lanes are named by table position
+/// (`h2d`, `d2h`, `compute0..`) so a single device's streams and a
+/// cluster's devices print alike.
+fn run(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Run {
+    let sim = simulate(g, plan, machine);
+    let out = &sim.outcome;
+    let busy = [out.h2d_busy, out.d2h_busy]
+        .into_iter()
+        .chain(out.compute_busy.iter().copied());
+    let lanes = sim
+        .lanes
+        .lanes
+        .iter()
+        .zip(busy)
+        .enumerate()
+        .map(|(i, (info, busy))| LaneRow {
+            name: match i {
+                0 => "h2d".to_string(),
+                1 => "d2h".to_string(),
+                c => format!("compute{}", c - 2),
+            },
+            busy,
+            events: sim
+                .events
+                .iter()
+                .filter(|e| e.lane == info.lane)
+                .map(|e| (e.start, e.end))
+                .collect(),
+            gaps: sim
+                .gaps
+                .iter()
+                .filter(|e| e.lane == info.lane)
+                .map(|e| (e.start, e.end, e.cause))
+                .collect(),
+        })
+        .collect();
+    let times = step_times(g, plan, machine);
+    let durations: Vec<f64> = times.iter().map(|&(s, e)| e - s).collect();
+    let hb = plan.certify(g).hb;
+    let critical = if machine.shared_bus() {
+        dependency_critical_path(&hb, &durations)
+    } else {
+        critical_path(&hb, &durations)
+    };
+    Run {
+        makespan: out.makespan,
+        serial: out.serial_time,
+        lanes,
+        critical: critical.length,
+        times,
+    }
 }
 
 fn single(g: &Graph, dev: &DeviceSpec, streams: usize) -> Run {
@@ -81,77 +127,13 @@ fn single(g: &Graph, dev: &DeviceSpec, streams: usize) -> Run {
         })
         .compile_adaptive(g)
         .expect("template compiles");
-    let (pg, plan): (&Graph, &ExecutionPlan) = (&compiled.split.graph, &compiled.plan);
-    let (out, events, gaps) = overlapped_trace_profiled(pg, plan, dev);
-    let mut ids = vec![(Lane::H2d, "h2d".to_string(), out.h2d_busy)];
-    ids.push((Lane::D2h, "d2h".to_string(), out.d2h_busy));
-    for (s, &busy) in out.stream_busy.iter().enumerate() {
-        ids.push((Lane::Compute(s), format!("compute{s}"), busy));
-    }
-    let lanes = ids
-        .into_iter()
-        .map(|(lane, name, busy)| LaneRow {
-            name,
-            busy,
-            events: events
-                .iter()
-                .filter(|e| e.lane == lane)
-                .map(|e| (e.start, e.end))
-                .collect(),
-            gaps: gaps
-                .iter()
-                .filter(|e| e.lane == lane)
-                .map(|e| (e.start, e.end, e.cause))
-                .collect(),
-        })
-        .collect();
-    let times = overlap_step_times(pg, plan, dev);
-    let critical = critical_path(&plan.certify(pg).hb, &durations(&times)).length;
-    Run {
-        makespan: out.overlapped_time,
-        serial: out.serial_time,
-        lanes,
-        critical,
-        times,
-    }
+    run(&compiled.split.graph, &compiled.plan, &Machine::single(dev))
 }
 
 fn cluster(g: &Graph, spec: &str) -> Run {
     let cluster = parse_cluster(spec).expect("cluster spec parses");
     let c = compile_multi(g, &cluster, CLUSTER_MARGIN).expect("template compiles");
-    let pg = &c.sharded.split.graph;
-    let (out, events, gaps) = multi_overlapped_trace_profiled(pg, &c.plan, &c.cluster);
-    let mut ids = vec![(MultiLane::BusH2d, "h2d".to_string(), out.bus_h2d_busy)];
-    ids.push((MultiLane::BusD2h, "d2h".to_string(), out.bus_d2h_busy));
-    for (d, &busy) in out.compute_busy.iter().enumerate() {
-        ids.push((MultiLane::Compute(d), format!("compute{d}"), busy));
-    }
-    let lanes = ids
-        .into_iter()
-        .map(|(lane, name, busy)| LaneRow {
-            name,
-            busy,
-            events: events
-                .iter()
-                .filter(|e| e.lane == lane)
-                .map(|e| (e.start, e.end))
-                .collect(),
-            gaps: gaps
-                .iter()
-                .filter(|e| e.lane == lane)
-                .map(|e| (e.start, e.end, e.cause))
-                .collect(),
-        })
-        .collect();
-    let times = multi_step_times(pg, &c.plan, &c.cluster);
-    let critical = dependency_critical_path(&c.certify().hb, &durations(&times)).length;
-    Run {
-        makespan: out.makespan,
-        serial: out.serial_time,
-        lanes,
-        critical,
-        times,
-    }
+    run(&c.sharded.split.graph, &c.plan, &c.cluster.machine())
 }
 
 fn render(out: &mut String, template: &str, machine: &str, run: &Run) {
@@ -233,9 +215,24 @@ fn simulation_ledger_matches_golden() {
     let mut text = String::new();
     for (name, g) in &templates {
         render(&mut text, name, "c870", &single(g, &tesla_c870(), 1));
-        render(&mut text, name, "8800gtx", &single(g, &geforce_8800_gtx(), 1));
-        render(&mut text, name, "c870 streams=2", &single(g, &tesla_c870(), 2));
-        render(&mut text, name, "c870 streams=4", &single(g, &tesla_c870(), 4));
+        render(
+            &mut text,
+            name,
+            "8800gtx",
+            &single(g, &geforce_8800_gtx(), 1),
+        );
+        render(
+            &mut text,
+            name,
+            "c870 streams=2",
+            &single(g, &tesla_c870(), 2),
+        );
+        render(
+            &mut text,
+            name,
+            "c870 streams=4",
+            &single(g, &tesla_c870(), 4),
+        );
         for spec in ["c870x1", "c870x2", "c870,8800gtx", "modernx4"] {
             render(&mut text, name, spec, &cluster(g, spec));
         }

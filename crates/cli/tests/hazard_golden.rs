@@ -13,6 +13,8 @@
 //! Regenerate after an intentional format change with:
 //! `UPDATE_GOLDEN=1 cargo test -p gpuflow-cli --test hazard_golden`
 
+use std::sync::Arc;
+
 use gpuflow_cli::{execute, Command};
 use gpuflow_core::{Framework, Step};
 use gpuflow_sim::device::tesla_c870;
@@ -72,8 +74,8 @@ fn check_hazards_two_stream_output_matches_golden() {
 /// the certifier's `GF005x` findings in both output formats.
 fn hazardous_report() -> gpuflow_verify::ConcurrencyReport {
     let g = gpuflow_core::examples::fig3_graph();
-    let compiled = Framework::new(tesla_c870()).compile(&g).unwrap();
-    let mut plan = compiled.plan.clone();
+    let mut compiled = Framework::new(tesla_c870()).compile(&g).unwrap();
+    let plan = Arc::make_mut(&mut compiled.plan);
     let copy_in = plan
         .steps
         .iter()

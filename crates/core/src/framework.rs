@@ -9,6 +9,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use gpuflow_graph::{DataId, Graph};
 use gpuflow_ops::Tensor;
@@ -158,8 +159,10 @@ pub struct Framework {
 pub struct CompiledTemplate {
     /// The split graph plus data provenance.
     pub split: SplitResult,
-    /// The execution plan over `split.graph`.
-    pub plan: ExecutionPlan,
+    /// The execution plan over `split.graph`. Shared, so a recompile
+    /// that reuses a schedule verbatim (the serve cache's incremental
+    /// path) holds the same plan instead of a copy.
+    pub plan: Arc<ExecutionPlan>,
     /// The device the plan was compiled for.
     pub device: DeviceSpec,
     /// Whether the exact PB scheduler produced the plan (and proved it
@@ -317,7 +320,7 @@ impl Framework {
 
         Ok(CompiledTemplate {
             split,
-            plan,
+            plan: Arc::new(plan),
             device: self.device.clone(),
             exact_optimal,
             exact_stats,

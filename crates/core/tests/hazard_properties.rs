@@ -17,6 +17,8 @@
 //!    has no happens-before-ordered write), so a silent pass is a
 //!    certifier bug, never an unlucky draw.
 
+use std::sync::Arc;
+
 use gpuflow_core::examples::{fig3_graph, fig3_memory_bytes};
 use gpuflow_core::{
     baseline_plan, CompileOptions, ExecutionPlan, Framework, OpScheduler, PbExactOptions, Step,
@@ -162,18 +164,18 @@ proptest! {
             ),
             _ => (cnn::small_cnn(96, 96).graph, tesla_c870()),
         };
-        let compiled = Framework::new(dev).compile(&g).unwrap();
-        let g = &compiled.split.graph;
-        let clean = compiled.plan.certify(g);
+        let mut compiled = Framework::new(dev).compile(&g).unwrap();
+        let clean = compiled.plan.certify(&compiled.split.graph);
         prop_assert!(clean.certified(), "{:?}", clean.first_error());
 
-        let mut plan = compiled.plan.clone();
+        let plan = Arc::make_mut(&mut compiled.plan);
+        let g = &compiled.split.graph;
         let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() as usize) % n;
         match kind {
             0 => {
                 // Front a launch past the first CopyIn of an input it
                 // reads: the read now precedes every write of that data.
-                let sites = input_copyin_sites(g, &plan);
+                let sites = input_copyin_sites(g, plan);
                 prop_assume!(!sites.is_empty());
                 let (i, j) = sites[pick(&mut rng, sites.len())];
                 let launch = plan.steps.remove(j);
@@ -182,14 +184,14 @@ proptest! {
             1 => {
                 // Drop the CopyIn outright: its readers are left with no
                 // device copy at all.
-                let sites = input_copyin_sites(g, &plan);
+                let sites = input_copyin_sites(g, plan);
                 prop_assume!(!sites.is_empty());
                 let (i, _) = sites[pick(&mut rng, sites.len())];
                 plan.steps.remove(i);
             }
             _ => {
                 // Free a buffer immediately before a launch that reads it.
-                let sites = launch_input_sites(g, &plan);
+                let sites = launch_input_sites(g, plan);
                 prop_assume!(!sites.is_empty());
                 let (j, d) = sites[pick(&mut rng, sites.len())];
                 plan.steps.insert(j, Step::Free { device: 0, data: d });

@@ -53,6 +53,9 @@ struct CacheEntry {
     /// Peak resident bytes per device — the admission controller's input,
     /// computed once at insert.
     peaks: Vec<u64>,
+    /// The plan's hazard certificate, computed once at insert: a cached
+    /// plan is immutable, so every `run` of it would certify the same.
+    certified: bool,
     skeleton: SkeletonKey,
     last_used: u64,
     hits: u64,
@@ -94,14 +97,15 @@ impl PlanCache {
         self.evictions
     }
 
-    /// Exact-key lookup. Bumps recency and the entry's hit count.
-    pub fn probe(&mut self, key: &PlanKey) -> Option<(CachedPlan, Vec<u64>)> {
+    /// Exact-key lookup: the plan, its per-device peaks and its
+    /// certificate. Bumps recency and the entry's hit count.
+    pub fn probe(&mut self, key: &PlanKey) -> Option<(CachedPlan, Vec<u64>, bool)> {
         self.tick += 1;
         let tick = self.tick;
         let e = self.entries.get_mut(key)?;
         e.last_used = tick;
         e.hits += 1;
-        Some((e.plan.clone(), e.peaks.clone()))
+        Some((e.plan.clone(), e.peaks.clone(), e.certified))
     }
 
     /// Skeleton lookup: a cached plan for the same template structure at
@@ -121,6 +125,7 @@ impl PlanCache {
         skeleton: SkeletonKey,
         plan: CachedPlan,
         peaks: Vec<u64>,
+        certified: bool,
     ) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
@@ -135,6 +140,7 @@ impl PlanCache {
             CacheEntry {
                 plan,
                 peaks,
+                certified,
                 skeleton,
                 last_used: self.tick,
                 hits: 0,
@@ -217,10 +223,10 @@ mod tests {
         let (k2, s2, p2, pk2) = key_for("edge:96x96,k=5,o=2", &cluster);
         let (k3, s3, p3, pk3) = key_for("fig3", &cluster);
         assert!(cache.probe(&k1).is_none());
-        cache.insert(k1, s1, p1, pk1);
-        cache.insert(k2, s2, p2, pk2);
+        cache.insert(k1, s1, p1, pk1, true);
+        cache.insert(k2, s2, p2, pk2, true);
         assert!(cache.probe(&k1).is_some()); // k1 now most recent
-        cache.insert(k3, s3, p3, pk3); // evicts k2
+        cache.insert(k3, s3, p3, pk3, true); // evicts k2
         assert_eq!(cache.evictions(), 1);
         assert!(cache.probe(&k1).is_some());
         assert!(cache.probe(&k2).is_none());
@@ -233,7 +239,7 @@ mod tests {
         let cluster = Cluster::homogeneous(modern(), 1);
         let mut cache = PlanCache::new(4);
         let (k1, s1, p1, pk1) = key_for("edge:64x64,k=5,o=2", &cluster);
-        cache.insert(k1, s1, p1, pk1);
+        cache.insert(k1, s1, p1, pk1, true);
         // Same template at a different size: exact key differs, skeleton
         // matches.
         let g2 = crate::source::resolve_named("edge:96x96,k=5,o=2").unwrap();

@@ -34,7 +34,18 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use crate::server::percentile_us;
+/// `p` in [0, 1] percentile of an unsorted latency sample (nearest-rank).
+/// Exact, for the breaker's bounded window; the server's phase latencies
+/// use log-bucketed histograms instead.
+pub fn percentile_us(samples: &[u64], p: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
 
 /// A request's time budget, started when the request is parsed.
 #[derive(Debug, Clone, Copy)]
@@ -133,7 +144,7 @@ impl BreakerState {
     }
 }
 
-/// A state change worth surfacing (metrics bump + trace instant).
+/// A state change worth surfacing (trip counter and state gauge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
     /// Closed → open: the health signal crossed the limit.
@@ -315,6 +326,16 @@ mod tests {
             probes: 2,
             retry_after_ms: 25,
         }
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        assert_eq!(percentile_us(&[], 0.5), 0);
+        assert_eq!(percentile_us(&[7], 0.5), 7);
+        let s: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_us(&s, 0.50), 50);
+        assert_eq!(percentile_us(&s, 0.99), 99);
+        assert_eq!(percentile_us(&s, 1.0), 100);
     }
 
     #[test]

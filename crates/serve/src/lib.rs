@@ -22,8 +22,12 @@
 //!   `backpressure` rejections) instead of oversubscribing the
 //!   simulated devices.
 //! * **request scheduler** ([`server`], [`net`]) — connection threads
-//!   multiplex admitted runs onto the executors, with per-request spans
-//!   on the [`gpuflow_trace::PID_SERVE`] track and `serve.*` metrics.
+//!   multiplex admitted runs onto the executors, with per-phase latency
+//!   histograms and `serve.*` metrics (the `stats` and `metrics` ops).
+//!   Each response leaves in one framed write on a `TCP_NODELAY` socket,
+//!   so a warm hit costs its compute, not a delayed ACK; each cached plan
+//!   carries its hazard certificate, computed once at insert; and the
+//!   daemon's memory is bounded by its cache, not by requests served.
 //!
 //! The serve-hardening layer (`gpuflow-guard`) rides on top:
 //!
@@ -57,13 +61,13 @@ pub mod soak;
 pub mod source;
 
 pub use cache::{CachedPlan, PlanCache};
-pub use guard::{Breaker, BreakerState, Deadline, GuardConfig};
+pub use guard::{percentile_us, Breaker, BreakerState, Deadline, GuardConfig};
 pub use journal::{Journal, PlanRecord};
 pub use key::{cluster_fingerprint, device_fingerprint, PlanKey, SkeletonKey};
 pub use net::{request_once, request_with_retry, serve_tcp, Client, ServerHandle};
 pub use planner::{plan_request, CacheOutcome, PlannedRequest};
 pub use protocol::{parse_request, Request, RequestOptions};
-pub use server::{percentile_us, ServeConfig, Server, PHASES};
+pub use server::{ServeConfig, Server, PHASES};
 pub use smoke::run_smoke;
 pub use soak::{run_soak, SoakReport};
 pub use source::{resolve_named, TemplateRef};

@@ -9,6 +9,11 @@
 //! requests finish, the accept loop closes, and [`ServerHandle::join`]
 //! returns.
 //!
+//! Every line — request or response — goes out as one write of the line
+//! plus its `\n` on a `TCP_NODELAY` socket, so a warm request costs its
+//! compute and a loopback round trip instead of a Nagle / delayed-ACK
+//! stall (~40 ms per request on Linux).
+//!
 //! Request-line buffering is **bounded**: a peer that streams more than
 //! [`crate::server::ServeConfig::max_request_bytes`] without a newline
 //! gets one typed `bad_request` reply and the rest of that line is
@@ -104,9 +109,16 @@ fn accept_loop(listener: TcpListener, server: Arc<Server>) {
     }
 }
 
-fn write_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
-    writer.write_all(response.as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Send `line` and its `\n` terminator as one segment. Both ends of the
+/// protocol frame through here: written in two pieces, the terminator
+/// would wait behind Nagle for the peer's delayed ACK (~40 ms) on every
+/// request and every response. Sockets also set `TCP_NODELAY`, so the
+/// framed line leaves at once.
+fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    writer.write_all(&framed)?;
     writer.flush()
 }
 
@@ -114,6 +126,7 @@ fn handle_connection(stream: TcpStream, server: Arc<Server>) {
     // Short read timeout so the thread can notice shutdown even while a
     // client holds the connection open without sending anything.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
@@ -214,6 +227,7 @@ impl Client {
     pub fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -223,9 +237,7 @@ impl Client {
 
     /// Send one raw request line, return the raw response line.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -348,6 +360,27 @@ mod tests {
         let r = client.request(r#"{"op":"shutdown"}"#).unwrap();
         assert_eq!(r.get("ok").and_then(|v| v.as_bool()), Some(true));
         handle.join();
+    }
+
+    #[test]
+    fn warm_hits_are_not_held_behind_delayed_acks() {
+        // A line written as body then `\n` waits for the peer's delayed
+        // ACK (≥ 40 ms) before the terminator leaves; 40 such hits take
+        // over 1.6 s. Framed in one write, they take a few milliseconds.
+        let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+        let line = r#"{"op":"compile","template":"fig3"}"#;
+        client.request(line).unwrap();
+        let t0 = Instant::now();
+        for _ in 0..40 {
+            let r = client.request(line).unwrap();
+            assert_eq!(r.get("cache").and_then(|v| v.as_str()), Some("hit"));
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "40 warm hits took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub struct PlannedRequest {
     pub plan: CachedPlan,
     /// Peak resident bytes per device — the admission controller's input.
     pub peaks: Vec<u64>,
+    /// Whether the plan certified hazard-free. Computed once, when the
+    /// plan entered the cache; a hit reuses it.
+    pub certified: bool,
     /// How the cache participated.
     pub cache: CacheOutcome,
     /// Canonical hash of the request graph (response `graph_hash`).
@@ -78,10 +81,11 @@ pub fn plan_request(
 ) -> Result<PlannedRequest, String> {
     let (key, skel) = PlanKey::for_request(g, options, cluster);
 
-    if let Some((plan, peaks)) = cache.probe(&key) {
+    if let Some((plan, peaks, certified)) = cache.probe(&key) {
         return Ok(PlannedRequest {
             plan,
             peaks,
+            certified,
             cache: CacheOutcome::Hit,
             graph_hash: key.graph_hash,
             key,
@@ -92,10 +96,12 @@ pub fn plan_request(
     if cluster.len() == 1 {
         if let Some(CachedPlan::Single(cached)) = cache.skeleton_probe(&skel) {
             if let Some((plan, peaks)) = try_incremental(&cached, cluster, options, g) {
-                cache.insert(key, skel, plan.clone(), peaks.clone());
+                // `validate_plan` certified the reused schedule.
+                cache.insert(key, skel, plan.clone(), peaks.clone(), true);
                 return Ok(PlannedRequest {
                     plan,
                     peaks,
+                    certified: true,
                     cache: CacheOutcome::Incremental,
                     graph_hash: key.graph_hash,
                     key,
@@ -104,13 +110,15 @@ pub fn plan_request(
         }
     }
 
-    let (plan, peaks) = if cluster.len() == 1 {
+    let (plan, peaks, certified) = if cluster.len() == 1 {
+        // Certified by construction: `Framework::compile` rejects any
+        // plan the concurrency certifier does not prove race-free.
         let t = Framework::new(cluster.devices[0].clone())
             .with_options(options)
             .compile(g)
             .map_err(|e| e.to_string())?;
         let peaks = vec![t.stats().peak_bytes];
-        (CachedPlan::Single(Arc::new(t)), peaks)
+        (CachedPlan::Single(Arc::new(t)), peaks, true)
     } else {
         let m = compile_multi(g, cluster, options.memory_margin).map_err(|e| e.to_string())?;
         let analysis = m.analyze();
@@ -120,13 +128,15 @@ pub fn plan_request(
                 analysis.first_error()
             ));
         }
-        let peaks = analysis.peak_per_device.clone();
-        (CachedPlan::Multi(Arc::new(m)), peaks)
+        let certified = m.certify().certified();
+        let peaks = analysis.peak_per_device;
+        (CachedPlan::Multi(Arc::new(m)), peaks, certified)
     };
-    cache.insert(key, skel, plan.clone(), peaks.clone());
+    cache.insert(key, skel, plan.clone(), peaks.clone(), certified);
     Ok(PlannedRequest {
         plan,
         peaks,
+        certified,
         cache: CacheOutcome::Miss,
         graph_hash: key.graph_hash,
         key,
@@ -157,7 +167,7 @@ fn try_incremental(
     validate_plan(&split.graph, &cached.plan, budget).ok()?;
     let t = CompiledTemplate {
         split,
-        plan: cached.plan.clone(),
+        plan: Arc::clone(&cached.plan),
         device,
         exact_optimal: cached.exact_optimal,
         exact_stats: cached.exact_stats,
@@ -188,6 +198,13 @@ mod tests {
         let third = plan_request(&mut cache, &cluster, opts, &g2).unwrap();
         assert_eq!(third.cache, CacheOutcome::Incremental);
         assert_eq!(third.plan.steps(), first.plan.steps());
+        assert!(third.certified);
+        // … shared with the skeleton parent, not copied.
+        let (CachedPlan::Single(parent), CachedPlan::Single(resized)) = (&first.plan, &third.plan)
+        else {
+            panic!("one-device requests cache single-device plans");
+        };
+        assert!(Arc::ptr_eq(&parent.plan, &resized.plan));
         // And the resized entry is now an exact hit.
         let fourth = plan_request(&mut cache, &cluster, opts, &g2).unwrap();
         assert_eq!(fourth.cache, CacheOutcome::Hit);

@@ -5,14 +5,15 @@
 //! TCP accept loop. All state is interior-mutex'd so connection threads
 //! share one `Server` behind an `Arc`.
 //!
-//! Request lifecycle (each phase is a span on the `PID_SERVE` trace
-//! track, one Chrome-trace thread per request):
+//! Request lifecycle (each phase adds one sample to its log-bucketed
+//! histogram in [`PHASES`]; `stats` and `metrics` report them):
 //!
 //! 1. **parse** — the protocol layer ([`crate::protocol`]).
 //! 2. **cache-probe / compile** — first the source-text memo (a repeat
 //!    named request maps straight to its [`PlanKey`] without rebuilding
 //!    the graph), then [`crate::planner::plan_request`] under the cache
-//!    lock: exact hit, incremental recompile, or full compile.
+//!    lock: exact hit, incremental recompile, or full compile. A plan's
+//!    hazard certificate is computed once, when it enters the cache.
 //! 3. **admit** — reserve `peak_per_device` bytes in the
 //!    [`AdmissionLedger`]. When the cluster is momentarily full the
 //!    request *queues* on a condvar (bounded by `queue_capacity`, bounded
@@ -20,13 +21,16 @@
 //!    impossibility (`infeasible`) and queue overflow/timeout
 //!    (`backpressure`) are distinct typed errors.
 //! 4. **execute** — the simulated run, optionally under a
-//!    [`gpuflow_chaos`] fault schedule with the resilient executors, then
-//!    hazard certification of the executed plan.
+//!    [`gpuflow_chaos`] fault schedule with the resilient executor.
 //! 5. **release** — the reservation drops, waiters are woken.
+//!
+//! Nothing here grows with the number of requests served: the cache,
+//! the memo and the recipe map are bounded by the cache capacity, and
+//! latencies live only in fixed-size histograms.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -35,7 +39,7 @@ use gpuflow_core::{CompileOptions, Machine, ResilientExecutor};
 use gpuflow_minijson::{Map, Value};
 use gpuflow_multi::{AdmissionError, AdmissionLedger, Cluster};
 use gpuflow_sim::device::modern;
-use gpuflow_trace::{Histogram, MetricsRegistry, Tracer, PID_SERVE};
+use gpuflow_trace::{Histogram, MetricsRegistry};
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::guard::{Breaker, BreakerState, Deadline, GuardConfig, Transition};
@@ -67,8 +71,6 @@ pub struct ServeConfig {
     /// from the cluster. Lets tests pick capacities relative to a known
     /// plan's peak so queue/reject behavior is deterministic.
     pub capacity_override: Option<Vec<u64>>,
-    /// Record `PID_SERVE` trace spans (metrics are always recorded).
-    pub trace: bool,
     /// Server-wide default latency budget applied to requests that carry
     /// no `deadline_ms` of their own (`None` = unbudgeted).
     pub default_deadline_ms: Option<u64>,
@@ -91,7 +93,6 @@ impl Default for ServeConfig {
             queue_capacity: 16,
             queue_timeout_ms: 2_000,
             capacity_override: None,
-            trace: true,
             default_deadline_ms: None,
             guard: GuardConfig::default(),
             cache_path: None,
@@ -119,9 +120,6 @@ pub struct Server {
     /// Requests currently waiting for admission.
     queue_depth: AtomicUsize,
     metrics: Mutex<MetricsRegistry>,
-    tracer: Mutex<Tracer>,
-    /// Completed-request latencies (µs), for p50/p99.
-    latencies: Mutex<Vec<u64>>,
     /// Per-phase latency histograms (µs), log-bucketed. Every request
     /// contributes one sample per phase it passes through, so `stats`
     /// can report p50/p90/p99/max per phase without retaining samples.
@@ -137,12 +135,11 @@ pub struct Server {
     cluster_fp: u64,
     shutdown: AtomicBool,
     started: Instant,
-    next_req: AtomicU64,
 }
 
 /// The request-lifecycle phases tracked with log-bucketed histograms,
 /// in lifecycle order. `total` is wall time from parse to response for
-/// completed compiles/runs. The `admit` span (a no-wait admission) is
+/// completed compiles/runs. The `admit` phase (a no-wait admission) is
 /// folded into `queue-wait`, so its percentiles describe every request,
 /// not just the ones that queued.
 pub const PHASES: [&str; 5] = ["cache-probe", "queue-wait", "compile", "execute", "total"];
@@ -164,6 +161,11 @@ impl PhaseHistograms {
             _ => return,
         };
         self.hists[slot].record(us);
+    }
+
+    /// Parse-to-response latency of every completed compile and run.
+    fn total(&self) -> &Histogram {
+        &self.hists[4]
     }
 }
 
@@ -206,17 +208,6 @@ impl Drop for ProbeSlot<'_> {
     }
 }
 
-/// `p` in [0, 1] percentile of an unsorted latency sample (nearest-rank).
-pub fn percentile_us(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 impl Server {
     /// Build a server over `cfg`. The admission ledger's capacities come
     /// from the cluster's plannable budgets at the default margin unless
@@ -233,12 +224,6 @@ impl Server {
             }
             None => AdmissionLedger::for_cluster(&cfg.cluster, cfg.margin),
         };
-        let mut tracer = if cfg.trace {
-            Tracer::new()
-        } else {
-            Tracer::disabled()
-        };
-        tracer.name_process(PID_SERVE, "serve: request lifecycle");
         let mut metrics = MetricsRegistry::new();
         let cluster_fp = cluster_fingerprint(&cfg.cluster);
         let mut cache = PlanCache::new(cfg.cache_capacity);
@@ -251,17 +236,6 @@ impl Server {
                     if recovered {
                         // Torn tail dropped — diagnostic GF0071.
                         metrics.add("serve.guard.journal_recovered", 1);
-                        tracer.virtual_instant(
-                            PID_SERVE,
-                            0,
-                            "serve",
-                            "journal-recovered",
-                            0.0,
-                            vec![(
-                                "code".into(),
-                                Value::from(gpuflow_verify::guard::codes::JOURNAL_RECOVERED),
-                            )],
-                        );
                     }
                     let mut replayed = 0u64;
                     for rec in &records {
@@ -313,8 +287,6 @@ impl Server {
             admit_cv: Condvar::new(),
             queue_depth: AtomicUsize::new(0),
             metrics: Mutex::new(metrics),
-            tracer: Mutex::new(tracer),
-            latencies: Mutex::new(Vec::new()),
             phases: Mutex::new(PhaseHistograms::default()),
             guard: Mutex::new(Breaker::new(cfg.guard.clone())),
             journal: Mutex::new(journal),
@@ -322,7 +294,6 @@ impl Server {
             cluster_fp,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            next_req: AtomicU64::new(1),
             cfg,
         }
     }
@@ -352,33 +323,10 @@ impl Server {
         f(&self.cache.lock().unwrap())
     }
 
-    /// Export the accumulated trace as a Chrome-trace JSON document.
-    pub fn trace_json(&self) -> String {
-        self.tracer
-            .lock()
-            .unwrap()
-            .chrome_trace()
-            .to_string_pretty()
-    }
-
-    /// Seconds since the server started (trace-span clock).
-    fn wall_s(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    fn span(&self, req_id: u64, name: &str, start_s: f64, args: Vec<(String, Value)>) {
-        let end_s = self.wall_s();
-        let us = ((end_s - start_s).max(0.0) * 1e6) as u64;
+    /// Record one sample of lifecycle phase `name`, begun at `start`.
+    fn phase(&self, name: &str, start: Instant) {
+        let us = start.elapsed().as_micros() as u64;
         self.phases.lock().unwrap().record(name, us);
-        self.tracer.lock().unwrap().virtual_span(
-            PID_SERVE,
-            req_id as u32,
-            "serve",
-            name,
-            start_s,
-            end_s,
-            args,
-        );
     }
 
     /// Handle one request line; returns the response line (no trailing
@@ -456,34 +404,20 @@ impl Server {
         }
     }
 
-    /// Surface a breaker state change: bump the trip counter on opens,
-    /// track the state gauge, and drop a trace instant on the serve
-    /// track so the transition is visible on the timeline.
+    /// Surface a breaker state change: bump the trip counter on opens
+    /// and track the state gauge.
     fn breaker_transition(&self, t: Transition) {
-        let (name, state) = match t {
-            Transition::Tripped => ("breaker-open", BreakerState::Open),
-            Transition::HalfOpened => ("breaker-half-open", BreakerState::HalfOpen),
-            Transition::Reclosed => ("breaker-closed", BreakerState::Closed),
-            Transition::Reopened => ("breaker-open", BreakerState::Open),
+        let state = match t {
+            Transition::Tripped | Transition::Reopened => BreakerState::Open,
+            Transition::HalfOpened => BreakerState::HalfOpen,
+            Transition::Reclosed => BreakerState::Closed,
         };
         self.with_metrics(|m| {
-            if matches!(t, Transition::Tripped | Transition::Reopened) {
+            if state == BreakerState::Open {
                 m.add("serve.guard.breaker_trips", 1);
             }
             m.gauge("serve.guard.breaker_state", state.gauge());
         });
-        let ts = self.wall_s();
-        self.tracer.lock().unwrap().virtual_instant(
-            PID_SERVE,
-            0,
-            "serve",
-            name,
-            ts,
-            vec![(
-                "code".into(),
-                Value::from(gpuflow_verify::guard::codes::BREAKER_TRIPPED),
-            )],
-        );
     }
 
     /// Feed one completed-service sample into the breaker and surface
@@ -513,7 +447,7 @@ impl Server {
         // succeed. Needs a little history before it is claimed.
         let infeasible = {
             let phases = self.phases.lock().unwrap();
-            let total = &phases.hists[4];
+            let total = phases.total();
             total.count() >= 8 && budget_ms.saturating_mul(1_000) < total.percentile(0.50)
         };
         self.with_metrics(|m| {
@@ -559,33 +493,24 @@ impl Server {
     /// the template generator and the canonical graph hash.
     fn memo_probe(
         &self,
-        req_id: u64,
         template: &TemplateRef,
         opts: CompileOptions,
-        probe_start: f64,
+        probe_start: Instant,
     ) -> Option<PlannedRequest> {
         let TemplateRef::Named(spec) = template else {
             return None;
         };
         let key = *self.memo.lock().unwrap().get(&(spec.clone(), opts))?;
-        let (plan, peaks) = self.cache.lock().unwrap().probe(&key)?;
+        let (plan, peaks, certified) = self.cache.lock().unwrap().probe(&key)?;
         self.with_metrics(|m| {
             m.add("serve.cache_hits", 1);
             m.add("serve.cache_memo_hits", 1);
         });
-        self.span(
-            req_id,
-            "cache-probe",
-            probe_start,
-            vec![
-                ("template".into(), Value::from(template.label())),
-                ("cache".into(), Value::from("hit")),
-                ("memo".into(), Value::from(true)),
-            ],
-        );
+        self.phase("cache-probe", probe_start);
         Some(PlannedRequest {
             plan,
             peaks,
+            certified,
             cache: CacheOutcome::Hit,
             graph_hash: key.graph_hash,
             key,
@@ -593,16 +518,15 @@ impl Server {
     }
 
     /// Resolve + plan one request, recording cache metrics and the
-    /// compile-phase span.
+    /// cache-probe or compile phase.
     fn plan(
         &self,
-        req_id: u64,
         template: &TemplateRef,
         options: RequestOptions,
     ) -> Result<PlannedRequest, Value> {
         let opts = options.compile_options(self.cfg.margin);
-        let probe_start = self.wall_s();
-        if let Some(planned) = self.memo_probe(req_id, template, opts, probe_start) {
+        let probe_start = Instant::now();
+        if let Some(planned) = self.memo_probe(template, opts, probe_start) {
             self.journal_planned(template, opts, planned.key);
             return Ok(planned);
         }
@@ -633,20 +557,12 @@ impl Server {
                     _ => "serve.cache_misses",
                 };
                 self.with_metrics(|m| m.add(metric, 1));
-                let span_name = if p.cache.label() == "hit" {
+                let phase = if p.cache == CacheOutcome::Hit {
                     "cache-probe"
                 } else {
                     "compile"
                 };
-                self.span(
-                    req_id,
-                    span_name,
-                    probe_start,
-                    vec![
-                        ("template".into(), Value::from(template.label())),
-                        ("cache".into(), Value::from(p.cache.label())),
-                    ],
-                );
+                self.phase(phase, probe_start);
                 self.journal_planned(template, opts, p.key);
                 Ok(p)
             }
@@ -667,10 +583,9 @@ impl Server {
         deadline_ms: Option<u64>,
         _probe: ProbeSlot<'_>,
     ) -> Value {
-        let req_id = self.next_req.fetch_add(1, Ordering::SeqCst);
         let t0 = Instant::now();
         let deadline = Deadline::start(deadline_ms, self.cfg.default_deadline_ms);
-        let planned = match self.plan(req_id, template, options) {
+        let planned = match self.plan(template, options) {
             Ok(p) => p,
             Err(e) => return e,
         };
@@ -682,7 +597,7 @@ impl Server {
             };
             return self.reject_deadline(phase, &deadline);
         }
-        self.record_latency(t0);
+        self.phase("total", t0);
         let mut m = ok_base("compiled");
         m.insert("cache", planned.cache.label());
         m.insert("graph_hash", hex_hash(planned.graph_hash));
@@ -705,7 +620,6 @@ impl Server {
         deadline_ms: Option<u64>,
         mut probe: ProbeSlot<'_>,
     ) -> Value {
-        let req_id = self.next_req.fetch_add(1, Ordering::SeqCst);
         let t0 = Instant::now();
         let deadline = Deadline::start(deadline_ms, self.cfg.default_deadline_ms);
         let fault_spec = match faults {
@@ -717,7 +631,7 @@ impl Server {
                 Err(detail) => return error_response("bad_request", format!("faults: {detail}")),
             },
         };
-        let planned = match self.plan(req_id, template, options) {
+        let planned = match self.plan(template, options) {
             Ok(p) => p,
             Err(e) => return e,
         };
@@ -734,7 +648,7 @@ impl Server {
         // The deadline keeps ticking in the queue; expired queued work is
         // rejected here without ever reaching the cluster.
         let service_start = Instant::now();
-        let reservation = match self.admit(req_id, &planned.peaks, &deadline, &mut probe) {
+        let reservation = match self.admit(&planned.peaks, &deadline, &mut probe) {
             Ok(r) => r,
             Err(e) => return e,
         };
@@ -749,14 +663,9 @@ impl Server {
             return self.reject_deadline("queue-wait", &deadline);
         }
 
-        let exec_start = self.wall_s();
-        let executed = execute(&planned.plan, fault_spec.as_ref());
-        self.span(
-            req_id,
-            "execute",
-            exec_start,
-            vec![("template".into(), Value::from(template.label()))],
-        );
+        let exec_start = Instant::now();
+        let executed = execute(&planned.plan, planned.certified, fault_spec.as_ref());
+        self.phase("execute", exec_start);
         // Queue-wait + execute is the breaker's service signal (the hold,
         // a load-test artifice, is excluded).
         let service_us = service_start.elapsed().as_micros() as u64;
@@ -779,12 +688,12 @@ impl Server {
         match executed {
             Ok(run) => {
                 self.with_metrics(|m| m.add("serve.completed", 1));
-                self.record_latency(t0);
+                self.phase("total", t0);
                 let mut m = ok_base("ran");
                 m.insert("cache", planned.cache.label());
                 m.insert("graph_hash", hex_hash(planned.graph_hash));
                 m.insert("sim_time_s", run.sim_time_s);
-                m.insert("certified", run.certified);
+                m.insert("certified", planned.certified);
                 m.insert(
                     "peak_per_device",
                     Value::Array(planned.peaks.iter().map(|&b| Value::from(b)).collect()),
@@ -814,12 +723,10 @@ impl Server {
     /// what it is (the deadline passed first).
     fn admit(
         &self,
-        req_id: u64,
         peaks: &[u64],
         deadline: &Deadline,
         probe: &mut ProbeSlot<'_>,
     ) -> Result<gpuflow_multi::Reservation, Value> {
-        let admit_start = self.wall_s();
         let wait_start = Instant::now();
         let timeout = Duration::from_millis(self.cfg.queue_timeout_ms);
         let mut ledger = self.admission.lock().unwrap();
@@ -890,23 +797,25 @@ impl Server {
             // and a full-length service verdict for a probe admission.
             self.observe_service(us, probe.take());
         }
-        let args = vec![("queued".into(), Value::from(queued))];
-        self.span(
-            req_id,
-            if queued { "queue-wait" } else { "admit" },
-            admit_start,
-            args,
-        );
+        self.phase(if queued { "queue-wait" } else { "admit" }, wait_start);
         result
     }
 
     fn handle_stats(&self) -> Value {
-        let (p50, p99, completed) = {
-            let lat = self.latencies.lock().unwrap();
+        // One lock for both: the summary and the phase table describe
+        // the same set of samples.
+        let (p50, p99, completed, phases_json) = {
+            let phases = self.phases.lock().unwrap();
+            let total = phases.total();
+            let mut pm = Map::new();
+            for (name, hist) in PHASES.iter().zip(&phases.hists) {
+                pm.insert(*name, hist.to_json());
+            }
             (
-                percentile_us(&lat, 0.50),
-                percentile_us(&lat, 0.99),
-                lat.len() as u64,
+                total.percentile(0.50),
+                total.percentile(0.99),
+                total.count(),
+                Value::Object(pm),
             )
         };
         let (cache_len, evictions) = {
@@ -938,22 +847,8 @@ impl Server {
             Value::Array(committed.into_iter().map(Value::from).collect()),
         );
         m.insert("metrics", metrics_json);
-        let phases_json = {
-            let phases = self.phases.lock().unwrap();
-            let mut pm = Map::new();
-            for (name, hist) in PHASES.iter().zip(&phases.hists) {
-                pm.insert(*name, hist.to_json());
-            }
-            Value::Object(pm)
-        };
         m.insert("phases", phases_json);
         Value::Object(m)
-    }
-
-    fn record_latency(&self, t0: Instant) {
-        let us = t0.elapsed().as_micros() as u64;
-        self.latencies.lock().unwrap().push(us);
-        self.phases.lock().unwrap().record("total", us);
     }
 
     /// Prometheus-style text exposition: one `gpuflow_serve_phase_us`
@@ -984,7 +879,6 @@ impl Server {
 /// What one executed run reports back.
 struct RunReport {
     sim_time_s: f64,
-    certified: bool,
     faulted: Option<FaultReport>,
 }
 
@@ -995,14 +889,24 @@ struct FaultReport {
     replans: u64,
 }
 
-/// Execute a planned request on the simulator, optionally under faults,
-/// and certify the executed plan. Runs outside every server lock.
-fn execute(plan: &CachedPlan, faults: Option<&FaultSpec>) -> Result<RunReport, String> {
+/// Execute a planned request on the simulator, optionally under faults.
+/// Runs outside every server lock. `certified` is the certificate the
+/// cache memoised for this plan; debug builds recompute it here, so every
+/// test run cross-checks the memo.
+fn execute(
+    plan: &CachedPlan,
+    certified: bool,
+    faults: Option<&FaultSpec>,
+) -> Result<RunReport, String> {
     let (split, exec_plan, machine) = match plan {
-        CachedPlan::Single(t) => (&t.split, &t.plan, Machine::single(&t.device)),
+        CachedPlan::Single(t) => (&t.split, &*t.plan, Machine::single(&t.device)),
         CachedPlan::Multi(mc) => (&mc.sharded.split, &mc.plan, mc.cluster.machine()),
     };
-    let certified = exec_plan.certify(&split.graph).certified();
+    debug_assert_eq!(
+        certified,
+        exec_plan.certify(&split.graph).certified(),
+        "the cached certificate disagrees with the plan"
+    );
     let Some(spec) = faults else {
         let sim_time_s = match plan {
             CachedPlan::Single(t) => t.run_analytic().map_err(|e| e.to_string())?.total_time(),
@@ -1010,7 +914,6 @@ fn execute(plan: &CachedPlan, faults: Option<&FaultSpec>) -> Result<RunReport, S
         };
         return Ok(RunReport {
             sim_time_s,
-            certified,
             faulted: None,
         });
     };
@@ -1020,7 +923,6 @@ fn execute(plan: &CachedPlan, faults: Option<&FaultSpec>) -> Result<RunReport, S
         .map_err(|e| e.to_string())?;
     Ok(RunReport {
         sim_time_s: outcome.exec.total_time(),
-        certified,
         faulted: Some(FaultReport {
             injected: outcome.stats.faults_injected,
             recovered: outcome.stats.recovered,
@@ -1221,6 +1123,48 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("gpuflow_serve_phase_us"));
+    }
+
+    #[test]
+    fn stats_latencies_are_the_total_phase_histogram() {
+        let server = Server::new(ServeConfig::default());
+        let n = 5;
+        for _ in 0..n {
+            server.handle_line(r#"{"op":"run","template":"fig3"}"#);
+        }
+        server.handle_line(r#"{"op":"compile","template":"edge:96x96,k=5,o=2"}"#);
+        // A rejected request completes nothing.
+        server.handle_line(r#"{"op":"run","template":"fig3","faults":"nonsense"}"#);
+        let stats = server.handle_request(Request::Stats);
+        let p50 = get(&stats, "latency_p50_us").as_u64().unwrap();
+        let p99 = get(&stats, "latency_p99_us").as_u64().unwrap();
+        assert_eq!(get(&stats, "completed").as_u64(), Some(n + 1));
+        assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
+        let total = get(get(&stats, "phases"), "total");
+        assert_eq!(total.get("count").and_then(|v| v.as_u64()), Some(n + 1));
+        assert_eq!(total.get("p50").and_then(|v| v.as_u64()), Some(p50));
+        assert_eq!(total.get("p99").and_then(|v| v.as_u64()), Some(p99));
+    }
+
+    #[test]
+    fn a_cached_cluster_plan_reports_its_own_certificate() {
+        let cluster = Cluster::homogeneous(gpuflow_sim::device::tesla_c870(), 2);
+        let server = Server::new(ServeConfig {
+            cluster: cluster.clone(),
+            ..ServeConfig::default()
+        });
+        let spec = "edge:256x256,k=5,o=2";
+        let g = crate::source::resolve_named(spec).unwrap();
+        let direct = gpuflow_multi::compile_multi(&g, &cluster, server.config().margin)
+            .unwrap()
+            .certify()
+            .certified();
+        let line = format!(r#"{{"op":"run","template":"{spec}"}}"#);
+        for expected_cache in ["miss", "hit"] {
+            let r = gpuflow_minijson::parse(&server.handle_line(&line)).unwrap();
+            assert_eq!(get(&r, "cache").as_str(), Some(expected_cache), "{r:?}");
+            assert_eq!(get(&r, "certified").as_bool(), Some(direct));
+        }
     }
 
     fn err_field<'a>(v: &'a Value, key: &str) -> &'a Value {
@@ -1425,15 +1369,5 @@ mod tests {
         assert_eq!(warm, first_hit, "warm restart response differs");
         server.with_metrics(|m| assert_eq!(m.counter("serve.cache_misses"), 0));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        assert_eq!(percentile_us(&[], 0.5), 0);
-        assert_eq!(percentile_us(&[7], 0.5), 7);
-        let s: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&s, 0.50), 50);
-        assert_eq!(percentile_us(&s, 0.99), 99);
-        assert_eq!(percentile_us(&s, 1.0), 100);
     }
 }

@@ -22,15 +22,6 @@ pub enum TemplateRef {
 }
 
 impl TemplateRef {
-    /// A stable label for logs and trace spans: the spec string for named
-    /// templates, `inline` for inline graphs.
-    pub fn label(&self) -> &str {
-        match self {
-            TemplateRef::Named(s) => s,
-            TemplateRef::Inline(_) => "inline",
-        }
-    }
-
     /// Materialize the operator graph.
     pub fn resolve(&self) -> Result<Graph, String> {
         match self {

@@ -64,10 +64,6 @@ pub const PID_CLUSTER: u32 = 4;
 /// points at (pseudo-time), plus the certificate summary. (Track 5 is
 /// used by the chaos-engineering crate.)
 pub const PID_HAZARD: u32 = 6;
-/// Track for the serving daemon (`gpuflow-serve`): one thread per request
-/// lifecycle, with wall-clock spans for queue-wait, cache-probe, compile,
-/// admit, and execute phases.
-pub const PID_SERVE: u32 = 7;
 /// Track for the makespan profiler (`gpuflow-profile`): one lane for the
 /// critical path (virtual time) plus one lane per engine carrying its
 /// attributed idle gaps, each span tagged with its bottleneck cause.

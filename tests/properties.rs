@@ -3,6 +3,7 @@
 //! hold.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -216,11 +217,11 @@ proptest! {
     ) {
         let (g, bindings) = random_template(seed, 3, 20, 20);
         let dev = tesla_c870();
-        let compiled = match Framework::new(dev.clone()).compile_adaptive(&g) {
+        let mut compiled = match Framework::new(dev.clone()).compile_adaptive(&g) {
             Ok(c) => c,
             Err(_) => return Ok(()),
         };
-        let mut plan = compiled.plan.clone();
+        let plan = Arc::make_mut(&mut compiled.plan);
         if plan.steps.is_empty() {
             return Ok(());
         }
@@ -259,11 +260,11 @@ proptest! {
             }
         }
         let budget = dev.memory_bytes;
-        match validate_plan(&compiled.split.graph, &plan, budget) {
+        match validate_plan(&compiled.split.graph, plan, budget) {
             Err(_) => {} // rejected statically: good
             Ok(()) => {
                 // Still valid ⇒ execution must still be bit-correct.
-                let out = Executor::new(&compiled.split.graph, &plan, &dev)
+                let out = Executor::new(&compiled.split.graph, plan, &dev)
                     .with_origin(&compiled.split)
                     .run_functional(&bindings)
                     .expect("validated plan executes");
@@ -494,11 +495,11 @@ proptest! {
     fn dropped_copyin_is_diagnosed(seed in 1u64..10_000, layers in 1usize..5) {
         let (g, _) = random_template(seed, layers, 20, 20);
         let dev = tesla_c870();
-        let compiled = match Framework::new(dev.clone()).compile_adaptive(&g) {
+        let mut compiled = match Framework::new(dev.clone()).compile_adaptive(&g) {
             Ok(c) => c,
             Err(_) => return Ok(()),
         };
-        let mut plan = compiled.plan.clone();
+        let plan = Arc::make_mut(&mut compiled.plan);
         let Some(i) = plan.steps.iter().position(|s| matches!(s, Step::CopyIn { .. })) else {
             return Ok(());
         };
@@ -520,11 +521,11 @@ proptest! {
     fn fronted_launch_is_diagnosed(seed in 1u64..10_000, layers in 1usize..5) {
         let (g, _) = random_template(seed, layers, 20, 20);
         let dev = tesla_c870();
-        let compiled = match Framework::new(dev.clone()).compile_adaptive(&g) {
+        let mut compiled = match Framework::new(dev.clone()).compile_adaptive(&g) {
             Ok(c) => c,
             Err(_) => return Ok(()),
         };
-        let mut plan = compiled.plan.clone();
+        let plan = Arc::make_mut(&mut compiled.plan);
         let Some(i) = plan.steps.iter().rposition(|s| matches!(s, Step::Launch(_))) else {
             return Ok(());
         };

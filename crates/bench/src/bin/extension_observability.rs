@@ -55,10 +55,10 @@ fn main() {
 
         let pruned = eliminate_dead_ops_traced(g, &mut tracer).expect("valid graph");
         let fw = Framework::new(dev.clone());
-        let compiled = fw
+        let accepted = fw
             .compile_adaptive_traced(&pruned.graph, &mut tracer)
             .expect("workload compiles");
-        let result = compiled.run_analytic().expect("workload runs");
+        let (compiled, result) = (accepted.template, accepted.dry_run);
         trace_serial_timeline(&mut tracer, &result.timeline);
 
         // The async-copy extension: hoist uploads, then put the dual-DMA +

@@ -2,6 +2,7 @@
 
 use gpuflow_chaos::FaultSpec;
 use gpuflow_core::{EvictionPolicy, OpScheduler};
+use gpuflow_templates::{cnn, edge};
 
 /// Where the template comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +58,7 @@ impl Source {
                     return Err(format!("unknown edge parameter '{p}'"));
                 }
             }
+            edge::check_params(rows, cols, k, orientations).map_err(|e| e.to_string())?;
             return Ok(Source::Edge {
                 rows,
                 cols,
@@ -66,10 +68,12 @@ impl Source {
         }
         if let Some(spec) = tok.strip_prefix("cnn-small:") {
             let (rows, cols) = parse_dims(spec)?;
+            cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
             return Ok(Source::SmallCnn { rows, cols });
         }
         if let Some(spec) = tok.strip_prefix("cnn-large:") {
             let (rows, cols) = parse_dims(spec)?;
+            cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
             return Ok(Source::LargeCnn { rows, cols });
         }
         if tok.ends_with(".gfg") || tok.contains('/') {
@@ -769,6 +773,24 @@ mod tests {
         );
         assert!(Source::parse("bogus").is_err());
         assert!(Source::parse("edge:10").is_err());
+    }
+
+    #[test]
+    fn builtin_parameters_that_cannot_build_are_parse_errors() {
+        for (tok, why) in [
+            ("edge:64x64,k=5,o=3", "orientations must be even"),
+            ("edge:64x64,k=5,o=2000", "got 2000"),
+            ("edge:64x64,k=0,o=4", "non-empty"),
+            ("edge:64x64,k=99,o=4", "smaller than kernel 99"),
+            ("edge:8x64", "smaller than kernel 16"),
+            ("cnn-small:16x16", "too small"),
+            ("cnn-large:640x47", "too small"),
+        ] {
+            let err = Source::parse(tok).unwrap_err();
+            assert!(err.contains(why), "{tok}: {err}");
+        }
+        assert!(Source::parse("edge:64x64,k=5,o=254").is_ok());
+        assert!(Source::parse("cnn-large:48x48").is_ok());
     }
 
     #[test]

@@ -9,8 +9,8 @@ use gpuflow_codegen::{
 };
 use gpuflow_core::{
     baseline_plan, record_serial_metrics, render_gantt, trace_lanes, trace_serial_timeline,
-    CompileOptions, ExecutionPlan, Framework, Lane, Machine, OverlapOutcome, PbExactOptions,
-    ResilientExecutor, ResilientOutcome, SplitResult,
+    AdaptiveCompile, CompileOptions, ExecutionPlan, Framework, Lane, Machine, OverlapOutcome,
+    PbExactOptions, ResilientExecutor, ResilientOutcome, SplitResult,
 };
 use gpuflow_graph::{DataId, Graph, FLOAT_BYTES};
 use gpuflow_minijson::{Map, Value};
@@ -823,7 +823,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 streams: *streams,
                 ..CompileOptions::default()
             };
-            let compiled = Framework::new(dev.clone())
+            // The ladder's accepted rung already dry-ran and certified the
+            // plan: an analytic run and the profile reuse both.
+            let AdaptiveCompile {
+                template: compiled,
+                dry_run,
+                certificate,
+            } = Framework::new(dev.clone())
                 .with_options(options)
                 .compile_adaptive_traced(&g, &mut tracer)
                 .map_err(|e| e.to_string())?;
@@ -851,7 +857,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 verified = Some(verify_outputs(&g, &bindings, &run.outputs)?);
                 run
             } else {
-                compiled.run_analytic().map_err(|e| e.to_string())?
+                dry_run
             };
             let c = result.timeline.counters();
             let sim = compiled.simulate();
@@ -906,6 +912,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         &dev,
                         &options,
                         &sim,
+                        &certificate,
                     )?),
                 );
                 m.insert("metrics", tracer.metrics_ref().to_json());
@@ -1041,7 +1048,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // itself is sound enough to compile.
                 diags = gpuflow_verify::analyze_graph(&g, Some(dev.memory_bytes));
                 (plan_info, cert) = if !gpuflow_verify::has_errors(&diags) {
-                    let compiled = Framework::new(dev.clone())
+                    // The happens-before certificate (GF005x) is the one
+                    // the compile's `validate` built.
+                    let AdaptiveCompile {
+                        template: compiled,
+                        certificate: report,
+                        ..
+                    } = Framework::new(dev.clone())
                         .with_options(CompileOptions {
                             streams: *streams,
                             ..CompileOptions::default()
@@ -1052,7 +1065,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         compiled
                             .plan
                             .analyze(&compiled.split.graph, dev.memory_bytes, true);
-                    let report = compiled.plan.certify(&compiled.split.graph);
                     let info = (
                         compiled.plan.steps.len(),
                         compiled.plan.units.len(),
@@ -1163,15 +1175,18 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // Same entry point as `run`: the adaptive ladder dry-runs
                 // the real first-fit allocator, so a template that runs
                 // also traces (`--margin` is the ladder's floor).
-                let compiled = Framework::new(dev.clone())
+                let AdaptiveCompile {
+                    template: compiled,
+                    dry_run,
+                    ..
+                } = Framework::new(dev.clone())
                     .with_options(options)
                     .compile_adaptive_traced(&g, &mut tracer)
                     .map_err(|e| e.to_string())?;
                 let _ =
                     plan_to_json_traced(&compiled.split.graph, &compiled.plan, &name, &mut tracer)
                         .map_err(|e| e.to_string())?;
-                let result = compiled.run_analytic().map_err(|e| e.to_string())?;
-                trace_serial_timeline(&mut tracer, &result.timeline);
+                trace_serial_timeline(&mut tracer, &dry_run.timeline);
                 let sim = compiled.simulate();
                 trace_lanes(&mut tracer, &sim.lanes, &sim.events);
                 let parsed = write_trace(out_path, &tracer)?;
@@ -1381,11 +1396,22 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     defer_frees: !*no_defer_frees,
                     ..CompileOptions::default()
                 };
-                let compiled = Framework::new(dev.clone())
+                let AdaptiveCompile {
+                    template: compiled,
+                    certificate,
+                    ..
+                } = Framework::new(dev.clone())
                     .with_options(options)
                     .compile_adaptive_traced(&g, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                profile_plan(&compiled.split.graph, &compiled.plan, &dev, &options)?
+                profile_plan_with(
+                    &compiled.split.graph,
+                    &compiled.plan,
+                    &dev,
+                    &options,
+                    &compiled.simulate(),
+                    &certificate,
+                )?
             };
             trace_profile(&mut tracer, &report);
             if *json {

@@ -16,6 +16,7 @@ use gpuflow_ops::Tensor;
 use gpuflow_sim::DeviceSpec;
 
 use gpuflow_trace::{kv, Tracer};
+use gpuflow_verify::ConcurrencyReport;
 
 use crate::error::FrameworkError;
 use crate::executor::{ExecOutcome, Executor};
@@ -171,6 +172,29 @@ pub struct CompiledTemplate {
     /// Solver search and formula-size statistics when the exact PB
     /// scheduler ran.
     pub exact_stats: Option<PbExactStats>,
+    /// The plan's statistics, from the residency walk that validated it.
+    stats: PlanStats,
+}
+
+/// What [`Framework::compile_adaptive_traced`] accepted: the template,
+/// plus two facts the accepted rung of the margin ladder established on
+/// the way — its dry run on the real first-fit allocator and the
+/// concurrency certificate `validate` built. A caller that needs either
+/// takes it from here instead of walking the plan again.
+///
+/// The certificate is not kept on [`CompiledTemplate`]: a cached template
+/// lives as long as its cache entry, and a large plan's happens-before
+/// graph can weigh as much as the rest of the entry together.
+#[derive(Debug)]
+pub struct AdaptiveCompile {
+    /// The compiled template.
+    pub template: CompiledTemplate,
+    /// The accepted rung's analytic dry run (what
+    /// [`CompiledTemplate::run_analytic`] returns).
+    pub dry_run: ExecOutcome,
+    /// The plan's concurrency certificate (what `ExecutionPlan::certify`
+    /// returns).
+    pub certificate: ConcurrencyReport,
 }
 
 impl Framework {
@@ -208,6 +232,17 @@ impl Framework {
         template: &Graph,
         tracer: &mut Tracer,
     ) -> Result<CompiledTemplate, FrameworkError> {
+        self.compile_certified(template, tracer)
+            .map(|(compiled, _)| compiled)
+    }
+
+    /// [`Framework::compile_traced`], also handing back the concurrency
+    /// certificate `validate` built.
+    fn compile_certified(
+        &self,
+        template: &Graph,
+        tracer: &mut Tracer,
+    ) -> Result<(CompiledTemplate, ConcurrencyReport), FrameworkError> {
         let budget = self.device.plannable_memory(self.options.memory_margin);
         let tok = tracer.begin("compile", "split");
         let split = split_graph(template, budget)?;
@@ -303,13 +338,11 @@ impl Framework {
 
         // One residency walk gives both the verdict (what `validate_plan`
         // checks) and the canonical plan statistics: the metrics the
-        // exported trace reconciles against come from here, never from a
-        // second count.
+        // exported trace reconciles against, and `CompiledTemplate::stats`,
+        // come from here, never from a second count.
         let tok = tracer.begin("compile", "validate");
-        let (analysis, error) = check_plan(&split.graph, &plan, &[budget]);
-        if let Some(msg) = error {
-            return Err(FrameworkError::InvalidPlan(msg));
-        }
+        let (analysis, certificate) =
+            check_plan(&split.graph, &plan, &[budget]).map_err(FrameworkError::InvalidPlan)?;
         tracer.end(tok);
         crate::observe::record_plan_metrics(tracer, &analysis.stats);
         if tracer.is_enabled() {
@@ -318,13 +351,15 @@ impl Framework {
             m.set("plan.evictions", evictions as u64);
         }
 
-        Ok(CompiledTemplate {
+        let compiled = CompiledTemplate {
             split,
             plan: Arc::new(plan),
             device: self.device.clone(),
             exact_optimal,
             exact_stats,
-        })
+            stats: analysis.stats,
+        };
+        Ok((compiled, certificate))
     }
 }
 
@@ -341,17 +376,19 @@ impl Framework {
     /// for exactly this reason (§3.3.2).
     pub fn compile_adaptive(&self, template: &Graph) -> Result<CompiledTemplate, FrameworkError> {
         self.compile_adaptive_traced(template, &mut Tracer::disabled())
+            .map(|accepted| accepted.template)
     }
 
     /// [`Framework::compile_adaptive`] with tracing: each margin attempt
     /// becomes a span (wrapping the usual per-pass spans) that records the
     /// margin tried and why it was rejected, and the accepted margin lands
-    /// in the metrics registry as `compile.margin`.
+    /// in the metrics registry as `compile.margin`. Returns the accepted
+    /// rung's dry run and certificate beside the template.
     pub fn compile_adaptive_traced(
         &self,
         template: &Graph,
         tracer: &mut Tracer,
-    ) -> Result<CompiledTemplate, FrameworkError> {
+    ) -> Result<AdaptiveCompile, FrameworkError> {
         // The configured margin is the ladder's floor: start there, then
         // escalate through the default rungs above it. With default
         // options this is exactly `DEFAULT_MARGINS`.
@@ -369,12 +406,16 @@ impl Framework {
                 },
             };
             let tok = tracer.begin("compile", "margin-attempt");
-            match fw.compile_traced(template, tracer) {
-                Ok(compiled) => match compiled.run_analytic() {
-                    Ok(_) => {
+            match fw.compile_certified(template, tracer) {
+                Ok((compiled, certificate)) => match compiled.run_analytic() {
+                    Ok(dry_run) => {
                         tracer.end_with(tok, vec![kv("margin", margin), kv("outcome", "ok")]);
                         tracer.metrics().gauge("compile.margin", margin);
-                        return Ok(compiled);
+                        return Ok(AdaptiveCompile {
+                            template: compiled,
+                            dry_run,
+                            certificate,
+                        });
                     }
                     Err(e) => {
                         tracer.end_with(
@@ -398,9 +439,37 @@ impl Framework {
 }
 
 impl CompiledTemplate {
-    /// Static transfer statistics.
+    /// Static transfer statistics, as the validating walk computed them.
     pub fn stats(&self) -> PlanStats {
-        self.plan.stats(&self.split.graph)
+        debug_assert_eq!(
+            self.stats,
+            self.plan.stats(&self.split.graph),
+            "cached plan statistics disagree with a fresh walk of the plan"
+        );
+        self.stats
+    }
+
+    /// This template's schedule over `split`, a re-split of a graph with
+    /// the same skeleton at new sizes, for `device` with `budget`
+    /// plannable bytes. The shared plan is validated against the new
+    /// shapes (residency, capacity and the concurrency certificate), and
+    /// the new template's statistics come from that same walk.
+    pub fn reuse_schedule(
+        &self,
+        split: SplitResult,
+        device: DeviceSpec,
+        budget: u64,
+    ) -> Result<CompiledTemplate, FrameworkError> {
+        let (analysis, _) =
+            check_plan(&split.graph, &self.plan, &[budget]).map_err(FrameworkError::InvalidPlan)?;
+        Ok(CompiledTemplate {
+            split,
+            plan: Arc::clone(&self.plan),
+            device,
+            exact_optimal: self.exact_optimal,
+            exact_stats: self.exact_stats,
+            stats: analysis.stats,
+        })
     }
 
     /// Simulate the plan with concurrent copy engines and compute streams
@@ -571,6 +640,30 @@ mod tests {
         let compiled = Framework::new(dev).compile_adaptive(&g).unwrap();
         assert!(compiled.split.parts >= 2);
         compiled.run_analytic().unwrap();
+    }
+
+    #[test]
+    fn adaptive_compile_hands_back_the_accepted_rungs_dry_run_and_certificate() {
+        // The 5 % rung fails its dry run here, so what comes back must be
+        // the facts of the rung that was accepted.
+        let g = edge_graph(120, 9);
+        let dev = tesla_c870().with_memory(120 * 1024);
+        for streams in [1, 2] {
+            let accepted = Framework::new(dev.clone())
+                .with_options(CompileOptions {
+                    streams,
+                    ..CompileOptions::default()
+                })
+                .compile_adaptive_traced(&g, &mut Tracer::disabled())
+                .unwrap();
+            let t = &accepted.template;
+            let fresh = t.run_analytic().unwrap();
+            assert_eq!(accepted.dry_run.timeline.events(), fresh.timeline.events());
+            assert_eq!(accepted.dry_run.peak_device_bytes, fresh.peak_device_bytes);
+            let cert = t.plan.certify(&t.split.graph);
+            assert_eq!(accepted.certificate.diagnostics, cert.diagnostics);
+            assert_eq!(accepted.certificate.hb.edge_counts(), cert.hb.edge_counts());
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use best::best_possible_estimate;
 pub use dce::{dead_ops, eliminate_dead_ops, eliminate_dead_ops_traced, DceResult};
 pub use error::FrameworkError;
 pub use executor::{ExecMode, ExecOutcome, Executor};
-pub use framework::{CompileOptions, CompiledTemplate, Framework};
+pub use framework::{AdaptiveCompile, CompileOptions, CompiledTemplate, Framework};
 pub use observe::{
     record_plan_metrics, record_serial_metrics, trace_hazard_certificate, trace_lanes,
     trace_serial_timeline,

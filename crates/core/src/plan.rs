@@ -213,12 +213,12 @@ impl ExecutionPlan {
 /// residency analysis against `capacities`, then — a serially-valid plan
 /// must additionally be race-free on the concurrent lanes — the
 /// concurrency certifier. Returns the analysis (for its statistics) and
-/// the first error, if any, in fail-fast form.
+/// the certificate, or the first error in fail-fast form.
 pub(crate) fn check_plan(
     g: &Graph,
     plan: &ExecutionPlan,
     capacities: &[u64],
-) -> (PlanAnalysis, Option<String>) {
+) -> Result<(PlanAnalysis, ConcurrencyReport), String> {
     let view = plan.view(g);
     let analysis = analyze_plan(g, &view, capacities, false);
     // The fail-fast rendering of a finding: `step N: message`.
@@ -226,11 +226,14 @@ pub(crate) fn check_plan(
         Some(Location::Step(i)) => format!("step {i}: {}", d.message),
         _ => d.message.clone(),
     };
-    let error = match analysis.first_error() {
-        Some(d) => Some(message(d)),
-        None => plan.certify_view(g, &view).first_error().map(message),
-    };
-    (analysis, error)
+    if let Some(d) = analysis.first_error() {
+        return Err(message(d));
+    }
+    let certificate = plan.certify_view(g, &view);
+    match certificate.first_error() {
+        Some(d) => Err(message(d)),
+        None => Ok((analysis, certificate)),
+    }
 }
 
 /// Validate a plan against `g` and a device memory of `memory_bytes`:
@@ -252,10 +255,9 @@ pub fn validate_plan(
     plan: &ExecutionPlan,
     memory_bytes: u64,
 ) -> Result<(), FrameworkError> {
-    match check_plan(g, plan, &[memory_bytes]).1 {
-        Some(msg) => Err(FrameworkError::InvalidPlan(msg)),
-        None => Ok(()),
-    }
+    check_plan(g, plan, &[memory_bytes])
+        .map(|_| ())
+        .map_err(FrameworkError::InvalidPlan)
 }
 
 /// Debug/test guard used by every planner: assert that a freshly produced
@@ -265,7 +267,7 @@ pub fn validate_plan(
 /// check).
 #[cfg(debug_assertions)]
 pub(crate) fn debug_check_plan(g: &Graph, plan: &ExecutionPlan, budgets: &[u64], planner: &str) {
-    if let Some(msg) = check_plan(g, plan, budgets).1 {
+    if let Err(msg) = check_plan(g, plan, budgets) {
         panic!("{planner} produced an invalid plan: {msg}");
     }
 }

@@ -48,12 +48,15 @@
 //! committed-free horizon that every allocating step waits on, in the
 //! simulator and the certifier alike. See `docs/streams.md`.
 
-use gpuflow_graph::Graph;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
+
+use gpuflow_graph::{DataId, Graph};
 use gpuflow_ops::op_cost;
 use gpuflow_sim::{kernel_time, timing::Work, DeviceSpec};
 
 use crate::error::FrameworkError;
-use crate::opschedule::unit_dag;
+use crate::opschedule::{unit_dag, UnitDag};
 use crate::partition::OffloadUnit;
 use crate::plan::{ExecutionPlan, Step};
 use crate::xfer::{schedule_transfers, XferOptions};
@@ -115,6 +118,117 @@ fn unit_footprint_bytes(g: &Graph, unit: &OffloadUnit) -> u64 {
     ins + outs
 }
 
+/// What the list scheduler ranks units by: the unit DAG, each unit's
+/// kernel time on the device, its bottom level and its device footprint.
+struct Priorities {
+    dag: UnitDag,
+    time: Vec<f64>,
+    bl: Vec<f64>,
+    footprint: Vec<u64>,
+}
+
+impl Priorities {
+    fn new(g: &Graph, units: &[OffloadUnit], dev: &DeviceSpec) -> Self {
+        let dag = unit_dag(g, units);
+        let time: Vec<f64> = units.iter().map(|u| unit_compute_time(g, u, dev)).collect();
+        let footprint: Vec<u64> = units.iter().map(|u| unit_footprint_bytes(g, u)).collect();
+        // A unit's bottom level needs its successors' first. Unit indices
+        // are not guaranteed to be topological, so walk a Kahn order
+        // backwards.
+        let mut bl = vec![0.0f64; units.len()];
+        for &u in kahn_order(&dag.preds, &dag.succs).iter().rev() {
+            let succ_max = dag.succs[u].iter().fold(0.0f64, |m, &s| m.max(bl[s]));
+            bl[u] = time[u] + succ_max;
+        }
+        Priorities {
+            dag,
+            time,
+            bl,
+            footprint,
+        }
+    }
+
+    fn ready(&self, unit: usize) -> Ready {
+        Ready {
+            bl: self.bl[unit],
+            footprint: self.footprint[unit],
+            unit,
+        }
+    }
+}
+
+/// A ready unit under the list scheduler's pick order: larger bottom
+/// level first, then smaller footprint, then lower unit index. The order
+/// is total (unit indices are distinct), so a max-heap pops exactly the
+/// unit a scan of the whole ready list for its maximum would pick.
+#[derive(Debug, Clone, Copy)]
+struct Ready {
+    bl: f64,
+    footprint: u64,
+    unit: usize,
+}
+
+impl Ord for Ready {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.bl
+            .total_cmp(&other.bl)
+            .then(other.footprint.cmp(&self.footprint))
+            .then(other.unit.cmp(&self.unit))
+    }
+}
+
+impl PartialOrd for Ready {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ready {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ready {}
+
+/// The list scheduler's clocks: when each compute stream retires its last
+/// kernel, when each placed unit finishes, and where each unit went.
+struct StreamClocks {
+    stream_free: Vec<f64>,
+    finish: Vec<f64>,
+    unit_stream: Vec<usize>,
+}
+
+impl StreamClocks {
+    fn new(num_streams: usize, num_units: usize) -> Self {
+        StreamClocks {
+            stream_free: vec![0.0; num_streams],
+            finish: vec![0.0; num_units],
+            unit_stream: vec![0; num_units],
+        }
+    }
+
+    /// Put `u` on the stream that can start it earliest (the lower stream
+    /// on a tie): it cannot begin before its latest predecessor finishes
+    /// (the event it waits on), nor before the stream's previous kernel
+    /// retires.
+    fn place(&mut self, p: &Priorities, u: usize) {
+        let est = p.dag.preds[u]
+            .iter()
+            .fold(0.0f64, |m, &q| m.max(self.finish[q]));
+        let (s, start) = self
+            .stream_free
+            .iter()
+            .enumerate()
+            .map(|(s, &free)| (s, free.max(est)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .expect("at least one stream");
+        self.unit_stream[u] = s;
+        self.finish[u] = start + p.time[u];
+        self.stream_free[s] = self.finish[u];
+    }
+}
+
 /// Critical-path list scheduling of `units` onto `num_streams` concurrent
 /// compute streams. Returns `(order, unit_stream)`: the issue order (a
 /// valid topological order of the unit DAG, suitable for
@@ -124,7 +238,9 @@ fn unit_footprint_bytes(g: &Graph, unit: &OffloadUnit) -> u64 {
 /// bottom level (critical path first), ties broken toward the smaller
 /// memory footprint, then the lower unit index. The picked unit goes to
 /// the stream with the earliest available slot (its own clock vs. the
-/// unit's latest-finishing predecessor).
+/// unit's latest-finishing predecessor). The ready units sit in a binary
+/// heap, so the whole schedule costs O(units · log units + edges +
+/// units · streams).
 pub fn stream_order(
     g: &Graph,
     units: &[OffloadUnit],
@@ -132,69 +248,26 @@ pub fn stream_order(
     num_streams: usize,
 ) -> (Vec<usize>, Vec<usize>) {
     let n = units.len();
-    let k = num_streams.max(1);
-    let dag = unit_dag(g, units);
-    let time: Vec<f64> = units.iter().map(|u| unit_compute_time(g, u, dev)).collect();
-    let footprint: Vec<u64> = units.iter().map(|u| unit_footprint_bytes(g, u)).collect();
-
-    // Bottom levels over the DAG, computed in reverse topological order
-    // (units are created in topological order, so reverse index order is
-    // safe: successors always have larger indices than their producers'
-    // units would... not guaranteed — walk by Kahn order instead).
-    let mut bl = vec![0.0f64; n];
-    let topo = kahn_order(&dag.preds, &dag.succs);
-    for &u in topo.iter().rev() {
-        let succ_max = dag.succs[u].iter().fold(0.0f64, |m, &s| m.max(bl[s]));
-        bl[u] = time[u] + succ_max;
-    }
-    // Output units tend to be sinks already; nothing special needed.
-    let _ = &dag.output_units;
-
-    let mut npreds: Vec<usize> = dag.preds.iter().map(|p| p.len()).collect();
-    let mut ready: Vec<usize> = (0..n).filter(|&u| npreds[u] == 0).collect();
+    let p = Priorities::new(g, units, dev);
+    let mut npreds: Vec<usize> = p.dag.preds.iter().map(Vec::len).collect();
+    let mut ready: BinaryHeap<Ready> = (0..n)
+        .filter(|&u| npreds[u] == 0)
+        .map(|u| p.ready(u))
+        .collect();
     let mut order = Vec::with_capacity(n);
-    let mut unit_stream = vec![0usize; n];
-    let mut finish = vec![0.0f64; n];
-    let mut stream_free = vec![0.0f64; k];
-
-    while let Some(pos) = pick_ready(&ready, &bl, &footprint) {
-        let u = ready.swap_remove(pos);
-        // Earliest-start stream: the unit cannot begin before its latest
-        // predecessor finishes (the event it waits on), nor before the
-        // stream's previous kernel retires.
-        let est = dag.preds[u].iter().fold(0.0f64, |m, &p| m.max(finish[p]));
-        let (s, start) = (0..k)
-            .map(|s| (s, stream_free[s].max(est)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .expect("at least one stream");
-        unit_stream[u] = s;
-        finish[u] = start + time[u];
-        stream_free[s] = finish[u];
+    let mut clocks = StreamClocks::new(num_streams.max(1), n);
+    while let Some(Ready { unit: u, .. }) = ready.pop() {
+        clocks.place(&p, u);
         order.push(u);
-        for &succ in &dag.succs[u] {
+        for &succ in &p.dag.succs[u] {
             npreds[succ] -= 1;
             if npreds[succ] == 0 {
-                ready.push(succ);
+                ready.push(p.ready(succ));
             }
         }
     }
     assert_eq!(order.len(), n, "unit DAG must be acyclic");
-    (order, unit_stream)
-}
-
-/// Index into `ready` of the unit to issue next: max bottom level, then
-/// min footprint, then min unit index. `None` when `ready` is empty.
-fn pick_ready(ready: &[usize], bl: &[f64], footprint: &[u64]) -> Option<usize> {
-    ready
-        .iter()
-        .enumerate()
-        .max_by(|(_, &a), (_, &b)| {
-            bl[a]
-                .total_cmp(&bl[b])
-                .then(footprint[b].cmp(&footprint[a]))
-                .then(b.cmp(&a))
-        })
-        .map(|(i, _)| i)
+    (order, clocks.unit_stream)
 }
 
 /// Plain Kahn topological order over the unit DAG.
@@ -307,22 +380,16 @@ pub fn derive_events_for(
 /// plan end. Transfers and launches keep their relative order, so
 /// transfer volume and eviction choices are untouched; occupancy stays
 /// within the budget by construction because pending frees still count as
-/// occupied until emitted.
+/// occupied until emitted. One pass, O(steps): whether a re-uploaded
+/// datum's free is still pending is a per-datum count, not a search of
+/// the queue.
 fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes: u64) -> Vec<Step> {
-    use std::collections::VecDeque;
-    let mut pending: VecDeque<gpuflow_graph::DataId> = VecDeque::new();
-    let mut used = 0u64;
+    let mut pending = PendingFrees {
+        queue: VecDeque::new(),
+        queued: vec![0; g.num_data()],
+        used: 0,
+    };
     let mut out = Vec::with_capacity(steps.len());
-    fn flush_front(
-        g: &Graph,
-        out: &mut Vec<Step>,
-        pending: &mut VecDeque<gpuflow_graph::DataId>,
-        used: &mut u64,
-    ) {
-        let d = pending.pop_front().expect("caller checked non-empty");
-        out.push(Step::Free { device: 0, data: d });
-        *used -= g.data(d).bytes();
-    }
     for step in steps {
         // Bytes this step allocates, in the plan validator's accounting:
         // a CopyIn allocates its datum, a Launch its (single-assignment,
@@ -332,10 +399,7 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
             Step::Launch(u) => units[u].outputs(g).iter().map(|&d| g.data(d).bytes()).sum(),
             Step::CopyOut { .. } => 0,
             Step::Free { data: d, .. } => {
-                // A valid plan never double-frees, and a re-upload of an
-                // evicted datum flushes through its pending free below, so
-                // `pending` holds distinct data.
-                pending.push_back(d);
+                pending.push(d);
                 continue;
             }
         };
@@ -343,20 +407,47 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
             // Re-uploading an evicted datum: its deferred free (and, to
             // keep free order stable, everything queued before it) must
             // commit first — the device cannot hold two copies.
-            while pending.contains(&d) {
-                flush_front(g, &mut out, &mut pending, &mut used);
+            while pending.queued[d.index()] > 0 {
+                pending.flush_front(g, &mut out);
             }
         }
-        while used.saturating_add(need) > memory_bytes && !pending.is_empty() {
-            flush_front(g, &mut out, &mut pending, &mut used);
+        while pending.used.saturating_add(need) > memory_bytes && !pending.queue.is_empty() {
+            pending.flush_front(g, &mut out);
         }
-        used += need;
+        pending.used += need;
         out.push(step);
     }
-    while !pending.is_empty() {
-        flush_front(g, &mut out, &mut pending, &mut used);
+    while !pending.queue.is_empty() {
+        pending.flush_front(g, &mut out);
     }
     out
+}
+
+/// The frees `defer_frees` holds back, in plan order, and the device
+/// occupancy they still count towards.
+struct PendingFrees {
+    queue: VecDeque<DataId>,
+    /// How many times each datum occurs in `queue`. A valid plan never
+    /// double-frees, so this is 0 or 1, but counting keeps the answer to
+    /// "is `d` still queued?" exact whatever the input.
+    queued: Vec<u32>,
+    /// Bytes resident on the device, pending frees included.
+    used: u64,
+}
+
+impl PendingFrees {
+    fn push(&mut self, d: DataId) {
+        self.queue.push_back(d);
+        self.queued[d.index()] += 1;
+    }
+
+    /// Commit the oldest pending free.
+    fn flush_front(&mut self, g: &Graph, out: &mut Vec<Step>) {
+        let d = self.queue.pop_front().expect("caller checked non-empty");
+        self.queued[d.index()] -= 1;
+        self.used -= g.data(d).bytes();
+        out.push(Step::Free { device: 0, data: d });
+    }
 }
 
 /// Full stream-aware planning: list-schedule `units` onto `num_streams`
@@ -440,6 +531,184 @@ mod tests {
         g.add_op("join", OpKind::EwMax { arity: 2 }, vec![fa, fb], out)
             .unwrap();
         g
+    }
+
+    /// The list scheduler as a scan of the whole ready list for every
+    /// pick, the way it was written before the heap: the oracle
+    /// [`stream_order`] must agree with.
+    fn stream_order_linear(
+        g: &Graph,
+        units: &[OffloadUnit],
+        dev: &DeviceSpec,
+        num_streams: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let n = units.len();
+        let k = num_streams.max(1);
+        let p = Priorities::new(g, units, dev);
+        let mut npreds: Vec<usize> = p.dag.preds.iter().map(|p| p.len()).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&u| npreds[u] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        let mut unit_stream = vec![0usize; n];
+        let mut finish = vec![0.0f64; n];
+        let mut stream_free = vec![0.0f64; k];
+        while let Some(pos) = pick_ready(&ready, &p.bl, &p.footprint) {
+            let u = ready.swap_remove(pos);
+            let est = p.dag.preds[u].iter().fold(0.0f64, |m, &q| m.max(finish[q]));
+            let (s, start) = (0..k)
+                .map(|s| (s, stream_free[s].max(est)))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .unwrap();
+            unit_stream[u] = s;
+            finish[u] = start + p.time[u];
+            stream_free[s] = finish[u];
+            order.push(u);
+            for &succ in &p.dag.succs[u] {
+                npreds[succ] -= 1;
+                if npreds[succ] == 0 {
+                    ready.push(succ);
+                }
+            }
+        }
+        assert_eq!(order.len(), n);
+        (order, unit_stream)
+    }
+
+    /// Index into `ready` of the unit to issue next: max bottom level,
+    /// then min footprint, then min unit index.
+    fn pick_ready(ready: &[usize], bl: &[f64], footprint: &[u64]) -> Option<usize> {
+        ready
+            .iter()
+            .enumerate()
+            .max_by(|(_, &a), (_, &b)| {
+                bl[a]
+                    .total_cmp(&bl[b])
+                    .then(footprint[b].cmp(&footprint[a]))
+                    .then(b.cmp(&a))
+            })
+            .map(|(i, _)| i)
+    }
+
+    /// `defer_frees` with a search of the pending queue on every `CopyIn`,
+    /// the way it was written before the per-datum count: the oracle the
+    /// O(steps) pass must agree with. Also returns how many `CopyIn`s
+    /// found their datum's free still pending (the re-upload flush).
+    fn defer_frees_linear(
+        g: &Graph,
+        units: &[OffloadUnit],
+        steps: Vec<Step>,
+        memory_bytes: u64,
+    ) -> (Vec<Step>, usize) {
+        let mut pending: VecDeque<DataId> = VecDeque::new();
+        let mut used = 0u64;
+        let mut reuploads = 0;
+        let mut out = Vec::with_capacity(steps.len());
+        let flush_front = |out: &mut Vec<Step>, pending: &mut VecDeque<DataId>, used: &mut u64| {
+            let d = pending.pop_front().unwrap();
+            out.push(Step::Free { device: 0, data: d });
+            *used -= g.data(d).bytes();
+        };
+        for step in steps {
+            let need = match step {
+                Step::CopyIn { data: d, .. } => g.data(d).bytes(),
+                Step::Launch(u) => units[u].outputs(g).iter().map(|&d| g.data(d).bytes()).sum(),
+                Step::CopyOut { .. } => 0,
+                Step::Free { data: d, .. } => {
+                    pending.push_back(d);
+                    continue;
+                }
+            };
+            if let Step::CopyIn { data: d, .. } = step {
+                reuploads += usize::from(pending.contains(&d));
+                while pending.contains(&d) {
+                    flush_front(&mut out, &mut pending, &mut used);
+                }
+            }
+            while used.saturating_add(need) > memory_bytes && !pending.is_empty() {
+                flush_front(&mut out, &mut pending, &mut used);
+            }
+            used += need;
+            out.push(step);
+        }
+        while !pending.is_empty() {
+            flush_front(&mut out, &mut pending, &mut used);
+        }
+        (out, reuploads)
+    }
+
+    /// The heap scheduler and the O(steps) deferral against their linear
+    /// oracles, from two independent chains up to the large CNN, at
+    /// k = 2, 3, 4, under ample memory and under a budget tight enough to
+    /// evict and re-upload.
+    #[test]
+    fn heap_scheduler_and_deferral_match_their_linear_oracles() {
+        use gpuflow_templates::{cnn, edge};
+        let dev = tesla_c870();
+        // Two sinks that move the same bytes and do the same flops, so
+        // only the footprint tie-break orders them: one reads its input
+        // twice, and a unit's footprint counts a datum once.
+        let mut ties = Graph::new();
+        let a = ties.add("A", 64, 64, DataKind::Input);
+        let b = ties.add("B", 64, 64, DataKind::Input);
+        let wide = ties.add("Wide", 64, 64, DataKind::Output);
+        let narrow = ties.add("Narrow", 64, 64, DataKind::Output);
+        ties.add_op("wide", OpKind::EwAdd { arity: 2 }, vec![a, b], wide)
+            .unwrap();
+        ties.add_op("narrow", OpKind::EwAdd { arity: 2 }, vec![a, a], narrow)
+            .unwrap();
+        let cases = [
+            ("ties", ties),
+            ("forked", forked(600)),
+            ("cnn-small:512x512", cnn::small_cnn(512, 512).graph),
+            (
+                "edge:512x512,k=9,o=8",
+                edge::find_edges(512, 512, 9, 8, edge::CombineOp::Max).graph,
+            ),
+            ("cnn-large:400x400", cnn::large_cnn(400, 400).graph),
+        ];
+        let mut reuploads = 0;
+        for (name, g) in &cases {
+            let units = partition_offload_units(g, PartitionPolicy::PerOperator, u64::MAX);
+            for k in [2, 3, 4] {
+                let (order, unit_stream) = stream_order(g, &units, &dev, k);
+                assert_eq!(
+                    (order.clone(), unit_stream),
+                    stream_order_linear(g, &units, &dev, k),
+                    "{name} k={k}: the heap picked differently"
+                );
+                let xfer = |memory_bytes| XferOptions {
+                    memory_bytes,
+                    policy: EvictionPolicy::Belady,
+                    eager_free: true,
+                };
+                let ample = dev.memory_bytes;
+                let peak = schedule_transfers(g, &units, &order, xfer(ample))
+                    .unwrap()
+                    .stats(g)
+                    .peak_bytes;
+                for budget in [ample, peak / 2] {
+                    // Units too large for the tight budget: ample only.
+                    let Ok(plan) = schedule_transfers(g, &units, &order, xfer(budget)) else {
+                        continue;
+                    };
+                    // Deferring a tight plan against the whole device as
+                    // well keeps each eviction pending until its re-upload.
+                    for defer_budget in [budget, ample] {
+                        let (want, flushed) =
+                            defer_frees_linear(g, &units, plan.steps.clone(), defer_budget);
+                        assert_eq!(
+                            defer_frees(g, &units, plan.steps.clone(), defer_budget),
+                            want,
+                            "{name} k={k} budget={budget}/{defer_budget}: deferred steps differ"
+                        );
+                        reuploads += flushed;
+                    }
+                }
+            }
+        }
+        assert!(
+            reuploads > 0,
+            "no case re-uploaded a datum whose free was pending"
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! A caller that already holds the plan's [`Simulation`] (`gpuflow run
 //! --json` prints one and profiles it) passes it to
 //! [`profile_plan_with`] / [`profile_cluster_with`] instead of having the
-//! profiler simulate the plan a second time.
+//! profiler simulate the plan a second time. On one device it also passes
+//! the concurrency certificate the compile already built, so the plan is
+//! certified once, not again for its critical path.
 
 use std::collections::HashMap;
 
@@ -23,7 +25,7 @@ use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
 use gpuflow_multi::MultiCompiled;
 use gpuflow_sim::DeviceSpec;
-use gpuflow_verify::{critical_path, dependency_critical_path};
+use gpuflow_verify::{critical_path, dependency_critical_path, ConcurrencyReport};
 
 use crate::advisor::{advise_cluster, advise_single, WhatIf};
 
@@ -267,13 +269,14 @@ fn top_units(busy: HashMap<String, u64>, cap: usize) -> Vec<(String, u64)> {
 
 /// The one profile body: roll up `sim` — the simulation of `plan` on
 /// `machine`, with its gap attribution — per engine, extract the critical
-/// path from the plan's happens-before certificate, and attach
+/// path from `cert`, the plan's happens-before certificate, and attach
 /// `advise(outcome, critical-path length)`.
 fn profile_on(
     g: &Graph,
     plan: &ExecutionPlan,
     machine: &Machine,
     sim: &Simulation,
+    cert: &ConcurrencyReport,
     advise: impl FnOnce(&OverlapOutcome, f64) -> Vec<WhatIf>,
 ) -> Result<ProfileReport, String> {
     debug_assert_eq!(
@@ -315,7 +318,6 @@ fn profile_on(
     let makespan_ns = ns(makespan_s);
     let (dominant, dominant_share) = dominance(&engines, makespan_ns);
 
-    let cert = plan.certify(g);
     let times = step_times(g, plan, machine);
     let durations: Vec<f64> = times.iter().map(|&(s, e)| e - s).collect();
     // A shared fabric backfills grants out of issue order, so same-lane
@@ -367,19 +369,31 @@ pub fn profile_plan(
     opts: &CompileOptions,
 ) -> Result<ProfileReport, String> {
     let sim = simulate(g, plan, &Machine::single(dev));
-    profile_plan_with(g, plan, dev, opts, &sim)
+    profile_plan_with(g, plan, dev, opts, &sim, &plan.certify(g))
 }
 
 /// [`profile_plan`] from `sim`, the plan's simulation on `dev` (what
-/// `CompiledTemplate::simulate` returns).
+/// `CompiledTemplate::simulate` returns), and `cert`, the plan's
+/// concurrency certificate (what `Framework::compile_adaptive_traced`
+/// hands back beside the template).
 pub fn profile_plan_with(
     g: &Graph,
     plan: &ExecutionPlan,
     dev: &DeviceSpec,
     opts: &CompileOptions,
     sim: &Simulation,
+    cert: &ConcurrencyReport,
 ) -> Result<ProfileReport, String> {
-    profile_on(g, plan, &Machine::single(dev), sim, |out, cp_len| {
+    #[cfg(debug_assertions)]
+    {
+        let fresh = plan.certify(g);
+        debug_assert_eq!(
+            (&cert.diagnostics, cert.hb.edge_counts()),
+            (&fresh.diagnostics, fresh.hb.edge_counts()),
+            "profile: the certificate is not this plan's"
+        );
+    }
+    profile_on(g, plan, &Machine::single(dev), sim, cert, |out, cp_len| {
         advise_single(g, plan, dev, opts, out, cp_len)
     })
 }
@@ -398,7 +412,12 @@ pub fn profile_cluster_with(
     sim: &Simulation,
 ) -> Result<ProfileReport, String> {
     let g = &c.sharded.split.graph;
-    profile_on(g, &c.plan, &c.cluster.machine(), sim, |out, cp_len| {
-        advise_cluster(c, margin, out, cp_len)
-    })
+    profile_on(
+        g,
+        &c.plan,
+        &c.cluster.machine(),
+        sim,
+        &c.certify(),
+        |out, cp_len| advise_cluster(c, margin, out, cp_len),
+    )
 }

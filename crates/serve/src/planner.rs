@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use gpuflow_core::{split_graph, validate_plan, CompileOptions, CompiledTemplate, Framework};
+use gpuflow_core::{split_graph, CompileOptions, CompiledTemplate, Framework};
 use gpuflow_graph::Graph;
 use gpuflow_multi::{compile_multi, Cluster};
 
@@ -96,7 +96,7 @@ pub fn plan_request(
     if cluster.len() == 1 {
         if let Some(CachedPlan::Single(cached)) = cache.skeleton_probe(&skel) {
             if let Some((plan, peaks)) = try_incremental(&cached, cluster, options, g) {
-                // `validate_plan` certified the reused schedule.
+                // `reuse_schedule` certified the reused schedule.
                 cache.insert(key, skel, plan.clone(), peaks.clone(), true);
                 return Ok(PlannedRequest {
                     plan,
@@ -162,16 +162,10 @@ fn try_incremental(
     if !structurally_same {
         return None;
     }
-    // The schedule reuse gate: full footprint/residency analysis (and the
-    // hazard certificate inside validate_plan) against the *new* shapes.
-    validate_plan(&split.graph, &cached.plan, budget).ok()?;
-    let t = CompiledTemplate {
-        split,
-        plan: Arc::clone(&cached.plan),
-        device,
-        exact_optimal: cached.exact_optimal,
-        exact_stats: cached.exact_stats,
-    };
+    // The schedule reuse gate: full footprint/residency analysis and the
+    // hazard certificate against the *new* shapes; the statistics (and so
+    // the peak) come from that same walk.
+    let t = cached.reuse_schedule(split, device, budget).ok()?;
     let peaks = vec![t.stats().peak_bytes];
     Some((CachedPlan::Single(Arc::new(t)), peaks))
 }

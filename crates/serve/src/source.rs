@@ -68,28 +68,17 @@ pub fn resolve_named(spec: &str) -> Result<Graph, String> {
                 return Err(format!("unknown edge parameter '{p}'"));
             }
         }
-        if rows < k || cols < k {
-            return Err(format!("edge image {rows}x{cols} smaller than kernel {k}"));
-        }
-        if orientations < 2 || orientations % 2 != 0 {
-            return Err(format!(
-                "orientations must be even and >= 2, got {orientations}"
-            ));
-        }
+        edge::check_params(rows, cols, k, orientations).map_err(|e| e.to_string())?;
         return Ok(edge::find_edges(rows, cols, k, orientations, edge::CombineOp::Max).graph);
     }
     if let Some(rest) = spec.strip_prefix("cnn-small:") {
         let (rows, cols) = parse_dims(rest)?;
-        if rows < 16 || cols < 16 {
-            return Err(format!("cnn-small input {rows}x{cols} too small"));
-        }
+        cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
         return Ok(cnn::small_cnn(rows, cols).graph);
     }
     if let Some(rest) = spec.strip_prefix("cnn-large:") {
         let (rows, cols) = parse_dims(rest)?;
-        if rows < 32 || cols < 32 {
-            return Err(format!("cnn-large input {rows}x{cols} too small"));
-        }
+        cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
         return Ok(cnn::large_cnn(rows, cols).graph);
     }
     Err(format!(

@@ -156,6 +156,22 @@ fn bad_requests_are_typed_and_unknown_templates_rejected() {
         .request(r#"{"op":"run","template":"fig3","faults":"seed=banana"}"#)
         .unwrap();
     assert_eq!(kind_of(&r), Some("bad_request"));
+    // Builtin parameters the template builders cannot build from are
+    // typed rejections on the same connection, not a lost thread.
+    for spec in [
+        "edge:64x64,k=5,o=2000",
+        "edge:64x64,k=5,o=3",
+        "edge:64x64,k=0,o=4",
+        "edge:64x64,k=99,o=4",
+        "cnn-small:40x40",
+        "cnn-large:47x640",
+    ] {
+        let r = c
+            .request(&format!(r#"{{"op":"run","template":"{spec}"}}"#))
+            .unwrap();
+        assert_eq!(r.get("ok").and_then(|b| b.as_bool()), Some(false), "{r:?}");
+        assert_eq!(kind_of(&r), Some("bad_request"), "{spec}: {r:?}");
+    }
     // Inline graphs compile like named ones.
     let inline = r#"{"op":"compile","graph":"data In input 8 8\ndata Out output 8 8\nop t tanh In -> Out\n"}"#;
     let r = c.request(inline).unwrap();

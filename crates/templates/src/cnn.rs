@@ -16,6 +16,8 @@
 
 use gpuflow_graph::{DataId, DataKind, Graph, OpKind, SubsampleKind};
 
+use crate::ParamError;
+
 /// A built CNN template.
 #[derive(Debug, Clone)]
 pub struct CnnTemplate {
@@ -344,9 +346,42 @@ pub fn large_cnn(rows: usize, cols: usize) -> CnnTemplate {
         .build()
 }
 
+/// The smallest input side [`small_cnn`] and [`large_cnn`] build from:
+/// both run a 5×5 convolution and 2× pooling twice, then two more 5×5
+/// convolutions, which needs `((n − 4) / 2 − 4) / 2 ≥ 9`.
+pub const MIN_INPUT: usize = 48;
+
+/// Check that a `rows × cols` input is large enough for [`small_cnn`] and
+/// [`large_cnn`].
+pub fn check_input(rows: usize, cols: usize) -> Result<(), ParamError> {
+    if rows < MIN_INPUT || cols < MIN_INPUT {
+        return Err(ParamError::CnnInputTooSmall { rows, cols });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_input_is_the_smallest_both_networks_build_from() {
+        assert_eq!(check_input(MIN_INPUT, MIN_INPUT), Ok(()));
+        for (rows, cols) in [(MIN_INPUT - 1, 640), (640, MIN_INPUT - 1)] {
+            assert_eq!(
+                check_input(rows, cols),
+                Err(ParamError::CnnInputTooSmall { rows, cols })
+            );
+        }
+        small_cnn(MIN_INPUT, MIN_INPUT).graph.validate().unwrap();
+        large_cnn(MIN_INPUT, MIN_INPUT).graph.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "smaller than kernel")]
+    fn an_input_below_min_input_does_not_build() {
+        let _ = small_cnn(MIN_INPUT - 1, MIN_INPUT);
+    }
 
     #[test]
     fn fig7_layer_expansion() {

@@ -16,6 +16,8 @@
 
 use gpuflow_graph::{DataId, DataKind, Graph, OpId, OpKind, RemapKind};
 
+use crate::ParamError;
+
 /// The combine operation applied across orientations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombineOp {
@@ -56,11 +58,40 @@ pub struct EdgeTemplate {
     pub combine: OpId,
 }
 
+/// The most orientations one combine takes: its arity is a `u8`, and the
+/// count must be even.
+pub const MAX_ORIENTATIONS: usize = 254;
+
+/// Check the parameters of [`find_edges`]: a non-empty kernel no larger
+/// than the image, and an even orientation count in
+/// `2..=`[`MAX_ORIENTATIONS`].
+pub fn check_params(
+    image_rows: usize,
+    image_cols: usize,
+    kernel_size: usize,
+    num_orientations: usize,
+) -> Result<(), ParamError> {
+    if kernel_size == 0 {
+        return Err(ParamError::EmptyKernel);
+    }
+    if image_rows < kernel_size || image_cols < kernel_size {
+        return Err(ParamError::ImageSmallerThanKernel {
+            rows: image_rows,
+            cols: image_cols,
+            kernel: kernel_size,
+        });
+    }
+    if !(2..=MAX_ORIENTATIONS).contains(&num_orientations) || !num_orientations.is_multiple_of(2) {
+        return Err(ParamError::Orientations(num_orientations));
+    }
+    Ok(())
+}
+
 /// Build the edge-detection template: the paper's `find_edges` API.
 ///
 /// `num_orientations` must be even and ≥ 2: `n/2` convolutions and `n/2`
-/// remaps. Panics on invalid parameters (a template is static
-/// configuration, not runtime input).
+/// remaps. Panics on parameters [`check_params`] rejects (a template is
+/// static configuration; front ends check outside input first).
 ///
 /// ```
 /// use gpuflow_templates::edge::{find_edges, CombineOp};
@@ -79,15 +110,9 @@ pub fn find_edges(
     num_orientations: usize,
     combine: CombineOp,
 ) -> EdgeTemplate {
-    assert!(
-        num_orientations >= 2 && num_orientations.is_multiple_of(2),
-        "num_orientations must be even and >= 2"
-    );
-    assert!(kernel_size >= 1, "kernel must be non-empty");
-    assert!(
-        image_rows >= kernel_size && image_cols >= kernel_size,
-        "image smaller than kernel"
-    );
+    if let Err(e) = check_params(image_rows, image_cols, kernel_size, num_orientations) {
+        panic!("{e}");
+    }
     let half = num_orientations / 2;
     let mut g = Graph::new();
     let image = g.add("Img", image_rows, image_cols, DataKind::Input);
@@ -132,7 +157,7 @@ pub fn find_edges(
     let combine_op = g
         .add_op(
             "combine",
-            combine.op_kind(num_orientations as u8),
+            combine.op_kind(u8::try_from(num_orientations).expect("checked above")),
             all,
             edge_map,
         )
@@ -233,6 +258,27 @@ mod tests {
     #[should_panic(expected = "smaller than kernel")]
     fn tiny_image_rejected() {
         find_edges(4, 4, 5, 4, CombineOp::Max);
+    }
+
+    #[test]
+    fn check_params_names_what_cannot_be_built() {
+        assert_eq!(check_params(64, 64, 0, 4), Err(ParamError::EmptyKernel));
+        assert_eq!(
+            check_params(64, 8, 16, 4),
+            Err(ParamError::ImageSmallerThanKernel {
+                rows: 64,
+                cols: 8,
+                kernel: 16
+            })
+        );
+        for o in [0, 1, 3, 256, 2000] {
+            assert_eq!(check_params(64, 64, 5, o), Err(ParamError::Orientations(o)));
+        }
+        assert_eq!(check_params(64, 64, 64, 2), Ok(()));
+        // The widest combine the u8 arity holds builds.
+        check_params(16, 16, 3, MAX_ORIENTATIONS).unwrap();
+        let t = find_edges(16, 16, 3, MAX_ORIENTATIONS, CombineOp::Max);
+        assert_eq!(t.graph.op(t.combine).inputs.len(), MAX_ORIENTATIONS);
     }
 
     #[test]

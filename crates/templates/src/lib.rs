@@ -25,10 +25,12 @@
 pub mod cnn;
 pub mod data;
 pub mod edge;
+mod error;
 pub mod gemm;
 pub mod stencil;
 
 pub use cnn::{CnnBuilder, CnnTemplate};
 pub use edge::{find_edges, CombineOp, EdgeTemplate};
+pub use error::ParamError;
 pub use gemm::{matmul_chain, GemmTemplate};
 pub use stencil::{heat_diffusion, StencilTemplate};

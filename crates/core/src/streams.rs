@@ -191,44 +191,6 @@ impl PartialEq for Ready {
 
 impl Eq for Ready {}
 
-/// The list scheduler's clocks: when each compute stream retires its last
-/// kernel, when each placed unit finishes, and where each unit went.
-struct StreamClocks {
-    stream_free: Vec<f64>,
-    finish: Vec<f64>,
-    unit_stream: Vec<usize>,
-}
-
-impl StreamClocks {
-    fn new(num_streams: usize, num_units: usize) -> Self {
-        StreamClocks {
-            stream_free: vec![0.0; num_streams],
-            finish: vec![0.0; num_units],
-            unit_stream: vec![0; num_units],
-        }
-    }
-
-    /// Put `u` on the stream that can start it earliest (the lower stream
-    /// on a tie): it cannot begin before its latest predecessor finishes
-    /// (the event it waits on), nor before the stream's previous kernel
-    /// retires.
-    fn place(&mut self, p: &Priorities, u: usize) {
-        let est = p.dag.preds[u]
-            .iter()
-            .fold(0.0f64, |m, &q| m.max(self.finish[q]));
-        let (s, start) = self
-            .stream_free
-            .iter()
-            .enumerate()
-            .map(|(s, &free)| (s, free.max(est)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .expect("at least one stream");
-        self.unit_stream[u] = s;
-        self.finish[u] = start + p.time[u];
-        self.stream_free[s] = self.finish[u];
-    }
-}
-
 /// Critical-path list scheduling of `units` onto `num_streams` concurrent
 /// compute streams. Returns `(order, unit_stream)`: the issue order (a
 /// valid topological order of the unit DAG, suitable for
@@ -248,6 +210,7 @@ pub fn stream_order(
     num_streams: usize,
 ) -> (Vec<usize>, Vec<usize>) {
     let n = units.len();
+    let k = num_streams.max(1);
     let p = Priorities::new(g, units, dev);
     let mut npreds: Vec<usize> = p.dag.preds.iter().map(Vec::len).collect();
     let mut ready: BinaryHeap<Ready> = (0..n)
@@ -255,9 +218,21 @@ pub fn stream_order(
         .map(|u| p.ready(u))
         .collect();
     let mut order = Vec::with_capacity(n);
-    let mut clocks = StreamClocks::new(num_streams.max(1), n);
+    let mut unit_stream = vec![0usize; n];
+    let mut finish = vec![0.0f64; n];
+    let mut stream_free = vec![0.0f64; k];
     while let Some(Ready { unit: u, .. }) = ready.pop() {
-        clocks.place(&p, u);
+        // Earliest-start stream: the unit cannot begin before its latest
+        // predecessor finishes (the event it waits on), nor before the
+        // stream's previous kernel retires.
+        let est = p.dag.preds[u].iter().fold(0.0f64, |m, &q| m.max(finish[q]));
+        let (s, start) = (0..k)
+            .map(|s| (s, stream_free[s].max(est)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .expect("at least one stream");
+        unit_stream[u] = s;
+        finish[u] = start + p.time[u];
+        stream_free[s] = finish[u];
         order.push(u);
         for &succ in &p.dag.succs[u] {
             npreds[succ] -= 1;
@@ -267,7 +242,7 @@ pub fn stream_order(
         }
     }
     assert_eq!(order.len(), n, "unit DAG must be acyclic");
-    (order, clocks.unit_stream)
+    (order, unit_stream)
 }
 
 /// Plain Kahn topological order over the unit DAG.
@@ -384,12 +359,25 @@ pub fn derive_events_for(
 /// datum's free is still pending is a per-datum count, not a search of
 /// the queue.
 fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes: u64) -> Vec<Step> {
-    let mut pending = PendingFrees {
-        queue: VecDeque::new(),
-        queued: vec![0; g.num_data()],
-        used: 0,
-    };
+    let mut pending: VecDeque<DataId> = VecDeque::new();
+    // How many times each datum is in `pending`. A valid plan never
+    // double-frees, so this is 0 or 1, but counting keeps "is `d` still
+    // pending?" exact whatever the input.
+    let mut queued = vec![0u32; g.num_data()];
+    let mut used = 0u64;
     let mut out = Vec::with_capacity(steps.len());
+    fn flush_front(
+        g: &Graph,
+        out: &mut Vec<Step>,
+        pending: &mut VecDeque<DataId>,
+        queued: &mut [u32],
+        used: &mut u64,
+    ) {
+        let d = pending.pop_front().expect("caller checked non-empty");
+        queued[d.index()] -= 1;
+        out.push(Step::Free { device: 0, data: d });
+        *used -= g.data(d).bytes();
+    }
     for step in steps {
         // Bytes this step allocates, in the plan validator's accounting:
         // a CopyIn allocates its datum, a Launch its (single-assignment,
@@ -399,7 +387,8 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
             Step::Launch(u) => units[u].outputs(g).iter().map(|&d| g.data(d).bytes()).sum(),
             Step::CopyOut { .. } => 0,
             Step::Free { data: d, .. } => {
-                pending.push(d);
+                pending.push_back(d);
+                queued[d.index()] += 1;
                 continue;
             }
         };
@@ -407,47 +396,20 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
             // Re-uploading an evicted datum: its deferred free (and, to
             // keep free order stable, everything queued before it) must
             // commit first — the device cannot hold two copies.
-            while pending.queued[d.index()] > 0 {
-                pending.flush_front(g, &mut out);
+            while queued[d.index()] > 0 {
+                flush_front(g, &mut out, &mut pending, &mut queued, &mut used);
             }
         }
-        while pending.used.saturating_add(need) > memory_bytes && !pending.queue.is_empty() {
-            pending.flush_front(g, &mut out);
+        while used.saturating_add(need) > memory_bytes && !pending.is_empty() {
+            flush_front(g, &mut out, &mut pending, &mut queued, &mut used);
         }
-        pending.used += need;
+        used += need;
         out.push(step);
     }
-    while !pending.queue.is_empty() {
-        pending.flush_front(g, &mut out);
+    while !pending.is_empty() {
+        flush_front(g, &mut out, &mut pending, &mut queued, &mut used);
     }
     out
-}
-
-/// The frees `defer_frees` holds back, in plan order, and the device
-/// occupancy they still count towards.
-struct PendingFrees {
-    queue: VecDeque<DataId>,
-    /// How many times each datum occurs in `queue`. A valid plan never
-    /// double-frees, so this is 0 or 1, but counting keeps the answer to
-    /// "is `d` still queued?" exact whatever the input.
-    queued: Vec<u32>,
-    /// Bytes resident on the device, pending frees included.
-    used: u64,
-}
-
-impl PendingFrees {
-    fn push(&mut self, d: DataId) {
-        self.queue.push_back(d);
-        self.queued[d.index()] += 1;
-    }
-
-    /// Commit the oldest pending free.
-    fn flush_front(&mut self, g: &Graph, out: &mut Vec<Step>) {
-        let d = self.queue.pop_front().expect("caller checked non-empty");
-        self.queued[d.index()] -= 1;
-        self.used -= g.data(d).bytes();
-        out.push(Step::Free { device: 0, data: d });
-    }
 }
 
 /// Full stream-aware planning: list-schedule `units` onto `num_streams`
@@ -545,7 +507,7 @@ mod tests {
         let n = units.len();
         let k = num_streams.max(1);
         let p = Priorities::new(g, units, dev);
-        let mut npreds: Vec<usize> = p.dag.preds.iter().map(|p| p.len()).collect();
+        let mut npreds: Vec<usize> = p.dag.preds.iter().map(Vec::len).collect();
         let mut ready: Vec<usize> = (0..n).filter(|&u| npreds[u] == 0).collect();
         let mut order = Vec::with_capacity(n);
         let mut unit_stream = vec![0usize; n];

@@ -5,9 +5,16 @@
 //! counters, the overlap simulation, the plan statistics, the profile
 //! summary and the compile metrics — is a deterministic function of the
 //! template, the device and the options, so the documents are compared
-//! byte-for-byte. The four entries cover the serial planner on a large
-//! template, the stream scheduler at two and four streams, and a streamed
-//! plan that has to split and spill on the 768 MB 8800 GTX.
+//! byte-for-byte. The entries cover the serial planner on a large
+//! template, the stream scheduler at two and four streams, and two plans
+//! that have to split and spill on the 768 MB 8800 GTX: a streamed one and
+//! a serial one whose margin ladder climbs four rungs while the split
+//! factor goes from 1 to 2.
+//!
+//! `run` always plans with the default (Belady) eviction policy, so the
+//! other three policies are pinned through `plan` documents of the same
+//! template at the margin the serial ladder accepts: split factor, units,
+//! steps, bytes and copies each way, and the peak.
 //!
 //! Regenerate after an intentional change with:
 //! `UPDATE_GOLDEN=1 cargo test -p gpuflow-cli --test run_golden`
@@ -67,4 +74,22 @@ fn spilling_two_stream_run_document_matches_golden() {
         "run_cnn_small_9000_8800gtx_streams2.json",
         "run cnn-small:9000x9000 --device 8800gtx --streams 2 --overlap --json",
     );
+}
+
+#[test]
+fn serial_spilling_run_document_matches_golden() {
+    check(
+        "run_cnn_small_8500_8800gtx.json",
+        "run cnn-small:8500x8500 --device 8800gtx --overlap --json",
+    );
+}
+
+#[test]
+fn spilling_plans_under_every_other_eviction_policy_match_golden() {
+    for policy in ["latest", "lru", "fifo"] {
+        check(
+            &format!("plan_cnn_small_8500_8800gtx_{policy}.txt"),
+            &format!("plan cnn-small:8500x8500 --device 8800gtx --margin 0.3 --eviction {policy}"),
+        );
+    }
 }

@@ -40,6 +40,21 @@ echo "==> cluster run CPU-time tripwire (large CNN on eight devices in 2 CPU-sec
 ( ulimit -t 2
   "$gpuflow" run cnn-large:512x512 --devices c870x8 --overlap --json > /dev/null )
 
+echo "==> margin ladder work tripwire (span counts, not clocks)"
+# The ladder runs a pass only for an input it has not seen, and dry-runs a
+# rung before validating it (DESIGN.md, "What a single-device run computes
+# once"). This spill climbs five rungs on split factors 2, 2, 2, 2, 6: two
+# rewrites and one validation. Before the reuse every rung split and
+# validated (5, 5, 5). Counts are deterministic where timings are not.
+ladderdir="$(mktemp -d)"
+"$gpuflow" run cnn-small:11000x11000 --device 8800gtx --overlap --json \
+    --trace "$ladderdir/trace.json" > /dev/null
+for want in margin-attempt:5 validate:1 split:2; do
+    got="$(grep -c "\"name\": \"${want%%:*}\"" "$ladderdir/trace.json" || true)"
+    [ "$got" = "${want##*:}" ] || { echo "${want%%:*} spans: $got, want ${want##*:}"; exit 1; }
+done
+rm -rf "$ladderdir"
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

@@ -21,10 +21,11 @@ use gpuflow_verify::ConcurrencyReport;
 use crate::error::FrameworkError;
 use crate::executor::{ExecOutcome, Executor};
 use crate::opschedule::{schedule_units, OpScheduler};
-use crate::partition::{partition_offload_units, PartitionPolicy};
+use crate::partition::{partition_offload_units, OffloadUnit, PartitionPolicy};
 use crate::pbexact::{pb_exact_plan_traced, PbExactOptions, PbExactStats};
 use crate::plan::{check_plan, ExecutionPlan, PlanStats};
-use crate::split::{split_graph, SplitResult};
+use crate::split::{Rewrites, SplitResult};
+use crate::streams::{schedule_stream_order, stream_order};
 use crate::xfer::{schedule_transfers, EvictionPolicy, XferOptions};
 
 /// Compilation knobs. The defaults are the paper's configuration.
@@ -232,29 +233,42 @@ impl Framework {
         template: &Graph,
         tracer: &mut Tracer,
     ) -> Result<CompiledTemplate, FrameworkError> {
-        self.compile_certified(template, tracer)
+        // One rung of the margin ladder, with nothing to reuse and no dry
+        // run.
+        let budget = self.device.plannable_memory(self.options.memory_margin);
+        let mut reuse = Reuse::default();
+        let scheduled = self.schedule(template, budget, &mut reuse, tracer)?;
+        self.accept(scheduled, budget, &mut reuse, tracer)
             .map(|(compiled, _)| compiled)
     }
 
-    /// [`Framework::compile_traced`], also handing back the concurrency
-    /// certificate `validate` built.
-    fn compile_certified(
+    /// Split, partition and schedule `template` for `budget` bytes — the
+    /// passes of a rung before anything checks the plan — reusing every
+    /// pass result in `reuse` that the budget cannot change. A pass that
+    /// runs records its span; a reused one records none.
+    fn schedule(
         &self,
         template: &Graph,
+        budget: u64,
+        reuse: &mut Reuse,
         tracer: &mut Tracer,
-    ) -> Result<(CompiledTemplate, ConcurrencyReport), FrameworkError> {
-        let budget = self.device.plannable_memory(self.options.memory_margin);
+    ) -> Result<Scheduled, FrameworkError> {
+        // A span whose pass turns out to be reused is dropped unrecorded.
         let tok = tracer.begin("compile", "split");
-        let split = split_graph(template, budget)?;
-        tracer.end_with(
-            tok,
-            vec![
-                kv("parts", split.parts),
-                kv("ops_before", template.num_ops()),
-                kv("ops_after", split.graph.num_ops()),
-                kv("data_after", split.graph.num_data()),
-            ],
-        );
+        let rewrote = reuse.rewrites.split(template, budget, 1)?;
+        let split = reuse.rewrites.latest();
+        if rewrote {
+            tracer.end_with(
+                tok,
+                vec![
+                    kv("parts", split.parts),
+                    kv("ops_before", template.num_ops()),
+                    kv("ops_after", split.graph.num_ops()),
+                    kv("data_after", split.graph.num_data()),
+                ],
+            );
+            reuse.units = None;
+        }
         tracer
             .metrics()
             .set("compile.split_parts", split.parts as u64);
@@ -262,38 +276,51 @@ impl Framework {
             .metrics()
             .set("compile.split_ops", split.graph.num_ops() as u64);
 
-        let tok = tracer.begin("compile", "partition");
-        let units = partition_offload_units(&split.graph, self.options.partition, budget);
-        tracer.end_with(tok, vec![kv("units", units.len())]);
+        // Per-operator units are a function of the split graph alone;
+        // fused ones depend on the budget too.
+        if reuse.units.is_none() || self.options.partition != PartitionPolicy::PerOperator {
+            let tok = tracer.begin("compile", "partition");
+            let units = partition_offload_units(&split.graph, self.options.partition, budget);
+            tracer.end_with(tok, vec![kv("units", units.len())]);
+            if reuse.units.as_ref() != Some(&units) {
+                reuse.order = None;
+            }
+            reuse.units = Some(units);
+        }
+        let units = reuse.units.as_deref().expect("partitioned above");
         tracer.metrics().set("compile.units", units.len() as u64);
 
-        let plan;
-        let exact_optimal;
-        let exact_stats;
-        // Counted once per compile, for the scheduling span and the metrics.
-        let evictions;
-        if let Some(pb_opts) = self.options.exact {
-            let out = pb_exact_plan_traced(&split.graph, &units, budget, pb_opts, None, tracer)?;
-            plan = out.plan;
-            evictions = plan.evictions();
+        let xfer = XferOptions {
+            memory_bytes: budget,
+            policy: self.options.eviction,
+            eager_free: self.options.eager_free,
+        };
+        let mut exact_optimal = false;
+        let mut exact_stats = None;
+        // Evictions are counted once per rung, for the scheduling span and
+        // the metrics.
+        let (plan, evictions) = if let Some(pb_opts) = self.options.exact {
+            let out = pb_exact_plan_traced(&split.graph, units, budget, pb_opts, None, tracer)?;
             exact_optimal = out.optimal;
             exact_stats = Some(out.stats);
+            let evictions = out.plan.evictions();
+            (out.plan, evictions)
         } else if self.options.streams > 1 {
             let tok = tracer.begin("compile", "stream-schedule");
-            plan = crate::streams::schedule_streamed_with(
+            let (order, unit_stream) = reuse.order.get_or_insert_with(|| {
+                stream_order(&split.graph, units, &self.device, self.options.streams)
+            });
+            let plan = schedule_stream_order(
                 &split.graph,
-                &units,
-                &self.device,
+                units,
+                order,
+                unit_stream,
                 self.options.streams,
-                XferOptions {
-                    memory_bytes: budget,
-                    policy: self.options.eviction,
-                    eager_free: self.options.eager_free,
-                },
+                xfer,
                 self.options.defer_frees,
             )?;
             let ann = plan.streams.as_ref().expect("streamed plan is annotated");
-            evictions = plan.evictions();
+            let evictions = plan.evictions();
             tracer.end_with(
                 tok,
                 vec![
@@ -303,27 +330,21 @@ impl Framework {
                     kv("evictions", evictions),
                 ],
             );
-            exact_optimal = false;
-            exact_stats = None;
+            (plan, evictions)
         } else {
-            let tok = tracer.begin("compile", "op-schedule");
-            let order = schedule_units(&split.graph, &units, self.options.scheduler);
-            tracer.end_with(
-                tok,
-                vec![kv("scheduler", format!("{:?}", self.options.scheduler))],
-            );
+            if reuse.order.is_none() {
+                let tok = tracer.begin("compile", "op-schedule");
+                let order = schedule_units(&split.graph, units, self.options.scheduler);
+                tracer.end_with(
+                    tok,
+                    vec![kv("scheduler", format!("{:?}", self.options.scheduler))],
+                );
+                reuse.order = Some((order, Vec::new()));
+            }
+            let (order, _) = reuse.order.as_ref().expect("scheduled above");
             let tok = tracer.begin("compile", "xfer-schedule");
-            plan = schedule_transfers(
-                &split.graph,
-                &units,
-                &order,
-                XferOptions {
-                    memory_bytes: budget,
-                    policy: self.options.eviction,
-                    eager_free: self.options.eager_free,
-                },
-            )?;
-            evictions = plan.evictions();
+            let plan = schedule_transfers(&split.graph, units, order, xfer)?;
+            let evictions = plan.evictions();
             tracer.end_with(
                 tok,
                 vec![
@@ -332,17 +353,37 @@ impl Framework {
                     kv("evictions", evictions),
                 ],
             );
-            exact_optimal = false;
-            exact_stats = None;
-        }
+            (plan, evictions)
+        };
+        Ok(Scheduled {
+            plan,
+            evictions,
+            exact_optimal,
+            exact_stats,
+        })
+    }
 
-        // One residency walk gives both the verdict (what `validate_plan`
-        // checks) and the canonical plan statistics: the metrics the
-        // exported trace reconciles against, and `CompiledTemplate::stats`,
-        // come from here, never from a second count.
+    /// Validate and certify a scheduled rung over `reuse`'s split, and
+    /// build the template from them. One residency walk gives both the
+    /// verdict (what `validate_plan` checks) and the canonical plan
+    /// statistics: the metrics the exported trace reconciles against, and
+    /// `CompiledTemplate::stats`, come from here, never from a second count.
+    fn accept(
+        &self,
+        scheduled: Scheduled,
+        budget: u64,
+        reuse: &mut Reuse,
+        tracer: &mut Tracer,
+    ) -> Result<(CompiledTemplate, ConcurrencyReport), FrameworkError> {
+        let Scheduled {
+            plan,
+            evictions,
+            exact_optimal,
+            exact_stats,
+        } = scheduled;
         let tok = tracer.begin("compile", "validate");
-        let (analysis, certificate) =
-            check_plan(&split.graph, &plan, &[budget]).map_err(FrameworkError::InvalidPlan)?;
+        let (analysis, certificate) = check_plan(&reuse.rewrites.latest().graph, &plan, &[budget])
+            .map_err(FrameworkError::InvalidPlan)?;
         tracer.end(tok);
         crate::observe::record_plan_metrics(tracer, &analysis.stats);
         if tracer.is_enabled() {
@@ -350,9 +391,8 @@ impl Framework {
             m.set("plan.steps", plan.steps.len() as u64);
             m.set("plan.evictions", evictions as u64);
         }
-
         let compiled = CompiledTemplate {
-            split,
+            split: reuse.rewrites.take(),
             plan: Arc::new(plan),
             device: self.device.clone(),
             exact_optimal,
@@ -361,6 +401,29 @@ impl Framework {
         };
         Ok((compiled, certificate))
     }
+}
+
+/// What a rung of the margin ladder takes over from the rungs before it.
+/// Only the budget changes from rung to rung, and each of these is a pure
+/// function of the template, the options and the one before it: the
+/// split rewrite of a factor, the units of a rewrite, and the issue order
+/// of the units.
+#[derive(Debug, Default)]
+struct Reuse {
+    rewrites: Rewrites,
+    /// The units of `rewrites`' latest rewrite.
+    units: Option<Vec<OffloadUnit>>,
+    /// The issue order of `units`, and under `--streams` the stream of
+    /// every unit (empty for a serial plan).
+    order: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+/// A rung's plan before validation, with what the exact solver reported.
+struct Scheduled {
+    plan: ExecutionPlan,
+    evictions: usize,
+    exact_optimal: bool,
+    exact_stats: Option<PbExactStats>,
 }
 
 /// The margin ladder used by [`Framework::compile_adaptive`].
@@ -380,61 +443,81 @@ impl Framework {
     }
 
     /// [`Framework::compile_adaptive`] with tracing: each margin attempt
-    /// becomes a span (wrapping the usual per-pass spans) that records the
-    /// margin tried and why it was rejected, and the accepted margin lands
-    /// in the metrics registry as `compile.margin`. Returns the accepted
-    /// rung's dry run and certificate beside the template.
+    /// becomes a span (wrapping the per-pass spans of the passes it ran)
+    /// that records the margin tried and why it was rejected, and the
+    /// accepted margin lands in the metrics registry as `compile.margin`.
+    /// Returns the accepted rung's dry run and certificate beside the
+    /// template.
+    ///
+    /// A rung reuses what earlier rungs computed and the smaller budget
+    /// cannot change (the split rewrite while the factor holds, the units
+    /// and their order while the rewrite holds), and dry-runs its plan on
+    /// the allocator before it validates and certifies it, so a rung the
+    /// allocator rejects builds neither a residency walk nor a certificate.
     pub fn compile_adaptive_traced(
         &self,
         template: &Graph,
         tracer: &mut Tracer,
     ) -> Result<AdaptiveCompile, FrameworkError> {
-        // The configured margin is the ladder's floor: start there, then
-        // escalate through the default rungs above it. With default
-        // options this is exactly `DEFAULT_MARGINS`.
-        let floor = self.options.memory_margin;
-        let ladder: Vec<f64> = std::iter::once(floor)
-            .chain(DEFAULT_MARGINS.iter().copied().filter(|&m| m > floor))
-            .collect();
+        let mut reuse = Reuse::default();
         let mut last_err = None;
-        for &margin in &ladder {
-            let fw = Framework {
-                device: self.device.clone(),
-                options: CompileOptions {
-                    memory_margin: margin,
-                    ..self.options
-                },
-            };
+        for margin in self.margin_ladder() {
+            let budget = self.device.plannable_memory(margin);
             let tok = tracer.begin("compile", "margin-attempt");
-            match fw.compile_certified(template, tracer) {
-                Ok((compiled, certificate)) => match compiled.run_analytic() {
-                    Ok(dry_run) => {
-                        tracer.end_with(tok, vec![kv("margin", margin), kv("outcome", "ok")]);
-                        tracer.metrics().gauge("compile.margin", margin);
-                        return Ok(AdaptiveCompile {
-                            template: compiled,
-                            dry_run,
-                            certificate,
-                        });
-                    }
-                    Err(e) => {
-                        tracer.end_with(
-                            tok,
-                            vec![kv("margin", margin), kv("outcome", format!("dry-run: {e}"))],
-                        );
-                        last_err = Some(e);
-                    }
-                },
-                Err(e) => {
+            match self.attempt(template, budget, &mut reuse, tracer) {
+                Ok(accepted) => {
+                    tracer.end_with(tok, vec![kv("margin", margin), kv("outcome", "ok")]);
+                    tracer.metrics().gauge("compile.margin", margin);
+                    return Ok(accepted);
+                }
+                Err((stage, e)) => {
                     tracer.end_with(
                         tok,
-                        vec![kv("margin", margin), kv("outcome", format!("{e}"))],
+                        vec![kv("margin", margin), kv("outcome", format!("{stage}{e}"))],
                     );
                     last_err = Some(e);
                 }
             }
         }
         Err(last_err.expect("ladder attempted at least one margin"))
+    }
+
+    /// The margins the ladder tries: the configured margin, which is the
+    /// floor, then the rungs of [`DEFAULT_MARGINS`] above it. With default
+    /// options this is exactly `DEFAULT_MARGINS`.
+    fn margin_ladder(&self) -> Vec<f64> {
+        let floor = self.options.memory_margin;
+        std::iter::once(floor)
+            .chain(DEFAULT_MARGINS.iter().copied().filter(|&m| m > floor))
+            .collect()
+    }
+
+    /// One rung of the ladder: schedule, dry-run on the first-fit
+    /// allocator, then validate and certify. A failure comes back with the
+    /// prefix its span outcome carries (`"dry-run: "` for the allocator).
+    fn attempt(
+        &self,
+        template: &Graph,
+        budget: u64,
+        reuse: &mut Reuse,
+        tracer: &mut Tracer,
+    ) -> Result<AdaptiveCompile, (&'static str, FrameworkError)> {
+        let scheduled = self
+            .schedule(template, budget, reuse, tracer)
+            .map_err(|e| ("", e))?;
+        let split = reuse.rewrites.latest();
+        let dry_run = Executor::new(&split.graph, &scheduled.plan, &self.device)
+            .with_origin(split)
+            .run_analytic()
+            .map_err(|e| ("dry-run: ", e))?;
+        let (template, certificate) = self
+            .accept(scheduled, budget, reuse, tracer)
+            .map_err(|e| ("", e))?;
+        Ok(AdaptiveCompile {
+            template,
+            dry_run,
+            certificate,
+        })
     }
 }
 
@@ -503,6 +586,7 @@ impl CompiledTemplate {
 mod tests {
     use super::*;
     use crate::examples::{fig3_graph, fig3_memory_bytes};
+    use crate::executor::ExecOutcome;
     use gpuflow_graph::{DataKind, OpKind};
     use gpuflow_ops::reference_eval;
     use gpuflow_sim::device::tesla_c870;
@@ -664,6 +748,185 @@ mod tests {
             assert_eq!(accepted.certificate.diagnostics, cert.diagnostics);
             assert_eq!(accepted.certificate.hb.edge_counts(), cert.hb.edge_counts());
         }
+    }
+
+    /// The margin ladder as a fresh compile plus dry run per rung, sharing
+    /// nothing between rungs: the accepted margin with its template and
+    /// dry run, or the last rung's error.
+    fn per_rung_ladder(
+        fw: &Framework,
+        g: &Graph,
+    ) -> Result<(f64, CompiledTemplate, ExecOutcome), FrameworkError> {
+        let mut last_err = None;
+        for margin in fw.margin_ladder() {
+            let rung = Framework::new(fw.device.clone()).with_options(CompileOptions {
+                memory_margin: margin,
+                ..fw.options
+            });
+            match rung.compile(g).and_then(|c| Ok((c.run_analytic()?, c))) {
+                Ok((dry_run, compiled)) => return Ok((margin, compiled, dry_run)),
+                Err(e) => last_err = Some(e),
+            }
+        }
+        Err(last_err.unwrap())
+    }
+
+    /// The ladder whose rungs share split, units and order, and dry-run
+    /// before they validate, must accept the rung the per-rung ladder
+    /// accepts, with the same facts — or fail with the same error.
+    #[test]
+    fn the_sharing_ladder_accepts_what_fresh_rungs_accept() {
+        use gpuflow_templates::edge::{find_edges, CombineOp};
+        let fragmenting = tesla_c870().with_memory(120 * 1024);
+        let with = |dev: &DeviceSpec, options| Framework::new(dev.clone()).with_options(options);
+        let base = CompileOptions::default();
+        let cases = [
+            // Fails its dry run at the first rung (first-fit fragmentation).
+            ("fragmenting", edge_graph(120, 9), with(&fragmenting, base)),
+            (
+                "fragmenting --streams 2",
+                edge_graph(120, 9),
+                with(&fragmenting, CompileOptions { streams: 2, ..base }),
+            ),
+            (
+                "fragmenting, fused units",
+                edge_graph(120, 9),
+                with(
+                    &fragmenting,
+                    CompileOptions {
+                        partition: PartitionPolicy::GreedyFuse,
+                        ..base
+                    },
+                ),
+            ),
+            (
+                "fragmenting --margin 0.15",
+                edge_graph(120, 9),
+                with(
+                    &fragmenting,
+                    CompileOptions {
+                        memory_margin: 0.15,
+                        ..base
+                    },
+                ),
+            ),
+            // Split factors 1, 1, 1, 1, 2: rungs share split, units and order.
+            (
+                "cnn-small:600x600 on 4 MiB",
+                gpuflow_templates::cnn::small_cnn(600, 600).graph,
+                with(&tesla_c870().with_memory(4 << 20), base),
+            ),
+            // Split factors 13, 14, 16: every rung rewrites.
+            (
+                "edge:600x600,k=9,o=8 on 1 MiB",
+                find_edges(600, 600, 9, 8, CombineOp::Max).graph,
+                with(&tesla_c870().with_memory(1 << 20), base),
+            ),
+            (
+                "fig3 --exact",
+                fig3_graph(),
+                with(
+                    &tesla_c870().with_memory(fig3_memory_bytes() * 6 / 5),
+                    CompileOptions {
+                        exact: Some(PbExactOptions::default()),
+                        ..base
+                    },
+                ),
+            ),
+            // No rung can split the convolutions far enough.
+            (
+                "every rung fails",
+                edge_graph(120, 9),
+                with(&tesla_c870().with_memory(2048), base),
+            ),
+        ];
+        let mut accepted = 0;
+        for (name, g, fw) in &cases {
+            let mut tracer = Tracer::new();
+            match (
+                fw.compile_adaptive_traced(g, &mut tracer),
+                per_rung_ladder(fw, g),
+            ) {
+                (Ok(ladder), Ok((margin, fresh, dry_run))) => {
+                    accepted += 1;
+                    let t = &ladder.template;
+                    let margin_gauge = tracer.metrics_ref().gauge_value("compile.margin");
+                    assert_eq!(margin_gauge, Some(margin), "{name}: accepted margin");
+                    assert_eq!(
+                        format!("{:?}", t.split),
+                        format!("{:?}", fresh.split),
+                        "{name}: split"
+                    );
+                    assert_eq!(t.plan.steps, fresh.plan.steps, "{name}: steps");
+                    assert_eq!(t.plan.streams, fresh.plan.streams, "{name}: streams");
+                    assert_eq!(t.stats(), fresh.stats(), "{name}: stats");
+                    assert_eq!(t.exact_optimal, fresh.exact_optimal, "{name}: exact");
+                    let (a, b) = (&ladder.dry_run, &dry_run);
+                    assert_eq!(a.timeline.counters(), b.timeline.counters(), "{name}");
+                    assert_eq!(a.timeline.events(), b.timeline.events(), "{name}");
+                    assert_eq!(a.peak_device_bytes, b.peak_device_bytes, "{name}");
+                    let cert = fresh.plan.certify(&fresh.split.graph);
+                    assert_eq!(ladder.certificate.diagnostics, cert.diagnostics, "{name}");
+                    assert_eq!(
+                        ladder.certificate.hb.edge_counts(),
+                        cert.hb.edge_counts(),
+                        "{name}"
+                    );
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{name}"),
+                (a, b) => panic!(
+                    "{name}: the ladder {} but the per-rung loop {}",
+                    a.map_or_else(|e| format!("failed ({e})"), |_| "accepted".into()),
+                    b.map_or_else(|e| format!("failed ({e})"), |_| "accepted".into()),
+                ),
+            }
+        }
+        assert_eq!(
+            accepted,
+            cases.len() - 1,
+            "only the last case fails every rung"
+        );
+    }
+
+    /// Each pass runs once per distinct input: the scaled-down small CNN
+    /// climbs five rungs on split factors 1, 1, 1, 1, 2, the fragmenting
+    /// device three streamed rungs on one factor, and the edge case above
+    /// rewrites at every rung. Only the accepted rung validates.
+    #[test]
+    fn ladder_rungs_skip_the_passes_they_reuse() {
+        use gpuflow_templates::{cnn, edge};
+        let spans = |g: &Graph, dev: DeviceSpec, streams| {
+            let mut tracer = Tracer::new();
+            Framework::new(dev)
+                .with_options(CompileOptions {
+                    streams,
+                    ..CompileOptions::default()
+                })
+                .compile_adaptive_traced(g, &mut tracer)
+                .unwrap();
+            let count = |name| tracer.events().iter().filter(|e| e.name == name).count();
+            [
+                "margin-attempt",
+                "split",
+                "partition",
+                "op-schedule",
+                "xfer-schedule",
+                "stream-schedule",
+                "validate",
+            ]
+            .map(count)
+        };
+        let cnn = cnn::small_cnn(600, 600).graph;
+        let four_mib = tesla_c870().with_memory(4 << 20);
+        assert_eq!(spans(&cnn, four_mib, 1), [5, 2, 2, 2, 5, 0, 1]);
+        let fragmenting = tesla_c870().with_memory(120 * 1024);
+        assert_eq!(
+            spans(&edge_graph(120, 9), fragmenting, 2),
+            [3, 1, 1, 0, 0, 3, 1]
+        );
+        let edge = edge::find_edges(600, 600, 9, 8, edge::CombineOp::Max).graph;
+        let one_mib = tesla_c870().with_memory(1 << 20);
+        assert_eq!(spans(&edge, one_mib, 1), [3, 3, 3, 3, 3, 0, 1]);
     }
 
     #[test]

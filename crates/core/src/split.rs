@@ -186,9 +186,12 @@ struct Rewriter<'a> {
     ng: Graph,
     origin: Vec<DataOrigin>,
     op_parent: Vec<Option<OpId>>,
-    /// Produced original data -> its pieces `(lo, hi, new id)`, in order.
-    produced: HashMap<DataId, Vec<(usize, usize, DataId)>>,
-    /// Cached host-data views and gathers keyed by `(orig, lo, hi)`.
+    /// Per original data id: its pieces `(lo, hi, new id)`, in order, once
+    /// its producer has been rewritten (empty before, and for host data).
+    produced: Vec<Vec<(usize, usize, DataId)>>,
+    /// Cached host-data views and gathers keyed by `(orig, lo, hi)`. Only
+    /// probed and filled, never iterated, so its order cannot reach the
+    /// rewrite.
     region_cache: HashMap<(DataId, usize, usize), DataId>,
 }
 
@@ -233,7 +236,8 @@ impl<'a> Rewriter<'a> {
         hi: usize,
         for_op: OpId,
     ) -> Result<DataId, FrameworkError> {
-        if let Some(pieces) = self.produced.get(&d) {
+        let pieces = &self.produced[d.index()];
+        if !pieces.is_empty() {
             // Exact band?
             if let Some(&(_, _, id)) = pieces.iter().find(|&&(a, b, _)| a == lo && b == hi) {
                 return Ok(id);
@@ -332,36 +336,97 @@ pub fn split_graph_min_parts(
     budget_bytes: u64,
     min_parts: usize,
 ) -> Result<SplitResult, FrameworkError> {
-    g.validate()
-        .map_err(|e| FrameworkError::InvalidGraph(e.to_string()))?;
-    let order =
-        gpuflow_graph::topo_sort(g).map_err(|e| FrameworkError::InvalidGraph(e.to_string()))?;
+    let mut rewrites = Rewrites::default();
+    rewrites.split(g, budget_bytes, min_parts)?;
+    Ok(rewrites.take())
+}
 
-    let mut parts_global = min_parts.clamp(1, 255);
-    for o in g.op_ids() {
-        parts_global = parts_global.max(op_parts_needed(g, o, budget_bytes)?);
-    }
+/// The rewrites of one template at a sequence of shrinking budgets — the
+/// margin ladder's. A rewrite is a pure function of the template and the
+/// split factor; only the factor the loop starts from and the footprint
+/// check depend on the budget. So the latest rewrite that fit is kept and
+/// reused whenever the loop lands on its factor again. A rewrite that did
+/// not fit is dropped at once, and a fitting one gives way to the next
+/// one that fits: a smaller budget never goes back to a coarser factor,
+/// so one rewrite is all that is worth keeping.
+#[derive(Debug, Default)]
+pub(crate) struct Rewrites {
+    /// The template's topological op order, once the template validated.
+    order: Option<Vec<OpId>>,
+    /// The latest rewrite that fit its budget.
+    latest: Option<SplitResult>,
+}
 
-    loop {
-        let result = rewrite_with_parts(g, &order, parts_global)?;
-        let bad = (0..result.graph.num_ops() as u32)
-            .map(gpuflow_graph::OpId)
-            .find(|&o| result.graph.op_footprint_bytes(o) > budget_bytes);
-        match bad {
-            None => return Ok(result),
-            Some(bad) => {
-                if parts_global >= 255 {
-                    return Err(FrameworkError::CannotSplitEnough {
-                        op: result.op_parent[bad.index()].unwrap_or(gpuflow_graph::OpId(0)),
-                        min_footprint: result.graph.op_footprint_bytes(bad),
-                        budget: budget_bytes,
-                    });
+impl Rewrites {
+    /// [`split_graph_min_parts`] of `g`, which must be the template of
+    /// every earlier call. Returns whether a rewrite ran; either way the
+    /// result is [`Rewrites::latest`].
+    pub(crate) fn split(
+        &mut self,
+        g: &Graph,
+        budget_bytes: u64,
+        min_parts: usize,
+    ) -> Result<bool, FrameworkError> {
+        if self.order.is_none() {
+            g.validate()
+                .map_err(|e| FrameworkError::InvalidGraph(e.to_string()))?;
+            self.order = Some(
+                gpuflow_graph::topo_sort(g)
+                    .map_err(|e| FrameworkError::InvalidGraph(e.to_string()))?,
+            );
+        }
+        let order = self.order.as_deref().expect("validated above");
+
+        let mut parts_global = min_parts.clamp(1, 255);
+        for o in g.op_ids() {
+            parts_global = parts_global.max(op_parts_needed(g, o, budget_bytes)?);
+        }
+
+        let mut rewrote = false;
+        loop {
+            let fresh = match &self.latest {
+                Some(latest) if latest.parts == parts_global => None,
+                _ => Some(rewrite_with_parts(g, order, parts_global)?),
+            };
+            rewrote |= fresh.is_some();
+            let result = fresh
+                .as_ref()
+                .or(self.latest.as_ref())
+                .expect("the latest rewrite or a fresh one");
+            let bad = (0..result.graph.num_ops() as u32)
+                .map(gpuflow_graph::OpId)
+                .find(|&o| result.graph.op_footprint_bytes(o) > budget_bytes);
+            match bad {
+                None => {
+                    if fresh.is_some() {
+                        self.latest = fresh;
+                    }
+                    return Ok(rewrote);
                 }
-                // Halo-exchange working sets shrink with the band height;
-                // escalate and rebuild.
-                parts_global = (parts_global * 2).min(255);
+                Some(bad) => {
+                    if parts_global >= 255 {
+                        return Err(FrameworkError::CannotSplitEnough {
+                            op: result.op_parent[bad.index()].unwrap_or(gpuflow_graph::OpId(0)),
+                            min_footprint: result.graph.op_footprint_bytes(bad),
+                            budget: budget_bytes,
+                        });
+                    }
+                    // Halo-exchange working sets shrink with the band
+                    // height; escalate and rebuild.
+                    parts_global = (parts_global * 2).min(255);
+                }
             }
         }
+    }
+
+    /// The result of the last successful [`Rewrites::split`].
+    pub(crate) fn latest(&self) -> &SplitResult {
+        self.latest.as_ref().expect("a split succeeded")
+    }
+
+    /// [`Rewrites::latest`], moved out.
+    pub(crate) fn take(&mut self) -> SplitResult {
+        self.latest.take().expect("a split succeeded")
     }
 }
 
@@ -376,7 +441,7 @@ fn rewrite_with_parts(
         ng: Graph::new(),
         origin: Vec::new(),
         op_parent: Vec::new(),
-        produced: HashMap::new(),
+        produced: vec![Vec::new(); g.num_data()],
         region_cache: HashMap::new(),
     };
 
@@ -418,7 +483,7 @@ fn rewrite_with_parts(
                     row_off: 0,
                 },
             );
-            rw.produced.insert(out_d, vec![(0, out_desc.rows, out)]);
+            rw.produced[out_d.index()] = vec![(0, out_desc.rows, out)];
             rw.add_op(node.name.clone(), node.kind, inputs, out, Some(o))?;
             continue;
         }
@@ -446,7 +511,7 @@ fn rewrite_with_parts(
             );
             out_pieces.push((lo, hi, id));
         }
-        rw.produced.insert(out_d, out_pieces.clone());
+        rw.produced[out_d.index()] = out_pieces.clone();
 
         for (i, &(lo, hi)) in out_pieces
             .iter()
@@ -574,7 +639,7 @@ fn split_reduction(
         )?;
         acc = dest_id;
     }
-    rw.produced.insert(out_d, vec![(0, 1, acc)]);
+    rw.produced[out_d.index()] = vec![(0, 1, acc)];
     Ok(())
 }
 

@@ -446,14 +446,31 @@ pub fn schedule_streamed_with(
     defer: bool,
 ) -> Result<ExecutionPlan, FrameworkError> {
     let (order, unit_stream) = stream_order(g, units, dev, num_streams);
-    let mut plan = schedule_transfers(g, units, &order, xfer)?;
+    schedule_stream_order(g, units, &order, &unit_stream, num_streams, xfer, defer)
+}
+
+/// The part of [`schedule_streamed_with`] that depends on the memory
+/// budget: the transfer schedule of a [`stream_order`] result, the free
+/// deferral and the annotation. The list scheduler's order depends only on
+/// the units and the device, so the margin ladder computes it once and
+/// calls this on every rung.
+pub(crate) fn schedule_stream_order(
+    g: &Graph,
+    units: &[OffloadUnit],
+    order: &[usize],
+    unit_stream: &[usize],
+    num_streams: usize,
+    xfer: XferOptions,
+    defer: bool,
+) -> Result<ExecutionPlan, FrameworkError> {
+    let mut plan = schedule_transfers(g, units, order, xfer)?;
     if defer {
         plan.steps = defer_frees(g, units, std::mem::take(&mut plan.steps), xfer.memory_bytes);
     }
-    let events = derive_events(g, &plan, &unit_stream);
+    let events = derive_events(g, &plan, unit_stream);
     plan.streams = Some(StreamSchedule {
         num_streams: num_streams.max(1),
-        unit_stream,
+        unit_stream: unit_stream.to_vec(),
         events,
     });
     #[cfg(debug_assertions)]

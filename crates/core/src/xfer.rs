@@ -17,6 +17,23 @@
 //! set of resident data already dead, so an eager free visits only what
 //! died instead of rescanning everything resident after every unit.
 //!
+//! Victims come from a per-device lazy-deletion min-heap keyed `(policy
+//! key, DataId, stamp)`, not from a scan of everything resident; the four
+//! policies all fit that shape (Belady: furthest next read on the device,
+//! latest use: furthest last read there, LRU: last touch, FIFO: arrival).
+//! A datum's key is computed when it is placed or touched, at position `p`
+//! as if for an eviction there, and that is exact: every datum a unit reads
+//! at position `q` is in the unit's wanted set, so a resident datum is
+//! touched — and re-keyed, under a new stamp that makes its older entries
+//! stale — at every read on its device. Between two touches it has no read
+//! there, so its next read after `p` is its next read after any later
+//! eviction position, and its other keys do not move at all. An eviction
+//! at the position of a read cannot take the datum being read: everything
+//! the unit wants is protected, and popped protected entries are held
+//! aside and pushed back. A device's heap is built at its first eviction,
+//! so a schedule that never evicts pays nothing for it. The linear scan
+//! survives as the `cfg(test)` oracle the heaps are checked against.
+//!
 //! Evicting a structure that is still needed later (or is a template
 //! output not yet on the host) costs a device→host copy; evicting one that
 //! is still valid on the host (inputs, constants, or previously copied-out
@@ -37,7 +54,8 @@
 //! on **every** device — a producer must not discard the only copy of data
 //! a peer still needs.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use gpuflow_graph::{DataId, DataKind, Graph};
 
@@ -94,6 +112,90 @@ struct Resident {
     bytes: u64,
     arrived: u64,
     last_touch: u64,
+    /// Which victim-heap entry carries this residency's current key (see
+    /// [`VictimHeaps`]); older entries for the datum are stale.
+    stamp: u64,
+}
+
+/// Where the scheduler finds eviction victims. The scheduler body is
+/// generic over it so that the tests can run that same body with the
+/// linear scan the heaps replace.
+trait Victims {
+    /// `v` was placed on, or re-keyed on, `device` under `stamp`; `key`
+    /// computes its policy key.
+    fn rekey(&mut self, device: usize, v: DataId, stamp: u64, key: impl FnOnce() -> u64);
+
+    /// The resident datum on `device` outside `protected` with the least
+    /// `(key, id)`, if there is one.
+    fn pick(
+        &mut self,
+        device: usize,
+        resident: &BTreeMap<DataId, Resident>,
+        protected: &[DataId],
+        key: impl Fn(DataId, &Resident) -> u64,
+    ) -> Option<DataId>;
+}
+
+/// A victim heap entry: `(policy key, id, stamp)`, least first.
+type Entry = Reverse<(u64, u32, u64)>;
+
+/// One lazy-deletion min-heap of `(policy key, id, stamp)` per device,
+/// built at the device's first eviction (a device that never evicts never
+/// pays for one). After that every placement and every key-moving touch
+/// pushes an entry; an entry whose datum has left the device, or whose
+/// stamp is not the datum's current one, is stale and skipped when popped.
+/// Popped entries of protected data are held aside and pushed back.
+struct VictimHeaps {
+    heaps: Vec<Option<BinaryHeap<Entry>>>,
+    aside: Vec<Entry>,
+}
+
+impl VictimHeaps {
+    fn new(devices: usize) -> Self {
+        VictimHeaps {
+            heaps: (0..devices).map(|_| None).collect(),
+            aside: Vec::new(),
+        }
+    }
+}
+
+impl Victims for VictimHeaps {
+    fn rekey(&mut self, device: usize, v: DataId, stamp: u64, key: impl FnOnce() -> u64) {
+        if let Some(heap) = &mut self.heaps[device] {
+            heap.push(Reverse((key(), v.0, stamp)));
+        }
+    }
+
+    fn pick(
+        &mut self,
+        device: usize,
+        resident: &BTreeMap<DataId, Resident>,
+        protected: &[DataId],
+        key: impl Fn(DataId, &Resident) -> u64,
+    ) -> Option<DataId> {
+        let heap = self.heaps[device].get_or_insert_with(|| {
+            resident
+                .iter()
+                .map(|(&v, r)| Reverse((key(v, r), v.0, r.stamp)))
+                .collect()
+        });
+        let mut victim = None;
+        while let Some(entry) = heap.pop() {
+            let Reverse((_, id, stamp)) = entry;
+            let v = DataId(id);
+            if resident.get(&v).is_none_or(|r| r.stamp != stamp) {
+                continue;
+            }
+            if protected.contains(&v) {
+                self.aside.push(entry);
+                continue;
+            }
+            victim = Some(v);
+            break;
+        }
+        heap.extend(self.aside.drain(..));
+        victim
+    }
 }
 
 /// The scheduler's running state: the steps emitted so far, what is
@@ -169,6 +271,21 @@ pub fn schedule_device_transfers(
     opts: &MultiXferOptions,
     policy: EvictionPolicy,
 ) -> Result<ExecutionPlan, FrameworkError> {
+    let mut heaps = VictimHeaps::new(opts.budgets.len());
+    schedule_with(g, units, unit_device, order, opts, policy, &mut heaps)
+}
+
+/// The body of [`schedule_device_transfers`], finding victims in
+/// `victims`.
+fn schedule_with(
+    g: &Graph,
+    units: &[OffloadUnit],
+    unit_device: &[usize],
+    order: &[usize],
+    opts: &MultiXferOptions,
+    policy: EvictionPolicy,
+    victims: &mut impl Victims,
+) -> Result<ExecutionPlan, FrameworkError> {
     assert_eq!(order.len(), units.len(), "order must cover every unit");
     assert_eq!(unit_device.len(), units.len());
     let ndev = opts.budgets.len();
@@ -216,6 +333,26 @@ pub fn schedule_device_transfers(
             &reads[d.index()]
         }
     };
+    // The policy key of resident `v` on `dev` for an eviction at position
+    // `t`; the least `(key, id)` is evicted.
+    let key = |v: DataId, r: &Resident, dev: usize, t: usize| -> u64 {
+        match policy {
+            EvictionPolicy::Belady => {
+                // Furthest next read on this device first; never read here
+                // again = ∞.
+                let nr = next_read(reads_on_device(v, dev), t + 1);
+                u64::MAX - nr.unwrap_or(usize::MAX) as u64
+            }
+            EvictionPolicy::LatestUse => {
+                let lr = reads_on_device(v, dev).last().copied();
+                u64::MAX - lr.unwrap_or(usize::MAX) as u64
+            }
+            EvictionPolicy::Lru => r.last_touch,
+            EvictionPolicy::Fifo => r.arrived,
+        }
+    };
+    // Only these keys move when a resident datum is touched again.
+    let touch_rekeys = matches!(policy, EvictionPolicy::Belady | EvictionPolicy::Lru);
 
     let mut st = Residency {
         g,
@@ -232,48 +369,32 @@ pub fn schedule_device_transfers(
         st.on_cpu[d.index()] = true;
     }
     let mut tick = 0u64;
+    let mut stamps = 0u64;
 
     for (t, &u) in order.iter().enumerate() {
         let unit = &units[u];
         let dev = unit_device[u];
-        let ext_inputs = unit.external_inputs(g);
-        let outputs = unit.outputs(g);
-        // Data that must not be evicted while staging this unit.
-        let protected: HashSet<DataId> = ext_inputs.iter().chain(outputs.iter()).copied().collect();
+        // Stage inputs, then reserve output space. None of these may be
+        // evicted while the unit is staged.
+        let mut wanted = unit.external_inputs(g);
+        let inputs = wanted.len();
+        wanted.extend(unit.outputs(g));
 
-        // Stage inputs, then reserve output space.
-        let mut wanted: Vec<(DataId, bool)> = ext_inputs.iter().map(|&d| (d, true)).collect();
-        wanted.extend(outputs.iter().map(|&d| (d, false)));
-
-        for (d, is_input) in wanted {
+        for (i, &d) in wanted.iter().enumerate() {
             if let Some(r) = st.resident[dev].get_mut(&d) {
                 r.last_touch = tick;
+                if touch_rekeys {
+                    stamps += 1;
+                    r.stamp = stamps;
+                    victims.rekey(dev, d, stamps, || key(d, r, dev, t));
+                }
                 continue;
             }
             let need = g.data(d).bytes();
             // Make space on this unit's device.
             while opts.budgets[dev] - st.used[dev] < need {
-                let victim = st.resident[dev]
-                    .iter()
-                    .filter(|(v, _)| !protected.contains(v))
-                    .min_by_key(|&(&v, r)| {
-                        let key = match policy {
-                            EvictionPolicy::Belady => {
-                                // Furthest next read on this device first;
-                                // never read here again = ∞.
-                                let nr = next_read(reads_on_device(v, dev), t + 1);
-                                u64::MAX - nr.unwrap_or(usize::MAX) as u64
-                            }
-                            EvictionPolicy::LatestUse => {
-                                let lr = reads_on_device(v, dev).last().copied();
-                                u64::MAX - lr.unwrap_or(usize::MAX) as u64
-                            }
-                            EvictionPolicy::Lru => r.last_touch,
-                            EvictionPolicy::Fifo => r.arrived,
-                        };
-                        (key, v.0)
-                    })
-                    .map(|(&v, _)| v);
+                let victim =
+                    victims.pick(dev, &st.resident[dev], &wanted, |v, r| key(v, r, dev, t));
                 let Some(v) = victim else {
                     return Err(FrameworkError::InvalidPlan(format!(
                         "cannot stage {} for unit {u}{}: {} B needed, {} B free, nothing evictable",
@@ -286,7 +407,7 @@ pub fn schedule_device_transfers(
                 let needed = next_read(&reads[v.index()], t + 1).is_some();
                 st.drop_data(dev, v, needed);
             }
-            if is_input {
+            if i < inputs {
                 if !st.on_cpu[d.index()] {
                     // Staged inter-device transfer: copy out from whichever
                     // device still holds the bytes, then upload here.
@@ -310,14 +431,15 @@ pub fn schedule_device_transfers(
                     data: d,
                 });
             }
-            st.resident[dev].insert(
-                d,
-                Resident {
-                    bytes: need,
-                    arrived: tick,
-                    last_touch: tick,
-                },
-            );
+            stamps += 1;
+            let r = Resident {
+                bytes: need,
+                arrived: tick,
+                last_touch: tick,
+                stamp: stamps,
+            };
+            victims.rekey(dev, d, stamps, || key(d, &r, dev, t));
+            st.resident[dev].insert(d, r);
             st.used[dev] += need;
             tick += 1;
         }
@@ -329,7 +451,9 @@ pub fn schedule_device_transfers(
             // Mark what just died wherever it is resident, then delete the
             // dead data on the launching device, in `DataId` order. Other
             // devices free theirs at their next launch.
-            let unread = outputs.iter().filter(|o| reads[o.index()].is_empty());
+            let unread = wanted[inputs..]
+                .iter()
+                .filter(|o| reads[o.index()].is_empty());
             for &d in die_at[t].iter().chain(unread) {
                 for e in 0..ndev {
                     if st.resident[e].contains_key(&d) {
@@ -611,5 +735,324 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("nothing evictable"), "{err}");
+    }
+
+    /// The victim search the heaps replace: a scan of everything resident
+    /// for the least `(key, id)`. The oracle they must agree with.
+    struct Scan;
+
+    impl Victims for Scan {
+        fn rekey(&mut self, _: usize, _: DataId, _: u64, _: impl FnOnce() -> u64) {}
+
+        fn pick(
+            &mut self,
+            _: usize,
+            resident: &BTreeMap<DataId, Resident>,
+            protected: &[DataId],
+            key: impl Fn(DataId, &Resident) -> u64,
+        ) -> Option<DataId> {
+            resident
+                .iter()
+                .filter(|(v, _)| !protected.contains(v))
+                .min_by_key(|&(&v, r)| (key(v, r), v.0))
+                .map(|(&v, _)| v)
+        }
+    }
+
+    const POLICIES: [EvictionPolicy; 4] = [
+        EvictionPolicy::Belady,
+        EvictionPolicy::LatestUse,
+        EvictionPolicy::Lru,
+        EvictionPolicy::Fifo,
+    ];
+
+    /// A random DAG of element-wise operators over three shape families,
+    /// so resident structures differ in size. Operators read one to three
+    /// earlier structures of their family, picked anywhere in its history,
+    /// so fan-out, long-lived data and re-reads of resident data are
+    /// common; unread results become outputs.
+    fn random_dag(rng: &mut proptest::TestRng, ops: usize) -> Graph {
+        const SHAPES: [(usize, usize); 3] = [(8, 8), (16, 8), (32, 16)];
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let mut families: Vec<Vec<Vec<usize>>> = vec![Vec::new(); SHAPES.len()];
+        for _ in 0..ops {
+            let f = pick(SHAPES.len());
+            let available = families[f].len() + 1;
+            let mut reads: Vec<usize> = (0..1 + pick(3)).map(|_| pick(available)).collect();
+            reads.sort_unstable();
+            reads.dedup();
+            families[f].push(reads);
+        }
+        let mut g = Graph::new();
+        for (f, family) in families.iter().enumerate() {
+            if family.is_empty() {
+                continue;
+            }
+            let (rows, cols) = SHAPES[f];
+            let mut data = vec![g.add(format!("in{f}"), rows, cols, DataKind::Input)];
+            for (k, reads) in family.iter().enumerate() {
+                let read_later = family[k + 1..].iter().any(|r| r.contains(&(k + 1)));
+                let kind = if read_later {
+                    DataKind::Temporary
+                } else {
+                    DataKind::Output
+                };
+                let out = g.add(format!("d{f}.{k}"), rows, cols, kind);
+                let inputs: Vec<DataId> = reads.iter().map(|&i| data[i]).collect();
+                let op = match inputs.len() {
+                    1 => gpuflow_graph::OpKind::Tanh,
+                    n => gpuflow_graph::OpKind::EwAdd { arity: n as u8 },
+                };
+                g.add_op(format!("op{f}.{k}"), op, inputs, out).unwrap();
+                data.push(out);
+            }
+        }
+        g
+    }
+
+    /// Plan `case` (generated from `seed`) with the heaps and with the
+    /// scan under every policy and budgets from one byte short of the
+    /// largest unit to everything-fits; they must agree step for step, or
+    /// fail with the same error. Returns how many plans evicted.
+    fn heaps_agree_with_the_scan(
+        seed: u64,
+        ops: usize,
+        devices: usize,
+        eager_free: bool,
+    ) -> Result<usize, String> {
+        let mut rng = proptest::TestRng::for_case(seed, 0);
+        let g = random_dag(&mut rng, ops);
+        let units = partition_offload_units(&g, PartitionPolicy::PerOperator, u64::MAX);
+        let order = schedule_units(&g, &units, OpScheduler::DepthFirst);
+        let unit_device: Vec<usize> = (0..units.len())
+            .map(|_| (rng.next_u64() % devices as u64) as usize)
+            .collect();
+        let floor = units.iter().map(|u| u.footprint_bytes(&g)).max().unwrap();
+        let total: u64 = g.data_ids().map(|d| g.data(d).bytes()).sum();
+        let mut evicting = 0;
+        for budget in [
+            floor - 1,
+            floor,
+            floor + (total - floor) / 16,
+            floor + (total - floor) / 4,
+            floor + (total - floor) / 2,
+            total,
+        ] {
+            let opts = MultiXferOptions {
+                budgets: vec![budget; devices],
+                eager_free,
+                pinned_host: Vec::new(),
+            };
+            for policy in POLICIES {
+                let heaps =
+                    schedule_device_transfers(&g, &units, &unit_device, &order, &opts, policy);
+                let scan =
+                    schedule_with(&g, &units, &unit_device, &order, &opts, policy, &mut Scan);
+                let case = format!("seed {seed} ops {ops} devices {devices} eager_free {eager_free} budget {budget} {policy:?}");
+                match (heaps, scan) {
+                    (Ok(a), Ok(b)) => {
+                        if a.steps != b.steps {
+                            return Err(format!(
+                                "{case}: the heaps and the scan planned differently"
+                            ));
+                        }
+                        evicting += usize::from(a.evictions() > 0);
+                    }
+                    (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
+                    (a, b) => {
+                        return Err(format!(
+                            "{case}: heaps {:?} but scan {:?}",
+                            a.map(|p| p.steps.len()),
+                            b.map(|p| p.steps.len())
+                        ))
+                    }
+                }
+            }
+        }
+        Ok(evicting)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Differential oracle for the victim heaps. Replay a failure with
+        /// `heaps_agree_with_the_scan(seed, ops, devices, eager_free)`.
+        /// Cases where no plan evicted do not count towards the 64.
+        #[test]
+        fn victim_heaps_match_the_linear_scan(
+            seed in 0u64..1_000_000,
+            ops in 3usize..40,
+            devices in 1usize..4,
+            eager in 0usize..2,
+        ) {
+            let evicting = heaps_agree_with_the_scan(seed, ops, devices, eager == 1);
+            proptest::prop_assert!(evicting.is_ok(), "{}", evicting.unwrap_err());
+            proptest::prop_assume!(evicting.unwrap() > 0);
+        }
+    }
+
+    /// `Resident` records keyed by the id, each under stamp 1.
+    fn residents(ids: &[u32]) -> BTreeMap<DataId, Resident> {
+        ids.iter()
+            .map(|&i| {
+                let r = Resident {
+                    bytes: 1,
+                    arrived: 0,
+                    last_touch: 0,
+                    stamp: 1,
+                };
+                (DataId(i), r)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_protected_datum_at_the_heap_top_is_held_aside() {
+        let mut resident = residents(&[0, 1, 2]);
+        // Keys 10, 20, 30: datum 0 is the least.
+        let key = |v: DataId, _: &Resident| 10 * (u64::from(v.0) + 1);
+        let mut heaps = VictimHeaps::new(1);
+        let protected = [DataId(0)];
+        assert_eq!(heaps.pick(0, &resident, &protected, key), Some(DataId(1)));
+        assert_eq!(Scan.pick(0, &resident, &protected, key), Some(DataId(1)));
+        resident.remove(&DataId(1));
+        // Datum 0 went back into the heap and leads it again.
+        assert_eq!(heaps.pick(0, &resident, &[], key), Some(DataId(0)));
+        // Everything resident protected: nothing to evict, and nothing lost.
+        let all = [DataId(0), DataId(2)];
+        assert_eq!(heaps.pick(0, &resident, &all, key), None);
+        assert_eq!(heaps.pick(0, &resident, &[DataId(0)], key), Some(DataId(2)));
+    }
+
+    #[test]
+    fn a_rekeyed_datum_leaves_a_stale_entry_behind() {
+        let mut resident = residents(&[0, 1]);
+        let mut keys = [10u64, 20];
+        let mut heaps = VictimHeaps::new(1);
+        heaps.pick(0, &resident, &[DataId(0), DataId(1)], |v, _| {
+            keys[v.index()]
+        });
+        // A touch moves datum 0's key past datum 1's under a new stamp.
+        keys[0] = 30;
+        resident.get_mut(&DataId(0)).unwrap().stamp = 2;
+        heaps.rekey(0, DataId(0), 2, || keys[0]);
+        let key = |v: DataId, _: &Resident| keys[v.index()];
+        assert_eq!(heaps.pick(0, &resident, &[], key), Some(DataId(1)));
+        assert_eq!(Scan.pick(0, &resident, &[], key), Some(DataId(1)));
+    }
+
+    /// `in0 → d0`, then one unit per entry of `reads` (indices into the
+    /// data added so far), each writing a fresh 8×8 datum; every datum no
+    /// later unit reads is an output. Units launch in index order.
+    fn tanh_program(inputs: usize, reads: &[usize]) -> (Graph, Vec<OffloadUnit>) {
+        let mut g = Graph::new();
+        let mut data: Vec<DataId> = (0..inputs)
+            .map(|i| g.add(format!("in{i}"), 8, 8, DataKind::Input))
+            .collect();
+        for (k, &r) in reads.iter().enumerate() {
+            let kind = if reads[k + 1..].contains(&(data.len())) {
+                DataKind::Temporary
+            } else {
+                DataKind::Output
+            };
+            let out = g.add(format!("x{k}"), 8, 8, kind);
+            g.add_op(
+                format!("t{k}"),
+                gpuflow_graph::OpKind::Tanh,
+                vec![data[r]],
+                out,
+            )
+            .unwrap();
+            data.push(out);
+        }
+        let units = singleton_units(&g);
+        (g, units)
+    }
+
+    /// The data a plan frees before launching unit `u`, after launching
+    /// the unit before it.
+    fn freed_before(plan: &ExecutionPlan, g: &Graph, u: usize) -> Vec<String> {
+        let launch = |u| plan.steps.iter().position(|s| *s == Step::Launch(u));
+        let (from, to) = (launch(u - 1).unwrap(), launch(u).unwrap());
+        plan.steps[from..to]
+            .iter()
+            .filter_map(|s| match *s {
+                Step::Free { data, .. } => Some(g.data(data).name.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Plan `program` on one device of `slots` 8×8 data with lingering
+    /// dead data, with the heaps, and check it against the scan.
+    fn plan_both(
+        g: &Graph,
+        units: &[OffloadUnit],
+        slots: u64,
+        policy: EvictionPolicy,
+    ) -> ExecutionPlan {
+        let opts = MultiXferOptions {
+            budgets: vec![slots * 256],
+            eager_free: false,
+            pinned_host: Vec::new(),
+        };
+        let order: Vec<usize> = (0..units.len()).collect();
+        let unit_device = vec![0; units.len()];
+        let heaps =
+            schedule_device_transfers(g, units, &unit_device, &order, &opts, policy).unwrap();
+        let scan = schedule_with(g, units, &unit_device, &order, &opts, policy, &mut Scan).unwrap();
+        assert_eq!(heaps.steps, scan.steps, "{policy:?}:\n{}", heaps.render(g));
+        heaps
+    }
+
+    #[test]
+    fn a_touch_after_the_first_eviction_rekeys_lru() {
+        // x0 = t(in0), x1 = t(in1), x2 = t(x0), x3 = t(in2) on three
+        // slots. Unit 1 builds the heap (evicting in0); unit 2 touches x0
+        // and evicts in1; unit 3 must then take x1 (last touched at unit
+        // 1) over x0 (touched at unit 2, arrived at unit 0).
+        let (g, units) = tanh_program(3, &[0, 1, 3, 2]);
+        let plan = plan_both(&g, &units, 3, EvictionPolicy::Lru);
+        assert_eq!(freed_before(&plan, &g, 1), ["in0"]);
+        assert_eq!(freed_before(&plan, &g, 2), ["in1"]);
+        assert_eq!(freed_before(&plan, &g, 3)[0], "x1");
+    }
+
+    #[test]
+    fn a_touch_after_the_first_eviction_rekeys_belady() {
+        // x0 = t(in0), x1 = t(in1), x2 = t(x0), x3 = t(in2), x4 = t(x1),
+        // x5 = t(x0) on three slots. Unit 1 builds the heap while x0's next
+        // read is unit 2; unit 2 reads x0 again, so its next read moves to
+        // unit 5, past x1's (unit 4). Unit 3 evicts the unread x2 first,
+        // then must take x0, not x1.
+        let (g, units) = tanh_program(3, &[0, 1, 3, 2, 4, 3]);
+        let plan = plan_both(&g, &units, 3, EvictionPolicy::Belady);
+        assert_eq!(freed_before(&plan, &g, 1), ["in0"]);
+        assert_eq!(freed_before(&plan, &g, 3), ["x2", "x0"]);
+    }
+
+    #[test]
+    fn a_device_that_never_evicts_builds_no_heap() {
+        let (g, units) = tanh_program(3, &[0, 1, 3, 2]);
+        let order: Vec<usize> = (0..units.len()).collect();
+        // Units 0 and 2 on a roomy device 0, 1 and 3 on a tight device 1.
+        let unit_device = [0, 1, 0, 1];
+        let opts = MultiXferOptions {
+            budgets: vec![u64::MAX, 2 * 256],
+            eager_free: false,
+            pinned_host: Vec::new(),
+        };
+        for policy in POLICIES {
+            let mut heaps = VictimHeaps::new(2);
+            schedule_with(&g, &units, &unit_device, &order, &opts, policy, &mut heaps).unwrap();
+            assert!(
+                heaps.heaps[0].is_none(),
+                "{policy:?}: device 0 built a heap"
+            );
+            assert!(
+                heaps.heaps[1].is_some(),
+                "{policy:?}: device 1 evicted without one"
+            );
+        }
     }
 }

@@ -55,6 +55,22 @@ for want in margin-attempt:5 validate:1 split:2; do
 done
 rm -rf "$ladderdir"
 
+echo "==> quiet-walk tripwire (a spill plan that re-stages data many times runs faulted)"
+# The 8800 GTX plan stages some data more than RetryPolicy::max_attempts
+# (6) times on one device. Those allocations once spent the retry budget
+# by succeeding, so this faulted run's fault-free baseline failed with
+# "transfer retries exhausted for in0". The baseline is the quiet walk,
+# the same one the plain run prints, so their makespans are bit-equal.
+# (The faulted run's own total is larger: a quiet spec still checkpoints,
+# and tests/chaos_ledger.rs pins that.)
+quietdir="$(mktemp -d)"
+"$gpuflow" run cnn-large:7500x7500 --device 8800gtx --json > "$quietdir/plain.json"
+"$gpuflow" run cnn-large:7500x7500 --device 8800gtx --json --faults seed=0 > "$quietdir/quiet.json"
+plain="$(grep -m1 -o '"total_time_s": [^,]*' "$quietdir/plain.json" | cut -d' ' -f2)"
+base="$(grep -m1 -o '"faultfree_makespan_s": [^,]*' "$quietdir/quiet.json" | cut -d' ' -f2)"
+[ -n "$plain" ] && [ "$plain" = "$base" ] || { echo "fault-free makespan '$base' vs plain run '$plain'"; exit 1; }
+rm -rf "$quietdir"
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

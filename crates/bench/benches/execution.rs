@@ -1,11 +1,11 @@
-//! Executor benchmarks: analytic plan walking at CNN scale, functional
+//! Plan-walk benchmarks: analytic plan walking at CNN scale, functional
 //! execution (real kernels) on a mid-size edge template, and the baseline
 //! for contrast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use gpuflow_core::{baseline_plan, Executor, Framework};
+use gpuflow_core::{baseline_plan, Framework, Machine, ResilientExecutor};
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_templates::cnn::small_cnn;
 use gpuflow_templates::data::default_bindings;
@@ -24,7 +24,7 @@ fn bench_execution(c: &mut Criterion) {
     let base = baseline_plan(&cnn, dev.memory_bytes).unwrap();
     c.bench_function("analytic exec small CNN baseline", |b| {
         b.iter(|| {
-            Executor::new(black_box(&cnn), &base, &dev)
+            ResilientExecutor::quiet(black_box(&cnn), &base, &Machine::single(&dev))
                 .run_analytic()
                 .unwrap()
         })

@@ -9,7 +9,7 @@
 
 use gpuflow_bench::run::commas;
 use gpuflow_bench::TableWriter;
-use gpuflow_core::{CompileOptions, Framework};
+use gpuflow_core::{CompileOptions, Framework, Machine, ResilientExecutor};
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_templates::edge::{find_edges, CombineOp};
 
@@ -70,11 +70,12 @@ fn run_sweep(name: &str, g: &gpuflow_graph::Graph, dev: &gpuflow_sim::DeviceSpec
             }
             Ok(c) => {
                 let describe = |policy: gpuflow_sim::FitPolicy| {
-                    let run = gpuflow_core::Executor::new(&c.split.graph, &c.plan, dev)
-                        .with_alloc_policy(policy)
-                        .run_analytic();
+                    let run =
+                        ResilientExecutor::quiet(&c.split.graph, &c.plan, &Machine::single(dev))
+                            .with_alloc_policy(policy)
+                            .run_analytic();
                     match run {
-                        Ok(out) => format!("ok / {:.3}", out.peak_fragmentation),
+                        Ok(out) => format!("ok / {:.3}", out.exec.peak_fragmentation),
                         Err(e) if e.to_string().contains("fragmented") => {
                             "FAILS: fragmentation".into()
                         }

@@ -1,6 +1,8 @@
 //! Compile-and-run helpers shared by the harness binaries.
 
-use gpuflow_core::{baseline_plan, CompileOptions, Executor, Framework, FrameworkError};
+use gpuflow_core::{
+    baseline_plan, CompileOptions, Framework, FrameworkError, Machine, ResilientExecutor,
+};
 use gpuflow_graph::Graph;
 use gpuflow_sim::DeviceSpec;
 
@@ -74,7 +76,9 @@ pub fn optimized_outcome(
 /// paper's "N/A" cells) when it cannot run.
 pub fn baseline_outcome(device: &DeviceSpec, g: &Graph) -> Result<OutcomeSummary, FrameworkError> {
     let plan = baseline_plan(g, device.memory_bytes)?;
-    let out = Executor::new(g, &plan, device).run_analytic()?;
+    let out = ResilientExecutor::quiet(g, &plan, &Machine::single(device))
+        .run_analytic()?
+        .exec;
     let c = out.timeline.counters();
     Ok(OutcomeSummary {
         transfer_floats: c.total_transfer_floats(),

@@ -70,7 +70,7 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// A spec that injects nothing — used to establish the fault-free
     /// baseline makespan that overhead and `loss=DEV@P%` resolve against.
-    pub fn quiet(seed: u64) -> FaultSpec {
+    pub const fn quiet(seed: u64) -> FaultSpec {
         FaultSpec {
             seed,
             kernel_rate: 0.0,

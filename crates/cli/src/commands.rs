@@ -322,7 +322,7 @@ fn chaos_smoke() -> Result<String, String> {
                     &c.sharded.split,
                     &c.plan,
                     &machine,
-                    &spec,
+                    Some(&spec),
                     functional,
                     tracer,
                 )
@@ -352,7 +352,7 @@ fn chaos_smoke() -> Result<String, String> {
                 &compiled.split,
                 &compiled.plan,
                 &machine,
-                &spec,
+                Some(&spec),
                 true,
                 tracer,
             )
@@ -388,20 +388,25 @@ fn verify_outputs(
 }
 
 /// Run `plan` (compiled from `g` through `split`) on `machine` under
-/// `spec` through the resilient executor — functionally, with the outputs
-/// verified against the reference, or analytically — and draw the
-/// recovery track onto `tracer`. An unrecovered run is an error. Returns
-/// the outcome and, for a functional run, how many outputs were verified.
+/// `spec` through the resilient executor — or, without a spec, as the
+/// quiet walk — functionally, with the outputs verified against the
+/// reference, or analytically, and (under a spec) draw the recovery track
+/// onto `tracer`. An unrecovered run is an error. Returns the outcome and,
+/// for a functional run, how many outputs were verified.
 fn run_resilient(
     g: &Graph,
     split: &SplitResult,
     plan: &ExecutionPlan,
     machine: &Machine,
-    spec: &FaultSpec,
+    spec: Option<&FaultSpec>,
     functional: bool,
     tracer: &mut Tracer,
 ) -> Result<(ResilientOutcome, Option<usize>), String> {
-    let rex = ResilientExecutor::new(&split.graph, plan, machine, spec).with_origin(split);
+    let rex = match spec {
+        Some(spec) => ResilientExecutor::new(&split.graph, plan, machine, spec),
+        None => ResilientExecutor::quiet(&split.graph, plan, machine),
+    }
+    .with_origin(split);
     let mut verified = None;
     let r = if functional {
         let bindings = default_bindings(g);
@@ -413,7 +418,9 @@ fn run_resilient(
     } else {
         rex.run_analytic().map_err(|e| e.to_string())?
     };
-    trace_recovery(tracer, &r.injector, &r.stats);
+    if spec.is_some() {
+        trace_recovery(tracer, &r.injector, &r.stats);
+    }
     if !r.stats.recovered {
         return Err(format!(
             "run did not recover from the injected fault schedule\n{}",
@@ -741,7 +748,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         &c.sharded.split,
                         &c.plan,
                         &cluster.machine(),
-                        faults.as_ref().unwrap_or(&quiet),
+                        Some(faults.as_ref().unwrap_or(&quiet)),
                         *functional,
                         &mut tracer,
                     )?;
@@ -835,27 +842,21 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 .map_err(|e| e.to_string())?;
             let mut verified = None;
             let mut recovery: Option<RecoveryStats> = None;
-            let result = if let Some(fspec) = faults {
-                // Faulted runs go through the resilient executor.
+            let result = if faults.is_some() || *functional {
+                // Functional and/or faulted runs go through the resilient
+                // executor: the quiet walk when no faults were requested.
                 let (r, v) = run_resilient(
                     &g,
                     &compiled.split,
                     &compiled.plan,
                     &Machine::single(&dev),
-                    fspec,
+                    faults.as_ref(),
                     *functional,
                     &mut tracer,
                 )?;
                 verified = v;
-                recovery = Some(r.stats);
+                recovery = faults.is_some().then_some(r.stats);
                 r.exec
-            } else if *functional {
-                let bindings = default_bindings(&g);
-                let run = compiled
-                    .run_functional(&bindings)
-                    .map_err(|e| e.to_string())?;
-                verified = Some(verify_outputs(&g, &bindings, &run.outputs)?);
-                run
             } else {
                 dry_run
             };
@@ -964,9 +965,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let _ = writeln!(out, "{}", st.summary());
             }
             if let Ok(base) = baseline_plan(&g, dev.memory_bytes) {
-                let b = gpuflow_core::Executor::new(&g, &base, &dev)
+                let b = ResilientExecutor::quiet(&g, &base, &Machine::single(&dev))
                     .run_analytic()
-                    .map_err(|e| e.to_string())?;
+                    .map_err(|e| e.to_string())?
+                    .exec;
                 let _ = writeln!(
                     out,
                     "baseline:         {:.4} s -> speedup {:.1}x",
@@ -1190,7 +1192,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let sim = compiled.simulate();
                 trace_lanes(&mut tracer, &sim.lanes, &sim.events);
                 let parsed = write_trace(out_path, &tracer)?;
-                // Executor timeline (summed from the re-parsed export)
+                // Plan-walk timeline (summed from the re-parsed export)
                 // vs the verify engine's static plan statistics — two
                 // genuinely independent walks over the plan.
                 let stats = compiled.stats();

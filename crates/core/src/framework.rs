@@ -19,11 +19,12 @@ use gpuflow_trace::{kv, Tracer};
 use gpuflow_verify::ConcurrencyReport;
 
 use crate::error::FrameworkError;
-use crate::executor::{ExecOutcome, Executor};
 use crate::opschedule::{schedule_units, OpScheduler};
+use crate::overlap::Machine;
 use crate::partition::{partition_offload_units, OffloadUnit, PartitionPolicy};
 use crate::pbexact::{pb_exact_plan_traced, PbExactOptions, PbExactStats};
 use crate::plan::{check_plan, ExecutionPlan, PlanStats};
+use crate::resilient::{ExecOutcome, ResilientExecutor};
 use crate::split::{Rewrites, SplitResult};
 use crate::streams::{schedule_stream_order, stream_order};
 use crate::xfer::{schedule_transfers, EvictionPolicy, XferOptions};
@@ -506,10 +507,15 @@ impl Framework {
             .schedule(template, budget, reuse, tracer)
             .map_err(|e| ("", e))?;
         let split = reuse.rewrites.latest();
-        let dry_run = Executor::new(&split.graph, &scheduled.plan, &self.device)
-            .with_origin(split)
-            .run_analytic()
-            .map_err(|e| ("dry-run: ", e))?;
+        let dry_run = ResilientExecutor::quiet(
+            &split.graph,
+            &scheduled.plan,
+            &Machine::single(&self.device),
+        )
+        .with_origin(split)
+        .run_analytic()
+        .map_err(|e| ("dry-run: ", e))?
+        .exec;
         let (template, certificate) = self
             .accept(scheduled, budget, reuse, tracer)
             .map_err(|e| ("", e))?;
@@ -562,11 +568,12 @@ impl CompiledTemplate {
         crate::overlap::simulate(&self.split.graph, &self.plan, &machine)
     }
 
-    /// Execute without materializing data (time + transfer accounting).
+    /// Execute without materializing data (time + transfer accounting):
+    /// the quiet walk on the device the plan was compiled for.
     pub fn run_analytic(&self) -> Result<ExecOutcome, FrameworkError> {
-        Executor::new(&self.split.graph, &self.plan, &self.device)
-            .with_origin(&self.split)
+        self.quiet_executor(&Machine::single(&self.device))
             .run_analytic()
+            .map(|r| r.exec)
     }
 
     /// Execute functionally. `bindings` maps the *original* template's
@@ -576,9 +583,13 @@ impl CompiledTemplate {
         &self,
         bindings: &HashMap<DataId, Tensor>,
     ) -> Result<ExecOutcome, FrameworkError> {
-        Executor::new(&self.split.graph, &self.plan, &self.device)
-            .with_origin(&self.split)
+        self.quiet_executor(&Machine::single(&self.device))
             .run_functional(bindings)
+            .map(|r| r.exec)
+    }
+
+    fn quiet_executor<'a>(&'a self, machine: &Machine<'a>) -> ResilientExecutor<'a> {
+        ResilientExecutor::quiet(&self.split.graph, &self.plan, machine).with_origin(&self.split)
     }
 }
 
@@ -586,7 +597,6 @@ impl CompiledTemplate {
 mod tests {
     use super::*;
     use crate::examples::{fig3_graph, fig3_memory_bytes};
-    use crate::executor::ExecOutcome;
     use gpuflow_graph::{DataKind, OpKind};
     use gpuflow_ops::reference_eval;
     use gpuflow_sim::device::tesla_c870;

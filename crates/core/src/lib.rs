@@ -27,7 +27,8 @@
 //!    with `gpuflow-pbsat`, for small templates.
 //!
 //! Plans are validated ([`plan`]), executed against the simulator in
-//! analytic or functional mode ([`executor`]), and compared against the
+//! analytic or functional mode by one serial walk ([`resilient`], which
+//! also recovers from injected faults), and compared against the
 //! paper's baseline (§4: per-operator in/out transfers, [`baseline`]) and
 //! "best possible" (Fig. 8: one fused kernel, [`best`]) reference points.
 
@@ -38,7 +39,6 @@ pub mod best;
 pub mod dce;
 pub mod error;
 pub mod examples;
-pub mod executor;
 pub mod framework;
 pub mod observe;
 pub mod opschedule;
@@ -58,7 +58,6 @@ pub use baseline::baseline_plan;
 pub use best::best_possible_estimate;
 pub use dce::{dead_ops, eliminate_dead_ops, eliminate_dead_ops_traced, DceResult};
 pub use error::FrameworkError;
-pub use executor::{ExecMode, ExecOutcome, Executor};
 pub use framework::{AdaptiveCompile, CompileOptions, CompiledTemplate, Framework};
 pub use observe::{
     record_plan_metrics, record_serial_metrics, trace_hazard_certificate, trace_lanes,
@@ -77,7 +76,7 @@ pub use pbexact::{
 pub use plan::{validate_plan, ExecutionPlan, PlanStats, Step};
 pub use prefetch::{hoist_prefetches, hoist_prefetches_traced};
 pub use report::compilation_report;
-pub use resilient::{ResilientExecutor, ResilientOutcome};
+pub use resilient::{ExecOutcome, ResilientExecutor, ResilientOutcome};
 pub use sanitize::{assert_hb_consistent, serial_step_times, step_times};
 pub use split::{split_graph, split_graph_min_parts, DataOrigin, SplitResult};
 pub use streams::{

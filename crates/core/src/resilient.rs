@@ -1,13 +1,29 @@
-//! Fault-tolerant plan execution: one recovery ladder on every machine.
+//! Plan execution against the simulated GPU platform: the one plan walk.
 //!
 //! [`ResilientExecutor`] walks a device-indexed [`ExecutionPlan`] on a
 //! [`Machine`] — one device ([`Machine::single`]) or a cluster sharing a
-//! bus — the way [`crate::Executor`] walks a plan, but consults a
-//! [`FaultInjector`] at every kernel launch, transfer, and allocation, and
-//! recovers through one escalation ladder:
+//! bus. In **analytic** mode no tensors are materialized: the walk drives
+//! each device's allocator (so fragmentation is real) and accumulates
+//! simulated time and transfer counters, which scales to the paper's
+//! 17 GB-footprint experiments. In **functional** mode every kernel really
+//! runs (on the host CPU, via `gpuflow-ops`); split pieces are sliced from
+//! and reassembled into the original template data, so the outputs compare
+//! bit for bit with `gpuflow_ops::reference_eval`.
+//!
+//! **A quiet run is one walk.** Under a spec that injects nothing and with
+//! checkpoints off ([`ResilientExecutor::quiet`]) the plan is walked once,
+//! with no recovery ladder: an allocation the device cannot satisfy, or a
+//! datum that is not resident where a step needs it, is an error. That
+//! walk is the compile ladder's dry run, [`crate::CompiledTemplate`]'s
+//! `run_analytic` and `run_functional`, and every baseline measurement.
+//!
+//! **Under faults** the walk consults a [`FaultInjector`] at every kernel
+//! launch, transfer, and allocation, and recovers through one escalation
+//! ladder:
 //!
 //! 1. **Retry** — transient faults are retried with exponential backoff in
-//!    *simulated* time ([`gpuflow_chaos::RetryPolicy`]), bounded per site;
+//!    *simulated* time ([`gpuflow_chaos::RetryPolicy`]), bounded per site
+//!    (per allocation for an allocation site);
 //! 2. **Checkpoint/restart** — after each offload unit, freshly produced
 //!    data that the recoverability analysis (`gpuflow_verify::recover`)
 //!    says a later restart needs is copied to the host; a unit whose
@@ -28,13 +44,14 @@
 //!
 //! **Time model.** The walk runs on one *serialized* clock (a
 //! [`Timeline`]), not the overlapped lane simulation of [`crate::overlap`]:
-//! retries, stalls and replans interleave with ordinary steps. A transfer
-//! takes `bus.latency_s + bytes / (bus.bandwidth · factor)` on the
-//! machine's bus, `factor` being the brown-out multiplier at its start.
-//! The fault-free baseline — the overhead denominator, and what
-//! `loss=DEV@P%` resolves against — is this same walk under a quiet spec
-//! without checkpoints; on one device its total equals
-//! [`crate::Executor`]'s bit for bit.
+//! every step retires before the next issues, and retries, stalls and
+//! replans interleave with ordinary steps. A transfer takes
+//! `bus.latency_s + bytes / (bus.bandwidth · factor)` on the machine's
+//! bus, `factor` being the brown-out multiplier at its start. The
+//! fault-free baseline — the overhead denominator, and what `loss=DEV@P%`
+//! resolves against — is the quiet walk of the same plan. On one device
+//! its step intervals are [`crate::sanitize::serial_step_times`], the
+//! independent shadow clock debug builds check it against.
 //!
 //! **Determinism.** Injection decisions are pure functions of
 //! `(seed, class, site, attempt)`, every collection the walk iterates is
@@ -56,20 +73,20 @@
 //! (functional mode) output set, run after run.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 
 use gpuflow_chaos::{FaultInjector, FaultSpec, RecoveryEventKind, RecoveryOptions, RecoveryStats};
 use gpuflow_graph::{DataId, Graph, OpId};
 use gpuflow_ops::{execute, op_cost, Tensor};
-use gpuflow_sim::{kernel_time, timing::Work, Allocation, DeviceAllocator, Timeline};
+use gpuflow_sim::{kernel_time, timing::Work, Allocation, DeviceAllocator, FitPolicy, Timeline};
 use gpuflow_verify::RecoveryCheckOptions;
 
 use crate::error::FrameworkError;
-use crate::executor::{assemble_outputs, host_source, ExecOutcome};
 use crate::overlap::Machine;
 use crate::partition::OffloadUnit;
 use crate::plan::{ExecutionPlan, Step};
-use crate::split::SplitResult;
+use crate::split::{DataOrigin, SplitResult};
 use crate::xfer::{schedule_device_transfers, EvictionPolicy, MultiXferOptions};
 
 /// Site namespace of a kernel launch.
@@ -86,6 +103,33 @@ pub const SITE_EPOCH_SHIFT: u32 = 52;
 /// Bit offset of the device index in a site id.
 pub const SITE_DEVICE_SHIFT: u32 = 44;
 
+/// Result of executing a plan.
+#[derive(Debug, Clone)]
+pub struct ExecOutcome {
+    /// The simulated event timeline (durations, counters).
+    pub timeline: Timeline,
+    /// Peak bytes allocated on any one device.
+    pub peak_device_bytes: u64,
+    /// Worst external fragmentation observed at any allocation.
+    pub peak_fragmentation: f64,
+    /// Functional mode: assembled output tensors. Keyed by the *original*
+    /// graph's output ids when the walk was given split provenance,
+    /// otherwise by the plan graph's output ids. Empty in analytic mode.
+    pub outputs: HashMap<DataId, Tensor>,
+}
+
+impl ExecOutcome {
+    /// Total simulated time in seconds.
+    pub fn total_time(&self) -> f64 {
+        self.timeline.counters().total_time()
+    }
+
+    /// Floats moved across PCIe in either direction.
+    pub fn transfer_floats(&self) -> u64 {
+        self.timeline.counters().total_transfer_floats()
+    }
+}
+
 /// Result of one resilient run.
 #[derive(Debug, Clone)]
 pub struct ResilientOutcome {
@@ -97,18 +141,51 @@ pub struct ResilientOutcome {
     pub injector: FaultInjector,
 }
 
-/// Executes one plan on a machine under an injected fault schedule.
+/// The spec of a quiet run: injects nothing.
+static QUIET: FaultSpec = FaultSpec::quiet(0);
+
+/// Executes one plan on a machine, under an injected fault schedule or
+/// quietly.
 pub struct ResilientExecutor<'a> {
     graph: &'a Graph,
     plan: &'a ExecutionPlan,
     machine: Machine<'a>,
     spec: &'a FaultSpec,
     options: RecoveryOptions,
+    /// Split provenance: lets functional mode slice original host tensors
+    /// into piece views and reassemble piece outputs.
     origin: Option<&'a SplitResult>,
+    /// Device-allocator fit policy (first-fit by default, matching the
+    /// CUDA-era behaviour the paper plans around).
+    alloc_policy: FitPolicy,
     /// The device `plan` assigns each operator to: whose kernel model
     /// times the operator's CPU fallback, whatever a replan did since.
     op_device: Vec<usize>,
 }
+
+/// Hashes a [`DataId`] by one multiply: the residency maps sit on the
+/// walk's hot path, and their keys are small dense integers.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One device's resident data: allocation plus (functional) tensor.
+type Resident = HashMap<DataId, (Allocation, Option<Tensor>), BuildHasherDefault<IdHasher>>;
 
 /// Mutable state of one resilient walk.
 struct Walk<'a, 'b> {
@@ -118,13 +195,18 @@ struct Walk<'a, 'b> {
     epoch: u64,
     /// Take exit checkpoints (off for the fault-free baseline).
     checkpoints: bool,
+    /// Nothing can fault and nothing is checkpointed, so there is no
+    /// recovery ladder: an allocation or residency failure is an error,
+    /// and no site keeps an attempt counter.
+    strict: bool,
     /// Per launch of `plan`, in step order: the produced data a restart
     /// there needs host-resident. Each entry is consumed once.
     restart_sets: Vec<Vec<DataId>>,
     timeline: Timeline,
     allocs: Vec<DeviceAllocator>,
-    /// Per-device resident data (allocation + functional tensor).
-    resident: Vec<BTreeMap<DataId, (Allocation, Option<Tensor>)>>,
+    /// Per-device resident data (allocation + functional tensor); only
+    /// looked up.
+    resident: Vec<Resident>,
     /// Host copies of produced data (functional mode); only looked up.
     host: HashMap<DataId, Tensor>,
     /// Produced data currently valid on the host, by data index (both
@@ -157,12 +239,27 @@ impl Walk<'_, '_> {
     fn holder(&self, d: DataId) -> Option<usize> {
         self.resident.iter().position(|r| r.contains_key(&d))
     }
+
+    /// Count an attempt at `site` and return its 0-based number, or `None`
+    /// once `max_attempts` are spent. A strict walk cannot fault, so each
+    /// of its attempts is the first and it keeps no counter.
+    fn next_attempt(&mut self, site: u64, max_attempts: u32) -> Option<u32> {
+        if self.strict {
+            return Some(0);
+        }
+        let n = self.attempts.entry(site).or_insert(0);
+        if *n >= max_attempts {
+            return None;
+        }
+        *n += 1;
+        Some(*n - 1)
+    }
 }
 
 /// How one device-op attempt ended.
 enum OpResult {
-    /// The op completed; its output data id.
-    Done(DataId),
+    /// The op completed.
+    Done,
     /// Kernel retries exhausted — restart or degrade the unit.
     RetriesExhausted,
     /// Allocation/transfer machinery gave out — the unit finishes on the
@@ -192,8 +289,20 @@ impl<'a> ResilientExecutor<'a> {
             spec,
             options: RecoveryOptions::default(),
             origin: None,
+            alloc_policy: FitPolicy::FirstFit,
             op_device,
         }
+    }
+
+    /// Quiet executor over `plan`: nothing is injected and no checkpoint
+    /// is taken, so a run is one walk of the plan with no recovery ladder
+    /// (module docs). `graph` must be the graph the plan was scheduled
+    /// for.
+    pub fn quiet(graph: &'a Graph, plan: &'a ExecutionPlan, machine: &Machine<'a>) -> Self {
+        ResilientExecutor::new(graph, plan, machine, &QUIET).with_options(RecoveryOptions {
+            checkpoints: false,
+            ..RecoveryOptions::default()
+        })
     }
 
     /// Override the recovery options.
@@ -202,9 +311,17 @@ impl<'a> ResilientExecutor<'a> {
         self
     }
 
-    /// Supply split provenance (see [`crate::Executor::with_origin`]).
+    /// Supply split provenance (the graph inside `split` must be the
+    /// executor's graph).
     pub fn with_origin(mut self, split: &'a SplitResult) -> Self {
         self.origin = Some(split);
+        self
+    }
+
+    /// Override the device allocators' fit policy, including the fresh
+    /// allocators a wiped device gets.
+    pub fn with_alloc_policy(mut self, policy: FitPolicy) -> Self {
+        self.alloc_policy = policy;
         self
     }
 
@@ -213,7 +330,9 @@ impl<'a> ResilientExecutor<'a> {
         self.run(None)
     }
 
-    /// Run functionally (see [`crate::Executor::run_functional`]).
+    /// Run functionally. `bindings` supplies tensors for the template's
+    /// inputs and constants — keyed by *original* graph ids when split
+    /// provenance was supplied, by plan-graph ids otherwise.
     pub fn run_functional(
         &self,
         bindings: &HashMap<DataId, Tensor>,
@@ -228,20 +347,41 @@ impl<'a> ResilientExecutor<'a> {
         self.spec
             .check_devices(self.machine.devices.len())
             .map_err(FrameworkError::InvalidFaultSpec)?;
-        // The fault-free baseline: resolves `loss=DEV@P%` times and is the
-        // overhead denominator. Always analytic — same simulated clock. A
-        // plan that cannot run it without recovery is not a valid plan.
-        let base = self.walk(&FaultSpec::quiet(self.spec.seed), 0.0, false, None)?;
-        if let Some(e) = base.stats.events.first() {
-            return Err(FrameworkError::InvalidPlan(format!(
-                "plan does not run fault-free: {}",
-                e.detail
-            )));
-        }
-        let faultfree = base.timeline.counters().total_time();
-
-        let mut st = self.walk(self.spec, faultfree, self.options.checkpoints, bindings)?;
-        st.stats.faultfree_makespan_s = faultfree;
+        let mut st = if self.spec.is_quiet() && !self.options.checkpoints {
+            // Dynamic sanitizer: the walk retires each step before issuing
+            // the next, so its step times must honour every
+            // happens-before edge of a certified schedule.
+            #[cfg(debug_assertions)]
+            if let [dev] = self.machine.devices {
+                let times = crate::sanitize::serial_step_times(self.graph, self.plan, dev);
+                crate::sanitize::assert_hb_consistent(
+                    self.graph,
+                    self.plan,
+                    &times,
+                    "ResilientExecutor::run",
+                );
+            }
+            // Nothing can fault: the run is its own fault-free baseline.
+            let mut st = self.walk(self.spec, 0.0, false, bindings)?;
+            st.stats.faultfree_makespan_s = st.timeline.counters().total_time();
+            st
+        } else {
+            // The fault-free baseline: resolves `loss=DEV@P%` times and is
+            // the overhead denominator. Always analytic — same simulated
+            // clock. A plan that cannot run it is not a valid plan.
+            let base = self
+                .walk(&FaultSpec::quiet(self.spec.seed), 0.0, false, None)
+                .map_err(|e| match e {
+                    FrameworkError::InvalidPlan(m) => {
+                        FrameworkError::InvalidPlan(format!("plan does not run fault-free: {m}"))
+                    }
+                    e => e,
+                })?;
+            let faultfree = base.timeline.counters().total_time();
+            let mut st = self.walk(self.spec, faultfree, self.options.checkpoints, bindings)?;
+            st.stats.faultfree_makespan_s = faultfree;
+            st
+        };
         st.stats.makespan_s = st.timeline.now();
         let outputs = if bindings.is_some() && st.stats.recovered {
             assemble_outputs(self.graph, self.origin, &st.host)?
@@ -266,7 +406,8 @@ impl<'a> ResilientExecutor<'a> {
     }
 
     /// One full walk of the plan under `spec`, bound to a run whose
-    /// fault-free makespan is `faultfree`.
+    /// fault-free makespan is `faultfree`. Under a quiet spec without
+    /// checkpoints the walk is strict.
     fn walk<'b>(
         &self,
         spec: &FaultSpec,
@@ -279,6 +420,7 @@ impl<'a> ResilientExecutor<'a> {
             plan: Cow::Borrowed(self.plan),
             epoch: 0,
             checkpoints,
+            strict: spec.is_quiet() && !checkpoints,
             restart_sets: if checkpoints {
                 restart_sets(self.graph, self.plan)
             } else {
@@ -289,9 +431,9 @@ impl<'a> ResilientExecutor<'a> {
                 .machine
                 .devices
                 .iter()
-                .map(|d| DeviceAllocator::new(d.memory_bytes))
+                .map(|d| DeviceAllocator::with_policy(d.memory_bytes, self.alloc_policy))
                 .collect(),
-            resident: (0..ndev).map(|_| BTreeMap::new()).collect(),
+            resident: (0..ndev).map(|_| Resident::default()).collect(),
             host: HashMap::new(),
             host_valid: vec![false; self.graph.num_data()],
             bindings,
@@ -329,6 +471,12 @@ impl<'a> ResilientExecutor<'a> {
         // Deliver outputs that the faulted walk left undelivered.
         let mut recovered = true;
         for d in self.graph.outputs() {
+            if st.strict && !st.host_valid[d.index()] {
+                return Err(FrameworkError::DataUnavailable {
+                    data: d,
+                    context: "output never copied to the host".into(),
+                });
+            }
             self.fetch_to_host(&mut st, d)?;
             recovered &= st.host_valid[d.index()];
         }
@@ -475,7 +623,8 @@ impl<'a> ResilientExecutor<'a> {
     /// Drop device `dev`'s memory: its contents are gone.
     fn wipe(&self, st: &mut Walk, dev: usize) {
         st.peak_bytes = st.peak_bytes.max(st.allocs[dev].high_water());
-        st.allocs[dev] = DeviceAllocator::new(self.machine.devices[dev].memory_bytes);
+        st.allocs[dev] =
+            DeviceAllocator::with_policy(self.machine.devices[dev].memory_bytes, self.alloc_policy);
         st.resident[dev].clear();
     }
 
@@ -490,16 +639,15 @@ impl<'a> ResilientExecutor<'a> {
         st.cpu_mode = true;
     }
 
-    /// Transfer retries for `d` exhausted: treat the bus as unusable and
-    /// finish on the CPU (rung 4 without a device loss).
-    fn escalate_bus_failure(&self, st: &mut Walk, d: DataId) {
-        self.degrade(
-            st,
-            format!(
-                "transfer retries exhausted for {}; degrading to host CPU",
-                self.name(d)
-            ),
-        );
+    /// Staging or delivery gave out for the reason `why`: treat the
+    /// devices as unreachable and finish on the CPU (rung 4 without a
+    /// device loss).
+    fn escalate(&self, st: &mut Walk, why: String) {
+        self.degrade(st, format!("{why}; degrading to host CPU"));
+    }
+
+    fn transfer_exhausted(&self, d: DataId) -> String {
+        format!("transfer retries exhausted for {}", self.name(d))
     }
 
     /// Bounded-retry transfer of `d` to (`to_gpu`) or from device `dev`,
@@ -510,11 +658,9 @@ impl<'a> ResilientExecutor<'a> {
         let bus = &self.machine.bus;
         let policy = self.options.retry;
         loop {
-            let attempt = *st.attempts.get(&site).unwrap_or(&0);
-            if attempt >= policy.max_attempts {
+            let Some(attempt) = st.next_attempt(site, policy.max_attempts) else {
                 return false;
-            }
-            st.attempts.insert(site, attempt + 1);
+            };
             let t = st.timeline.now();
             // Brown-out: bandwidth scaled by the window's factor at the
             // transfer's start instant.
@@ -556,18 +702,22 @@ impl<'a> ResilientExecutor<'a> {
     }
 
     /// Bounded-retry allocation of `d` on device `dev` under transient
-    /// injected failures. `None` escalates: retries exhausted, or the
-    /// device is out of memory — recovery can crowd a device beyond what
-    /// the plan allotted it.
-    fn allocate(&self, st: &mut Walk, dev: usize, d: DataId) -> Option<Allocation> {
+    /// injected failures. `Ok(Err(why))` escalates: retries exhausted, or
+    /// the device cannot satisfy it — recovery can crowd a device beyond
+    /// what the plan allotted it. In a strict walk the latter is the error.
+    fn allocate(
+        &self,
+        st: &mut Walk,
+        dev: usize,
+        d: DataId,
+    ) -> Result<Result<Allocation, String>, FrameworkError> {
         let site = st.site(SITE_ALLOC, dev, d.index() as u64);
         let policy = self.options.retry;
+        let exhausted = || format!("allocation retries exhausted for {}", self.name(d));
         loop {
-            let attempt = *st.attempts.get(&site).unwrap_or(&0);
-            if attempt >= policy.max_attempts {
-                return None;
-            }
-            st.attempts.insert(site, attempt + 1);
+            let Some(attempt) = st.next_attempt(site, policy.max_attempts) else {
+                return Ok(Err(exhausted()));
+            };
             let t = st.timeline.now();
             if st.injector.alloc_faults(t, site, attempt) {
                 st.stats.record(
@@ -576,7 +726,7 @@ impl<'a> ResilientExecutor<'a> {
                     format!("transient allocation failure for {}", self.name(d)),
                 );
                 if attempt + 1 >= policy.max_attempts {
-                    return None;
+                    return Ok(Err(exhausted()));
                 }
                 let backoff = policy.backoff(attempt + 1);
                 st.timeline.push_stall("alloc retry backoff", backoff);
@@ -587,9 +737,24 @@ impl<'a> ResilientExecutor<'a> {
                 );
                 continue;
             }
-            let a = st.allocs[dev].alloc(self.graph.data(d).bytes()).ok()?;
-            st.peak_frag = st.peak_frag.max(st.allocs[dev].fragmentation());
-            return Some(a);
+            return match st.allocs[dev].alloc(self.graph.data(d).bytes()) {
+                Ok(a) => {
+                    // The budget is per allocation: a datum staged many
+                    // times must not spend it by succeeding.
+                    if !st.strict {
+                        st.attempts.remove(&site);
+                    }
+                    st.peak_frag = st.peak_frag.max(st.allocs[dev].fragmentation());
+                    Ok(Ok(a))
+                }
+                Err(e) => {
+                    let why = format!("device allocation failed for {}: {e}", self.name(d));
+                    if st.strict {
+                        return Err(FrameworkError::InvalidPlan(why));
+                    }
+                    Ok(Err(why))
+                }
+            };
         }
     }
 
@@ -614,7 +779,7 @@ impl<'a> ResilientExecutor<'a> {
         if !self.transfer(st, site, dev, d, false) {
             // Retries exhausted on the way out: degrade to CPU for the
             // rest of the run — the device is effectively unreachable.
-            self.escalate_bus_failure(st, d);
+            self.escalate(st, self.transfer_exhausted(d));
             return Ok(());
         }
         if let Some(t) = tensor {
@@ -625,7 +790,7 @@ impl<'a> ResilientExecutor<'a> {
     }
 
     /// Host→device staging of `d` onto `dev`: allocation, then the upload
-    /// at `site`. `Ok(false)` when either gave out (nothing stays
+    /// at `site`. `Ok(Err(why))` when either gave out (nothing stays
     /// allocated).
     fn stage_in(
         &self,
@@ -633,22 +798,23 @@ impl<'a> ResilientExecutor<'a> {
         dev: usize,
         site: u64,
         d: DataId,
-    ) -> Result<bool, FrameworkError> {
+    ) -> Result<Result<(), String>, FrameworkError> {
         let tensor = match st.bindings {
             Some(b) => Some(host_source(self.graph, self.origin, d, &st.host, b)?),
             None => None,
         };
-        let Some(a) = self.allocate(st, dev, d) else {
-            return Ok(false);
+        let a = match self.allocate(st, dev, d)? {
+            Ok(a) => a,
+            Err(why) => return Ok(Err(why)),
         };
         if !self.transfer(st, site, dev, d, true) {
             st.allocs[dev]
                 .try_free(a)
                 .map_err(|e| FrameworkError::InvalidPlan(format!("allocator corrupted: {e}")))?;
-            return Ok(false);
+            return Ok(Err(self.transfer_exhausted(d)));
         }
         st.resident[dev].insert(d, (a, tensor));
-        Ok(true)
+        Ok(Ok(()))
     }
 
     /// Make `d` host-valid: copy it out of a device that holds it, else
@@ -699,12 +865,13 @@ impl<'a> ResilientExecutor<'a> {
         if st.cpu_mode || st.lost[dev] {
             return Ok(()); // no device to copy to; CPU path reads the host
         }
-        if st.resident[dev].contains_key(&d) {
+        // A strict walk has no recovery that could have staged it early.
+        if !st.strict && st.resident[dev].contains_key(&d) {
             return Ok(()); // already staged by recovery
         }
         let site = st.site(SITE_PLAN_XFER, dev, i as u64);
-        if !self.stage_in(st, dev, site, d)? {
-            self.escalate_bus_failure(st, d);
+        if let Err(why) = self.stage_in(st, dev, site, d)? {
+            self.escalate(st, why);
         }
         Ok(())
     }
@@ -727,13 +894,22 @@ impl<'a> ResilientExecutor<'a> {
     }
 
     fn step_free(&self, st: &mut Walk, dev: usize, d: DataId) -> Result<(), FrameworkError> {
-        // After a wipe/restart the datum may simply not be resident.
-        if let Some((a, _)) = st.resident[dev].remove(&d) {
-            st.allocs[dev]
-                .try_free(a)
-                .map_err(|e| FrameworkError::InvalidPlan(format!("allocator corrupted: {e}")))?;
-            st.timeline
-                .push_free(self.name(d).to_string(), self.graph.data(d).bytes());
+        match st.resident[dev].remove(&d) {
+            Some((a, _)) => {
+                st.allocs[dev].try_free(a).map_err(|e| {
+                    FrameworkError::InvalidPlan(format!("allocator corrupted: {e}"))
+                })?;
+                st.timeline
+                    .push_free(self.name(d).to_string(), self.graph.data(d).bytes());
+            }
+            None if st.strict => {
+                return Err(FrameworkError::DataUnavailable {
+                    data: d,
+                    context: "Free of non-resident data".into(),
+                })
+            }
+            // After a wipe/restart the datum may simply not be resident.
+            None => {}
         }
         Ok(())
     }
@@ -745,18 +921,17 @@ impl<'a> ResilientExecutor<'a> {
         if st.cpu_mode || st.lost[dev] {
             return self.launch_on_cpu(st, u);
         }
-        let ops: Vec<OpId> = st.plan.units[u].ops.clone();
         let mut restarts = 0u32;
         'unit: loop {
-            // Produced so far in this attempt, for rollback on restart.
-            let mut produced: Vec<DataId> = Vec::new();
-            for (k, &o) in ops.iter().enumerate() {
-                match self.launch_op(st, dev, i, k, o)? {
-                    OpResult::Done(out) => produced.push(out),
+            for k in 0..st.plan.units[u].ops.len() {
+                match self.launch_op(st, dev, i, k, st.plan.units[u].ops[k])? {
+                    OpResult::Done => {}
                     OpResult::RetriesExhausted => {
                         // Rung 2: restart the unit from host-resident
-                        // inputs, dropping partial outputs.
-                        for &d in produced.iter().rev() {
+                        // inputs, dropping the outputs its ops produced so
+                        // far.
+                        for j in (0..k).rev() {
+                            let d = self.graph.op(st.plan.units[u].ops[j]).outputs[0];
                             if let Some((a, _)) = st.resident[dev].remove(&d) {
                                 st.allocs[dev].try_free(a).map_err(|e| {
                                     FrameworkError::InvalidPlan(format!("allocator corrupted: {e}"))
@@ -794,8 +969,10 @@ impl<'a> ResilientExecutor<'a> {
     ) -> Result<OpResult, FrameworkError> {
         let node = self.graph.op(o);
         // Re-stage inputs lost to recovery (restart, eviction rollback,
-        // failover).
-        for &inp in &node.inputs {
+        // failover). A strict walk has no recovery to lose them to: a
+        // missing input is an error where functional mode reads it.
+        let restage: &[DataId] = if st.strict { &[] } else { &node.inputs };
+        for &inp in restage {
             if st.resident[dev].contains_key(&inp) {
                 continue;
             }
@@ -810,7 +987,7 @@ impl<'a> ResilientExecutor<'a> {
                 }
             }
             let site = st.site(SITE_DYN_XFER, dev, inp.index() as u64);
-            if !self.stage_in(st, dev, site, inp)? {
+            if self.stage_in(st, dev, site, inp)?.is_err() {
                 return Ok(OpResult::Degraded);
             }
         }
@@ -828,11 +1005,9 @@ impl<'a> ResilientExecutor<'a> {
         let site = st.site(SITE_KERNEL, dev, (step as u64) << 16 | op_ordinal as u64);
         let policy = self.options.retry;
         loop {
-            let attempt = *st.attempts.get(&site).unwrap_or(&0);
-            if attempt >= policy.max_attempts {
+            let Some(attempt) = st.next_attempt(site, policy.max_attempts) else {
                 return Ok(OpResult::RetriesExhausted);
-            }
-            st.attempts.insert(site, attempt + 1);
+            };
             let t = st.timeline.now();
             st.timeline.push_kernel(node.name.clone(), dur);
             if !st.injector.kernel_faults(t, site, attempt) {
@@ -873,11 +1048,11 @@ impl<'a> ResilientExecutor<'a> {
         } else {
             None
         };
-        let Some(a) = self.allocate(st, dev, out) else {
+        let Ok(a) = self.allocate(st, dev, out)? else {
             return Ok(OpResult::Degraded);
         };
         st.resident[dev].insert(out, (a, out_tensor));
-        Ok(OpResult::Done(out))
+        Ok(OpResult::Done)
     }
 
     /// Run one offload unit's operators on the host CPU (rung 4).
@@ -945,14 +1120,130 @@ fn restart_sets(g: &Graph, plan: &ExecutionPlan) -> Vec<Vec<DataId>> {
         .collect()
 }
 
+/// Materialize the host-side source tensor for `d` in functional mode:
+/// produced data comes from `host`, bindings come from `bindings` —
+/// sliced through split provenance (`origin`) when the plan runs on
+/// pieces of the original template data.
+fn host_source(
+    g: &Graph,
+    origin: Option<&SplitResult>,
+    d: DataId,
+    host: &HashMap<DataId, Tensor>,
+    bindings: &HashMap<DataId, Tensor>,
+) -> Result<Tensor, FrameworkError> {
+    if g.producer(d).is_some() {
+        return host
+            .get(&d)
+            .cloned()
+            .ok_or_else(|| FrameworkError::DataUnavailable {
+                data: d,
+                context: "produced data not in host memory".into(),
+            });
+    }
+    let desc = g.data(d);
+    match origin {
+        Some(split) => match split.origin_of(d) {
+            DataOrigin::Region { parent, row_off } => {
+                let src = bindings
+                    .get(&parent)
+                    .ok_or_else(|| FrameworkError::DataUnavailable {
+                        data: parent,
+                        context: format!("no binding for template input '{}'", desc.name),
+                    })?;
+                if row_off + desc.rows > src.rows() || desc.cols > src.cols() {
+                    return Err(FrameworkError::InvalidPlan(format!(
+                        "binding for {} too small for piece {}",
+                        parent, desc.name
+                    )));
+                }
+                Ok(src.view(row_off, 0, desc.rows, desc.cols))
+            }
+            DataOrigin::Fresh => Err(FrameworkError::DataUnavailable {
+                data: d,
+                context: "fresh data cannot come from the host".into(),
+            }),
+        },
+        None => {
+            let t = bindings
+                .get(&d)
+                .cloned()
+                .ok_or_else(|| FrameworkError::DataUnavailable {
+                    data: d,
+                    context: format!("no binding for '{}'", desc.name),
+                })?;
+            if t.shape() != g.shape(d) {
+                return Err(FrameworkError::InvalidPlan(format!(
+                    "binding for '{}' has shape {} (expected {})",
+                    desc.name,
+                    t.shape(),
+                    g.shape(d)
+                )));
+            }
+            Ok(t)
+        }
+    }
+}
+
+/// Assemble the final output tensors from host-resident pieces. With
+/// split provenance, each `Output` piece is pasted back into its original
+/// tensor (keyed by original-graph id); without it, outputs are returned
+/// as-is keyed by plan-graph id.
+fn assemble_outputs(
+    g: &Graph,
+    origin: Option<&SplitResult>,
+    host: &HashMap<DataId, Tensor>,
+) -> Result<HashMap<DataId, Tensor>, FrameworkError> {
+    let mut outputs = HashMap::new();
+    // Each output piece, and where it lands in its original tensor.
+    let mut pieces = Vec::new();
+    for d in g.outputs() {
+        let t = host
+            .get(&d)
+            .ok_or_else(|| FrameworkError::DataUnavailable {
+                data: d,
+                context: "output missing on host".into(),
+            })?;
+        match origin.map(|split| split.origin_of(d)) {
+            None => {
+                outputs.insert(d, t.clone());
+            }
+            Some(DataOrigin::Region { parent, row_off }) => pieces.push((parent, row_off, t)),
+            Some(DataOrigin::Fresh) => {
+                return Err(FrameworkError::InvalidPlan(
+                    "output piece with no provenance".into(),
+                ))
+            }
+        }
+    }
+    // An original output spans its pieces' rows and takes its first
+    // piece's columns.
+    let mut shapes: HashMap<DataId, (usize, usize)> = HashMap::new();
+    for &(parent, row_off, t) in &pieces {
+        let (rows, _) = shapes.entry(parent).or_insert((0, t.cols()));
+        *rows = (*rows).max(row_off + t.rows());
+    }
+    for (parent, (rows, cols)) in shapes {
+        outputs.insert(parent, Tensor::zeros(rows, cols));
+    }
+    for (parent, row_off, t) in pieces {
+        outputs
+            .get_mut(&parent)
+            .expect("shaped above")
+            .paste(t, row_off, 0);
+    }
+    Ok(outputs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::baseline_plan;
     use crate::examples::{fig3_graph, fig3_memory_bytes};
-    use crate::executor::Executor;
     use crate::opschedule::{schedule_units, OpScheduler};
     use crate::partition::{partition_offload_units, PartitionPolicy};
+    use crate::sanitize::serial_step_times;
     use crate::xfer::{schedule_transfers, XferOptions};
+    use gpuflow_graph::{OpKind, RemapKind};
     use gpuflow_ops::reference_eval;
     use gpuflow_sim::device::tesla_c870;
 
@@ -986,33 +1277,241 @@ mod tests {
     }
 
     #[test]
-    fn quiet_spec_matches_the_plain_executor() {
+    fn quiet_walk_matches_the_serial_shadow_clock() {
         let (g, plan) = fig3_plan();
         let dev = tesla_c870().with_memory(fig3_memory_bytes());
         let machine = Machine::single(&dev);
+        let quiet = ResilientExecutor::quiet(&g, &plan, &machine)
+            .run_analytic()
+            .unwrap();
+        // The independent oracle: same end time, one interval per step,
+        // and one timeline event per transfer or free and per operator.
+        let times = serial_step_times(&g, &plan, &dev);
+        assert_eq!(times.len(), plan.steps.len());
+        let end = times.last().unwrap().1;
+        assert!((end - quiet.exec.total_time()).abs() <= 1e-12 * end);
+        assert_eq!(quiet.exec.timeline.events().len(), plan.steps.len());
+        assert_eq!(quiet.exec.transfer_floats(), plan.stats(&g).total_floats());
+        assert_eq!(quiet.exec.timeline.counters().kernel_launches, 10);
+        assert!(quiet.exec.peak_device_bytes <= fig3_memory_bytes());
+        assert!(quiet.exec.outputs.is_empty());
+        // A quiet run is its own fault-free baseline.
+        assert_eq!(
+            quiet.stats.faultfree_makespan_s.to_bits(),
+            quiet.exec.total_time().to_bits()
+        );
+        // With checkpoints the run takes two walks; its baseline is the
+        // quiet walk bit for bit.
         let spec = FaultSpec::quiet(7);
         let res = ResilientExecutor::new(&g, &plan, &machine, &spec)
             .run_analytic()
             .unwrap();
-        let plain = Executor::new(&g, &plan, &dev).run_analytic().unwrap();
         assert!(res.stats.recovered);
         assert_eq!(res.stats.faults_injected, 0);
         assert_eq!(res.stats.retries, 0);
-        // Checkpoints may add copies; with checkpointing off the timelines
-        // agree exactly.
-        let no_ckpt = ResilientExecutor::new(&g, &plan, &machine, &spec)
-            .with_options(RecoveryOptions {
-                checkpoints: false,
-                ..RecoveryOptions::default()
-            })
-            .run_analytic()
-            .unwrap();
-        assert_eq!(no_ckpt.exec.timeline.counters(), plain.timeline.counters());
-        // The baseline is that same walk: bit-equal to the plain executor.
         assert_eq!(
             res.stats.faultfree_makespan_s.to_bits(),
-            plain.total_time().to_bits()
+            quiet.exec.total_time().to_bits()
         );
+    }
+
+    #[test]
+    fn quiet_functional_walk_matches_reference() {
+        let (g, plan) = fig3_plan();
+        let dev = tesla_c870().with_memory(fig3_memory_bytes());
+        let bind = bindings(&g);
+        let out = ResilientExecutor::quiet(&g, &plan, &Machine::single(&dev))
+            .run_functional(&bind)
+            .unwrap()
+            .exec;
+        let reference = reference_eval(&g, &bind).unwrap();
+        assert_eq!(out.outputs.len(), 2);
+        for (d, t) in &out.outputs {
+            assert_eq!(t, &reference[d], "output {} differs", g.data(*d).name);
+        }
+    }
+
+    #[test]
+    fn baseline_plan_also_executes_functionally() {
+        let g = fig3_graph();
+        let plan = baseline_plan(&g, u64::MAX).unwrap();
+        let dev = tesla_c870().with_memory(fig3_memory_bytes());
+        let bind = bindings(&g);
+        let out = ResilientExecutor::quiet(&g, &plan, &Machine::single(&dev))
+            .run_functional(&bind)
+            .unwrap()
+            .exec;
+        let reference = reference_eval(&g, &bind).unwrap();
+        for (d, t) in &out.outputs {
+            assert_eq!(t, &reference[d]);
+        }
+        // The baseline moves much more data than the optimized plan.
+        assert_eq!(out.transfer_floats(), 30 * 256);
+    }
+
+    #[test]
+    fn best_fit_policy_executes_identically() {
+        let (g, plan) = fig3_plan();
+        let dev = tesla_c870().with_memory(fig3_memory_bytes());
+        let machine = Machine::single(&dev);
+        let first = ResilientExecutor::quiet(&g, &plan, &machine)
+            .run_analytic()
+            .unwrap();
+        let best = ResilientExecutor::quiet(&g, &plan, &machine)
+            .with_alloc_policy(FitPolicy::BestFit)
+            .run_analytic()
+            .unwrap();
+        assert_eq!(first.exec.transfer_floats(), best.exec.transfer_floats());
+        assert_eq!(first.exec.peak_device_bytes, best.exec.peak_device_bytes);
+    }
+
+    #[test]
+    fn oversubscribed_plan_fails_allocation() {
+        let (g, plan) = fig3_plan();
+        // Run the 5-unit plan on a 3-unit device.
+        let dev = tesla_c870().with_memory(3 * 256 * 4);
+        let machine = Machine::single(&dev);
+        let err = ResilientExecutor::quiet(&g, &plan, &machine)
+            .run_analytic()
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("device allocation failed for "),
+            "{err}"
+        );
+        // A faulted run reports the same failure of its baseline.
+        let spec = FaultSpec::parse("seed=1,kernel=0.1").unwrap();
+        let err = ResilientExecutor::new(&g, &plan, &machine, &spec)
+            .run_analytic()
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("plan does not run fault-free: device allocation failed for "),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_allocation_the_device_cannot_satisfy_is_reported_as_one() {
+        // A failover replans the stencil chain's mixed band sizes onto the
+        // survivor's full memory, which its first-fit allocator cannot
+        // satisfy contiguously: the ledger names the allocation, not the
+        // bus.
+        let g = gpuflow_templates::stencil::heat_diffusion(192, 24).graph;
+        let dev = tesla_c870().with_memory(96 << 10);
+        let compiled = crate::Framework::new(dev.clone())
+            .with_options(crate::CompileOptions {
+                memory_margin: 0.4,
+                ..crate::CompileOptions::default()
+            })
+            .compile(&g)
+            .unwrap();
+        let devices = [dev.clone(), dev.clone()];
+        let machine = Machine::cluster(&devices, &gpuflow_sim::BusSpec::from_device(&dev));
+        let spec = FaultSpec::parse("seed=2,loss=0@50%").unwrap();
+        let res = ResilientExecutor::new(&compiled.split.graph, &compiled.plan, &machine, &spec)
+            .run_analytic()
+            .unwrap();
+        assert!(res.stats.recovered);
+        let details: Vec<&str> = res.stats.events.iter().map(|e| e.detail.as_str()).collect();
+        assert!(
+            details
+                .iter()
+                .any(|d| d.starts_with("device allocation failed for ")
+                    && d.ends_with("; degrading to host CPU")),
+            "{details:?}"
+        );
+        assert!(!details.iter().any(|d| d.contains("retries exhausted")));
+    }
+
+    #[test]
+    fn a_datum_staged_many_times_keeps_its_allocation_budget() {
+        // One input read by eight operators: the baseline stages it eight
+        // times on the same device, more than the retry policy's attempts.
+        let mut g = Graph::new();
+        let x = g.add("x", 4, 4, gpuflow_graph::DataKind::Input);
+        for k in 0..8 {
+            let y = g.add(format!("y{k}"), 4, 4, gpuflow_graph::DataKind::Output);
+            g.add_op(format!("f{k}"), OpKind::Remap(RemapKind::FlipH), vec![x], y)
+                .unwrap();
+        }
+        let plan = baseline_plan(&g, u64::MAX).unwrap();
+        let dev = tesla_c870();
+        let machine = Machine::single(&dev);
+        assert!(RecoveryOptions::default().retry.max_attempts < 8);
+        let quiet = ResilientExecutor::quiet(&g, &plan, &machine)
+            .run_analytic()
+            .unwrap();
+        // A spec that injects nothing before t = 1000 s still counts
+        // attempts; so does a quiet one with checkpoints.
+        let late = FaultSpec::parse("brownout=1000:1:0.5").unwrap();
+        for spec in [late, FaultSpec::quiet(0)] {
+            let res = ResilientExecutor::new(&g, &plan, &machine, &spec)
+                .run_analytic()
+                .unwrap();
+            assert!(res.stats.recovered, "{}", res.stats.summary());
+            assert_eq!(res.stats.faults_injected, 0);
+            // Nothing escalated: every operator ran on the device.
+            assert_eq!(res.stats.cpu_fallback_ops, 0, "{}", res.stats.summary());
+            assert_eq!(
+                res.stats.faultfree_makespan_s.to_bits(),
+                quiet.exec.total_time().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_quiet_walk_does_not_recover_a_broken_plan() {
+        // The faulted walk would re-stage the input a dropped upload left
+        // off the device; the quiet walk has no ladder: it reports the
+        // input where functional mode reads it, and its free either way.
+        let (g, mut plan) = fig3_plan();
+        let dev = tesla_c870().with_memory(fig3_memory_bytes());
+        let first = plan
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::CopyIn { .. }))
+            .unwrap();
+        let Step::CopyIn { data, .. } = plan.steps.remove(first) else {
+            unreachable!()
+        };
+        let quiet = ResilientExecutor::quiet(&g, &plan, &Machine::single(&dev));
+        for err in [
+            quiet.run_analytic().unwrap_err(),
+            quiet.run_functional(&bindings(&g)).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, FrameworkError::DataUnavailable { data: d, .. } if *d == data),
+                "{err}"
+            );
+        }
+        let spec = FaultSpec::parse("seed=1,kernel=0.01").unwrap();
+        assert!(
+            ResilientExecutor::new(&g, &plan, &Machine::single(&dev), &spec)
+                .run_analytic()
+                .is_err()
+        );
+    }
+
+    #[test]
+    fn missing_binding_is_reported() {
+        let (g, plan) = fig3_plan();
+        let dev = tesla_c870();
+        let err = ResilientExecutor::quiet(&g, &plan, &Machine::single(&dev))
+            .run_functional(&HashMap::new())
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::DataUnavailable { .. }));
+    }
+
+    #[test]
+    fn wrong_shape_binding_is_reported() {
+        let (g, plan) = fig3_plan();
+        let dev = tesla_c870();
+        let mut bind = HashMap::new();
+        bind.insert(g.inputs()[0], Tensor::zeros(3, 3));
+        let err = ResilientExecutor::quiet(&g, &plan, &Machine::single(&dev))
+            .run_functional(&bind)
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::InvalidPlan(_)), "{err:?}");
     }
 
     #[test]

@@ -1,18 +1,20 @@
-//! Dynamic happens-before sanitizer for the simulated executors.
+//! Dynamic happens-before sanitizer for the plan walk and the overlap
+//! simulator.
 //!
 //! The static certifier ([`ExecutionPlan::certify`], backed by
 //! `gpuflow_verify::hazard`) proves a plan race-free at **step
 //! granularity**: its happens-before DAG mirrors the synchronizations the
-//! concurrent executors enforce. This module closes the loop dynamically:
-//! it replays each executor's own sync discipline as a step-granular
-//! clock (one `(start, end)` interval per plan step) and asserts — in
-//! debug builds, on every simulated execution — that those times honour
-//! every happens-before edge
+//! overlap simulator enforces. This module closes the loop dynamically:
+//! it replays the sync discipline of the simulator and of the serial plan
+//! walk as step-granular clocks (one `(start, end)` interval per plan
+//! step) and asserts — in debug builds, on every simulation and every
+//! quiet run on one device — that those times honour every
+//! happens-before edge
 //! ([`gpuflow_verify::ConcurrencyReport::dynamic_violations`]).
 //!
 //! The two implementations are independent: the certifier builds edges by
 //! walking the plan in `gpuflow-verify`, the shadow clock re-derives
-//! timing from the executor's recurrence here. If either drifts from the
+//! timing from its own recurrence here. If either drifts from the
 //! discipline the other encodes, the sanitizer fires. Conversely, a
 //! schedule the static pass certifies can never trip the dynamic check —
 //! the suite enforces exactly that over every bundled template.
@@ -121,10 +123,12 @@ pub fn step_times(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Vec<(f6
     times
 }
 
-/// Step-granular `(start, end)` times under the serial executor's
-/// discipline ([`crate::executor`]): one monotone clock, every step fully
+/// Step-granular `(start, end)` times under the discipline of the one
+/// plan walk ([`crate::resilient`]): one monotone clock, every step fully
 /// retires before the next issues. Trivially happens-before consistent —
-/// which is exactly what the sanitizer pins down.
+/// which is exactly what the sanitizer pins down, on every quiet run on
+/// one device. Its own recurrence, so it is also the walk's independent
+/// oracle: the last end equals a quiet run's `total_time()`.
 pub fn serial_step_times(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> Vec<(f64, f64)> {
     let mut t = 0.0f64;
     plan.steps

@@ -9,7 +9,7 @@
 //! cargo run --release --example cnn_inference
 //! ```
 
-use gpuflow::core::{baseline_plan, Executor, Framework};
+use gpuflow::core::{baseline_plan, Framework, Machine, ResilientExecutor};
 use gpuflow::ops::reference_eval;
 use gpuflow::sim::device::{geforce_8800_gtx, tesla_c870};
 use gpuflow::templates::cnn::small_cnn;
@@ -46,9 +46,10 @@ fn main() {
         }
 
         let baseline = baseline_plan(&cnn.graph, dev.memory_bytes).expect("baseline fits");
-        let base_out = Executor::new(&cnn.graph, &baseline, &dev)
+        let base_out = ResilientExecutor::quiet(&cnn.graph, &baseline, &Machine::single(&dev))
             .run_analytic()
-            .expect("baseline executes");
+            .expect("baseline executes")
+            .exec;
 
         let c = outcome.timeline.counters();
         println!("\n{} (2 MiB):", dev.name);

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 
 use gpuflow::codegen::{generate_cuda, plan_to_json};
 use gpuflow::core::{
-    baseline_plan, CompileOptions, EvictionPolicy, Executor, Framework, OpScheduler,
-    PartitionPolicy, PbExactOptions,
+    baseline_plan, CompileOptions, EvictionPolicy, Framework, Machine, OpScheduler,
+    PartitionPolicy, PbExactOptions, ResilientExecutor,
 };
 use gpuflow::graph::DataId;
 use gpuflow::ops::{reference_eval, Tensor};
@@ -86,9 +86,10 @@ fn small_cnn_is_correct_and_beats_baseline() {
     check_against_reference(&cnn.graph, &out.outputs, &bindings);
 
     let base = baseline_plan(&cnn.graph, dev.memory_bytes).unwrap();
-    let base_out = Executor::new(&cnn.graph, &base, &dev)
+    let base_out = ResilientExecutor::quiet(&cnn.graph, &base, &Machine::single(&dev))
         .run_analytic()
-        .unwrap();
+        .unwrap()
+        .exec;
     assert!(
         out.transfer_floats() * 5 < base_out.transfer_floats(),
         "optimized {} vs baseline {}",

@@ -175,14 +175,15 @@ fn table1_edge_10000_baseline_na() {
 /// better.
 #[test]
 fn table2_speedups_in_band() {
-    use gpuflow::core::Executor;
+    use gpuflow::core::{Machine, ResilientExecutor};
     let dev = tesla_c870();
     for (n, k) in [(1000usize, 16usize), (3000, 16)] {
         let t = find_edges(n, n, k, 4, CombineOp::Max);
         let base = baseline_plan(&t.graph, dev.memory_bytes).unwrap();
-        let base_t = Executor::new(&t.graph, &base, &dev)
+        let base_t = ResilientExecutor::quiet(&t.graph, &base, &Machine::single(&dev))
             .run_analytic()
             .unwrap()
+            .exec
             .total_time();
         let compiled = Framework::new(dev.clone()).compile(&t.graph).unwrap();
         let opt_t = compiled.run_analytic().unwrap().total_time();

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use gpuflow::core::{
-    partition_offload_units, pb_exact_plan, split_graph, validate_plan, DataOrigin, Executor,
-    Framework, PartitionPolicy, PbExactOptions, Step,
+    partition_offload_units, pb_exact_plan, serial_step_times, split_graph, validate_plan,
+    DataOrigin, Framework, PartitionPolicy, PbExactOptions, Step,
 };
 use gpuflow::graph::{DataKind, Graph, OpKind, RemapKind, SubsampleKind};
 use gpuflow::ops::{reference_eval, Tensor};
@@ -203,6 +203,23 @@ proptest! {
         prop_assert!(out.peak_device_bytes <= mem);
         // Analytic and plan-level accounting agree.
         prop_assert_eq!(out.transfer_floats(), compiled.stats().total_floats());
+        // The serial shadow clock is an independent oracle for the walk:
+        // same end time, one interval per step, and one timeline event
+        // per transfer or free and per operator of each launch.
+        let (pg, plan) = (&compiled.split.graph, &*compiled.plan);
+        let times = serial_step_times(pg, plan, &compiled.device);
+        prop_assert_eq!(times.len(), plan.steps.len());
+        let end = times.last().map_or(0.0, |t| t.1);
+        prop_assert!((end - out.total_time()).abs() <= 1e-12 * end, "{} vs {}", end, out.total_time());
+        let events: usize = plan
+            .steps
+            .iter()
+            .map(|s| match *s {
+                Step::Launch(u) => plan.units[u].ops.len(),
+                _ => 1,
+            })
+            .sum();
+        prop_assert_eq!(out.timeline.events().len(), events);
     }
 
     /// Random mutations of a valid plan are either rejected by the static
@@ -264,8 +281,7 @@ proptest! {
             Err(_) => {} // rejected statically: good
             Ok(()) => {
                 // Still valid ⇒ execution must still be bit-correct.
-                let out = Executor::new(&compiled.split.graph, plan, &dev)
-                    .with_origin(&compiled.split)
+                let out = compiled
                     .run_functional(&bindings)
                     .expect("validated plan executes");
                 let reference = reference_eval(&g, &bindings).expect("reference");

@@ -71,6 +71,13 @@ base="$(grep -m1 -o '"faultfree_makespan_s": [^,]*' "$quietdir/quiet.json" | cut
 [ -n "$plain" ] && [ "$plain" = "$base" ] || { echo "fault-free makespan '$base' vs plain run '$plain'"; exit 1; }
 rm -rf "$quietdir"
 
+echo "==> simulator allocation tripwire (counts, not clocks)"
+# One simulate call on a 10 136-step and a 41 012-step cluster plan: the
+# allocation counts may differ by fewer than 64. A label string per lane
+# event, a hash set per launch or a shape vector per kernel made 20 132
+# and 80 681. Release only: debug builds check the plan inside simulate.
+cargo test --release -q --test sim_allocations
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

@@ -71,7 +71,7 @@ fn main() {
             &mut tracer,
         );
         let sim = simulate(&compiled.split.graph, &hoisted, &Machine::single(&dev));
-        trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+        trace_lanes(&mut tracer, &compiled.split.graph, &sim.lanes, &sim.events);
 
         // Everything below is read back from the tracer's registry: the
         // reconciliation guarantee means these equal the plan/sim truth.

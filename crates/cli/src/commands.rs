@@ -734,7 +734,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let sim = c.simulate();
                 let o = &sim.outcome;
                 if trace.is_some() {
-                    trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+                    trace_lanes(&mut tracer, &c.sharded.split.graph, &sim.lanes, &sim.events);
                 }
                 record_cluster_metrics(&mut tracer, o);
                 // Functional and/or faulted runs go through the resilient
@@ -865,7 +865,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let o = &sim.outcome;
             if trace.is_some() {
                 trace_serial_timeline(&mut tracer, &result.timeline);
-                trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+                trace_lanes(&mut tracer, &compiled.split.graph, &sim.lanes, &sim.events);
             } else {
                 record_serial_metrics(&mut tracer, &result.timeline);
             }
@@ -1153,7 +1153,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     .map_err(|e| e.to_string())?;
                 let sim = c.simulate();
                 let o = &sim.outcome;
-                trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+                trace_lanes(&mut tracer, &c.sharded.split.graph, &sim.lanes, &sim.events);
                 record_cluster_metrics(&mut tracer, o);
                 let parsed = write_trace(out_path, &tracer)?;
                 // Bus lanes (simulation) vs the bus accounting of both the
@@ -1190,7 +1190,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         .map_err(|e| e.to_string())?;
                 trace_serial_timeline(&mut tracer, &dry_run.timeline);
                 let sim = compiled.simulate();
-                trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+                trace_lanes(&mut tracer, &compiled.split.graph, &sim.lanes, &sim.events);
                 let parsed = write_trace(out_path, &tracer)?;
                 // Plan-walk timeline (summed from the re-parsed export)
                 // vs the verify engine's static plan statistics — two

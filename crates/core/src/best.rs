@@ -10,8 +10,9 @@
 //! comparison.
 
 use gpuflow_graph::{DataKind, Graph};
-use gpuflow_ops::op_cost;
 use gpuflow_sim::{kernel_time, timing::Work, transfer_time, DeviceSpec};
+
+use crate::overlap::op_kernel_time;
 
 /// The best-possible estimate for a template on a device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,11 +47,9 @@ pub fn best_possible_estimate(g: &Graph, dev: &DeviceSpec) -> BestPossible {
     // One fused kernel: sum all operator work, one launch overhead.
     let mut work = Work::default();
     for o in g.op_ids() {
-        let node = g.op(o);
-        let ins: Vec<_> = node.inputs.iter().map(|&d| g.shape(d)).collect();
-        let c = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
-        work.flops += c.flops;
-        work.bytes += c.bytes;
+        let (_, w) = op_kernel_time(g, o, dev);
+        work.flops += w.flops;
+        work.bytes += w.bytes;
     }
     BestPossible {
         transfer_floats,

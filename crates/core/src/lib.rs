@@ -65,8 +65,8 @@ pub use observe::{
 };
 pub use opschedule::{schedule_units, OpScheduler};
 pub use overlap::{
-    overlapped_makespan, overlapped_trace, render_gantt, simulate, GapCause, GapEvent, Lane,
-    LaneEvent, LaneInfo, LaneTable, Machine, OverlapOutcome, Simulation,
+    op_kernel_time, overlapped_makespan, overlapped_trace, render_gantt, simulate, GapCause,
+    GapEvent, Lane, LaneEvent, LaneInfo, LaneTable, LaneWork, Machine, OverlapOutcome, Simulation,
 };
 pub use partition::{partition_offload_units, OffloadUnit, PartitionPolicy};
 pub use pbexact::{

@@ -9,6 +9,7 @@
 //! [`PlanStats`] use — the trace is a *view* of existing bookkeeping,
 //! never a second accounting path that could drift.
 
+use gpuflow_graph::Graph;
 use gpuflow_sim::{EventKind, Timeline};
 use gpuflow_trace::{kv, Tracer, PID_HAZARD, PID_SERIAL};
 use gpuflow_verify::{ConcurrencyReport, Location, Severity};
@@ -101,8 +102,8 @@ pub fn record_serial_metrics(tracer: &mut Tracer, tl: &Timeline) {
 /// `1 + k`; on a cluster ([`gpuflow_trace::PID_CLUSTER`]) the two shared
 /// bus channels on tids 0 and 1, then one compute thread per device.
 /// Byte arguments carry each event's [`LaneEvent::bytes`], so the export
-/// reconciles exactly with the outcome's bus bytes.
-pub fn trace_lanes(tracer: &mut Tracer, lanes: &LaneTable, events: &[LaneEvent]) {
+/// reconciles exactly with the outcome's bus bytes; `g` names the spans.
+pub fn trace_lanes(tracer: &mut Tracer, g: &Graph, lanes: &LaneTable, events: &[LaneEvent]) {
     if !tracer.is_enabled() {
         return;
     }
@@ -123,7 +124,7 @@ pub fn trace_lanes(tracer: &mut Tracer, lanes: &LaneTable, events: &[LaneEvent])
             pid,
             tid,
             cat,
-            &e.label,
+            &e.label(g, lanes.shared_bus),
             e.start,
             e.end,
             vec![kv("bytes", e.bytes)],
@@ -202,7 +203,8 @@ mod tests {
     use gpuflow_sim::device::tesla_c870;
     use gpuflow_trace::{sum_event_arg, validate_chrome_trace, PID_CLUSTER, PID_OVERLAP};
 
-    use crate::overlap::Machine;
+    use crate::overlap::{LaneWork, Machine};
+    use gpuflow_graph::{DataId, DataKind, OpId, OpKind};
 
     #[test]
     fn serial_timeline_bytes_reconcile_with_counters() {
@@ -226,10 +228,33 @@ mod tests {
         assert_eq!(tracer.metrics().counter("sim.kernel_launches"), 1);
     }
 
-    fn event(lane: Lane, label: &str, start: f64, bytes: u64) -> LaneEvent {
+    /// `Img` feeds three kernels `C1`–`C3`; `C1` writes `E1`.
+    fn graph() -> Graph {
+        let mut g = Graph::new();
+        let img = g.add("Img", 8, 8, DataKind::Input);
+        for (op, out) in [("C1", "E1"), ("C2", "t2"), ("C3", "t3")] {
+            let kind = if out == "E1" {
+                DataKind::Output
+            } else {
+                DataKind::Temporary
+            };
+            let d = g.add(out, 8, 8, kind);
+            g.add_op(op, OpKind::Tanh, vec![img], d).unwrap();
+        }
+        g
+    }
+
+    const IMG: DataId = DataId(0);
+    const E1: DataId = DataId(1);
+
+    fn copy(data: DataId, device: usize) -> LaneWork {
+        LaneWork::Copy { data, device }
+    }
+
+    fn event(lane: Lane, what: LaneWork, start: f64, bytes: u64) -> LaneEvent {
         LaneEvent {
             lane,
-            label: label.into(),
+            what,
             start,
             end: start + 0.25,
             bytes,
@@ -240,7 +265,7 @@ mod tests {
     /// must validate.
     fn traced(machine: &Machine, streams: usize, events: &[LaneEvent]) -> (Tracer, String) {
         let mut tracer = Tracer::new();
-        trace_lanes(&mut tracer, &machine.lanes(streams), events);
+        trace_lanes(&mut tracer, &graph(), &machine.lanes(streams), events);
         let doc = tracer.chrome_trace();
         validate_chrome_trace(&doc).unwrap();
         let text = doc.to_string_pretty();
@@ -250,9 +275,9 @@ mod tests {
     #[test]
     fn overlap_lanes_map_to_three_threads() {
         let events = [
-            event(Lane::H2d, "Img", 0.0, 800),
-            event(Lane::Compute(0), "C1", 0.5, 1600),
-            event(Lane::D2h, "E1", 0.75, 400),
+            event(Lane::H2d, copy(IMG, 0), 0.0, 800),
+            event(Lane::Compute(0), LaneWork::Op(OpId(0)), 0.5, 1600),
+            event(Lane::D2h, copy(E1, 0), 0.75, 400),
         ];
         let (tracer, _) = traced(&Machine::single(&tesla_c870()), 1, &events);
         let doc = tracer.chrome_trace();
@@ -263,13 +288,13 @@ mod tests {
     #[test]
     fn stream_lanes_get_their_own_threads() {
         let events = [
-            event(Lane::H2d, "Img", 0.0, 100),
-            event(Lane::Compute(0), "C1", 0.25, 100),
-            event(Lane::Stream(0, 1), "C2", 0.25, 100),
-            event(Lane::D2h, "E1", 0.5, 100),
+            event(Lane::H2d, copy(IMG, 0), 0.0, 100),
+            event(Lane::Compute(0), LaneWork::Op(OpId(0)), 0.25, 100),
+            event(Lane::Stream(0, 1), LaneWork::Op(OpId(1)), 0.25, 100),
+            event(Lane::D2h, copy(E1, 0), 0.5, 100),
         ];
         let (tracer, text) = traced(&Machine::single(&tesla_c870()), 2, &events);
-        for name in ["compute s0", "compute s1", "D2H DMA"] {
+        for name in ["compute s0", "compute s1", "D2H DMA", "\"Img\"", "\"C2\""] {
             assert!(text.contains(name), "{name} missing: {text}");
         }
         // Both kernels land on the kernel category across two threads.
@@ -283,10 +308,10 @@ mod tests {
     #[test]
     fn cluster_lanes_get_the_shared_bus_track() {
         let events = [
-            event(Lane::H2d, "Img>d1", 0.0, 100),
-            event(Lane::Compute(0), "C1", 0.25, 100),
-            event(Lane::Compute(2), "C3", 0.25, 100),
-            event(Lane::D2h, "d2>E1", 0.5, 100),
+            event(Lane::H2d, copy(IMG, 1), 0.0, 100),
+            event(Lane::Compute(0), LaneWork::Op(OpId(0)), 0.25, 100),
+            event(Lane::Compute(2), LaneWork::Op(OpId(2)), 0.25, 100),
+            event(Lane::D2h, copy(E1, 2), 0.5, 100),
         ];
         let devices = vec![tesla_c870(); 3];
         let bus = gpuflow_sim::BusSpec::shared_by(&devices);
@@ -297,6 +322,10 @@ mod tests {
         assert_eq!(tids, vec![0, 2, 4, 1]);
         assert!(tracer.events().iter().all(|e| e.pid == PID_CLUSTER));
         for name in ["bus H2D", "bus D2H", "GPU1 compute"] {
+            assert!(text.contains(name), "{name} missing: {text}");
+        }
+        // Transfers on the shared fabric name the device they serve.
+        for name in ["Img>d1", "d2>E1", "C3"] {
             assert!(text.contains(name), "{name} missing: {text}");
         }
     }
@@ -331,7 +360,8 @@ mod tests {
         tl.push_kernel("C1", 0.25);
         let mut tracer = Tracer::disabled();
         trace_serial_timeline(&mut tracer, &tl);
-        trace_lanes(&mut tracer, &Machine::single(&tesla_c870()).lanes(1), &[]);
+        let lanes = Machine::single(&tesla_c870()).lanes(1);
+        trace_lanes(&mut tracer, &graph(), &lanes, &[]);
         assert!(tracer.events().is_empty());
         assert!(tracer.metrics_ref().is_empty());
     }

@@ -46,9 +46,15 @@
 //! A one-device cluster is therefore *not* the single machine: when a
 //! re-upload waits on its download, a later upload overtakes it on the
 //! shared fabric and queues behind it on the private engine.
+//!
+//! The walk allocates nothing per step: [`LaneEvent`]s name what ran by
+//! id, launches iterate their inputs, and [`op_kernel_time`] costs each
+//! kernel from the graph's shapes in place.
 
-use gpuflow_graph::Graph;
-use gpuflow_ops::op_cost;
+use std::borrow::Cow;
+
+use gpuflow_graph::{DataId, Graph, OpId};
+use gpuflow_ops::{op_cost, OpCost};
 use gpuflow_sim::{kernel_time, timing::Work, BusArbiter, BusDir, BusSpec, DeviceSpec};
 use gpuflow_trace::{PID_CLUSTER, PID_OVERLAP};
 pub use gpuflow_verify::Lane;
@@ -130,7 +136,7 @@ pub struct LaneInfo {
 /// the trace export — reads its lane names and order from here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneTable {
-    shared_bus: bool,
+    pub(crate) shared_bus: bool,
     streams: usize,
     /// The lanes, in index order.
     pub lanes: Vec<LaneInfo>,
@@ -178,13 +184,13 @@ impl LaneTable {
                 (false, 1) => (1 + c, "COMPUTE ".to_string(), "compute".to_string()),
                 (false, _) => (1 + c, format!("COMP{stream} "), format!("compute{stream}")),
             };
-            lanes.push(info(
-                Lane::compute(d, s),
-                &format!("gpu{d}{sfx}"),
+            lanes.push(LaneInfo {
+                lane: Lane::compute(d, s),
+                label: format!("gpu{d}{sfx}"),
                 row,
-                &format!("{gantt:<7}|"),
-                &thread,
-            ));
+                gantt: format!("{gantt:<7}|"),
+                thread,
+            });
         }
         LaneTable {
             shared_bus,
@@ -317,14 +323,29 @@ impl OverlapOutcome {
     }
 }
 
-/// One scheduled interval in the overlapped execution.
+/// What a [`LaneEvent`] ran, by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneWork {
+    /// An operator's kernel.
+    Op(OpId),
+    /// A transfer of `data` to or from `device`; the event's lane says
+    /// which way.
+    Copy {
+        /// The datum moved.
+        data: DataId,
+        /// The device it moved to or from.
+        device: usize,
+    },
+}
+
+/// One scheduled interval in the overlapped execution. It names what ran
+/// by id; [`LaneEvent::label`] renders the text for a consumer that shows it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneEvent {
     /// Engine.
     pub lane: Lane,
-    /// What ran: the operator name, or the data name of a transfer
-    /// (`Img>d1` / `d1>Img` on a shared fabric, which serves every device).
-    pub label: String,
+    /// What ran.
+    pub what: LaneWork,
     /// Start time, seconds.
     pub start: f64,
     /// End time, seconds.
@@ -335,6 +356,23 @@ pub struct LaneEvent {
     /// exactly with plan statistics; transfer bytes sum to
     /// [`OverlapOutcome::bus_bytes`].
     pub bytes: u64,
+}
+
+impl LaneEvent {
+    /// What ran, as text: the operator name, or the data name of a
+    /// transfer — `Img>d1` / `d1>Img` on a shared fabric (`shared_bus`),
+    /// which serves every device.
+    pub fn label<'g>(&self, g: &'g Graph, shared_bus: bool) -> Cow<'g, str> {
+        let (name, device) = match self.what {
+            LaneWork::Op(o) => return Cow::Borrowed(&g.op(o).name),
+            LaneWork::Copy { data, device } => (&g.data(data).name, device),
+        };
+        match (shared_bus, self.lane) {
+            (false, _) => Cow::Borrowed(name),
+            (true, Lane::D2h) => Cow::Owned(format!("d{device}>{name}")),
+            (true, _) => Cow::Owned(format!("{name}>d{device}")),
+        }
+    }
 }
 
 /// Why an engine sat idle before its next scheduled event — the closed
@@ -468,12 +506,6 @@ pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulatio
     };
     let lanes = machine.lanes(k);
     let mut bus = machine.arbiter();
-    // A shared fabric serves every device, so its events say which.
-    let transfer_label = |dir, device: usize, name: &str| match (machine.shared_bus, dir) {
-        (false, _) => name.to_string(),
-        (true, BusDir::H2d) => format!("{name}>d{device}"),
-        (true, BusDir::D2h) => format!("d{device}>{name}"),
-    };
     // Flat `device · nd + data` state: when each datum becomes available
     // on each device and what produced that copy, and when each buffer was
     // last touched. Per device, the running commit horizon of all Frees
@@ -488,7 +520,7 @@ pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulatio
     let mut compute_busy = vec![0.0f64; ndev * k];
     let mut serial = 0.0f64;
     let mut end = 0.0f64;
-    let mut events: Vec<LaneEvent> = Vec::new();
+    let mut events: Vec<LaneEvent> = Vec::with_capacity(plan.steps.len());
     let mut gaps: Vec<GapEvent> = Vec::new();
     // Every grant this walk requested — `(start, end, wait reason)` per
     // channel — for the attribution of final channel holes.
@@ -521,7 +553,7 @@ pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulatio
                 end = end.max(grant.end);
                 events.push(LaneEvent {
                     lane: Lane::H2d,
-                    label: transfer_label(BusDir::H2d, device, &g.data(data).name),
+                    what: LaneWork::Copy { data, device },
                     start: grant.start,
                     end: grant.end,
                     bytes,
@@ -542,7 +574,7 @@ pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulatio
                 end = end.max(grant.end);
                 events.push(LaneEvent {
                     lane: Lane::D2h,
-                    label: transfer_label(BusDir::D2h, device, &g.data(data).name),
+                    what: LaneWork::Copy { data, device },
                     start: grant.start,
                     end: grant.end,
                     bytes,
@@ -591,21 +623,13 @@ pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulatio
                 let mut t = start;
                 for &o in &unit.ops {
                     let node = g.op(o);
-                    let ins: Vec<_> = node.inputs.iter().map(|&i| g.shape(i)).collect();
-                    let cost = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
-                    let dur = kernel_time(
-                        spec,
-                        Work {
-                            flops: cost.flops,
-                            bytes: cost.bytes,
-                        },
-                    );
+                    let (dur, work) = op_kernel_time(g, o, spec);
                     events.push(LaneEvent {
                         lane,
-                        label: node.name.clone(),
+                        what: LaneWork::Op(o),
                         start: t,
                         end: t + dur,
-                        bytes: cost.bytes,
+                        bytes: work.bytes,
                     });
                     t += dur;
                     compute_busy[c] += dur;
@@ -684,6 +708,16 @@ pub fn simulate(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Simulatio
     }
 }
 
+/// Kernel time of operator `op` on `dev` and the work it is charged for:
+/// the one per-op accounting of every plan walk, allocation-free.
+pub fn op_kernel_time(g: &Graph, op: OpId, dev: &DeviceSpec) -> (f64, Work) {
+    let node = g.op(op);
+    let shapes = node.inputs.iter().map(|&d| g.shape(d));
+    let OpCost { flops, bytes } = op_cost(node.kind, shapes, g.shape(node.outputs[0]));
+    let work = Work { flops, bytes };
+    (kernel_time(dev, work), work)
+}
+
 /// [`simulate`] on a single device, keeping only the outcome.
 pub fn overlapped_makespan(g: &Graph, plan: &ExecutionPlan, dev: &DeviceSpec) -> OverlapOutcome {
     simulate(g, plan, &Machine::single(dev)).outcome
@@ -697,8 +731,8 @@ pub struct OverlappedTime {
 }
 
 /// Frozen adapter (DESIGN.md "Frozen adapter names"): the benchmark
-/// harness calls `overlapped_trace(g, plan, dev).0.overlapped_time`.
-/// Everything else calls [`simulate`].
+/// harness calls `overlapped_trace(g, plan, dev).0.overlapped_time` and
+/// never reads the id-carrying events. Everything else calls [`simulate`].
 pub fn overlapped_trace(
     g: &Graph,
     plan: &ExecutionPlan,
@@ -865,6 +899,36 @@ mod tests {
         assert!(chart.contains("COMPUTE"));
         assert!(chart.contains('#'));
         assert!(chart.contains('>'));
+    }
+
+    #[test]
+    fn lane_event_labels_render_the_names() {
+        use gpuflow_graph::{DataKind, OpKind};
+        let mut g = Graph::new();
+        let img = g.add("Img", 4, 4, DataKind::Input);
+        let e1 = g.add("E1", 4, 4, DataKind::Output);
+        let c1 = g.add_op("C1", OpKind::Tanh, vec![img], e1).unwrap();
+        let event = |lane, what| LaneEvent {
+            lane,
+            what,
+            start: 0.0,
+            end: 1.0,
+            bytes: 0,
+        };
+        let copy = LaneWork::Copy {
+            data: img,
+            device: 1,
+        };
+        let (up, down) = (event(Lane::H2d, copy), event(Lane::D2h, copy));
+        let kernel = event(Lane::Compute(1), LaneWork::Op(c1));
+        // One device: the bare names, borrowed from the graph.
+        for (e, want) in [(&up, "Img"), (&down, "Img"), (&kernel, "C1")] {
+            assert!(matches!(e.label(&g, false), Cow::Borrowed(s) if s == want));
+        }
+        // A shared fabric says which device a transfer serves.
+        assert_eq!(up.label(&g, true), "Img>d1");
+        assert_eq!(down.label(&g, true), "d1>Img");
+        assert_eq!(kernel.label(&g, true), "C1");
     }
 
     #[test]

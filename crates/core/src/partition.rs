@@ -33,23 +33,19 @@ pub struct OffloadUnit {
 }
 
 impl OffloadUnit {
-    /// External inputs: data read by the unit but not produced inside it.
-    pub fn external_inputs(&self, g: &Graph) -> Vec<DataId> {
-        let produced: std::collections::HashSet<DataId> = self
-            .ops
-            .iter()
-            .flat_map(|&o| g.op(o).outputs.iter().copied())
-            .collect();
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for &o in &self.ops {
-            for &d in &g.op(o).inputs {
-                if !produced.contains(&d) && seen.insert(d) {
-                    out.push(d);
-                }
-            }
-        }
-        out
+    /// External inputs: data read by the unit but not produced inside it,
+    /// each once, in the order the unit first reads them. Both tests scan
+    /// the unit's own ops, so nothing is collected.
+    pub fn external_inputs<'a>(&'a self, g: &'a Graph) -> impl Iterator<Item = DataId> + 'a {
+        self.ops.iter().enumerate().flat_map(move |(i, &o)| {
+            let inputs = &g.op(o).inputs;
+            inputs.iter().enumerate().filter_map(move |(j, &d)| {
+                let produced = g.producer(d).is_some_and(|p| self.ops.contains(&p));
+                let seen = inputs[..j].contains(&d)
+                    || self.ops[..i].iter().any(|&p| g.op(p).inputs.contains(&d));
+                (!produced && !seen).then_some(d)
+            })
+        })
     }
 
     /// All data produced by the unit.
@@ -164,6 +160,116 @@ fn greedy_fuse(g: &Graph, order: &[OpId], budget_bytes: u64) -> Vec<OffloadUnit>
 mod tests {
     use super::*;
     use gpuflow_graph::{DataKind, OpKind};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The hash-set formulation [`OffloadUnit::external_inputs`] replaced:
+    /// the oracle for its set and its order.
+    fn external_inputs_oracle(unit: &OffloadUnit, g: &Graph) -> Vec<DataId> {
+        let produced: HashSet<DataId> = unit
+            .ops
+            .iter()
+            .flat_map(|&o| g.op(o).outputs.iter().copied())
+            .collect();
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for &o in &unit.ops {
+            for &d in &g.op(o).inputs {
+                if !produced.contains(&d) && seen.insert(d) {
+                    out.push(d);
+                }
+            }
+        }
+        out
+    }
+
+    /// A random DAG over two inputs whose operators read one to three
+    /// earlier structures, repeats allowed, and usually the one just
+    /// produced — so greedy fusion builds multi-op units whose operators
+    /// re-read shared inputs. Unread results become outputs.
+    fn random_dag(rng: &mut proptest::TestRng, ops: usize) -> Graph {
+        let mut reads: Vec<Vec<usize>> = Vec::new();
+        for k in 0..ops {
+            let available = 2 + k;
+            let mut r: Vec<usize> = (0..rng.next_u64() % 3)
+                .map(|_| (rng.next_u64() % available as u64) as usize)
+                .collect();
+            if !rng.next_u64().is_multiple_of(4) {
+                r.insert(
+                    (rng.next_u64() % (r.len() as u64 + 1)) as usize,
+                    available - 1,
+                );
+            }
+            if r.is_empty() {
+                r.push(available - 1);
+            }
+            reads.push(r);
+        }
+        let mut g = Graph::new();
+        let mut data = vec![
+            g.add("in0", 8, 8, DataKind::Input),
+            g.add("in1", 8, 8, DataKind::Input),
+        ];
+        for (k, r) in reads.iter().enumerate() {
+            let read_later = reads[k + 1..].iter().any(|r| r.contains(&(k + 2)));
+            let kind = if read_later {
+                DataKind::Temporary
+            } else {
+                DataKind::Output
+            };
+            let out = g.add(format!("d{k}"), 8, 8, kind);
+            let inputs: Vec<DataId> = r.iter().map(|&i| data[i]).collect();
+            let op = match inputs.len() {
+                1 => OpKind::Tanh,
+                n => OpKind::EwAdd { arity: n as u8 },
+            };
+            g.add_op(format!("op{k}"), op, inputs, out).unwrap();
+            data.push(out);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The scan yields exactly the oracle's inputs, in its order, for
+        /// every greedily fused unit under a range of budgets.
+        #[test]
+        fn external_inputs_match_the_hash_set_oracle(
+            seed in 0u64..1_000_000,
+            ops in 1usize..48,
+            structures in 3u64..12,
+        ) {
+            let mut rng = proptest::TestRng::for_case(seed, 0);
+            let g = random_dag(&mut rng, ops);
+            let budget = structures * 8 * 8 * gpuflow_graph::FLOAT_BYTES;
+            for unit in partition_offload_units(&g, PartitionPolicy::GreedyFuse, budget) {
+                let got: Vec<DataId> = unit.external_inputs(&g).collect();
+                prop_assert_eq!(got, external_inputs_oracle(&unit, &g));
+            }
+        }
+    }
+
+    #[test]
+    fn random_dags_fuse_units_that_reread_inputs() {
+        // The property above is only as strong as its units: some must
+        // span several ops and read one external input more than once.
+        let mut rereads = 0;
+        for seed in 0..16 {
+            let mut rng = proptest::TestRng::for_case(seed, 0);
+            let g = random_dag(&mut rng, 32);
+            for unit in partition_offload_units(&g, PartitionPolicy::GreedyFuse, u64::MAX) {
+                let reads = |d| {
+                    let all = unit.ops.iter().flat_map(|&o| &g.op(o).inputs);
+                    all.filter(|&&x| x == d).count()
+                };
+                if unit.ops.len() > 1 && unit.external_inputs(&g).any(|d| reads(d) > 1) {
+                    rereads += 1;
+                }
+            }
+        }
+        assert!(rereads > 0, "no fused unit re-read an input");
+    }
 
     fn chain(n: usize) -> Graph {
         let mut g = Graph::new();
@@ -213,7 +319,7 @@ mod tests {
         let unit = OffloadUnit {
             ops: vec![gpuflow_graph::OpId(0), gpuflow_graph::OpId(1)],
         };
-        let ext = unit.external_inputs(&g);
+        let ext: Vec<_> = unit.external_inputs(&g).collect();
         assert_eq!(ext.len(), 1);
         assert_eq!(g.data(ext[0]).name, "in");
         let outs = unit.outputs(&g);

@@ -928,7 +928,10 @@ pub fn pb_exact_plan_traced(
     let sizes: Vec<i64> = g.data_ids().map(|d| g.data(d).len() as i64).collect();
 
     // Unit-level dataflow.
-    let ext_inputs: Vec<Vec<DataId>> = units.iter().map(|u| u.external_inputs(g)).collect();
+    let ext_inputs: Vec<Vec<_>> = units
+        .iter()
+        .map(|u| u.external_inputs(g).collect())
+        .collect();
     let outputs: Vec<Vec<DataId>> = units.iter().map(|u| u.outputs(g)).collect();
     let mut owner: Vec<Option<usize>> = vec![None; j];
     for (u, outs) in outputs.iter().enumerate() {
@@ -1702,7 +1705,10 @@ mod tests {
             .into_iter()
             .map(|op| OffloadUnit { ops: vec![op] })
             .collect();
-        let ext_inputs: Vec<Vec<DataId>> = units.iter().map(|u| u.external_inputs(&g)).collect();
+        let ext_inputs: Vec<Vec<DataId>> = units
+            .iter()
+            .map(|u| u.external_inputs(&g).collect())
+            .collect();
         let outputs: Vec<Vec<DataId>> = units.iter().map(|u| u.outputs(&g)).collect();
         let mut owner: Vec<Option<usize>> = vec![None; g.num_data()];
         for (u, outs) in outputs.iter().enumerate() {

@@ -74,7 +74,7 @@ impl ExecutionPlan {
             .units
             .iter()
             .map(|u| UnitView {
-                inputs: u.external_inputs(g),
+                inputs: u.external_inputs(g).collect(),
                 outputs: u.outputs(g),
             })
             .collect();

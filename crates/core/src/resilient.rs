@@ -78,12 +78,12 @@ use std::hash::BuildHasherDefault;
 
 use gpuflow_chaos::{FaultInjector, FaultSpec, RecoveryEventKind, RecoveryOptions, RecoveryStats};
 use gpuflow_graph::{DataId, Graph, OpId};
-use gpuflow_ops::{execute, op_cost, Tensor};
-use gpuflow_sim::{kernel_time, timing::Work, Allocation, DeviceAllocator, FitPolicy, Timeline};
+use gpuflow_ops::{execute, Tensor};
+use gpuflow_sim::{Allocation, DeviceAllocator, FitPolicy, Timeline};
 use gpuflow_verify::RecoveryCheckOptions;
 
 use crate::error::FrameworkError;
-use crate::overlap::Machine;
+use crate::overlap::{op_kernel_time, Machine};
 use crate::partition::OffloadUnit;
 use crate::plan::{ExecutionPlan, Step};
 use crate::split::{DataOrigin, SplitResult};
@@ -992,16 +992,8 @@ impl<'a> ResilientExecutor<'a> {
             }
         }
 
-        let in_shapes: Vec<_> = node.inputs.iter().map(|&i| self.graph.shape(i)).collect();
         let out = node.outputs[0];
-        let cost = op_cost(node.kind, &in_shapes, self.graph.shape(out));
-        let dur = kernel_time(
-            &self.machine.devices[dev],
-            Work {
-                flops: cost.flops,
-                bytes: cost.bytes,
-            },
-        );
+        let dur = op_kernel_time(self.graph, o, &self.machine.devices[dev]).0;
         let site = st.site(SITE_KERNEL, dev, (step as u64) << 16 | op_ordinal as u64);
         let policy = self.options.retry;
         loop {
@@ -1081,15 +1073,8 @@ impl<'a> ResilientExecutor<'a> {
                 self.fetch_to_host(st, inp)?;
             }
         }
-        let in_shapes: Vec<_> = node.inputs.iter().map(|&i| self.graph.shape(i)).collect();
-        let cost = op_cost(node.kind, &in_shapes, self.graph.shape(d));
-        let dur = kernel_time(
-            &self.machine.devices[self.op_device[producer.index()]],
-            Work {
-                flops: cost.flops,
-                bytes: cost.bytes,
-            },
-        ) * self.options.cpu_slowdown;
+        let device = &self.machine.devices[self.op_device[producer.index()]];
+        let dur = op_kernel_time(self.graph, producer, device).0 * self.options.cpu_slowdown;
         st.timeline.push_kernel(format!("{} (cpu)", node.name), dur);
         st.stats.record(
             st.timeline.now(),

@@ -104,9 +104,6 @@ pub fn step_times(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Vec<(f6
                 }
                 let end = start + unit_compute_time(g, unit, &machine.devices[dev]);
                 lane_free[lane] = end;
-                for d in unit.outputs(g) {
-                    device_ready[dev * nd + d.index()] = end;
-                }
                 for &o in &unit.ops {
                     let node = g.op(o);
                     for &i in &node.inputs {
@@ -114,6 +111,7 @@ pub fn step_times(g: &Graph, plan: &ExecutionPlan, machine: &Machine) -> Vec<(f6
                         last_touch[at] = last_touch[at].max(end);
                     }
                     let out = dev * nd + node.outputs[0].index();
+                    device_ready[out] = end;
                     last_touch[out] = last_touch[out].max(end);
                 }
                 times.push((start, end));

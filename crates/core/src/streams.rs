@@ -52,11 +52,11 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use gpuflow_graph::{DataId, Graph};
-use gpuflow_ops::op_cost;
-use gpuflow_sim::{kernel_time, timing::Work, DeviceSpec};
+use gpuflow_sim::DeviceSpec;
 
 use crate::error::FrameworkError;
 use crate::opschedule::{unit_dag, UnitDag};
+use crate::overlap::op_kernel_time;
 use crate::partition::OffloadUnit;
 use crate::plan::{ExecutionPlan, Step};
 use crate::xfer::{schedule_transfers, XferOptions};
@@ -89,33 +89,7 @@ pub struct StreamEvent {
 /// Kernel time of one offload unit on `dev` under the analytic cost model
 /// — the same per-op accounting the overlap simulator charges.
 pub fn unit_compute_time(g: &Graph, unit: &OffloadUnit, dev: &DeviceSpec) -> f64 {
-    unit.ops
-        .iter()
-        .map(|&o| {
-            let node = g.op(o);
-            let ins: Vec<_> = node.inputs.iter().map(|&i| g.shape(i)).collect();
-            let c = op_cost(node.kind, &ins, g.shape(node.outputs[0]));
-            kernel_time(
-                dev,
-                Work {
-                    flops: c.flops,
-                    bytes: c.bytes,
-                },
-            )
-        })
-        .sum()
-}
-
-/// Device footprint of one unit: bytes of its external inputs plus its
-/// outputs — what must be simultaneously resident to launch it.
-fn unit_footprint_bytes(g: &Graph, unit: &OffloadUnit) -> u64 {
-    let ins: u64 = unit
-        .external_inputs(g)
-        .iter()
-        .map(|&d| g.data(d).bytes())
-        .sum();
-    let outs: u64 = unit.outputs(g).iter().map(|&d| g.data(d).bytes()).sum();
-    ins + outs
+    unit.ops.iter().map(|&o| op_kernel_time(g, o, dev).0).sum()
 }
 
 /// What the list scheduler ranks units by: the unit DAG, each unit's
@@ -131,7 +105,8 @@ impl Priorities {
     fn new(g: &Graph, units: &[OffloadUnit], dev: &DeviceSpec) -> Self {
         let dag = unit_dag(g, units);
         let time: Vec<f64> = units.iter().map(|u| unit_compute_time(g, u, dev)).collect();
-        let footprint: Vec<u64> = units.iter().map(|u| unit_footprint_bytes(g, u)).collect();
+        // External inputs plus outputs: what must be resident to launch.
+        let footprint: Vec<u64> = units.iter().map(|u| u.footprint_bytes(g)).collect();
         // A unit's bottom level needs its successors' first. Unit indices
         // are not guaranteed to be topological, so walk a Kahn order
         // backwards.

@@ -376,7 +376,7 @@ fn schedule_with(
         let dev = unit_device[u];
         // Stage inputs, then reserve output space. None of these may be
         // evicted while the unit is staged.
-        let mut wanted = unit.external_inputs(g);
+        let mut wanted: Vec<DataId> = unit.external_inputs(g).collect();
         let inputs = wanted.len();
         wanted.extend(unit.outputs(g));
 

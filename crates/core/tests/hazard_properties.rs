@@ -120,7 +120,7 @@ fn input_copyin_sites(g: &Graph, plan: &ExecutionPlan) -> Vec<(usize, usize)> {
             .enumerate()
             .skip(i + 1)
             .find_map(|(j, s)| {
-                matches!(s, Step::Launch(u) if plan.units[*u].external_inputs(g).contains(&d))
+                matches!(s, Step::Launch(u) if plan.units[*u].external_inputs(g).any(|x| x == d))
                     .then_some(j)
             });
         if let Some(j) = reader {

@@ -48,7 +48,7 @@ mod tests {
         let c = compile_multi_traced(&g, &cluster, 0.05, &mut tracer).unwrap();
         let sim = c.simulate();
         let out = &sim.outcome;
-        trace_lanes(&mut tracer, &sim.lanes, &sim.events);
+        trace_lanes(&mut tracer, &c.sharded.split.graph, &sim.lanes, &sim.events);
         record_cluster_metrics(&mut tracer, out);
         let doc = tracer.chrome_trace();
         validate_chrome_trace(&doc).unwrap();

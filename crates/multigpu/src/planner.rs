@@ -38,7 +38,8 @@ impl MultiCompiled {
         self.simulate().outcome
     }
 
-    /// The outcome and the lane events.
+    /// The outcome and the lane events (by id; [`LaneEvent::label`] renders
+    /// them against `self.sharded.split.graph`).
     // Survives as an adapter: perf/src/layers.rs reads `.trace().0.makespan`.
     pub fn trace(&self) -> (OverlapOutcome, Vec<LaneEvent>) {
         let sim = self.simulate();

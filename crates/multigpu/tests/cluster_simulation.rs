@@ -245,7 +245,11 @@ fn two_devices_by_two_streams_agree_across_simulator_clock_and_certifier() {
     // …`a` and `b` overlap on device 0's two streams, `c` waits for the
     // other stream's `y`, and the never-used lane is idle end to end.
     let span = |label: &str| {
-        let e = sim.events.iter().find(|e| e.label == label).unwrap();
+        let e = sim
+            .events
+            .iter()
+            .find(|e| e.label(&g, true) == label)
+            .unwrap();
         (e.start, e.end)
     };
     assert_eq!(span("a").0, span("b").0);

@@ -10,7 +10,10 @@ use crate::Tensor;
 /// `Σ_{a,b} img[i+a, j+b] · kernel[a, b]` — cross-correlation, matching
 /// torch5's `SpatialConvolution` (the paper builds its CNNs from torch5
 /// primitives). Accumulation order is fixed (row-major over the kernel), so
-/// results are bit-stable across thread counts.
+/// results are bit-stable across thread counts. An output row takes one
+/// kernel tap at a time across all its columns: every element still sums
+/// its products in that order, and the inner loop runs over contiguous
+/// columns, where it vectorises.
 ///
 /// Panics if the image is smaller than the kernel.
 pub fn conv2d_valid(img: &Tensor, kernel: &Tensor) -> Tensor {
@@ -23,16 +26,13 @@ pub fn conv2d_valid(img: &Tensor, kernel: &Tensor) -> Tensor {
     let (or, oc) = (ir - kr + 1, ic - kc + 1);
     let mut out = vec![0.0f32; or * oc];
     out.par_chunks_mut(oc).enumerate().for_each(|(i, row)| {
-        for (j, slot) in row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for a in 0..kr {
-                let img_row = img.row(i + a);
-                let ker_row = kernel.row(a);
-                for (b, &k) in ker_row.iter().enumerate() {
-                    acc += img_row[j + b] * k;
+        for a in 0..kr {
+            let img_row = img.row(i + a);
+            for (b, &k) in kernel.row(a).iter().enumerate() {
+                for (slot, &x) in row.iter_mut().zip(&img_row[b..b + oc]) {
+                    *slot += x * k;
                 }
             }
-            *slot = acc;
         }
     });
     Tensor::from_vec(or, oc, out)
@@ -41,6 +41,59 @@ pub fn conv2d_valid(img: &Tensor, kernel: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The element-at-a-time loop the kernel replaced: the oracle for
+    /// its summation order.
+    fn conv2d_scalar(img: &Tensor, kernel: &Tensor) -> Tensor {
+        let (kr, kc) = (kernel.rows(), kernel.cols());
+        let (or, oc) = (img.rows() - kr + 1, img.cols() - kc + 1);
+        Tensor::from_fn(or, oc, |i, j| {
+            let mut acc = 0.0f32;
+            for a in 0..kr {
+                let img_row = img.row(i + a);
+                for (b, &k) in kernel.row(a).iter().enumerate() {
+                    acc += img_row[j + b] * k;
+                }
+            }
+            acc
+        })
+    }
+
+    /// Values of mixed sign and magnitude, so a changed summation order
+    /// would change rounding.
+    fn noise(rows: usize, cols: usize, seed: u64) -> Tensor {
+        let mut state = seed | 1;
+        Tensor::from_fn(rows, cols, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state % 20_001) as f32 - 10_000.0) / (1 + state % 97) as f32
+        })
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Bit for bit the scalar loop's result, on odd and degenerate
+        /// shapes (one-row, one-column and whole-image kernels included).
+        #[test]
+        fn matches_the_scalar_loop_bit_for_bit(
+            rows in 1usize..37,
+            cols in 1usize..37,
+            kr in 1usize..12,
+            kc in 1usize..12,
+            seed in 1u64..100_000,
+        ) {
+            let img = noise(rows, cols, seed);
+            let k = noise(kr.min(rows), kc.min(cols), seed + 1);
+            prop_assert_eq!(bits(&conv2d_valid(&img, &k)), bits(&conv2d_scalar(&img, &k)));
+        }
+    }
 
     #[test]
     fn identity_kernel() {

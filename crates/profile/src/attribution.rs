@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use gpuflow_core::{
-    simulate, step_times, CompileOptions, ExecutionPlan, GapCause, Machine, OverlapOutcome,
-    Simulation, Step,
+    simulate, step_times, CompileOptions, ExecutionPlan, GapCause, LaneWork, Machine,
+    OverlapOutcome, Simulation, Step,
 };
 use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
@@ -260,11 +260,11 @@ fn step_label(g: &Graph, plan: &ExecutionPlan, step: &Step, shared_bus: bool) ->
 }
 
 /// Busiest compute labels, descending, capped at `cap`.
-fn top_units(busy: HashMap<String, u64>, cap: usize) -> Vec<(String, u64)> {
+fn top_units(busy: HashMap<&str, u64>, cap: usize) -> Vec<(String, u64)> {
     let mut units: Vec<_> = busy.into_iter().collect();
-    units.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    units.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     units.truncate(cap);
-    units
+    units.into_iter().map(|(u, b)| (u.to_string(), b)).collect()
 }
 
 /// The one profile body: roll up `sim` — the simulation of `plan` on
@@ -299,13 +299,13 @@ fn profile_on(
             gaps: Vec::new(),
         })
         .collect();
-    let mut unit_busy: HashMap<String, u64> = HashMap::new();
+    let mut unit_busy: HashMap<&str, u64> = HashMap::new();
     for e in &sim.events {
         let engine = &mut engines[sim.lanes.index(e.lane)];
         let busy = interval_ns(e.start, e.end);
         engine.busy_ns += busy;
-        if engine.is_compute {
-            *unit_busy.entry(e.label.clone()).or_insert(0) += busy;
+        if let LaneWork::Op(o) = e.what {
+            *unit_busy.entry(&g.op(o).name).or_insert(0) += busy;
         }
     }
     for gap in &sim.gaps {

@@ -1,0 +1,92 @@
+//! Allocation tripwire for the overlap simulator.
+//!
+//! `simulate` stands in for the runtime on every `run` of a cluster plan,
+//! so a heap allocation per plan step (a label string per lane event, a
+//! hash set or shape vector per launch) is most of its cost. This binary
+//! counts the allocations one `simulate` call makes on two cluster plans
+//! of very different lengths; the counts may differ only by what the
+//! machine's size and the growth of the result vectors explain, never by
+//! a term per step.
+//!
+//! Debug builds run the plan checker and the happens-before sanitizer
+//! inside `simulate`, which allocate by design, so the count is taken in
+//! release builds only: `cargo test --release --test sim_allocations`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use gpuflow::core::{simulate, Simulation};
+use gpuflow::multi::{compile_multi, parse_cluster};
+use gpuflow::serve::resolve_named;
+
+/// Counts the allocations (and reallocations) of the thread that has
+/// counting switched on; every other thread passes straight through.
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<usize> = const { Cell::new(0) };
+}
+
+fn tally() {
+    if COUNTING.with(Cell::get) {
+        COUNT.with(|c| c.set(c.get() + 1));
+    }
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Compile `template` for `cluster`, then simulate its plan once with the
+/// allocation counter on: `(plan steps, allocations)`.
+fn simulated(template: &str, cluster: &str) -> (usize, usize) {
+    let g = resolve_named(template).unwrap();
+    let c = compile_multi(&g, &parse_cluster(cluster).unwrap(), 0.05).unwrap();
+    let machine = c.cluster.machine();
+    COUNT.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let sim: Simulation = simulate(&c.sharded.split.graph, &c.plan, &machine);
+    COUNTING.with(|on| on.set(false));
+    assert!(sim.outcome.makespan > 0.0);
+    drop(sim);
+    (c.plan.steps.len(), COUNT.with(Cell::get))
+}
+
+#[test]
+fn simulate_allocates_nothing_per_step() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipped: debug builds check the plan inside simulate");
+        return;
+    }
+    let (small_steps, small) = simulated("cnn-small:288x288", "c870x2");
+    let (large_steps, large) = simulated("cnn-small:2000x2000", "c870x8");
+    assert!(
+        large_steps > small_steps + 30_000,
+        "the plans must differ by many steps: {small_steps} vs {large_steps}"
+    );
+    assert!(
+        large.abs_diff(small) < 64,
+        "{small} allocations for {small_steps} steps, {large} for {large_steps}"
+    );
+}

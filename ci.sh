@@ -18,7 +18,14 @@ echo "==> benchmark harness builds and smoke-runs (perf/run.sh --smoke)"
 # a renamed library entry point (DESIGN.md, "Frozen adapter names") would
 # otherwise break only the benchmark. Run first, so that it fails in the
 # first minutes rather than after the full suite.
+# The benchmark builds with its own committed perf/Cargo.lock; a library
+# dependency edit that makes that build rewrite the lockfile would change
+# every benchmark checkout, so the lockfile must come out byte-identical.
+lockcopy="$(mktemp)"
+cp perf/Cargo.lock "$lockcopy"
 perf/run.sh --smoke > /dev/null
+cmp perf/Cargo.lock "$lockcopy" || { echo "perf/run.sh rewrote perf/Cargo.lock"; exit 1; }
+rm -f "$lockcopy"
 
 echo "==> certifier memory tripwire (large CNN under a 256 MB address space)"
 # The concurrency certificate is O(steps x lanes) (docs/concurrency.md).

@@ -12,8 +12,7 @@
 
 use gpuflow_bench::TableWriter;
 use gpuflow_core::{
-    eliminate_dead_ops_traced, hoist_prefetches_traced, simulate, trace_lanes,
-    trace_serial_timeline, Framework, Machine,
+    hoist_prefetches_traced, simulate, trace_lanes, trace_serial_timeline, Framework, Machine,
 };
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_templates::edge::{find_edges, CombineOp};
@@ -53,10 +52,9 @@ fn main() {
         tracer.name_process(gpuflow_trace::PID_COMPILE, "gpuflow compile (wall clock)");
         tracer.name_thread(gpuflow_trace::PID_COMPILE, 0, "pipeline passes");
 
-        let pruned = eliminate_dead_ops_traced(g, &mut tracer).expect("valid graph");
         let fw = Framework::new(dev.clone());
         let accepted = fw
-            .compile_adaptive_traced(&pruned.graph, &mut tracer)
+            .compile_adaptive_traced(g, &mut tracer)
             .expect("workload compiles");
         let (compiled, result) = (accepted.template, accepted.dry_run);
         trace_serial_timeline(&mut tracer, &result.timeline);

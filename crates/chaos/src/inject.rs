@@ -147,11 +147,6 @@ impl FaultInjector {
         }
     }
 
-    /// Resolved absolute device-loss time, if any.
-    pub fn loss_time(&self) -> Option<f64> {
-        self.loss_at_s
-    }
-
     /// Index of the device the spec loses, if any.
     pub fn lost_device(&self) -> Option<usize> {
         self.spec.device_loss.map(|l| l.device)
@@ -270,7 +265,6 @@ mod tests {
             ..FaultSpec::quiet(0)
         };
         let inj = FaultInjector::new(&s, 4.0);
-        assert_eq!(inj.loss_time(), Some(2.0));
         assert_eq!(inj.lost_device(), Some(1));
         assert!(!inj.device_lost(1, 1.9));
         assert!(inj.device_lost(1, 2.0));

@@ -48,11 +48,6 @@ impl RetryPolicy {
         debug_assert!(retry >= 1);
         self.base_backoff_s * self.multiplier.powi(retry as i32 - 1)
     }
-
-    /// Total simulated time spent backing off if all retries are used.
-    pub fn worst_case_backoff(&self) -> f64 {
-        (1..self.max_attempts).map(|r| self.backoff(r)).sum()
-    }
 }
 
 /// Knobs for the resilient executors.
@@ -237,8 +232,6 @@ mod tests {
         assert!((p.backoff(1) - 100e-6).abs() < 1e-12);
         assert!((p.backoff(2) - 200e-6).abs() < 1e-12);
         assert!((p.backoff(3) - 400e-6).abs() < 1e-12);
-        // 6 attempts → 5 retries: 100+200+400+800+1600 µs.
-        assert!((p.worst_case_backoff() - 3100e-6).abs() < 1e-9);
     }
 
     #[test]

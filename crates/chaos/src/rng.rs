@@ -23,12 +23,6 @@ impl SplitMix64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         mix(self.state)
     }
-
-    /// Next uniform double in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 high bits → the full double mantissa.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 /// The SplitMix64 finalizer: a bijective avalanche mixer. Exposed so the
@@ -60,15 +54,6 @@ mod tests {
         let zs: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
-    }
-
-    #[test]
-    fn doubles_stay_in_unit_interval() {
-        let mut r = SplitMix64::new(7);
-        for _ in 0..1000 {
-            let x = r.next_f64();
-            assert!((0.0..1.0).contains(&x), "{x}");
-        }
     }
 
     #[test]

@@ -3,10 +3,7 @@
 use std::fmt::Write as _;
 
 use gpuflow_chaos::{trace_recovery, FaultSpec, RecoveryStats};
-use gpuflow_codegen::{
-    compiled_multi_to_json, compiled_multi_to_json_traced, generate_cuda, plan_to_json,
-    plan_to_json_traced,
-};
+use gpuflow_codegen::{compiled_multi_to_json, generate_cuda, plan_to_json, plan_to_json_traced};
 use gpuflow_core::{
     baseline_plan, record_serial_metrics, render_gantt, trace_lanes, trace_serial_timeline,
     AdaptiveCompile, CompileOptions, ExecutionPlan, Framework, Lane, Machine, OverlapOutcome,
@@ -1149,7 +1146,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let cluster = parse_cluster(spec)?;
                 let c = compile_multi_traced(&g, &cluster, *margin, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                let _ = compiled_multi_to_json_traced(&c, &name, &mut tracer)
+                let graph = &c.sharded.split.graph;
+                let _ = plan_to_json_traced(graph, &c.plan, &c.cluster.devices, &name, &mut tracer)
                     .map_err(|e| e.to_string())?;
                 let sim = c.simulate();
                 let o = &sim.outcome;
@@ -1185,9 +1183,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     .with_options(options)
                     .compile_adaptive_traced(&g, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                let _ =
-                    plan_to_json_traced(&compiled.split.graph, &compiled.plan, &name, &mut tracer)
-                        .map_err(|e| e.to_string())?;
+                let graph = &compiled.split.graph;
+                let _ = plan_to_json_traced(graph, &compiled.plan, &[], &name, &mut tracer)
+                    .map_err(|e| e.to_string())?;
                 trace_serial_timeline(&mut tracer, &dry_run.timeline);
                 let sim = compiled.simulate();
                 trace_lanes(&mut tracer, &compiled.split.graph, &sim.lanes, &sim.events);
@@ -2283,6 +2281,8 @@ mod tests {
         assert!(out.contains("multi-device JSON"), "{out}");
         let doc = gpuflow_minijson::parse(&std::fs::read_to_string(&js).unwrap()).unwrap();
         assert_eq!(doc["devices"].as_array().unwrap().len(), 2);
-        assert!(doc["bus_bytes"].as_u64().unwrap() > 0);
+        assert!(doc["total_transfer_floats"].as_u64().unwrap() > 0);
+        let units = doc["units"].as_array().unwrap().len();
+        assert_eq!(doc["unit_device"].as_array().unwrap().len(), units);
     }
 }

@@ -1,4 +1,4 @@
-//! Golden-file tests for the JSON plan documents `gpuflow emit --json`
+//! Tests of the JSON plan documents: goldens of what `gpuflow emit --json`
 //! writes, on one device and on a two-device cluster.
 //!
 //! A plan document is a deterministic function of the template, the
@@ -46,4 +46,51 @@ fn one_device_plan_document_matches_golden() {
 #[test]
 fn cluster_plan_document_matches_golden() {
     check_emit("fig3 --devices c870x2", "emit_fig3_c870x2.json");
+}
+
+/// Emit → parse → load reproduces every plan exactly, on one device and
+/// on homogeneous and mixed clusters.
+#[test]
+fn every_plan_document_loads_back_to_its_plan() {
+    use gpuflow_codegen::{compiled_multi_to_json, load_plan, parse_plan_doc, plan_to_json};
+    for spec in ["fig3", "edge:96x96,k=5,o=2", "cnn-small:96x96"] {
+        let g = gpuflow_serve::resolve_named(spec).unwrap();
+        let one = gpuflow_core::Framework::new(gpuflow_sim::device::tesla_c870())
+            .compile_adaptive(&g)
+            .unwrap();
+        let mut cases = vec![(
+            "c870",
+            one.split.graph.clone(),
+            (*one.plan).clone(),
+            plan_to_json(&one.split.graph, &one.plan, spec).unwrap(),
+        )];
+        for devices in ["c870x2", "c870x2,8800gtx"] {
+            let cluster = gpuflow_multi::parse_cluster(devices).unwrap();
+            let c = gpuflow_multi::compile_multi(&g, &cluster, 0.05).unwrap();
+            let json = compiled_multi_to_json(&c, spec).unwrap();
+            cases.push((devices, c.sharded.split.graph, c.plan, json));
+        }
+        for (machine, graph, plan, json) in cases {
+            let doc = parse_plan_doc(&json).unwrap();
+            let loaded = load_plan(&doc, &graph).unwrap();
+            assert_eq!(loaded.steps, plan.steps, "{spec} on {machine}");
+            assert_eq!(loaded.unit_device, plan.unit_device, "{spec} on {machine}");
+        }
+    }
+}
+
+#[test]
+fn a_device_outside_the_table_is_rejected() {
+    use gpuflow_codegen::{compiled_multi_to_json, load_plan, parse_plan_doc};
+    use gpuflow_core::Step;
+    let g = gpuflow_serve::resolve_named("fig3").unwrap();
+    let cluster = gpuflow_multi::parse_cluster("c870x2").unwrap();
+    let c = gpuflow_multi::compile_multi(&g, &cluster, 0.05).unwrap();
+    let mut doc = parse_plan_doc(&compiled_multi_to_json(&c, "fig3").unwrap()).unwrap();
+    let Some(Step::CopyIn { device, .. }) = doc.steps.first_mut() else {
+        panic!("a plan starts with an upload")
+    };
+    *device = 2;
+    let err = load_plan(&doc, &c.sharded.split.graph).unwrap_err();
+    assert!(err.0.contains("device index 2 out of range"), "{err}");
 }

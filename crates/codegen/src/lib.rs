@@ -16,9 +16,8 @@
 //!   the simulator executes the same plan instead).
 //! * [`json`] — a JSON plan document for tooling and for the "simple
 //!   run-time library" alternative the paper mentions at the end of §3.3.
-//!
-//! Plus [`multi`] — the JSON document extended with device annotations for
-//! multi-GPU plans produced by `gpuflow-multi`.
+//!   One document serves every machine: a cluster plan's document adds a
+//!   device table and a device on every unit, transfer and free.
 //!
 //! Both emitters refuse to emit from a plan that carries error
 //! diagnostics: every plan is run through the `gpuflow-verify` static
@@ -29,56 +28,43 @@
 
 use gpuflow_core::ExecutionPlan;
 use gpuflow_graph::Graph;
-use gpuflow_verify::Diagnostic;
+use gpuflow_verify::{Diagnostic, PlanAnalysis};
 
 pub mod cuda;
 pub mod json;
-pub mod multi;
 
 pub use cuda::generate_cuda;
 pub use json::{load_plan, parse_plan_doc, plan_to_json, DocParseError, LoadError, PlanDoc};
-pub use multi::{compiled_multi_to_json, multi_plan_to_json};
 
-/// Emit a JSON plan document under an `"emit"` span recording the output
-/// size, so traced `plan`/`emit` invocations show codegen time alongside
-/// the compilation passes.
+/// Emit the JSON plan document of `plan` on `devices` (empty for one
+/// device, see [`json::emit`]) under an `"emit"` span recording the output
+/// size, so traced invocations show codegen time alongside the
+/// compilation passes.
 pub fn plan_to_json_traced(
     graph: &Graph,
     plan: &ExecutionPlan,
+    devices: &[gpuflow_sim::DeviceSpec],
     template: &str,
     tracer: &mut gpuflow_trace::Tracer,
 ) -> Result<String, EmitError> {
     let tok = tracer.begin("emit", "emit-json");
-    let out = plan_to_json(graph, plan, template)?;
+    let out = json::emit(graph, plan, devices, template)?;
     tracer.end_with(tok, vec![gpuflow_trace::kv("bytes", out.len())]);
     Ok(out)
 }
 
-/// Emit CUDA-style source under an `"emit"` span recording the output
-/// size.
-pub fn generate_cuda_traced(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    template: &str,
-    tracer: &mut gpuflow_trace::Tracer,
-) -> Result<String, EmitError> {
-    let tok = tracer.begin("emit", "emit-cuda");
-    let out = generate_cuda(graph, plan, template)?;
-    tracer.end_with(tok, vec![gpuflow_trace::kv("bytes", out.len())]);
-    Ok(out)
-}
-
-/// Emit a multi-device JSON plan document under an `"emit"` span recording
-/// the output size.
-pub fn compiled_multi_to_json_traced(
+/// The plan document of a compiled cluster template (see [`json::emit`]).
+// Survives as an adapter: perf/src/layers.rs names it.
+pub fn compiled_multi_to_json(
     c: &gpuflow_multi::MultiCompiled,
     template: &str,
-    tracer: &mut gpuflow_trace::Tracer,
 ) -> Result<String, EmitError> {
-    let tok = tracer.begin("emit", "emit-multi-json");
-    let out = compiled_multi_to_json(c, template)?;
-    tracer.end_with(tok, vec![gpuflow_trace::kv("bytes", out.len())]);
-    Ok(out)
+    json::emit(
+        &c.sharded.split.graph,
+        &c.plan,
+        &c.cluster.devices,
+        template,
+    )
 }
 
 /// Refusal to emit code from a plan the static analyzer rejects.
@@ -105,12 +91,13 @@ impl std::error::Error for EmitError {}
 
 /// Run the static analyzer over `plan` against the per-device
 /// `capacities` and refuse (with every error diagnostic) unless it is
-/// clean. Shared gate of all three emitters.
+/// clean. Shared gate of both emitters; a clean analysis is returned for
+/// its statistics.
 pub(crate) fn check_emittable(
     graph: &Graph,
     plan: &ExecutionPlan,
     capacities: &[u64],
-) -> Result<(), EmitError> {
+) -> Result<PlanAnalysis, EmitError> {
     let analysis = plan.analyze_devices(graph, capacities, false);
     if analysis.has_errors() {
         Err(EmitError {
@@ -121,6 +108,6 @@ pub(crate) fn check_emittable(
                 .collect(),
         })
     } else {
-        Ok(())
+        Ok(analysis)
     }
 }

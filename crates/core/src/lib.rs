@@ -36,7 +36,6 @@
 
 pub mod baseline;
 pub mod best;
-pub mod dce;
 pub mod error;
 pub mod examples;
 pub mod framework;
@@ -56,7 +55,6 @@ pub mod xfer;
 
 pub use baseline::baseline_plan;
 pub use best::best_possible_estimate;
-pub use dce::{dead_ops, eliminate_dead_ops, eliminate_dead_ops_traced, DceResult};
 pub use error::FrameworkError;
 pub use framework::{AdaptiveCompile, CompileOptions, CompiledTemplate, Framework};
 pub use observe::{

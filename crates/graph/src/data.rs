@@ -43,11 +43,6 @@ pub enum DataKind {
 }
 
 impl DataKind {
-    /// Whether this data must be present in CPU memory after the plan runs.
-    pub fn required_on_cpu_at_end(self) -> bool {
-        matches!(self, DataKind::Output)
-    }
-
     /// Whether this data initially resides in CPU memory.
     pub fn starts_on_cpu(self) -> bool {
         matches!(self, DataKind::Input | DataKind::Constant)
@@ -141,8 +136,6 @@ mod tests {
         assert!(DataKind::Constant.starts_on_cpu());
         assert!(!DataKind::Temporary.starts_on_cpu());
         assert!(!DataKind::Output.starts_on_cpu());
-        assert!(DataKind::Output.required_on_cpu_at_end());
-        assert!(!DataKind::Input.required_on_cpu_at_end());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! and their scaling behaviour with input size is fully understood — the
 //! properties the paper relies on to plan offloading ahead of time.
 //!
-//! This crate is purely structural: it knows shapes, sizes, dependencies,
-//! liveness and how each operator class *can* be split ([`SplitClass`]), but
+//! This crate is purely structural: it knows shapes, sizes, dependencies
+//! and how each operator class *can* be split ([`SplitClass`]), but
 //! contains no numeric kernels (see `gpuflow-ops`) and no scheduling logic
 //! (see `gpuflow-core`).
 
@@ -22,7 +22,6 @@ pub mod canon;
 pub mod data;
 pub mod dot;
 pub mod graph;
-pub mod liveness;
 pub mod op;
 pub mod shape;
 pub mod text;
@@ -31,7 +30,6 @@ pub mod topo;
 pub use canon::{canonical_hash, skeleton_hash};
 pub use data::{DataDesc, DataId, DataKind, Region};
 pub use graph::{Graph, GraphError};
-pub use liveness::Liveness;
 pub use op::{OpId, OpKind, OpNode, ReduceKind, RemapKind, SplitClass, SubsampleKind};
 pub use shape::{infer_output_shape, Shape, ShapeError};
 pub use text::{parse_graph, write_graph, TextError};

@@ -1,6 +1,6 @@
 //! Topological ordering of operator graphs (Kahn's algorithm).
 
-use crate::{DataId, Graph, OpId};
+use crate::{Graph, OpId};
 
 /// Error from [`topo_sort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,22 +82,6 @@ pub fn is_valid_order(g: &Graph, order: &[OpId]) -> bool {
     true
 }
 
-/// Data structures in first-use order for `order`; helper for analyses.
-pub fn first_uses(g: &Graph, order: &[OpId]) -> Vec<DataId> {
-    let mut seen = vec![false; g.num_data()];
-    let mut out = Vec::new();
-    for &o in order {
-        let op = g.op(o);
-        for &d in op.inputs.iter().chain(op.outputs.iter()) {
-            if !seen[d.index()] {
-                seen[d.index()] = true;
-                out.push(d);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +134,6 @@ mod tests {
         assert!(!is_valid_order(&g, &[OpId(2), OpId(1), OpId(0)]));
         assert!(!is_valid_order(&g, &[OpId(0), OpId(1)])); // wrong length
         assert!(!is_valid_order(&g, &[OpId(0), OpId(0), OpId(1)])); // dup
-    }
-
-    #[test]
-    fn first_uses_order() {
-        let g = chain(2);
-        let order = topo_sort(&g).unwrap();
-        let fu = first_uses(&g, &order);
-        assert_eq!(fu.len(), 3);
-        assert_eq!(fu[0], DataId(0));
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Copy out the sub-rectangle starting at `(row_off, col_off)` with
     /// shape `rows × cols`. This is how split views (convolution halos
     /// included) are materialized for transfer to the device.

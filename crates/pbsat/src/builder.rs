@@ -52,11 +52,6 @@ impl PbFormula {
         self.linears.len()
     }
 
-    /// True when a constraint already normalized to UNSAT.
-    pub fn is_trivially_unsat(&self) -> bool {
-        self.trivially_unsat
-    }
-
     /// The stored clauses (normalized).
     pub fn clauses(&self) -> &[Vec<Lit>] {
         &self.clauses
@@ -88,41 +83,15 @@ impl PbFormula {
         }
     }
 
-    /// `a → b` as a clause.
-    pub fn add_implies(&mut self, a: Lit, b: Lit) {
-        self.add_clause(&[!a, b]);
-    }
-
-    /// `(a ∧ b) → c`.
-    pub fn add_implies2(&mut self, a: Lit, b: Lit, c: Lit) {
-        self.add_clause(&[!a, !b, c]);
-    }
-
     /// Exactly one of `lits` is true.
     pub fn add_exactly_one(&mut self, lits: &[Lit]) {
         let terms: Vec<(i64, Lit)> = lits.iter().map(|&l| (1, l)).collect();
         self.add_linear(&terms, Cmp::Eq, 1);
     }
 
-    /// At most one of `lits` is true.
-    pub fn add_at_most_one(&mut self, lits: &[Lit]) {
-        let terms: Vec<(i64, Lit)> = lits.iter().map(|&l| (1, l)).collect();
-        self.add_linear(&terms, Cmp::Le, 1);
-    }
-
     /// Pin a literal true.
     pub fn add_unit(&mut self, l: Lit) {
         self.add_clause(&[l]);
-    }
-
-    /// `b ↔ (x₁ ∨ … ∨ xₙ)`.
-    pub fn add_iff_or(&mut self, b: Lit, xs: &[Lit]) {
-        for &x in xs {
-            self.add_implies(x, b);
-        }
-        let mut c: Vec<Lit> = vec![!b];
-        c.extend_from_slice(xs);
-        self.add_clause(&c);
     }
 
     /// Build a fresh solver loaded with this formula.
@@ -166,56 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn implication_helpers() {
-        let mut f = PbFormula::new();
-        let (a, b, c) = (f.new_var(), f.new_var(), f.new_var());
-        f.add_implies(a.pos(), b.pos());
-        f.add_implies2(a.pos(), b.pos(), c.pos());
-        f.add_unit(a.pos());
-        let mut s = f.instantiate();
-        match s.solve(None) {
-            SolveResult::Sat(m) => assert_eq!(m, vec![true, true, true]),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn iff_or_both_directions() {
-        // b ↔ (x ∨ y); force x true ⇒ b true; force b false ⇒ x,y false.
-        let mut f = PbFormula::new();
-        let (b, x, y) = (f.new_var(), f.new_var(), f.new_var());
-        f.add_iff_or(b.pos(), &[x.pos(), y.pos()]);
-        let mut f1 = f.clone();
-        f1.add_unit(x.pos());
-        match f1.instantiate().solve(None) {
-            SolveResult::Sat(m) => assert!(m[b.index()]),
-            other => panic!("{other:?}"),
-        }
-        let mut f2 = f.clone();
-        f2.add_unit(b.neg());
-        match f2.instantiate().solve(None) {
-            SolveResult::Sat(m) => assert!(!m[x.index()] && !m[y.index()]),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn empty_clause_is_unsat() {
         let mut f = PbFormula::new();
         f.add_clause(&[]);
-        assert!(f.is_trivially_unsat());
         assert_eq!(f.instantiate().solve(None), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn at_most_one_allows_zero() {
-        let mut f = PbFormula::new();
-        let xs = f.new_vars(3);
-        f.add_at_most_one(&[xs[0].pos(), xs[1].pos(), xs[2].pos()]);
-        f.add_unit(xs[0].neg());
-        f.add_unit(xs[1].neg());
-        f.add_unit(xs[2].neg());
-        assert!(matches!(f.instantiate().solve(None), SolveResult::Sat(_)));
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl OptimizeOutcome {
             OptimizeOutcome::BudgetExhausted { model, .. } => model.as_deref(),
         }
     }
-
-    /// True when optimality was proven.
-    pub fn is_optimal(&self) -> bool {
-        matches!(self, OptimizeOutcome::Optimal { .. })
-    }
 }
 
 /// Objective value of `model`.
@@ -597,7 +592,7 @@ mod tests {
         f.add_clause(&[xs[2].pos(), xs[3].pos()]);
         let obj: Vec<(i64, Lit)> = xs.iter().map(|v| (1, v.pos())).collect();
         let (out, stats) = minimize_warm(&f, &obj, OptimizeOptions::default(), None);
-        assert!(out.is_optimal());
+        assert!(matches!(out, OptimizeOutcome::Optimal { .. }));
         assert!(stats.decisions > 0 || stats.propagations > 0);
     }
 }

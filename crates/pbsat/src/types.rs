@@ -60,12 +60,6 @@ impl Lit {
         self.0 as usize
     }
 
-    /// Reconstruct from [`Lit::index`].
-    #[inline]
-    pub fn from_index(i: usize) -> Lit {
-        Lit(i as u32)
-    }
-
     /// Truth value of this literal under an assignment of its variable.
     #[inline]
     pub fn eval(self, var_value: bool) -> bool {
@@ -106,7 +100,6 @@ mod tests {
         assert!(n.is_neg());
         assert_eq!(!p, n);
         assert_eq!(!n, p);
-        assert_eq!(Lit::from_index(p.index()), p);
     }
 
     #[test]

@@ -150,93 +150,6 @@ impl CnnBuilder {
         self
     }
 
-    /// torch5 `SpatialConvolutionMap`: a *partially connected*
-    /// convolutional layer. `table` lists `(input_plane, output_plane)`
-    /// connections — the classic LeNet-style sparse connection scheme.
-    /// Each connection contributes one convolution; each output plane
-    /// accumulates its incoming connections and adds a bias.
-    ///
-    /// Panics if an output plane has no incoming connection or an index is
-    /// out of range.
-    pub fn spatial_convolution_map(
-        mut self,
-        out_planes: usize,
-        k: usize,
-        table: &[(usize, usize)],
-    ) -> Self {
-        assert!(out_planes >= 1);
-        assert!(
-            self.rows >= k && self.cols >= k,
-            "plane smaller than kernel"
-        );
-        let in_planes = self.planes.clone();
-        for &(i, j) in table {
-            assert!(i < in_planes.len(), "input plane {i} out of range");
-            assert!(j < out_planes, "output plane {j} out of range");
-        }
-        for j in 0..out_planes {
-            assert!(
-                table.iter().any(|&(_, out)| out == j),
-                "output plane {j} has no incoming connection"
-            );
-        }
-        self.layer += 1;
-        let l = self.layer;
-        let (or, oc) = (self.rows - k + 1, self.cols - k + 1);
-        let mut outs = Vec::with_capacity(out_planes);
-        for j in 0..out_planes {
-            let mut partials = Vec::new();
-            for (conn, &(i, _)) in table.iter().enumerate().filter(|(_, &(_, out))| out == j) {
-                let w = self
-                    .graph
-                    .add(format!("L{l}.K{conn}"), k, k, DataKind::Constant);
-                self.weights.push(w);
-                let lij = self
-                    .graph
-                    .add(format!("L{l}.L{conn}"), or, oc, DataKind::Temporary);
-                self.graph
-                    .add_op(
-                        format!("L{l}.conv{conn}"),
-                        OpKind::Conv2d,
-                        vec![in_planes[i], w],
-                        lij,
-                    )
-                    .expect("valid conv");
-                partials.push(lij);
-            }
-            let mut acc = partials[0];
-            for (n, &p) in partials.iter().enumerate().skip(1) {
-                let s = self
-                    .graph
-                    .add(format!("L{l}.S{n}.{j}"), or, oc, DataKind::Temporary);
-                self.graph
-                    .add_op(
-                        format!("L{l}.madd{n}.{j}"),
-                        OpKind::EwAdd { arity: 2 },
-                        vec![acc, p],
-                        s,
-                    )
-                    .expect("valid add");
-                acc = s;
-            }
-            let b = self
-                .graph
-                .add(format!("L{l}.B{j}"), 1, 1, DataKind::Constant);
-            self.biases.push(b);
-            let out = self
-                .graph
-                .add(format!("L{l}.O{j}"), or, oc, DataKind::Temporary);
-            self.graph
-                .add_op(format!("L{l}.bias{j}"), OpKind::BiasAdd, vec![acc, b], out)
-                .expect("valid bias");
-            outs.push(out);
-        }
-        self.planes = outs;
-        self.rows = or;
-        self.cols = oc;
-        self
-    }
-
     /// torch5 `Tanh`: element-wise non-linearity on every plane.
     pub fn tanh(mut self) -> Self {
         self.layer += 1;
@@ -409,46 +322,6 @@ mod tests {
         assert_eq!(t.outputs.len(), 2);
         assert_eq!(t.weights.len(), 6);
         assert_eq!(t.biases.len(), 2);
-    }
-
-    #[test]
-    fn connection_table_layer_is_sparse() {
-        // LeNet-style: 3 inputs, 3 outputs, each output fed by 2 inputs.
-        let table = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)];
-        let t = CnnBuilder::new(3, 16, 16)
-            .spatial_convolution_map(3, 3, &table)
-            .build();
-        t.graph.validate().unwrap();
-        let convs = t
-            .graph
-            .op_ids()
-            .filter(|&o| t.graph.op(o).kind == OpKind::Conv2d)
-            .count();
-        assert_eq!(convs, 6, "one conv per connection, not 9 (full)");
-        let adds = t
-            .graph
-            .op_ids()
-            .filter(|&o| matches!(t.graph.op(o).kind, OpKind::EwAdd { .. }))
-            .count();
-        assert_eq!(adds, 3, "one accumulation per output");
-        assert_eq!(t.outputs.len(), 3);
-
-        // Functionally sane end to end.
-        let bind = crate::data::default_bindings(&t.graph);
-        let out = gpuflow_ops::reference_eval(&t.graph, &bind).unwrap();
-        assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "no incoming connection")]
-    fn disconnected_output_plane_rejected() {
-        let _ = CnnBuilder::new(2, 8, 8).spatial_convolution_map(2, 3, &[(0, 0), (1, 0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_connection_index_rejected() {
-        let _ = CnnBuilder::new(2, 8, 8).spatial_convolution_map(1, 3, &[(5, 0)]);
     }
 
     #[test]

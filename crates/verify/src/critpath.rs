@@ -34,19 +34,6 @@ pub struct CriticalPath {
     pub length: f64,
 }
 
-impl CriticalPath {
-    /// Fraction of `makespan` spent on the critical path (1.0 means the
-    /// schedule is dependency-bound: no overlap left to exploit).
-    /// Zero-makespan plans report 0.
-    pub fn share_of(&self, makespan: f64) -> f64 {
-        if makespan <= 0.0 {
-            0.0
-        } else {
-            self.length / makespan
-        }
-    }
-}
-
 /// The longest-duration path through `hb`, where `durations[i]` is the
 /// time step `i` occupies its engine (0 for instantaneous steps such as
 /// `Free`). Panics unless `durations.len() == hb.len()`.
@@ -139,7 +126,6 @@ mod tests {
         let cp = critical_path(&hb, &[1.0, 1.0, 5.0, 1.0]);
         assert_eq!(cp.steps, vec![0, 2, 3]);
         assert!((cp.length - 7.0).abs() < 1e-12);
-        assert!((cp.share_of(10.0) - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -185,6 +171,5 @@ mod tests {
         let cp = critical_path(&hb, &[]);
         assert!(cp.steps.is_empty());
         assert_eq!(cp.length, 0.0);
-        assert_eq!(cp.share_of(0.0), 0.0);
     }
 }

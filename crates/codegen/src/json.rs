@@ -163,18 +163,11 @@ pub fn plan_to_json(
 /// JSON value form of a document.
 pub fn doc_to_value(doc: &PlanDoc) -> Value {
     let cluster = !doc.devices.is_empty();
-    let object = |fields: Vec<(&str, Value)>| {
-        let mut m = Map::new();
-        for (k, v) in fields {
-            m.insert(k, v);
-        }
-        Value::Object(m)
-    };
     let mut m = Map::new();
     m.insert("template", doc.template.as_str());
     if cluster {
         let device = |d: &DeviceDoc| {
-            object(vec![
+            object([
                 ("name", d.name.as_str().into()),
                 ("memory_bytes", d.memory_bytes.into()),
                 ("cores", d.cores.into()),
@@ -188,7 +181,7 @@ pub fn doc_to_value(doc: &PlanDoc) -> Value {
         );
     }
     let data = |d: &DataDoc| {
-        object(vec![
+        object([
             ("name", d.name.as_str().into()),
             ("rows", d.rows.into()),
             ("cols", d.cols.into()),
@@ -208,18 +201,27 @@ pub fn doc_to_value(doc: &PlanDoc) -> Value {
             Step::CopyIn { device, data } => ("copy_in", device, data),
             Step::CopyOut { device, data } => ("copy_out", device, data),
             Step::Free { device, data } => ("free", device, data),
-            Step::Launch(u) => return object(vec![("op", "launch".into()), ("unit", u.into())]),
+            Step::Launch(u) => return object([("op", "launch".into()), ("unit", u.into())]),
         };
-        let mut fields = vec![("op", op.into())];
+        let (op, data) = (("op", op.into()), ("data", data.index().into()));
         if cluster {
-            fields.push(("device", device.into()));
+            object([op, ("device", device.into()), data])
+        } else {
+            object([op, data])
         }
-        fields.push(("data", data.index().into()));
-        object(fields)
     };
     m.insert("steps", Value::Array(doc.steps.iter().map(step).collect()));
     m.insert("total_transfer_floats", doc.total_transfer_floats);
     m.insert("peak_bytes", doc.peak_bytes);
+    Value::Object(m)
+}
+
+/// A JSON object of `fields`, in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    let mut m = Map::new();
+    for (k, v) in fields {
+        m.insert(k, v);
+    }
     Value::Object(m)
 }
 
@@ -425,11 +427,14 @@ pub fn load_plan(doc: &PlanDoc, graph: &Graph) -> Result<ExecutionPlan, LoadErro
         )));
     }
     let devices = doc.devices.len().max(1);
-    let check_device = |d: usize| match d < devices {
-        true => Ok(()),
-        false => Err(LoadError(format!(
-            "device index {d} out of range ({devices} devices)"
-        ))),
+    let check_device = |d: usize| {
+        if d < devices {
+            Ok(())
+        } else {
+            Err(LoadError(format!(
+                "device index {d} out of range ({devices} devices)"
+            )))
+        }
     };
     for &d in &doc.unit_device {
         check_device(d)?;

@@ -112,7 +112,9 @@ pub fn critical_path_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hb::EdgeKind;
+    use crate::hb::tests::certifier_shaped_dag;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn longest_path_wins_over_step_count() {
@@ -171,5 +173,75 @@ mod tests {
         let cp = critical_path(&hb, &[]);
         assert!(cp.steps.is_empty());
         assert_eq!(cp.length, 0.0);
+    }
+
+    /// The per-step predecessor vectors the sweep once rebuilt from the
+    /// edge list, kept as its oracle: the same longest-path recurrence,
+    /// ties broken by the first-added predecessor.
+    fn oracle(hb: &HbGraph, durations: &[f64], include: impl Fn(EdgeKind) -> bool) -> CriticalPath {
+        let n = hb.len();
+        if n == 0 {
+            return CriticalPath {
+                steps: Vec::new(),
+                length: 0.0,
+            };
+        }
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(from, to, kind) in hb.edges() {
+            if include(kind) {
+                preds[to].push(from);
+            }
+        }
+        let mut dist = vec![0.0f64; n];
+        let mut best_pred: Vec<Option<usize>> = vec![None; n];
+        for i in 0..n {
+            let mut best = 0.0f64;
+            for &p in &preds[i] {
+                if dist[p] > best {
+                    best = dist[p];
+                    best_pred[i] = Some(p);
+                }
+            }
+            dist[i] = best + durations[i];
+        }
+        let mut tail = 0usize;
+        for i in 1..n {
+            if dist[i] > dist[tail] {
+                tail = i;
+            }
+        }
+        let mut steps = vec![tail];
+        while let Some(p) = best_pred[*steps.last().unwrap()] {
+            steps.push(p);
+        }
+        steps.reverse();
+        CriticalPath {
+            steps,
+            length: dist[tail],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On certifier-shaped DAGs, with durations drawn from a few
+        /// values so that equal-length paths tie, both edge filters give
+        /// the oracle's steps and a bit-equal length.
+        #[test]
+        fn sweep_matches_the_predecessor_vector_oracle(seed in 0u64..u64::MAX) {
+            let hb = certifier_shaped_dag(seed);
+            let mut rng = TestRng::for_case(seed, 1);
+            let durations: Vec<f64> = (0..hb.len())
+                .map(|_| [0.0, 0.5, 1.0, 2.0][(rng.next_u64() % 4) as usize])
+                .collect();
+            let full = critical_path(&hb, &durations);
+            let want = oracle(&hb, &durations, |_| true);
+            prop_assert_eq!(&full.steps, &want.steps, "seed {}", seed);
+            prop_assert_eq!(full.length.to_bits(), want.length.to_bits(), "seed {}", seed);
+            let dep = dependency_critical_path(&hb, &durations);
+            let want = oracle(&hb, &durations, |kind| kind != EdgeKind::Program);
+            prop_assert_eq!(&dep.steps, &want.steps, "seed {}", seed);
+            prop_assert_eq!(dep.length.to_bits(), want.length.to_bits(), "seed {}", seed);
+        }
     }
 }

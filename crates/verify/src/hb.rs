@@ -295,7 +295,7 @@ impl HbGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::TestRng;
@@ -474,7 +474,7 @@ mod tests {
     /// off-chain steps in between, random forward `Transfer`/`Lifetime`
     /// cross edges into and out of both, duplicates included. Replay a
     /// failing seed with `assert_matches_dense(&certifier_shaped_dag(seed))`.
-    fn certifier_shaped_dag(seed: u64) -> HbGraph {
+    pub(crate) fn certifier_shaped_dag(seed: u64) -> HbGraph {
         let mut rng = TestRng::for_case(seed, 0);
         let mut pick = |n: usize| (rng.next_u64() as usize) % n;
         let n = 2 + pick(199);

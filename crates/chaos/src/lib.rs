@@ -47,5 +47,4 @@ pub use inject::{FaultClass, FaultEvent, FaultInjector};
 pub use net::{NetFault, NetFaultPlan};
 pub use observe::{trace_recovery, PID_CHAOS};
 pub use policy::{RecoveryEvent, RecoveryEventKind, RecoveryOptions, RecoveryStats, RetryPolicy};
-pub use rng::SplitMix64;
 pub use spec::{Brownout, DeviceLoss, FaultSpec, LossTime};

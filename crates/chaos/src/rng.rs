@@ -1,29 +1,10 @@
-//! SplitMix64: the crate's only randomness source.
+//! The SplitMix64 finalizer: the crate's only randomness source.
 //!
 //! The workspace vendors no `rand`; determinism is the whole point here,
-//! so the generator is a tiny, fully specified bit mixer (Steele, Lea &
-//! Flood's SplitMix64 finalizer). Identical seeds produce identical
-//! streams on every platform — no floating-point, no platform-dependent
-//! hashing.
-
-/// A SplitMix64 generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Generator seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix(self.state)
-    }
-}
+//! so randomness is a tiny, fully specified bit mixer (Steele, Lea &
+//! Flood's SplitMix64 finalizer) applied to the inputs of each decision.
+//! Identical seeds produce identical decisions on every platform — no
+//! floating-point, no platform-dependent hashing.
 
 /// The SplitMix64 finalizer: a bijective avalanche mixer. Exposed so the
 /// injector can derive *order-independent* decisions by mixing
@@ -45,23 +26,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn streams_are_deterministic_and_seed_sensitive() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        let mut c = SplitMix64::new(43);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        let zs: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert_ne!(xs, zs);
-    }
-
-    #[test]
     fn mix_is_stable() {
         // Pin the mixer's output so a silent change to the constants
         // (which would silently change every fault schedule) fails loudly.
         assert_eq!(mix(0), 0);
         assert_eq!(mix(1), 0x5692_161D_100B_05E5);
-        assert_eq!(SplitMix64::new(0).next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix(0x9E37_79B9_7F4A_7C15), 0xE220_A839_7B1D_CDAF);
     }
 }

@@ -753,7 +753,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     recovery = Some(r.stats);
                 }
                 if *json {
-                    let analysis = c.analyze();
+                    let (analysis, certificate) = c.check();
                     let mut doc = match multi_outcome_json(&cluster.describe(), o) {
                         Value::Object(m) => m,
                         _ => unreachable!(),
@@ -770,7 +770,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     }
                     doc.insert(
                         "profile",
-                        profile_summary_json(&profile_cluster_with(&c, DEFAULT_MARGIN, &sim)?),
+                        profile_summary_json(&profile_cluster_with(
+                            &c,
+                            DEFAULT_MARGIN,
+                            &sim,
+                            &certificate,
+                        )?),
                     );
                     doc.insert("metrics", tracer.metrics_ref().to_json());
                     out.push_str(&Value::Object(doc).to_string_pretty());
@@ -1024,10 +1029,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 (plan_info, cert) = if !gpuflow_verify::has_errors(&diags) {
                     let c = compile_multi_traced(&g, &cluster, DEFAULT_MARGIN, &mut tracer)
                         .map_err(|e| e.to_string())?;
-                    let analysis = c.analyze();
-                    // The happens-before concurrency certifier (GF005x,
-                    // docs/concurrency.md) runs after the serial analysis.
-                    let report = c.certify();
+                    // The serial analysis and the happens-before
+                    // concurrency certificate (GF005x, docs/concurrency.md)
+                    // from one view of the plan.
+                    let (analysis, report) = c.check();
                     let info = (
                         c.plan.steps.len(),
                         c.plan.units.len(),
@@ -1384,11 +1389,15 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 .ok_or("profile requires <source> or --smoke")?;
             let g = load_source(src)?;
             let mut tracer = tracer_for(trace);
+            // The critical-path spans name their steps, so each branch
+            // draws the track while its plan is at hand.
             let report = if let Some(spec) = devices {
                 let cluster = parse_cluster(spec)?;
                 let c = compile_multi_traced(&g, &cluster, DEFAULT_MARGIN, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                profile_cluster(&c, DEFAULT_MARGIN)?
+                let report = profile_cluster(&c, DEFAULT_MARGIN)?;
+                trace_profile(&mut tracer, &report, &c.sharded.split.graph, &c.plan);
+                report
             } else {
                 let dev = device.spec();
                 let options = CompileOptions {
@@ -1404,16 +1413,17 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     .with_options(options)
                     .compile_adaptive_traced(&g, &mut tracer)
                     .map_err(|e| e.to_string())?;
-                profile_plan_with(
+                let report = profile_plan_with(
                     &compiled.split.graph,
                     &compiled.plan,
                     &dev,
                     &options,
                     &compiled.simulate(),
                     &certificate,
-                )?
+                )?;
+                trace_profile(&mut tracer, &report, &compiled.split.graph, &compiled.plan);
+                report
             };
-            trace_profile(&mut tracer, &report);
             if *json {
                 out.push_str(&report.to_json().to_string_pretty());
                 out.push('\n');

@@ -19,7 +19,7 @@
 use gpuflow_graph::{DataId, Graph};
 use gpuflow_verify::{
     analyze_plan, certify_concurrency_streams, ConcurrencyReport, Diagnostic, LaneModel, Location,
-    PlanAnalysis, PlanView, UnitView,
+    PlanAnalysis, PlanView,
 };
 
 pub use gpuflow_verify::{PlanStats, Step};
@@ -68,22 +68,24 @@ impl ExecutionPlan {
 
     /// The engine-neutral view of this plan consumed by `gpuflow-verify`:
     /// per-unit external inputs/outputs beside the plan's own steps and
-    /// placement.
-    pub fn view(&self, g: &Graph) -> PlanView {
-        let units = self
+    /// placement, which it borrows. Its two arrays are sized once from an
+    /// upper bound (every input and output of every operator), so the
+    /// view allocates the same few times however many units the plan has.
+    pub fn view(&self, g: &Graph) -> PlanView<'_> {
+        let io = self
             .units
             .iter()
-            .map(|u| UnitView {
-                inputs: u.external_inputs(g).collect(),
-                outputs: u.outputs(g),
-            })
-            .collect();
-        PlanView {
-            units,
-            unit_device: self.unit_device.clone(),
-            steps: self.steps.clone(),
-            pinned_host: self.pinned_host.clone(),
+            .flat_map(|u| &u.ops)
+            .map(|&o| g.op(o).inputs.len() + g.op(o).outputs.len())
+            .sum();
+        let mut view = PlanView::new(&self.unit_device, &self.steps, &self.pinned_host, io);
+        for u in &self.units {
+            view.push_unit(
+                u.external_inputs(g),
+                u.ops.iter().flat_map(|&o| g.op(o).outputs.iter().copied()),
+            );
         }
+        view
     }
 
     /// Run the full static analyzer over this plan against per-device
@@ -132,6 +134,20 @@ impl ExecutionPlan {
         self.certify_view(g, &self.view(g))
     }
 
+    /// The residency analysis against per-device `capacities` and the
+    /// concurrency certificate, both from one view of the plan. Unlike
+    /// the fail-fast check `validate_plan` applies, the certifier runs
+    /// even when the analysis found errors, so a report can list both.
+    pub fn check_devices(
+        &self,
+        g: &Graph,
+        capacities: &[u64],
+    ) -> (PlanAnalysis, ConcurrencyReport) {
+        let view = self.view(g);
+        let analysis = analyze_plan(g, &view, capacities, false);
+        (analysis, self.certify_view(g, &view))
+    }
+
     fn certify_view(&self, g: &Graph, view: &PlanView) -> ConcurrencyReport {
         let (unit_stream, streams) = match &self.streams {
             Some(s) => (s.unit_stream.as_slice(), s.num_streams.max(1)),
@@ -160,19 +176,30 @@ impl ExecutionPlan {
     /// the same device by a later `CopyIn` (the transfer scheduler spilled
     /// it to make room, as opposed to a final dead-data free).
     pub fn evictions(&self) -> usize {
+        // The bitmap is sized from the steps themselves: the plan alone
+        // does not know how many data the graph has.
+        let (mut devices, mut data) = (0, 0);
+        for step in &self.steps {
+            if let Step::CopyIn { device, data: d } | Step::Free { device, data: d } = *step {
+                devices = devices.max(device + 1);
+                data = data.max(d.index() + 1);
+            }
+        }
         // One backward pass: a Free is an eviction iff a CopyIn of the
         // same (device, data) has been seen behind it.
-        let mut reloaded = std::collections::HashSet::new();
+        let mut reloaded = vec![0u64; (devices * data).div_ceil(64)];
         let mut evictions = 0;
         for step in self.steps.iter().rev() {
             match *step {
-                Step::CopyIn { device, data } => {
-                    reloaded.insert((device, data));
+                Step::CopyIn { device, data: d } => {
+                    let bit = device * data + d.index();
+                    reloaded[bit / 64] |= 1 << (bit % 64);
                 }
-                Step::Free { device, data } if reloaded.contains(&(device, data)) => {
-                    evictions += 1;
+                Step::Free { device, data: d } => {
+                    let bit = device * data + d.index();
+                    evictions += (reloaded[bit / 64] >> (bit % 64)) as usize & 1;
                 }
-                _ => {}
+                Step::CopyOut { .. } | Step::Launch(_) => {}
             }
         }
         evictions
@@ -404,6 +431,33 @@ mod tests {
         assert!(r.contains("D->H  out"));
         assert!(r.contains("FREE  mid"));
         assert_eq!(r.lines().count(), p.steps.len());
+    }
+
+    #[test]
+    fn evictions_count_frees_reloaded_on_the_same_device() {
+        let g = chain2();
+        let d = DataId;
+        let mut p = good_plan(&g);
+        assert_eq!(p.evictions(), 0, "final frees are not evictions");
+        // Spill and reload `in` twice on device 0; free `mid` on device 1,
+        // where only `out` is uploaded afterwards.
+        p.steps.splice(
+            3..3,
+            [
+                cin(d(0)),
+                free(d(0)),
+                Step::Free {
+                    device: 1,
+                    data: d(1),
+                },
+                Step::CopyIn {
+                    device: 1,
+                    data: d(2),
+                },
+                cin(d(0)),
+            ],
+        );
+        assert_eq!(p.evictions(), 2);
     }
 
     #[test]

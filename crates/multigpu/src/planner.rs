@@ -58,8 +58,23 @@ impl MultiCompiled {
     /// Run the concurrency certifier over the plan: per-device compute
     /// lanes racing the shared bus channels (see
     /// [`ExecutionPlan::certify`]).
+    // Survives as an adapter beside `check`, for callers that need the
+    // certificate alone.
     pub fn certify(&self) -> gpuflow_verify::ConcurrencyReport {
         self.plan.certify(&self.sharded.split.graph)
+    }
+
+    /// The static analysis against the devices' full capacities and the
+    /// concurrency certificate, from one view of the plan: what a cluster
+    /// run checks once and then reports, profiles and caches.
+    pub fn check(
+        &self,
+    ) -> (
+        gpuflow_verify::PlanAnalysis,
+        gpuflow_verify::ConcurrencyReport,
+    ) {
+        self.plan
+            .check_devices(&self.sharded.split.graph, &self.cluster.capacities())
     }
 }
 

@@ -11,11 +11,10 @@
 //! A caller that already holds the plan's [`Simulation`] (`gpuflow run
 //! --json` prints one and profiles it) passes it to
 //! [`profile_plan_with`] / [`profile_cluster_with`] instead of having the
-//! profiler simulate the plan a second time. On one device it also passes
-//! the concurrency certificate the compile already built, so the plan is
-//! certified once, not again for its critical path.
-
-use std::collections::HashMap;
+//! profiler simulate the plan a second time. It also passes the
+//! concurrency certificate it already built (the one-device compile's, or
+//! a cluster run's [`MultiCompiled::check`]), so the plan is certified
+//! once, not again for its critical path.
 
 use gpuflow_core::{
     simulate, step_times, CompileOptions, ExecutionPlan, GapCause, LaneWork, Machine,
@@ -77,12 +76,22 @@ impl EngineBreakdown {
 /// One step on the critical path, with its simulated interval.
 #[derive(Debug, Clone)]
 pub struct CritSpan {
-    /// Human label (`in:Img`, `C1`, `out:Edg`, …).
-    pub label: String,
+    /// Index of the step in the profiled plan.
+    pub step: usize,
     /// Start, seconds.
     pub start: f64,
     /// End, seconds.
     pub end: f64,
+}
+
+impl CritSpan {
+    /// Human label of the step (`in:Img`, `C1`, `out:Edg`, …) in `plan`,
+    /// the profiled plan over `g`; on a shared bus (`shared_bus`, as
+    /// [`CriticalSummary::shared_bus`] records) transfers and frees say
+    /// which device they serve.
+    pub fn label(&self, g: &Graph, plan: &ExecutionPlan, shared_bus: bool) -> String {
+        step_label(g, plan, &plan.steps[self.step], shared_bus)
+    }
 }
 
 /// The critical path through the happens-before DAG, summarized.
@@ -93,6 +102,9 @@ pub struct CriticalSummary {
     pub length_s: f64,
     /// `length_s / makespan` (0 for an empty plan).
     pub share: f64,
+    /// True when the plan ran on a shared bus, so the path follows
+    /// dependency edges only.
+    pub shared_bus: bool,
     /// The path's steps with their simulated intervals, in issue order.
     pub spans: Vec<CritSpan>,
 }
@@ -259,10 +271,25 @@ fn step_label(g: &Graph, plan: &ExecutionPlan, step: &Step, shared_bus: bool) ->
     }
 }
 
-/// Busiest compute labels, descending, capped at `cap`.
-fn top_units(busy: HashMap<&str, u64>, cap: usize) -> Vec<(String, u64)> {
-    let mut units: Vec<_> = busy.into_iter().collect();
-    units.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+/// Busiest compute labels, descending, capped at `cap`, from the busy
+/// nanoseconds of every operator of `g` (indexed by `OpId`). Operators
+/// that share a name share a label, so their times add up.
+fn top_units(g: &Graph, op_busy: &[u64], cap: usize) -> Vec<(String, u64)> {
+    let mut units: Vec<(&str, u64)> = g
+        .op_ids()
+        .zip(op_busy)
+        .filter(|&(_, &busy)| busy > 0)
+        .map(|(o, &busy)| (g.op(o).name.as_str(), busy))
+        .collect();
+    units.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    units.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
+    units.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     units.truncate(cap);
     units.into_iter().map(|(u, b)| (u.to_string(), b)).collect()
 }
@@ -286,26 +313,32 @@ fn profile_on(
     );
     // One row per lane of the machine, in table order (transfer channels
     // first, then every compute lane) — engines with no events still get
-    // a row: their whole makespan is an attributed gap.
+    // a row: their whole makespan is an attributed gap. Each row's gap
+    // list is sized up front, so it is allocated once.
+    let mut gaps_per_lane = vec![0usize; sim.lanes.lanes.len()];
+    for gap in &sim.gaps {
+        gaps_per_lane[sim.lanes.index(gap.lane)] += 1;
+    }
     let mut engines: Vec<EngineBreakdown> = sim
         .lanes
         .lanes
         .iter()
-        .map(|info| EngineBreakdown {
+        .zip(gaps_per_lane)
+        .map(|(info, gaps)| EngineBreakdown {
             lane: info.label.clone(),
             is_compute: info.lane.device_stream().is_some(),
             busy_ns: 0,
             gap_ns: [0; NUM_CAUSES],
-            gaps: Vec::new(),
+            gaps: Vec::with_capacity(gaps),
         })
         .collect();
-    let mut unit_busy: HashMap<&str, u64> = HashMap::new();
+    let mut op_busy = vec![0u64; g.num_ops()];
     for e in &sim.events {
         let engine = &mut engines[sim.lanes.index(e.lane)];
         let busy = interval_ns(e.start, e.end);
         engine.busy_ns += busy;
         if let LaneWork::Op(o) = e.what {
-            *unit_busy.entry(&g.op(o).name).or_insert(0) += busy;
+            op_busy[o.index()] += busy;
         }
     }
     for gap in &sim.gaps {
@@ -323,7 +356,8 @@ fn profile_on(
     // A shared fabric backfills grants out of issue order, so same-lane
     // Program edges are not enforced there and only the dependency-edge
     // path lower-bounds the makespan; private engines honour the full DAG.
-    let cp = if machine.shared_bus() {
+    let shared_bus = machine.shared_bus();
+    let cp = if shared_bus {
         dependency_critical_path(&cert.hb, &durations)
     } else {
         critical_path(&cert.hb, &durations)
@@ -335,11 +369,12 @@ fn profile_on(
         } else {
             cp.length / makespan_s
         },
+        shared_bus,
         spans: cp
             .steps
             .iter()
             .map(|&i| CritSpan {
-                label: step_label(g, plan, &plan.steps[i], machine.shared_bus()),
+                step: i,
                 start: times[i].0,
                 end: times[i].1,
             })
@@ -353,7 +388,7 @@ fn profile_on(
         dominant,
         dominant_share,
         critical_path: critical,
-        units: top_units(unit_busy, 8),
+        units: top_units(g, &op_busy, 8),
         what_if: advise(&sim.outcome, cp.length),
     };
     report.reconcile()?;
@@ -401,23 +436,35 @@ pub fn profile_plan_with(
 /// Profile a compiled cluster plan. `margin` is the planner margin the
 /// plan was compiled with (the advisor's margin knob steps it).
 pub fn profile_cluster(c: &MultiCompiled, margin: f64) -> Result<ProfileReport, String> {
-    profile_cluster_with(c, margin, &c.simulate())
+    profile_cluster_with(c, margin, &c.simulate(), &c.certify())
 }
 
 /// [`profile_cluster`] from `sim`, the plan's simulation on its cluster
-/// (what `MultiCompiled::simulate` returns).
+/// (what `MultiCompiled::simulate` returns), and `cert`, the plan's
+/// concurrency certificate (what `MultiCompiled::check` returns beside
+/// the analysis).
 pub fn profile_cluster_with(
     c: &MultiCompiled,
     margin: f64,
     sim: &Simulation,
+    cert: &ConcurrencyReport,
 ) -> Result<ProfileReport, String> {
     let g = &c.sharded.split.graph;
+    #[cfg(debug_assertions)]
+    {
+        let fresh = c.certify();
+        debug_assert_eq!(
+            (&cert.diagnostics, cert.hb.edge_counts()),
+            (&fresh.diagnostics, fresh.hb.edge_counts()),
+            "profile: the certificate is not this cluster plan's"
+        );
+    }
     profile_on(
         g,
         &c.plan,
         &c.cluster.machine(),
         sim,
-        &c.certify(),
+        cert,
         |out, cp_len| advise_cluster(c, margin, out, cp_len),
     )
 }

@@ -4,13 +4,16 @@
 //! taxonomy cause. Busy intervals already live on the `PID_OVERLAP` /
 //! `PID_CLUSTER` tracks; this track adds the *why* layer on top.
 
+use gpuflow_core::ExecutionPlan;
+use gpuflow_graph::Graph;
 use gpuflow_trace::{kv, Tracer, PID_PROFILE};
 
 use crate::attribution::ProfileReport;
 
-/// Emit the profile onto `tracer`'s [`PID_PROFILE`] track. No-op when
-/// tracing is disabled.
-pub fn trace_profile(tracer: &mut Tracer, report: &ProfileReport) {
+/// Emit `report`, the profile of `plan` over `g`, onto `tracer`'s
+/// [`PID_PROFILE`] track, naming each critical-path span after its step.
+/// No-op when tracing is disabled.
+pub fn trace_profile(tracer: &mut Tracer, report: &ProfileReport, g: &Graph, plan: &ExecutionPlan) {
     if !tracer.is_enabled() {
         return;
     }
@@ -25,7 +28,7 @@ pub fn trace_profile(tracer: &mut Tracer, report: &ProfileReport) {
                 PID_PROFILE,
                 0,
                 "critical-path",
-                &span.label,
+                &span.label(g, plan, report.critical_path.shared_bus),
                 span.start,
                 span.end,
                 vec![],

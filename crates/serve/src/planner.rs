@@ -121,14 +121,14 @@ pub fn plan_request(
         (CachedPlan::Single(Arc::new(t)), peaks, true)
     } else {
         let m = compile_multi(g, cluster, options.memory_margin).map_err(|e| e.to_string())?;
-        let analysis = m.analyze();
+        let (analysis, certificate) = m.check();
         if analysis.has_errors() {
             return Err(format!(
                 "multi-device plan failed verification: {:?}",
                 analysis.first_error()
             ));
         }
-        let certified = m.certify().certified();
+        let certified = certificate.certified();
         let peaks = analysis.peak_per_device;
         (CachedPlan::Multi(Arc::new(m)), peaks, certified)
     };

@@ -11,8 +11,9 @@
 //! template (docs/profiling.md).
 //!
 //! Step order is a topological order of the DAG (edges only point
-//! forward), so one forward sweep computes the longest path; the
-//! reachability closure is not needed and the graph need not be sealed.
+//! forward), so one forward sweep over the sealed graph's predecessor
+//! rows computes the longest path; the reachability closure is not
+//! needed.
 
 use crate::hb::{EdgeKind, HbGraph};
 
@@ -34,9 +35,11 @@ pub struct CriticalPath {
     pub length: f64,
 }
 
-/// The longest-duration path through `hb`, where `durations[i]` is the
-/// time step `i` occupies its engine (0 for instantaneous steps such as
-/// `Free`). Panics unless `durations.len() == hb.len()`.
+/// The longest-duration path through the sealed graph `hb`, where
+/// `durations[i]` is the time step `i` occupies its engine (0 for
+/// instantaneous steps such as `Free`). Panics unless
+/// `durations.len() == hb.len()`. Of two equally long paths into a step
+/// the one through its first-added predecessor wins.
 pub fn critical_path(hb: &HbGraph, durations: &[f64]) -> CriticalPath {
     critical_path_over(hb, durations, |_| true)
 }
@@ -72,20 +75,14 @@ pub fn critical_path_over(
             length: 0.0,
         };
     }
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(from, to, kind) in hb.edges() {
-        if include(kind) {
-            preds[to].push(from);
-        }
-    }
     // dist[i] = longest-duration path ending at (and including) step i;
     // best_pred[i] reconstructs it.
     let mut dist = vec![0.0f64; n];
     let mut best_pred: Vec<Option<usize>> = vec![None; n];
     for i in 0..n {
         let mut best = 0.0f64;
-        for &p in &preds[i] {
-            if dist[p] > best {
+        for (p, kind) in hb.preds_with_kind(i) {
+            if include(kind) && dist[p] > best {
                 best = dist[p];
                 best_pred[i] = Some(p);
             }
@@ -125,6 +122,7 @@ mod tests {
         hb.add_edge(1, 3, EdgeKind::Transfer);
         hb.add_edge(0, 2, EdgeKind::Program);
         hb.add_edge(2, 3, EdgeKind::Transfer);
+        hb.seal();
         let cp = critical_path(&hb, &[1.0, 1.0, 5.0, 1.0]);
         assert_eq!(cp.steps, vec![0, 2, 3]);
         assert!((cp.length - 7.0).abs() < 1e-12);
@@ -134,6 +132,7 @@ mod tests {
     fn isolated_heavy_node_is_its_own_path() {
         let mut hb = HbGraph::new(3);
         hb.add_edge(0, 1, EdgeKind::Program);
+        hb.seal();
         let cp = critical_path(&hb, &[1.0, 1.0, 9.0]);
         assert_eq!(cp.steps, vec![2]);
         assert!((cp.length - 9.0).abs() < 1e-12);
@@ -146,6 +145,7 @@ mod tests {
         let mut hb = HbGraph::new(3);
         hb.add_edge(0, 1, EdgeKind::Lifetime);
         hb.add_edge(1, 2, EdgeKind::Lifetime);
+        hb.seal();
         let cp = critical_path(&hb, &[1.0, 0.0, 1.0]);
         assert_eq!(cp.steps, vec![0, 1, 2]);
         assert!((cp.length - 2.0).abs() < 1e-12);
@@ -160,6 +160,7 @@ mod tests {
         hb.add_edge(0, 1, EdgeKind::Program);
         hb.add_edge(1, 2, EdgeKind::Program);
         hb.add_edge(0, 2, EdgeKind::Transfer);
+        hb.seal();
         let full = critical_path(&hb, &[1.0, 1.0, 1.0]);
         assert_eq!(full.steps, vec![0, 1, 2]);
         let dep = dependency_critical_path(&hb, &[1.0, 1.0, 1.0]);

@@ -119,32 +119,82 @@ pub enum Step {
     Launch(usize),
 }
 
-/// The dataflow boundary of one offload unit: its external inputs (data
-/// produced outside the unit, deduplicated, in first-use order) and every
-/// data structure it produces.
+/// A plan as the analyses of this crate see it: the plan's own steps,
+/// placement and pinned data, borrowed, beside the dataflow boundary of
+/// each offload unit — its external inputs (data produced outside the
+/// unit, deduplicated, in first-use order) and every data structure it
+/// produces. The boundaries of all units share one flat array, so a view
+/// allocates a fixed number of times however many units the plan has.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitView {
-    /// Data read from outside the unit.
-    pub inputs: Vec<DataId>,
-    /// Data produced by the unit.
-    pub outputs: Vec<DataId>,
-}
-
-/// A plan as the analyses of this crate see it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanView {
-    /// Unit boundaries, indexed by [`Step::Launch`].
-    pub units: Vec<UnitView>,
-    /// Device each unit launches on (parallel to `units`).
-    pub unit_device: Vec<usize>,
+pub struct PlanView<'a> {
+    /// Device each unit launches on (indexed by [`Step::Launch`]).
+    pub unit_device: &'a [usize],
     /// The global step sequence (interleaved across devices).
-    pub steps: Vec<Step>,
+    pub steps: &'a [Step],
     /// Data valid on the host *before* the plan starts, beyond what
     /// `DataKind::starts_on_cpu` implies. Failover replanning pins the
     /// completed prefix's results here: the suffix plan may `CopyIn` them
     /// without a staging `CopyOut`, and pinned template outputs count as
     /// already delivered. Empty for ordinary plans.
-    pub pinned_host: Vec<DataId>,
+    pub pinned_host: &'a [DataId],
+    /// Every unit's inputs, then its outputs, unit after unit.
+    io: Vec<DataId>,
+    /// Boundaries in `io`: unit `u` reads `io[bounds[2u]..bounds[2u + 1]]`
+    /// and writes `io[bounds[2u + 1]..bounds[2u + 2]]`.
+    bounds: Vec<u32>,
+}
+
+impl<'a> PlanView<'a> {
+    /// A view of `steps` over `unit_device.len()` units placed by
+    /// `unit_device`, with room for that many unit boundaries holding
+    /// `io` data ids in all; add each unit with [`PlanView::push_unit`].
+    pub fn new(
+        unit_device: &'a [usize],
+        steps: &'a [Step],
+        pinned_host: &'a [DataId],
+        io: usize,
+    ) -> PlanView<'a> {
+        let mut bounds = Vec::with_capacity(2 * unit_device.len() + 1);
+        bounds.push(0);
+        PlanView {
+            unit_device,
+            steps,
+            pinned_host,
+            io: Vec::with_capacity(io),
+            bounds,
+        }
+    }
+
+    /// Append the next unit's boundary.
+    pub fn push_unit(
+        &mut self,
+        inputs: impl IntoIterator<Item = DataId>,
+        outputs: impl IntoIterator<Item = DataId>,
+    ) {
+        self.io.extend(inputs);
+        self.bounds.push(self.end());
+        self.io.extend(outputs);
+        self.bounds.push(self.end());
+    }
+
+    fn end(&self) -> u32 {
+        u32::try_from(self.io.len()).expect("unit boundaries overflow u32 offsets")
+    }
+
+    /// Number of units whose boundary the view holds.
+    pub fn num_units(&self) -> usize {
+        self.bounds.len() / 2
+    }
+
+    /// Data unit `u` reads from outside itself.
+    pub fn inputs(&self, u: usize) -> &[DataId] {
+        &self.io[self.bounds[2 * u] as usize..self.bounds[2 * u + 1] as usize]
+    }
+
+    /// Data unit `u` produces.
+    pub fn outputs(&self, u: usize) -> &[DataId] {
+        &self.io[self.bounds[2 * u + 1] as usize..self.bounds[2 * u + 2] as usize]
+    }
 }
 
 /// Static transfer/occupancy statistics of a plan.
@@ -225,7 +275,7 @@ fn next_after(sorted: &[usize], i: usize) -> Option<usize> {
 /// * every template output is host-valid when the plan ends.
 pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool) -> PlanAnalysis {
     let nd = g.num_data();
-    let nu = plan.units.len();
+    let nu = plan.num_units();
     let ndev = capacities.len();
     // The reporting vocabulary: GF001x/GF002x on one device, the
     // device-naming GF003x codes on a cluster.
@@ -273,7 +323,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                     let Some(&dev) = plan.unit_device.get(u).filter(|&&dev| dev < ndev) else {
                         continue;
                     };
-                    for &d in &plan.units[u].inputs {
+                    for &d in plan.inputs(u) {
                         if d.index() < nd {
                             uses[slot(dev, d)].push(i);
                         }
@@ -296,7 +346,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
         .map(|d| g.data(d).kind.starts_on_cpu())
         .collect();
     let mut produced = vec![false; nd];
-    for &d in &plan.pinned_host {
+    for &d in plan.pinned_host {
         if d.index() < nd {
             // Pinned data was produced and delivered before this plan
             // began (a recovered prefix run).
@@ -531,9 +581,8 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                     unknown_device(&mut diags, at, dev);
                     continue;
                 }
-                let unit = &plan.units[u];
                 stats.launches += 1;
-                for &d in &unit.outputs {
+                for &d in plan.outputs(u) {
                     if d.index() < nd && !counted[slot(dev, d)] {
                         counted[slot(dev, d)] = true;
                         cur[dev] += g.data(d).bytes();
@@ -553,7 +602,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                     continue;
                 }
                 launched[u] = true;
-                for &d in &unit.inputs {
+                for &d in plan.inputs(u) {
                     if d.index() >= nd {
                         unknown_data(&mut diags, at, d);
                         continue;
@@ -597,7 +646,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                         ));
                     }
                 }
-                for &d in &unit.outputs {
+                for &d in plan.outputs(u) {
                     if d.index() >= nd {
                         unknown_data(&mut diags, at, d);
                         continue;
@@ -738,6 +787,38 @@ pub(crate) mod fixtures {
         g
     }
 
+    /// One unit's boundary, spelled out.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct UnitView {
+        pub(crate) inputs: Vec<DataId>,
+        pub(crate) outputs: Vec<DataId>,
+    }
+
+    /// A plan the tests own and mutate; [`OwnedPlan::view`] lends it to
+    /// the analyses.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct OwnedPlan {
+        pub(crate) units: Vec<UnitView>,
+        pub(crate) unit_device: Vec<usize>,
+        pub(crate) steps: Vec<Step>,
+        pub(crate) pinned_host: Vec<DataId>,
+    }
+
+    impl OwnedPlan {
+        pub(crate) fn view(&self) -> PlanView<'_> {
+            let io = self
+                .units
+                .iter()
+                .map(|u| u.inputs.len() + u.outputs.len())
+                .sum();
+            let mut view = PlanView::new(&self.unit_device, &self.steps, &self.pinned_host, io);
+            for u in &self.units {
+                view.push_unit(u.inputs.iter().copied(), u.outputs.iter().copied());
+            }
+            view
+        }
+    }
+
     pub(crate) fn units2() -> Vec<UnitView> {
         vec![
             UnitView {
@@ -764,8 +845,8 @@ pub(crate) mod fixtures {
     }
 
     /// A plan whose every unit runs on device 0.
-    pub(crate) fn single(units: Vec<UnitView>, steps: Vec<Step>) -> PlanView {
-        PlanView {
+    pub(crate) fn single(units: Vec<UnitView>, steps: Vec<Step>) -> OwnedPlan {
+        OwnedPlan {
             unit_device: vec![0; units.len()],
             units,
             steps,
@@ -773,7 +854,7 @@ pub(crate) mod fixtures {
         }
     }
 
-    pub(crate) fn good_plan() -> PlanView {
+    pub(crate) fn good_plan() -> OwnedPlan {
         single(
             units2(),
             vec![
@@ -790,9 +871,9 @@ pub(crate) mod fixtures {
 
     /// t0 on device 0, t1 on device 1, with a staged `mid` transfer between
     /// them.
-    pub(crate) fn staged_plan() -> PlanView {
+    pub(crate) fn staged_plan() -> OwnedPlan {
         let d = DataId;
-        PlanView {
+        OwnedPlan {
             units: units2(),
             unit_device: vec![0, 1],
             pinned_host: vec![],
@@ -823,7 +904,7 @@ mod tests {
     #[test]
     fn clean_plan_no_diagnostics_stats_add_up() {
         let g = chain2();
-        let a = analyze_plan(&g, &good_plan(), &[3 * 256], true);
+        let a = analyze_plan(&g, &good_plan().view(), &[3 * 256], true);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
         assert_eq!(a.stats.floats_in, 64);
         assert_eq!(a.stats.floats_out, 64);
@@ -840,7 +921,7 @@ mod tests {
         let mut p = good_plan();
         // Free `mid` before the launch that reads it.
         p.steps.swap(3, 4);
-        let a = analyze_plan(&g, &p, &[u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         let first = a.first_error().unwrap();
         assert_eq!(first.code, codes::INPUT_NOT_RESIDENT);
         assert!(first.message.contains("not resident"));
@@ -849,7 +930,7 @@ mod tests {
     #[test]
     fn capacity_reported_once_at_first_violation() {
         let g = chain2();
-        let a = analyze_plan(&g, &good_plan(), &[256], false);
+        let a = analyze_plan(&g, &good_plan().view(), &[256], false);
         let caps: Vec<_> = a
             .diagnostics
             .iter()
@@ -876,7 +957,7 @@ mod tests {
                 Step::Launch(7),
             ],
         );
-        let a = analyze_plan(&g, &p, &[u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         let codes_seen: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes_seen.contains(&codes::FREE_NOT_RESIDENT));
         assert_eq!(
@@ -894,7 +975,7 @@ mod tests {
         let g = chain2();
         // Launch unit 1 before unit 0 produced `mid`.
         let p = single(units2(), vec![cin(0, DataId(0)), Step::Launch(1)]);
-        let a = analyze_plan(&g, &p, &[u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         assert_eq!(a.first_error().unwrap().code, codes::INPUT_NOT_RESIDENT);
 
         // Resident but not yet produced: copy the temporary in by force.
@@ -907,7 +988,7 @@ mod tests {
                 Step::Launch(1),
             ],
         );
-        let a2 = analyze_plan(&g, &p2, &[u64::MAX], false);
+        let a2 = analyze_plan(&g, &p2.view(), &[u64::MAX], false);
         assert!(a2
             .diagnostics
             .iter()
@@ -918,7 +999,7 @@ mod tests {
     fn end_state_errors() {
         let g = chain2();
         let p = single(units2(), vec![cin(0, DataId(0)), Step::Launch(0)]);
-        let a = analyze_plan(&g, &p, &[u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         assert!(a
             .diagnostics
             .iter()
@@ -933,7 +1014,7 @@ mod tests {
     fn copyin_of_unproduced_temporary() {
         let g = chain2();
         let p = single(units2(), vec![cin(0, DataId(1))]);
-        let a = analyze_plan(&g, &p, &[u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         assert_eq!(a.first_error().unwrap().code, codes::COPYIN_NOT_ON_HOST);
         assert!(a
             .first_error()
@@ -959,13 +1040,13 @@ mod tests {
                 free(0, DataId(2)),
             ],
         );
-        let a = analyze_plan(&g, &p, &[u64::MAX], true);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], true);
         assert!(!a.has_errors(), "{:?}", a.diagnostics);
         let codes_seen: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes_seen.contains(&codes::LINT_FREE_THRASH));
         assert!(codes_seen.contains(&codes::LINT_REDUNDANT_COPYIN));
         // Lints stay silent when disabled.
-        let quiet = analyze_plan(&g, &p, &[u64::MAX], false);
+        let quiet = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         assert!(quiet.diagnostics.is_empty(), "{:?}", quiet.diagnostics);
     }
 
@@ -975,7 +1056,7 @@ mod tests {
         let mut p = good_plan();
         // Copy the temporary out even though nothing ever needs it again.
         p.steps.insert(2, cout(0, DataId(1)));
-        let a = analyze_plan(&g, &p, &[u64::MAX], true);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], true);
         assert!(a
             .diagnostics
             .iter()
@@ -993,7 +1074,7 @@ mod tests {
                 cout(0, DataId(2)),
             ],
         );
-        let a2 = analyze_plan(&g, &spill, &[u64::MAX], true);
+        let a2 = analyze_plan(&g, &spill.view(), &[u64::MAX], true);
         assert!(!a2
             .diagnostics
             .iter()
@@ -1034,7 +1115,7 @@ mod tests {
                 cout(0, ob),
             ],
         );
-        let an = analyze_plan(&g, &p, &[u64::MAX], true);
+        let an = analyze_plan(&g, &p.view(), &[u64::MAX], true);
         let belady: Vec<_> = an
             .diagnostics
             .iter()
@@ -1059,7 +1140,7 @@ mod tests {
             units2(),
             vec![cin(0, DataId(0)), cin(0, DataId(0)), free(0, DataId(0))],
         );
-        let a = analyze_plan(&g, &p, &[u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX], false);
         assert_eq!(a.stats.copies_in, 2);
         assert_eq!(a.stats.peak_bytes, 512); // 2 * 256, the historical double count
         assert!(a.has_errors()); // the plan is of course invalid
@@ -1068,10 +1149,10 @@ mod tests {
     #[test]
     fn severity_partition() {
         let g = chain2();
-        let a = analyze_plan(&g, &good_plan(), &[3 * 256], true);
+        let a = analyze_plan(&g, &good_plan().view(), &[3 * 256], true);
         assert!(a.first_error().is_none());
         assert!(!a.has_errors());
-        let bad = analyze_plan(&g, &good_plan(), &[1], false);
+        let bad = analyze_plan(&g, &good_plan().view(), &[1], false);
         assert!(bad.has_errors());
         assert_eq!(bad.first_error().unwrap().severity, Severity::Error);
     }
@@ -1079,7 +1160,7 @@ mod tests {
     #[test]
     fn clean_cross_device_plan_passes() {
         let g = chain2();
-        let a = analyze_plan(&g, &staged_plan(), &[2 * 256, 2 * 256], false);
+        let a = analyze_plan(&g, &staged_plan().view(), &[2 * 256, 2 * 256], false);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
         assert_eq!(a.stats.launches, 2);
         // in + staged mid + nothing else inbound; mid + out outbound.
@@ -1095,7 +1176,7 @@ mod tests {
         // Mutation: unit 1 assigned to device 0, but its input was staged
         // to device 1.
         p.unit_device[1] = 0;
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         let first = a.first_error().unwrap();
         assert_eq!(first.code, codes::INPUT_ON_OTHER_DEVICE);
         assert!(first.message.contains("resident on device 1"), "{first:?}");
@@ -1108,7 +1189,7 @@ mod tests {
         // Mutation: drop the CopyOut of mid on device 0 — the CopyIn on
         // device 1 now races ahead of unstaged bytes.
         p.steps.remove(3);
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         assert!(a
             .diagnostics
             .iter()
@@ -1123,7 +1204,7 @@ mod tests {
         // matching Free) — unit 1 reads data resident nowhere.
         p.steps.remove(7); // Free mid on dev 1
         p.steps.remove(5); // CopyIn mid on dev 1
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         assert_eq!(a.first_error().unwrap().code, codes::INPUT_ON_NO_DEVICE);
     }
 
@@ -1132,7 +1213,7 @@ mod tests {
         let g = chain2();
         // Device 0 can only hold one 256 B structure: staging in + out
         // (512 B) trips its capacity; device 1 is fine.
-        let a = analyze_plan(&g, &staged_plan(), &[256, 2 * 256], false);
+        let a = analyze_plan(&g, &staged_plan().view(), &[256, 2 * 256], false);
         let caps: Vec<_> = a
             .diagnostics
             .iter()
@@ -1145,13 +1226,13 @@ mod tests {
     #[test]
     fn wrong_device_free_and_copyout_are_gf0033() {
         let g = chain2();
-        let p = PlanView {
+        let p = OwnedPlan {
             units: units2(),
             unit_device: vec![0, 1],
             pinned_host: vec![],
             steps: vec![cin(0, DataId(0)), free(1, DataId(0)), cout(1, DataId(0))],
         };
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         let n = a
             .diagnostics
             .iter()
@@ -1163,13 +1244,13 @@ mod tests {
     #[test]
     fn end_state_checks_still_apply() {
         let g = chain2();
-        let p = PlanView {
+        let p = OwnedPlan {
             units: units2(),
             unit_device: vec![0, 1],
             pinned_host: vec![],
             steps: vec![cin(0, DataId(0)), Step::Launch(0)],
         };
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         let codes_seen: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes_seen.contains(&codes::NEVER_LAUNCHED));
         assert!(codes_seen.contains(&codes::OUTPUT_NOT_DELIVERED));
@@ -1182,7 +1263,7 @@ mod tests {
         // plain CopyIn with no staging CopyOut. The suffix plan covers
         // only unit 1.
         let g = chain2();
-        let p = PlanView {
+        let p = OwnedPlan {
             units: vec![UnitView {
                 inputs: vec![DataId(1)],
                 outputs: vec![DataId(2)],
@@ -1197,13 +1278,13 @@ mod tests {
                 free(1, DataId(2)),
             ],
         };
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
         // Without the pin the same plan races (GF0031) and the input
         // reads unproduced data.
         let mut unpinned = p.clone();
         unpinned.pinned_host.clear();
-        let a = analyze_plan(&g, &unpinned, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &unpinned.view(), &[u64::MAX, u64::MAX], false);
         assert!(a
             .diagnostics
             .iter()
@@ -1218,8 +1299,8 @@ mod tests {
         let g = chain2();
         let mut p = good_plan();
         p.steps.swap(3, 4); // free `mid` before the launch that reads it
-        let one = analyze_plan(&g, &p, &[256], false);
-        let two = analyze_plan(&g, &p, &[256, 256], false);
+        let one = analyze_plan(&g, &p.view(), &[256], false);
+        let two = analyze_plan(&g, &p.view(), &[256, 256], false);
         let codes_of = |a: &PlanAnalysis| a.diagnostics.iter().map(|d| d.code).collect::<Vec<_>>();
         assert_eq!(
             codes_of(&one),
@@ -1240,7 +1321,7 @@ mod tests {
         // The staged upload of `mid` names device 3 of a 2-device cluster.
         let mut p = staged_plan();
         p.steps[5] = cin(3, DataId(1));
-        let a = analyze_plan(&g, &p, &[u64::MAX, u64::MAX], false);
+        let a = analyze_plan(&g, &p.view(), &[u64::MAX, u64::MAX], false);
         let first = a.first_error().unwrap();
         assert_eq!(first.code, codes::UNKNOWN_DEVICE);
         assert_eq!(first.message, "unknown device 3 (cluster has 2)");
@@ -1250,7 +1331,7 @@ mod tests {
         // device as on several.
         let mut q = good_plan();
         q.unit_device[1] = 1;
-        let a = analyze_plan(&g, &q, &[u64::MAX], false);
+        let a = analyze_plan(&g, &q.view(), &[u64::MAX], false);
         assert!(a
             .diagnostics
             .iter()

@@ -185,6 +185,63 @@ struct Access {
     transfer: bool,
 }
 
+/// Ends a [`Chain`].
+const NIL: u32 = u32::MAX;
+
+/// One append-only list threaded through a [`Chains`] arena: the walk
+/// keeps every access history in one flat vector instead of a `Vec` per
+/// buffer or datum.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// True when the list holds fewer than two items.
+    fn is_short(self) -> bool {
+        self.head == self.tail
+    }
+}
+
+/// The arena the [`Chain`]s of one walk share: each item with the index
+/// of the next item of its list.
+struct Chains<T> {
+    items: Vec<(T, u32)>,
+}
+
+impl<T: Copy> Chains<T> {
+    fn new() -> Chains<T> {
+        Chains { items: Vec::new() }
+    }
+
+    fn push(&mut self, chain: &mut Chain, item: T) {
+        let at = self.items.len() as u32;
+        assert!(at != NIL, "access history overflows u32 links");
+        self.items.push((item, NIL));
+        match chain.tail {
+            NIL => chain.head = at,
+            tail => self.items[tail as usize].1 = at,
+        }
+        chain.tail = at;
+    }
+
+    /// The items of `chain`, in insertion order.
+    fn iter(&self, chain: Chain) -> impl Iterator<Item = T> + '_ {
+        let mut at = chain.head;
+        std::iter::from_fn(move || {
+            let (item, next) = *self.items.get(at as usize)?;
+            at = next;
+            Some(item)
+        })
+    }
+}
+
 /// Walk state of one `(device, data)` buffer the plan touches.
 struct Buffer {
     /// `device * nd + data`.
@@ -192,7 +249,7 @@ struct Buffer {
     /// Last step that made the buffer device-ready.
     setter: Option<usize>,
     /// Access history for the hazard checks.
-    acc: Vec<Access>,
+    acc: Chain,
 }
 
 /// The touched buffers, found through one flat `device * nd + data` index
@@ -202,6 +259,8 @@ struct Buffers {
     /// Position in `touched` per slot; `usize::MAX` until first touched.
     index: Vec<usize>,
     touched: Vec<Buffer>,
+    /// Every buffer's accesses.
+    acc: Chains<Access>,
 }
 
 impl Buffers {
@@ -209,19 +268,34 @@ impl Buffers {
         Buffers {
             index: vec![usize::MAX; slots],
             touched: Vec::new(),
+            acc: Chains::new(),
         }
     }
 
-    fn at(&mut self, slot: usize) -> &mut Buffer {
+    /// Position in `touched` of the buffer at `slot`.
+    fn at(&mut self, slot: usize) -> usize {
         if self.index[slot] == usize::MAX {
             self.index[slot] = self.touched.len();
             self.touched.push(Buffer {
                 slot,
                 setter: None,
-                acc: Vec::new(),
+                acc: Chain::EMPTY,
             });
         }
-        &mut self.touched[self.index[slot]]
+        self.index[slot]
+    }
+
+    /// Record `access` of the buffer at `slot`; returns the buffer's
+    /// previous setter.
+    fn access(&mut self, slot: usize, access: Access) -> Option<usize> {
+        let at = self.at(slot);
+        let buf = &mut self.touched[at];
+        let setter = buf.setter;
+        if access.touch == Touch::Write {
+            buf.setter = Some(access.step);
+        }
+        self.acc.push(&mut buf.acc, access);
+        setter
     }
 }
 
@@ -254,7 +328,7 @@ pub fn certify_concurrency_streams(
     let nd = g.num_data();
     let ndev = lanes.devices;
     let n = plan.steps.len();
-    let nu = plan.units.len();
+    let nu = plan.num_units();
     let mut hb = HbGraph::new(n);
     let mut step_lane = vec![Lane::Host; n];
     let mut step_device: Vec<Option<usize>> = vec![None; n];
@@ -263,23 +337,26 @@ pub fn certify_concurrency_streams(
     let nstreams = lanes.streams.max(1);
     let mut last_h2d: Option<usize> = None;
     let mut last_d2h: Option<usize> = None;
-    let mut last_compute: Vec<Vec<Option<usize>>> = vec![vec![None; nstreams]; ndev];
+    // `device * nstreams + stream`.
+    let mut last_compute: Vec<Option<usize>> = vec![None; ndev * nstreams];
     let mut buffers = Buffers::new(ndev * nd);
     let slot = |device: usize, d: DataId| device * nd + d.index();
     // Last step that made the data host-valid.
     let mut host_setter: Vec<Option<usize>> = vec![None; nd];
-    // Frees on each device whose committed horizon still gates the next
-    // allocation there, per allocating lane (upload vs. launch).
-    let mut gating_h2d: Vec<Vec<usize>> = vec![Vec::new(); ndev];
-    let mut gating_compute: Vec<Vec<usize>> = vec![Vec::new(); ndev];
-    // Host-copy access histories for the hazard checks.
-    let mut host_writes: Vec<Vec<usize>> = vec![Vec::new(); nd];
-    let mut host_reads: Vec<Vec<usize>> = vec![Vec::new(); nd];
+    // Step lists, all in one arena: the frees on each device whose
+    // committed horizon still gates the next allocation there, per
+    // allocating lane (upload vs. launch), and the host-copy access
+    // histories per datum for the hazard checks.
+    let mut steps: Chains<usize> = Chains::new();
+    let mut gating_h2d = vec![Chain::EMPTY; ndev];
+    let mut gating_compute = vec![Chain::EMPTY; ndev];
+    let mut host_writes = vec![Chain::EMPTY; nd];
+    let mut host_reads = vec![Chain::EMPTY; nd];
     let mut initially_host: Vec<bool> = g
         .data_ids()
         .map(|d| g.data(d).kind.starts_on_cpu())
         .collect();
-    for &d in &plan.pinned_host {
+    for &d in plan.pinned_host {
         if d.index() < nd {
             initially_host[d.index()] = true;
         }
@@ -290,6 +367,11 @@ pub fn certify_concurrency_streams(
             hb.add_edge(p, i, EdgeKind::Program);
         }
         *last = Some(i);
+    };
+    let access = |step: usize, touch: Touch, transfer: bool| Access {
+        step,
+        touch,
+        transfer,
     };
 
     for (i, step) in plan.steps.iter().enumerate() {
@@ -307,17 +389,11 @@ pub fn certify_concurrency_streams(
                     hb.add_edge(w, i, EdgeKind::Transfer);
                 }
                 // Allocates: waits for the device's committed frees.
-                for f in gating_h2d[device].drain(..) {
+                for f in steps.iter(std::mem::replace(&mut gating_h2d[device], Chain::EMPTY)) {
                     hb.add_edge(f, i, EdgeKind::Lifetime);
                 }
-                let buf = buffers.at(slot(device, data));
-                buf.setter = Some(i);
-                buf.acc.push(Access {
-                    step: i,
-                    touch: Touch::Write,
-                    transfer: true,
-                });
-                host_reads[data.index()].push(i);
+                buffers.access(slot(device, data), access(i, Touch::Write, true));
+                steps.push(&mut host_reads[data.index()], i);
             }
             Step::CopyOut { device, data } => {
                 if device >= ndev || data.index() >= nd {
@@ -327,17 +403,12 @@ pub fn certify_concurrency_streams(
                 step_device[i] = Some(device);
                 program(&mut hb, &mut last_d2h, i);
                 // Waits for the write that made the buffer device-ready.
-                let buf = buffers.at(slot(device, data));
-                if let Some(w) = buf.setter {
+                let setter = buffers.access(slot(device, data), access(i, Touch::Read, true));
+                if let Some(w) = setter {
                     hb.add_edge(w, i, EdgeKind::Transfer);
                 }
                 host_setter[data.index()] = Some(i);
-                buf.acc.push(Access {
-                    step: i,
-                    touch: Touch::Read,
-                    transfer: true,
-                });
-                host_writes[data.index()].push(i);
+                steps.push(&mut host_writes[data.index()], i);
             }
             Step::Free { device, data } => {
                 if device >= ndev || data.index() >= nd {
@@ -346,20 +417,17 @@ pub fn certify_concurrency_streams(
                 step_device[i] = Some(device);
                 // The free commits once every earlier access of the buffer
                 // has retired…
-                let buf = buffers.at(slot(device, data));
-                for a in &buf.acc {
+                let at = buffers.at(slot(device, data));
+                let history = buffers.touched[at].acc;
+                for a in buffers.acc.iter(history) {
                     if a.touch != Touch::Free {
                         hb.add_edge(a.step, i, EdgeKind::Lifetime);
                     }
                 }
                 // …and every later allocation on this device waits for it.
-                gating_h2d[device].push(i);
-                gating_compute[device].push(i);
-                buf.acc.push(Access {
-                    step: i,
-                    touch: Touch::Free,
-                    transfer: false,
-                });
+                steps.push(&mut gating_h2d[device], i);
+                steps.push(&mut gating_compute[device], i);
+                buffers.access(slot(device, data), access(i, Touch::Free, false));
             }
             Step::Launch(u) => {
                 if u >= nu {
@@ -372,36 +440,25 @@ pub fn certify_concurrency_streams(
                 let s = unit_stream.get(u).copied().unwrap_or(0).min(nstreams - 1);
                 step_lane[i] = Lane::compute(dev, s);
                 step_device[i] = Some(dev);
-                program(&mut hb, &mut last_compute[dev][s], i);
-                for &d in &plan.units[u].inputs {
+                program(&mut hb, &mut last_compute[dev * nstreams + s], i);
+                for &d in plan.inputs(u) {
                     if d.index() >= nd {
                         continue;
                     }
-                    let buf = buffers.at(slot(dev, d));
-                    if let Some(w) = buf.setter {
+                    let setter = buffers.access(slot(dev, d), access(i, Touch::Read, false));
+                    if let Some(w) = setter {
                         hb.add_edge(w, i, EdgeKind::Transfer);
                     }
-                    buf.acc.push(Access {
-                        step: i,
-                        touch: Touch::Read,
-                        transfer: false,
-                    });
                 }
                 // Allocates its outputs: waits for committed frees.
-                for f in gating_compute[dev].drain(..) {
+                for f in steps.iter(std::mem::replace(&mut gating_compute[dev], Chain::EMPTY)) {
                     hb.add_edge(f, i, EdgeKind::Lifetime);
                 }
-                for &d in &plan.units[u].outputs {
+                for &d in plan.outputs(u) {
                     if d.index() >= nd {
                         continue;
                     }
-                    let buf = buffers.at(slot(dev, d));
-                    buf.setter = Some(i);
-                    buf.acc.push(Access {
-                        step: i,
-                        touch: Touch::Write,
-                        transfer: false,
-                    });
+                    buffers.access(slot(dev, d), access(i, Touch::Write, false));
                 }
             }
         }
@@ -411,25 +468,32 @@ pub fn certify_concurrency_streams(
     let mut diags: Vec<Diagnostic> = Vec::new();
     let name = |d: usize| g.data(DataId(d as u32)).name.as_str();
 
-    // Device-buffer hazards, in (device, data) order.
-    buffers.touched.sort_by_key(|b| b.slot);
+    // Device-buffer hazards, in (device, data) order. The write and free
+    // steps of the buffer at hand go to two scratch lists the pass reuses.
+    let mut writes: Vec<usize> = Vec::new();
+    let mut frees: Vec<usize> = Vec::new();
+    buffers.touched.sort_unstable_by_key(|b| b.slot);
     for buf in &buffers.touched {
-        let (dev, d, acc) = (buf.slot / nd, buf.slot % nd, &buf.acc);
-        if acc.len() < 2 {
+        let (dev, d) = (buf.slot / nd, buf.slot % nd);
+        if buf.acc.is_short() {
             continue;
         }
-        let writes: Vec<&Access> = acc.iter().filter(|a| a.touch == Touch::Write).collect();
+        let acc = || buffers.acc.iter(buf.acc);
+        writes.clear();
+        writes.extend(acc().filter(|a| a.touch == Touch::Write).map(|a| a.step));
+        frees.clear();
+        frees.extend(acc().filter(|a| a.touch == Touch::Free).map(|a| a.step));
         // RAW: every read needs an ordered write.
-        for r in acc.iter().filter(|a| a.touch == Touch::Read) {
-            if writes.iter().any(|w| hb.happens_before(w.step, r.step)) {
+        for r in acc().filter(|a| a.touch == Touch::Read) {
+            if writes.iter().any(|&w| hb.happens_before(w, r.step)) {
                 continue;
             }
-            let msg = match writes.iter().find(|w| !hb.ordered(w.step, r.step)) {
+            let msg = match writes.iter().find(|&&w| !hb.ordered(w, r.step)) {
                 Some(w) => format!(
                     "read of {} on device {dev} races the write at step {} \
                      (no happens-before path orders them)",
                     name(d),
-                    w.step
+                    w
                 ),
                 None => format!(
                     "read of {} on device {dev} is ordered after no write of it",
@@ -444,19 +508,19 @@ pub fn certify_concurrency_streams(
             );
         }
         // WAW: unordered write pairs.
-        for (k, w1) in writes.iter().enumerate() {
-            for w2 in &writes[k + 1..] {
-                if !hb.ordered(w1.step, w2.step) {
+        for (k, &w1) in writes.iter().enumerate() {
+            for &w2 in &writes[k + 1..] {
+                if !hb.ordered(w1, w2) {
                     diags.push(
                         Diagnostic::error(
                             codes::HAZARD_WAW,
-                            Some(Location::Step(w2.step)),
+                            Some(Location::Step(w2)),
                             format!(
                                 "write of {} on device {dev} at step {} is unordered \
                                  with the write at step {}",
                                 name(d),
-                                w2.step,
-                                w1.step
+                                w2,
+                                w1
                             ),
                         )
                         .with_help("two lanes allocate the same buffer concurrently"),
@@ -467,18 +531,16 @@ pub fn certify_concurrency_streams(
         // Free hazards: an access is safe against a free when it
         // retires before the free commits, or belongs to a later
         // re-allocation the free is ordered before.
-        let frees: Vec<&Access> = acc.iter().filter(|a| a.touch == Touch::Free).collect();
-        for f in &frees {
-            for x in acc.iter().filter(|x| x.step != f.step) {
+        for &f in &frees {
+            for x in acc().filter(|x| x.step != f) {
                 if x.touch == Touch::Free {
                     continue;
                 }
-                if hb.happens_before(x.step, f.step) {
+                if hb.happens_before(x.step, f) {
                     continue;
                 }
-                let realloc_protects = writes.iter().any(|w| {
-                    hb.happens_before(f.step, w.step)
-                        && (w.step == x.step || hb.happens_before(w.step, x.step))
+                let realloc_protects = writes.iter().any(|&w| {
+                    hb.happens_before(f, w) && (w == x.step || hb.happens_before(w, x.step))
                 });
                 if realloc_protects {
                     continue;
@@ -496,23 +558,23 @@ pub fn certify_concurrency_streams(
                             "{what} of {} on device {dev} races the Free at step {} \
                              (the buffer may be gone or re-used when it runs)",
                             name(d),
-                            f.step
+                            f
                         ),
                     )
                     .with_help("move the Free after the access, or re-upload first"),
                 );
             }
             // Two unordered frees of one buffer race each other.
-            for f2 in &frees {
-                if f.step < f2.step && !hb.ordered(f.step, f2.step) {
+            for &f2 in &frees {
+                if f < f2 && !hb.ordered(f, f2) {
                     diags.push(Diagnostic::error(
                         codes::FREE_IN_FLIGHT,
-                        Some(Location::Step(f2.step)),
+                        Some(Location::Step(f2)),
                         format!(
                             "Free of {} on device {dev} at step {} races the Free at step {}",
                             name(d),
-                            f2.step,
-                            f.step
+                            f2,
+                            f
                         ),
                     ));
                 }
@@ -522,12 +584,13 @@ pub fn certify_concurrency_streams(
 
     // Host-copy hazards: staged inter-device movement.
     for d in 0..nd {
-        for &r in &host_reads[d] {
-            let staged = host_writes[d].iter().any(|&w| hb.happens_before(w, r));
+        let host_writes = || steps.iter(host_writes[d]);
+        for r in steps.iter(host_reads[d]) {
+            let staged = host_writes().any(|w| hb.happens_before(w, r));
             if initially_host[d] || staged {
                 // Staged (or initially valid): a later unordered download
                 // rewriting the host copy is a WAR race on the host buffer.
-                for &w in &host_writes[d] {
+                for w in host_writes() {
                     if !hb.ordered(w, r) {
                         diags.push(
                             Diagnostic::error(
@@ -544,8 +607,8 @@ pub fn certify_concurrency_streams(
                     }
                 }
             } else if g.producer(DataId(d as u32)).is_some() {
-                let msg = match host_writes[d].iter().find(|&&w| !hb.ordered(w, r)) {
-                    Some(&w) => format!(
+                let msg = match host_writes().find(|&w| !hb.ordered(w, r)) {
+                    Some(w) => format!(
                         "CopyIn of {} races the staging CopyOut at step {w} \
                          (no happens-before path orders the staged hop)",
                         name(d)
@@ -606,8 +669,9 @@ pub fn certify_concurrency_streams(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::fixtures::{chain2, cin, cout, free, good_plan, single, staged_plan};
-    use crate::engine::UnitView;
+    use crate::engine::fixtures::{
+        chain2, cin, cout, free, good_plan, single, staged_plan, OwnedPlan, UnitView,
+    };
     use gpuflow_graph::{DataKind, Graph, OpKind};
 
     fn lanes(devices: usize, streams: usize) -> LaneModel {
@@ -621,7 +685,7 @@ mod tests {
     #[test]
     fn staged_cross_device_plan_certifies() {
         let g = chain2();
-        let r = certify_concurrency(&g, &staged_plan(), &lanes(2, 1));
+        let r = certify_concurrency(&g, &staged_plan().view(), &lanes(2, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
         assert_eq!(codes_of(&r), vec![codes::CERTIFIED]);
         // Four lanes: h2d, d2h, both compute engines, plus host frees.
@@ -639,7 +703,7 @@ mod tests {
         // Mutation: the launch is issued before its input's upload — on
         // separate lanes nothing orders them.
         p.steps.swap(0, 1);
-        let r = certify_concurrency(&g, &p, &lanes(2, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::HAZARD_RAW),
             "{:?}",
@@ -654,7 +718,7 @@ mod tests {
         // Mutation: delete the staging CopyOut of mid (and the Free that
         // depended on it keeps its own edges).
         p.steps.remove(3);
-        let r = certify_concurrency(&g, &p, &lanes(2, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::UNSTAGED_READ),
             "{:?}",
@@ -668,7 +732,7 @@ mod tests {
         let mut p = staged_plan();
         // Mutation: free mid on device 1 before the launch that reads it.
         p.steps.swap(6, 7);
-        let r = certify_concurrency(&g, &p, &lanes(2, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::USE_AFTER_FREE),
             "{:?}",
@@ -683,7 +747,7 @@ mod tests {
         // Mutation: the producer device frees mid before staging it out —
         // the eviction races the pending download.
         p.steps.swap(3, 4);
-        let r = certify_concurrency(&g, &p, &lanes(2, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(2, 1));
         assert!(
             codes_of(&r).contains(&codes::FREE_IN_FLIGHT),
             "{:?}",
@@ -695,7 +759,7 @@ mod tests {
     fn single_device_plan_certifies_serial_shape() {
         let g = chain2();
         let p = good_plan();
-        let r = certify_concurrency(&g, &p, &lanes(1, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(1, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
         // The dynamic sanitizer accepts any execution that honours the
         // edges — here a fully serialized timeline.
@@ -712,7 +776,7 @@ mod tests {
     #[test]
     fn pinned_host_data_needs_no_staging_copyout() {
         let g = chain2();
-        let p = PlanView {
+        let p = OwnedPlan {
             units: vec![UnitView {
                 inputs: vec![DataId(1)],
                 outputs: vec![DataId(2)],
@@ -727,11 +791,11 @@ mod tests {
                 free(1, DataId(2)),
             ],
         };
-        let r = certify_concurrency(&g, &p, &lanes(2, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(2, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
         let mut unpinned = p.clone();
         unpinned.pinned_host.clear();
-        let r = certify_concurrency(&g, &unpinned, &lanes(2, 1));
+        let r = certify_concurrency(&g, &unpinned.view(), &lanes(2, 1));
         assert!(codes_of(&r).contains(&codes::UNSTAGED_READ));
     }
 
@@ -770,7 +834,7 @@ mod tests {
                 free(0, o),
             ],
         );
-        let r = certify_concurrency(&g, &p, &lanes(1, 1));
+        let r = certify_concurrency(&g, &p.view(), &lanes(1, 1));
         assert!(r.certified(), "{:?}", r.diagnostics);
     }
 
@@ -789,7 +853,7 @@ mod tests {
         g
     }
 
-    fn fork_plan() -> PlanView {
+    fn fork_plan() -> OwnedPlan {
         let d = DataId;
         single(
             vec![
@@ -824,7 +888,7 @@ mod tests {
     fn two_stream_fork_certifies_with_stream_lanes() {
         let g = fork_graph();
         let p = fork_plan();
-        let r = certify_concurrency_streams(&g, &p, &lanes(1, 2), &[0, 1, 0]);
+        let r = certify_concurrency_streams(&g, &p.view(), &lanes(1, 2), &[0, 1, 0]);
         assert!(r.certified(), "{:?}", r.diagnostics);
         assert_eq!(r.step_lane[1], Lane::Compute(0));
         assert_eq!(r.step_lane[2], Lane::Stream(0, 1));
@@ -842,8 +906,8 @@ mod tests {
     fn empty_stream_map_matches_plain_certification() {
         let g = fork_graph();
         let p = fork_plan();
-        let plain = certify_concurrency(&g, &p, &lanes(1, 1));
-        let streamed = certify_concurrency_streams(&g, &p, &lanes(1, 1), &[]);
+        let plain = certify_concurrency(&g, &p.view(), &lanes(1, 1));
+        let streamed = certify_concurrency_streams(&g, &p.view(), &lanes(1, 1), &[]);
         assert_eq!(plain.step_lane, streamed.step_lane);
         assert_eq!(plain.hb.edges(), streamed.hb.edges());
         assert_eq!(
@@ -863,7 +927,7 @@ mod tests {
         // Mutation: the join launch is issued before one of its producers;
         // on separate streams nothing orders them.
         p.steps.swap(2, 4);
-        let r = certify_concurrency_streams(&g, &p, &lanes(1, 2), &[0, 1, 0]);
+        let r = certify_concurrency_streams(&g, &p.view(), &lanes(1, 2), &[0, 1, 0]);
         assert!(
             r.diagnostics.iter().any(|d| d.code == codes::HAZARD_RAW),
             "{:?}",
@@ -876,7 +940,7 @@ mod tests {
         let g = fork_graph();
         let p = fork_plan();
         // All launches on stream 1: program order chains 1 -> 2 -> 4.
-        let r = certify_concurrency_streams(&g, &p, &lanes(1, 2), &[1, 1, 1]);
+        let r = certify_concurrency_streams(&g, &p.view(), &lanes(1, 2), &[1, 1, 1]);
         assert!(r.certified(), "{:?}", r.diagnostics);
         assert_eq!(r.step_lane[1], Lane::Stream(0, 1));
         assert!(r.hb.ordered(1, 2));
@@ -885,7 +949,7 @@ mod tests {
     #[test]
     fn certificate_note_reports_edge_breakdown() {
         let g = chain2();
-        let r = certify_concurrency(&g, &staged_plan(), &lanes(2, 1));
+        let r = certify_concurrency(&g, &staged_plan().view(), &lanes(2, 1));
         let note = &r.diagnostics[r.diagnostics.len() - 1];
         assert_eq!(note.code, codes::CERTIFIED);
         assert!(note.message.contains("program"), "{}", note.message);

@@ -16,6 +16,18 @@
 //!   commits, and later allocations on the device wait for the committed
 //!   free horizon.
 //!
+//! The graph is stored flat. [`HbGraph::add_edge`] appends to one edge
+//! list, and [`HbGraph::seal`] turns that list into predecessor rows in
+//! CSR (compressed sparse row) form: one offset per step into one flat
+//! array of predecessors and one of their edge kinds, each row in
+//! insertion order. The chain assignment, the clock sweep and
+//! [`crate::critpath`] all read those rows. Add edges in **target
+//! order** — every edge into a step before any edge into a later step —
+//! as the certifier does while it visits each step: then the duplicate
+//! check scans only the edges into the open target. An edge into an
+//! earlier target is still accepted, at the price of scanning the whole
+//! list.
+//!
 //! Because every edge points from an earlier-issued step to a later one,
 //! the issue order is a topological order and the graph is a DAG by
 //! construction. [`HbGraph::seal`] does not materialise the reachability
@@ -71,7 +83,15 @@ const OFF_CHAIN: u32 = u32::MAX;
 pub struct HbGraph {
     n: usize,
     edges: Vec<(usize, usize, EdgeKind)>,
-    preds: Vec<Vec<usize>>,
+    /// Position in `edges` of the first edge into the largest target seen
+    /// so far: every edge into that target sits at or after it.
+    open: usize,
+    /// Predecessor rows (CSR, built by `seal`): the edges into step `b`
+    /// are `pred[row[b]..row[b + 1]]`, in insertion order, with their
+    /// kinds at the same positions of `pred_kind`.
+    row: Vec<u32>,
+    pred: Vec<usize>,
+    pred_kind: Vec<EdgeKind>,
     /// Chain of each step ([`OFF_CHAIN`] for none).
     chain: Vec<u32>,
     /// Position of each on-chain step within its chain; for an off-chain
@@ -97,7 +117,10 @@ impl HbGraph {
         HbGraph {
             n,
             edges: Vec::new(),
-            preds: vec![Vec::new(); n],
+            open: 0,
+            row: Vec::new(),
+            pred: Vec::new(),
+            pred_kind: Vec::new(),
             chain: Vec::new(),
             pos: Vec::new(),
             chains: 0,
@@ -120,13 +143,29 @@ impl HbGraph {
     /// Add the edge `from -> to`. Edges must respect issue order
     /// (`from < to`), which keeps the graph acyclic by construction;
     /// duplicate edges are ignored regardless of kind.
+    ///
+    /// Added in target order (as the certifier does: it adds every edge
+    /// while it visits the edge's target), the duplicate check scans only
+    /// the edges into the open target; an edge into an earlier target
+    /// scans the whole list.
     pub fn add_edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
         assert!(!self.sealed, "HbGraph is sealed");
         assert!(from < to && to < self.n, "edge {from}->{to} out of order");
-        if self.preds[to].contains(&from) {
+        let open_to = self.edges.get(self.open).map(|&(_, b, _)| b);
+        let scan = match open_to {
+            Some(b) if to < b => 0,
+            Some(b) if to == b => self.open,
+            _ => {
+                self.open = self.edges.len();
+                self.edges.len()
+            }
+        };
+        if self.edges[scan..]
+            .iter()
+            .any(|&(a, b, _)| a == from && b == to)
+        {
             return;
         }
-        self.preds[to].push(from);
         self.edges.push((from, to, kind));
     }
 
@@ -148,9 +187,54 @@ impl HbGraph {
         c
     }
 
-    /// Direct predecessors of `step`.
+    /// Direct predecessors of `step`, in insertion order.
     pub fn preds(&self, step: usize) -> &[usize] {
-        &self.preds[step]
+        assert!(self.sealed, "call seal() before reading predecessor rows");
+        &self.pred[self.row_range(step)]
+    }
+
+    /// Direct predecessors of `step` with the kind of each edge, in
+    /// insertion order.
+    pub fn preds_with_kind(&self, step: usize) -> impl Iterator<Item = (usize, EdgeKind)> + '_ {
+        let kinds = &self.pred_kind[self.row_range(step)];
+        self.preds(step).iter().copied().zip(kinds.iter().copied())
+    }
+
+    /// Where row `step` sits in `pred` and `pred_kind`.
+    fn row_range(&self, step: usize) -> std::ops::Range<usize> {
+        self.row[step] as usize..self.row[step + 1] as usize
+    }
+
+    /// Build the predecessor rows from the edge list: a counting sort by
+    /// target, stable, so each row keeps insertion order.
+    fn build_rows(&mut self) {
+        assert!(
+            self.edges.len() < u32::MAX as usize,
+            "{} edges overflow the u32 row offsets",
+            self.edges.len()
+        );
+        let mut row = vec![0u32; self.n + 1];
+        for &(_, b, _) in &self.edges {
+            row[b + 1] += 1;
+        }
+        for b in 0..self.n {
+            row[b + 1] += row[b];
+        }
+        let mut pred = vec![0usize; self.edges.len()];
+        let mut pred_kind = vec![EdgeKind::Program; self.edges.len()];
+        // `row[b]` serves as row `b`'s fill cursor, which leaves it at the
+        // start of row `b + 1`; the shift below restores the starts.
+        for &(a, b, kind) in &self.edges {
+            let at = row[b] as usize;
+            pred[at] = a;
+            pred_kind[at] = kind;
+            row[b] += 1;
+        }
+        row.copy_within(0..self.n, 1);
+        row[0] = 0;
+        self.row = row;
+        self.pred = pred;
+        self.pred_kind = pred_kind;
     }
 
     /// Derive the chains from the `Program` edges and compute every
@@ -158,14 +242,16 @@ impl HbGraph {
     /// point forward), so one forward sweep taking the maximum over
     /// predecessor clocks suffices.
     pub fn seal(&mut self) {
+        self.build_rows();
         self.assign_chains();
         let k = self.chains;
         self.clock = vec![0; self.n * k];
         for b in 0..self.n {
+            let preds = self.row_range(b);
             // Split so row `a` (a < b) can be read while writing row `b`.
             let (done, rest) = self.clock.split_at_mut(b * k);
             let row = &mut rest[..k];
-            for &a in &self.preds[b] {
+            for &a in &self.pred[preds] {
                 for (w, &src) in row.iter_mut().zip(&done[a * k..(a + 1) * k]) {
                     *w = (*w).max(src);
                 }
@@ -195,34 +281,31 @@ impl HbGraph {
     /// members of a chain are always joined by an edge. Steps no `Program`
     /// edge touches stay [`OFF_CHAIN`].
     fn assign_chains(&mut self) {
-        let mut program: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .filter(|&&(_, _, kind)| kind == EdgeKind::Program)
-            .map(|&(a, b, _)| (a, b))
-            .collect();
-        // Group by target in issue order. Stable, so the first-added
-        // predecessor is tried first; the certifier adds edges in target
-        // order already.
-        program.sort_by_key(|&(_, b)| b);
         self.chain = vec![OFF_CHAIN; self.n];
         self.pos = vec![0; self.n];
         let mut tails: Vec<usize> = Vec::new();
-        for into_b in program.chunk_by(|x, y| x.1 == y.1) {
-            for &(a, _) in into_b {
-                // Edges into `a` were grouped earlier (`a < b`): still
-                // chainless means `a` heads a chain.
+        for b in 0..self.n {
+            let at = self.row_range(b);
+            let program = || {
+                self.pred[at.clone()]
+                    .iter()
+                    .zip(&self.pred_kind[at.clone()])
+                    .filter(|&(_, &kind)| kind == EdgeKind::Program)
+                    .map(|(&a, _)| a)
+            };
+            if program().next().is_none() {
+                continue;
+            }
+            for a in program() {
+                // Rows before `b` are done (`a < b`): still chainless
+                // means `a` heads a chain.
                 if self.chain[a] == OFF_CHAIN {
                     self.chain[a] = tails.len() as u32;
                     tails.push(a);
                 }
             }
-            let b = into_b[0].1;
-            let tail_pred = into_b
-                .iter()
-                .map(|&(a, _)| a)
-                .find(|&a| tails[self.chain[a] as usize] == a);
-            match tail_pred {
+            // The first-added predecessor that is still its chain's tail.
+            match program().find(|&a| tails[self.chain[a] as usize] == a) {
                 Some(a) => {
                     self.chain[b] = self.chain[a];
                     self.pos[b] = self.pos[a] + 1;
@@ -264,11 +347,13 @@ impl HbGraph {
         }
         // Walk forward from `a` over off-chain steps; the first on-chain
         // step on each path answers from its clock. `walk` is both the
-        // work list and the visited list.
-        let mut walk = vec![a];
+        // work list and the visited list of the off-chain steps past `a`;
+        // it stays empty (and unallocated) when, as for a certifier's
+        // `Free`, every successor of `a` is on a chain.
+        let mut walk: Vec<usize> = Vec::new();
         let mut next = 0;
-        while let Some(&x) = walk.get(next) {
-            next += 1;
+        let mut x = a;
+        loop {
             for s in self.off_chain_succs(x) {
                 if s == b {
                     return true;
@@ -284,8 +369,12 @@ impl HbGraph {
                     walk.push(s);
                 }
             }
+            match walk.get(next) {
+                Some(&w) => x = w,
+                None => return false,
+            }
+            next += 1;
         }
-        false
     }
 
     /// True when `a` and `b` are ordered in either direction (or equal).
@@ -324,6 +413,34 @@ pub(crate) mod tests {
         hb.add_edge(0, 1, EdgeKind::Lifetime);
         assert_eq!(hb.edges().len(), 1);
         assert_eq!(hb.edge_counts().total(), 1);
+    }
+
+    #[test]
+    fn duplicates_collapse_when_edges_arrive_out_of_target_order() {
+        let mut hb = HbGraph::new(5);
+        hb.add_edge(0, 3, EdgeKind::Program);
+        hb.add_edge(1, 2, EdgeKind::Transfer);
+        hb.add_edge(2, 3, EdgeKind::Transfer);
+        hb.add_edge(0, 3, EdgeKind::Lifetime);
+        hb.add_edge(1, 2, EdgeKind::Lifetime);
+        hb.add_edge(1, 4, EdgeKind::Program);
+        hb.add_edge(2, 3, EdgeKind::Lifetime);
+        assert_eq!(
+            hb.edges(),
+            &[
+                (0, 3, EdgeKind::Program),
+                (1, 2, EdgeKind::Transfer),
+                (2, 3, EdgeKind::Transfer),
+                (1, 4, EdgeKind::Program),
+            ]
+        );
+        hb.seal();
+        assert_eq!(hb.preds(3), &[0, 2], "rows keep insertion order");
+        assert_eq!(
+            hb.preds_with_kind(2).collect::<Vec<_>>(),
+            vec![(1, EdgeKind::Transfer)]
+        );
+        assert!(hb.preds(0).is_empty() && hb.preds(1).is_empty());
     }
 
     #[test]

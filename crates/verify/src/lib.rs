@@ -57,7 +57,7 @@ pub use diag::{
     count, has_errors, render_report, report_to_json, summary, Counts, Diagnostic, Location,
     Severity,
 };
-pub use engine::{analyze_plan, PlanAnalysis, PlanStats, PlanView, Step, UnitView};
+pub use engine::{analyze_plan, PlanAnalysis, PlanStats, PlanView, Step};
 pub use graph_check::analyze_graph;
 pub use hazard::{
     certify_concurrency, certify_concurrency_streams, ConcurrencyReport, Lane, LaneModel,

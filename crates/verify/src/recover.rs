@@ -114,14 +114,14 @@ pub fn analyze_recovery(g: &Graph, plan: &PlanView, opts: RecoveryCheckOptions) 
                 needed.insert(d);
             }
             Step::Launch(u) => {
-                let Some(unit) = plan.units.get(u) else {
+                if u >= plan.num_units() {
                     // GF0011 territory; the residency engine reports it.
                     continue;
-                };
-                for &d in &unit.outputs {
+                }
+                for &d in plan.outputs(u) {
                     needed.remove(&d);
                 }
-                for &d in &unit.inputs {
+                for &d in plan.inputs(u) {
                     needed.insert(d);
                 }
                 let mut restart: Vec<DataId> = needed
@@ -220,11 +220,11 @@ pub fn analyze_recovery(g: &Graph, plan: &PlanView, opts: RecoveryCheckOptions) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::UnitView;
+    use crate::engine::fixtures::{OwnedPlan, UnitView};
     use gpuflow_graph::{DataDesc, DataKind, Graph, OpKind};
 
     /// in → [u0] → mid → [u1] → out, with `mid` never copied out.
-    fn chain() -> (Graph, PlanView) {
+    fn chain() -> (Graph, OwnedPlan) {
         let mut g = Graph::new();
         let input = g.add_data(DataDesc::new("in", 16, 16, DataKind::Input));
         let mid = g.add_data(DataDesc::new("mid", 16, 16, DataKind::Temporary));
@@ -232,7 +232,7 @@ mod tests {
         g.add_op("f", OpKind::Identity, vec![input], mid).unwrap();
         g.add_op("g", OpKind::Identity, vec![mid], out).unwrap();
         let device = 0;
-        let view = PlanView {
+        let view = OwnedPlan {
             units: vec![
                 UnitView {
                     inputs: vec![input],
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn uncheckpointed_intermediate_trips_gf0040() {
         let (g, view) = chain();
-        let report = analyze_recovery(&g, &view, RecoveryCheckOptions::default());
+        let report = analyze_recovery(&g, &view.view(), RecoveryCheckOptions::default());
         assert!(report.per_launch.iter().any(|l| !l.missing.is_empty()));
         // Unit 0 needs nothing produced; unit 1 needs `mid`.
         assert_eq!(report.per_launch.len(), 2);
@@ -295,7 +295,7 @@ mod tests {
                 data: mid,
             },
         );
-        let report = analyze_recovery(&g, &view, RecoveryCheckOptions::default());
+        let report = analyze_recovery(&g, &view.view(), RecoveryCheckOptions::default());
         assert!(
             report.per_launch.iter().all(|l| l.missing.is_empty()),
             "{:?}",
@@ -315,7 +315,7 @@ mod tests {
         let (g, view) = chain();
         let report = analyze_recovery(
             &g,
-            &view,
+            &view.view(),
             RecoveryCheckOptions {
                 max_attempts: Some(0),
                 host_budget: Some(100),
@@ -332,7 +332,7 @@ mod tests {
         // A generous budget and a bounded policy are clean.
         let ok = analyze_recovery(
             &g,
-            &view,
+            &view.view(),
             RecoveryCheckOptions {
                 max_attempts: Some(6),
                 host_budget: Some(1 << 20),

@@ -1,16 +1,22 @@
-//! Allocation tripwire for the overlap simulator.
+//! Allocation tripwires for the overlap simulator and the plan checker.
 //!
 //! `simulate` stands in for the runtime on every `run` of a cluster plan,
-//! so a heap allocation per plan step (a label string per lane event, a
-//! hash set or shape vector per launch) is most of its cost. This binary
-//! counts the allocations one `simulate` call makes on two cluster plans
-//! of very different lengths; the counts may differ only by what the
-//! machine's size and the growth of the result vectors explain, never by
-//! a term per step.
+//! and the concurrency certifier plus the profile built on its
+//! happens-before graph check and explain every such run. A heap
+//! allocation per plan step (a label string per lane event, a hash set or
+//! shape vector per launch, a predecessor or access-history `Vec` per
+//! step or buffer, a cloned step list) is most of their cost. This binary
+//! counts the allocations of one `simulate`, one `ExecutionPlan::certify`
+//! and one `profile_cluster_with` call on two cluster plans of very
+//! different lengths (10 136 and 41 012 steps); the counts may differ
+//! only by what the machine's size and the growth of the result vectors
+//! explain, never by a term per step. Before the flat happens-before
+//! graph, `certify` made 35 013 and 138 210 allocations on these plans.
 //!
 //! Debug builds run the plan checker and the happens-before sanitizer
-//! inside `simulate`, which allocate by design, so the count is taken in
-//! release builds only: `cargo test --release --test sim_allocations`.
+//! inside `simulate`, and re-certify inside the profile, which allocate
+//! by design, so the count is taken in release builds only:
+//! `cargo test --release --test sim_allocations`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +24,7 @@ use std::cell::Cell;
 use gpuflow::core::{simulate, Simulation};
 use gpuflow::multi::{compile_multi, parse_cluster};
 use gpuflow::serve::resolve_named;
+use gpuflow_profile::profile_cluster_with;
 
 /// Counts the allocations (and reallocations) of the thread that has
 /// counting switched on; every other thread passes straight through.
@@ -73,6 +80,33 @@ fn simulated(template: &str, cluster: &str) -> (usize, usize) {
     (c.plan.steps.len(), COUNT.with(Cell::get))
 }
 
+/// Compile `template` for `cluster`, simulate it, then certify and
+/// profile it with the allocation counter on, the way a cluster `run
+/// --json` does: `(plan steps, allocations of certify, allocations of
+/// profile_cluster_with)`.
+fn checked(template: &str, cluster: &str) -> (usize, usize, usize) {
+    let g = resolve_named(template).unwrap();
+    let c = compile_multi(&g, &parse_cluster(cluster).unwrap(), 0.05).unwrap();
+    let sim = c.simulate();
+    let counted = |f: &mut dyn FnMut()| {
+        COUNT.with(|n| n.set(0));
+        COUNTING.with(|on| on.set(true));
+        f();
+        COUNTING.with(|on| on.set(false));
+        COUNT.with(Cell::get)
+    };
+    let mut cert = None;
+    let certify = counted(&mut || cert = Some(c.plan.certify(&c.sharded.split.graph)));
+    let cert = cert.unwrap();
+    assert!(cert.certified());
+    let mut report = None;
+    let profile = counted(&mut || {
+        report = Some(profile_cluster_with(&c, 0.05, &sim, &cert).unwrap());
+    });
+    assert!(report.unwrap().makespan_ns > 0);
+    (c.plan.steps.len(), certify, profile)
+}
+
 #[test]
 fn simulate_allocates_nothing_per_step() {
     if cfg!(debug_assertions) {
@@ -88,5 +122,32 @@ fn simulate_allocates_nothing_per_step() {
     assert!(
         large.abs_diff(small) < 64,
         "{small} allocations for {small_steps} steps, {large} for {large_steps}"
+    );
+}
+
+#[test]
+fn certify_and_profile_allocate_nothing_per_step() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipped: debug builds re-check the plan and the certificate");
+        return;
+    }
+    let (small_steps, small_certify, small_profile) = checked("cnn-small:288x288", "c870x2");
+    let (large_steps, large_certify, large_profile) = checked("cnn-small:2000x2000", "c870x8");
+    assert!(
+        large_steps > small_steps + 30_000,
+        "the plans must differ by many steps: {small_steps} vs {large_steps}"
+    );
+    eprintln!(
+        "certify {small_certify} vs {large_certify}, profile {small_profile} vs {large_profile}"
+    );
+    assert!(
+        large_certify.abs_diff(small_certify) < 64,
+        "certify: {small_certify} allocations for {small_steps} steps, \
+         {large_certify} for {large_steps}"
+    );
+    assert!(
+        large_profile.abs_diff(small_profile) < 64,
+        "profile_cluster_with: {small_profile} allocations for {small_steps} steps, \
+         {large_profile} for {large_steps}"
     );
 }

@@ -254,6 +254,40 @@ fn next_after(sorted: &[usize], i: usize) -> Option<usize> {
     sorted.get(sorted.partition_point(|&x| x <= i)).copied()
 }
 
+/// Step indices grouped by `(device, data)` slot, each group in step
+/// order, in one flat array (CSR) instead of a `Vec` per slot.
+struct SlotSteps {
+    start: Vec<usize>,
+    steps: Vec<usize>,
+}
+
+impl SlotSteps {
+    /// Group the `(slot, step)` pairs that `pairs()` yields in step
+    /// order into `slots` groups; `pairs` is called twice, to count and
+    /// to fill.
+    fn build<I: Iterator<Item = (usize, usize)>>(slots: usize, pairs: impl Fn() -> I) -> SlotSteps {
+        let mut start = vec![0; slots + 1];
+        for (s, _) in pairs() {
+            start[s + 1] += 1;
+        }
+        for s in 0..slots {
+            start[s + 1] += start[s];
+        }
+        let mut fill = start[..slots].to_vec();
+        let mut steps = vec![0; start[slots]];
+        for (s, i) in pairs() {
+            steps[fill[s]] = i;
+            fill[s] += 1;
+        }
+        SlotSteps { start, steps }
+    }
+
+    /// The steps of `slot`, ascending.
+    fn of(&self, slot: usize) -> &[usize] {
+        &self.steps[self.start[slot]..self.start[slot + 1]]
+    }
+}
+
 /// Run the engine: validate `plan` against `g` and the per-device
 /// `capacities` (bytes, indexed by device; one entry for a single GPU),
 /// computing statistics along the way. With `lints` set, efficiency
@@ -314,28 +348,39 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
     // Lint precomputation: for every (device, data) slot, the (sorted)
     // step indices of the launches that read it and of its CopyIns.
     let lint_slots = if lints { ndev * nd } else { 0 };
-    let mut uses: Vec<Vec<usize>> = vec![Vec::new(); lint_slots];
-    let mut copyins: Vec<Vec<usize>> = vec![Vec::new(); lint_slots];
-    if lints {
-        for (i, step) in plan.steps.iter().enumerate() {
-            match *step {
-                Step::Launch(u) if u < nu => {
-                    let Some(&dev) = plan.unit_device.get(u).filter(|&&dev| dev < ndev) else {
-                        continue;
-                    };
-                    for &d in plan.inputs(u) {
-                        if d.index() < nd {
-                            uses[slot(dev, d)].push(i);
-                        }
-                    }
+    let reads = || {
+        let launches = plan
+            .steps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, step)| match *step {
+                Step::Launch(u) if lints && u < nu => plan
+                    .unit_device
+                    .get(u)
+                    .filter(|&&dev| dev < ndev)
+                    .map(|&dev| (i, dev, u)),
+                _ => None,
+            });
+        launches.flat_map(|(i, dev, u)| {
+            plan.inputs(u)
+                .iter()
+                .filter(|d| d.index() < nd)
+                .map(move |&d| (slot(dev, d), i))
+        })
+    };
+    let uploads = || {
+        plan.steps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, step)| match *step {
+                Step::CopyIn { device, data } if lints && device < ndev && data.index() < nd => {
+                    Some((slot(device, data), i))
                 }
-                Step::CopyIn { device, data } if device < ndev && data.index() < nd => {
-                    copyins[slot(device, data)].push(i)
-                }
-                _ => {}
-            }
-        }
-    }
+                _ => None,
+            })
+    };
+    let uses = SlotSteps::build(lint_slots, reads);
+    let copyins = SlotSteps::build(lint_slots, uploads);
 
     // Residency state for invariant checking; host validity is global.
     let mut on_gpu = vec![false; ndev * nd];
@@ -422,7 +467,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                     ));
                 }
                 if lints {
-                    let first = copyins[s][0];
+                    let first = copyins.of(s)[0];
                     if first < i {
                         diags.push(
                             Diagnostic::warning(
@@ -485,7 +530,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                 }
                 if lints
                     && desc.kind != DataKind::Output
-                    && (0..ndev).all(|e| next_after(&copyins[slot(e, data)], i).is_none())
+                    && (0..ndev).all(|e| next_after(copyins.of(slot(e, data)), i).is_none())
                 {
                     diags.push(
                         Diagnostic::warning(
@@ -534,11 +579,10 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                     continue;
                 }
                 if lints {
-                    let on_device = device * nd..(device + 1) * nd;
                     lint_eviction_choice(
                         g,
-                        &uses[on_device.clone()],
-                        &on_gpu[on_device],
+                        |e| uses.of(slot(device, DataId(e as u32))),
+                        &on_gpu[device * nd..(device + 1) * nd],
                         data,
                         i,
                         &mut diags,
@@ -731,23 +775,24 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
 /// Belady lint: freeing `d` at step `i` is suboptimal when `d` is needed
 /// again while some other structure resident on the same device has its
 /// next use farther away (or never) — evicting that one instead would
-/// have saved a reload. `uses` and `on_gpu` are the device's slices.
-fn lint_eviction_choice(
+/// have saved a reload. `uses(e)` are the steps that read data `e` on
+/// the device, and `on_gpu` is the device's residency slice.
+fn lint_eviction_choice<'a>(
     g: &Graph,
-    uses: &[Vec<usize>],
+    uses: impl Fn(usize) -> &'a [usize],
     on_gpu: &[bool],
     d: DataId,
     i: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Some(t1) = next_after(&uses[d.index()], i) else {
+    let Some(t1) = next_after(uses(d.index()), i) else {
         return;
     };
-    for e in 0..on_gpu.len() {
-        if e == d.index() || !on_gpu[e] {
+    for (e, &resident) in on_gpu.iter().enumerate() {
+        if e == d.index() || !resident {
             continue;
         }
-        let t2 = next_after(&uses[e], i);
+        let t2 = next_after(uses(e), i);
         if t2.is_none_or(|t2| t2 > t1) {
             let when = match t2 {
                 Some(t2) => format!("not needed until step {t2}"),

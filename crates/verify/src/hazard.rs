@@ -221,8 +221,10 @@ impl<T: Copy> Chains<T> {
     }
 
     fn push(&mut self, chain: &mut Chain, item: T) {
-        let at = self.items.len() as u32;
-        assert!(at != NIL, "access history overflows u32 links");
+        let at = u32::try_from(self.items.len())
+            .ok()
+            .filter(|&at| at != NIL)
+            .expect("access histories overflow u32 links");
         self.items.push((item, NIL));
         match chain.tail {
             NIL => chain.head = at,

@@ -24,7 +24,7 @@
 //! [`crate::critpath`] all read those rows. Add edges in **target
 //! order** — every edge into a step before any edge into a later step —
 //! as the certifier does while it visits each step: then the duplicate
-//! check scans only the edges into the open target. An edge into an
+//! check is one lookup of the source's latest target. An edge into an
 //! earlier target is still accepted, at the price of scanning the whole
 //! list.
 //!
@@ -83,9 +83,12 @@ const OFF_CHAIN: u32 = u32::MAX;
 pub struct HbGraph {
     n: usize,
     edges: Vec<(usize, usize, EdgeKind)>,
-    /// Position in `edges` of the first edge into the largest target seen
-    /// so far: every edge into that target sits at or after it.
-    open: usize,
+    /// The largest target of an edge added so far (0 before the first).
+    max_to: usize,
+    /// Per source step, the target of its latest edge added in target
+    /// order (`u32::MAX` for none): the duplicate check for the open
+    /// target.
+    last_to: Vec<u32>,
     /// Predecessor rows (CSR, built by `seal`): the edges into step `b`
     /// are `pred[row[b]..row[b + 1]]`, in insertion order, with their
     /// kinds at the same positions of `pred_kind`.
@@ -117,7 +120,8 @@ impl HbGraph {
         HbGraph {
             n,
             edges: Vec::new(),
-            open: 0,
+            max_to: 0,
+            last_to: vec![u32::MAX; n],
             row: Vec::new(),
             pred: Vec::new(),
             pred_kind: Vec::new(),
@@ -145,26 +149,24 @@ impl HbGraph {
     /// duplicate edges are ignored regardless of kind.
     ///
     /// Added in target order (as the certifier does: it adds every edge
-    /// while it visits the edge's target), the duplicate check scans only
-    /// the edges into the open target; an edge into an earlier target
-    /// scans the whole list.
+    /// while it visits the edge's target), the duplicate check is one
+    /// lookup; an edge into an earlier target scans the whole list.
     pub fn add_edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
         assert!(!self.sealed, "HbGraph is sealed");
         assert!(from < to && to < self.n, "edge {from}->{to} out of order");
-        let open_to = self.edges.get(self.open).map(|&(_, b, _)| b);
-        let scan = match open_to {
-            Some(b) if to < b => 0,
-            Some(b) if to == b => self.open,
-            _ => {
-                self.open = self.edges.len();
-                self.edges.len()
+        if to < self.max_to {
+            if self.edges.iter().any(|&(a, b, _)| a == from && b == to) {
+                return;
             }
-        };
-        if self.edges[scan..]
-            .iter()
-            .any(|&(a, b, _)| a == from && b == to)
-        {
-            return;
+        } else {
+            // Every edge into `to` was added in target order, and an
+            // edge from `from` to a later target would have closed `to`:
+            // so `from -> to` exists iff it is `from`'s latest edge.
+            if self.last_to[from] == to as u32 {
+                return;
+            }
+            self.last_to[from] = to as u32;
+            self.max_to = to;
         }
         self.edges.push((from, to, kind));
     }
@@ -624,6 +626,36 @@ pub(crate) mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `add_edge` keeps exactly the first of each `(from, to)` pair,
+        /// in insertion order, whether edges arrive in target order (a
+        /// run per target, as the certifier adds them) or not.
+        #[test]
+        fn add_edge_keeps_the_first_of_each_pair(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::for_case(seed, 2);
+            let mut pick = |n: usize| (rng.next_u64() as usize) % n;
+            let n = 2 + pick(40);
+            let in_order = pick(2) == 0;
+            let mut tries: Vec<(usize, usize, EdgeKind)> = (0..pick(120))
+                .map(|_| {
+                    let to = 1 + pick(n - 1);
+                    let kind = [EdgeKind::Program, EdgeKind::Transfer, EdgeKind::Lifetime][pick(3)];
+                    (pick(to), to, kind)
+                })
+                .collect();
+            if in_order {
+                tries.sort_by_key(|&(_, to, _)| to);
+            }
+            let mut hb = HbGraph::new(n);
+            let mut want: Vec<(usize, usize, EdgeKind)> = Vec::new();
+            for &(a, b, kind) in &tries {
+                hb.add_edge(a, b, kind);
+                if !want.iter().any(|&(x, y, _)| (x, y) == (a, b)) {
+                    want.push((a, b, kind));
+                }
+            }
+            prop_assert_eq!(hb.edges(), &want[..], "seed {}", seed);
+        }
 
         /// Differential oracle: on certifier-shaped DAGs every ordered
         /// pair answers the same under the lane clocks and the dense

@@ -124,7 +124,7 @@ fn assert_reachability_is_the_closure_of_its_edges(tag: &str, cert: &Concurrency
     let mut reach = vec![vec![0u64; n.div_ceil(64)]; n];
     for b in 0..n {
         let (done, rest) = reach.split_at_mut(b);
-        for &a in cert.hb.preds(b) {
+        for &(a, _) in cert.hb.preds(b) {
             rest[0][a / 64] |= 1 << (a % 64);
             for (w, &src) in rest[0].iter_mut().zip(&done[a]) {
                 *w |= src;

@@ -90,7 +90,24 @@ impl CritSpan {
     /// [`CriticalSummary::shared_bus`] records) transfers and frees say
     /// which device they serve.
     pub fn label(&self, g: &Graph, plan: &ExecutionPlan, shared_bus: bool) -> String {
-        step_label(g, plan, &plan.steps[self.step], shared_bus)
+        let at = |device: usize| {
+            if shared_bus {
+                format!("@gpu{device}")
+            } else {
+                String::new()
+            }
+        };
+        match plan.steps[self.step] {
+            Step::CopyIn { device, data } => format!("in:{}{}", g.data(data).name, at(device)),
+            Step::CopyOut { device, data } => format!("out:{}{}", g.data(data).name, at(device)),
+            Step::Free { device, data } => format!("free:{}{}", g.data(data).name, at(device)),
+            Step::Launch(u) => plan.units[u]
+                .ops
+                .iter()
+                .map(|&o| g.op(o).name.as_str())
+                .collect::<Vec<_>>()
+                .join("+"),
+        }
     }
 }
 
@@ -248,29 +265,6 @@ fn dominance(engines: &[EngineBreakdown], makespan_ns: u64) -> (String, f64) {
     (best.0, best.1 as f64 / denom as f64)
 }
 
-/// Human label for plan step `step`; on a shared bus, transfers and frees
-/// say which device they serve.
-fn step_label(g: &Graph, plan: &ExecutionPlan, step: &Step, shared_bus: bool) -> String {
-    let at = |device: usize| {
-        if shared_bus {
-            format!("@gpu{device}")
-        } else {
-            String::new()
-        }
-    };
-    match *step {
-        Step::CopyIn { device, data } => format!("in:{}{}", g.data(data).name, at(device)),
-        Step::CopyOut { device, data } => format!("out:{}{}", g.data(data).name, at(device)),
-        Step::Free { device, data } => format!("free:{}{}", g.data(data).name, at(device)),
-        Step::Launch(u) => plan.units[u]
-            .ops
-            .iter()
-            .map(|&o| g.op(o).name.as_str())
-            .collect::<Vec<_>>()
-            .join("+"),
-    }
-}
-
 /// Busiest compute labels, descending, capped at `cap`, from the busy
 /// nanoseconds of every operator of `g` (indexed by `OpId`). Operators
 /// that share a name share a label, so their times add up.
@@ -311,6 +305,15 @@ fn profile_on(
         machine.lanes(plan.streams.as_ref().map_or(1, |s| s.num_streams)),
         "profile: the simulation is not of this plan's machine"
     );
+    #[cfg(debug_assertions)]
+    {
+        let fresh = plan.certify(g);
+        debug_assert_eq!(
+            (&cert.diagnostics, cert.hb.edge_counts()),
+            (&fresh.diagnostics, fresh.hb.edge_counts()),
+            "profile: the certificate is not this plan's"
+        );
+    }
     // One row per lane of the machine, in table order (transfer channels
     // first, then every compute lane) — engines with no events still get
     // a row: their whole makespan is an attributed gap. Each row's gap
@@ -419,15 +422,6 @@ pub fn profile_plan_with(
     sim: &Simulation,
     cert: &ConcurrencyReport,
 ) -> Result<ProfileReport, String> {
-    #[cfg(debug_assertions)]
-    {
-        let fresh = plan.certify(g);
-        debug_assert_eq!(
-            (&cert.diagnostics, cert.hb.edge_counts()),
-            (&fresh.diagnostics, fresh.hb.edge_counts()),
-            "profile: the certificate is not this plan's"
-        );
-    }
     profile_on(g, plan, &Machine::single(dev), sim, cert, |out, cp_len| {
         advise_single(g, plan, dev, opts, out, cp_len)
     })
@@ -450,15 +444,6 @@ pub fn profile_cluster_with(
     cert: &ConcurrencyReport,
 ) -> Result<ProfileReport, String> {
     let g = &c.sharded.split.graph;
-    #[cfg(debug_assertions)]
-    {
-        let fresh = c.certify();
-        debug_assert_eq!(
-            (&cert.diagnostics, cert.hb.edge_counts()),
-            (&fresh.diagnostics, fresh.hb.edge_counts()),
-            "profile: the certificate is not this cluster plan's"
-        );
-    }
     profile_on(
         g,
         &c.plan,

@@ -81,7 +81,7 @@ pub fn critical_path_over(
     let mut best_pred: Vec<Option<usize>> = vec![None; n];
     for i in 0..n {
         let mut best = 0.0f64;
-        for (p, kind) in hb.preds_with_kind(i) {
+        for &(p, kind) in hb.preds(i) {
             if include(kind) && dist[p] > best {
                 best = dist[p];
                 best_pred[i] = Some(p);

@@ -26,6 +26,7 @@
 
 use gpuflow_graph::{DataId, DataKind, Graph};
 
+use crate::csr::Csr;
 use crate::diag::{Diagnostic, Location};
 
 /// Diagnostic codes emitted by the plan engine.
@@ -254,40 +255,6 @@ fn next_after(sorted: &[usize], i: usize) -> Option<usize> {
     sorted.get(sorted.partition_point(|&x| x <= i)).copied()
 }
 
-/// Step indices grouped by `(device, data)` slot, each group in step
-/// order, in one flat array (CSR) instead of a `Vec` per slot.
-struct SlotSteps {
-    start: Vec<usize>,
-    steps: Vec<usize>,
-}
-
-impl SlotSteps {
-    /// Group the `(slot, step)` pairs that `pairs()` yields in step
-    /// order into `slots` groups; `pairs` is called twice, to count and
-    /// to fill.
-    fn build<I: Iterator<Item = (usize, usize)>>(slots: usize, pairs: impl Fn() -> I) -> SlotSteps {
-        let mut start = vec![0; slots + 1];
-        for (s, _) in pairs() {
-            start[s + 1] += 1;
-        }
-        for s in 0..slots {
-            start[s + 1] += start[s];
-        }
-        let mut fill = start[..slots].to_vec();
-        let mut steps = vec![0; start[slots]];
-        for (s, i) in pairs() {
-            steps[fill[s]] = i;
-            fill[s] += 1;
-        }
-        SlotSteps { start, steps }
-    }
-
-    /// The steps of `slot`, ascending.
-    fn of(&self, slot: usize) -> &[usize] {
-        &self.steps[self.start[slot]..self.start[slot + 1]]
-    }
-}
-
 /// Run the engine: validate `plan` against `g` and the per-device
 /// `capacities` (bytes, indexed by device; one entry for a single GPU),
 /// computing statistics along the way. With `lints` set, efficiency
@@ -379,8 +346,8 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                 _ => None,
             })
     };
-    let uses = SlotSteps::build(lint_slots, reads);
-    let copyins = SlotSteps::build(lint_slots, uploads);
+    let uses = Csr::build(lint_slots, reads);
+    let copyins = Csr::build(lint_slots, uploads);
 
     // Residency state for invariant checking; host validity is global.
     let mut on_gpu = vec![false; ndev * nd];
@@ -467,7 +434,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                     ));
                 }
                 if lints {
-                    let first = copyins.of(s)[0];
+                    let first = copyins.row(s)[0];
                     if first < i {
                         diags.push(
                             Diagnostic::warning(
@@ -530,7 +497,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                 }
                 if lints
                     && desc.kind != DataKind::Output
-                    && (0..ndev).all(|e| next_after(copyins.of(slot(e, data)), i).is_none())
+                    && (0..ndev).all(|e| next_after(copyins.row(slot(e, data)), i).is_none())
                 {
                     diags.push(
                         Diagnostic::warning(
@@ -581,7 +548,7 @@ pub fn analyze_plan(g: &Graph, plan: &PlanView, capacities: &[u64], lints: bool)
                 if lints {
                     lint_eviction_choice(
                         g,
-                        |e| uses.of(slot(device, DataId(e as u32))),
+                        |e| uses.row(slot(device, DataId(e as u32))),
                         &on_gpu[device * nd..(device + 1) * nd],
                         data,
                         i,

@@ -19,8 +19,8 @@
 //! The graph is stored flat. [`HbGraph::add_edge`] appends to one edge
 //! list, and [`HbGraph::seal`] turns that list into predecessor rows in
 //! CSR (compressed sparse row) form: one offset per step into one flat
-//! array of predecessors and one of their edge kinds, each row in
-//! insertion order. The chain assignment, the clock sweep and
+//! array of `(predecessor, edge kind)` pairs, each row in insertion
+//! order. The chain assignment, the clock sweep and
 //! [`crate::critpath`] all read those rows. Add edges in **target
 //! order** — every edge into a step before any edge into a later step —
 //! as the certifier does while it visits each step: then the duplicate
@@ -43,6 +43,8 @@
 //! which runs on no engine) are *off-chain*: a query from one walks its
 //! few outgoing edges to the first on-chain steps and asks the clocks
 //! there.
+
+use crate::csr::Csr;
 
 /// Why a happens-before edge exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,12 +91,9 @@ pub struct HbGraph {
     /// order (`u32::MAX` for none): the duplicate check for the open
     /// target.
     last_to: Vec<u32>,
-    /// Predecessor rows (CSR, built by `seal`): the edges into step `b`
-    /// are `pred[row[b]..row[b + 1]]`, in insertion order, with their
-    /// kinds at the same positions of `pred_kind`.
-    row: Vec<u32>,
-    pred: Vec<usize>,
-    pred_kind: Vec<EdgeKind>,
+    /// Predecessor rows, built by `seal`: row `b` holds the source and
+    /// kind of every edge into `b`, in insertion order.
+    preds: Csr<(usize, EdgeKind)>,
     /// Chain of each step ([`OFF_CHAIN`] for none).
     chain: Vec<u32>,
     /// Position of each on-chain step within its chain; for an off-chain
@@ -122,9 +121,7 @@ impl HbGraph {
             edges: Vec::new(),
             max_to: 0,
             last_to: vec![u32::MAX; n],
-            row: Vec::new(),
-            pred: Vec::new(),
-            pred_kind: Vec::new(),
+            preds: Csr::empty(),
             chain: Vec::new(),
             pos: Vec::new(),
             chains: 0,
@@ -189,54 +186,11 @@ impl HbGraph {
         c
     }
 
-    /// Direct predecessors of `step`, in insertion order.
-    pub fn preds(&self, step: usize) -> &[usize] {
-        assert!(self.sealed, "call seal() before reading predecessor rows");
-        &self.pred[self.row_range(step)]
-    }
-
     /// Direct predecessors of `step` with the kind of each edge, in
     /// insertion order.
-    pub fn preds_with_kind(&self, step: usize) -> impl Iterator<Item = (usize, EdgeKind)> + '_ {
-        let kinds = &self.pred_kind[self.row_range(step)];
-        self.preds(step).iter().copied().zip(kinds.iter().copied())
-    }
-
-    /// Where row `step` sits in `pred` and `pred_kind`.
-    fn row_range(&self, step: usize) -> std::ops::Range<usize> {
-        self.row[step] as usize..self.row[step + 1] as usize
-    }
-
-    /// Build the predecessor rows from the edge list: a counting sort by
-    /// target, stable, so each row keeps insertion order.
-    fn build_rows(&mut self) {
-        assert!(
-            self.edges.len() < u32::MAX as usize,
-            "{} edges overflow the u32 row offsets",
-            self.edges.len()
-        );
-        let mut row = vec![0u32; self.n + 1];
-        for &(_, b, _) in &self.edges {
-            row[b + 1] += 1;
-        }
-        for b in 0..self.n {
-            row[b + 1] += row[b];
-        }
-        let mut pred = vec![0usize; self.edges.len()];
-        let mut pred_kind = vec![EdgeKind::Program; self.edges.len()];
-        // `row[b]` serves as row `b`'s fill cursor, which leaves it at the
-        // start of row `b + 1`; the shift below restores the starts.
-        for &(a, b, kind) in &self.edges {
-            let at = row[b] as usize;
-            pred[at] = a;
-            pred_kind[at] = kind;
-            row[b] += 1;
-        }
-        row.copy_within(0..self.n, 1);
-        row[0] = 0;
-        self.row = row;
-        self.pred = pred;
-        self.pred_kind = pred_kind;
+    pub fn preds(&self, step: usize) -> &[(usize, EdgeKind)] {
+        assert!(self.sealed, "call seal() before reading predecessor rows");
+        self.preds.row(step)
     }
 
     /// Derive the chains from the `Program` edges and compute every
@@ -244,16 +198,17 @@ impl HbGraph {
     /// point forward), so one forward sweep taking the maximum over
     /// predecessor clocks suffices.
     pub fn seal(&mut self) {
-        self.build_rows();
+        self.preds = Csr::build(self.n, || {
+            self.edges.iter().map(|&(a, b, kind)| (b, (a, kind)))
+        });
         self.assign_chains();
         let k = self.chains;
         self.clock = vec![0; self.n * k];
         for b in 0..self.n {
-            let preds = self.row_range(b);
             // Split so row `a` (a < b) can be read while writing row `b`.
             let (done, rest) = self.clock.split_at_mut(b * k);
             let row = &mut rest[..k];
-            for &a in &self.pred[preds] {
+            for &(a, _) in self.preds.row(b) {
                 for (w, &src) in row.iter_mut().zip(&done[a * k..(a + 1) * k]) {
                     *w = (*w).max(src);
                 }
@@ -287,13 +242,12 @@ impl HbGraph {
         self.pos = vec![0; self.n];
         let mut tails: Vec<usize> = Vec::new();
         for b in 0..self.n {
-            let at = self.row_range(b);
+            let preds = self.preds.row(b);
             let program = || {
-                self.pred[at.clone()]
+                preds
                     .iter()
-                    .zip(&self.pred_kind[at.clone()])
-                    .filter(|&(_, &kind)| kind == EdgeKind::Program)
-                    .map(|(&a, _)| a)
+                    .filter(|&&(_, kind)| kind == EdgeKind::Program)
+                    .map(|&(a, _)| a)
             };
             if program().next().is_none() {
                 continue;
@@ -437,11 +391,12 @@ pub(crate) mod tests {
             ]
         );
         hb.seal();
-        assert_eq!(hb.preds(3), &[0, 2], "rows keep insertion order");
         assert_eq!(
-            hb.preds_with_kind(2).collect::<Vec<_>>(),
-            vec![(1, EdgeKind::Transfer)]
+            hb.preds(3),
+            &[(0, EdgeKind::Program), (2, EdgeKind::Transfer)],
+            "rows keep insertion order"
         );
+        assert_eq!(hb.preds(2), &[(1, EdgeKind::Transfer)]);
         assert!(hb.preds(0).is_empty() && hb.preds(1).is_empty());
     }
 
@@ -488,7 +443,7 @@ pub(crate) mod tests {
         for b in 0..n {
             let (done, rest) = reach.split_at_mut(b);
             let row = &mut rest[0];
-            for &a in hb.preds(b) {
+            for &(a, _) in hb.preds(b) {
                 row[a / 64] |= 1u64 << (a % 64);
                 for (w, &src) in row.iter_mut().zip(done[a].iter()) {
                     *w |= src;

@@ -44,6 +44,7 @@
 //! repository root.
 
 pub mod critpath;
+mod csr;
 pub mod diag;
 pub mod engine;
 pub mod graph_check;

@@ -125,6 +125,7 @@ fn assert_reachability_is_the_closure_of_its_edges(tag: &str, cert: &Concurrency
     for b in 0..n {
         let (done, rest) = reach.split_at_mut(b);
         for &(a, _) in cert.hb.preds(b) {
+            let a = a as usize;
             rest[0][a / 64] |= 1 << (a % 64);
             for (w, &src) in rest[0].iter_mut().zip(&done[a]) {
                 *w |= src;

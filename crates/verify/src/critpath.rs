@@ -82,6 +82,7 @@ pub fn critical_path_over(
     for i in 0..n {
         let mut best = 0.0f64;
         for &(p, kind) in hb.preds(i) {
+            let p = p as usize;
             if include(kind) && dist[p] > best {
                 best = dist[p];
                 best_pred[i] = Some(p);

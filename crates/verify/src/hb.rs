@@ -93,7 +93,7 @@ pub struct HbGraph {
     last_to: Vec<u32>,
     /// Predecessor rows, built by `seal`: row `b` holds the source and
     /// kind of every edge into `b`, in insertion order.
-    preds: Csr<(usize, EdgeKind)>,
+    preds: Csr<(u32, EdgeKind)>,
     /// Chain of each step ([`OFF_CHAIN`] for none).
     chain: Vec<u32>,
     /// Position of each on-chain step within its chain; for an off-chain
@@ -188,7 +188,7 @@ impl HbGraph {
 
     /// Direct predecessors of `step` with the kind of each edge, in
     /// insertion order.
-    pub fn preds(&self, step: usize) -> &[(usize, EdgeKind)] {
+    pub fn preds(&self, step: usize) -> &[(u32, EdgeKind)] {
         assert!(self.sealed, "call seal() before reading predecessor rows");
         self.preds.row(step)
     }
@@ -199,7 +199,7 @@ impl HbGraph {
     /// predecessor clocks suffices.
     pub fn seal(&mut self) {
         self.preds = Csr::build(self.n, || {
-            self.edges.iter().map(|&(a, b, kind)| (b, (a, kind)))
+            self.edges.iter().map(|&(a, b, kind)| (b, (a as u32, kind)))
         });
         self.assign_chains();
         let k = self.chains;
@@ -209,6 +209,7 @@ impl HbGraph {
             let (done, rest) = self.clock.split_at_mut(b * k);
             let row = &mut rest[..k];
             for &(a, _) in self.preds.row(b) {
+                let a = a as usize;
                 for (w, &src) in row.iter_mut().zip(&done[a * k..(a + 1) * k]) {
                     *w = (*w).max(src);
                 }
@@ -247,7 +248,7 @@ impl HbGraph {
                 preds
                     .iter()
                     .filter(|&&(_, kind)| kind == EdgeKind::Program)
-                    .map(|&(a, _)| a)
+                    .map(|&(a, _)| a as usize)
             };
             if program().next().is_none() {
                 continue;
@@ -444,6 +445,7 @@ pub(crate) mod tests {
             let (done, rest) = reach.split_at_mut(b);
             let row = &mut rest[0];
             for &(a, _) in hb.preds(b) {
+                let a = a as usize;
                 row[a / 64] |= 1u64 << (a % 64);
                 for (w, &src) in row.iter_mut().zip(done[a].iter()) {
                     *w |= src;

@@ -1,5 +1,7 @@
 //! The `gpuflow` command-line tool.
 
+use std::io::Write;
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match gpuflow_cli::Command::parse(&argv) {
@@ -11,17 +13,30 @@ fn main() {
     };
     let is_check = matches!(cmd, gpuflow_cli::Command::Check { .. });
     match gpuflow_cli::execute(&cmd) {
-        Ok(out) => print!("{out}"),
+        Ok(out) => emit(&out),
         // A failed `check` carries its diagnostic report as the error;
         // print it verbatim (no usage noise) and exit nonzero. Warnings
         // and notes come back as success — only errors fail the command.
         Err(report) if is_check && report.contains('\n') => {
-            print!("{report}");
+            emit(&report);
             std::process::exit(1);
         }
         Err(e) => {
             eprintln!("error: {e}\n\n{}", gpuflow_cli::USAGE);
             std::process::exit(1);
         }
+    }
+}
+
+/// Write `out` to stdout. A reader that went away (`gpuflow … | head`)
+/// is an error of this command, exit 1, not a panic.
+fn emit(out: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        eprintln!("error: writing output: {e}");
+        std::process::exit(1);
     }
 }

@@ -27,7 +27,7 @@ use crate::plan::{check_plan, ExecutionPlan, PlanStats};
 use crate::resilient::{ExecOutcome, ResilientExecutor};
 use crate::split::{Rewrites, SplitResult};
 use crate::streams::{schedule_stream_order, stream_order};
-use crate::xfer::{schedule_transfers, EvictionPolicy, XferOptions};
+use crate::xfer::{schedule_units_on_one_device, EvictionPolicy, XferOptions};
 
 /// Compilation knobs. The defaults are the paper's configuration.
 ///
@@ -344,7 +344,10 @@ impl Framework {
             }
             let (order, _) = reuse.order.as_ref().expect("scheduled above");
             let tok = tracer.begin("compile", "xfer-schedule");
-            let plan = schedule_transfers(&split.graph, units, order, xfer)?;
+            // The units move into the plan; a rejected rung hands them
+            // back (`Reuse::restore`).
+            let units = reuse.units.take().expect("partitioned above");
+            let plan = schedule_units_on_one_device(&split.graph, units, order, xfer)?;
             let evictions = plan.evictions();
             tracer.end_with(
                 tok,
@@ -383,8 +386,14 @@ impl Framework {
             exact_stats,
         } = scheduled;
         let tok = tracer.begin("compile", "validate");
-        let (analysis, certificate) = check_plan(&reuse.rewrites.latest().graph, &plan, &[budget])
-            .map_err(FrameworkError::InvalidPlan)?;
+        let (analysis, certificate) =
+            match check_plan(&reuse.rewrites.latest().graph, &plan, &[budget]) {
+                Ok(checked) => checked,
+                Err(e) => {
+                    reuse.restore(plan);
+                    return Err(FrameworkError::InvalidPlan(e));
+                }
+            };
         tracer.end(tok);
         crate::observe::record_plan_metrics(tracer, &analysis.stats);
         if tracer.is_enabled() {
@@ -417,6 +426,16 @@ struct Reuse {
     /// The issue order of `units`, and under `--streams` the stream of
     /// every unit (empty for a serial plan).
     order: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+impl Reuse {
+    /// Take back the units a rejected rung's `plan` holds, if the serial
+    /// transfer schedule moved them out of `units`.
+    fn restore(&mut self, plan: ExecutionPlan) {
+        if self.units.is_none() {
+            self.units = Some(plan.units);
+        }
+    }
 }
 
 /// A rung's plan before validation, with what the exact solver reported.
@@ -513,9 +532,14 @@ impl Framework {
             &Machine::single(&self.device),
         )
         .with_origin(split)
-        .run_analytic()
-        .map_err(|e| ("dry-run: ", e))?
-        .exec;
+        .run_analytic();
+        let dry_run = match dry_run {
+            Ok(run) => run.exec,
+            Err(e) => {
+                reuse.restore(scheduled.plan);
+                return Err(("dry-run: ", e));
+            }
+        };
         let (template, certificate) = self
             .accept(scheduled, budget, reuse, tracer)
             .map_err(|e| ("", e))?;

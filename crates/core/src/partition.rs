@@ -11,8 +11,6 @@
 //! for the ablation study: it greedily merges single-consumer producer →
 //! consumer chains while the merged working set fits the budget.
 
-use std::collections::HashMap;
-
 use gpuflow_graph::{DataId, Graph, OpId};
 
 /// How to group operators into offload units.
@@ -137,23 +135,19 @@ fn greedy_fuse(g: &Graph, order: &[OpId], budget_bytes: u64) -> Vec<OffloadUnit>
         }
     }
 
-    // Collect groups, preserving topological position of first member.
-    let mut groups: HashMap<usize, Vec<OpId>> = HashMap::new();
-    let mut first_pos: HashMap<usize, usize> = HashMap::new();
-    for (pos, &o) in order.iter().enumerate() {
+    // One unit per root, numbered in the topological position of its
+    // first member; each keeps its members in that order.
+    let mut unit_of = vec![usize::MAX; n];
+    let mut units: Vec<OffloadUnit> = Vec::new();
+    for &o in order {
         let r = find(&mut parent, o.index());
-        groups.entry(r).or_default().push(o);
-        first_pos.entry(r).or_insert(pos);
+        if unit_of[r] == usize::MAX {
+            unit_of[r] = units.len();
+            units.push(OffloadUnit { ops: Vec::new() });
+        }
+        units[unit_of[r]].ops.push(o);
     }
-    let mut keyed: Vec<(usize, Vec<OpId>)> = groups
-        .into_iter()
-        .map(|(r, ops)| (first_pos[&r], ops))
-        .collect();
-    keyed.sort_by_key(|&(pos, _)| pos);
-    keyed
-        .into_iter()
-        .map(|(_, ops)| OffloadUnit { ops })
-        .collect()
+    units
 }
 
 #[cfg(test)]

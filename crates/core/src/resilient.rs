@@ -585,8 +585,8 @@ impl<'a> ResilientExecutor<'a> {
         let order: Vec<usize> = (0..units.len()).collect();
         match schedule_device_transfers(
             g,
-            &units,
-            &unit_device,
+            units,
+            unit_device,
             &order,
             &opts,
             EvictionPolicy::Belady,
@@ -597,7 +597,7 @@ impl<'a> ResilientExecutor<'a> {
                     RecoveryEventKind::Replan,
                     format!(
                         "replanned {} remaining unit(s) ({moved} moved off device {ld}) onto {} survivor(s)",
-                        units.len(),
+                        order.len(),
                         survivors.len()
                     ),
                 );

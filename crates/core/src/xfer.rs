@@ -13,9 +13,19 @@
 //!
 //! Deaths are known statically: a datum dies after its last read in the
 //! order (an output nobody reads, right after the launch producing it).
-//! The scheduler buckets them by that position and keeps, per device, the
-//! set of resident data already dead, so an eager free visits only what
-//! died instead of rescanning everything resident after every unit.
+//! The scheduler buckets them by that position, and each device remembers
+//! the position up to which it has freed, so an eager free visits only
+//! what died since the device last launched instead of rescanning
+//! everything resident after every unit. Dead data is never staged
+//! again, so what of it is resident at the free was resident when it
+//! died.
+//!
+//! The scheduler's state is flat. The read positions of every datum on
+//! every device and the death buckets are compressed sparse rows
+//! ([`Csr`], built in two passes over the order); residency is one `u32`
+//! slot per datum and device into a dense slab of records, so a lookup is
+//! an index and a placement reuses a freed record. A run allocates a
+//! fixed number of buffers whatever the length of the order.
 //!
 //! Victims come from a per-device lazy-deletion min-heap keyed `(policy
 //! key, DataId, stamp)`, not from a scan of everything resident; the four
@@ -55,9 +65,9 @@
 //! a peer still needs.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
-use gpuflow_graph::{DataId, DataKind, Graph};
+use gpuflow_graph::{Csr, DataId, DataKind, Graph};
 
 use crate::error::FrameworkError;
 use crate::partition::OffloadUnit;
@@ -117,6 +127,87 @@ struct Resident {
     stamp: u64,
 }
 
+/// What is resident on which device: one slot per `(datum, device)`,
+/// datum-major so the devices holding a datum sit side by side, naming a
+/// record in a dense slab or [`Residents::EMPTY`]. Each slab record keeps
+/// the slot it fills (`EMPTY` once vacated), and a vacated record is
+/// reused by the next placement, so the slab is as long as the most data
+/// ever resident at once.
+struct Residents {
+    devices: usize,
+    slot: Vec<u32>,
+    slab: Vec<(u32, Resident)>,
+    vacant: Vec<u32>,
+}
+
+impl Residents {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(data: usize, devices: usize) -> Self {
+        assert!(data * devices < Self::EMPTY as usize, "slots are u32");
+        Residents {
+            devices,
+            slot: vec![Self::EMPTY; data * devices],
+            slab: Vec::new(),
+            vacant: Vec::new(),
+        }
+    }
+
+    fn index(&self, device: usize, d: DataId) -> usize {
+        d.index() * self.devices + device
+    }
+
+    fn contains(&self, device: usize, d: DataId) -> bool {
+        self.slot[self.index(device, d)] != Self::EMPTY
+    }
+
+    fn get(&self, device: usize, d: DataId) -> Option<&Resident> {
+        let s = self.slot[self.index(device, d)];
+        (s != Self::EMPTY).then(|| &self.slab[s as usize].1)
+    }
+
+    fn get_mut(&mut self, device: usize, d: DataId) -> Option<&mut Resident> {
+        let s = self.slot[self.index(device, d)];
+        (s != Self::EMPTY).then(|| &mut self.slab[s as usize].1)
+    }
+
+    fn insert(&mut self, device: usize, d: DataId, r: Resident) {
+        let i = self.index(device, d);
+        debug_assert_eq!(self.slot[i], Self::EMPTY, "{d:?} placed twice");
+        let record = (i as u32, r);
+        self.slot[i] = match self.vacant.pop() {
+            Some(s) => {
+                self.slab[s as usize] = record;
+                s
+            }
+            None => {
+                self.slab.push(record);
+                (self.slab.len() - 1) as u32
+            }
+        };
+    }
+
+    /// Take `d` off `device`, returning its size.
+    fn remove(&mut self, device: usize, d: DataId) -> Option<u64> {
+        let i = self.index(device, d);
+        let s = std::mem::replace(&mut self.slot[i], Self::EMPTY);
+        (s != Self::EMPTY).then(|| {
+            self.vacant.push(s);
+            let (filled, r) = &mut self.slab[s as usize];
+            *filled = Self::EMPTY;
+            r.bytes
+        })
+    }
+
+    /// The data resident on `device`, in no particular order.
+    fn on(&self, device: usize) -> impl Iterator<Item = (DataId, &Resident)> + '_ {
+        self.slab
+            .iter()
+            .filter(move |&&(i, _)| i != Self::EMPTY && i as usize % self.devices == device)
+            .map(|(i, r)| (DataId(*i / self.devices as u32), r))
+    }
+}
+
 /// Where the scheduler finds eviction victims. The scheduler body is
 /// generic over it so that the tests can run that same body with the
 /// linear scan the heaps replace.
@@ -130,7 +221,7 @@ trait Victims {
     fn pick(
         &mut self,
         device: usize,
-        resident: &BTreeMap<DataId, Resident>,
+        resident: &Residents,
         protected: &[DataId],
         key: impl Fn(DataId, &Resident) -> u64,
     ) -> Option<DataId>;
@@ -169,21 +260,21 @@ impl Victims for VictimHeaps {
     fn pick(
         &mut self,
         device: usize,
-        resident: &BTreeMap<DataId, Resident>,
+        resident: &Residents,
         protected: &[DataId],
         key: impl Fn(DataId, &Resident) -> u64,
     ) -> Option<DataId> {
         let heap = self.heaps[device].get_or_insert_with(|| {
             resident
-                .iter()
-                .map(|(&v, r)| Reverse((key(v, r), v.0, r.stamp)))
+                .on(device)
+                .map(|(v, r)| Reverse((key(v, r), v.0, r.stamp)))
                 .collect()
         });
         let mut victim = None;
         while let Some(entry) = heap.pop() {
             let Reverse((_, id, stamp)) = entry;
             let v = DataId(id);
-            if resident.get(&v).is_none_or(|r| r.stamp != stamp) {
+            if resident.get(device, v).is_none_or(|r| r.stamp != stamp) {
                 continue;
             }
             if protected.contains(&v) {
@@ -199,14 +290,11 @@ impl Victims for VictimHeaps {
 }
 
 /// The scheduler's running state: the steps emitted so far, what is
-/// resident where (ordered by `DataId`, so no iteration order can leak
-/// into a plan), which of it is already dead (eager free only),
-/// per-device occupancy, and host validity.
+/// resident where, per-device occupancy, and host validity.
 struct Residency<'g> {
     g: &'g Graph,
     steps: Vec<Step>,
-    resident: Vec<BTreeMap<DataId, Resident>>,
-    dead: Vec<BTreeSet<DataId>>,
+    resident: Residents,
     used: Vec<u64>,
     on_cpu: Vec<bool>,
 }
@@ -228,27 +316,39 @@ impl Residency<'_> {
             device,
             data: victim,
         });
-        let r = self.resident[device]
-            .remove(&victim)
+        let bytes = self
+            .resident
+            .remove(device, victim)
             .expect("victim resident");
-        self.dead[device].remove(&victim);
-        self.used[device] -= r.bytes;
+        self.used[device] -= bytes;
     }
 }
 
 /// First element of the sorted `reads` at or after position `t`.
-fn next_read(reads: &[usize], t: usize) -> Option<usize> {
-    reads.get(reads.partition_point(|&r| r < t)).copied()
+fn next_read(reads: &[u32], t: usize) -> Option<u32> {
+    reads
+        .get(reads.partition_point(|&r| (r as usize) < t))
+        .copied()
 }
 
 /// Produce an execution plan for `units` executed in `order` on one
 /// device. The single-GPU entry point: a cluster of one, scheduled by
 /// [`schedule_device_transfers`].
-// Survives as an adapter: `Framework`, the stream scheduler and
-// perf/src/layers.rs all plan one device through this name and `XferOptions`.
+// Survives as an adapter: the stream scheduler, the exact planner and
+// perf/src/layers.rs plan one device through this name and `XferOptions`.
 pub fn schedule_transfers(
     g: &Graph,
     units: &[OffloadUnit],
+    order: &[usize],
+    opts: XferOptions,
+) -> Result<ExecutionPlan, FrameworkError> {
+    schedule_units_on_one_device(g, units.to_vec(), order, opts)
+}
+
+/// [`schedule_transfers`], moving `units` into the plan.
+pub(crate) fn schedule_units_on_one_device(
+    g: &Graph,
+    units: Vec<OffloadUnit>,
     order: &[usize],
     opts: XferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
@@ -257,16 +357,18 @@ pub fn schedule_transfers(
         eager_free: opts.eager_free,
         pinned_host: Vec::new(),
     };
-    schedule_device_transfers(g, units, &vec![0; units.len()], order, &place, opts.policy)
+    let unit_device = vec![0; units.len()];
+    schedule_device_transfers(g, units, unit_device, order, &place, opts.policy)
 }
 
 /// Produce a plan for `units` (each assigned the device in `unit_device`)
 /// executed in the global topological order `order`, evicting by `policy`
-/// within each device's budget.
+/// within each device's budget. The units and their devices move into the
+/// plan.
 pub fn schedule_device_transfers(
     g: &Graph,
-    units: &[OffloadUnit],
-    unit_device: &[usize],
+    units: Vec<OffloadUnit>,
+    unit_device: Vec<usize>,
     order: &[usize],
     opts: &MultiXferOptions,
     policy: EvictionPolicy,
@@ -279,8 +381,8 @@ pub fn schedule_device_transfers(
 /// `victims`.
 fn schedule_with(
     g: &Graph,
-    units: &[OffloadUnit],
-    unit_device: &[usize],
+    units: Vec<OffloadUnit>,
+    unit_device: Vec<usize>,
     order: &[usize],
     opts: &MultiXferOptions,
     policy: EvictionPolicy,
@@ -288,6 +390,7 @@ fn schedule_with(
 ) -> Result<ExecutionPlan, FrameworkError> {
     assert_eq!(order.len(), units.len(), "order must cover every unit");
     assert_eq!(unit_device.len(), units.len());
+    assert!(order.len() < u32::MAX as usize, "positions are u32");
     let ndev = opts.budgets.len();
     assert!(unit_device.iter().all(|&d| d < ndev), "device out of range");
     // Error messages name the device only where there is a choice of one.
@@ -300,39 +403,35 @@ fn schedule_with(
     };
 
     // Static use analysis: the positions (in `order`) at which each data
-    // structure is an external input of a unit — overall, and per reading
-    // device. On one device the two indices coincide, so only the first
-    // is built.
-    let mut reads: Vec<Vec<usize>> = vec![Vec::new(); g.num_data()];
-    let mut reads_on: Vec<BTreeMap<usize, Vec<usize>>> =
-        vec![BTreeMap::new(); if ndev > 1 { g.num_data() } else { 0 }];
-    for (t, &u) in order.iter().enumerate() {
-        for d in units[u].external_inputs(g) {
-            reads[d.index()].push(t);
-            if ndev > 1 {
-                reads_on[d.index()]
-                    .entry(unit_device[u])
-                    .or_default()
-                    .push(t);
-            }
-        }
-    }
-    // Eager free: the data whose last read is at each position. A datum
-    // dies after that position; an output nobody reads dies at the launch
-    // that produces it.
-    let mut die_at: Vec<Vec<DataId>> = vec![Vec::new(); order.len()];
-    for d in g.data_ids() {
-        if let Some(&t) = reads[d.index()].last() {
-            die_at[t].push(d);
-        }
-    }
-    let reads_on_device = |d: DataId, dev: usize| -> &[usize] {
-        if ndev > 1 {
-            reads_on[d.index()].get(&dev).map_or(&[], Vec::as_slice)
-        } else {
-            &reads[d.index()]
-        }
-    };
+    // structure is an external input of a unit on each device, one row
+    // per `(datum, device)`, datum-major; each row is ascending.
+    let reads = Csr::build(g.num_data() * ndev, || {
+        order.iter().enumerate().flat_map(|(t, &u)| {
+            let dev = unit_device[u];
+            units[u]
+                .external_inputs(g)
+                .map(move |d| (d.index() * ndev + dev, t as u32))
+        })
+    });
+    let reads_on_device = |d: DataId, dev: usize| reads.row(d.index() * ndev + dev);
+    // The last read of each datum on any device.
+    let last_read: Vec<Option<u32>> = g
+        .data_ids()
+        .map(|d| {
+            (0..ndev)
+                .filter_map(|e| reads_on_device(d, e).last())
+                .max()
+                .copied()
+        })
+        .collect();
+    let read_after = |d: DataId, t: usize| last_read[d.index()].is_some_and(|l| l as usize > t);
+    // Eager free: the data whose last read is at each position, ascending.
+    // A datum dies after that position; an output nobody reads dies at the
+    // launch that produces it.
+    let die_at = Csr::build(order.len(), || {
+        g.data_ids()
+            .filter_map(|d| last_read[d.index()].map(|t| (t as usize, d)))
+    });
     // The policy key of resident `v` on `dev` for an eviction at position
     // `t`; the least `(key, id)` is evicted.
     let key = |v: DataId, r: &Resident, dev: usize, t: usize| -> u64 {
@@ -341,11 +440,11 @@ fn schedule_with(
                 // Furthest next read on this device first; never read here
                 // again = ∞.
                 let nr = next_read(reads_on_device(v, dev), t + 1);
-                u64::MAX - nr.unwrap_or(usize::MAX) as u64
+                u64::MAX - nr.map_or(u64::MAX, u64::from)
             }
             EvictionPolicy::LatestUse => {
                 let lr = reads_on_device(v, dev).last().copied();
-                u64::MAX - lr.unwrap_or(usize::MAX) as u64
+                u64::MAX - lr.map_or(u64::MAX, u64::from)
             }
             EvictionPolicy::Lru => r.last_touch,
             EvictionPolicy::Fifo => r.arrived,
@@ -357,8 +456,7 @@ fn schedule_with(
     let mut st = Residency {
         g,
         steps: Vec::new(),
-        resident: (0..ndev).map(|_| BTreeMap::new()).collect(),
-        dead: vec![BTreeSet::new(); ndev],
+        resident: Residents::new(g.num_data(), ndev),
         used: vec![0u64; ndev],
         on_cpu: g
             .data_ids()
@@ -370,18 +468,30 @@ fn schedule_with(
     }
     let mut tick = 0u64;
     let mut stamps = 0u64;
+    // What the current unit stages: its inputs, then its outputs.
+    let mut wanted: Vec<DataId> = Vec::new();
+    // Eager free: each device has freed what died before `freed_to[dev]`;
+    // `dead` is what its launch frees, sorted by `DataId` so no discovery
+    // order can leak into a plan.
+    let mut freed_to = vec![0usize; ndev];
+    let mut dead: Vec<DataId> = Vec::new();
 
     for (t, &u) in order.iter().enumerate() {
         let unit = &units[u];
         let dev = unit_device[u];
         // Stage inputs, then reserve output space. None of these may be
         // evicted while the unit is staged.
-        let mut wanted: Vec<DataId> = unit.external_inputs(g).collect();
+        wanted.clear();
+        wanted.extend(unit.external_inputs(g));
         let inputs = wanted.len();
-        wanted.extend(unit.outputs(g));
+        wanted.extend(
+            unit.ops
+                .iter()
+                .flat_map(|&o| g.op(o).outputs.iter().copied()),
+        );
 
         for (i, &d) in wanted.iter().enumerate() {
-            if let Some(r) = st.resident[dev].get_mut(&d) {
+            if let Some(r) = st.resident.get_mut(dev, d) {
                 r.last_touch = tick;
                 if touch_rekeys {
                     stamps += 1;
@@ -393,8 +503,7 @@ fn schedule_with(
             let need = g.data(d).bytes();
             // Make space on this unit's device.
             while opts.budgets[dev] - st.used[dev] < need {
-                let victim =
-                    victims.pick(dev, &st.resident[dev], &wanted, |v, r| key(v, r, dev, t));
+                let victim = victims.pick(dev, &st.resident, &wanted, |v, r| key(v, r, dev, t));
                 let Some(v) = victim else {
                     return Err(FrameworkError::InvalidPlan(format!(
                         "cannot stage {} for unit {u}{}: {} B needed, {} B free, nothing evictable",
@@ -404,14 +513,13 @@ fn schedule_with(
                         opts.budgets[dev] - st.used[dev]
                     )));
                 };
-                let needed = next_read(&reads[v.index()], t + 1).is_some();
-                st.drop_data(dev, v, needed);
+                st.drop_data(dev, v, read_after(v, t));
             }
             if i < inputs {
                 if !st.on_cpu[d.index()] {
                     // Staged inter-device transfer: copy out from whichever
                     // device still holds the bytes, then upload here.
-                    let Some(src) = (0..ndev).find(|&e| st.resident[e].contains_key(&d)) else {
+                    let Some(src) = (0..ndev).find(|&e| st.resident.contains(e, d)) else {
                         return Err(FrameworkError::DataUnavailable {
                             data: d,
                             context: format!(
@@ -439,7 +547,7 @@ fn schedule_with(
                 stamp: stamps,
             };
             victims.rekey(dev, d, stamps, || key(d, &r, dev, t));
-            st.resident[dev].insert(d, r);
+            st.resident.insert(dev, d, r);
             st.used[dev] += need;
             tick += 1;
         }
@@ -448,35 +556,40 @@ fn schedule_with(
         tick += 1;
 
         if opts.eager_free {
-            // Mark what just died wherever it is resident, then delete the
-            // dead data on the launching device, in `DataId` order. Other
-            // devices free theirs at their next launch.
+            // Delete the dead data on the launching device, in `DataId`
+            // order: what died since its last launch and is still resident
+            // (not evicted for space meanwhile), and this unit's outputs
+            // nobody reads. Other devices free theirs at their next launch.
             let unread = wanted[inputs..]
                 .iter()
-                .filter(|o| reads[o.index()].is_empty());
-            for &d in die_at[t].iter().chain(unread) {
-                for e in 0..ndev {
-                    if st.resident[e].contains_key(&d) {
-                        st.dead[e].insert(d);
-                    }
-                }
-            }
-            let dead = std::mem::take(&mut st.dead[dev]);
+                .filter(|o| last_read[o.index()].is_none());
+            dead.clear();
+            dead.extend(
+                die_at
+                    .rows(freed_to[dev]..t + 1)
+                    .iter()
+                    .chain(unread)
+                    .filter(|&&d| st.resident.contains(dev, d)),
+            );
+            freed_to[dev] = t + 1;
+            dead.sort_unstable();
             #[cfg(debug_assertions)]
             {
                 // The full rescan the death buckets replace.
-                let rescan: Vec<DataId> = st.resident[dev]
-                    .keys()
-                    .copied()
-                    .filter(|&d| next_read(&reads[d.index()], t + 1).is_none())
+                let mut rescan: Vec<DataId> = st
+                    .resident
+                    .on(dev)
+                    .map(|(d, _)| d)
+                    .filter(|&d| !read_after(d, t))
                     .collect();
+                rescan.sort_unstable();
                 assert!(
-                    dead.iter().eq(rescan.iter()),
+                    dead == rescan,
                     "schedule_device_transfers: death buckets free {dead:?} on device {dev} \
                      after position {t}, the rescan {rescan:?}"
                 );
             }
-            for d in dead {
+            for &d in &dead {
                 st.drop_data(dev, d, false);
             }
         }
@@ -484,14 +597,16 @@ fn schedule_with(
 
     // Drain every device: anything still resident that the host needs.
     for dev in 0..ndev {
-        while let Some((&d, _)) = st.resident[dev].first_key_value() {
-            st.drop_data(dev, d, false);
+        for d in g.data_ids() {
+            if st.resident.contains(dev, d) {
+                st.drop_data(dev, d, false);
+            }
         }
     }
 
     let plan = ExecutionPlan {
-        units: units.to_vec(),
-        unit_device: unit_device.to_vec(),
+        units,
+        unit_device,
         steps: st.steps,
         pinned_host: opts.pinned_host.clone(),
         streams: None,
@@ -746,16 +861,16 @@ mod tests {
 
         fn pick(
             &mut self,
-            _: usize,
-            resident: &BTreeMap<DataId, Resident>,
+            device: usize,
+            resident: &Residents,
             protected: &[DataId],
             key: impl Fn(DataId, &Resident) -> u64,
         ) -> Option<DataId> {
             resident
-                .iter()
+                .on(device)
                 .filter(|(v, _)| !protected.contains(v))
-                .min_by_key(|&(&v, r)| (key(v, r), v.0))
-                .map(|(&v, _)| v)
+                .min_by_key(|&(v, r)| (key(v, r), v.0))
+                .map(|(v, _)| v)
         }
     }
 
@@ -844,10 +959,10 @@ mod tests {
                 pinned_host: Vec::new(),
             };
             for policy in POLICIES {
-                let heaps =
-                    schedule_device_transfers(&g, &units, &unit_device, &order, &opts, policy);
-                let scan =
-                    schedule_with(&g, &units, &unit_device, &order, &opts, policy, &mut Scan);
+                let (u, ud) = (units.clone(), unit_device.clone());
+                let heaps = schedule_device_transfers(&g, u, ud, &order, &opts, policy);
+                let (u, ud) = (units.clone(), unit_device.clone());
+                let scan = schedule_with(&g, u, ud, &order, &opts, policy, &mut Scan);
                 let case = format!("seed {seed} ops {ops} devices {devices} eager_free {eager_free} budget {budget} {policy:?}");
                 match (heaps, scan) {
                     (Ok(a), Ok(b)) => {
@@ -891,19 +1006,19 @@ mod tests {
         }
     }
 
-    /// `Resident` records keyed by the id, each under stamp 1.
-    fn residents(ids: &[u32]) -> BTreeMap<DataId, Resident> {
-        ids.iter()
-            .map(|&i| {
-                let r = Resident {
-                    bytes: 1,
-                    arrived: 0,
-                    last_touch: 0,
-                    stamp: 1,
-                };
-                (DataId(i), r)
-            })
-            .collect()
+    /// `Resident` records for the ids on device 0, each under stamp 1.
+    fn residents(ids: &[u32]) -> Residents {
+        let mut resident = Residents::new(ids.len(), 1);
+        for &i in ids {
+            let r = Resident {
+                bytes: 1,
+                arrived: 0,
+                last_touch: 0,
+                stamp: 1,
+            };
+            resident.insert(0, DataId(i), r);
+        }
+        resident
     }
 
     #[test]
@@ -915,7 +1030,7 @@ mod tests {
         let protected = [DataId(0)];
         assert_eq!(heaps.pick(0, &resident, &protected, key), Some(DataId(1)));
         assert_eq!(Scan.pick(0, &resident, &protected, key), Some(DataId(1)));
-        resident.remove(&DataId(1));
+        resident.remove(0, DataId(1));
         // Datum 0 went back into the heap and leads it again.
         assert_eq!(heaps.pick(0, &resident, &[], key), Some(DataId(0)));
         // Everything resident protected: nothing to evict, and nothing lost.
@@ -934,7 +1049,7 @@ mod tests {
         });
         // A touch moves datum 0's key past datum 1's under a new stamp.
         keys[0] = 30;
-        resident.get_mut(&DataId(0)).unwrap().stamp = 2;
+        resident.get_mut(0, DataId(0)).unwrap().stamp = 2;
         heaps.rekey(0, DataId(0), 2, || keys[0]);
         let key = |v: DataId, _: &Resident| keys[v.index()];
         assert_eq!(heaps.pick(0, &resident, &[], key), Some(DataId(1)));
@@ -998,9 +1113,25 @@ mod tests {
         };
         let order: Vec<usize> = (0..units.len()).collect();
         let unit_device = vec![0; units.len()];
-        let heaps =
-            schedule_device_transfers(g, units, &unit_device, &order, &opts, policy).unwrap();
-        let scan = schedule_with(g, units, &unit_device, &order, &opts, policy, &mut Scan).unwrap();
+        let heaps = schedule_device_transfers(
+            g,
+            units.to_vec(),
+            unit_device.clone(),
+            &order,
+            &opts,
+            policy,
+        )
+        .unwrap();
+        let scan = schedule_with(
+            g,
+            units.to_vec(),
+            unit_device,
+            &order,
+            &opts,
+            policy,
+            &mut Scan,
+        )
+        .unwrap();
         assert_eq!(heaps.steps, scan.steps, "{policy:?}:\n{}", heaps.render(g));
         heaps
     }
@@ -1044,7 +1175,8 @@ mod tests {
         };
         for policy in POLICIES {
             let mut heaps = VictimHeaps::new(2);
-            schedule_with(&g, &units, &unit_device, &order, &opts, policy, &mut heaps).unwrap();
+            let (u, ud) = (units.clone(), unit_device.to_vec());
+            schedule_with(&g, u, ud, &order, &opts, policy, &mut heaps).unwrap();
             assert!(
                 heaps.heaps[0].is_none(),
                 "{policy:?}: device 0 built a heap"

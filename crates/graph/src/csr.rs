@@ -1,19 +1,20 @@
 //! Compressed sparse rows: items grouped into numbered rows, all in one
-//! flat array behind one offset per row. The happens-before graph keeps
-//! its predecessor rows this way and the plan engine its per-slot lint
-//! steps, so neither allocates a `Vec` per row.
+//! flat array behind one `u32` offset per row. The transfer scheduler
+//! keeps its read positions and death buckets this way, the
+//! happens-before graph its predecessor rows and the plan engine its
+//! per-slot lint steps, so none of them allocates a `Vec` per row.
 
 /// Rows of `T`, each in the order its items were yielded.
 #[derive(Debug, Clone)]
-pub(crate) struct Csr<T> {
+pub struct Csr<T> {
     /// Row `r` is `items[start[r]..start[r + 1]]`.
     start: Vec<u32>,
     items: Vec<T>,
 }
 
 impl<T: Copy> Csr<T> {
-    /// No rows at all (a graph before `seal`).
-    pub(crate) fn empty() -> Csr<T> {
+    /// No rows at all (a happens-before graph before `seal`).
+    pub fn empty() -> Csr<T> {
         Csr {
             start: vec![0],
             items: Vec::new(),
@@ -23,10 +24,7 @@ impl<T: Copy> Csr<T> {
     /// Group the `(row, item)` pairs `pairs()` yields into `rows` rows: a
     /// stable counting sort, so each row keeps the order of its items.
     /// `pairs` is called twice, to count and then to fill.
-    pub(crate) fn build<I: Iterator<Item = (usize, T)>>(
-        rows: usize,
-        pairs: impl Fn() -> I,
-    ) -> Csr<T> {
+    pub fn build<I: Iterator<Item = (usize, T)>>(rows: usize, pairs: impl Fn() -> I) -> Csr<T> {
         let mut start = vec![0u32; rows + 1];
         let mut total = 0usize;
         for (r, _) in pairs() {
@@ -57,8 +55,13 @@ impl<T: Copy> Csr<T> {
     }
 
     /// The items of row `r`.
-    pub(crate) fn row(&self, r: usize) -> &[T] {
-        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
+    pub fn row(&self, r: usize) -> &[T] {
+        self.rows(r..r + 1)
+    }
+
+    /// The items of the rows in `rows`, row after row.
+    pub fn rows(&self, rows: std::ops::Range<usize>) -> &[T] {
+        &self.items[self.start[rows.start] as usize..self.start[rows.end] as usize]
     }
 }
 
@@ -74,6 +77,8 @@ mod tests {
         assert!(csr.row(1).is_empty());
         assert_eq!(csr.row(2), &['a', 'c']);
         assert_eq!(csr.row(3), &['d']);
+        assert_eq!(csr.rows(1..4), &['a', 'c', 'd']);
+        assert!(csr.rows(2..2).is_empty());
         let none = Csr::<char>::build(2, std::iter::empty);
         assert!(none.row(0).is_empty() && none.row(1).is_empty());
     }

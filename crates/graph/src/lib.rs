@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod canon;
+pub mod csr;
 pub mod data;
 pub mod dot;
 pub mod graph;
@@ -28,6 +29,7 @@ pub mod text;
 pub mod topo;
 
 pub use canon::{canonical_hash, skeleton_hash};
+pub use csr::Csr;
 pub use data::{DataDesc, DataId, DataKind, Region};
 pub use graph::{Graph, GraphError};
 pub use op::{OpId, OpKind, OpNode, ReduceKind, RemapKind, SplitClass, SubsampleKind};

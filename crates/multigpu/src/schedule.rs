@@ -22,7 +22,14 @@ pub fn schedule_multi_transfers(
     order: &[usize],
     opts: &MultiXferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
-    schedule_device_transfers(g, units, unit_device, order, opts, EvictionPolicy::Belady)
+    schedule_device_transfers(
+        g,
+        units.to_vec(),
+        unit_device.to_vec(),
+        order,
+        opts,
+        EvictionPolicy::Belady,
+    )
 }
 
 #[cfg(test)]

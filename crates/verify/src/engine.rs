@@ -24,9 +24,8 @@
 //! with the `GF0012`–`GF0023` codes, a plan over several devices with the
 //! `GF003x` codes that name the device involved.
 
-use gpuflow_graph::{DataId, DataKind, Graph};
+use gpuflow_graph::{Csr, DataId, DataKind, Graph};
 
-use crate::csr::Csr;
 use crate::diag::{Diagnostic, Location};
 
 /// Diagnostic codes emitted by the plan engine.

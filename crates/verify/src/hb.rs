@@ -44,7 +44,7 @@
 //! few outgoing edges to the first on-chain steps and asks the clocks
 //! there.
 
-use crate::csr::Csr;
+use gpuflow_graph::Csr;
 
 /// Why a happens-before edge exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

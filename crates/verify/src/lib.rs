@@ -44,7 +44,6 @@
 //! repository root.
 
 pub mod critpath;
-mod csr;
 pub mod diag;
 pub mod engine;
 pub mod graph_check;

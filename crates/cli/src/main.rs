@@ -12,25 +12,18 @@ fn main() {
         }
     };
     let is_check = matches!(cmd, gpuflow_cli::Command::Check { .. });
-    match gpuflow_cli::execute(&cmd) {
-        Ok(out) => emit(&out),
+    let (out, code) = match gpuflow_cli::execute(&cmd) {
+        Ok(out) => (out, 0),
         // A failed `check` carries its diagnostic report as the error;
         // print it verbatim (no usage noise) and exit nonzero. Warnings
         // and notes come back as success — only errors fail the command.
-        Err(report) if is_check && report.contains('\n') => {
-            emit(&report);
-            std::process::exit(1);
-        }
+        Err(report) if is_check && report.contains('\n') => (report, 1),
         Err(e) => {
             eprintln!("error: {e}\n\n{}", gpuflow_cli::USAGE);
             std::process::exit(1);
         }
-    }
-}
-
-/// Write `out` to stdout. A reader that went away (`gpuflow … | head`)
-/// is an error of this command, exit 1, not a panic.
-fn emit(out: &str) {
+    };
+    // A reader that went away (`gpuflow … | head`) fails the command.
     let mut stdout = std::io::stdout().lock();
     if let Err(e) = stdout
         .write_all(out.as_bytes())
@@ -39,4 +32,5 @@ fn emit(out: &str) {
         eprintln!("error: writing output: {e}");
         std::process::exit(1);
     }
+    std::process::exit(code);
 }

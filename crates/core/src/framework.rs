@@ -344,8 +344,8 @@ impl Framework {
             }
             let (order, _) = reuse.order.as_ref().expect("scheduled above");
             let tok = tracer.begin("compile", "xfer-schedule");
-            // The units move into the plan; a rejected rung hands them
-            // back (`Reuse::restore`).
+            // The units move into the plan; a rung the dry run rejects
+            // hands them back.
             let units = reuse.units.take().expect("partitioned above");
             let plan = schedule_units_on_one_device(&split.graph, units, order, xfer)?;
             let evictions = plan.evictions();
@@ -386,14 +386,8 @@ impl Framework {
             exact_stats,
         } = scheduled;
         let tok = tracer.begin("compile", "validate");
-        let (analysis, certificate) =
-            match check_plan(&reuse.rewrites.latest().graph, &plan, &[budget]) {
-                Ok(checked) => checked,
-                Err(e) => {
-                    reuse.restore(plan);
-                    return Err(FrameworkError::InvalidPlan(e));
-                }
-            };
+        let (analysis, certificate) = check_plan(&reuse.rewrites.latest().graph, &plan, &[budget])
+            .map_err(FrameworkError::InvalidPlan)?;
         tracer.end(tok);
         crate::observe::record_plan_metrics(tracer, &analysis.stats);
         if tracer.is_enabled() {
@@ -426,16 +420,6 @@ struct Reuse {
     /// The issue order of `units`, and under `--streams` the stream of
     /// every unit (empty for a serial plan).
     order: Option<(Vec<usize>, Vec<usize>)>,
-}
-
-impl Reuse {
-    /// Take back the units a rejected rung's `plan` holds, if the serial
-    /// transfer schedule moved them out of `units`.
-    fn restore(&mut self, plan: ExecutionPlan) {
-        if self.units.is_none() {
-            self.units = Some(plan.units);
-        }
-    }
 }
 
 /// A rung's plan before validation, with what the exact solver reported.
@@ -536,7 +520,7 @@ impl Framework {
         let dry_run = match dry_run {
             Ok(run) => run.exec,
             Err(e) => {
-                reuse.restore(scheduled.plan);
+                reuse.units.get_or_insert(scheduled.plan.units);
                 return Err(("dry-run: ", e));
             }
         };

@@ -17,8 +17,6 @@
 //! A source-driven forward DFS, breadth-first, and plain insertion order
 //! are provided as ablation baselines.
 
-use std::collections::VecDeque;
-
 use gpuflow_graph::{DataKind, Graph};
 
 use crate::partition::OffloadUnit;
@@ -55,10 +53,8 @@ pub(crate) struct UnitDag {
 pub(crate) fn unit_dag(g: &Graph, units: &[OffloadUnit]) -> UnitDag {
     let mut owner = vec![usize::MAX; g.num_data()];
     for (ui, u) in units.iter().enumerate() {
-        for &o in &u.ops {
-            for &d in &g.op(o).outputs {
-                owner[d.index()] = ui;
-            }
+        for d in u.outputs(g) {
+            owner[d.index()] = ui;
         }
     }
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
@@ -75,11 +71,7 @@ pub(crate) fn unit_dag(g: &Graph, units: &[OffloadUnit]) -> UnitDag {
     let output_units: Vec<usize> = units
         .iter()
         .enumerate()
-        .filter(|(_, u)| {
-            u.outputs(g)
-                .iter()
-                .any(|&d| g.data(d).kind == DataKind::Output)
-        })
+        .filter(|(_, u)| u.outputs(g).any(|d| g.data(d).kind == DataKind::Output))
         .map(|(ui, _)| ui)
         .collect();
     UnitDag {
@@ -87,6 +79,24 @@ pub(crate) fn unit_dag(g: &Graph, units: &[OffloadUnit]) -> UnitDag {
         succs,
         output_units,
     }
+}
+
+/// Level-order (Kahn) topological order of the unit DAG: ready units in
+/// index order, then each unit's successors as they become ready.
+pub(crate) fn kahn_order(dag: &UnitDag) -> Vec<usize> {
+    let mut npreds: Vec<usize> = dag.preds.iter().map(Vec::len).collect();
+    let mut order: Vec<usize> = (0..npreds.len()).filter(|&u| npreds[u] == 0).collect();
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        for &s in &dag.succs[u] {
+            npreds[s] -= 1;
+            if npreds[s] == 0 {
+                order.push(s);
+            }
+        }
+    }
+    order
 }
 
 /// Order the units for execution. The result is always a valid topological
@@ -102,19 +112,7 @@ pub fn schedule_units(g: &Graph, units: &[OffloadUnit], scheduler: OpScheduler) 
             // Units are already topologically ordered by construction.
             return (0..n).collect();
         }
-        OpScheduler::BreadthFirst => {
-            let mut npreds: Vec<usize> = dag.preds.iter().map(|p| p.len()).collect();
-            let mut queue: VecDeque<usize> = (0..n).filter(|&u| npreds[u] == 0).collect();
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for &s in &dag.succs[u] {
-                    npreds[s] -= 1;
-                    if npreds[s] == 0 {
-                        queue.push_back(s);
-                    }
-                }
-            }
-        }
+        OpScheduler::BreadthFirst => order = kahn_order(&dag),
         OpScheduler::SourceDepthFirst => {
             // Forward DFS: after a unit completes, dive into its first
             // ready consumer; a not-yet-ready consumer is skipped and

@@ -47,26 +47,18 @@ impl OffloadUnit {
     }
 
     /// All data produced by the unit.
-    pub fn outputs(&self, g: &Graph) -> Vec<DataId> {
+    pub fn outputs<'a>(&'a self, g: &'a Graph) -> impl Iterator<Item = DataId> + 'a {
         self.ops
             .iter()
             .flat_map(|&o| g.op(o).outputs.iter().copied())
-            .collect()
     }
 
-    /// Working set in bytes: every data structure touched by the unit.
+    /// Working set in bytes: every data structure touched by the unit,
+    /// its external inputs and everything it produces (data is
+    /// single-assignment, so the two never overlap).
     pub fn footprint_bytes(&self, g: &Graph) -> u64 {
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0u64;
-        for &o in &self.ops {
-            let op = g.op(o);
-            for &d in op.inputs.iter().chain(op.outputs.iter()) {
-                if seen.insert(d) {
-                    total += g.data(d).bytes();
-                }
-            }
-        }
-        total
+        let touched = self.external_inputs(g).chain(self.outputs(g));
+        touched.map(|d| g.data(d).bytes()).sum()
     }
 }
 
@@ -316,7 +308,7 @@ mod tests {
         let ext: Vec<_> = unit.external_inputs(&g).collect();
         assert_eq!(ext.len(), 1);
         assert_eq!(g.data(ext[0]).name, "in");
-        let outs = unit.outputs(&g);
+        let outs: Vec<DataId> = unit.outputs(&g).collect();
         assert_eq!(outs.len(), 2);
         // Working set: in, d0, d1.
         assert_eq!(unit.footprint_bytes(&g), 3 * 64 * 4);

@@ -932,7 +932,7 @@ pub fn pb_exact_plan_traced(
         .iter()
         .map(|u| u.external_inputs(g).collect())
         .collect();
-    let outputs: Vec<Vec<DataId>> = units.iter().map(|u| u.outputs(g)).collect();
+    let outputs: Vec<Vec<DataId>> = units.iter().map(|u| u.outputs(g).collect()).collect();
     let mut owner: Vec<Option<usize>> = vec![None; j];
     for (u, outs) in outputs.iter().enumerate() {
         for &d in outs {
@@ -1709,7 +1709,7 @@ mod tests {
             .iter()
             .map(|u| u.external_inputs(&g).collect())
             .collect();
-        let outputs: Vec<Vec<DataId>> = units.iter().map(|u| u.outputs(&g)).collect();
+        let outputs: Vec<Vec<DataId>> = units.iter().map(|u| u.outputs(&g).collect()).collect();
         let mut owner: Vec<Option<usize>> = vec![None; g.num_data()];
         for (u, outs) in outputs.iter().enumerate() {
             for &d in outs {

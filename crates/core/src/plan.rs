@@ -80,10 +80,7 @@ impl ExecutionPlan {
             .sum();
         let mut view = PlanView::new(&self.unit_device, &self.steps, &self.pinned_host, io);
         for u in &self.units {
-            view.push_unit(
-                u.external_inputs(g),
-                u.ops.iter().flat_map(|&o| g.op(o).outputs.iter().copied()),
-            );
+            view.push_unit(u.external_inputs(g), u.outputs(g));
         }
         view
     }

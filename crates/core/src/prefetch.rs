@@ -272,7 +272,7 @@ mod tests {
                         assert!(!resident, "double residency for {}", g.data(d).name);
                         resident = true;
                     }
-                    Step::Launch(u) if plan.units[u].outputs(&g).contains(&d) => {
+                    Step::Launch(u) if plan.units[u].outputs(&g).any(|o| o == d) => {
                         resident = true;
                     }
                     Step::Free { data: x, .. } if x == d => {

@@ -55,7 +55,7 @@ use gpuflow_graph::{DataId, Graph};
 use gpuflow_sim::DeviceSpec;
 
 use crate::error::FrameworkError;
-use crate::opschedule::{unit_dag, UnitDag};
+use crate::opschedule::{kahn_order, unit_dag, UnitDag};
 use crate::overlap::op_kernel_time;
 use crate::partition::OffloadUnit;
 use crate::plan::{ExecutionPlan, Step};
@@ -111,7 +111,7 @@ impl Priorities {
         // are not guaranteed to be topological, so walk a Kahn order
         // backwards.
         let mut bl = vec![0.0f64; units.len()];
-        for &u in kahn_order(&dag.preds, &dag.succs).iter().rev() {
+        for &u in kahn_order(&dag).iter().rev() {
             let succ_max = dag.succs[u].iter().fold(0.0f64, |m, &s| m.max(bl[s]));
             bl[u] = time[u] + succ_max;
         }
@@ -218,27 +218,6 @@ pub fn stream_order(
     }
     assert_eq!(order.len(), n, "unit DAG must be acyclic");
     (order, unit_stream)
-}
-
-/// Plain Kahn topological order over the unit DAG.
-fn kahn_order(preds: &[Vec<usize>], succs: &[Vec<usize>]) -> Vec<usize> {
-    let n = preds.len();
-    let mut npreds: Vec<usize> = preds.iter().map(|p| p.len()).collect();
-    let mut queue: Vec<usize> = (0..n).filter(|&u| npreds[u] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        order.push(u);
-        for &s in &succs[u] {
-            npreds[s] -= 1;
-            if npreds[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    order
 }
 
 /// Which lane a plan step issues on, for event derivation.
@@ -359,7 +338,7 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
         // hence never-yet-resident) outputs.
         let need = match step {
             Step::CopyIn { data: d, .. } => g.data(d).bytes(),
-            Step::Launch(u) => units[u].outputs(g).iter().map(|&d| g.data(d).bytes()).sum(),
+            Step::Launch(u) => units[u].outputs(g).map(|d| g.data(d).bytes()).sum(),
             Step::CopyOut { .. } => 0,
             Step::Free { data: d, .. } => {
                 pending.push_back(d);
@@ -564,7 +543,7 @@ mod tests {
         for step in steps {
             let need = match step {
                 Step::CopyIn { data: d, .. } => g.data(d).bytes(),
-                Step::Launch(u) => units[u].outputs(g).iter().map(|&d| g.data(d).bytes()).sum(),
+                Step::Launch(u) => units[u].outputs(g).map(|d| g.data(d).bytes()).sum(),
                 Step::CopyOut { .. } => 0,
                 Step::Free { data: d, .. } => {
                     pending.push_back(d);

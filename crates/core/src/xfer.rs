@@ -11,21 +11,15 @@
 //!    replacement; the paper words it as "furthest latest time of use");
 //! 3. delete data eagerly the moment it becomes dead.
 //!
-//! Deaths are known statically: a datum dies after its last read in the
-//! order (an output nobody reads, right after the launch producing it).
-//! The scheduler buckets them by that position, and each device remembers
-//! the position up to which it has freed, so an eager free visits only
-//! what died since the device last launched instead of rescanning
-//! everything resident after every unit. Dead data is never staged
-//! again, so what of it is resident at the free was resident when it
-//! died.
-//!
-//! The scheduler's state is flat. The read positions of every datum on
-//! every device and the death buckets are compressed sparse rows
-//! ([`Csr`], built in two passes over the order); residency is one `u32`
-//! slot per datum and device into a dense slab of records, so a lookup is
-//! an index and a placement reuses a freed record. A run allocates a
-//! fixed number of buffers whatever the length of the order.
+//! The scheduler's state is flat, so a run allocates a fixed number of
+//! buffers whatever the length of the order. The read positions of every
+//! datum on every device are compressed sparse rows ([`Csr`]), and so are
+//! the deaths: a datum dies after its last read in the order (an output
+//! nobody reads, right after the launch producing it), and each device
+//! frees at its launch what died since its previous one — dead data is
+//! never staged again, so what of it is still resident was resident when
+//! it died — instead of rescanning everything resident. Residency is one
+//! `u32` slot per datum and device into a dense slab of records.
 //!
 //! Victims come from a per-device lazy-deletion min-heap keyed `(policy
 //! key, DataId, stamp)`, not from a scan of everything resident; the four
@@ -119,7 +113,6 @@ pub struct MultiXferOptions {
 }
 
 struct Resident {
-    bytes: u64,
     arrived: u64,
     last_touch: u64,
     /// Which victim-heap entry carries this residency's current key (see
@@ -127,83 +120,61 @@ struct Resident {
     stamp: u64,
 }
 
-/// What is resident on which device: one slot per `(datum, device)`,
-/// datum-major so the devices holding a datum sit side by side, naming a
-/// record in a dense slab or [`Residents::EMPTY`]. Each slab record keeps
-/// the slot it fills (`EMPTY` once vacated), and a vacated record is
-/// reused by the next placement, so the slab is as long as the most data
-/// ever resident at once.
+/// No record: the datum is not resident there.
+const EMPTY: u32 = u32::MAX;
+
+/// Residency: one slot per `(datum, device)`, datum-major, naming a record
+/// in a dense slab or [`EMPTY`]. A record keeps the slot that names it, so
+/// a removal can move the last record into the hole.
 struct Residents {
     devices: usize,
     slot: Vec<u32>,
     slab: Vec<(u32, Resident)>,
-    vacant: Vec<u32>,
 }
 
 impl Residents {
-    const EMPTY: u32 = u32::MAX;
-
     fn new(data: usize, devices: usize) -> Self {
-        assert!(data * devices < Self::EMPTY as usize, "slots are u32");
+        assert!(data * devices < EMPTY as usize, "slots are u32");
+        let (slot, slab) = (vec![EMPTY; data * devices], Vec::new());
         Residents {
             devices,
-            slot: vec![Self::EMPTY; data * devices],
-            slab: Vec::new(),
-            vacant: Vec::new(),
+            slot,
+            slab,
         }
     }
 
-    fn index(&self, device: usize, d: DataId) -> usize {
-        d.index() * self.devices + device
-    }
-
-    fn contains(&self, device: usize, d: DataId) -> bool {
-        self.slot[self.index(device, d)] != Self::EMPTY
-    }
-
+    // `EMPTY` indexes past the end of the slab, which the slots outnumber.
     fn get(&self, device: usize, d: DataId) -> Option<&Resident> {
-        let s = self.slot[self.index(device, d)];
-        (s != Self::EMPTY).then(|| &self.slab[s as usize].1)
+        let s = self.slot[d.index() * self.devices + device];
+        self.slab.get(s as usize).map(|(_, r)| r)
     }
 
     fn get_mut(&mut self, device: usize, d: DataId) -> Option<&mut Resident> {
-        let s = self.slot[self.index(device, d)];
-        (s != Self::EMPTY).then(|| &mut self.slab[s as usize].1)
+        let s = self.slot[d.index() * self.devices + device];
+        self.slab.get_mut(s as usize).map(|(_, r)| r)
     }
 
     fn insert(&mut self, device: usize, d: DataId, r: Resident) {
-        let i = self.index(device, d);
-        debug_assert_eq!(self.slot[i], Self::EMPTY, "{d:?} placed twice");
-        let record = (i as u32, r);
-        self.slot[i] = match self.vacant.pop() {
-            Some(s) => {
-                self.slab[s as usize] = record;
-                s
-            }
-            None => {
-                self.slab.push(record);
-                (self.slab.len() - 1) as u32
-            }
-        };
+        let i = d.index() * self.devices + device;
+        self.slot[i] = self.slab.len() as u32;
+        self.slab.push((i as u32, r));
     }
 
-    /// Take `d` off `device`, returning its size.
-    fn remove(&mut self, device: usize, d: DataId) -> Option<u64> {
-        let i = self.index(device, d);
-        let s = std::mem::replace(&mut self.slot[i], Self::EMPTY);
-        (s != Self::EMPTY).then(|| {
-            self.vacant.push(s);
-            let (filled, r) = &mut self.slab[s as usize];
-            *filled = Self::EMPTY;
-            r.bytes
-        })
+    /// Take the resident `d` off `device`.
+    fn remove(&mut self, device: usize, d: DataId) {
+        let i = d.index() * self.devices + device;
+        let s = std::mem::replace(&mut self.slot[i], EMPTY) as usize;
+        self.slab.swap_remove(s);
+        if let Some(&(moved, _)) = self.slab.get(s) {
+            self.slot[moved as usize] = s as u32;
+        }
     }
 
     /// The data resident on `device`, in no particular order.
     fn on(&self, device: usize) -> impl Iterator<Item = (DataId, &Resident)> + '_ {
         self.slab
             .iter()
-            .filter(move |&&(i, _)| i != Self::EMPTY && i as usize % self.devices == device)
+            .filter(move |&&(i, _)| i as usize % self.devices == device)
             .map(|(i, r)| (DataId(*i / self.devices as u32), r))
     }
 }
@@ -316,11 +287,8 @@ impl Residency<'_> {
             device,
             data: victim,
         });
-        let bytes = self
-            .resident
-            .remove(device, victim)
-            .expect("victim resident");
-        self.used[device] -= bytes;
+        self.resident.remove(device, victim);
+        self.used[device] -= self.g.data(victim).bytes();
     }
 }
 
@@ -484,11 +452,7 @@ fn schedule_with(
         wanted.clear();
         wanted.extend(unit.external_inputs(g));
         let inputs = wanted.len();
-        wanted.extend(
-            unit.ops
-                .iter()
-                .flat_map(|&o| g.op(o).outputs.iter().copied()),
-        );
+        wanted.extend(unit.outputs(g));
 
         for (i, &d) in wanted.iter().enumerate() {
             if let Some(r) = st.resident.get_mut(dev, d) {
@@ -519,7 +483,7 @@ fn schedule_with(
                 if !st.on_cpu[d.index()] {
                     // Staged inter-device transfer: copy out from whichever
                     // device still holds the bytes, then upload here.
-                    let Some(src) = (0..ndev).find(|&e| st.resident.contains(e, d)) else {
+                    let Some(src) = (0..ndev).find(|&e| st.resident.get(e, d).is_some()) else {
                         return Err(FrameworkError::DataUnavailable {
                             data: d,
                             context: format!(
@@ -541,7 +505,6 @@ fn schedule_with(
             }
             stamps += 1;
             let r = Resident {
-                bytes: need,
                 arrived: tick,
                 last_touch: tick,
                 stamp: stamps,
@@ -569,7 +532,7 @@ fn schedule_with(
                     .rows(freed_to[dev]..t + 1)
                     .iter()
                     .chain(unread)
-                    .filter(|&&d| st.resident.contains(dev, d)),
+                    .filter(|&&d| st.resident.get(dev, d).is_some()),
             );
             freed_to[dev] = t + 1;
             dead.sort_unstable();
@@ -598,7 +561,7 @@ fn schedule_with(
     // Drain every device: anything still resident that the host needs.
     for dev in 0..ndev {
         for d in g.data_ids() {
-            if st.resident.contains(dev, d) {
+            if st.resident.get(dev, d).is_some() {
                 st.drop_data(dev, d, false);
             }
         }
@@ -1011,7 +974,6 @@ mod tests {
         let mut resident = Residents::new(ids.len(), 1);
         for &i in ids {
             let r = Resident {
-                bytes: 1,
                 arrived: 0,
                 last_touch: 0,
                 stamp: 1,

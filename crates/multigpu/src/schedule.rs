@@ -22,14 +22,8 @@ pub fn schedule_multi_transfers(
     order: &[usize],
     opts: &MultiXferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
-    schedule_device_transfers(
-        g,
-        units.to_vec(),
-        unit_device.to_vec(),
-        order,
-        opts,
-        EvictionPolicy::Belady,
-    )
+    let (units, unit_device) = (units.to_vec(), unit_device.to_vec());
+    schedule_device_transfers(g, units, unit_device, order, opts, EvictionPolicy::Belady)
 }
 
 #[cfg(test)]

@@ -2,79 +2,22 @@
 
 use gpuflow_chaos::FaultSpec;
 use gpuflow_core::{EvictionPolicy, OpScheduler};
-use gpuflow_templates::{cnn, edge};
+use gpuflow_serve::Builtin;
 
 /// Where the template comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Source {
     /// A `.gfg` file on disk.
     File(String),
-    /// Built-in edge-detection template.
-    Edge {
-        /// Image rows.
-        rows: usize,
-        /// Image cols.
-        cols: usize,
-        /// Kernel edge.
-        k: usize,
-        /// Orientations.
-        orientations: usize,
-    },
-    /// Built-in small CNN.
-    SmallCnn {
-        /// Input rows.
-        rows: usize,
-        /// Input cols.
-        cols: usize,
-    },
-    /// Built-in large CNN.
-    LargeCnn {
-        /// Input rows.
-        rows: usize,
-        /// Input cols.
-        cols: usize,
-    },
-    /// The paper's Fig. 3 / Fig. 6 example.
-    Fig3,
+    /// A builtin template (`fig3`, `edge:…`, `cnn-small:…`, `cnn-large:…`).
+    Builtin(Builtin),
 }
 
 impl Source {
     /// Parse a source token.
     pub fn parse(tok: &str) -> Result<Source, String> {
-        if tok == "fig3" {
-            return Ok(Source::Fig3);
-        }
-        if let Some(spec) = tok.strip_prefix("edge:") {
-            let mut parts = spec.split(',');
-            let dims = parts.next().ok_or("edge: missing dimensions")?;
-            let (rows, cols) = parse_dims(dims)?;
-            let (mut k, mut orientations) = (16usize, 4usize);
-            for p in parts {
-                if let Some(v) = p.strip_prefix("k=") {
-                    k = v.parse().map_err(|_| format!("bad kernel '{v}'"))?;
-                } else if let Some(v) = p.strip_prefix("o=") {
-                    orientations = v.parse().map_err(|_| format!("bad orientations '{v}'"))?;
-                } else {
-                    return Err(format!("unknown edge parameter '{p}'"));
-                }
-            }
-            edge::check_params(rows, cols, k, orientations).map_err(|e| e.to_string())?;
-            return Ok(Source::Edge {
-                rows,
-                cols,
-                k,
-                orientations,
-            });
-        }
-        if let Some(spec) = tok.strip_prefix("cnn-small:") {
-            let (rows, cols) = parse_dims(spec)?;
-            cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
-            return Ok(Source::SmallCnn { rows, cols });
-        }
-        if let Some(spec) = tok.strip_prefix("cnn-large:") {
-            let (rows, cols) = parse_dims(spec)?;
-            cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
-            return Ok(Source::LargeCnn { rows, cols });
+        if let Some(builtin) = Builtin::parse(tok)? {
+            return Ok(Source::Builtin(builtin));
         }
         if tok.ends_with(".gfg") || tok.contains('/') {
             return Ok(Source::File(tok.to_string()));
@@ -83,19 +26,6 @@ impl Source {
             "unrecognized source '{tok}' (not a .gfg path or builtin)"
         ))
     }
-}
-
-fn parse_dims(s: &str) -> Result<(usize, usize), String> {
-    let mut it = s.splitn(2, 'x');
-    let rows = it
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("bad dimensions '{s}'"))?;
-    let cols = it
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("bad dimensions '{s}' (expected <rows>x<cols>)"))?;
-    Ok((rows, cols))
 }
 
 /// Which device to target.
@@ -743,30 +673,33 @@ mod tests {
     fn parse_sources() {
         assert_eq!(
             Source::parse("edge:1000x800,k=9,o=8").unwrap(),
-            Source::Edge {
+            Source::Builtin(Builtin::Edge {
                 rows: 1000,
                 cols: 800,
                 k: 9,
                 orientations: 8
-            }
+            })
         );
         assert_eq!(
             Source::parse("edge:64x64").unwrap(),
-            Source::Edge {
+            Source::Builtin(Builtin::Edge {
                 rows: 64,
                 cols: 64,
                 k: 16,
                 orientations: 4
-            }
+            })
         );
         assert_eq!(
             Source::parse("cnn-small:480x640").unwrap(),
-            Source::SmallCnn {
+            Source::Builtin(Builtin::SmallCnn {
                 rows: 480,
                 cols: 640
-            }
+            })
         );
-        assert_eq!(Source::parse("fig3").unwrap(), Source::Fig3);
+        assert_eq!(
+            Source::parse("fig3").unwrap(),
+            Source::Builtin(Builtin::Fig3)
+        );
         assert_eq!(
             Source::parse("templates/edge.gfg").unwrap(),
             Source::File("templates/edge.gfg".into())
@@ -1063,7 +996,7 @@ mod tests {
                 json,
                 ..
             } => {
-                assert_eq!(source, Some(Source::Fig3));
+                assert_eq!(source, Some(Source::Builtin(Builtin::Fig3)));
                 assert_eq!(seeds, 4);
                 assert_eq!(devices.as_deref(), Some("c870x2"));
                 assert!(!smoke);
@@ -1248,7 +1181,7 @@ mod tests {
                 devices,
                 ..
             } => {
-                assert_eq!(source, Some(Source::Fig3));
+                assert_eq!(source, Some(Source::Builtin(Builtin::Fig3)));
                 assert_eq!(streams, 2);
                 assert!(json && no_defer_frees && !smoke);
                 assert!(devices.is_none());

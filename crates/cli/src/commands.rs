@@ -18,7 +18,6 @@ use gpuflow_profile::{
     trace_profile, ProfileReport,
 };
 use gpuflow_templates::data::default_bindings;
-use gpuflow_templates::{cnn, edge};
 use gpuflow_trace::{
     sum_event_arg, sum_event_dur, validate_chrome_trace, Tracer, PID_CLUSTER, PID_OVERLAP,
     PID_SERIAL,
@@ -233,15 +232,7 @@ pub fn load_source(source: &Source) -> Result<Graph, String> {
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             gpuflow_graph::parse_graph(&text).map_err(|e| e.to_string())
         }
-        Source::Edge {
-            rows,
-            cols,
-            k,
-            orientations,
-        } => Ok(edge::find_edges(*rows, *cols, *k, *orientations, edge::CombineOp::Max).graph),
-        Source::SmallCnn { rows, cols } => Ok(cnn::small_cnn(*rows, *cols).graph),
-        Source::LargeCnn { rows, cols } => Ok(cnn::large_cnn(*rows, *cols).graph),
-        Source::Fig3 => Ok(gpuflow_core::examples::fig3_graph()),
+        Source::Builtin(builtin) => Ok(builtin.build()),
     }
 }
 
@@ -286,19 +277,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// error (nonzero exit).
 fn chaos_smoke() -> Result<String, String> {
     let mut out = String::new();
-    let sources = [
-        ("fig3", Source::Fig3),
-        (
-            "edge:96x96,k=5,o=4",
-            Source::Edge {
-                rows: 96,
-                cols: 96,
-                k: 5,
-                orientations: 4,
-            },
-        ),
-        ("cnn-small:64x64", Source::SmallCnn { rows: 64, cols: 64 }),
-    ];
+    let sources = ["fig3", "edge:96x96,k=5,o=4", "cnn-small:64x64"]
+        .map(|name| (name, Source::parse(name).expect("a builtin spec")));
     let cluster = parse_cluster("c870x2")?;
     let dev = gpuflow_sim::device::tesla_c870();
     let mut runs = 0u32;
@@ -482,19 +462,8 @@ fn profile_summary_json(r: &ProfileReport) -> Value {
 /// advisor documents itself as first-order.
 fn profile_smoke() -> Result<String, String> {
     let mut out = String::new();
-    let sources = [
-        ("fig3", Source::Fig3),
-        (
-            "edge:96x96,k=5,o=4",
-            Source::Edge {
-                rows: 96,
-                cols: 96,
-                k: 5,
-                orientations: 4,
-            },
-        ),
-        ("cnn-small:64x64", Source::SmallCnn { rows: 64, cols: 64 }),
-    ];
+    let sources = ["fig3", "edge:96x96,k=5,o=4", "cnn-small:64x64"]
+        .map(|name| (name, Source::parse(name).expect("a builtin spec")));
     let dev = gpuflow_sim::device::tesla_c870();
     let cluster = parse_cluster("c870x2")?;
     let mut reports = 0u32;
@@ -1140,7 +1109,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let g = load_source(source)?;
             let name = match source {
                 Source::File(p) => p.clone(),
-                other => format!("{other:?}"),
+                Source::Builtin(b) => format!("{b:?}"),
             };
             let mut tracer = new_tracer();
             // Each reconciliation row compares an independently summed
@@ -1544,7 +1513,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let g = load_source(source)?;
             let name = match source {
                 Source::File(p) => p.clone(),
-                other => format!("{other:?}"),
+                Source::Builtin(b) => format!("{b:?}"),
             };
             if let Some(spec) = devices {
                 let cluster = parse_cluster(spec)?;

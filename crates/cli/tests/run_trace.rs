@@ -12,6 +12,7 @@ use gpuflow_cli::{execute, Command, Source};
 use gpuflow_core::{CompileOptions, Framework};
 use gpuflow_minijson::Value;
 use gpuflow_multi::{compile_multi, parse_cluster};
+use gpuflow_serve::Builtin;
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_trace::{PID_CLUSTER, PID_OVERLAP, PID_SERIAL};
 
@@ -64,16 +65,21 @@ fn traced_run_agrees(args: &str, tag: &str) -> Value {
 fn trace_does_not_change_a_single_device_run() {
     let dev = tesla_c870();
     for (args, tag, src, streams) in [
-        ("fig3 --device c870", "fig3_c870", Source::Fig3, 1),
+        (
+            "fig3 --device c870",
+            "fig3_c870",
+            Source::Builtin(Builtin::Fig3),
+            1,
+        ),
         (
             "edge:256x256,k=9,o=4 --device c870 --streams 2",
             "edge_streams2",
-            Source::Edge {
+            Source::Builtin(Builtin::Edge {
                 rows: 256,
                 cols: 256,
                 k: 9,
                 orientations: 4,
-            },
+            }),
             2,
         ),
     ] {
@@ -97,7 +103,7 @@ fn trace_does_not_change_a_single_device_run() {
 #[test]
 fn trace_does_not_change_a_cluster_run() {
     let export = traced_run_agrees("fig3 --devices c870x2", "fig3_c870x2");
-    let g = load_source(&Source::Fig3).unwrap();
+    let g = load_source(&Source::Builtin(Builtin::Fig3)).unwrap();
     let c = compile_multi(&g, &parse_cluster("c870x2").unwrap(), 0.05).unwrap();
     let lanes = c.simulate().events.len();
     assert!(lanes > 0);

@@ -320,18 +320,6 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
     let mut queued = vec![0u32; g.num_data()];
     let mut used = 0u64;
     let mut out = Vec::with_capacity(steps.len());
-    fn flush_front(
-        g: &Graph,
-        out: &mut Vec<Step>,
-        pending: &mut VecDeque<DataId>,
-        queued: &mut [u32],
-        used: &mut u64,
-    ) {
-        let d = pending.pop_front().expect("caller checked non-empty");
-        queued[d.index()] -= 1;
-        out.push(Step::Free { device: 0, data: d });
-        *used -= g.data(d).bytes();
-    }
     for step in steps {
         // Bytes this step allocates, in the plan validator's accounting:
         // a CopyIn allocates its datum, a Launch its (single-assignment,
@@ -346,23 +334,28 @@ fn defer_frees(g: &Graph, units: &[OffloadUnit], steps: Vec<Step>, memory_bytes:
                 continue;
             }
         };
-        if let Step::CopyIn { data: d, .. } = step {
-            // Re-uploading an evicted datum: its deferred free (and, to
-            // keep free order stable, everything queued before it) must
-            // commit first — the device cannot hold two copies.
-            while queued[d.index()] > 0 {
-                flush_front(g, &mut out, &mut pending, &mut queued, &mut used);
+        // Commit deferred frees, oldest first, while the step would exceed
+        // the budget, or while it re-uploads an evicted datum whose free is
+        // still queued (the device cannot hold two copies; what was queued
+        // before it commits too, to keep free order stable).
+        while let Some(&d) = pending.front() {
+            let reupload = matches!(step, Step::CopyIn { data, .. } if queued[data.index()] > 0);
+            if !reupload && used.saturating_add(need) <= memory_bytes {
+                break;
             }
-        }
-        while used.saturating_add(need) > memory_bytes && !pending.is_empty() {
-            flush_front(g, &mut out, &mut pending, &mut queued, &mut used);
+            pending.pop_front();
+            queued[d.index()] -= 1;
+            out.push(Step::Free { device: 0, data: d });
+            used -= g.data(d).bytes();
         }
         used += need;
         out.push(step);
     }
-    while !pending.is_empty() {
-        flush_front(g, &mut out, &mut pending, &mut queued, &mut used);
-    }
+    out.extend(
+        pending
+            .into_iter()
+            .map(|d| Step::Free { device: 0, data: d }),
+    );
     out
 }
 

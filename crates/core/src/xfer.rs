@@ -382,15 +382,9 @@ fn schedule_with(
         })
     });
     let reads_on_device = |d: DataId, dev: usize| reads.row(d.index() * ndev + dev);
-    // The last read of each datum on any device.
-    let last_read: Vec<Option<u32>> = g
-        .data_ids()
-        .map(|d| {
-            (0..ndev)
-                .filter_map(|e| reads_on_device(d, e).last())
-                .max()
-                .copied()
-        })
+    // The last read of each datum on any device: its rows sit side by side.
+    let last_read: Vec<Option<u32>> = (0..g.num_data())
+        .map(|d| reads.rows(d * ndev..(d + 1) * ndev).iter().max().copied())
         .collect();
     let read_after = |d: DataId, t: usize| last_read[d.index()].is_some_and(|l| l as usize > t);
     // Eager free: the data whose last read is at each position, ascending.

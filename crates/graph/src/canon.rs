@@ -38,9 +38,10 @@ fn finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fold `v` into the running digest `acc` (order-sensitive).
+/// Fold `v` into the running digest `acc` (order-sensitive). The plan
+/// cache keys of `gpuflow-serve` fold their fields with it too.
 #[inline]
-fn mix(acc: u64, v: u64) -> u64 {
+pub fn mix(acc: u64, v: u64) -> u64 {
     finalize(acc ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

@@ -14,24 +14,10 @@
 //! incremental recompile.
 
 use gpuflow_core::CompileOptions;
+use gpuflow_graph::canon::mix;
 use gpuflow_graph::{canonical_hash, skeleton_hash, Graph};
 use gpuflow_multi::Cluster;
 use gpuflow_sim::device::DeviceSpec;
-
-/// SplitMix64 finalizer (same permutation as `gpuflow_graph::canon` uses,
-/// duplicated because it is three lines and not part of that module's API).
-#[inline]
-fn finalize(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-#[inline]
-fn mix(acc: u64, v: u64) -> u64 {
-    finalize(acc ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// Stable fingerprint of one device specification.
 ///

@@ -70,4 +70,4 @@ pub use protocol::{parse_request, Request, RequestOptions};
 pub use server::{ServeConfig, Server, PHASES};
 pub use smoke::run_smoke;
 pub use soak::{run_soak, SoakReport};
-pub use source::{resolve_named, TemplateRef};
+pub use source::{resolve_named, Builtin, TemplateRef};

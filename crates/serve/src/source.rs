@@ -48,42 +48,108 @@ fn parse_dims(s: &str) -> Result<(usize, usize), String> {
     Ok((rows, cols))
 }
 
+/// A builtin template, parsed and checked: the grammar of a request's
+/// named template and of the CLI's positional source alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Builtin {
+    /// The paper's Fig. 3 / Fig. 6 example (`fig3`).
+    Fig3,
+    /// Edge detection (`edge:RxC[,k=K][,o=O]`).
+    Edge {
+        /// Image rows.
+        rows: usize,
+        /// Image cols.
+        cols: usize,
+        /// Kernel edge.
+        k: usize,
+        /// Orientations.
+        orientations: usize,
+    },
+    /// The small CNN (`cnn-small:RxC`).
+    SmallCnn {
+        /// Input rows.
+        rows: usize,
+        /// Input cols.
+        cols: usize,
+    },
+    /// The large CNN (`cnn-large:RxC`).
+    LargeCnn {
+        /// Input rows.
+        rows: usize,
+        /// Input cols.
+        cols: usize,
+    },
+}
+
+impl Builtin {
+    /// Parse `spec`: `Ok(None)` if it names no builtin, an error if it
+    /// names one with parameters that cannot build.
+    pub fn parse(spec: &str) -> Result<Option<Builtin>, String> {
+        if spec == "fig3" {
+            return Ok(Some(Builtin::Fig3));
+        }
+        if let Some(rest) = spec.strip_prefix("edge:") {
+            let mut parts = rest.split(',');
+            let dims = parts.next().ok_or("edge: missing dimensions")?;
+            let (rows, cols) = parse_dims(dims)?;
+            let (mut k, mut orientations) = (16usize, 4usize);
+            for p in parts {
+                if let Some(v) = p.strip_prefix("k=") {
+                    k = v.parse().map_err(|_| format!("bad kernel '{v}'"))?;
+                } else if let Some(v) = p.strip_prefix("o=") {
+                    orientations = v.parse().map_err(|_| format!("bad orientations '{v}'"))?;
+                } else {
+                    return Err(format!("unknown edge parameter '{p}'"));
+                }
+            }
+            edge::check_params(rows, cols, k, orientations).map_err(|e| e.to_string())?;
+            return Ok(Some(Builtin::Edge {
+                rows,
+                cols,
+                k,
+                orientations,
+            }));
+        }
+        let cnn = |rest: &str| -> Result<(usize, usize), String> {
+            let (rows, cols) = parse_dims(rest)?;
+            cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
+            Ok((rows, cols))
+        };
+        if let Some(rest) = spec.strip_prefix("cnn-small:") {
+            let (rows, cols) = cnn(rest)?;
+            return Ok(Some(Builtin::SmallCnn { rows, cols }));
+        }
+        if let Some(rest) = spec.strip_prefix("cnn-large:") {
+            let (rows, cols) = cnn(rest)?;
+            return Ok(Some(Builtin::LargeCnn { rows, cols }));
+        }
+        Ok(None)
+    }
+
+    /// Build the operator graph.
+    pub fn build(self) -> Graph {
+        match self {
+            Builtin::Fig3 => gpuflow_core::examples::fig3_graph(),
+            Builtin::Edge {
+                rows,
+                cols,
+                k,
+                orientations,
+            } => edge::find_edges(rows, cols, k, orientations, edge::CombineOp::Max).graph,
+            Builtin::SmallCnn { rows, cols } => cnn::small_cnn(rows, cols).graph,
+            Builtin::LargeCnn { rows, cols } => cnn::large_cnn(rows, cols).graph,
+        }
+    }
+}
+
 /// Resolve a builtin template spec (the CLI source grammar minus file
 /// paths).
 pub fn resolve_named(spec: &str) -> Result<Graph, String> {
-    if spec == "fig3" {
-        return Ok(gpuflow_core::examples::fig3_graph());
-    }
-    if let Some(rest) = spec.strip_prefix("edge:") {
-        let mut parts = rest.split(',');
-        let dims = parts.next().ok_or("edge: missing dimensions")?;
-        let (rows, cols) = parse_dims(dims)?;
-        let (mut k, mut orientations) = (16usize, 4usize);
-        for p in parts {
-            if let Some(v) = p.strip_prefix("k=") {
-                k = v.parse().map_err(|_| format!("bad kernel '{v}'"))?;
-            } else if let Some(v) = p.strip_prefix("o=") {
-                orientations = v.parse().map_err(|_| format!("bad orientations '{v}'"))?;
-            } else {
-                return Err(format!("unknown edge parameter '{p}'"));
-            }
-        }
-        edge::check_params(rows, cols, k, orientations).map_err(|e| e.to_string())?;
-        return Ok(edge::find_edges(rows, cols, k, orientations, edge::CombineOp::Max).graph);
-    }
-    if let Some(rest) = spec.strip_prefix("cnn-small:") {
-        let (rows, cols) = parse_dims(rest)?;
-        cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
-        return Ok(cnn::small_cnn(rows, cols).graph);
-    }
-    if let Some(rest) = spec.strip_prefix("cnn-large:") {
-        let (rows, cols) = parse_dims(rest)?;
-        cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
-        return Ok(cnn::large_cnn(rows, cols).graph);
-    }
-    Err(format!(
-        "unknown template '{spec}' (expected fig3, edge:RxC[,k=K][,o=O], cnn-small:RxC, cnn-large:RxC, or an inline graph)"
-    ))
+    Builtin::parse(spec)?.map(Builtin::build).ok_or_else(|| {
+        format!(
+            "unknown template '{spec}' (expected fig3, edge:RxC[,k=K][,o=O], cnn-small:RxC, cnn-large:RxC, or an inline graph)"
+        )
+    })
 }
 
 #[cfg(test)]

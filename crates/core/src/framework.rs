@@ -27,7 +27,7 @@ use crate::plan::{check_plan, ExecutionPlan, PlanStats};
 use crate::resilient::{ExecOutcome, ResilientExecutor};
 use crate::split::{Rewrites, SplitResult};
 use crate::streams::{schedule_stream_order, stream_order};
-use crate::xfer::{schedule_units_on_one_device, EvictionPolicy, XferOptions};
+use crate::xfer::{schedule_device_transfers, EvictionPolicy, XferOptions};
 
 /// Compilation knobs. The defaults are the paper's configuration.
 ///
@@ -347,7 +347,15 @@ impl Framework {
             // The units move into the plan; a rung the dry run rejects
             // hands them back.
             let units = reuse.units.take().expect("partitioned above");
-            let plan = schedule_units_on_one_device(&split.graph, units, order, xfer)?;
+            let one_device = vec![0; units.len()];
+            let plan = schedule_device_transfers(
+                &split.graph,
+                units,
+                one_device,
+                order,
+                &xfer.into(),
+                xfer.policy,
+            )?;
             let evictions = plan.evictions();
             tracer.end_with(
                 tok,

@@ -58,6 +58,7 @@
 //! on **every** device — a producer must not discard the only copy of data
 //! a peer still needs.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -110,6 +111,17 @@ pub struct MultiXferOptions {
     /// plain `CopyIn` instead of recomputing or staging them out of a
     /// (possibly dead) device. Empty for ordinary compilations.
     pub pinned_host: Vec<DataId>,
+}
+
+impl From<XferOptions> for MultiXferOptions {
+    /// One device with `memory_bytes`, nothing pinned.
+    fn from(opts: XferOptions) -> Self {
+        MultiXferOptions {
+            budgets: vec![opts.memory_bytes],
+            eager_free: opts.eager_free,
+            pinned_host: Vec::new(),
+        }
+    }
 }
 
 struct Resident {
@@ -294,9 +306,8 @@ impl Residency<'_> {
 
 /// First element of the sorted `reads` at or after position `t`.
 fn next_read(reads: &[u32], t: usize) -> Option<u32> {
-    reads
-        .get(reads.partition_point(|&r| (r as usize) < t))
-        .copied()
+    let first = reads.partition_point(|&r| (r as usize) < t);
+    reads.get(first).copied()
 }
 
 /// Produce an execution plan for `units` executed in `order` on one
@@ -310,33 +321,18 @@ pub fn schedule_transfers(
     order: &[usize],
     opts: XferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
-    schedule_units_on_one_device(g, units.to_vec(), order, opts)
-}
-
-/// [`schedule_transfers`], moving `units` into the plan.
-pub(crate) fn schedule_units_on_one_device(
-    g: &Graph,
-    units: Vec<OffloadUnit>,
-    order: &[usize],
-    opts: XferOptions,
-) -> Result<ExecutionPlan, FrameworkError> {
-    let place = MultiXferOptions {
-        budgets: vec![opts.memory_bytes],
-        eager_free: opts.eager_free,
-        pinned_host: Vec::new(),
-    };
-    let unit_device = vec![0; units.len()];
-    schedule_device_transfers(g, units, unit_device, order, &place, opts.policy)
+    let one_device = vec![0; units.len()];
+    schedule_device_transfers(g, units, one_device, order, &opts.into(), opts.policy)
 }
 
 /// Produce a plan for `units` (each assigned the device in `unit_device`)
 /// executed in the global topological order `order`, evicting by `policy`
-/// within each device's budget. The units and their devices move into the
-/// plan.
-pub fn schedule_device_transfers(
+/// within each device's budget. Owned units and devices move into the
+/// plan; borrowed ones are cloned into it.
+pub fn schedule_device_transfers<'u>(
     g: &Graph,
-    units: Vec<OffloadUnit>,
-    unit_device: Vec<usize>,
+    units: impl Into<Cow<'u, [OffloadUnit]>>,
+    unit_device: impl Into<Cow<'u, [usize]>>,
     order: &[usize],
     opts: &MultiXferOptions,
     policy: EvictionPolicy,
@@ -347,15 +343,16 @@ pub fn schedule_device_transfers(
 
 /// The body of [`schedule_device_transfers`], finding victims in
 /// `victims`.
-fn schedule_with(
+fn schedule_with<'u>(
     g: &Graph,
-    units: Vec<OffloadUnit>,
-    unit_device: Vec<usize>,
+    units: impl Into<Cow<'u, [OffloadUnit]>>,
+    unit_device: impl Into<Cow<'u, [usize]>>,
     order: &[usize],
     opts: &MultiXferOptions,
     policy: EvictionPolicy,
     victims: &mut impl Victims,
 ) -> Result<ExecutionPlan, FrameworkError> {
+    let (units, unit_device) = (units.into(), unit_device.into());
     assert_eq!(order.len(), units.len(), "order must cover every unit");
     assert_eq!(unit_device.len(), units.len());
     assert!(order.len() < u32::MAX as usize, "positions are u32");
@@ -383,16 +380,17 @@ fn schedule_with(
     });
     let reads_on_device = |d: DataId, dev: usize| reads.row(d.index() * ndev + dev);
     // The last read of each datum on any device: its rows sit side by side.
-    let last_read: Vec<Option<u32>> = (0..g.num_data())
-        .map(|d| reads.rows(d * ndev..(d + 1) * ndev).iter().max().copied())
-        .collect();
-    let read_after = |d: DataId, t: usize| last_read[d.index()].is_some_and(|l| l as usize > t);
+    let last_read = |d: DataId| {
+        let rows = d.index() * ndev..(d.index() + 1) * ndev;
+        reads.rows(rows).iter().max().copied()
+    };
+    let read_after = |d: DataId, t: usize| last_read(d).is_some_and(|l| l as usize > t);
     // Eager free: the data whose last read is at each position, ascending.
     // A datum dies after that position; an output nobody reads dies at the
     // launch that produces it.
     let die_at = Csr::build(order.len(), || {
         g.data_ids()
-            .filter_map(|d| last_read[d.index()].map(|t| (t as usize, d)))
+            .filter_map(|d| last_read(d).map(|t| (t as usize, d)))
     });
     // The policy key of resident `v` on `dev` for an eviction at position
     // `t`; the least `(key, id)` is evicted.
@@ -517,9 +515,7 @@ fn schedule_with(
             // order: what died since its last launch and is still resident
             // (not evicted for space meanwhile), and this unit's outputs
             // nobody reads. Other devices free theirs at their next launch.
-            let unread = wanted[inputs..]
-                .iter()
-                .filter(|o| last_read[o.index()].is_none());
+            let unread = wanted[inputs..].iter().filter(|&&o| last_read(o).is_none());
             dead.clear();
             dead.extend(
                 die_at
@@ -562,8 +558,8 @@ fn schedule_with(
     }
 
     let plan = ExecutionPlan {
-        units,
-        unit_device,
+        units: units.into_owned(),
+        unit_device: unit_device.into_owned(),
         steps: st.steps,
         pinned_host: opts.pinned_host.clone(),
         streams: None,
@@ -916,10 +912,10 @@ mod tests {
                 pinned_host: Vec::new(),
             };
             for policy in POLICIES {
-                let (u, ud) = (units.clone(), unit_device.clone());
-                let heaps = schedule_device_transfers(&g, u, ud, &order, &opts, policy);
-                let (u, ud) = (units.clone(), unit_device.clone());
-                let scan = schedule_with(&g, u, ud, &order, &opts, policy, &mut Scan);
+                let heaps =
+                    schedule_device_transfers(&g, &units, &unit_device, &order, &opts, policy);
+                let scan =
+                    schedule_with(&g, &units, &unit_device, &order, &opts, policy, &mut Scan);
                 let case = format!("seed {seed} ops {ops} devices {devices} eager_free {eager_free} budget {budget} {policy:?}");
                 match (heaps, scan) {
                     (Ok(a), Ok(b)) => {
@@ -1069,25 +1065,9 @@ mod tests {
         };
         let order: Vec<usize> = (0..units.len()).collect();
         let unit_device = vec![0; units.len()];
-        let heaps = schedule_device_transfers(
-            g,
-            units.to_vec(),
-            unit_device.clone(),
-            &order,
-            &opts,
-            policy,
-        )
-        .unwrap();
-        let scan = schedule_with(
-            g,
-            units.to_vec(),
-            unit_device,
-            &order,
-            &opts,
-            policy,
-            &mut Scan,
-        )
-        .unwrap();
+        let heaps =
+            schedule_device_transfers(g, units, &unit_device, &order, &opts, policy).unwrap();
+        let scan = schedule_with(g, units, &unit_device, &order, &opts, policy, &mut Scan).unwrap();
         assert_eq!(heaps.steps, scan.steps, "{policy:?}:\n{}", heaps.render(g));
         heaps
     }
@@ -1131,8 +1111,7 @@ mod tests {
         };
         for policy in POLICIES {
             let mut heaps = VictimHeaps::new(2);
-            let (u, ud) = (units.clone(), unit_device.to_vec());
-            schedule_with(&g, u, ud, &order, &opts, policy, &mut heaps).unwrap();
+            schedule_with(&g, &units, &unit_device, &order, &opts, policy, &mut heaps).unwrap();
             assert!(
                 heaps.heaps[0].is_none(),
                 "{policy:?}: device 0 built a heap"

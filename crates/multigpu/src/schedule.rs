@@ -22,7 +22,6 @@ pub fn schedule_multi_transfers(
     order: &[usize],
     opts: &MultiXferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
-    let (units, unit_device) = (units.to_vec(), unit_device.to_vec());
     schedule_device_transfers(g, units, unit_device, order, opts, EvictionPolicy::Belady)
 }
 

@@ -110,17 +110,14 @@ impl Builtin {
                 orientations,
             }));
         }
-        let cnn = |rest: &str| -> Result<(usize, usize), String> {
+        if let Some(rest) = spec.strip_prefix("cnn-small:") {
             let (rows, cols) = parse_dims(rest)?;
             cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
-            Ok((rows, cols))
-        };
-        if let Some(rest) = spec.strip_prefix("cnn-small:") {
-            let (rows, cols) = cnn(rest)?;
             return Ok(Some(Builtin::SmallCnn { rows, cols }));
         }
         if let Some(rest) = spec.strip_prefix("cnn-large:") {
-            let (rows, cols) = cnn(rest)?;
+            let (rows, cols) = parse_dims(rest)?;
+            cnn::check_input(rows, cols).map_err(|e| e.to_string())?;
             return Ok(Some(Builtin::LargeCnn { rows, cols }));
         }
         Ok(None)

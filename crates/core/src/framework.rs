@@ -27,7 +27,7 @@ use crate::plan::{check_plan, ExecutionPlan, PlanStats};
 use crate::resilient::{ExecOutcome, ResilientExecutor};
 use crate::split::{Rewrites, SplitResult};
 use crate::streams::{schedule_stream_order, stream_order};
-use crate::xfer::{schedule_device_transfers, EvictionPolicy, XferOptions};
+use crate::xfer::{schedule_transfers, EvictionPolicy, XferOptions};
 
 /// Compilation knobs. The defaults are the paper's configuration.
 ///
@@ -344,18 +344,7 @@ impl Framework {
             }
             let (order, _) = reuse.order.as_ref().expect("scheduled above");
             let tok = tracer.begin("compile", "xfer-schedule");
-            // The units move into the plan; a rung the dry run rejects
-            // hands them back.
-            let units = reuse.units.take().expect("partitioned above");
-            let one_device = vec![0; units.len()];
-            let plan = schedule_device_transfers(
-                &split.graph,
-                units,
-                one_device,
-                order,
-                &xfer.into(),
-                xfer.policy,
-            )?;
+            let plan = schedule_transfers(&split.graph, units, order, xfer)?;
             let evictions = plan.evictions();
             tracer.end_with(
                 tok,
@@ -524,14 +513,9 @@ impl Framework {
             &Machine::single(&self.device),
         )
         .with_origin(split)
-        .run_analytic();
-        let dry_run = match dry_run {
-            Ok(run) => run.exec,
-            Err(e) => {
-                reuse.units.get_or_insert(scheduled.plan.units);
-                return Err(("dry-run: ", e));
-            }
-        };
+        .run_analytic()
+        .map_err(|e| ("dry-run: ", e))?
+        .exec;
         let (template, certificate) = self
             .accept(scheduled, budget, reuse, tracer)
             .map_err(|e| ("", e))?;

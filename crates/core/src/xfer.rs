@@ -113,17 +113,6 @@ pub struct MultiXferOptions {
     pub pinned_host: Vec<DataId>,
 }
 
-impl From<XferOptions> for MultiXferOptions {
-    /// One device with `memory_bytes`, nothing pinned.
-    fn from(opts: XferOptions) -> Self {
-        MultiXferOptions {
-            budgets: vec![opts.memory_bytes],
-            eager_free: opts.eager_free,
-            pinned_host: Vec::new(),
-        }
-    }
-}
-
 struct Resident {
     arrived: u64,
     last_touch: u64,
@@ -313,16 +302,20 @@ fn next_read(reads: &[u32], t: usize) -> Option<u32> {
 /// Produce an execution plan for `units` executed in `order` on one
 /// device. The single-GPU entry point: a cluster of one, scheduled by
 /// [`schedule_device_transfers`].
-// Survives as an adapter: the stream scheduler, the exact planner and
-// perf/src/layers.rs plan one device through this name and `XferOptions`.
+// Survives as an adapter: `Framework`, the stream scheduler and
+// perf/src/layers.rs all plan one device through this name and `XferOptions`.
 pub fn schedule_transfers(
     g: &Graph,
     units: &[OffloadUnit],
     order: &[usize],
     opts: XferOptions,
 ) -> Result<ExecutionPlan, FrameworkError> {
-    let one_device = vec![0; units.len()];
-    schedule_device_transfers(g, units, one_device, order, &opts.into(), opts.policy)
+    let place = MultiXferOptions {
+        budgets: vec![opts.memory_bytes],
+        eager_free: opts.eager_free,
+        pinned_host: Vec::new(),
+    };
+    schedule_device_transfers(g, units, vec![0; units.len()], order, &place, opts.policy)
 }
 
 /// Produce a plan for `units` (each assigned the device in `unit_device`)

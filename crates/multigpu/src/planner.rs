@@ -1,6 +1,5 @@
 //! End-to-end multi-device compilation: shard, partition, order, schedule.
 
-use gpuflow_core::xfer::{schedule_device_transfers, EvictionPolicy, MultiXferOptions};
 use gpuflow_core::{
     partition_offload_units, schedule_units, simulate, ExecutionPlan, FrameworkError, LaneEvent,
     OpScheduler, OverlapOutcome, PartitionPolicy, Simulation,
@@ -9,6 +8,7 @@ use gpuflow_graph::Graph;
 use gpuflow_trace::{kv, Tracer};
 
 use crate::cluster::Cluster;
+use crate::schedule::{schedule_multi_transfers, MultiXferOptions};
 use crate::shard::{shard_graph, ShardedGraph};
 
 /// A template compiled for a cluster.
@@ -123,17 +123,20 @@ pub fn compile_multi_traced(
     tracer.end(tok);
 
     let tok = tracer.begin("compile", "xfer-schedule");
-    let plan = schedule_device_transfers(
+    // Borrowed, so the plan gets a fresh copy of the units after the walk:
+    // a daemon simulates its cached plans on every run, and the partition's
+    // own units, allocated among the sharding pass's freed memory, made
+    // that about 5 % slower (`serve_hot`).
+    let plan = schedule_multi_transfers(
         sg,
-        units,
-        unit_device,
+        &units,
+        &unit_device,
         &order,
         &MultiXferOptions {
             budgets: cluster.plannable_budgets(margin),
             eager_free: true,
             pinned_host: vec![],
         },
-        EvictionPolicy::Belady,
     )?;
     tracer.end_with(
         tok,
@@ -145,7 +148,7 @@ pub fn compile_multi_traced(
     if tracer.is_enabled() {
         let m = tracer.metrics();
         m.set("cluster.devices", cluster.len() as u64);
-        m.set("cluster.units", plan.units.len() as u64);
+        m.set("cluster.units", units.len() as u64);
         m.set("cluster.bus_bytes", plan.bus_bytes(sg));
     }
     Ok(MultiCompiled {

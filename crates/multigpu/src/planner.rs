@@ -124,9 +124,9 @@ pub fn compile_multi_traced(
 
     let tok = tracer.begin("compile", "xfer-schedule");
     // Borrowed, so the plan gets a fresh copy of the units after the walk:
-    // a daemon simulates its cached plans on every run, and the partition's
-    // own units, allocated among the sharding pass's freed memory, made
-    // that about 5 % slower (`serve_hot`).
+    // a daemon simulates its cached plans on every run, and that measured a
+    // few per cent slower on the partition's own units, which are allocated
+    // among the sharding pass's freed memory (`serve_hot`).
     let plan = schedule_multi_transfers(
         sg,
         &units,

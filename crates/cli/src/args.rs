@@ -28,6 +28,17 @@ impl Source {
     }
 }
 
+/// How documents name the template: the path as given, or the builtin's
+/// spec (which [`Source::parse`] reads back as the same source).
+impl std::fmt::Display for Source {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Source::File(path) => f.write_str(path),
+            Source::Builtin(builtin) => builtin.fmt(f),
+        }
+    }
+}
+
 /// Which device to target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceArg {

@@ -1107,10 +1107,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             devices,
         } => {
             let g = load_source(source)?;
-            let name = match source {
-                Source::File(p) => p.clone(),
-                Source::Builtin(b) => format!("{b:?}"),
-            };
+            let name = source.to_string();
             let mut tracer = new_tracer();
             // Each reconciliation row compares an independently summed
             // quantity from the re-parsed export against the framework's
@@ -1511,10 +1508,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             devices,
         } => {
             let g = load_source(source)?;
-            let name = match source {
-                Source::File(p) => p.clone(),
-                Source::Builtin(b) => format!("{b:?}"),
-            };
+            let name = source.to_string();
             if let Some(spec) = devices {
                 let cluster = parse_cluster(spec)?;
                 let c = compile_multi(&g, &cluster, DEFAULT_MARGIN).map_err(|e| e.to_string())?;

@@ -139,6 +139,25 @@ impl Builtin {
     }
 }
 
+/// The spec string [`Builtin::parse`] reads back as the same builtin
+/// (`fig3`, `edge:96x96,k=5,o=4`, `cnn-small:512x512`): how documents name
+/// the template.
+impl std::fmt::Display for Builtin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Builtin::Fig3 => f.write_str("fig3"),
+            Builtin::Edge {
+                rows,
+                cols,
+                k,
+                orientations,
+            } => write!(f, "edge:{rows}x{cols},k={k},o={orientations}"),
+            Builtin::SmallCnn { rows, cols } => write!(f, "cnn-small:{rows}x{cols}"),
+            Builtin::LargeCnn { rows, cols } => write!(f, "cnn-large:{rows}x{cols}"),
+        }
+    }
+}
+
 /// Resolve a builtin template spec (the CLI source grammar minus file
 /// paths).
 pub fn resolve_named(spec: &str) -> Result<Graph, String> {
@@ -163,6 +182,24 @@ mod tests {
         assert!(resolve_named("edge:4x4,k=16").is_err());
         // File paths are rejected: the daemon never reads client paths.
         assert!(resolve_named("assets/fig3.gfg").is_err());
+    }
+
+    #[test]
+    fn builtin_specs_round_trip_through_display() {
+        for spec in [
+            "fig3",
+            "edge:96x96,k=5,o=4",
+            "cnn-small:512x480",
+            "cnn-large:48x64",
+        ] {
+            let b = Builtin::parse(spec).unwrap().unwrap();
+            assert_eq!(b.to_string(), spec);
+            assert_eq!(Builtin::parse(&b.to_string()).unwrap(), Some(b));
+        }
+        // Defaulted parameters come back spelled out.
+        let b = Builtin::parse("edge:64x64").unwrap().unwrap();
+        assert_eq!(b.to_string(), "edge:64x64,k=16,o=4");
+        assert_eq!(Builtin::parse(&b.to_string()).unwrap(), Some(b));
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn loss_timing_sweep() {
     let edge = find_edges(1000, 1000, 9, 4, CombineOp::Max);
     let cluster = parse_cluster("c870x2").unwrap();
     let compiled = compile_multi(&edge.graph, &cluster, 0.05).expect("template compiles");
-    let split = &compiled.sharded.split;
+    let split = &compiled.split;
 
     let mut table = TableWriter::new(&[
         "loss at",

@@ -36,7 +36,7 @@ fn sweep(name: &str, g: &gpuflow_graph::Graph) {
             "plan must verify clean: {}",
             a.first_error().map(|d| d.render()).unwrap_or_default()
         );
-        let o = c.outcome();
+        let o = c.simulate().outcome;
         let base = *one.get_or_insert(o.makespan);
         let max_compute = o.compute_busy.iter().cloned().fold(0.0f64, f64::max);
         let bus_bound = o.h2d_busy.max(o.d2h_busy) >= max_compute;

@@ -56,7 +56,10 @@ fn main() {
         let accepted = fw
             .compile_adaptive_traced(g, &mut tracer)
             .expect("workload compiles");
-        let (compiled, result) = (accepted.template, accepted.dry_run);
+        let (compiled, result) = (
+            accepted.template,
+            accepted.dry_run.expect("the ladder dry-runs"),
+        );
         trace_serial_timeline(&mut tracer, &result.timeline);
 
         // The async-copy extension: hoist uploads, then put the dual-DMA +

@@ -319,13 +319,50 @@ fn parse_eviction(tok: &str) -> Result<EvictionPolicy, String> {
     }
 }
 
+/// The space-separated flags `verb` reads, or `None` for no verb. Any
+/// other flag is an `unknown flag` error, so no verb silently ignores one.
+fn verb_flags(verb: &str) -> Option<&'static str> {
+    Some(match verb {
+        "info" => "",
+        "plan" => {
+            "--device --devices --margin --scheduler --eviction --exact --exact-budget \
+             --exact-max-ops --render --streams --trace"
+        }
+        "run" => {
+            "--device --devices --exact --exact-budget --exact-max-ops --functional \
+             --overlap --gantt --json --streams --trace --faults"
+        }
+        "check" => "--device --devices --json --hazards --streams --trace",
+        "trace" => {
+            "--device --devices --margin --exact --exact-budget --exact-max-ops \
+             --streams --out"
+        }
+        "chaos" => "--device --devices --faults --seeds --smoke --json",
+        "profile" => "--device --devices --streams --json --smoke --no-defer-frees --trace",
+        "serve" => {
+            "--addr --device --devices --margin --cache-capacity --cache-path \
+             --deadline-ms --smoke --soak"
+        }
+        "client" => "--addr --send --json --metrics --retries --retry-budget-ms --retry-seed",
+        "emit" => "--device --devices --cuda --json --dot",
+        _ => return None,
+    })
+}
+
+/// Flags that only mean something for one device: beside `--devices`
+/// each is an error, as is `--streams` above 1.
+const ONE_DEVICE_FLAGS: &str =
+    "--device --exact --exact-budget --exact-max-ops --scheduler --eviction --no-defer-frees --cuda";
+
 impl Command {
     /// Parse argv (program name excluded).
     pub fn parse(argv: &[String]) -> Result<Command, String> {
         let mut it = argv.iter();
         let verb = it.next().ok_or("missing subcommand")?;
-        // `chaos` and `profile` may omit <source> (`--smoke`); every
-        // other verb requires one.
+        let accepted = verb_flags(verb).ok_or_else(|| format!("unknown subcommand '{verb}'"))?;
+        let lists = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
+        // `chaos`, `profile`, `serve` and `client` may omit <source>;
+        // every other verb requires one.
         let mut source: Option<Source> = None;
         if let Some(tok) = argv.get(1) {
             if !tok.starts_with('-') {
@@ -368,6 +405,7 @@ impl Command {
         let mut streams = 1usize;
         let mut no_defer_frees = false;
         let mut metrics = false;
+        let mut one_device_flag: Option<&str> = None;
 
         let next_value = |it: &mut std::slice::Iter<String>, flag: &str| {
             it.next()
@@ -375,6 +413,12 @@ impl Command {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         while let Some(flag) = it.next() {
+            if !lists(accepted, flag) {
+                return Err(format!("unknown flag '{flag}'"));
+            }
+            if lists(ONE_DEVICE_FLAGS, flag) {
+                one_device_flag.get_or_insert(flag);
+            }
             match flag.as_str() {
                 "--device" => device = DeviceArg::parse(&next_value(&mut it, flag)?)?,
                 "--margin" => {
@@ -419,35 +463,30 @@ impl Command {
                     gantt = true;
                 }
                 "--cuda" => cuda = Some(next_value(&mut it, flag)?),
-                // Fault injection belongs to the execution verbs only.
-                "--faults" if verb == "run" || verb == "chaos" => {
+                "--faults" => {
                     // Validate eagerly so a typo fails before any planning.
                     faults = Some(FaultSpec::parse(&next_value(&mut it, flag)?)?);
                 }
-                "--seeds" if verb == "chaos" => {
+                "--seeds" => {
                     let v = next_value(&mut it, flag)?;
                     seeds = v.parse().map_err(|_| format!("bad seed count '{v}'"))?;
                     if seeds == 0 {
                         return Err("--seeds must be > 0".into());
                     }
                 }
-                "--smoke" if verb == "chaos" || verb == "serve" || verb == "profile" => {
-                    smoke = true
-                }
-                "--soak" if verb == "serve" => soak = true,
-                "--addr" if verb == "serve" || verb == "client" => {
-                    addr = Some(next_value(&mut it, flag)?)
-                }
-                "--send" if verb == "client" => send = Some(next_value(&mut it, flag)?),
-                "--cache-capacity" if verb == "serve" => {
+                "--smoke" => smoke = true,
+                "--soak" => soak = true,
+                "--addr" => addr = Some(next_value(&mut it, flag)?),
+                "--send" => send = Some(next_value(&mut it, flag)?),
+                "--cache-capacity" => {
                     let v = next_value(&mut it, flag)?;
                     cache_capacity = v.parse().map_err(|_| format!("bad cache capacity '{v}'"))?;
                     if cache_capacity == 0 {
                         return Err("--cache-capacity must be > 0".into());
                     }
                 }
-                "--cache-path" if verb == "serve" => cache_path = Some(next_value(&mut it, flag)?),
-                "--deadline-ms" if verb == "serve" => {
+                "--cache-path" => cache_path = Some(next_value(&mut it, flag)?),
+                "--deadline-ms" => {
                     let v = next_value(&mut it, flag)?;
                     let ms: u64 = v.parse().map_err(|_| format!("bad deadline '{v}'"))?;
                     if ms == 0 {
@@ -455,57 +494,49 @@ impl Command {
                     }
                     deadline_ms = Some(ms);
                 }
-                "--retries" if verb == "client" => {
+                "--retries" => {
                     let v = next_value(&mut it, flag)?;
                     retries = v.parse().map_err(|_| format!("bad retry count '{v}'"))?;
                 }
-                "--retry-budget-ms" if verb == "client" => {
+                "--retry-budget-ms" => {
                     let v = next_value(&mut it, flag)?;
                     retry_budget_ms = v.parse().map_err(|_| format!("bad retry budget '{v}'"))?;
                     if retry_budget_ms == 0 {
                         return Err("--retry-budget-ms must be > 0".into());
                     }
                 }
-                "--retry-seed" if verb == "client" => {
+                "--retry-seed" => {
                     let v = next_value(&mut it, flag)?;
                     retry_seed = v.parse().map_err(|_| format!("bad retry seed '{v}'"))?;
                 }
-                // Stream-level operator parallelism belongs to the verbs
-                // that compile single-device plans.
-                "--streams"
-                    if verb == "plan"
-                        || verb == "run"
-                        || verb == "check"
-                        || verb == "trace"
-                        || verb == "profile" =>
-                {
+                "--streams" => {
                     let v = next_value(&mut it, flag)?;
                     streams = v.parse().map_err(|_| format!("bad stream count '{v}'"))?;
                     if streams == 0 {
                         return Err("--streams must be >= 1".into());
                     }
                 }
-                // The free-deferral ablation belongs to the profiler.
-                "--no-defer-frees" if verb == "profile" => no_defer_frees = true,
-                "--metrics" if verb == "client" => metrics = true,
-                // Concurrency-certifier summary is a `check` refinement.
-                "--hazards" if verb == "check" => hazards = true,
-                // `check --json` / `run --json` / `chaos --json` are boolean
-                // switches; `emit --json` takes an output path.
-                "--json"
-                    if verb == "check"
-                        || verb == "run"
-                        || verb == "chaos"
-                        || verb == "client"
-                        || verb == "profile" =>
-                {
-                    json_switch = true
-                }
-                "--json" => json = Some(next_value(&mut it, flag)?),
+                "--no-defer-frees" => no_defer_frees = true,
+                "--metrics" => metrics = true,
+                "--hazards" => hazards = true,
+                // `emit --json` takes an output path; everywhere else
+                // `--json` is a switch.
+                "--json" if verb == "emit" => json = Some(next_value(&mut it, flag)?),
+                "--json" => json_switch = true,
                 "--dot" => dot = Some(next_value(&mut it, flag)?),
                 "--trace" => trace = Some(next_value(&mut it, flag)?),
-                "--out" if verb == "trace" => trace_out = Some(next_value(&mut it, flag)?),
-                other => return Err(format!("unknown flag '{other}'")),
+                "--out" => trace_out = Some(next_value(&mut it, flag)?),
+                other => unreachable!("{other} is in a verb's flag table but parses nowhere"),
+            }
+        }
+        // The cluster pipeline shards, schedules and orders its own
+        // per-device lanes: one-device knobs have nothing to act on.
+        if devices.is_some() {
+            if let Some(flag) = one_device_flag {
+                return Err(format!("{flag} does not support --devices"));
+            }
+            if streams > 1 {
+                return Err("--streams does not support --devices".into());
             }
         }
 
@@ -526,9 +557,6 @@ impl Command {
         if verb == "profile" {
             if source.is_none() && !smoke {
                 return Err("profile requires <source> or --smoke".into());
-            }
-            if streams > 1 && devices.is_some() {
-                return Err("--streams does not support --devices".into());
             }
             return Ok(Command::Profile {
                 source,
@@ -584,15 +612,9 @@ impl Command {
             });
         }
         let source = source.ok_or("missing <source>")?;
-        // The cluster pipeline schedules its own per-device lanes; compute
-        // streams are a single-device refinement.
-        if streams > 1 && devices.is_some() {
-            return Err("--streams does not support --devices".into());
-        }
-
-        match verb.as_str() {
-            "info" => Ok(Command::Info { source }),
-            "plan" => Ok(Command::Plan {
+        Ok(match verb.as_str() {
+            "info" => Command::Info { source },
+            "plan" => Command::Plan {
                 source,
                 device,
                 margin,
@@ -605,28 +627,23 @@ impl Command {
                 streams,
                 devices,
                 trace,
-            }),
-            "run" => {
-                if exact && devices.is_some() {
-                    return Err("--exact does not support --devices".into());
-                }
-                Ok(Command::Run {
-                    source,
-                    device,
-                    exact,
-                    exact_budget,
-                    exact_max_ops,
-                    functional,
-                    overlap,
-                    gantt,
-                    json: json_switch,
-                    streams,
-                    devices,
-                    trace,
-                    faults,
-                })
-            }
-            "check" => Ok(Command::Check {
+            },
+            "run" => Command::Run {
+                source,
+                device,
+                exact,
+                exact_budget,
+                exact_max_ops,
+                functional,
+                overlap,
+                gantt,
+                json: json_switch,
+                streams,
+                devices,
+                trace,
+                faults,
+            },
+            "check" => Command::Check {
                 source,
                 device,
                 json: json_switch,
@@ -634,41 +651,33 @@ impl Command {
                 streams,
                 devices,
                 trace,
-            }),
-            "trace" => {
-                if exact && devices.is_some() {
-                    return Err("--exact does not support --devices".into());
-                }
-                Ok(Command::Trace {
-                    source,
-                    device,
-                    margin,
-                    exact,
-                    exact_budget,
-                    exact_max_ops,
-                    out: trace_out.unwrap_or_else(|| "trace.json".to_string()),
-                    streams,
-                    devices,
-                })
-            }
+            },
+            "trace" => Command::Trace {
+                source,
+                device,
+                margin,
+                exact,
+                exact_budget,
+                exact_max_ops,
+                out: trace_out.unwrap_or_else(|| "trace.json".to_string()),
+                streams,
+                devices,
+            },
             "emit" => {
                 if cuda.is_none() && json.is_none() && dot.is_none() {
                     return Err("emit requires --cuda, --json, or --dot".into());
                 }
-                if devices.is_some() && cuda.is_some() {
-                    return Err("--cuda does not support --devices (use --json)".into());
-                }
-                Ok(Command::Emit {
+                Command::Emit {
                     source,
                     device,
                     cuda,
                     json,
                     dot,
                     devices,
-                })
+                }
             }
-            other => Err(format!("unknown subcommand '{other}'")),
-        }
+            other => unreachable!("{other} reads flags but builds no command"),
+        })
     }
 }
 
@@ -1237,5 +1246,67 @@ mod tests {
             Command::parse(&argv("run fig3 --overlap")).unwrap(),
             Command::Run { json: false, .. }
         ));
+    }
+
+    #[test]
+    fn flags_a_verb_would_ignore_are_rejected() {
+        let err = |cmdline: &str| Command::parse(&argv(cmdline)).unwrap_err();
+        // Flags the verb does not read at all.
+        for (cmdline, flag) in [
+            ("run fig3 --margin 0.9", "--margin"),
+            ("check fig3 --margin 0.5 --gantt", "--margin"),
+            (
+                "emit fig3 --dot x.dot --margin 0.9 --functional",
+                "--margin",
+            ),
+            ("info fig3 --render --cuda x.cu", "--render"),
+            ("trace fig3 --trace t.json", "--trace"),
+            ("chaos fig3 --streams 2", "--streams"),
+            ("serve --json x", "--json"),
+        ] {
+            assert_eq!(err(cmdline), format!("unknown flag '{flag}'"), "{cmdline}");
+        }
+        // One-device knobs beside a cluster.
+        for (cmdline, flag) in [
+            ("plan fig3 --devices c870x2 --exact", "--exact"),
+            ("plan fig3 --devices c870x2 --scheduler bfs", "--scheduler"),
+            ("plan fig3 --eviction lru --devices c870x2", "--eviction"),
+            ("plan fig3 --device 8800gtx --devices c870x2", "--device"),
+            (
+                "run fig3 --devices c870x2 --exact-budget 10",
+                "--exact-budget",
+            ),
+            (
+                "trace fig3 --devices c870x2 --exact-max-ops 4",
+                "--exact-max-ops",
+            ),
+            (
+                "profile fig3 --devices c870x2 --no-defer-frees",
+                "--no-defer-frees",
+            ),
+            ("emit fig3 --devices c870x2 --cuda x.cu", "--cuda"),
+            ("serve --device c870 --devices c870x2", "--device"),
+        ] {
+            assert_eq!(
+                err(cmdline),
+                format!("{flag} does not support --devices"),
+                "{cmdline}"
+            );
+        }
+        assert_eq!(
+            err("check fig3 --devices c870x2 --streams 2"),
+            "--streams does not support --devices"
+        );
+        // What a cluster verb does read stays legal.
+        for cmdline in [
+            "run fig3 --devices c870x2 --overlap --gantt --json",
+            "run fig3 --devices c870x2 --functional --faults seed=1",
+            "plan fig3 --devices c870x2 --margin 0.1 --render --streams 1",
+            "trace fig3 --devices c870x2 --margin 0.1 --out t.json",
+            "emit fig3 --devices c870x2 --json p.json --dot g.dot",
+            "serve --devices c870x2 --margin 0.1",
+        ] {
+            assert!(Command::parse(&argv(cmdline)).is_ok(), "{cmdline}");
+        }
     }
 }

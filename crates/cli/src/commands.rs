@@ -3,30 +3,25 @@
 use std::fmt::Write as _;
 
 use gpuflow_chaos::{trace_recovery, FaultSpec, RecoveryStats};
-use gpuflow_codegen::{compiled_multi_to_json, generate_cuda, plan_to_json, plan_to_json_traced};
+use gpuflow_codegen::{generate_cuda, plan_to_json_traced};
 use gpuflow_core::{
     baseline_plan, record_serial_metrics, render_gantt, trace_lanes, trace_serial_timeline,
-    AdaptiveCompile, CompileOptions, ExecutionPlan, Framework, Lane, Machine, OverlapOutcome,
-    PbExactOptions, ResilientExecutor, ResilientOutcome, SplitResult,
+    CompileOptions, Compiled, CompiledTemplate, Framework, Lane, Machine, OverlapOutcome,
+    PbExactOptions, ResilientExecutor, ResilientOutcome,
 };
 use gpuflow_graph::{DataId, Graph, FLOAT_BYTES};
 use gpuflow_minijson::{Map, Value};
-use gpuflow_multi::{compile_multi, compile_multi_traced, parse_cluster, record_cluster_metrics};
+use gpuflow_multi::{compile_multi_traced, parse_cluster, record_cluster_metrics, Cluster};
 use gpuflow_ops::{reference_eval, Tensor};
-use gpuflow_profile::{
-    profile_cluster, profile_cluster_with, profile_plan, profile_plan_with, render_table,
-    trace_profile, ProfileReport,
-};
+use gpuflow_profile::{profile_with, render_table, trace_profile, ProfileReport};
+use gpuflow_sim::DeviceSpec;
 use gpuflow_templates::data::default_bindings;
 use gpuflow_trace::{
     sum_event_arg, sum_event_dur, validate_chrome_trace, Tracer, PID_CLUSTER, PID_OVERLAP,
     PID_SERIAL,
 };
 
-use crate::args::{Command, Source};
-
-/// Planner memory margin used by subcommands that take no `--margin` flag.
-const DEFAULT_MARGIN: f64 = 0.05;
+use crate::args::{Command, DeviceArg, Source};
 
 /// Resolve the exact-scheduler flags into compile options.
 fn exact_options(
@@ -46,8 +41,21 @@ fn exact_options(
     })
 }
 
+/// The exact solver's verdict and search statistics, as `plan` and `run`
+/// print them.
+fn write_exact_summary(out: &mut String, compiled: &CompiledTemplate) {
+    let _ = writeln!(out, "exact optimum:    {}", compiled.exact_optimal);
+    if let Some(st) = &compiled.exact_stats {
+        let _ = writeln!(
+            out,
+            "exact solver:     {} conflicts, {} vars ({} unpruned)",
+            st.conflicts, st.vars_pruned, st.vars_full
+        );
+    }
+}
+
 /// Append the exact solver's search statistics to a JSON map.
-fn insert_exact_stats(m: &mut Map, compiled: &gpuflow_core::CompiledTemplate) {
+fn insert_exact_stats(m: &mut Map, compiled: &CompiledTemplate) {
     if let Some(st) = &compiled.exact_stats {
         m.insert("exact_optimal", compiled.exact_optimal);
         m.insert("exact_conflicts", st.conflicts);
@@ -119,76 +127,71 @@ fn plan_stats_json(stats: &gpuflow_core::PlanStats, peak_per_device: Option<&[u6
     m.insert("launches", stats.launches);
     m.insert("peak_bytes", stats.peak_bytes);
     if let Some(peaks) = peak_per_device {
-        m.insert(
-            "peak_per_device",
-            Value::Array(peaks.iter().map(|&p| Value::from(p)).collect()),
-        );
+        m.insert("peak_per_device", peaks.to_vec());
     }
     Value::Object(m)
 }
 
-/// What `check` learned about the compiled plan: step count, unit count,
-/// peak residency, target description, and per-unit device assignment.
-type CheckPlanInfo = (usize, usize, u64, String, Vec<usize>);
-
 /// The `check --json` document: the diagnostic report with every
 /// step-located diagnostic enriched by the plan's lane/device assignment,
-/// plus a `plan` object describing what was analyzed and certified.
+/// plus a `plan` object describing what was analyzed and certified on
+/// `target` (when the graph was sound enough to compile).
 fn check_report_json(
     diags: &[gpuflow_verify::Diagnostic],
-    plan_info: &Option<CheckPlanInfo>,
-    cert: &Option<gpuflow_verify::ConcurrencyReport>,
+    checked: Option<&Compiled>,
+    target: &str,
 ) -> Value {
     let mut doc = gpuflow_verify::report_to_json(diags);
-    let Value::Object(root) = &mut doc else {
+    let (Value::Object(root), Some(c)) = (&mut doc, checked) else {
         return doc;
     };
-    if let Some(report) = cert {
-        if let Some(Value::Array(list)) = root.get_mut("diagnostics") {
-            for d in list {
-                let Value::Object(dm) = d else { continue };
-                let Some(Value::Object(loc)) = dm.get_mut("location") else {
-                    continue;
-                };
-                if loc.get("kind").and_then(Value::as_str) != Some("step") {
-                    continue;
-                }
-                let Some(i) = loc.get("index").and_then(Value::as_u64) else {
-                    continue;
-                };
-                let i = i as usize;
-                if i >= report.step_lane.len() {
-                    continue;
-                }
-                loc.insert("lane", report.step_lane[i].label());
-                match report.step_device[i] {
-                    Some(dev) => loc.insert("device", dev as u64),
-                    None => loc.insert("device", Value::Null),
-                };
+    let (t, report) = (&c.template, &c.certificate);
+    if let Some(Value::Array(list)) = root.get_mut("diagnostics") {
+        for d in list {
+            let Value::Object(dm) = d else { continue };
+            let Some(Value::Object(loc)) = dm.get_mut("location") else {
+                continue;
+            };
+            if loc.get("kind").and_then(Value::as_str) != Some("step") {
+                continue;
             }
+            let Some(i) = loc.get("index").and_then(Value::as_u64) else {
+                continue;
+            };
+            let i = i as usize;
+            if i >= report.step_lane.len() {
+                continue;
+            }
+            loc.insert("lane", report.step_lane[i].label());
+            match report.step_device[i] {
+                Some(dev) => loc.insert("device", dev as u64),
+                None => loc.insert("device", Value::Null),
+            };
         }
     }
-    if let Some((steps, units, peak, target, unit_device)) = plan_info {
-        let mut p = Map::new();
-        p.insert("target", target.as_str());
-        p.insert("steps", *steps);
-        p.insert("units", *units);
-        p.insert("peak_bytes", *peak);
-        p.insert(
-            "unit_device",
-            Value::Array(unit_device.iter().map(|&d| Value::from(d as u64)).collect()),
-        );
-        if let Some(report) = cert {
-            let c = report.hb.edge_counts();
-            p.insert("lanes", report.lanes_used);
-            let mut e = Map::new();
-            e.insert("program", c.program);
-            e.insert("transfer", c.transfer);
-            e.insert("lifetime", c.lifetime);
-            p.insert("hb_edges", e);
-        }
-        root.insert("plan", Value::Object(p));
-    }
+    let mut p = Map::new();
+    p.insert("target", target);
+    p.insert("steps", t.plan.steps.len());
+    p.insert("units", t.plan.units.len());
+    p.insert("peak_bytes", t.stats().peak_bytes);
+    p.insert(
+        "unit_device",
+        Value::Array(
+            t.plan
+                .unit_device
+                .iter()
+                .map(|&d| Value::from(d as u64))
+                .collect(),
+        ),
+    );
+    let c = report.hb.edge_counts();
+    p.insert("lanes", report.lanes_used);
+    let mut e = Map::new();
+    e.insert("program", c.program);
+    e.insert("transfer", c.transfer);
+    e.insert("lifetime", c.lifetime);
+    p.insert("hb_edges", e);
+    root.insert("plan", Value::Object(p));
     doc
 }
 
@@ -236,8 +239,79 @@ pub fn load_source(source: &Source) -> Result<Graph, String> {
     }
 }
 
+/// The machine a verb plans for: one device (`--device`) or a cluster of
+/// devices behind one shared bus (`--devices`).
+enum Target {
+    Device(DeviceSpec),
+    Cluster(Cluster),
+}
+
+impl Target {
+    fn new(device: &DeviceArg, devices: &Option<String>) -> Result<Target, String> {
+        Ok(match devices {
+            Some(spec) => Target::Cluster(parse_cluster(spec)?),
+            None => Target::Device(device.spec()),
+        })
+    }
+
+    fn devices(&self) -> &[DeviceSpec] {
+        match self {
+            Target::Device(dev) => std::slice::from_ref(dev),
+            Target::Cluster(cluster) => &cluster.devices,
+        }
+    }
+
+    /// How reports name the target.
+    fn describe(&self) -> String {
+        match self {
+            Target::Device(dev) => dev.name.clone(),
+            Target::Cluster(cluster) => cluster.describe(),
+        }
+    }
+
+    /// The devices a plan document lists: a one-device document has no
+    /// device table.
+    fn listed_devices(&self) -> &[DeviceSpec] {
+        match self {
+            Target::Device(_) => &[],
+            Target::Cluster(cluster) => &cluster.devices,
+        }
+    }
+}
+
+/// Compile `g` for `target`: one device through the margin ladder
+/// (`ladder`) or its first rung alone, a cluster through the sharded
+/// compile at `options.memory_margin`. Every path ends with the plan's
+/// check and hands back its certificate.
+fn compile(
+    g: &Graph,
+    target: &Target,
+    options: CompileOptions,
+    ladder: bool,
+    tracer: &mut Tracer,
+) -> Result<Compiled, String> {
+    match target {
+        Target::Cluster(cluster) => compile_multi_traced(g, cluster, options.memory_margin, tracer),
+        Target::Device(dev) => {
+            let fw = Framework::new(dev.clone()).with_options(options);
+            if ladder {
+                fw.compile_adaptive_traced(g, tracer)
+            } else {
+                fw.compile_traced(g, tracer)
+            }
+        }
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Profile a compile's template on its machine with the certificate the
+/// compile built. `options` are the ones it was compiled with.
+fn profile(c: &Compiled, options: &CompileOptions) -> Result<ProfileReport, String> {
+    profile_with(&c.template, options, &c.template.simulate(), &c.certificate)
+}
+
 /// Machine-readable rendering of a cluster simulation outcome.
-fn multi_outcome_json(cluster: &str, o: &OverlapOutcome) -> Value {
+fn multi_outcome_json(cluster: &str, o: &OverlapOutcome) -> Map {
     let mut m = Map::new();
     m.insert("mode", "multi");
     m.insert("cluster", cluster);
@@ -254,11 +328,8 @@ fn multi_outcome_json(cluster: &str, o: &OverlapOutcome) -> Value {
         o.h2d_busy.max(o.d2h_busy) / o.makespan.max(1e-12),
     );
     m.insert("bus_bytes", o.bus_bytes);
-    m.insert(
-        "compute_busy_s",
-        Value::Array(o.compute_busy.iter().map(|&b| Value::from(b)).collect()),
-    );
-    Value::Object(m)
+    m.insert("compute_busy_s", o.compute_busy.clone());
+    m
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -279,32 +350,23 @@ fn chaos_smoke() -> Result<String, String> {
     let mut out = String::new();
     let sources = ["fig3", "edge:96x96,k=5,o=4", "cnn-small:64x64"]
         .map(|name| (name, Source::parse(name).expect("a builtin spec")));
-    let cluster = parse_cluster("c870x2")?;
-    let dev = gpuflow_sim::device::tesla_c870();
+    let cluster = Target::Cluster(parse_cluster("c870x2")?);
+    let device = Target::Device(gpuflow_sim::device::tesla_c870());
+    let options = CompileOptions::default();
     let mut runs = 0u32;
     for (name, src) in &sources {
         let g = load_source(src)?;
 
         // Hard device loss at the midpoint of a 2-device run: each device
         // in turn, recovered via failover replanning.
-        let c = compile_multi(&g, &cluster, DEFAULT_MARGIN).map_err(|e| e.to_string())?;
-        for lost in 0..cluster.len() {
+        let c = compile(&g, &cluster, options, true, &mut Tracer::disabled())?.template;
+        for lost in 0..c.devices.len() {
             let spec = FaultSpec::parse(&format!("seed=7,loss={lost}@50%"))?;
             let what = format!("chaos smoke: {name}: loss of device {lost}");
             let run = |functional| {
-                let machine = cluster.machine();
-                let tracer = &mut Tracer::disabled();
-                run_resilient(
-                    &g,
-                    &c.sharded.split,
-                    &c.plan,
-                    &machine,
-                    Some(&spec),
-                    functional,
-                    tracer,
-                )
-                .map(|(r, _)| r)
-                .map_err(|e| format!("{what}: {e}"))
+                run_resilient(&g, &c, Some(&spec), functional, &mut Tracer::disabled())
+                    .map(|(r, _)| r)
+                    .map_err(|e| format!("{what}: {e}"))
             };
             run(true)?;
             // The same seed must replay bit-identically.
@@ -316,24 +378,12 @@ fn chaos_smoke() -> Result<String, String> {
         }
 
         // Transient kernel/transfer/alloc faults on a single device.
-        let compiled = Framework::new(dev.clone())
-            .compile_adaptive(&g)
-            .map_err(|e| e.to_string())?;
-        let machine = Machine::single(&dev);
+        let compiled = compile(&g, &device, options, true, &mut Tracer::disabled())?.template;
         for seed in 1..=3u64 {
             let spec =
                 FaultSpec::parse(&format!("seed={seed},kernel=0.2,transfer=0.1,alloc=0.05"))?;
-            let tracer = &mut Tracer::disabled();
-            run_resilient(
-                &g,
-                &compiled.split,
-                &compiled.plan,
-                &machine,
-                Some(&spec),
-                true,
-                tracer,
-            )
-            .map_err(|e| format!("chaos smoke: {name}: transient sweep seed {seed}: {e}"))?;
+            run_resilient(&g, &compiled, Some(&spec), true, &mut Tracer::disabled())
+                .map_err(|e| format!("chaos smoke: {name}: transient sweep seed {seed}: {e}"))?;
             runs += 1;
         }
         let _ = writeln!(out, "chaos smoke: {name}: ok");
@@ -364,26 +414,25 @@ fn verify_outputs(
     Ok(outputs.len())
 }
 
-/// Run `plan` (compiled from `g` through `split`) on `machine` under
-/// `spec` through the resilient executor — or, without a spec, as the
-/// quiet walk — functionally, with the outputs verified against the
-/// reference, or analytically, and (under a spec) draw the recovery track
-/// onto `tracer`. An unrecovered run is an error. Returns the outcome and,
-/// for a functional run, how many outputs were verified.
+/// Run `t` (compiled from `g`) on its machine under `spec` through the
+/// resilient executor — or, without a spec, as the quiet walk —
+/// functionally, with the outputs verified against the reference, or
+/// analytically, and (under a spec) draw the recovery track onto
+/// `tracer`. An unrecovered run is an error. Returns the outcome and, for
+/// a functional run, how many outputs were verified.
 fn run_resilient(
     g: &Graph,
-    split: &SplitResult,
-    plan: &ExecutionPlan,
-    machine: &Machine,
+    t: &CompiledTemplate,
     spec: Option<&FaultSpec>,
     functional: bool,
     tracer: &mut Tracer,
 ) -> Result<(ResilientOutcome, Option<usize>), String> {
+    let machine = t.machine();
     let rex = match spec {
-        Some(spec) => ResilientExecutor::new(&split.graph, plan, machine, spec),
-        None => ResilientExecutor::quiet(&split.graph, plan, machine),
+        Some(spec) => ResilientExecutor::new(&t.split.graph, &t.plan, &machine, spec),
+        None => ResilientExecutor::quiet(&t.split.graph, &t.plan, &machine),
     }
-    .with_origin(split);
+    .with_origin(&t.split);
     let mut verified = None;
     let r = if functional {
         let bindings = default_bindings(g);
@@ -407,23 +456,18 @@ fn run_resilient(
     Ok((r, verified))
 }
 
-/// The recovery ledgers of `seeds` analytic runs of `plan` on `machine`,
+/// The recovery ledgers of `seeds` analytic runs of `t` on its machine,
 /// the spec's seed advanced by one per run; `None` for a run that failed.
-fn chaos_sweep(
-    split: &SplitResult,
-    plan: &ExecutionPlan,
-    machine: &Machine,
-    base: &FaultSpec,
-    seeds: u64,
-) -> Vec<Option<RecoveryStats>> {
+fn chaos_sweep(t: &CompiledTemplate, base: &FaultSpec, seeds: u64) -> Vec<Option<RecoveryStats>> {
+    let machine = t.machine();
     (0..seeds)
         .map(|s| {
             let spec = FaultSpec {
                 seed: base.seed.wrapping_add(s),
                 ..base.clone()
             };
-            ResilientExecutor::new(&split.graph, plan, machine, &spec)
-                .with_origin(split)
+            ResilientExecutor::new(&t.split.graph, &t.plan, &machine, &spec)
+                .with_origin(&t.split)
                 .run_analytic()
                 .ok()
                 .map(|r| r.stats)
@@ -454,18 +498,18 @@ fn profile_summary_json(r: &ProfileReport) -> Value {
 
 /// The fixed `profile --smoke` CI suite: reconcile the bottleneck
 /// attribution of every benchmark template under serial, two-stream,
-/// and two-device execution. [`profile_plan`] / [`profile_cluster`]
-/// refuse to return a report with a single unattributed nanosecond, so
-/// any drift is this command's error (nonzero exit). The one replanned
-/// knob (`streams k+1`) cross-checks the what-if advisor: a >10%
-/// divergence prints a GF0061 note but does not fail the gate — the
-/// advisor documents itself as first-order.
+/// and two-device execution. [`profile_with`] refuses to return a report
+/// with a single unattributed nanosecond, so any drift is this command's
+/// error (nonzero exit). The one replanned knob (`streams k+1`)
+/// cross-checks the what-if advisor: a >10% divergence prints a GF0061
+/// note but does not fail the gate — the advisor documents itself as
+/// first-order.
 fn profile_smoke() -> Result<String, String> {
     let mut out = String::new();
     let sources = ["fig3", "edge:96x96,k=5,o=4", "cnn-small:64x64"]
         .map(|name| (name, Source::parse(name).expect("a builtin spec")));
-    let dev = gpuflow_sim::device::tesla_c870();
-    let cluster = parse_cluster("c870x2")?;
+    let device = Target::Device(gpuflow_sim::device::tesla_c870());
+    let cluster = Target::Cluster(parse_cluster("c870x2")?);
     let mut reports = 0u32;
     for (name, src) in &sources {
         let g = load_source(src)?;
@@ -474,11 +518,8 @@ fn profile_smoke() -> Result<String, String> {
                 streams: k,
                 ..CompileOptions::default()
             };
-            let compiled = Framework::new(dev.clone())
-                .with_options(options)
-                .compile_adaptive(&g)
-                .map_err(|e| e.to_string())?;
-            let report = profile_plan(&compiled.split.graph, &compiled.plan, &dev, &options)
+            let compiled = compile(&g, &device, options, true, &mut Tracer::disabled())?;
+            let report = profile(&compiled, &options)
                 .map_err(|e| format!("profile smoke: {name} streams={k}: {e}"))?;
             reports += 1;
             let _ = writeln!(
@@ -496,14 +537,13 @@ fn profile_smoke() -> Result<String, String> {
                 .iter()
                 .find(|w| w.knob == knob)
                 .map(|w| w.estimated_s);
-            let replanned = Framework::new(dev.clone())
-                .with_options(CompileOptions {
-                    streams: k + 1,
-                    ..CompileOptions::default()
-                })
-                .compile_adaptive(&g)
+            let more_streams = CompileOptions {
+                streams: k + 1,
+                ..CompileOptions::default()
+            };
+            let replanned = compile(&g, &device, more_streams, true, &mut Tracer::disabled())
                 .ok()
-                .map(|c| c.simulate().outcome.makespan);
+                .map(|c| c.template.simulate().outcome.makespan);
             if let (Some(est), Some(real)) = (estimate, replanned) {
                 let err = (est - real).abs() / real.max(1e-12);
                 if err > 0.10 {
@@ -518,8 +558,9 @@ fn profile_smoke() -> Result<String, String> {
                 }
             }
         }
-        let c = compile_multi(&g, &cluster, DEFAULT_MARGIN).map_err(|e| e.to_string())?;
-        let report = profile_cluster(&c, DEFAULT_MARGIN)
+        let options = CompileOptions::default();
+        let compiled = compile(&g, &cluster, options, true, &mut Tracer::disabled())?;
+        let report = profile(&compiled, &options)
             .map_err(|e| format!("profile smoke: {name} c870x2: {e}"))?;
         reports += 1;
         let _ = writeln!(
@@ -590,41 +631,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             trace,
         } => {
             let g = load_source(source)?;
+            let target = Target::new(device, devices)?;
             let mut tracer = tracer_for(trace);
-            if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                let c = compile_multi_traced(&g, &cluster, *margin, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let a = c.analyze();
-                let _ = writeln!(out, "cluster:          {}", cluster.describe());
-                let _ = writeln!(out, "split factor:     {}", c.sharded.split.parts);
-                let _ = writeln!(
-                    out,
-                    "ops per device:   {:?}",
-                    c.sharded.ops_per_device(cluster.len())
-                );
-                let _ = writeln!(out, "offload units:    {}", c.plan.units.len());
-                let _ = writeln!(out, "plan steps:       {}", c.plan.steps.len());
-                let _ = writeln!(
-                    out,
-                    "bus traffic:      {} MiB over the shared PCIe fabric",
-                    c.plan.bus_bytes(&c.sharded.split.graph) >> 20
-                );
-                for (d, peak) in a.peak_per_device.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "device {d} peak:    {} MiB on {}",
-                        peak >> 20,
-                        cluster.devices[d].name
-                    );
-                }
-                if *render {
-                    let _ = writeln!(out, "\n{}", c.plan.render(&c.sharded.split.graph));
-                }
-                maybe_write_trace(&mut out, trace, &tracer)?;
-                return Ok(out);
-            }
-            let dev = device.spec();
             let options = CompileOptions {
                 memory_margin: *margin,
                 scheduler: *scheduler,
@@ -633,42 +641,65 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 streams: *streams,
                 ..CompileOptions::default()
             };
-            let compiled = Framework::new(dev.clone())
-                .with_options(options)
-                .compile_traced(&g, &mut tracer)
-                .map_err(|e| e.to_string())?;
-            let stats = compiled.stats();
-            let _ = writeln!(out, "device:           {}", dev.name);
-            let _ = writeln!(out, "split factor:     {}", compiled.split.parts);
-            let _ = writeln!(out, "offload units:    {}", compiled.plan.units.len());
-            let _ = writeln!(out, "plan steps:       {}", compiled.plan.steps.len());
-            let _ = writeln!(
-                out,
-                "transfers:        {} floats in, {} floats out",
-                stats.floats_in, stats.floats_out
-            );
-            let _ = writeln!(out, "peak residency:   {} MiB", stats.peak_bytes >> 20);
-            if let Some(ann) = &compiled.plan.streams {
-                let _ = writeln!(
-                    out,
-                    "compute streams:  {} ({} cross-stream events)",
-                    ann.num_streams,
-                    ann.events.len()
-                );
-            }
-            if *exact {
-                let _ = writeln!(out, "exact optimum:    {}", compiled.exact_optimal);
-                if let Some(st) = &compiled.exact_stats {
+            // One rung: `plan` shows the plan at the margin it was given.
+            let t = compile(&g, &target, options, false, &mut tracer)?.template;
+            let sg = &t.split.graph;
+            match &target {
+                Target::Cluster(cluster) => {
+                    let _ = writeln!(out, "cluster:          {}", cluster.describe());
+                    let _ = writeln!(out, "split factor:     {}", t.split.parts);
                     let _ = writeln!(
                         out,
-                        "exact solver:     {} conflicts, {} vars ({} unpruned)",
-                        st.conflicts, st.vars_pruned, st.vars_full
+                        "ops per device:   {:?}",
+                        t.plan.ops_per_device(cluster.len())
                     );
+                    let _ = writeln!(out, "offload units:    {}", t.plan.units.len());
+                    let _ = writeln!(out, "plan steps:       {}", t.plan.steps.len());
+                    let _ = writeln!(
+                        out,
+                        "bus traffic:      {} MiB over the shared PCIe fabric",
+                        t.plan.bus_bytes(sg) >> 20
+                    );
+                    for (d, peak) in t.peak_per_device().iter().enumerate() {
+                        let _ = writeln!(
+                            out,
+                            "device {d} peak:    {} MiB on {}",
+                            peak >> 20,
+                            cluster.devices[d].name
+                        );
+                    }
+                    if *render {
+                        let _ = writeln!(out, "\n{}", t.plan.render(sg));
+                    }
                 }
-            }
-            let _ = writeln!(out, "\n{}", gpuflow_core::compilation_report(&compiled, &g));
-            if *render {
-                let _ = writeln!(out, "{}", compiled.plan.render(&compiled.split.graph));
+                Target::Device(dev) => {
+                    let stats = t.stats();
+                    let _ = writeln!(out, "device:           {}", dev.name);
+                    let _ = writeln!(out, "split factor:     {}", t.split.parts);
+                    let _ = writeln!(out, "offload units:    {}", t.plan.units.len());
+                    let _ = writeln!(out, "plan steps:       {}", t.plan.steps.len());
+                    let _ = writeln!(
+                        out,
+                        "transfers:        {} floats in, {} floats out",
+                        stats.floats_in, stats.floats_out
+                    );
+                    let _ = writeln!(out, "peak residency:   {} MiB", stats.peak_bytes >> 20);
+                    if let Some(ann) = &t.plan.streams {
+                        let _ = writeln!(
+                            out,
+                            "compute streams:  {} ({} cross-stream events)",
+                            ann.num_streams,
+                            ann.events.len()
+                        );
+                    }
+                    if *exact {
+                        write_exact_summary(&mut out, &t);
+                    }
+                    let _ = writeln!(out, "\n{}", gpuflow_core::compilation_report(&t, &g));
+                    if *render {
+                        let _ = writeln!(out, "{}", t.plan.render(sg));
+                    }
+                }
             }
             maybe_write_trace(&mut out, trace, &tracer)?;
         }
@@ -688,284 +719,206 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             faults,
         } => {
             let g = load_source(source)?;
+            let target = Target::new(device, devices)?;
             // `run` always traces: `--json` embeds the metrics snapshot
             // whether or not a `--trace` export was requested. The
             // simulated lanes and the serial timeline are only drawn onto
             // it for an export.
             let mut tracer = new_tracer();
-            if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                let c = compile_multi_traced(&g, &cluster, DEFAULT_MARGIN, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let sim = c.simulate();
-                let o = &sim.outcome;
-                if trace.is_some() {
-                    trace_lanes(&mut tracer, &c.sharded.split.graph, &sim.lanes, &sim.events);
-                }
-                record_cluster_metrics(&mut tracer, o);
-                // Functional and/or faulted runs go through the resilient
-                // executor (a quiet spec when no faults were requested).
-                let mut verified: Option<usize> = None;
-                let mut recovery: Option<RecoveryStats> = None;
-                if *functional || faults.is_some() {
-                    let quiet = FaultSpec::quiet(0);
-                    let (r, v) = run_resilient(
-                        &g,
-                        &c.sharded.split,
-                        &c.plan,
-                        &cluster.machine(),
-                        Some(faults.as_ref().unwrap_or(&quiet)),
-                        *functional,
-                        &mut tracer,
-                    )?;
-                    verified = v;
-                    recovery = Some(r.stats);
-                }
-                if *json {
-                    let (analysis, certificate) = c.check();
-                    let mut doc = match multi_outcome_json(&cluster.describe(), o) {
-                        Value::Object(m) => m,
-                        _ => unreachable!(),
-                    };
-                    doc.insert(
-                        "plan",
-                        plan_stats_json(&analysis.stats, Some(&analysis.peak_per_device)),
-                    );
-                    if let Some(n) = verified {
-                        doc.insert("outputs_verified", n);
-                    }
-                    if let Some(st) = &recovery {
-                        doc.insert("recovery", st.to_json());
-                    }
-                    doc.insert(
-                        "profile",
-                        profile_summary_json(&profile_cluster_with(
-                            &c,
-                            DEFAULT_MARGIN,
-                            &sim,
-                            &certificate,
-                        )?),
-                    );
-                    doc.insert("metrics", tracer.metrics_ref().to_json());
-                    out.push_str(&Value::Object(doc).to_string_pretty());
-                    out.push('\n');
-                } else {
-                    if let Some(n) = verified {
-                        let _ = writeln!(
-                            out,
-                            "functional run:   {n} outputs verified against the reference ✓"
-                        );
-                    }
-                    if let Some(st) = &recovery {
-                        let _ = writeln!(out, "{}", st.summary());
-                    }
-                    let _ = writeln!(out, "cluster:          {}", cluster.describe());
-                    let _ = writeln!(out, "split factor:     {}", c.sharded.split.parts);
-                    let _ = writeln!(out, "serial time:      {:.4} s", o.serial_time);
-                    let _ = writeln!(
-                        out,
-                        "makespan:         {:.4} s ({:.2}x vs serial)",
-                        o.makespan,
-                        o.speedup()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "shared bus:       {:.4} s H->D, {:.4} s D->H busy; {} MiB moved",
-                        o.h2d_busy,
-                        o.d2h_busy,
-                        o.bus_bytes >> 20
-                    );
-                    let busy: Vec<String> =
-                        o.compute_busy.iter().map(|b| format!("{b:.4}")).collect();
-                    let _ = writeln!(out, "compute busy (s): [{}]", busy.join(", "));
-                    if *gantt {
-                        let _ = writeln!(
-                            out,
-                            "\n{}",
-                            render_gantt(&sim.lanes, &sim.events, o.makespan, 80)
-                        );
-                    }
-                    maybe_write_trace(&mut out, trace, &tracer)?;
-                }
-                if *json {
-                    // Keep stdout pure JSON: write the export silently.
-                    if let Some(path) = trace {
-                        write_trace(path, &tracer)?;
-                    }
-                }
-                return Ok(out);
-            }
-            let dev = device.spec();
             let options = CompileOptions {
                 exact: exact_options(*exact, *exact_budget, *exact_max_ops),
                 streams: *streams,
                 ..CompileOptions::default()
             };
-            // The ladder's accepted rung already dry-ran and certified the
-            // plan: an analytic run and the profile reuse both.
-            let AdaptiveCompile {
-                template: compiled,
-                dry_run,
-                certificate,
-            } = Framework::new(dev.clone())
-                .with_options(options)
-                .compile_adaptive_traced(&g, &mut tracer)
-                .map_err(|e| e.to_string())?;
-            let mut verified = None;
-            let mut recovery: Option<RecoveryStats> = None;
-            let result = if faults.is_some() || *functional {
-                // Functional and/or faulted runs go through the resilient
-                // executor: the quiet walk when no faults were requested.
-                let (r, v) = run_resilient(
-                    &g,
-                    &compiled.split,
-                    &compiled.plan,
-                    &Machine::single(&dev),
-                    faults.as_ref(),
-                    *functional,
-                    &mut tracer,
-                )?;
-                verified = v;
-                recovery = faults.is_some().then_some(r.stats);
-                r.exec
+            let compiled = compile(&g, &target, options, true, &mut tracer)?;
+            let t = &compiled.template;
+            // Functional and faulted runs go through the resilient
+            // executor. Without a fault spec one device takes the quiet
+            // walk and a cluster runs under a quiet spec.
+            let quiet = FaultSpec::quiet(0);
+            let spec = faults
+                .as_ref()
+                .or(matches!(target, Target::Cluster(_)).then_some(&quiet));
+            let (walked, verified, recovery) = if *functional || faults.is_some() {
+                let (r, verified) = run_resilient(&g, t, spec, *functional, &mut tracer)?;
+                (Some(r.exec), verified, spec.map(|_| r.stats))
             } else {
-                dry_run
+                (None, None, None)
             };
-            let c = result.timeline.counters();
-            let sim = compiled.simulate();
+            let sim = t.simulate();
             let o = &sim.outcome;
-            if trace.is_some() {
-                trace_serial_timeline(&mut tracer, &result.timeline);
-                trace_lanes(&mut tracer, &compiled.split.graph, &sim.lanes, &sim.events);
-            } else {
-                record_serial_metrics(&mut tracer, &result.timeline);
-            }
-            if *json {
-                let mut m = Map::new();
-                m.insert("mode", "single");
-                m.insert("device", dev.name.as_str());
-                m.insert("total_time_s", c.total_time());
-                m.insert("transfer_time_s", c.transfer_time);
-                m.insert("transfer_share", c.transfer_share());
-                m.insert("transfer_floats", c.total_transfer_floats());
-                m.insert("transfer_bytes", c.total_transfer_floats() * FLOAT_BYTES);
-                m.insert("kernel_time_s", c.kernel_time);
-                m.insert("kernel_launches", c.kernel_launches);
-                m.insert("peak_device_bytes", result.peak_device_bytes);
-                m.insert("overlapped_makespan_s", o.makespan);
-                m.insert("overlap_speedup", o.speedup());
-                m.insert("streams", o.compute_busy.len());
-                m.insert("h2d_busy_s", o.h2d_busy);
-                m.insert("d2h_busy_s", o.d2h_busy);
-                m.insert(
-                    "compute_busy_s",
-                    Value::Array(o.compute_busy.iter().map(|&b| Value::from(b)).collect()),
-                );
-                // Busy fraction of each engine over the overlapped
-                // makespan, in lane order (h2d, each stream, d2h).
-                let mut util = Map::new();
-                for (name, frac) in o.utilization() {
-                    util.insert(name.as_str(), frac);
-                }
-                m.insert("utilization", Value::Object(util));
-                if let Some(n) = verified {
-                    m.insert("outputs_verified", n);
-                }
-                insert_exact_stats(&mut m, &compiled);
-                if let Some(st) = &recovery {
-                    m.insert("recovery", st.to_json());
-                }
-                m.insert("plan", plan_stats_json(&compiled.stats(), None));
-                m.insert(
-                    "profile",
-                    profile_summary_json(&profile_plan_with(
-                        &compiled.split.graph,
-                        &compiled.plan,
-                        &dev,
-                        &options,
-                        &sim,
-                        &certificate,
-                    )?),
-                );
-                m.insert("metrics", tracer.metrics_ref().to_json());
-                out.push_str(&Value::Object(m).to_string_pretty());
-                out.push('\n');
-                // Keep stdout pure JSON: write the export silently.
-                if let Some(path) = trace {
-                    write_trace(path, &tracer)?;
-                }
-                return Ok(out);
-            }
-            if let Some(n) = verified {
+            // The reports differ: one device reports its serial walk (the
+            // ladder's dry run unless the executor walked the plan above),
+            // a cluster its shared bus.
+            let mut doc = Map::new();
+            if let (false, Some(n)) = (*json, verified) {
                 let _ = writeln!(
                     out,
                     "functional run:   {n} outputs verified against the reference ✓"
                 );
             }
-            if *exact {
-                let _ = writeln!(out, "exact optimum:    {}", compiled.exact_optimal);
-                if let Some(st) = &compiled.exact_stats {
-                    let _ = writeln!(
-                        out,
-                        "exact solver:     {} conflicts, {} vars ({} unpruned)",
-                        st.conflicts, st.vars_pruned, st.vars_full
-                    );
+            match &target {
+                Target::Device(dev) => {
+                    let result = walked
+                        .or(compiled.dry_run)
+                        .expect("the margin ladder dry-runs every one-device plan");
+                    let c = result.timeline.counters();
+                    if trace.is_some() {
+                        trace_serial_timeline(&mut tracer, &result.timeline);
+                        trace_lanes(&mut tracer, &t.split.graph, &sim.lanes, &sim.events);
+                    } else {
+                        record_serial_metrics(&mut tracer, &result.timeline);
+                    }
+                    if *json {
+                        doc.insert("mode", "single");
+                        doc.insert("device", dev.name.as_str());
+                        doc.insert("total_time_s", c.total_time());
+                        doc.insert("transfer_time_s", c.transfer_time);
+                        doc.insert("transfer_share", c.transfer_share());
+                        doc.insert("transfer_floats", c.total_transfer_floats());
+                        doc.insert("transfer_bytes", c.total_transfer_floats() * FLOAT_BYTES);
+                        doc.insert("kernel_time_s", c.kernel_time);
+                        doc.insert("kernel_launches", c.kernel_launches);
+                        doc.insert("peak_device_bytes", result.peak_device_bytes);
+                        doc.insert("overlapped_makespan_s", o.makespan);
+                        doc.insert("overlap_speedup", o.speedup());
+                        doc.insert("streams", o.compute_busy.len());
+                        doc.insert("h2d_busy_s", o.h2d_busy);
+                        doc.insert("d2h_busy_s", o.d2h_busy);
+                        doc.insert("compute_busy_s", o.compute_busy.clone());
+                        // Busy fraction of each engine over the overlapped
+                        // makespan, in lane order (h2d, each stream, d2h).
+                        let mut util = Map::new();
+                        for (name, frac) in o.utilization() {
+                            util.insert(name.as_str(), frac);
+                        }
+                        doc.insert("utilization", Value::Object(util));
+                        if let Some(n) = verified {
+                            doc.insert("outputs_verified", n);
+                        }
+                        insert_exact_stats(&mut doc, t);
+                        if let Some(st) = &recovery {
+                            doc.insert("recovery", st.to_json());
+                        }
+                        doc.insert("plan", plan_stats_json(&t.stats(), None));
+                    } else {
+                        if *exact {
+                            write_exact_summary(&mut out, t);
+                        }
+                        let _ = writeln!(out, "device:           {}", dev.name);
+                        let _ = writeln!(out, "simulated time:   {:.4} s", c.total_time());
+                        let _ = writeln!(
+                            out,
+                            "  transfers:      {:.4} s ({:.0}%), {} floats",
+                            c.transfer_time,
+                            c.transfer_share() * 100.0,
+                            c.total_transfer_floats()
+                        );
+                        let _ = writeln!(
+                            out,
+                            "  kernels:        {:.4} s over {} launches",
+                            c.kernel_time, c.kernel_launches
+                        );
+                        let _ = writeln!(
+                            out,
+                            "peak device mem:  {} MiB (fragmentation {:.3})",
+                            result.peak_device_bytes >> 20,
+                            result.peak_fragmentation
+                        );
+                        if let Some(st) = &recovery {
+                            let _ = writeln!(out, "{}", st.summary());
+                        }
+                        if let Ok(base) = baseline_plan(&g, dev.memory_bytes) {
+                            let b = ResilientExecutor::quiet(&g, &base, &Machine::single(dev))
+                                .run_analytic()
+                                .map_err(|e| e.to_string())?
+                                .exec;
+                            let _ = writeln!(
+                                out,
+                                "baseline:         {:.4} s -> speedup {:.1}x",
+                                b.total_time(),
+                                b.total_time() / c.total_time()
+                            );
+                        } else {
+                            let _ = writeln!(
+                                out,
+                                "baseline:         N/A (operator exceeds device memory)"
+                            );
+                        }
+                        if *overlap {
+                            let _ = writeln!(
+                                out,
+                                "overlapped:       {:.4} s (async copy engines, {:.2}x vs serial)",
+                                o.makespan,
+                                o.speedup()
+                            );
+                            let util = o
+                                .utilization()
+                                .iter()
+                                .map(|(name, frac)| format!("{name} {:.0}%", frac * 100.0))
+                                .collect::<Vec<_>>()
+                                .join(", ");
+                            let _ = writeln!(out, "engine busy:      {util}");
+                        }
+                    }
+                }
+                Target::Cluster(cluster) => {
+                    if trace.is_some() {
+                        trace_lanes(&mut tracer, &t.split.graph, &sim.lanes, &sim.events);
+                    }
+                    record_cluster_metrics(&mut tracer, o);
+                    if *json {
+                        doc = multi_outcome_json(&cluster.describe(), o);
+                        doc.insert(
+                            "plan",
+                            plan_stats_json(&t.stats(), Some(t.peak_per_device())),
+                        );
+                        if let Some(n) = verified {
+                            doc.insert("outputs_verified", n);
+                        }
+                        if let Some(st) = &recovery {
+                            doc.insert("recovery", st.to_json());
+                        }
+                    } else {
+                        if let Some(st) = &recovery {
+                            let _ = writeln!(out, "{}", st.summary());
+                        }
+                        let _ = writeln!(out, "cluster:          {}", cluster.describe());
+                        let _ = writeln!(out, "split factor:     {}", t.split.parts);
+                        let _ = writeln!(out, "serial time:      {:.4} s", o.serial_time);
+                        let _ = writeln!(
+                            out,
+                            "makespan:         {:.4} s ({:.2}x vs serial)",
+                            o.makespan,
+                            o.speedup()
+                        );
+                        let _ = writeln!(
+                            out,
+                            "shared bus:       {:.4} s H->D, {:.4} s D->H busy; {} MiB moved",
+                            o.h2d_busy,
+                            o.d2h_busy,
+                            o.bus_bytes >> 20
+                        );
+                        let busy: Vec<String> =
+                            o.compute_busy.iter().map(|b| format!("{b:.4}")).collect();
+                        let _ = writeln!(out, "compute busy (s): [{}]", busy.join(", "));
+                    }
                 }
             }
-            let _ = writeln!(out, "device:           {}", dev.name);
-            let _ = writeln!(out, "simulated time:   {:.4} s", c.total_time());
-            let _ = writeln!(
-                out,
-                "  transfers:      {:.4} s ({:.0}%), {} floats",
-                c.transfer_time,
-                c.transfer_share() * 100.0,
-                c.total_transfer_floats()
-            );
-            let _ = writeln!(
-                out,
-                "  kernels:        {:.4} s over {} launches",
-                c.kernel_time, c.kernel_launches
-            );
-            let _ = writeln!(
-                out,
-                "peak device mem:  {} MiB (fragmentation {:.3})",
-                result.peak_device_bytes >> 20,
-                result.peak_fragmentation
-            );
-            if let Some(st) = &recovery {
-                let _ = writeln!(out, "{}", st.summary());
-            }
-            if let Ok(base) = baseline_plan(&g, dev.memory_bytes) {
-                let b = ResilientExecutor::quiet(&g, &base, &Machine::single(&dev))
-                    .run_analytic()
-                    .map_err(|e| e.to_string())?
-                    .exec;
-                let _ = writeln!(
-                    out,
-                    "baseline:         {:.4} s -> speedup {:.1}x",
-                    b.total_time(),
-                    b.total_time() / c.total_time()
+            if *json {
+                doc.insert(
+                    "profile",
+                    profile_summary_json(&profile_with(t, &options, &sim, &compiled.certificate)?),
                 );
+                doc.insert("metrics", tracer.metrics_ref().to_json());
+                out.push_str(&Value::Object(doc).to_string_pretty());
+                out.push('\n');
+                // Keep stdout pure JSON: write the export silently.
+                if let Some(path) = trace {
+                    write_trace(path, &tracer)?;
+                }
             } else {
-                let _ = writeln!(
-                    out,
-                    "baseline:         N/A (operator exceeds device memory)"
-                );
-            }
-            if *overlap {
-                let _ = writeln!(
-                    out,
-                    "overlapped:       {:.4} s (async copy engines, {:.2}x vs serial)",
-                    o.makespan,
-                    o.speedup()
-                );
-                let util = o
-                    .utilization()
-                    .iter()
-                    .map(|(name, frac)| format!("{name} {:.0}%", frac * 100.0))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "engine busy:      {util}");
+                // `--gantt` implies `--overlap`: both machines draw their lanes.
                 if *gantt {
                     let _ = writeln!(
                         out,
@@ -973,8 +926,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         render_gantt(&sim.lanes, &sim.events, o.makespan, 80)
                     );
                 }
+                maybe_write_trace(&mut out, trace, &tracer)?;
             }
-            maybe_write_trace(&mut out, trace, &tracer)?;
         }
         Command::Check {
             source,
@@ -986,78 +939,40 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             trace,
         } => {
             let g = load_source(source)?;
+            let target = Target::new(device, devices)?;
             let mut tracer = tracer_for(trace);
-            let (mut diags, plan_info, cert);
-            if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                // The graph-level footprint warning is judged against the
-                // roomiest member; the per-device capacity check below is
-                // what actually enforces each member's memory.
-                let cap = cluster.capacities().into_iter().max().unwrap();
-                diags = gpuflow_verify::analyze_graph(&g, Some(cap));
-                (plan_info, cert) = if !gpuflow_verify::has_errors(&diags) {
-                    let c = compile_multi_traced(&g, &cluster, DEFAULT_MARGIN, &mut tracer)
-                        .map_err(|e| e.to_string())?;
-                    // The serial analysis and the happens-before
-                    // concurrency certificate (GF005x, docs/concurrency.md)
-                    // from one view of the plan.
-                    let (analysis, report) = c.check();
-                    let info = (
-                        c.plan.steps.len(),
-                        c.plan.units.len(),
-                        analysis.stats.peak_bytes,
-                        cluster.describe(),
-                        c.plan.unit_device.clone(),
-                    );
-                    diags.extend(analysis.diagnostics);
-                    diags.extend(report.diagnostics.iter().cloned());
-                    (Some(info), Some(report))
-                } else {
-                    (None, None)
+            // Graph passes first; plan passes only when the graph itself
+            // is sound enough to compile. The graph-level footprint
+            // warning is judged against the roomiest device; the plan's
+            // check is what enforces each device's memory.
+            let cap = target.devices().iter().map(|d| d.memory_bytes).max();
+            let mut diags = gpuflow_verify::analyze_graph(&g, cap);
+            let checked = if !gpuflow_verify::has_errors(&diags) {
+                let options = CompileOptions {
+                    streams: *streams,
+                    ..CompileOptions::default()
                 };
+                // The happens-before certificate (GF005x,
+                // docs/concurrency.md) is the one the compile's check
+                // built.
+                let c = compile(&g, &target, options, true, &mut tracer)?;
+                // One device also gets the efficiency lints; the compile's
+                // check found no errors on either machine.
+                if let Target::Device(dev) = &target {
+                    let t = &c.template;
+                    let lints = t.plan.analyze(&t.split.graph, dev.memory_bytes, true);
+                    diags.extend(lints.diagnostics);
+                }
+                diags.extend(c.certificate.diagnostics.iter().cloned());
+                gpuflow_core::trace_hazard_certificate(&mut tracer, &c.certificate);
+                Some(c)
             } else {
-                let dev = device.spec();
-                // Graph passes first; plan passes only when the graph
-                // itself is sound enough to compile.
-                diags = gpuflow_verify::analyze_graph(&g, Some(dev.memory_bytes));
-                (plan_info, cert) = if !gpuflow_verify::has_errors(&diags) {
-                    // The happens-before certificate (GF005x) is the one
-                    // the compile's `validate` built.
-                    let AdaptiveCompile {
-                        template: compiled,
-                        certificate: report,
-                        ..
-                    } = Framework::new(dev.clone())
-                        .with_options(CompileOptions {
-                            streams: *streams,
-                            ..CompileOptions::default()
-                        })
-                        .compile_adaptive_traced(&g, &mut tracer)
-                        .map_err(|e| e.to_string())?;
-                    let analysis =
-                        compiled
-                            .plan
-                            .analyze(&compiled.split.graph, dev.memory_bytes, true);
-                    let info = (
-                        compiled.plan.steps.len(),
-                        compiled.plan.units.len(),
-                        analysis.stats.peak_bytes,
-                        dev.name.clone(),
-                        compiled.plan.unit_device.clone(),
-                    );
-                    diags.extend(analysis.diagnostics);
-                    diags.extend(report.diagnostics.iter().cloned());
-                    (Some(info), Some(report))
-                } else {
-                    (None, None)
-                };
-            }
-            if let Some(report) = &cert {
-                gpuflow_core::trace_hazard_certificate(&mut tracer, report);
-            }
+                None
+            };
             let failed = gpuflow_verify::has_errors(&diags);
             let text = if *json {
-                let mut s = check_report_json(&diags, &plan_info, &cert).to_string_pretty();
+                let mut s = check_report_json(&diags, checked.as_ref(), &target.describe())
+                    .to_string_pretty();
                 s.push('\n');
                 s
             } else {
@@ -1068,15 +983,17 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     g.num_ops(),
                     g.num_data()
                 );
-                if let Some((steps, units, peak, target, _)) = &plan_info {
+                if let Some(c) = &checked {
                     let _ = writeln!(
                         s,
-                        "plan:  {steps} steps over {units} offload units on {target} (peak residency {peak} B)",
+                        "plan:  {} steps over {} offload units on {} (peak residency {} B)",
+                        c.template.plan.steps.len(),
+                        c.template.plan.units.len(),
+                        target.describe(),
+                        c.template.stats().peak_bytes
                     );
-                }
-                if *hazards {
-                    if let Some(report) = &cert {
-                        s.push_str(&render_hazard_summary(report));
+                    if *hazards {
+                        s.push_str(&render_hazard_summary(&c.certificate));
                     }
                 }
                 s.push_str(&gpuflow_verify::render_report(&diags));
@@ -1108,110 +1025,107 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         } => {
             let g = load_source(source)?;
             let name = source.to_string();
+            let target = Target::new(device, devices)?;
             let mut tracer = new_tracer();
+            let options = CompileOptions {
+                memory_margin: *margin,
+                exact: exact_options(*exact, *exact_budget, *exact_max_ops),
+                streams: *streams,
+                ..CompileOptions::default()
+            };
+            // Same entry point as `run`: on one device the adaptive ladder
+            // dry-runs the real first-fit allocator, so a template that
+            // runs also traces (`--margin` is the ladder's floor).
+            let Compiled {
+                template: t,
+                dry_run,
+                ..
+            } = compile(&g, &target, options, true, &mut tracer)?;
+            let graph = &t.split.graph;
+            let _ =
+                plan_to_json_traced(graph, &t.plan, target.listed_devices(), &name, &mut tracer)
+                    .map_err(|e| e.to_string())?;
+            if let Some(dry_run) = &dry_run {
+                trace_serial_timeline(&mut tracer, &dry_run.timeline);
+            }
+            let sim = t.simulate();
+            let o = &sim.outcome;
+            trace_lanes(&mut tracer, graph, &sim.lanes, &sim.events);
+            if let Target::Cluster(_) = target {
+                record_cluster_metrics(&mut tracer, o);
+            }
+            let parsed = write_trace(out_path, &tracer)?;
             // Each reconciliation row compares an independently summed
             // quantity from the re-parsed export against the framework's
             // canonical bookkeeping; any drift fails the command.
             let mut checks: Vec<(String, u64, u64)> = Vec::new();
-            if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                let c = compile_multi_traced(&g, &cluster, *margin, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let graph = &c.sharded.split.graph;
-                let _ = plan_to_json_traced(graph, &c.plan, &c.cluster.devices, &name, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let sim = c.simulate();
-                let o = &sim.outcome;
-                trace_lanes(&mut tracer, &c.sharded.split.graph, &sim.lanes, &sim.events);
-                record_cluster_metrics(&mut tracer, o);
-                let parsed = write_trace(out_path, &tracer)?;
-                // Bus lanes (simulation) vs the bus accounting of both the
-                // bus arbiter and the planner's own step walk.
-                let h2d = sum_event_arg(&parsed, "h2d", "bytes", Some(PID_CLUSTER));
-                let d2h = sum_event_arg(&parsed, "d2h", "bytes", Some(PID_CLUSTER));
-                checks.push(("bus bytes vs simulation".into(), h2d + d2h, o.bus_bytes));
-                checks.push((
-                    "bus bytes vs plan".into(),
-                    h2d + d2h,
-                    c.plan.bus_bytes(&c.sharded.split.graph),
-                ));
-            } else {
-                let dev = device.spec();
-                let options = CompileOptions {
-                    memory_margin: *margin,
-                    exact: exact_options(*exact, *exact_budget, *exact_max_ops),
-                    streams: *streams,
-                    ..CompileOptions::default()
-                };
-                // Same entry point as `run`: the adaptive ladder dry-runs
-                // the real first-fit allocator, so a template that runs
-                // also traces (`--margin` is the ladder's floor).
-                let AdaptiveCompile {
-                    template: compiled,
-                    dry_run,
-                    ..
-                } = Framework::new(dev.clone())
-                    .with_options(options)
-                    .compile_adaptive_traced(&g, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let graph = &compiled.split.graph;
-                let _ = plan_to_json_traced(graph, &compiled.plan, &[], &name, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                trace_serial_timeline(&mut tracer, &dry_run.timeline);
-                let sim = compiled.simulate();
-                trace_lanes(&mut tracer, &compiled.split.graph, &sim.lanes, &sim.events);
-                let parsed = write_trace(out_path, &tracer)?;
-                // Plan-walk timeline (summed from the re-parsed export)
-                // vs the verify engine's static plan statistics — two
-                // genuinely independent walks over the plan.
-                let stats = compiled.stats();
-                checks.push((
-                    "h2d bytes vs plan".into(),
-                    sum_event_arg(&parsed, "h2d", "bytes", Some(PID_SERIAL)),
-                    stats.floats_in * FLOAT_BYTES,
-                ));
-                checks.push((
-                    "d2h bytes vs plan".into(),
-                    sum_event_arg(&parsed, "d2h", "bytes", Some(PID_SERIAL)),
-                    stats.floats_out * FLOAT_BYTES,
-                ));
-                // Overlap-lane busy time summed from the re-parsed export
-                // vs the simulator's own lane events, both rounded to the
-                // exporter's integer microseconds per event. Catches any
-                // drift between the per-stream lane layout and what the
-                // simulator actually scheduled.
-                let us = |s: f64| (s * 1e6).round().max(0.0) as u64;
-                let lane_us = |is_lane: &dyn Fn(Lane) -> bool| -> u64 {
-                    sim.events
-                        .iter()
-                        .filter(|e| is_lane(e.lane))
-                        .map(|e| us(e.end).saturating_sub(us(e.start)))
-                        .sum()
-                };
-                checks.push((
-                    "h2d lane busy (us) vs overlap sim".into(),
-                    sum_event_dur(&parsed, "h2d", Some(PID_OVERLAP)),
-                    lane_us(&|l| l == Lane::H2d),
-                ));
-                checks.push((
-                    format!(
-                        "kernel lanes busy (us, {} streams) vs overlap sim",
-                        sim.outcome.compute_busy.len()
-                    ),
-                    sum_event_dur(&parsed, "kernel", Some(PID_OVERLAP)),
-                    lane_us(&|l| l.device_stream().is_some()),
-                ));
-                checks.push((
-                    "d2h lane busy (us) vs overlap sim".into(),
-                    sum_event_dur(&parsed, "d2h", Some(PID_OVERLAP)),
-                    lane_us(&|l| l == Lane::D2h),
-                ));
-                if let Some(st) = &compiled.exact_stats {
+            match target {
+                Target::Cluster(_) => {
+                    // Bus lanes (simulation) vs the bus accounting of both
+                    // the bus arbiter and the planner's own step walk.
+                    let h2d = sum_event_arg(&parsed, "h2d", "bytes", Some(PID_CLUSTER));
+                    let d2h = sum_event_arg(&parsed, "d2h", "bytes", Some(PID_CLUSTER));
+                    checks.push(("bus bytes vs simulation".into(), h2d + d2h, o.bus_bytes));
                     checks.push((
-                        "solver conflicts vs PbExactStats".into(),
-                        tracer.metrics_ref().counter("exact.conflicts"),
-                        st.conflicts,
+                        "bus bytes vs plan".into(),
+                        h2d + d2h,
+                        t.plan.bus_bytes(graph),
                     ));
+                }
+                Target::Device(_) => {
+                    // Plan-walk timeline (summed from the re-parsed
+                    // export) vs the verify engine's static plan
+                    // statistics — two genuinely independent walks over
+                    // the plan.
+                    let stats = t.stats();
+                    checks.push((
+                        "h2d bytes vs plan".into(),
+                        sum_event_arg(&parsed, "h2d", "bytes", Some(PID_SERIAL)),
+                        stats.floats_in * FLOAT_BYTES,
+                    ));
+                    checks.push((
+                        "d2h bytes vs plan".into(),
+                        sum_event_arg(&parsed, "d2h", "bytes", Some(PID_SERIAL)),
+                        stats.floats_out * FLOAT_BYTES,
+                    ));
+                    // Overlap-lane busy time summed from the re-parsed
+                    // export vs the simulator's own lane events, both
+                    // rounded to the exporter's integer microseconds per
+                    // event. Catches any drift between the per-stream lane
+                    // layout and what the simulator actually scheduled.
+                    let us = |s: f64| (s * 1e6).round().max(0.0) as u64;
+                    let lane_us = |is_lane: &dyn Fn(Lane) -> bool| -> u64 {
+                        sim.events
+                            .iter()
+                            .filter(|e| is_lane(e.lane))
+                            .map(|e| us(e.end).saturating_sub(us(e.start)))
+                            .sum()
+                    };
+                    checks.push((
+                        "h2d lane busy (us) vs overlap sim".into(),
+                        sum_event_dur(&parsed, "h2d", Some(PID_OVERLAP)),
+                        lane_us(&|l| l == Lane::H2d),
+                    ));
+                    checks.push((
+                        format!(
+                            "kernel lanes busy (us, {} streams) vs overlap sim",
+                            o.compute_busy.len()
+                        ),
+                        sum_event_dur(&parsed, "kernel", Some(PID_OVERLAP)),
+                        lane_us(&|l| l.device_stream().is_some()),
+                    ));
+                    checks.push((
+                        "d2h lane busy (us) vs overlap sim".into(),
+                        sum_event_dur(&parsed, "d2h", Some(PID_OVERLAP)),
+                        lane_us(&|l| l == Lane::D2h),
+                    ));
+                    if let Some(st) = &t.exact_stats {
+                        checks.push((
+                            "solver conflicts vs PbExactStats".into(),
+                            tracer.metrics_ref().counter("exact.conflicts"),
+                            st.conflicts,
+                        ));
+                    }
                 }
             }
             let _ = writeln!(
@@ -1256,23 +1170,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 Some(f) => f.clone(),
                 None => FaultSpec::parse("seed=1,kernel=0.1,transfer=0.05,alloc=0.02")?,
             };
-            let (target, runs) = if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                base.check_devices(cluster.len())?;
-                let c = compile_multi(&g, &cluster, DEFAULT_MARGIN).map_err(|e| e.to_string())?;
-                let runs =
-                    chaos_sweep(&c.sharded.split, &c.plan, &cluster.machine(), &base, *seeds);
-                (cluster.describe(), runs)
-            } else {
-                let dev = device.spec();
-                base.check_devices(1)?;
-                let compiled = Framework::new(dev.clone())
-                    .compile_adaptive(&g)
-                    .map_err(|e| e.to_string())?;
-                let machine = Machine::single(&dev);
-                let runs = chaos_sweep(&compiled.split, &compiled.plan, &machine, &base, *seeds);
-                (dev.name.clone(), runs)
-            };
+            let target = Target::new(device, devices)?;
+            base.check_devices(target.devices().len())?;
+            let options = CompileOptions::default();
+            let t = compile(&g, &target, options, true, &mut Tracer::disabled())?.template;
+            let runs = chaos_sweep(&t, &base, *seeds);
+            let target = target.describe();
             let mut overheads: Vec<f64> = Vec::new();
             let mut recovered_n = 0u64;
             let mut faults_total = 0u64;
@@ -1355,41 +1258,17 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 .ok_or("profile requires <source> or --smoke")?;
             let g = load_source(src)?;
             let mut tracer = tracer_for(trace);
-            // The critical-path spans name their steps, so each branch
-            // draws the track while its plan is at hand.
-            let report = if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                let c = compile_multi_traced(&g, &cluster, DEFAULT_MARGIN, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let report = profile_cluster(&c, DEFAULT_MARGIN)?;
-                trace_profile(&mut tracer, &report, &c.sharded.split.graph, &c.plan);
-                report
-            } else {
-                let dev = device.spec();
-                let options = CompileOptions {
-                    streams: *streams,
-                    defer_frees: !*no_defer_frees,
-                    ..CompileOptions::default()
-                };
-                let AdaptiveCompile {
-                    template: compiled,
-                    certificate,
-                    ..
-                } = Framework::new(dev.clone())
-                    .with_options(options)
-                    .compile_adaptive_traced(&g, &mut tracer)
-                    .map_err(|e| e.to_string())?;
-                let report = profile_plan_with(
-                    &compiled.split.graph,
-                    &compiled.plan,
-                    &dev,
-                    &options,
-                    &compiled.simulate(),
-                    &certificate,
-                )?;
-                trace_profile(&mut tracer, &report, &compiled.split.graph, &compiled.plan);
-                report
+            let target = Target::new(device, devices)?;
+            let options = CompileOptions {
+                streams: *streams,
+                defer_frees: !*no_defer_frees,
+                ..CompileOptions::default()
             };
+            let compiled = compile(&g, &target, options, true, &mut tracer)?;
+            let report = profile(&compiled, &options)?;
+            // The critical-path spans name their steps.
+            let t = &compiled.template;
+            trace_profile(&mut tracer, &report, &t.split.graph, &t.plan);
             if *json {
                 out.push_str(&report.to_json().to_string_pretty());
                 out.push('\n');
@@ -1509,32 +1388,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         } => {
             let g = load_source(source)?;
             let name = source.to_string();
-            if let Some(spec) = devices {
-                let cluster = parse_cluster(spec)?;
-                let c = compile_multi(&g, &cluster, DEFAULT_MARGIN).map_err(|e| e.to_string())?;
-                if let Some(path) = json {
-                    let doc = compiled_multi_to_json(&c, &name).map_err(|e| e.to_string())?;
-                    std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
-                    let _ = writeln!(
-                        out,
-                        "wrote {path} ({} bytes of multi-device JSON)",
-                        doc.len()
-                    );
-                }
-                if let Some(path) = dot {
-                    let doc = gpuflow_graph::dot::to_dot(&c.sharded.split.graph, &name);
-                    std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
-                    let _ = writeln!(out, "wrote {path} (Graphviz DOT)");
-                }
-                return Ok(out);
-            }
-            let dev = device.spec();
-            let compiled = Framework::new(dev)
-                .compile_adaptive(&g)
-                .map_err(|e| e.to_string())?;
+            let target = Target::new(device, devices)?;
+            let options = CompileOptions::default();
+            let t = compile(&g, &target, options, true, &mut Tracer::disabled())?.template;
+            let sg = &t.split.graph;
             if let Some(path) = cuda {
-                let src = generate_cuda(&compiled.split.graph, &compiled.plan, &name)
-                    .map_err(|e| e.to_string())?;
+                let src = generate_cuda(sg, &t.plan, &name).map_err(|e| e.to_string())?;
                 std::fs::write(path, &src).map_err(|e| format!("write {path}: {e}"))?;
                 let _ = writeln!(
                     out,
@@ -1543,13 +1402,18 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 );
             }
             if let Some(path) = json {
-                let doc = plan_to_json(&compiled.split.graph, &compiled.plan, &name)
+                let doc = gpuflow_codegen::json::emit(sg, &t.plan, target.listed_devices(), &name)
                     .map_err(|e| e.to_string())?;
                 std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(out, "wrote {path} ({} bytes of JSON)", doc.len());
+                let kind = if devices.is_some() {
+                    "multi-device JSON"
+                } else {
+                    "JSON"
+                };
+                let _ = writeln!(out, "wrote {path} ({} bytes of {kind})", doc.len());
             }
             if let Some(path) = dot {
-                let doc = gpuflow_graph::dot::to_dot(&compiled.split.graph, &name);
+                let doc = gpuflow_graph::dot::to_dot(sg, &name);
                 std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
                 let _ = writeln!(out, "wrote {path} (Graphviz DOT)");
             }
@@ -1904,9 +1768,9 @@ mod tests {
         use gpuflow_verify::{Diagnostic, Location};
         let g = gpuflow_core::examples::fig3_graph();
         let compiled = Framework::new(gpuflow_sim::TESLA_C870.clone())
-            .compile_adaptive(&g)
+            .compile_adaptive_traced(&g, &mut Tracer::disabled())
             .unwrap();
-        let report = compiled.plan.certify(&compiled.split.graph);
+        let report = &compiled.certificate;
         assert!(report.certified());
         // Compiled plans never carry step-located diagnostics, so the
         // lane/device enrichment is pinned with synthetic ones: one in
@@ -1915,16 +1779,9 @@ mod tests {
             Diagnostic::warning("GF0050", Some(Location::Step(0)), "synthetic step finding"),
             Diagnostic::warning("GF0050", Some(Location::Step(usize::MAX)), "out of range"),
         ];
-        let info = Some((
-            compiled.plan.steps.len(),
-            compiled.plan.units.len(),
-            0u64,
-            "Tesla C870".to_string(),
-            vec![0; compiled.plan.units.len()],
-        ));
         let expect_lane = report.step_lane[0].label();
         let expect_dev = report.step_device[0];
-        let doc = check_report_json(&diags, &info, &Some(report));
+        let doc = check_report_json(&diags, Some(&compiled), "Tesla C870");
         let loc = &doc["diagnostics"][0]["location"];
         assert_eq!(loc["kind"].as_str(), Some("step"));
         assert_eq!(loc["lane"].as_str(), Some(expect_lane.as_str()));

@@ -68,7 +68,7 @@ fn every_plan_document_loads_back_to_its_plan() {
             let cluster = gpuflow_multi::parse_cluster(devices).unwrap();
             let c = gpuflow_multi::compile_multi(&g, &cluster, 0.05).unwrap();
             let json = compiled_multi_to_json(&c, spec).unwrap();
-            cases.push((devices, c.sharded.split.graph, c.plan, json));
+            cases.push((devices, c.split.graph.clone(), (*c.plan).clone(), json));
         }
         for (machine, graph, plan, json) in cases {
             let doc = parse_plan_doc(&json).unwrap();
@@ -91,6 +91,6 @@ fn a_device_outside_the_table_is_rejected() {
         panic!("a plan starts with an upload")
     };
     *device = 2;
-    let err = load_plan(&doc, &c.sharded.split.graph).unwrap_err();
+    let err = load_plan(&doc, &c.split.graph).unwrap_err();
     assert!(err.0.contains("device index 2 out of range"), "{err}");
 }

@@ -563,12 +563,12 @@ mod tests {
         let g = fig3_graph();
         let cluster = Cluster::homogeneous(gpuflow_sim::device::tesla_c870(), 2);
         let c = compile_multi(&g, &cluster, 0.05).unwrap();
-        let (sg, devices) = (&c.sharded.split.graph, &cluster.devices);
+        let (sg, devices) = (&c.split.graph, &cluster.devices);
         let doc = plan_doc(sg, &c.plan, devices, "fig3").unwrap();
         assert_eq!(doc.devices.len(), 2);
         assert_eq!(doc.unit_device, c.plan.unit_device);
         // Mutation: retarget the first unit's launch to the other device.
-        let mut bad = c.plan.clone();
+        let mut bad = (*c.plan).clone();
         bad.unit_device[0] = 1 - bad.unit_device[0];
         let err = emit(sg, &bad, devices, "fig3").unwrap_err();
         assert!(err.to_string().contains("refusing to emit"), "{err}");

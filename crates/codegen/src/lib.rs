@@ -56,15 +56,10 @@ pub fn plan_to_json_traced(
 /// The plan document of a compiled cluster template (see [`json::emit`]).
 // Survives as an adapter: perf/src/layers.rs names it.
 pub fn compiled_multi_to_json(
-    c: &gpuflow_multi::MultiCompiled,
+    c: &gpuflow_core::CompiledTemplate,
     template: &str,
 ) -> Result<String, EmitError> {
-    json::emit(
-        &c.sharded.split.graph,
-        &c.plan,
-        &c.cluster.devices,
-        template,
-    )
+    json::emit(&c.split.graph, &c.plan, &c.devices, template)
 }
 
 /// Refusal to emit code from a plan the static analyzer rejects.

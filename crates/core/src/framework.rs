@@ -13,14 +13,14 @@ use std::sync::Arc;
 
 use gpuflow_graph::{DataId, Graph};
 use gpuflow_ops::Tensor;
-use gpuflow_sim::DeviceSpec;
+use gpuflow_sim::{BusSpec, DeviceSpec};
 
 use gpuflow_trace::{kv, Tracer};
-use gpuflow_verify::ConcurrencyReport;
+use gpuflow_verify::{ConcurrencyReport, PlanAnalysis};
 
 use crate::error::FrameworkError;
 use crate::opschedule::{schedule_units, OpScheduler};
-use crate::overlap::Machine;
+use crate::overlap::{LaneEvent, Machine, OverlapOutcome, Simulation};
 use crate::partition::{partition_offload_units, OffloadUnit, PartitionPolicy};
 use crate::pbexact::{pb_exact_plan_traced, PbExactOptions, PbExactStats};
 use crate::plan::{check_plan, ExecutionPlan, PlanStats};
@@ -157,17 +157,25 @@ pub struct Framework {
     options: CompileOptions,
 }
 
-/// A compiled template: split graph, plan, and provenance, ready to run.
+/// A compiled template: split graph, plan, the machine it targets and
+/// provenance, ready to run. One device ([`Framework`]) and a cluster
+/// (`gpuflow_multi::compile_multi`) compile to this one type, and both
+/// compiles end with the one check of the plan, whose statistics it
+/// keeps: a template is certified by construction.
 #[derive(Debug, Clone)]
 pub struct CompiledTemplate {
-    /// The split graph plus data provenance.
+    /// The split (on a cluster, sharded) graph plus data provenance.
     pub split: SplitResult,
     /// The execution plan over `split.graph`. Shared, so a recompile
     /// that reuses a schedule verbatim (the serve cache's incremental
     /// path) holds the same plan instead of a copy.
     pub plan: Arc<ExecutionPlan>,
-    /// The device the plan was compiled for.
-    pub device: DeviceSpec,
+    /// The devices the plan was compiled for, indexed by the plan's
+    /// device ids: one for a [`Framework`] compile.
+    pub devices: Vec<DeviceSpec>,
+    /// The fabric a cluster's devices share; `None` for one device with
+    /// its own DMA engines. A cluster of one keeps its shared bus.
+    bus: Option<BusSpec>,
     /// Whether the exact PB scheduler produced the plan (and proved it
     /// optimal).
     pub exact_optimal: bool,
@@ -176,27 +184,30 @@ pub struct CompiledTemplate {
     pub exact_stats: Option<PbExactStats>,
     /// The plan's statistics, from the residency walk that validated it.
     stats: PlanStats,
+    /// Peak bytes resident on each device, from the same walk.
+    peak_per_device: Vec<u64>,
 }
 
-/// What [`Framework::compile_adaptive_traced`] accepted: the template,
-/// plus two facts the accepted rung of the margin ladder established on
-/// the way — its dry run on the real first-fit allocator and the
-/// concurrency certificate `validate` built. A caller that needs either
+/// What a traced compile hands back: the template, plus the facts the
+/// compile established on the way — the concurrency certificate its
+/// closing `validate` built and, on the margin ladder, the accepted rung's
+/// dry run on the real first-fit allocator. A caller that needs either
 /// takes it from here instead of walking the plan again.
 ///
 /// The certificate is not kept on [`CompiledTemplate`]: a cached template
 /// lives as long as its cache entry, and a large plan's happens-before
 /// graph can weigh as much as the rest of the entry together.
 #[derive(Debug)]
-pub struct AdaptiveCompile {
+pub struct Compiled {
     /// The compiled template.
     pub template: CompiledTemplate,
-    /// The accepted rung's analytic dry run (what
-    /// [`CompiledTemplate::run_analytic`] returns).
-    pub dry_run: ExecOutcome,
     /// The plan's concurrency certificate (what `ExecutionPlan::certify`
     /// returns).
     pub certificate: ConcurrencyReport,
+    /// The accepted rung's analytic dry run (what
+    /// [`CompiledTemplate::run_analytic`] returns): only
+    /// [`Framework::compile_adaptive_traced`] makes one.
+    pub dry_run: Option<ExecOutcome>,
 }
 
 impl Framework {
@@ -222,6 +233,7 @@ impl Framework {
     /// Compile a template into an execution plan (Fig. 4).
     pub fn compile(&self, template: &Graph) -> Result<CompiledTemplate, FrameworkError> {
         self.compile_traced(template, &mut Tracer::disabled())
+            .map(|compiled| compiled.template)
     }
 
     /// [`Framework::compile`], emitting a span with per-pass counters for
@@ -229,18 +241,19 @@ impl Framework {
     /// schedule, validate — or the exact PB solve) onto `tracer`, and
     /// recording the plan's canonical statistics (the same
     /// [`ExecutionPlan::stats`] numbers) into its metrics registry.
+    /// Returns the concurrency certificate `validate` built beside the
+    /// template.
     pub fn compile_traced(
         &self,
         template: &Graph,
         tracer: &mut Tracer,
-    ) -> Result<CompiledTemplate, FrameworkError> {
+    ) -> Result<Compiled, FrameworkError> {
         // One rung of the margin ladder, with nothing to reuse and no dry
         // run.
         let budget = self.device.plannable_memory(self.options.memory_margin);
         let mut reuse = Reuse::default();
         let scheduled = self.schedule(template, budget, &mut reuse, tracer)?;
         self.accept(scheduled, budget, &mut reuse, tracer)
-            .map(|(compiled, _)| compiled)
     }
 
     /// Split, partition and schedule `template` for `budget` bytes — the
@@ -375,33 +388,51 @@ impl Framework {
         budget: u64,
         reuse: &mut Reuse,
         tracer: &mut Tracer,
-    ) -> Result<(CompiledTemplate, ConcurrencyReport), FrameworkError> {
+    ) -> Result<Compiled, FrameworkError> {
         let Scheduled {
             plan,
             evictions,
             exact_optimal,
             exact_stats,
         } = scheduled;
-        let tok = tracer.begin("compile", "validate");
-        let (analysis, certificate) = check_plan(&reuse.rewrites.latest().graph, &plan, &[budget])
-            .map_err(FrameworkError::InvalidPlan)?;
-        tracer.end(tok);
+        let (analysis, certificate) =
+            validate(&reuse.rewrites.latest().graph, &plan, &[budget], tracer)?;
         crate::observe::record_plan_metrics(tracer, &analysis.stats);
         if tracer.is_enabled() {
             let m = tracer.metrics();
             m.set("plan.steps", plan.steps.len() as u64);
             m.set("plan.evictions", evictions as u64);
         }
-        let compiled = CompiledTemplate {
-            split: reuse.rewrites.take(),
-            plan: Arc::new(plan),
-            device: self.device.clone(),
-            exact_optimal,
-            exact_stats,
-            stats: analysis.stats,
-        };
-        Ok((compiled, certificate))
+        let mut template = CompiledTemplate::new(
+            reuse.rewrites.take(),
+            Arc::new(plan),
+            vec![self.device.clone()],
+            None,
+            analysis,
+        );
+        template.exact_optimal = exact_optimal;
+        template.exact_stats = exact_stats;
+        Ok(Compiled {
+            template,
+            certificate,
+            dry_run: None,
+        })
     }
+}
+
+/// The closing pass of every compile, in a `validate` span: one residency
+/// walk of `plan` against `capacities` and the concurrency certificate,
+/// or the first error either finds.
+fn validate(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    capacities: &[u64],
+    tracer: &mut Tracer,
+) -> Result<(PlanAnalysis, ConcurrencyReport), FrameworkError> {
+    let tok = tracer.begin("compile", "validate");
+    let checked = check_plan(g, plan, capacities).map_err(FrameworkError::InvalidPlan)?;
+    tracer.end(tok);
+    Ok(checked)
 }
 
 /// What a rung of the margin ladder takes over from the rungs before it.
@@ -440,7 +471,7 @@ impl Framework {
     /// for exactly this reason (§3.3.2).
     pub fn compile_adaptive(&self, template: &Graph) -> Result<CompiledTemplate, FrameworkError> {
         self.compile_adaptive_traced(template, &mut Tracer::disabled())
-            .map(|accepted| accepted.template)
+            .map(|compiled| compiled.template)
     }
 
     /// [`Framework::compile_adaptive`] with tracing: each margin attempt
@@ -459,7 +490,7 @@ impl Framework {
         &self,
         template: &Graph,
         tracer: &mut Tracer,
-    ) -> Result<AdaptiveCompile, FrameworkError> {
+    ) -> Result<Compiled, FrameworkError> {
         let mut reuse = Reuse::default();
         let mut last_err = None;
         for margin in self.margin_ladder() {
@@ -502,7 +533,7 @@ impl Framework {
         budget: u64,
         reuse: &mut Reuse,
         tracer: &mut Tracer,
-    ) -> Result<AdaptiveCompile, (&'static str, FrameworkError)> {
+    ) -> Result<Compiled, (&'static str, FrameworkError)> {
         let scheduled = self
             .schedule(template, budget, reuse, tracer)
             .map_err(|e| ("", e))?;
@@ -516,18 +547,68 @@ impl Framework {
         .run_analytic()
         .map_err(|e| ("dry-run: ", e))?
         .exec;
-        let (template, certificate) = self
+        let accepted = self
             .accept(scheduled, budget, reuse, tracer)
             .map_err(|e| ("", e))?;
-        Ok(AdaptiveCompile {
-            template,
-            dry_run,
-            certificate,
+        Ok(Compiled {
+            dry_run: Some(dry_run),
+            ..accepted
         })
     }
 }
 
 impl CompiledTemplate {
+    /// The template of a cluster compile: `plan` over the sharded `split`
+    /// for `devices` behind the shared `bus`, checked in a `validate` span
+    /// against the devices' full capacities. Returns the plan's
+    /// concurrency certificate beside it; a plan the residency walk or the
+    /// certifier rejects is an error.
+    pub fn for_cluster(
+        split: SplitResult,
+        plan: ExecutionPlan,
+        devices: Vec<DeviceSpec>,
+        bus: BusSpec,
+        tracer: &mut Tracer,
+    ) -> Result<Compiled, FrameworkError> {
+        let capacities: Vec<u64> = devices.iter().map(|d| d.memory_bytes).collect();
+        let (analysis, certificate) = validate(&split.graph, &plan, &capacities, tracer)?;
+        Ok(Compiled {
+            template: CompiledTemplate::new(split, Arc::new(plan), devices, Some(bus), analysis),
+            certificate,
+            dry_run: None,
+        })
+    }
+
+    /// The template of `plan` over `split` for `devices` (behind `bus` on
+    /// a cluster), keeping the statistics of the walk that checked it.
+    fn new(
+        split: SplitResult,
+        plan: Arc<ExecutionPlan>,
+        devices: Vec<DeviceSpec>,
+        bus: Option<BusSpec>,
+        analysis: PlanAnalysis,
+    ) -> CompiledTemplate {
+        CompiledTemplate {
+            split,
+            plan,
+            devices,
+            bus,
+            exact_optimal: false,
+            exact_stats: None,
+            stats: analysis.stats,
+            peak_per_device: analysis.peak_per_device,
+        }
+    }
+
+    /// The machine the plan targets: one device with its own DMA engines,
+    /// or a cluster's devices behind their shared, backfilling bus.
+    pub fn machine(&self) -> Machine<'_> {
+        match &self.bus {
+            Some(bus) => Machine::cluster(&self.devices, bus),
+            None => Machine::single(&self.devices[0]),
+        }
+    }
+
     /// Static transfer statistics, as the validating walk computed them.
     pub fn stats(&self) -> PlanStats {
         debug_assert_eq!(
@@ -536,6 +617,12 @@ impl CompiledTemplate {
             "cached plan statistics disagree with a fresh walk of the plan"
         );
         self.stats
+    }
+
+    /// Peak bytes resident on each device, as the validating walk
+    /// computed them.
+    pub fn peak_per_device(&self) -> &[u64] {
+        &self.peak_per_device
     }
 
     /// This template's schedule over `split`, a re-split of a graph with
@@ -551,27 +638,39 @@ impl CompiledTemplate {
     ) -> Result<CompiledTemplate, FrameworkError> {
         let (analysis, _) =
             check_plan(&split.graph, &self.plan, &[budget]).map_err(FrameworkError::InvalidPlan)?;
-        Ok(CompiledTemplate {
-            split,
-            plan: Arc::clone(&self.plan),
-            device,
-            exact_optimal: self.exact_optimal,
-            exact_stats: self.exact_stats,
-            stats: analysis.stats,
-        })
+        let mut t =
+            CompiledTemplate::new(split, Arc::clone(&self.plan), vec![device], None, analysis);
+        t.exact_optimal = self.exact_optimal;
+        t.exact_stats = self.exact_stats;
+        Ok(t)
     }
 
-    /// Simulate the plan with concurrent copy engines and compute streams
-    /// ([`crate::overlap`]) on the device it was compiled for.
-    pub fn simulate(&self) -> crate::overlap::Simulation {
-        let machine = crate::overlap::Machine::single(&self.device);
-        crate::overlap::simulate(&self.split.graph, &self.plan, &machine)
+    /// Simulate the plan with concurrent copy engines and compute lanes
+    /// ([`crate::overlap`]) on the machine it was compiled for.
+    pub fn simulate(&self) -> Simulation {
+        crate::overlap::simulate(&self.split.graph, &self.plan, &self.machine())
+    }
+
+    /// The outcome and the lane events of [`CompiledTemplate::simulate`].
+    // Survives as an adapter: perf/src/layers.rs reads `.trace().0.makespan`.
+    pub fn trace(&self) -> (OverlapOutcome, Vec<LaneEvent>) {
+        let sim = self.simulate();
+        (sim.outcome, sim.events)
+    }
+
+    /// Run the static analyzer against the devices' full capacities.
+    // Survives as an adapter: perf/src/layers.rs analyzes the compiled
+    // cluster; every other caller has the validating walk's numbers.
+    pub fn analyze(&self) -> PlanAnalysis {
+        let capacities: Vec<u64> = self.devices.iter().map(|d| d.memory_bytes).collect();
+        self.plan
+            .analyze_devices(&self.split.graph, &capacities, false)
     }
 
     /// Execute without materializing data (time + transfer accounting):
-    /// the quiet walk on the device the plan was compiled for.
+    /// the quiet walk on the machine the plan was compiled for.
     pub fn run_analytic(&self) -> Result<ExecOutcome, FrameworkError> {
-        self.quiet_executor(&Machine::single(&self.device))
+        self.quiet_executor(&self.machine())
             .run_analytic()
             .map(|r| r.exec)
     }
@@ -583,7 +682,7 @@ impl CompiledTemplate {
         &self,
         bindings: &HashMap<DataId, Tensor>,
     ) -> Result<ExecOutcome, FrameworkError> {
-        self.quiet_executor(&Machine::single(&self.device))
+        self.quiet_executor(&self.machine())
             .run_functional(bindings)
             .map(|r| r.exec)
     }
@@ -752,8 +851,12 @@ mod tests {
                 .unwrap();
             let t = &accepted.template;
             let fresh = t.run_analytic().unwrap();
-            assert_eq!(accepted.dry_run.timeline.events(), fresh.timeline.events());
-            assert_eq!(accepted.dry_run.peak_device_bytes, fresh.peak_device_bytes);
+            let dry_run = accepted
+                .dry_run
+                .as_ref()
+                .expect("the ladder dry-runs its plan");
+            assert_eq!(dry_run.timeline.events(), fresh.timeline.events());
+            assert_eq!(dry_run.peak_device_bytes, fresh.peak_device_bytes);
             let cert = t.plan.certify(&t.split.graph);
             assert_eq!(accepted.certificate.diagnostics, cert.diagnostics);
             assert_eq!(accepted.certificate.hb.edge_counts(), cert.hb.edge_counts());
@@ -871,7 +974,7 @@ mod tests {
                     assert_eq!(t.plan.streams, fresh.plan.streams, "{name}: streams");
                     assert_eq!(t.stats(), fresh.stats(), "{name}: stats");
                     assert_eq!(t.exact_optimal, fresh.exact_optimal, "{name}: exact");
-                    let (a, b) = (&ladder.dry_run, &dry_run);
+                    let (a, b) = (ladder.dry_run.as_ref().unwrap(), &dry_run);
                     assert_eq!(a.timeline.counters(), b.timeline.counters(), "{name}");
                     assert_eq!(a.timeline.events(), b.timeline.events(), "{name}");
                     assert_eq!(a.peak_device_bytes, b.peak_device_bytes, "{name}");

@@ -56,7 +56,7 @@ pub mod xfer;
 pub use baseline::baseline_plan;
 pub use best::best_possible_estimate;
 pub use error::FrameworkError;
-pub use framework::{AdaptiveCompile, CompileOptions, CompiledTemplate, Framework};
+pub use framework::{CompileOptions, Compiled, CompiledTemplate, Framework};
 pub use observe::{
     record_plan_metrics, record_serial_metrics, trace_hazard_certificate, trace_lanes,
     trace_serial_timeline,

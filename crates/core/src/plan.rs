@@ -66,6 +66,15 @@ impl ExecutionPlan {
         self.unit_device.iter().max().map_or(1, |&d| d + 1)
     }
 
+    /// Number of operators each of `n` devices launches.
+    pub fn ops_per_device(&self, n: usize) -> Vec<usize> {
+        let mut counts = vec![0; n];
+        for (unit, &dev) in self.units.iter().zip(&self.unit_device) {
+            counts[dev] += unit.ops.len();
+        }
+        counts
+    }
+
     /// The engine-neutral view of this plan consumed by `gpuflow-verify`:
     /// per-unit external inputs/outputs beside the plan's own steps and
     /// placement, which it borrows. Its two arrays are sized once from an

@@ -39,8 +39,8 @@ pub fn compilation_report(compiled: &CompiledTemplate, template: &gpuflow_graph:
     let _ = writeln!(
         s,
         "  device: {} ({} MiB)",
-        compiled.device.name,
-        compiled.device.memory_bytes >> 20
+        compiled.devices[0].name,
+        compiled.devices[0].memory_bytes >> 20
     );
     let _ = writeln!(s, "  global split factor: {}", compiled.split.parts);
     let gathers = g
@@ -93,7 +93,7 @@ pub fn compilation_report(compiled: &CompiledTemplate, template: &gpuflow_graph:
         s,
         "  peak device residency: {} of {} MiB",
         stats.peak_bytes >> 20,
-        compiled.device.memory_bytes >> 20
+        compiled.devices[0].memory_bytes >> 20
     );
     if compiled.exact_optimal {
         let _ = writeln!(s, "  schedule: PROVEN OPTIMAL (pseudo-Boolean)");
@@ -121,7 +121,7 @@ pub fn compilation_report(compiled: &CompiledTemplate, template: &gpuflow_graph:
     }
 
     let _ = writeln!(s, "== reference points ==");
-    match baseline_plan(template, compiled.device.memory_bytes) {
+    match baseline_plan(template, compiled.devices[0].memory_bytes) {
         Ok(base) => {
             let b = base.stats(template);
             let _ = writeln!(
@@ -135,7 +135,7 @@ pub fn compilation_report(compiled: &CompiledTemplate, template: &gpuflow_graph:
             let _ = writeln!(s, "  baseline (per-op in/out): N/A — {e}");
         }
     }
-    let best = best_possible_estimate(template, &compiled.device);
+    let best = best_possible_estimate(template, &compiled.devices[0]);
     let _ = writeln!(
         s,
         "  best possible (infinite memory, one kernel): {} floats, {:.4} s simulated",

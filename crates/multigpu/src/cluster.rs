@@ -57,12 +57,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Per-device raw capacities in bytes — what verification checks
-    /// against.
-    pub fn capacities(&self) -> Vec<u64> {
-        self.devices.iter().map(|d| d.memory_bytes).collect()
-    }
-
     /// The smallest planner budget across the cluster — the per-piece
     /// memory bound the sharding pass splits against, so every shard fits
     /// on *any* device it may be assigned to.
@@ -197,7 +191,6 @@ mod tests {
     #[test]
     fn budgets_and_capacities_track_members() {
         let c = parse_cluster("c870x2").unwrap();
-        assert_eq!(c.capacities(), vec![1500 * MIB, 1500 * MIB]);
         let b = c.plannable_budgets(0.1);
         assert!(b[0] < 1500 * MIB);
         assert_eq!(c.min_plannable_budget(0.1), b[0]);

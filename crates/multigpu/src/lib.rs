@@ -15,11 +15,13 @@
 //!   (`gpuflow_core::xfer`): one global topological unit order,
 //!   per-device Belady eviction and eager free, and explicit **staged**
 //!   device→host→device inter-device copies;
-//! * [`planner`] — [`compile_multi`], the end-to-end entry point, and
-//!   [`MultiCompiled::simulate`]: the one overlap simulator
-//!   ([`gpuflow_core::overlap`]) on [`Cluster::machine`] — per-device
-//!   compute lanes racing one shared, backfilling bus, which is what
-//!   bends the scalability curve at high device counts.
+//! * [`planner`] — [`compile_multi`], the end-to-end entry point. It
+//!   returns the same [`gpuflow_core::CompiledTemplate`] a one-device
+//!   compile does, whose machine is the cluster's devices behind their
+//!   shared bus: its `simulate` is the one overlap simulator
+//!   ([`gpuflow_core::overlap`]) with per-device compute lanes racing one
+//!   shared, backfilling bus, which is what bends the scalability curve at
+//!   high device counts.
 //!
 //! Fault-tolerant execution is not cluster-specific either: the one
 //! resilient executor (`gpuflow_core::ResilientExecutor`) runs a
@@ -27,9 +29,11 @@
 //! surviving devices after a hard device loss.
 //!
 //! Plans are ordinary [`gpuflow_core::ExecutionPlan`]s — a single GPU is
-//! a cluster of one — and every plan this crate emits verifies clean
-//! under [`gpuflow_verify::analyze_plan`] (the `GF003x` cross-device
-//! diagnostics); the scheduler re-checks its own output in debug builds.
+//! a cluster of one — and a cluster compile ends, as a one-device compile
+//! does, with the plan's check: the residency walk against the devices'
+//! capacities under [`gpuflow_verify::analyze_plan`] (the `GF003x`
+//! cross-device diagnostics) and the concurrency certificate, in a
+//! `validate` span. A plan that fails either is a compile error.
 
 #![deny(missing_docs)]
 

@@ -45,10 +45,12 @@ mod tests {
         let g = tiny_graph();
         let cluster = Cluster::homogeneous(tesla_c870(), 2);
         let mut tracer = Tracer::new();
-        let c = compile_multi_traced(&g, &cluster, 0.05, &mut tracer).unwrap();
+        let c = compile_multi_traced(&g, &cluster, 0.05, &mut tracer)
+            .unwrap()
+            .template;
         let sim = c.simulate();
         let out = &sim.outcome;
-        trace_lanes(&mut tracer, &c.sharded.split.graph, &sim.lanes, &sim.events);
+        trace_lanes(&mut tracer, &c.split.graph, &sim.lanes, &sim.events);
         record_cluster_metrics(&mut tracer, out);
         let doc = tracer.chrome_trace();
         validate_chrome_trace(&doc).unwrap();
@@ -63,7 +65,7 @@ mod tests {
         // which must agree with the simulation's.
         assert_eq!(
             tracer.metrics_ref().counter("cluster.bus_bytes"),
-            c.plan.bus_bytes(&c.sharded.split.graph)
+            c.plan.bus_bytes(&c.split.graph)
         );
     }
 }

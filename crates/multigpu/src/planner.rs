@@ -1,105 +1,45 @@
 //! End-to-end multi-device compilation: shard, partition, order, schedule.
 
 use gpuflow_core::{
-    partition_offload_units, schedule_units, simulate, ExecutionPlan, FrameworkError, LaneEvent,
-    OpScheduler, OverlapOutcome, PartitionPolicy, Simulation,
+    partition_offload_units, schedule_units, Compiled, CompiledTemplate, FrameworkError,
+    OpScheduler, PartitionPolicy,
 };
 use gpuflow_graph::Graph;
 use gpuflow_trace::{kv, Tracer};
 
 use crate::cluster::Cluster;
 use crate::schedule::{schedule_multi_transfers, MultiXferOptions};
-use crate::shard::{shard_graph, ShardedGraph};
+use crate::shard::shard_graph;
 
-/// A template compiled for a cluster.
-#[derive(Debug, Clone)]
-pub struct MultiCompiled {
-    /// The cluster the plan targets.
-    pub cluster: Cluster,
-    /// The sharded (split + device-assigned) graph.
-    pub sharded: ShardedGraph,
-    /// The execution plan, with every step and unit placed on a device.
-    pub plan: ExecutionPlan,
-}
-
-impl MultiCompiled {
-    /// Simulate the plan on the cluster: per-device compute lanes racing
-    /// the shared, backfilling bus ([`gpuflow_core::overlap`]).
-    pub fn simulate(&self) -> Simulation {
-        simulate(
-            &self.sharded.split.graph,
-            &self.plan,
-            &self.cluster.machine(),
-        )
-    }
-
-    /// The simulated outcome alone.
-    pub fn outcome(&self) -> OverlapOutcome {
-        self.simulate().outcome
-    }
-
-    /// The outcome and the lane events (by id; [`LaneEvent::label`] renders
-    /// them against `self.sharded.split.graph`).
-    // Survives as an adapter: perf/src/layers.rs reads `.trace().0.makespan`.
-    pub fn trace(&self) -> (OverlapOutcome, Vec<LaneEvent>) {
-        let sim = self.simulate();
-        (sim.outcome, sim.events)
-    }
-
-    /// Run the static analyzer against the devices' full capacities.
-    // Survives as an adapter: the CLI, serve and perf/src/layers.rs ask the
-    // compiled cluster, which is what knows the capacities.
-    pub fn analyze(&self) -> gpuflow_verify::PlanAnalysis {
-        let capacities = self.cluster.capacities();
-        self.plan
-            .analyze_devices(&self.sharded.split.graph, &capacities, false)
-    }
-
-    /// Run the concurrency certifier over the plan: per-device compute
-    /// lanes racing the shared bus channels (see
-    /// [`ExecutionPlan::certify`]).
-    // Survives as an adapter beside `check`, for callers that need the
-    // certificate alone.
-    pub fn certify(&self) -> gpuflow_verify::ConcurrencyReport {
-        self.plan.certify(&self.sharded.split.graph)
-    }
-
-    /// The static analysis against the devices' full capacities and the
-    /// concurrency certificate, from one view of the plan: what a cluster
-    /// run checks once and then reports, profiles and caches.
-    pub fn check(
-        &self,
-    ) -> (
-        gpuflow_verify::PlanAnalysis,
-        gpuflow_verify::ConcurrencyReport,
-    ) {
-        self.plan
-            .check_devices(&self.sharded.split.graph, &self.cluster.capacities())
-    }
-}
+/// A template compiled for a cluster: the one compiled type, whose
+/// [`CompiledTemplate::machine`] is the cluster's devices behind their
+/// shared bus.
+pub type MultiCompiled = CompiledTemplate;
 
 /// Compile `g` for `cluster` with the planner memory margin `margin`:
 /// shard across the devices, partition into per-operator offload units,
 /// order them with the paper's depth-first heuristic (one *global* order —
 /// cross-device dependencies stay acyclic by construction), and schedule
 /// transfers with per-device Belady eviction and staged inter-device
-/// copies.
+/// copies; then check the plan against the devices' capacities and certify
+/// it, as a one-device compile does.
 pub fn compile_multi(
     g: &Graph,
     cluster: &Cluster,
     margin: f64,
-) -> Result<MultiCompiled, FrameworkError> {
-    compile_multi_traced(g, cluster, margin, &mut Tracer::disabled())
+) -> Result<CompiledTemplate, FrameworkError> {
+    compile_multi_traced(g, cluster, margin, &mut Tracer::disabled()).map(|c| c.template)
 }
 
 /// Like [`compile_multi`], recording one span per compilation pass (plus
-/// per-pass counters) on `tracer`'s compile track.
+/// per-pass counters) on `tracer`'s compile track, and returning the
+/// plan's concurrency certificate beside the template.
 pub fn compile_multi_traced(
     g: &Graph,
     cluster: &Cluster,
     margin: f64,
     tracer: &mut Tracer,
-) -> Result<MultiCompiled, FrameworkError> {
+) -> Result<Compiled, FrameworkError> {
     let tok = tracer.begin("compile", "shard");
     let sharded = shard_graph(g, cluster, margin)?;
     tracer.end_with(
@@ -151,11 +91,13 @@ pub fn compile_multi_traced(
         m.set("cluster.units", units.len() as u64);
         m.set("cluster.bus_bytes", plan.bus_bytes(sg));
     }
-    Ok(MultiCompiled {
-        cluster: cluster.clone(),
-        sharded,
+    CompiledTemplate::for_cluster(
+        sharded.split,
         plan,
-    })
+        cluster.devices.clone(),
+        cluster.bus.clone(),
+        tracer,
+    )
 }
 
 #[cfg(test)]
@@ -203,7 +145,7 @@ mod tests {
         let a = c.analyze();
         assert!(!a.has_errors());
         // Both devices do work.
-        assert!(c.sharded.ops_per_device(2).iter().all(|&k| k > 0));
+        assert!(c.plan.ops_per_device(2).iter().all(|&k| k > 0));
     }
 
     #[test]
@@ -217,7 +159,7 @@ mod tests {
             "{}",
             a.first_error().map(|d| d.render()).unwrap_or_default()
         );
-        let out = c.outcome();
+        let out = c.simulate().outcome;
         assert!(out.makespan > 0.0 && out.makespan <= out.serial_time + 1e-9);
     }
 }

@@ -32,15 +32,6 @@ impl ShardedGraph {
     pub fn device_of(&self, o: OpId) -> usize {
         self.op_device[o.index()]
     }
-
-    /// Number of operators assigned to each of `n` devices.
-    pub fn ops_per_device(&self, n: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; n];
-        for &d in &self.op_device {
-            counts[d] += 1;
-        }
-        counts
-    }
 }
 
 /// The device whose row band of `orig_rows` rows (split `n_devices` ways)
@@ -168,7 +159,10 @@ mod tests {
         let cluster = Cluster::homogeneous(tesla_c870(), 4);
         let s = shard_graph(&g, &cluster, 0.05).unwrap();
         assert!(s.split.parts >= 4);
-        let counts = s.ops_per_device(4);
+        let mut counts = [0usize; 4];
+        for &d in &s.op_device {
+            counts[d] += 1;
+        }
         assert!(
             counts.iter().all(|&c| c > 0),
             "every device gets work: {counts:?}"

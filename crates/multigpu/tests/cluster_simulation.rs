@@ -68,7 +68,10 @@ fn makespan_is_bounded_by_serial_and_busy_times() {
     let g = edge_like(2000, 9);
     for n in [1, 2, 4] {
         let cluster = Cluster::homogeneous(tesla_c870(), n);
-        let out = compile_multi(&g, &cluster, 0.05).unwrap().outcome();
+        let out = compile_multi(&g, &cluster, 0.05)
+            .unwrap()
+            .simulate()
+            .outcome;
         assert!(out.makespan <= out.serial_time + 1e-9, "n={n}: {out:?}");
         assert!(
             out.makespan >= out.busy_lower_bound() - 1e-9,
@@ -85,7 +88,8 @@ fn more_devices_shrink_the_makespan_on_compute_bound_work() {
         let cluster = Cluster::homogeneous(tesla_c870(), n);
         compile_multi(&g, &cluster, 0.05)
             .unwrap()
-            .outcome()
+            .simulate()
+            .outcome
             .makespan
     };
     let (one, four) = (makespan(1), makespan(4));
@@ -100,8 +104,8 @@ fn bus_accounting_matches_the_plan() {
     let g = edge_like(2000, 9);
     let cluster = Cluster::homogeneous(tesla_c870(), 2);
     let c = compile_multi(&g, &cluster, 0.05).unwrap();
-    let out = c.outcome();
-    assert_eq!(out.bus_bytes, c.plan.bus_bytes(&c.sharded.split.graph));
+    let out = c.simulate().outcome;
+    assert_eq!(out.bus_bytes, c.plan.bus_bytes(&c.split.graph));
     assert!(out.h2d_busy > 0.0 && out.d2h_busy > 0.0);
     assert_eq!(out.compute_busy.len(), 2);
     assert!(out.compute_busy.iter().all(|&b| b > 0.0));

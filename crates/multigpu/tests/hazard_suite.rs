@@ -39,7 +39,7 @@ fn bundled_templates_certify_on_one_two_and_four_devices() {
             let cluster = parse_cluster(spec).unwrap();
             let c = compile_multi(&g, &cluster, MARGIN)
                 .unwrap_or_else(|e| panic!("{name}@{spec}: {e}"));
-            let cert = c.certify();
+            let cert = c.plan.certify(&c.split.graph);
             assert!(
                 cert.certified(),
                 "{name}@{spec} failed to certify: {:?}",
@@ -48,7 +48,7 @@ fn bundled_templates_certify_on_one_two_and_four_devices() {
             // Static and dynamic agreement: replay the executor's own
             // step-granular sync discipline and check every
             // happens-before edge against the resulting intervals.
-            let times = step_times(&c.sharded.split.graph, &c.plan, &c.cluster.machine());
+            let times = step_times(&c.split.graph, &c.plan, &c.machine());
             let v = cert.dynamic_violations(&times);
             assert!(
                 v.is_empty(),
@@ -56,7 +56,7 @@ fn bundled_templates_certify_on_one_two_and_four_devices() {
             );
             // The real simulator also runs clean; in debug builds its own
             // sanitizer assertion re-checks the same property internally.
-            assert!(c.outcome().makespan > 0.0, "{name}@{spec}");
+            assert!(c.simulate().outcome.makespan > 0.0, "{name}@{spec}");
         }
     }
 }
@@ -68,7 +68,7 @@ fn dropping_a_staging_hop_is_always_diagnosed() {
         for spec in ["c870x2", "modernx4"] {
             let cluster = parse_cluster(spec).unwrap();
             let c = compile_multi(&g, &cluster, MARGIN).unwrap();
-            let sg = &c.sharded.split.graph;
+            let sg = &c.split.graph;
             // A staging hop is the CopyOut half of a staged device→host→
             // device transfer. Dropping the *first* CopyOut of a
             // device-born datum leaves its cross-device CopyIn reading a
@@ -88,7 +88,7 @@ fn dropping_a_staging_hop_is_always_diagnosed() {
                 if !feeds_other_device {
                     continue;
                 }
-                let mut mutant = c.plan.clone();
+                let mut mutant = (*c.plan).clone();
                 mutant.steps.remove(i);
                 let report = mutant.certify(sg);
                 assert!(
@@ -174,7 +174,7 @@ fn lane_clock_reachability_matches_the_edge_closure_on_bundled_plans() {
             let c = compile_multi(g, &cluster, MARGIN).unwrap();
             assert_reachability_is_the_closure_of_its_edges(
                 &format!("{name}@{spec}"),
-                &c.certify(),
+                &c.plan.certify(&c.split.graph),
             );
         }
     }

@@ -11,7 +11,7 @@ use gpuflow_chaos::{FaultClass, FaultSpec, RecoveryOptions};
 use gpuflow_core::resilient::{SITE_DEVICE_SHIFT, SITE_EPOCH_SHIFT, SITE_PLAN_XFER};
 use gpuflow_core::{ResilientExecutor, ResilientOutcome, Step};
 use gpuflow_graph::{DataId, DataKind, Graph, OpKind, RemapKind};
-use gpuflow_multi::{compile_multi, parse_cluster, Cluster, MultiCompiled};
+use gpuflow_multi::{compile_multi, parse_cluster, shard_graph, Cluster, MultiCompiled};
 use gpuflow_ops::{reference_eval, Tensor};
 use gpuflow_sim::device::tesla_c870;
 use gpuflow_templates::edge::{find_edges, CombineOp};
@@ -49,8 +49,7 @@ fn bindings(g: &Graph) -> HashMap<DataId, Tensor> {
 }
 
 fn executor<'a>(c: &'a MultiCompiled, spec: &'a FaultSpec) -> ResilientExecutor<'a> {
-    ResilientExecutor::new(&c.sharded.split.graph, &c.plan, &c.cluster.machine(), spec)
-        .with_origin(&c.sharded.split)
+    ResilientExecutor::new(&c.split.graph, &c.plan, &c.machine(), spec).with_origin(&c.split)
 }
 
 fn assert_matches_reference(g: &Graph, bind: &HashMap<DataId, Tensor>, out: &ResilientOutcome) {
@@ -79,7 +78,7 @@ fn losing_any_device_fails_over_and_matches_reference() {
     let bind = bindings(&g);
     for machine in ["c870x2", "c870,8800gtx"] {
         let c = compile_multi(&g, &parse_cluster(machine).unwrap(), 0.05).unwrap();
-        for dev in 0..c.cluster.len() {
+        for dev in 0..c.devices.len() {
             let spec = FaultSpec::parse(&format!("seed=5,loss={dev}@50%")).unwrap();
             let out = executor(&c, &spec).run_functional(&bind).unwrap();
             assert!(
@@ -182,11 +181,13 @@ fn cpu_fallback_is_timed_on_the_compiled_device_of_each_operator() {
     ];
     for g in &sources {
         for machine in ["c870x2", "c870,8800gtx"] {
-            let c = compile_multi(g, &parse_cluster(machine).unwrap(), 0.05).unwrap();
-            let mut seen = vec![0; c.sharded.split.graph.num_ops()];
+            let cluster = parse_cluster(machine).unwrap();
+            let c = compile_multi(g, &cluster, 0.05).unwrap();
+            let sharded = shard_graph(g, &cluster, 0.05).unwrap();
+            let mut seen = vec![0; c.split.graph.num_ops()];
             for (unit, &dev) in c.plan.units.iter().zip(&c.plan.unit_device) {
                 for &o in &unit.ops {
-                    assert_eq!(dev, c.sharded.device_of(o), "{machine}: op {o}");
+                    assert_eq!(dev, sharded.device_of(o), "{machine}: op {o}");
                     seen[o.index()] += 1;
                 }
             }

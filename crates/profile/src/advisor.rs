@@ -12,7 +12,6 @@ use gpuflow_core::framework::DEFAULT_MARGINS;
 use gpuflow_core::{CompileOptions, EvictionPolicy, ExecutionPlan, OverlapOutcome, Step};
 use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
-use gpuflow_multi::MultiCompiled;
 use gpuflow_sim::{transfer_time, DeviceSpec};
 
 /// One advisor estimate: a knob change and its projected makespan.
@@ -151,16 +150,10 @@ pub fn advise_single(
     advice
 }
 
-/// Advisor for a cluster plan: `devices n±1` (compute scaling) and the
-/// next margin rung (bus-traffic scaling).
-pub fn advise_cluster(
-    c: &MultiCompiled,
-    margin: f64,
-    out: &OverlapOutcome,
-    cp_len: f64,
-) -> Vec<WhatIf> {
+/// Advisor for a plan on a cluster of `n` devices: `devices n±1`
+/// (compute scaling) and the next margin rung (bus-traffic scaling).
+pub fn advise_cluster(n: usize, margin: f64, out: &OverlapOutcome, cp_len: f64) -> Vec<WhatIf> {
     let makespan = out.makespan;
-    let n = c.cluster.len();
     let mut advice = scaling_advice("devices", makespan, out.compute_total(), n, cp_len);
     if let Some(w) = margin_step(makespan, out.copy_busy(), margin) {
         advice.push(w);

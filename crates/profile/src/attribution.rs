@@ -5,24 +5,22 @@
 //! guarantees that each engine's busy events and attributed gaps tile
 //! `[0, makespan]` with *shared* `f64` endpoints, so the per-interval
 //! `ns(end) - ns(start)` sums telescope: every engine's total equals
-//! `ns(makespan)` exactly, with zero drift, or [`profile_plan`] /
-//! [`profile_cluster`] refuse to return a report.
+//! `ns(makespan)` exactly, with zero drift, or [`profile_with`] refuses
+//! to return a report.
 //!
-//! A caller that already holds the plan's [`Simulation`] (`gpuflow run
-//! --json` prints one and profiles it) passes it to
-//! [`profile_plan_with`] / [`profile_cluster_with`] instead of having the
-//! profiler simulate the plan a second time. It also passes the
-//! concurrency certificate it already built (the one-device compile's, or
-//! a cluster run's [`MultiCompiled::check`]), so the plan is certified
-//! once, not again for its critical path.
+//! [`profile_with`] profiles a compiled template on its own machine, one
+//! device or a cluster alike. Its caller passes the plan's
+//! [`Simulation`] (`gpuflow run --json` prints one and profiles it), so
+//! the profiler does not simulate the plan a second time, and the
+//! concurrency certificate the compile returned beside the template, so
+//! the plan is certified once, not again for its critical path.
 
 use gpuflow_core::{
-    simulate, step_times, CompileOptions, ExecutionPlan, GapCause, LaneWork, Machine,
-    OverlapOutcome, Simulation, Step,
+    simulate, step_times, CompileOptions, CompiledTemplate, ExecutionPlan, GapCause, LaneWork,
+    Machine, OverlapOutcome, Simulation, Step,
 };
 use gpuflow_graph::Graph;
 use gpuflow_minijson::{Map, Value};
-use gpuflow_multi::MultiCompiled;
 use gpuflow_sim::DeviceSpec;
 use gpuflow_verify::{critical_path, dependency_critical_path, ConcurrencyReport};
 
@@ -398,58 +396,52 @@ fn profile_on(
     Ok(report)
 }
 
-/// Profile a compiled single-device plan. `opts` must be the options the
-/// plan was compiled with (the advisor perturbs them).
+/// Profile a compiled template on the machine it was compiled for, from
+/// `sim`, its simulation there (what [`CompiledTemplate::simulate`]
+/// returns), and `cert`, its concurrency certificate (what the compile
+/// returned beside it). `opts` are the options it was compiled with: the
+/// advisor perturbs them, with the streams, margin and eviction knobs on
+/// one device and the devices and margin knobs on a shared-bus cluster.
+pub fn profile_with(
+    t: &CompiledTemplate,
+    opts: &CompileOptions,
+    sim: &Simulation,
+    cert: &ConcurrencyReport,
+) -> Result<ProfileReport, String> {
+    let (g, plan, machine) = (&t.split.graph, &*t.plan, t.machine());
+    profile_on(g, plan, &machine, sim, cert, |out, cp_len| {
+        if machine.shared_bus() {
+            advise_cluster(t.devices.len(), opts.memory_margin, out, cp_len)
+        } else {
+            advise_single(g, plan, &t.devices[0], opts, out, cp_len)
+        }
+    })
+}
+
+/// Profile a single-device `plan` over `g` on `dev`. `opts` must be the
+/// options the plan was compiled with (the advisor perturbs them).
+// Survives as an adapter: perf/src/layers.rs profiles a bare plan.
 pub fn profile_plan(
     g: &Graph,
     plan: &ExecutionPlan,
     dev: &DeviceSpec,
     opts: &CompileOptions,
 ) -> Result<ProfileReport, String> {
-    let sim = simulate(g, plan, &Machine::single(dev));
-    profile_plan_with(g, plan, dev, opts, &sim, &plan.certify(g))
-}
-
-/// [`profile_plan`] from `sim`, the plan's simulation on `dev` (what
-/// `CompiledTemplate::simulate` returns), and `cert`, the plan's
-/// concurrency certificate (what `Framework::compile_adaptive_traced`
-/// hands back beside the template).
-pub fn profile_plan_with(
-    g: &Graph,
-    plan: &ExecutionPlan,
-    dev: &DeviceSpec,
-    opts: &CompileOptions,
-    sim: &Simulation,
-    cert: &ConcurrencyReport,
-) -> Result<ProfileReport, String> {
-    profile_on(g, plan, &Machine::single(dev), sim, cert, |out, cp_len| {
+    let machine = Machine::single(dev);
+    let sim = simulate(g, plan, &machine);
+    profile_on(g, plan, &machine, &sim, &plan.certify(g), |out, cp_len| {
         advise_single(g, plan, dev, opts, out, cp_len)
     })
 }
 
-/// Profile a compiled cluster plan. `margin` is the planner margin the
-/// plan was compiled with (the advisor's margin knob steps it).
-pub fn profile_cluster(c: &MultiCompiled, margin: f64) -> Result<ProfileReport, String> {
-    profile_cluster_with(c, margin, &c.simulate(), &c.certify())
-}
-
-/// [`profile_cluster`] from `sim`, the plan's simulation on its cluster
-/// (what `MultiCompiled::simulate` returns), and `cert`, the plan's
-/// concurrency certificate (what `MultiCompiled::check` returns beside
-/// the analysis).
-pub fn profile_cluster_with(
-    c: &MultiCompiled,
-    margin: f64,
-    sim: &Simulation,
-    cert: &ConcurrencyReport,
-) -> Result<ProfileReport, String> {
-    let g = &c.sharded.split.graph;
-    profile_on(
-        g,
-        &c.plan,
-        &c.cluster.machine(),
-        sim,
-        cert,
-        |out, cp_len| advise_cluster(c, margin, out, cp_len),
-    )
+/// Profile a compiled cluster template. `margin` is the planner margin it
+/// was compiled with (the advisor's margin knob steps it).
+// Survives as an adapter: perf/src/layers.rs profiles the compiled
+// cluster without its certificate.
+pub fn profile_cluster(c: &CompiledTemplate, margin: f64) -> Result<ProfileReport, String> {
+    let opts = CompileOptions {
+        memory_margin: margin,
+        ..CompileOptions::default()
+    };
+    profile_with(c, &opts, &c.simulate(), &c.plan.certify(&c.split.graph))
 }

@@ -36,8 +36,8 @@ pub mod render;
 
 pub use advisor::WhatIf;
 pub use attribution::{
-    ns, profile_cluster, profile_cluster_with, profile_plan, profile_plan_with, CritSpan,
-    CriticalSummary, EngineBreakdown, ProfileReport,
+    ns, profile_cluster, profile_plan, profile_with, CritSpan, CriticalSummary, EngineBreakdown,
+    ProfileReport,
 };
 pub use observe::trace_profile;
 pub use render::render_table;

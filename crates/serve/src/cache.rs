@@ -16,49 +16,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpuflow_core::{validate_plan, CompiledTemplate};
-use gpuflow_multi::MultiCompiled;
+use gpuflow_core::CompiledTemplate;
 
 use crate::key::{PlanKey, SkeletonKey};
 
-/// A cached compiled plan: single-device or sharded multi-device.
-#[derive(Clone)]
-pub enum CachedPlan {
-    /// Compiled by the single-GPU [`gpuflow_core::Framework`] pipeline.
-    Single(Arc<CompiledTemplate>),
-    /// Compiled by [`gpuflow_multi::compile_multi`] for a cluster.
-    Multi(Arc<MultiCompiled>),
-}
-
-impl CachedPlan {
-    /// Offload units in the plan.
-    pub fn units(&self) -> usize {
-        match self {
-            CachedPlan::Single(t) => t.plan.units.len(),
-            CachedPlan::Multi(m) => m.plan.units.len(),
-        }
-    }
-
-    /// Steps in the plan.
-    pub fn steps(&self) -> usize {
-        match self {
-            CachedPlan::Single(t) => t.plan.steps.len(),
-            CachedPlan::Multi(m) => m.plan.steps.len(),
-        }
-    }
-}
-
 struct CacheEntry {
-    plan: CachedPlan,
-    /// Peak resident bytes per device — the admission controller's input,
-    /// computed once at insert.
-    peaks: Vec<u64>,
-    /// The plan's hazard certificate, computed once at insert: a cached
-    /// plan is immutable, so every `run` of it would certify the same.
-    certified: bool,
+    /// The compiled template: one device's or a cluster's, certified by
+    /// construction, with its per-device peaks (the admission
+    /// controller's input) from the walk that checked it.
+    plan: Arc<CompiledTemplate>,
     skeleton: SkeletonKey,
     last_used: u64,
-    hits: u64,
 }
 
 /// LRU plan cache with a size-insensitive secondary index.
@@ -97,36 +65,27 @@ impl PlanCache {
         self.evictions
     }
 
-    /// Exact-key lookup: the plan, its per-device peaks and its
-    /// certificate. Bumps recency and the entry's hit count.
-    pub fn probe(&mut self, key: &PlanKey) -> Option<(CachedPlan, Vec<u64>, bool)> {
+    /// Exact-key lookup. Bumps recency.
+    pub fn probe(&mut self, key: &PlanKey) -> Option<Arc<CompiledTemplate>> {
         self.tick += 1;
         let tick = self.tick;
         let e = self.entries.get_mut(key)?;
         e.last_used = tick;
-        e.hits += 1;
-        Some((e.plan.clone(), e.peaks.clone(), e.certified))
+        Some(Arc::clone(&e.plan))
     }
 
     /// Skeleton lookup: a cached plan for the same template structure at
     /// (possibly) different data sizes. Does not bump recency — only a
     /// successful incremental recompile, which re-inserts under the new
     /// exact key, counts as a use.
-    pub fn skeleton_probe(&self, key: &SkeletonKey) -> Option<CachedPlan> {
+    pub fn skeleton_probe(&self, key: &SkeletonKey) -> Option<Arc<CompiledTemplate>> {
         let plan_key = self.skeleton_index.get(key)?;
-        self.entries.get(plan_key).map(|e| e.plan.clone())
+        self.entries.get(plan_key).map(|e| Arc::clone(&e.plan))
     }
 
     /// Insert (or replace) an entry, evicting the least-recently-used
     /// entry if at capacity.
-    pub fn insert(
-        &mut self,
-        key: PlanKey,
-        skeleton: SkeletonKey,
-        plan: CachedPlan,
-        peaks: Vec<u64>,
-        certified: bool,
-    ) {
+    pub fn insert(&mut self, key: PlanKey, skeleton: SkeletonKey, plan: Arc<CompiledTemplate>) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some((&lru_key, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
@@ -139,11 +98,8 @@ impl PlanCache {
             key,
             CacheEntry {
                 plan,
-                peaks,
-                certified,
                 skeleton,
                 last_used: self.tick,
-                hits: 0,
             },
         );
     }
@@ -171,27 +127,21 @@ impl PlanCache {
         }
     }
 
-    /// Re-validate every resident plan against its own split graph and
-    /// device budget. Returns the number of entries checked; any
-    /// corruption is an `Err` naming the offending key.
+    /// Re-check every resident plan against its own split graph and the
+    /// per-device budgets it was scheduled for: the residency analysis and
+    /// the concurrency certificate. Returns the number of entries checked;
+    /// any corruption is an `Err` naming the offending key.
     pub fn verify_integrity(&self) -> Result<usize, String> {
         for (key, e) in &self.entries {
-            match &e.plan {
-                CachedPlan::Single(t) => {
-                    let budget = t.device.plannable_memory(key.options.memory_margin);
-                    validate_plan(&t.split.graph, &t.plan, budget)
-                        .map_err(|err| format!("cache entry {:#x}: {err}", key.graph_hash))?;
-                }
-                CachedPlan::Multi(m) => {
-                    let analysis = m.analyze();
-                    if analysis.has_errors() {
-                        return Err(format!(
-                            "cache entry {:#x}: {:?}",
-                            key.graph_hash,
-                            analysis.first_error()
-                        ));
-                    }
-                }
+            let t = &e.plan;
+            let budgets: Vec<u64> = t
+                .devices
+                .iter()
+                .map(|d| d.plannable_memory(key.options.memory_margin))
+                .collect();
+            let (analysis, certificate) = t.plan.check_devices(&t.split.graph, &budgets);
+            if let Some(d) = analysis.first_error().or(certificate.first_error()) {
+                return Err(format!("cache entry {:#x}: {}", key.graph_hash, d.message));
             }
         }
         Ok(self.entries.len())
@@ -205,28 +155,27 @@ mod tests {
     use gpuflow_multi::Cluster;
     use gpuflow_sim::device::modern;
 
-    fn key_for(spec: &str, cluster: &Cluster) -> (PlanKey, SkeletonKey, CachedPlan, Vec<u64>) {
+    fn key_for(spec: &str, cluster: &Cluster) -> (PlanKey, SkeletonKey, Arc<CompiledTemplate>) {
         let g = crate::source::resolve_named(spec).unwrap();
         let (key, skel) = PlanKey::for_request(&g, CompileOptions::default(), cluster);
         let t = Framework::new(cluster.devices[0].clone())
             .compile(&g)
             .unwrap();
-        let peaks = vec![t.stats().peak_bytes];
-        (key, skel, CachedPlan::Single(Arc::new(t)), peaks)
+        (key, skel, Arc::new(t))
     }
 
     #[test]
     fn probe_hits_after_insert_and_lru_evicts() {
         let cluster = Cluster::homogeneous(modern(), 1);
         let mut cache = PlanCache::new(2);
-        let (k1, s1, p1, pk1) = key_for("edge:64x64,k=5,o=2", &cluster);
-        let (k2, s2, p2, pk2) = key_for("edge:96x96,k=5,o=2", &cluster);
-        let (k3, s3, p3, pk3) = key_for("fig3", &cluster);
+        let (k1, s1, p1) = key_for("edge:64x64,k=5,o=2", &cluster);
+        let (k2, s2, p2) = key_for("edge:96x96,k=5,o=2", &cluster);
+        let (k3, s3, p3) = key_for("fig3", &cluster);
         assert!(cache.probe(&k1).is_none());
-        cache.insert(k1, s1, p1, pk1, true);
-        cache.insert(k2, s2, p2, pk2, true);
+        cache.insert(k1, s1, p1);
+        cache.insert(k2, s2, p2);
         assert!(cache.probe(&k1).is_some()); // k1 now most recent
-        cache.insert(k3, s3, p3, pk3, true); // evicts k2
+        cache.insert(k3, s3, p3); // evicts k2
         assert_eq!(cache.evictions(), 1);
         assert!(cache.probe(&k1).is_some());
         assert!(cache.probe(&k2).is_none());
@@ -238,8 +187,8 @@ mod tests {
     fn skeleton_probe_finds_resized_template() {
         let cluster = Cluster::homogeneous(modern(), 1);
         let mut cache = PlanCache::new(4);
-        let (k1, s1, p1, pk1) = key_for("edge:64x64,k=5,o=2", &cluster);
-        cache.insert(k1, s1, p1, pk1, true);
+        let (k1, s1, p1) = key_for("edge:64x64,k=5,o=2", &cluster);
+        cache.insert(k1, s1, p1);
         // Same template at a different size: exact key differs, skeleton
         // matches.
         let g2 = crate::source::resolve_named("edge:96x96,k=5,o=2").unwrap();

@@ -60,7 +60,7 @@ pub mod smoke;
 pub mod soak;
 pub mod source;
 
-pub use cache::{CachedPlan, PlanCache};
+pub use cache::PlanCache;
 pub use guard::{percentile_us, Breaker, BreakerState, Deadline, GuardConfig};
 pub use journal::{Journal, PlanRecord};
 pub use key::{cluster_fingerprint, device_fingerprint, PlanKey, SkeletonKey};

@@ -28,7 +28,7 @@ use gpuflow_core::{split_graph, CompileOptions, CompiledTemplate, Framework};
 use gpuflow_graph::Graph;
 use gpuflow_multi::{compile_multi, Cluster};
 
-use crate::cache::{CachedPlan, PlanCache};
+use crate::cache::PlanCache;
 use crate::key::PlanKey;
 
 /// How the cache participated in planning one request.
@@ -55,13 +55,10 @@ impl CacheOutcome {
 
 /// A planned request, ready for admission and execution.
 pub struct PlannedRequest {
-    /// The compiled plan (shared with the cache).
-    pub plan: CachedPlan,
-    /// Peak resident bytes per device — the admission controller's input.
-    pub peaks: Vec<u64>,
-    /// Whether the plan certified hazard-free. Computed once, when the
-    /// plan entered the cache; a hit reuses it.
-    pub certified: bool,
+    /// The compiled plan (shared with the cache), certified by
+    /// construction; its per-device peaks are the admission controller's
+    /// input.
+    pub plan: Arc<CompiledTemplate>,
     /// How the cache participated.
     pub cache: CacheOutcome,
     /// Canonical hash of the request graph (response `graph_hash`).
@@ -81,11 +78,9 @@ pub fn plan_request(
 ) -> Result<PlannedRequest, String> {
     let (key, skel) = PlanKey::for_request(g, options, cluster);
 
-    if let Some((plan, peaks, certified)) = cache.probe(&key) {
+    if let Some(plan) = cache.probe(&key) {
         return Ok(PlannedRequest {
             plan,
-            peaks,
-            certified,
             cache: CacheOutcome::Hit,
             graph_hash: key.graph_hash,
             key,
@@ -94,14 +89,11 @@ pub fn plan_request(
 
     // Incremental fast path: same skeleton, new sizes, single device.
     if cluster.len() == 1 {
-        if let Some(CachedPlan::Single(cached)) = cache.skeleton_probe(&skel) {
-            if let Some((plan, peaks)) = try_incremental(&cached, cluster, options, g) {
-                // `reuse_schedule` certified the reused schedule.
-                cache.insert(key, skel, plan.clone(), peaks.clone(), true);
+        if let Some(cached) = cache.skeleton_probe(&skel) {
+            if let Some(plan) = try_incremental(&cached, cluster, options, g) {
+                cache.insert(key, skel, Arc::clone(&plan));
                 return Ok(PlannedRequest {
                     plan,
-                    peaks,
-                    certified: true,
                     cache: CacheOutcome::Incremental,
                     graph_hash: key.graph_hash,
                     key,
@@ -110,33 +102,19 @@ pub fn plan_request(
         }
     }
 
-    let (plan, peaks, certified) = if cluster.len() == 1 {
-        // Certified by construction: `Framework::compile` rejects any
-        // plan the concurrency certifier does not prove race-free.
-        let t = Framework::new(cluster.devices[0].clone())
+    // Either compile rejects a plan the concurrency certifier does not
+    // prove race-free.
+    let compiled = if cluster.len() == 1 {
+        Framework::new(cluster.devices[0].clone())
             .with_options(options)
             .compile(g)
-            .map_err(|e| e.to_string())?;
-        let peaks = vec![t.stats().peak_bytes];
-        (CachedPlan::Single(Arc::new(t)), peaks, true)
     } else {
-        let m = compile_multi(g, cluster, options.memory_margin).map_err(|e| e.to_string())?;
-        let (analysis, certificate) = m.check();
-        if analysis.has_errors() {
-            return Err(format!(
-                "multi-device plan failed verification: {:?}",
-                analysis.first_error()
-            ));
-        }
-        let certified = certificate.certified();
-        let peaks = analysis.peak_per_device;
-        (CachedPlan::Multi(Arc::new(m)), peaks, certified)
+        compile_multi(g, cluster, options.memory_margin)
     };
-    cache.insert(key, skel, plan.clone(), peaks.clone(), certified);
+    let plan = Arc::new(compiled.map_err(|e| e.to_string())?);
+    cache.insert(key, skel, Arc::clone(&plan));
     Ok(PlannedRequest {
         plan,
-        peaks,
-        certified,
         cache: CacheOutcome::Miss,
         graph_hash: key.graph_hash,
         key,
@@ -152,7 +130,7 @@ fn try_incremental(
     cluster: &Cluster,
     options: CompileOptions,
     g: &Graph,
-) -> Option<(CachedPlan, Vec<u64>)> {
+) -> Option<Arc<CompiledTemplate>> {
     let device = cluster.devices[0].clone();
     let budget = device.plannable_memory(options.memory_margin);
     let split = split_graph(g, budget).ok()?;
@@ -165,9 +143,10 @@ fn try_incremental(
     // The schedule reuse gate: full footprint/residency analysis and the
     // hazard certificate against the *new* shapes; the statistics (and so
     // the peak) come from that same walk.
-    let t = cached.reuse_schedule(split, device, budget).ok()?;
-    let peaks = vec![t.stats().peak_bytes];
-    Some((CachedPlan::Single(Arc::new(t)), peaks))
+    cached
+        .reuse_schedule(split, device, budget)
+        .ok()
+        .map(Arc::new)
 }
 
 #[cfg(test)]
@@ -186,19 +165,14 @@ mod tests {
         assert_eq!(first.cache, CacheOutcome::Miss);
         let second = plan_request(&mut cache, &cluster, opts, &g).unwrap();
         assert_eq!(second.cache, CacheOutcome::Hit);
-        assert_eq!(second.plan.steps(), first.plan.steps());
+        assert_eq!(second.plan.plan.steps, first.plan.plan.steps);
         // Same template, new size: the schedule skeleton is reused.
         let g2 = resolve_named("edge:160x160,k=5,o=2").unwrap();
         let third = plan_request(&mut cache, &cluster, opts, &g2).unwrap();
         assert_eq!(third.cache, CacheOutcome::Incremental);
-        assert_eq!(third.plan.steps(), first.plan.steps());
-        assert!(third.certified);
+        assert_eq!(third.plan.plan.steps, first.plan.plan.steps);
         // … shared with the skeleton parent, not copied.
-        let (CachedPlan::Single(parent), CachedPlan::Single(resized)) = (&first.plan, &third.plan)
-        else {
-            panic!("one-device requests cache single-device plans");
-        };
-        assert!(Arc::ptr_eq(&parent.plan, &resized.plan));
+        assert!(Arc::ptr_eq(&first.plan.plan, &third.plan.plan));
         // And the resized entry is now an exact hit.
         let fourth = plan_request(&mut cache, &cluster, opts, &g2).unwrap();
         assert_eq!(fourth.cache, CacheOutcome::Hit);
@@ -228,7 +202,7 @@ mod tests {
         let g = resolve_named("edge:256x256,k=5,o=2").unwrap();
         let planned = plan_request(&mut cache, &cluster, CompileOptions::default(), &g).unwrap();
         assert_eq!(planned.cache, CacheOutcome::Miss);
-        assert_eq!(planned.peaks.len(), 2);
+        assert_eq!(planned.plan.peak_per_device().len(), 2);
         let again = plan_request(&mut cache, &cluster, CompileOptions::default(), &g).unwrap();
         assert_eq!(again.cache, CacheOutcome::Hit);
     }

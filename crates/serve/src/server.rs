@@ -35,13 +35,13 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gpuflow_chaos::FaultSpec;
-use gpuflow_core::{CompileOptions, Machine, ResilientExecutor};
+use gpuflow_core::{CompileOptions, CompiledTemplate, ResilientExecutor};
 use gpuflow_minijson::{Map, Value};
 use gpuflow_multi::{AdmissionError, AdmissionLedger, Cluster};
 use gpuflow_sim::device::modern;
 use gpuflow_trace::{Histogram, MetricsRegistry};
 
-use crate::cache::{CachedPlan, PlanCache};
+use crate::cache::PlanCache;
 use crate::guard::{Breaker, BreakerState, Deadline, GuardConfig, Transition};
 use crate::journal::{Journal, PlanRecord};
 use crate::key::{cluster_fingerprint, PlanKey};
@@ -501,7 +501,7 @@ impl Server {
             return None;
         };
         let key = *self.memo.lock().unwrap().get(&(spec.clone(), opts))?;
-        let (plan, peaks, certified) = self.cache.lock().unwrap().probe(&key)?;
+        let plan = self.cache.lock().unwrap().probe(&key)?;
         self.with_metrics(|m| {
             m.add("serve.cache_hits", 1);
             m.add("serve.cache_memo_hits", 1);
@@ -509,8 +509,6 @@ impl Server {
         self.phase("cache-probe", probe_start);
         Some(PlannedRequest {
             plan,
-            peaks,
-            certified,
             cache: CacheOutcome::Hit,
             graph_hash: key.graph_hash,
             key,
@@ -601,13 +599,10 @@ impl Server {
         let mut m = ok_base("compiled");
         m.insert("cache", planned.cache.label());
         m.insert("graph_hash", hex_hash(planned.graph_hash));
-        m.insert("units", planned.plan.units() as u64);
-        m.insert("steps", planned.plan.steps() as u64);
+        m.insert("units", planned.plan.plan.units.len() as u64);
+        m.insert("steps", planned.plan.plan.steps.len() as u64);
         m.insert("devices", self.cfg.cluster.len() as u64);
-        m.insert(
-            "peak_per_device",
-            Value::Array(planned.peaks.iter().map(|&b| Value::from(b)).collect()),
-        );
+        m.insert("peak_per_device", planned.plan.peak_per_device().to_vec());
         Value::Object(m)
     }
 
@@ -648,7 +643,7 @@ impl Server {
         // The deadline keeps ticking in the queue; expired queued work is
         // rejected here without ever reaching the cluster.
         let service_start = Instant::now();
-        let reservation = match self.admit(&planned.peaks, &deadline, &mut probe) {
+        let reservation = match self.admit(planned.plan.peak_per_device(), &deadline, &mut probe) {
             Ok(r) => r,
             Err(e) => return e,
         };
@@ -664,7 +659,7 @@ impl Server {
         }
 
         let exec_start = Instant::now();
-        let executed = execute(&planned.plan, planned.certified, fault_spec.as_ref());
+        let executed = execute(&planned.plan, fault_spec.as_ref());
         self.phase("execute", exec_start);
         // Queue-wait + execute is the breaker's service signal (the hold,
         // a load-test artifice, is excluded).
@@ -693,11 +688,9 @@ impl Server {
                 m.insert("cache", planned.cache.label());
                 m.insert("graph_hash", hex_hash(planned.graph_hash));
                 m.insert("sim_time_s", run.sim_time_s);
-                m.insert("certified", planned.certified);
-                m.insert(
-                    "peak_per_device",
-                    Value::Array(planned.peaks.iter().map(|&b| Value::from(b)).collect()),
-                );
+                // Every compiled template is certified by construction.
+                m.insert("certified", true);
+                m.insert("peak_per_device", planned.plan.peak_per_device().to_vec());
                 if let Some(f) = run.faulted {
                     let mut fm = Map::new();
                     fm.insert("injected", f.injected);
@@ -890,35 +883,24 @@ struct FaultReport {
 }
 
 /// Execute a planned request on the simulator, optionally under faults.
-/// Runs outside every server lock. `certified` is the certificate the
-/// cache memoised for this plan; debug builds recompute it here, so every
-/// test run cross-checks the memo.
-fn execute(
-    plan: &CachedPlan,
-    certified: bool,
-    faults: Option<&FaultSpec>,
-) -> Result<RunReport, String> {
-    let (split, exec_plan, machine) = match plan {
-        CachedPlan::Single(t) => (&t.split, &*t.plan, Machine::single(&t.device)),
-        CachedPlan::Multi(mc) => (&mc.sharded.split, &mc.plan, mc.cluster.machine()),
-    };
-    debug_assert_eq!(
-        certified,
-        exec_plan.certify(&split.graph).certified(),
-        "the cached certificate disagrees with the plan"
-    );
+/// Runs outside every server lock.
+fn execute(t: &CompiledTemplate, faults: Option<&FaultSpec>) -> Result<RunReport, String> {
+    let machine = t.machine();
     let Some(spec) = faults else {
-        let sim_time_s = match plan {
-            CachedPlan::Single(t) => t.run_analytic().map_err(|e| e.to_string())?.total_time(),
-            CachedPlan::Multi(mc) => mc.outcome().makespan,
+        // A cluster reports its simulated makespan on the shared bus, one
+        // device the serial time of its quiet walk.
+        let sim_time_s = if machine.shared_bus() {
+            t.simulate().outcome.makespan
+        } else {
+            t.run_analytic().map_err(|e| e.to_string())?.total_time()
         };
         return Ok(RunReport {
             sim_time_s,
             faulted: None,
         });
     };
-    let outcome = ResilientExecutor::new(&split.graph, exec_plan, &machine, spec)
-        .with_origin(split)
+    let outcome = ResilientExecutor::new(&t.split.graph, &t.plan, &machine, spec)
+        .with_origin(&t.split)
         .run_analytic()
         .map_err(|e| e.to_string())?;
     Ok(RunReport {
@@ -1155,10 +1137,8 @@ mod tests {
         });
         let spec = "edge:256x256,k=5,o=2";
         let g = crate::source::resolve_named(spec).unwrap();
-        let direct = gpuflow_multi::compile_multi(&g, &cluster, server.config().margin)
-            .unwrap()
-            .certify()
-            .certified();
+        let c = gpuflow_multi::compile_multi(&g, &cluster, server.config().margin).unwrap();
+        let direct = c.plan.certify(&c.split.graph).certified();
         let line = format!(r#"{{"op":"run","template":"{spec}"}}"#);
         for expected_cache in ["miss", "hit"] {
             let r = gpuflow_minijson::parse(&server.handle_line(&line)).unwrap();

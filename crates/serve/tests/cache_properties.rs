@@ -16,7 +16,7 @@ use gpuflow_core::{CompileOptions, EvictionPolicy, Framework, OpScheduler};
 use gpuflow_multi::Cluster;
 use gpuflow_serve::planner::{plan_request, CacheOutcome};
 use gpuflow_serve::source::resolve_named;
-use gpuflow_serve::{CachedPlan, PlanCache};
+use gpuflow_serve::PlanCache;
 use gpuflow_sim::device::modern;
 use proptest::prelude::*;
 
@@ -50,14 +50,6 @@ fn options(margin_step: u64, sched: u64, evict: u64) -> CompileOptions {
     }
 }
 
-/// Serialize whatever the cache returned to codegen JSON.
-fn json_of(plan: &CachedPlan, label: &str) -> String {
-    match plan {
-        CachedPlan::Single(t) => plan_to_json(&t.split.graph, &t.plan, label).unwrap(),
-        CachedPlan::Multi(m) => gpuflow_codegen::compiled_multi_to_json(m, label).unwrap(),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -88,8 +80,9 @@ proptest! {
             .compile(&g)
             .unwrap();
         let fresh_json = plan_to_json(&fresh.split.graph, &fresh.plan, &spec).unwrap();
-        prop_assert_eq!(json_of(&served.plan, &spec), fresh_json);
-        prop_assert_eq!(&served.peaks, &vec![fresh.stats().peak_bytes]);
+        let served_json = plan_to_json(&served.plan.split.graph, &served.plan.plan, &spec).unwrap();
+        prop_assert_eq!(served_json, fresh_json);
+        prop_assert_eq!(served.plan.peak_per_device(), &[fresh.stats().peak_bytes][..]);
     }
 
     /// Incremental recompiles keep the cache valid: after a resize chain,
@@ -108,10 +101,9 @@ proptest! {
             let planned = plan_request(&mut cache, &cluster, opts, &g).unwrap();
             // Whatever path it took, the served plan must be valid for
             // *these* sizes.
-            if let CachedPlan::Single(t) = &planned.plan {
-                let budget = t.device.plannable_memory(opts.memory_margin);
-                gpuflow_core::validate_plan(&t.split.graph, &t.plan, budget).unwrap();
-            }
+            let t = &planned.plan;
+            let budget = t.devices[0].plannable_memory(opts.memory_margin);
+            gpuflow_core::validate_plan(&t.split.graph, &t.plan, budget).unwrap();
         }
         prop_assert!(cache.verify_integrity().is_ok());
     }

@@ -26,8 +26,8 @@ fn main() {
     let compiled = compile_multi(&template.graph, &cluster, 0.05).expect("template shards");
     println!(
         "sharded: split into {} bands; ops per device {:?}",
-        compiled.sharded.split.parts,
-        compiled.sharded.ops_per_device(cluster.len())
+        compiled.split.parts,
+        compiled.plan.ops_per_device(cluster.len())
     );
 
     // 4. Every multi-device plan is checked by the static analyzer: shards

@@ -102,13 +102,7 @@ fn cluster(out: &mut String, template: &str, spec: &str) {
     let cluster = parse_cluster(spec).expect("cluster spec parses");
     let c = compile_multi(&g, &cluster, CLUSTER_MARGIN).expect("template compiles");
     let title = format!("{template} @ {spec}");
-    render(
-        out,
-        &title,
-        &c.sharded.split.graph,
-        &c.plan,
-        &c.cluster.machine(),
-    );
+    render(out, &title, &c.split.graph, &c.plan, &c.machine());
 }
 
 #[test]

@@ -68,14 +68,7 @@ fn single(g: &Graph, spec: &FaultSpec, functional: bool) -> Run {
 fn cluster(g: &Graph, machine: &str, spec: &FaultSpec, functional: bool) -> Run {
     let cluster = parse_cluster(machine).expect("cluster spec parses");
     let c = compile_multi(g, &cluster, CLUSTER_MARGIN).expect("template compiles");
-    run(
-        g,
-        &c.sharded.split,
-        &c.plan,
-        &cluster.machine(),
-        spec,
-        functional,
-    )
+    run(g, &c.split, &c.plan, &cluster.machine(), spec, functional)
 }
 
 fn run(

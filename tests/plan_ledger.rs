@@ -75,7 +75,7 @@ fn plan_ledger_matches_golden() {
         render(
             &mut text,
             &format!("{template} @ {spec}"),
-            &c.sharded.split.graph,
+            &c.split.graph,
             &c.plan,
         );
     }

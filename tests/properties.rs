@@ -207,7 +207,7 @@ proptest! {
         // same end time, one interval per step, and one timeline event
         // per transfer or free and per operator of each launch.
         let (pg, plan) = (&compiled.split.graph, &*compiled.plan);
-        let times = serial_step_times(pg, plan, &compiled.device);
+        let times = serial_step_times(pg, plan, &compiled.devices[0]);
         prop_assert_eq!(times.len(), plan.steps.len());
         let end = times.last().map_or(0.0, |t| t.1);
         prop_assert!((end - out.total_time()).abs() <= 1e-12 * end, "{} vs {}", end, out.total_time());
@@ -648,7 +648,7 @@ proptest! {
             "multi plan has errors: {}",
             analysis.first_error().map(|d| d.render()).unwrap_or_default()
         );
-        let o = compiled.outcome();
+        let o = compiled.simulate().outcome;
         prop_assert!(
             o.makespan <= o.serial_time + 1e-9,
             "makespan {} beats serial {}",

@@ -10,7 +10,7 @@
 //! access-history `Vec` per step or buffer, a cloned step list) is most
 //! of their cost. This binary counts the allocations of one
 //! `schedule_device_transfers`, one `simulate`, one
-//! `ExecutionPlan::certify` and one `profile_cluster_with` call on two
+//! `ExecutionPlan::certify` and one `profile_with` call on two
 //! cluster plans of very different lengths (10 136 and 41 012 steps); the
 //! counts may differ only by what the machine's size and the growth of
 //! the result vectors explain, never by a term per step. Before the flat
@@ -28,11 +28,12 @@ use std::cell::Cell;
 
 use gpuflow::core::xfer::{schedule_device_transfers, EvictionPolicy, MultiXferOptions};
 use gpuflow::core::{
-    partition_offload_units, schedule_units, simulate, OpScheduler, PartitionPolicy, Simulation,
+    partition_offload_units, schedule_units, simulate, CompileOptions, OpScheduler,
+    PartitionPolicy, Simulation,
 };
 use gpuflow::multi::{compile_multi, parse_cluster, shard_graph};
 use gpuflow::serve::resolve_named;
-use gpuflow_profile::profile_cluster_with;
+use gpuflow_profile::profile_with;
 
 /// Counts the allocations (and reallocations) of the thread that has
 /// counting switched on; every other thread passes straight through.
@@ -78,10 +79,10 @@ static ALLOC: Counting = Counting;
 fn simulated(template: &str, cluster: &str) -> (usize, usize) {
     let g = resolve_named(template).unwrap();
     let c = compile_multi(&g, &parse_cluster(cluster).unwrap(), 0.05).unwrap();
-    let machine = c.cluster.machine();
+    let machine = c.machine();
     COUNT.with(|n| n.set(0));
     COUNTING.with(|on| on.set(true));
-    let sim: Simulation = simulate(&c.sharded.split.graph, &c.plan, &machine);
+    let sim: Simulation = simulate(&c.split.graph, &c.plan, &machine);
     COUNTING.with(|on| on.set(false));
     assert!(sim.outcome.makespan > 0.0);
     drop(sim);
@@ -91,7 +92,7 @@ fn simulated(template: &str, cluster: &str) -> (usize, usize) {
 /// Compile `template` for `cluster`, simulate it, then certify and
 /// profile it with the allocation counter on, the way a cluster `run
 /// --json` does: `(plan steps, allocations of certify, allocations of
-/// profile_cluster_with)`.
+/// profile_with)`.
 fn checked(template: &str, cluster: &str) -> (usize, usize, usize) {
     let g = resolve_named(template).unwrap();
     let c = compile_multi(&g, &parse_cluster(cluster).unwrap(), 0.05).unwrap();
@@ -104,12 +105,12 @@ fn checked(template: &str, cluster: &str) -> (usize, usize, usize) {
         COUNT.with(Cell::get)
     };
     let mut cert = None;
-    let certify = counted(&mut || cert = Some(c.plan.certify(&c.sharded.split.graph)));
+    let certify = counted(&mut || cert = Some(c.plan.certify(&c.split.graph)));
     let cert = cert.unwrap();
     assert!(cert.certified());
     let mut report = None;
     let profile = counted(&mut || {
-        report = Some(profile_cluster_with(&c, 0.05, &sim, &cert).unwrap());
+        report = Some(profile_with(&c, &CompileOptions::default(), &sim, &cert).unwrap());
     });
     assert!(report.unwrap().makespan_ns > 0);
     (c.plan.steps.len(), certify, profile)
@@ -206,7 +207,7 @@ fn certify_and_profile_allocate_nothing_per_step() {
     );
     assert!(
         large_profile.abs_diff(small_profile) < 64,
-        "profile_cluster_with: {small_profile} allocations for {small_steps} steps, \
+        "profile_with: {small_profile} allocations for {small_steps} steps, \
          {large_profile} for {large_steps}"
     );
 }

@@ -133,7 +133,7 @@ fn single(g: &Graph, dev: &DeviceSpec, streams: usize) -> Run {
 fn cluster(g: &Graph, spec: &str) -> Run {
     let cluster = parse_cluster(spec).expect("cluster spec parses");
     let c = compile_multi(g, &cluster, CLUSTER_MARGIN).expect("template compiles");
-    run(&c.sharded.split.graph, &c.plan, &c.cluster.machine())
+    run(&c.split.graph, &c.plan, &c.machine())
 }
 
 fn render(out: &mut String, template: &str, machine: &str, run: &Run) {

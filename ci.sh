@@ -27,6 +27,22 @@ perf/run.sh --smoke > /dev/null
 cmp perf/Cargo.lock "$lockcopy" || { echo "perf/run.sh rewrote perf/Cargo.lock"; exit 1; }
 rm -f "$lockcopy"
 
+echo "==> traced benchmark gate (perf/run.sh --trace 1 on the batch workloads)"
+# A traced run replays every corpus entry through the pass-by-pass shadow
+# pipeline (perf/src/layers.rs) and reports `"correct":false` when that
+# pipeline disagrees with the CLI or when the core pass spans stop
+# explaining Framework::compile (core.pass_sum_ratio outside [0.9, 1.1]).
+# The smoke run above is untraced, so only this runs those checks.
+perfout="$(mktemp -d)"
+for w in batch_fit batch_spill batch_cluster; do
+    last="$(perf/run.sh --workload "$w" --seed 1 --seconds 5 --trace 1 --out "$perfout" | tail -n 1)"
+    case "$last" in
+        '{"correct":true,'*) ;;
+        *) echo "traced $w run is not correct: $last"; exit 1 ;;
+    esac
+done
+rm -rf "$perfout"
+
 echo "==> certifier memory tripwire (large CNN under a 256 MB address space)"
 # The concurrency certificate is O(steps x lanes) (docs/concurrency.md).
 # As an n^2-bit closure it alone took 656 MB for the first plan and
